@@ -207,40 +207,22 @@ func run(matrix string, n int, solverN, scheme, precN string, blocks int, tol fl
 		Pool:               pool,
 	}
 
+	schemes := map[string]core.Scheme{
+		"none": core.Unprotected, "basic": core.Basic, "twolevel": core.TwoLevel,
+		"onlinemv": core.OnlineMV, "ortho": core.Orthogonality, "offline": core.OfflineResidual,
+	}
 	var res core.Result
 	switch solverN {
-	case "pcg", "cg":
-		switch scheme {
-		case "none":
-			res, err = core.UnprotectedPCG(a, m, b, opts)
-		case "basic":
-			res, err = core.BasicPCG(a, m, b, opts)
-		case "twolevel":
-			res, err = core.TwoLevelPCG(a, m, b, opts)
-		case "onlinemv":
-			res, err = core.OnlineMVPCG(a, m, b, opts)
-		case "ortho":
-			res, err = core.OrthoPCG(a, m, b, opts)
-		case "offline":
-			res, err = core.OfflineResidualPCG(a, m, b, opts)
-		default:
-			return fmt.Errorf("unknown scheme %q", scheme)
+	case "pcg", "cg", "pbicgstab", "bicgstab":
+		method := core.MethodPCG
+		if strings.HasSuffix(solverN, "bicgstab") {
+			method = core.MethodPBiCGSTAB
 		}
-	case "pbicgstab", "bicgstab":
-		switch scheme {
-		case "none":
-			res, err = core.UnprotectedPBiCGSTAB(a, m, b, opts)
-		case "basic":
-			res, err = core.BasicPBiCGSTAB(a, m, b, opts)
-		case "twolevel":
-			res, err = core.TwoLevelPBiCGSTAB(a, m, b, opts)
-		case "onlinemv":
-			res, err = core.OnlineMVPBiCGSTAB(a, m, b, opts)
-		case "offline":
-			res, err = core.OfflineResidualPBiCGSTAB(a, m, b, opts)
-		default:
-			return fmt.Errorf("scheme %q not available for BiCGSTAB", scheme)
+		sch, ok := schemes[scheme]
+		if !ok {
+			return fmt.Errorf("unknown scheme %q (none|basic|twolevel|onlinemv|ortho|offline)", scheme)
 		}
+		res, err = core.Solve(method, sch, a, m, b, opts)
 	case "jacobi":
 		if scheme != "basic" {
 			return fmt.Errorf("jacobi demo supports -scheme basic")

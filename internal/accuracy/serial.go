@@ -36,20 +36,12 @@ func serialSchemes(cfg Config, solverName string) []string {
 
 // runSerial dispatches one protected serial solve.
 func runSerial(solverName, scheme string, a *sparse.CSR, m precond.Preconditioner, b []float64, opts core.Options) (core.Result, error) {
-	switch solverName + "/" + scheme {
-	case "pcg/basic":
-		return core.BasicPCG(a, m, b, opts)
-	case "pcg/two-level":
-		return core.TwoLevelPCG(a, m, b, opts)
-	case "bicgstab/basic":
-		return core.BasicPBiCGSTAB(a, m, b, opts)
-	case "bicgstab/two-level":
-		return core.TwoLevelPBiCGSTAB(a, m, b, opts)
-	case "cr/basic":
-		return core.BasicCR(a, b, opts)
-	default:
+	method, ok := map[string]core.Method{"pcg": core.MethodPCG, "bicgstab": core.MethodPBiCGSTAB, "cr": core.MethodCR}[solverName]
+	sch, ok2 := map[string]core.Scheme{"basic": core.Basic, "two-level": core.TwoLevel}[scheme]
+	if !ok || !ok2 {
 		return core.Result{}, fmt.Errorf("accuracy: unknown serial solver/scheme %s/%s", solverName, scheme)
 	}
+	return core.Solve(method, sch, a, m, b, opts)
 }
 
 // RunSerial executes the serial half of the campaign grid.

@@ -106,3 +106,30 @@ func probe(x float64) any {
 
 //hot:bogus not a directive the model knows
 func stray() {}
+
+// Interface dispatch is the analysis boundary: the call graph is static,
+// so a hot region that reaches a method through an interface value does not
+// make the method hot. bareStep's make below is therefore NOT reported —
+// which is exactly why every implementation of an interface called from a
+// hot loop (the solver backends' operation verbs, the recurrence steps, the
+// guard hooks in internal/core) must carry its own //hot:loop, as
+// markedStep does.
+type stepper interface{ step(n int) []float64 }
+
+type bareStep struct{}
+
+func (bareStep) step(n int) []float64 { return make([]float64, n) } // missed: not annotated, reached only dynamically
+
+type markedStep struct{}
+
+//hot:loop recurrence step behind the stepper interface
+func (markedStep) step(n int) []float64 { return make([]float64, n) } // flagged through its own annotation
+
+func drive(s stepper, iters int) float64 {
+	acc := 0.0
+	//hot:loop driver loop dispatching through an interface
+	for i := 0; i < iters; i++ {
+		acc += sum(s.step(i))
+	}
+	return acc
+}

@@ -110,48 +110,7 @@ func (w Workload) baseOptions() core.Options {
 // and returns the result together with the wall-clock time.
 func RunScheme(w Workload, scheme core.Scheme, opts core.Options) (core.Result, time.Duration, error) {
 	start := time.Now()
-	var (
-		res core.Result
-		err error
-	)
-	switch w.Method {
-	case core.MethodPCG:
-		switch scheme {
-		case core.Unprotected:
-			res, err = core.UnprotectedPCG(w.A, w.M, w.B, opts)
-		case core.Basic:
-			res, err = core.BasicPCG(w.A, w.M, w.B, opts)
-		case core.TwoLevel:
-			res, err = core.TwoLevelPCG(w.A, w.M, w.B, opts)
-		case core.OnlineMV:
-			res, err = core.OnlineMVPCG(w.A, w.M, w.B, opts)
-		case core.Orthogonality:
-			res, err = core.OrthoPCG(w.A, w.M, w.B, opts)
-		case core.OfflineResidual:
-			res, err = core.OfflineResidualPCG(w.A, w.M, w.B, opts)
-		default:
-			return res, 0, fmt.Errorf("bench: unknown scheme %v", scheme)
-		}
-	case core.MethodPBiCGSTAB:
-		switch scheme {
-		case core.Unprotected:
-			res, err = core.UnprotectedPBiCGSTAB(w.A, w.M, w.B, opts)
-		case core.Basic:
-			res, err = core.BasicPBiCGSTAB(w.A, w.M, w.B, opts)
-		case core.TwoLevel:
-			res, err = core.TwoLevelPBiCGSTAB(w.A, w.M, w.B, opts)
-		case core.OnlineMV:
-			res, err = core.OnlineMVPBiCGSTAB(w.A, w.M, w.B, opts)
-		case core.OfflineResidual:
-			res, err = core.OfflineResidualPBiCGSTAB(w.A, w.M, w.B, opts)
-		case core.Orthogonality:
-			return res, 0, fmt.Errorf("bench: the orthogonality scheme does not apply to BiCGSTAB (no orthogonality relations, §6)")
-		default:
-			return res, 0, fmt.Errorf("bench: unknown scheme %v", scheme)
-		}
-	default:
-		return res, 0, fmt.Errorf("bench: unknown method %v", w.Method)
-	}
+	res, err := core.Solve(w.Method, scheme, w.A, w.M, w.B, opts)
 	return res, time.Since(start), err
 }
 

@@ -1,11 +1,17 @@
 package core
 
 import (
-	"newsum/internal/checksum"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
+
+// UnprotectedPBiCGSTAB runs plain preconditioned BiCGSTAB with fault
+// injection but no detection or recovery — the control arm and the
+// substrate of OfflineResidualPBiCGSTAB.
+func UnprotectedPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	return Solve(MethodPBiCGSTAB, Unprotected, a, m, b, opts)
+}
 
 // BasicPBiCGSTAB solves A·x = b with the basic online ABFT preconditioned
 // BiCGSTAB, constructed with the §5.3 recipe: checksum updates after every
@@ -18,387 +24,176 @@ import (
 // for the Chen-style baseline to check (§6), and its two MVMs and two PCOs
 // per iteration double the checksum-update load relative to PCG.
 func BasicPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	return abftBiCGSTAB(a, m, b, opts, Basic)
+	return Solve(MethodPBiCGSTAB, Basic, a, m, b, opts)
 }
 
 // TwoLevelPBiCGSTAB adds triple-checksum inner-level protection after each
 // of the two MVMs per iteration: single errors are corrected in place,
 // multiple errors trigger immediate rollback.
 func TwoLevelPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	return abftBiCGSTAB(a, m, b, opts, TwoLevel)
+	return Solve(MethodPBiCGSTAB, TwoLevel, a, m, b, opts)
 }
 
-func abftBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options, scheme Scheme) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	weights := checksum.Single
-	if scheme == TwoLevel && opts.EagerTriple {
-		weights = checksum.Triple
-	}
-	e := newEngine(a, m, weights, &opts, &res.Stats)
-	if scheme == TwoLevel && !opts.EagerTriple {
-		e.initLazyDiag()
-	}
-	n := e.n
-
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
-	}
-	r := e.newTracked("r")
-	p := e.newTracked("p")
-	v := e.newTracked("v")
-	s := e.newTracked("s")
-	t := e.newTracked("t")
-	phat := e.newTracked("phat")
-	shat := e.newTracked("shat")
-	bT := e.wrap("b", b)
-
-	e.mulVec(r.data, x.data)
-	vec.Sub(r.data, bT.data, r.data)
-	e.recompute(r)
-	rhat := vec.Clone(r.data) // shadow residual, fixed for the whole solve
-
-	normB := e.norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-
-	res.X = x.data
-	relres := e.norm2(r.data) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
-	}
-
-	rhoPrev, alpha, omega := 1.0, 1.0, 1.0
-
-	store := opts.newStore()
-	d, cd := opts.DetectInterval, opts.CheckpointInterval
-
-	//hot:cold checkpoint machinery: invoked once per cd iterations, off the steady-state budget
-	saveCheckpoint := func(iter int) {
-		opts.Trace.add(iter, EvCheckpoint, "snapshot {x, p}")
-		store.Save(iter,
-			map[string][]float64{"x": x.data, "p": p.data},
-			map[string]float64{"rhoPrev": rhoPrev, "alpha": alpha, "omega": omega},
-			map[string][]float64{"x": x.s, "p": p.s, "x.eta": x.eta, "p.eta": p.eta},
-		)
-		res.Stats.Checkpoints++
-		res.Stats.CheckpointBytes = store.BytesCopied
-		res.Stats.CheckpointStoredBytes = store.BytesStored
-		e.corruptCheckpoint(iter, &store)
-	}
-	// rollback restores {x, p} and the scalars, then reconstructs
-	// r = b − A·x and v = A·M⁻¹p with fresh checksums (two MVMs + one PCO).
-	//hot:cold recovery machinery: runs only after a detection
-	rollback := func(iter int) (int, bool) {
-		res.Stats.Rollbacks++
-		if res.Stats.Rollbacks > opts.MaxRollbacks {
-			return iter, false
-		}
-		scal := map[string]float64{}
-		snapIter, err := store.Restore(
-			map[string][]float64{"x": x.data, "p": p.data},
-			scal,
-			map[string][]float64{"x": x.s, "p": p.s, "x.eta": x.eta, "p.eta": p.eta},
-		)
-		if err != nil {
-			return iter, false
-		}
-		rhoPrev, alpha, omega = scal["rhoPrev"], scal["alpha"], scal["omega"]
-		if store.Lossy() {
-			// Quantized restore: re-anchor x's checksums from the perturbed
-			// data before anything verifies them. The restored direction and
-			// scalars belong to the exact snapshot state; against the
-			// reconstructed residual — dominated by the quantization noise
-			// A·δx — the stale ρ makes the first β = (ρ/ρ')·(α/ω) blow up
-			// and permanently poison p. A lossy restore is therefore a
-			// BiCGStab restart: α := 0 forces β = 0 at the next iteration,
-			// so the direction update collapses to p := r and the stale
-			// {p, v, ρ', ω} never enter the recurrence.
-			e.recompute(x)
-			res.Stats.LossyRestores++
-			rhoPrev, alpha, omega = 1, 0, 1
-		}
-		e.mulVec(r.data, x.data)
-		vec.Sub(r.data, bT.data, r.data)
-		e.recompute(r)
-		res.Stats.RecoveryMVMs++
-		if store.Lossy() {
-			copyTracked(p, r)
-		}
-		if snapIter > 0 {
-			// v = A·M⁻¹·p, needed by the search-direction update — and by
-			// the next detection boundary, which verifies v and must not
-			// re-flag a corruption the rollback already discarded. Under a
-			// lossy restart p is the reconstructed residual, so v is rebuilt
-			// against the restarted direction.
-			if err := applyClean(m, phat.data, p.data); err != nil {
-				return iter, false
-			}
-			e.recompute(phat)
-			e.mulVec(v.data, phat.data)
-			e.recompute(v)
-			res.Stats.RecoveryMVMs++
-		}
-		res.Stats.WastedIterations += iter - snapIter
-		opts.Trace.add(iter, EvRollback, "restored iteration %d, recomputed r, v", snapIter)
-		return snapIter, true
-	}
-
-	//hot:cold rollback-storm exit: runs at most once per solve
-	storm := func() (Result, error) {
-		res.Residual = relres
-		res.Stats.InjectedErrors = e.injectedCount()
-		return res, rollbackStormErr("PBiCGSTAB", scheme)
-	}
-
-	i := 0
-	// The steady-state iteration — hotalloc polices allocations,
-	// checksumguard polices raw writes to the protected vector set
-	// (detection/recovery branches are //hot:cold).
-	//
-	//hot:loop BiCGStab protected iteration (§5.3 construction)
-	//hot:protected x r p v s t phat shat
-	for i < maxIter {
-		if err := opts.ctxErr("PBiCGSTAB"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = e.injectedCount()
-			return res, err
-		}
-		if i > 0 && i%d == 0 {
-			// v is verified alongside x and r: a huge corruption in v can be
-			// scaled below the detection threshold on its way into s (α =
-			// ρ/r̂ᵀv divides it away), so the MVM output itself must be
-			// checked while the raw inconsistency is still visible.
-			//hot:cold detection handling and rollback
-			if !e.verify(x) || !e.verify(r) || !e.verify(v) {
-				opts.Trace.add(i, EvDetection, "outer-level: checksum mismatch in {x, r, v}")
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-		}
-		//hot:cold amortized checkpoint branch: once per cd iterations
-		if i%cd == 0 {
-			// Guard the snapshot: p must verify clean before it becomes
-			// the rollback target.
-			if i > 0 && !e.verify(p) {
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-			saveCheckpoint(i)
-		}
-
-		rho := e.dot(rhat, r.data)
-		//hot:cold suspect-scalar detection and rollback
-		if suspectScalar(rho) {
-			res.Stats.Detections++
-			opts.Trace.add(i, EvDetection, "suspect recurrence scalar ρ = %g", rho)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		//hot:cold breakdown exit
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if rho == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", scheme, i, "ρ = 0")
-		}
-		if i == 0 {
-			copyTracked(p, r)
-		} else {
-			beta := (rho / rhoPrev) * (alpha / omega)
-			// p = r + beta*(p − omega*v)
-			e.axpy(i, p, -omega, v)
-			e.xpby(i, p, r, beta, p)
-		}
-		if err := e.pco(i, phat, p); err != nil {
-			return res, err
-		}
-		e.mvm(i, v, phat)
-		if scheme == TwoLevel {
-			diag := e.innerCheck(v, phat)
-			//hot:cold correction reporting after an inner-level event
-			if diag.Kind == checksum.SingleError {
-				opts.Trace.add(i, EvCorrection, "inner-level: v[%d] -= %.6g", diag.Pos, diag.Magnitude)
-			}
-			//hot:cold rollback on an inner-level multiple-error diagnosis
-			if diag.Kind == checksum.MultipleErrors {
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-		}
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		rhatV := e.dot(rhat, v.data)
-		//hot:cold suspect-scalar detection and rollback
-		if suspectScalar(rhatV) {
-			res.Stats.Detections++
-			opts.Trace.add(i, EvDetection, "suspect recurrence scalar r̂ᵀv = %g", rhatV)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		//hot:cold breakdown exit
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if rhatV == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", scheme, i, "r̂ᵀv = 0")
-		}
-		alpha = rho / rhatV
-		e.axpbyInto(i, s, 1, r, -alpha, v)
-
-		//hot:cold early-convergence exit: runs once per solve
-		if rel := e.norm2(s.data) / normB; rel <= tolRes {
-			e.axpy(i, x, alpha, phat)
-			i++
-			res.Iterations = i
-			relres = rel
-			if opts.RecordResiduals {
-				res.History = append(res.History, relres)
-			}
-			if e.verify(x) && e.verify(s) {
-				res.Converged = true
-				break
-			}
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-
-		if err := e.pco(i, shat, s); err != nil {
-			return res, err
-		}
-		e.mvm(i, t, shat)
-		if scheme == TwoLevel {
-			diag := e.innerCheck(t, shat)
-			//hot:cold correction reporting after an inner-level event
-			if diag.Kind == checksum.SingleError {
-				opts.Trace.add(i, EvCorrection, "inner-level: t[%d] -= %.6g", diag.Pos, diag.Magnitude)
-			}
-			//hot:cold rollback on an inner-level multiple-error diagnosis
-			if diag.Kind == checksum.MultipleErrors {
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-		}
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		tt := e.dot(t.data, t.data)
-		//hot:cold suspect-scalar detection and rollback
-		if suspectScalar(tt) {
-			res.Stats.Detections++
-			opts.Trace.add(i, EvDetection, "suspect recurrence scalar tᵀt = %g", tt)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		//hot:cold breakdown exit
-		if tt <= 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", scheme, i, "tᵀt = 0")
-		}
-		omega = e.dot(t.data, s.data) / tt
-		//hot:cold breakdown exit
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if omega == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", scheme, i, "ω = 0")
-		}
-		e.axpy(i, x, alpha, phat)
-		e.axpy(i, x, omega, shat)
-		e.axpbyInto(i, r, 1, s, -omega, t)
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		rhoPrev = rho
-		i++
-		res.Iterations = i
-
-		relres = e.norm2(r.data) / normB
-		//hot:cold diagnostic residual history, off by default
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		//hot:cold convergence exit: verified once per solve, rollback on a corrupted residual
-		if relres <= tolRes {
-			if e.verify(x) && e.verify(r) {
-				res.Converged = true
-				break
-			}
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-	}
-
-	res.Residual = relres
-	res.Stats.InjectedErrors = e.injectedCount()
-	if !res.Converged {
-		return notConverged("ABFT PBiCGSTAB", res, relres)
-	}
-	return res, nil
+// bicgstab is the preconditioned BiCGSTAB recurrence.
+type bicgstab struct {
+	krylov
+	v, s, t, phat, shat   *tracked
+	rhat                  []float64 // shadow residual, fixed for the whole solve
+	rhoPrev, alpha, omega float64
 }
 
-// applyClean applies a preconditioner without instrumentation, for recovery
-// paths that must not consume injector events.
-func applyClean(m precond.Preconditioner, z, r []float64) error {
-	if m == nil {
-		copy(z, r)
-		return nil
+func newBiCGSTAB(e *engine) *bicgstab {
+	c := &bicgstab{
+		v: e.newTracked("v"), s: e.newTracked("s"), t: e.newTracked("t"),
+		phat: e.newTracked("phat"), shat: e.newTracked("shat"),
 	}
-	return m.Apply(z, r)
+	c.krylov = krylov{
+		p: e.newTracked("p"),
+		// v is verified alongside x and r: a huge corruption in v can be
+		// scaled below the detection threshold on its way into s (α =
+		// ρ/r̂ᵀv divides it away), so the MVM output itself must be
+		// checked while the raw inconsistency is still visible.
+		watch:      []*tracked{c.v},
+		detectMsg:  "outer-level: checksum mismatch in {x, r, v}",
+		snapMsg:    "snapshot {x, p}",
+		rebuiltMsg: "r, v",
+	}
+	return c
+}
+
+func (c *bicgstab) shape() *krylov { return &c.krylov }
+
+func (c *bicgstab) scalars(s map[string]float64) {
+	s["rhoPrev"], s["alpha"], s["omega"] = c.rhoPrev, c.alpha, c.omega
+}
+
+func (c *bicgstab) setScalars(s map[string]float64) {
+	c.rhoPrev, c.alpha, c.omega = s["rhoPrev"], s["alpha"], s["omega"]
+}
+
+func (c *bicgstab) start(k *run) error {
+	c.rhat = vec.Clone(k.r.data)
+	c.rhoPrev, c.alpha, c.omega = 1, 1, 1
+	return nil
+}
+
+// restart is the BiCGStab restart: α := 0 forces β = (ρ/ρ')·(α/ω) = 0 at
+// the next iteration, so the direction update collapses to p := r and the
+// stale {p, v, ρ', ω} never enter the recurrence.
+func (c *bicgstab) restart(k *run) error {
+	c.rhoPrev, c.alpha, c.omega = 1, 0, 1
+	copyTracked(c.p, k.r)
+	return nil
+}
+
+func (c *bicgstab) restored(k *run, snapIter int, lossy bool) error {
+	if lossy {
+		if err := c.restart(k); err != nil {
+			return err
+		}
+	}
+	if snapIter == 0 {
+		return nil // iteration 0 sets p := r and rebuilds v itself
+	}
+	// v = A·M⁻¹·p, needed by the search-direction update — and by the next
+	// detection boundary, which verifies v and must not re-flag a
+	// corruption the rollback already discarded. Under a lossy restart p is
+	// the reconstructed residual, so v is rebuilt against the restarted
+	// direction.
+	if err := applyClean(k.e.m, c.phat.data, c.p.data); err != nil {
+		return err
+	}
+	k.e.recompute(c.phat)
+	k.e.mulVec(c.v.data, c.phat.data)
+	k.e.recompute(c.v)
+	k.res.Stats.RecoveryMVMs++
+	return nil
+}
+
+//hot:loop BiCGStab iteration (§5.3 construction)
+func (c *bicgstab) step(k *run) (status, error) {
+	return c.iterate(k, k.x, k.r, c.p, c.v, c.s, c.t, c.phat, c.shat)
+}
+
+//hot:protected x r p v s t phat shat
+func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (status, error) {
+	i := k.i
+	rho := k.dot(c.rhat, r.data)
+	//hot:cold suspect-scalar detection and rollback
+	if k.g.suspect(rho) {
+		return k.scalarFault("ρ = %g", rho), nil
+	}
+	//hot:cold breakdown exit
+	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
+	if rho == 0 {
+		return failed, k.breakdown("ρ = 0")
+	}
+	if i == 0 {
+		copyTracked(p, r)
+	} else {
+		// p = r + β·(p − ω·v)
+		beta := (rho / c.rhoPrev) * (c.alpha / c.omega)
+		k.axpy(i, p, -c.omega, v)
+		k.xpby(i, p, r, beta, p)
+	}
+	if err := k.pco(i, phat, p); err != nil {
+		return failed, err
+	}
+	k.mvm(i, v, phat)
+	if k.g.inner(k, v, phat) || k.e.takeFlag() {
+		return faulted, nil
+	}
+	rhatV := k.dot(c.rhat, v.data)
+	//hot:cold suspect-scalar detection and rollback
+	if k.g.suspect(rhatV) {
+		return k.scalarFault("r̂ᵀv = %g", rhatV), nil
+	}
+	//hot:cold breakdown exit
+	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
+	if rhatV == 0 {
+		return failed, k.breakdown("r̂ᵀv = 0")
+	}
+	c.alpha = rho / rhatV
+	k.axpbyInto(i, s, 1, r, -c.alpha, v)
+
+	//hot:cold early-convergence exit: runs once per solve
+	if sNorm := k.norm2(s.data); sNorm/k.normB <= k.tol {
+		k.axpy(i, x, c.alpha, phat)
+		k.advance(sNorm)
+		return k.g.exit(k, s), nil
+	}
+
+	if err := k.pco(i, shat, s); err != nil {
+		return failed, err
+	}
+	k.mvm(i, t, shat)
+	if k.g.inner(k, t, shat) || k.e.takeFlag() {
+		return faulted, nil
+	}
+	tt := k.dot(t.data, t.data)
+	//hot:cold suspect-scalar detection and rollback
+	if k.g.suspect(tt) {
+		return k.scalarFault("tᵀt = %g", tt), nil
+	}
+	//hot:cold breakdown exit
+	if tt <= 0 {
+		return failed, k.breakdown("tᵀt = 0")
+	}
+	c.omega = k.dot(t.data, s.data) / tt
+	//hot:cold breakdown exit
+	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
+	if c.omega == 0 {
+		return failed, k.breakdown("ω = 0")
+	}
+	k.axpy(i, x, c.alpha, phat)
+	k.axpy(i, x, c.omega, shat)
+	k.axpbyInto(i, r, 1, s, -c.omega, t)
+	if k.e.takeFlag() {
+		return faulted, nil
+	}
+	c.rhoPrev = rho
+	if k.advance(k.norm2(r.data)) {
+		return k.g.exit(k, r), nil
+	}
+	return advanced, nil
 }

@@ -8,7 +8,6 @@ import (
 	"newsum/internal/fault"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
-	"newsum/internal/vec"
 )
 
 // Batched multi-RHS protected PCG: k right-hand sides against ONE operator
@@ -141,14 +140,7 @@ func BasicBlockPCG(a *sparse.CSR, m precond.Preconditioner, bs [][]float64, opts
 		d:  opts.DetectInterval,
 		cd: opts.CheckpointInterval,
 	}
-	s.tolRes = opts.Tol
-	if s.tolRes <= 0 {
-		s.tolRes = 1e-8
-	}
-	s.maxIter = opts.MaxIter
-	if s.maxIter <= 0 {
-		s.maxIter = 10 * a.Rows
-	}
+	s.tolRes, s.maxIter = opts.stopping(a.Rows)
 
 	for j := range bs {
 		c := &blockCol{
@@ -199,14 +191,8 @@ func (s *blockSolver) initCol(c *blockCol) {
 	c.q = e.newTracked("q")
 	c.bT = e.wrap("b", c.b)
 
-	e.mulVec(c.r.data, c.x.data)
-	vec.Sub(c.r.data, c.bT.data, c.r.data)
-	e.recompute(c.r)
-
-	c.normB = e.norm2(c.b)
-	if c.normB <= 0 {
-		c.normB = 1
-	}
+	e.residual(c.r, c.bT, c.x)
+	c.normB = e.rhsNorm(c.b)
 	c.res.X = c.x.data
 	c.relres = e.norm2(c.r.data) / c.normB
 	if c.relres <= s.tolRes {
@@ -271,9 +257,7 @@ func (s *blockSolver) rollback(c *blockCol) bool {
 		s.e.recompute(c.x)
 		c.res.Stats.LossyRestores++
 	}
-	s.e.mulVec(c.r.data, c.x.data)
-	vec.Sub(c.r.data, c.bT.data, c.r.data)
-	s.e.recompute(c.r)
+	s.e.residual(c.r, c.bT, c.x)
 	c.res.Stats.RecoveryMVMs++
 	if c.store.Lossy() {
 		// The restored direction and ρ belong to the exact snapshot state;

@@ -1,15 +1,37 @@
 // Package core implements the paper's primary contribution: the two online
 // ABFT schemes built on the new-sum error-preserving checksum encoding —
 // the basic ("lazy") scheme of Algorithm 1 and the two-level ("hybrid")
-// scheme of Algorithm 2 — applied to preconditioned CG, preconditioned
-// BiCGSTAB, Jacobi and Chebyshev; plus the three comparison baselines of
-// §6 (online MV, online orthogonality, offline residual).
+// scheme of Algorithm 2 — plus the three comparison baselines of §6 (online
+// MV, online orthogonality, offline residual).
 //
-// Every protected solver follows the same contract: it computes the same
-// iterates as its unprotected counterpart in internal/solver (the checksum
-// machinery is fully decoupled from the numerical operations, Fig. 2(d)),
-// detects soft errors injected through a fault.Injector, and recovers via
-// immediate correction (inner level) or checkpoint rollback (outer level).
+// The separated encoding of Fig. 2(d) means protection never touches the
+// numerical operations, and the package is built the same way, as
+// recurrence × backend × guard:
+//
+//   - A recurrence (pcg.go, bicgstab.go, cr.go) is one Krylov method written
+//     once against the operation vocabulary ops — MVM, PCO, the VLO forms
+//     and the two reductions over tracked vectors.
+//   - A backend implements the vocabulary: the engine (engine.go) runs the
+//     kernels through the fault injector and carries whatever checksum
+//     weights it was given — with none it is the unprotected arm — and omv
+//     (onlinemv.go) is the online-MV baseline's verified MVM and duplicated
+//     execution.
+//   - A guard (drive.go, ortho.go) is the detection policy attached at the
+//     operation boundaries: none, the new-sum checksums (basic, two-level,
+//     forward recovery) or the orthogonality baseline's residual gap. The
+//     offline-residual scheme (offline.go) guards the end of the run.
+//
+// One driver (drive.go) owns the scaffold every method × scheme shares:
+// defaults, cancellation, verify every d, checkpoint every cd, forward
+// repair before rollback, the rollback budget, the verified convergence
+// exit. Solve dispatches any method × scheme; the exported per-scheme entry
+// points are one-line wrappers over it. Jacobi, Chebyshev, GMRES and the
+// batched block PCG keep their own loops over the same engine.
+//
+// Every solve computes the same iterates as its unprotected counterpart in
+// internal/solver, bit for bit, detects soft errors injected through a
+// fault.Injector, and recovers via immediate correction (inner level),
+// forward repair or checkpoint rollback (outer level).
 package core
 
 import (
@@ -21,6 +43,7 @@ import (
 	"newsum/internal/checksum"
 	"newsum/internal/fault"
 	"newsum/internal/kernel"
+	"newsum/internal/precond"
 	"newsum/internal/solver"
 	"newsum/internal/sparse"
 )
@@ -72,6 +95,31 @@ func (s Scheme) String() string {
 		return "offline residual"
 	default:
 		return "unknown scheme"
+	}
+}
+
+// Method selects the iterative method for the scheme-agnostic entry points.
+type Method int
+
+const (
+	// MethodPCG is preconditioned conjugate gradient.
+	MethodPCG Method = iota
+	// MethodPBiCGSTAB is preconditioned BiCGSTAB.
+	MethodPBiCGSTAB
+	// MethodCR is the (unpreconditioned) conjugate residual method.
+	MethodCR
+)
+
+func (m Method) String() string {
+	switch m {
+	case MethodPCG:
+		return "PCG"
+	case MethodPBiCGSTAB:
+		return "PBiCGSTAB"
+	case MethodCR:
+		return "CR"
+	default:
+		return "unknown method"
 	}
 }
 
@@ -288,9 +336,48 @@ func (o *Options) newStore() checkpoint.Store {
 	}
 }
 
-func notConverged(method string, r Result, relres float64) (Result, error) {
-	return r, fmt.Errorf("%w: %s after %d iterations (relres %.3e)",
-		solver.ErrNotConverged, method, r.Iterations, relres)
+// stopping resolves the stopping criteria: Tol 0 means 1e-8, MaxIter 0
+// means 10·n.
+func (o *Options) stopping(n int) (tol float64, maxIter int) {
+	tol, maxIter = o.Tol, o.MaxIter
+	if tol <= 0 {
+		tol = 1e-8
+	}
+	if maxIter <= 0 {
+		maxIter = 10 * n
+	}
+	return tol, maxIter
+}
+
+// setup is the state every single-right-hand-side solver in this package
+// starts from: the engine, the iterate (X0 copied in, checksums anchored),
+// the wrapped right-hand side and the resolved stopping criteria.
+type setup struct {
+	e       *engine
+	x, b    *tracked
+	normB   float64
+	tol     float64
+	maxIter int
+}
+
+// begin is the shared prologue: it validates the system and the initial
+// guess, fills in the option defaults and builds the engine over weights.
+func begin(a *sparse.CSR, m precond.Preconditioner, b []float64, weights []checksum.Weight, opts *Options, stats *Stats) (setup, error) {
+	if err := validateSystem(a, b); err != nil {
+		return setup{}, err
+	}
+	if opts.X0 != nil && len(opts.X0) != a.Rows {
+		return setup{}, fmt.Errorf("core: initial guess length %d, want %d", len(opts.X0), a.Rows)
+	}
+	opts.normalize()
+	e := newEngine(a, m, weights, opts, stats)
+	s := setup{e: e, x: e.newTracked("x"), b: e.wrap("b", b), normB: e.rhsNorm(b)}
+	if opts.X0 != nil {
+		copy(s.x.data, opts.X0)
+		e.recompute(s.x)
+	}
+	s.tol, s.maxIter = opts.stopping(e.n)
+	return s, nil
 }
 
 func validateSystem(a *sparse.CSR, b []float64) error {
@@ -301,6 +388,11 @@ func validateSystem(a *sparse.CSR, b []float64) error {
 		return fmt.Errorf("core: rhs length %d, want %d", len(b), a.Rows)
 	}
 	return nil
+}
+
+func notConverged(method string, r Result, relres float64) (Result, error) {
+	return r, fmt.Errorf("%w: %s after %d iterations (relres %.3e)",
+		solver.ErrNotConverged, method, r.Iterations, relres)
 }
 
 func rollbackStormErr(method string, s Scheme) error {

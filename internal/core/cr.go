@@ -1,10 +1,6 @@
 package core
 
-import (
-	"newsum/internal/checksum"
-	"newsum/internal/sparse"
-	"newsum/internal/vec"
-)
+import "newsum/internal/sparse"
 
 // BasicCR solves the symmetric system A·x = b with the conjugate residual
 // method under basic online ABFT protection — another §1-listed Krylov
@@ -16,369 +12,115 @@ import (
 // scalar rᵀAr — r is recomputed as b − A·x and the products as A·r, A·p
 // (three recovery MVMs).
 func BasicCR(a *sparse.CSR, b []float64, opts Options) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	weights := checksum.Single
-	if opts.ForwardRecovery {
-		// Forward recovery needs the locating checksums δ2, δ3 on the
-		// outer-level vectors themselves, so all three weights are carried.
-		weights = checksum.Triple
-	}
-	e := newEngine(a, nil, weights, &opts, &res.Stats)
-	n := e.n
+	return Solve(MethodCR, Basic, a, nil, b, opts)
+}
 
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
-	}
-	r := e.newTracked("r")
-	p := e.newTracked("p")
-	ar := e.newTracked("ar")
-	ap := e.newTracked("ap")
-	bT := e.wrap("b", b)
+// cr is the conjugate residual recurrence.
+type cr struct {
+	krylov
+	ar, ap *tracked
+	rAr    float64
+}
 
-	e.mulVec(r.data, x.data)
-	vec.Sub(r.data, bT.data, r.data)
-	e.recompute(r)
-	copyTracked(p, r)
-	e.mulVec(ar.data, r.data)
-	e.recompute(ar)
-	copyTracked(ap, ar)
-
-	normB := e.norm2(b)
-	if normB <= 0 {
-		normB = 1
+func newCR(e *engine) *cr {
+	c := &cr{ar: e.newTracked("ar"), ap: e.newTracked("ap")}
+	c.krylov = krylov{
+		p: e.newTracked("p"),
+		// Unlike PCG/BiCGStab there is no preconditioner solve dividing the
+		// carried checksum error back down by d, so the Ar/Ap recurrences
+		// amplify the round-off bound η by ~(d·α + β) per iteration; left
+		// unanchored it swallows genuine corruption within a few detect
+		// windows. Verifying (and thereby re-anchoring) them at every
+		// boundary breaks that growth and catches a fault while it still
+		// lives in the product recurrences, before it reaches x or r.
+		watch:      []*tracked{c.ar, c.ap},
+		detectMsg:  "outer-level: checksum(x)/checksum(r) mismatch",
+		snapMsg:    "snapshot {x, p}",
+		rebuiltMsg: "r, Ar, Ap",
+		restartMsg: "re-projected {p, Ar, Ap} (CR restart)",
 	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
+	return c
+}
 
-	res.X = x.data
-	relres := e.norm2(r.data) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
+func (c *cr) shape() *krylov                  { return &c.krylov }
+func (c *cr) scalars(s map[string]float64)    { s["rAr"] = c.rAr }
+func (c *cr) setScalars(s map[string]float64) { c.rAr = s["rAr"] }
+
+func (c *cr) start(k *run) error {
+	c.reproject(k)
+	return nil
+}
+
+// restart is the CR restart, the only repair the stored product family
+// ever gets. Ar and Ap must equal A·r and A·p *exactly* — x advances by
+// α·p while r retreats by α·Ap, so any mismatch breaks the b − A·x
+// invariant — and a data repair of r invalidates the whole family (Ar was
+// computed from the pre-repair r, p and Ap carry its propagation; a
+// corrupted p additionally invalidates rᵀAr). So nothing here is repaired
+// element-wise: every failed verification rebuilds all three vectors from
+// identity-exact state.
+func (c *cr) restart(k *run) error {
+	c.reproject(k)
+	k.res.Stats.RecoveryMVMs++
+	return nil
+}
+
+// reproject sets Ar = A·r, p := r, Ap := Ar and rᵀAr from the current r.
+func (c *cr) reproject(k *run) {
+	k.e.mulVec(c.ar.data, k.r.data)
+	k.e.recompute(c.ar)
+	copyTracked(c.p, k.r)
+	copyTracked(c.ap, c.ar)
+	c.rAr = k.dot(k.r.data, c.ar.data)
+}
+
+func (c *cr) restored(k *run, _ int, lossy bool) error {
+	if lossy {
+		return c.restart(k)
 	}
-	rAr := e.dot(r.data, ar.data)
+	k.e.mulVec(c.ar.data, k.r.data)
+	k.e.recompute(c.ar)
+	k.e.mulVec(c.ap.data, c.p.data)
+	k.e.recompute(c.ap)
+	k.res.Stats.RecoveryMVMs += 2
+	return nil
+}
 
-	store := opts.newStore()
-	d, cd := opts.DetectInterval, opts.CheckpointInterval
-	//hot:cold recovery machinery: runs only after a detection
-	rollback := func(iter int) (int, bool) {
-		res.Stats.Rollbacks++
-		if res.Stats.Rollbacks > opts.MaxRollbacks {
-			return iter, false
-		}
-		scal := map[string]float64{}
-		snapIter, err := store.Restore(
-			map[string][]float64{"x": x.data, "p": p.data},
-			scal,
-			map[string][]float64{"x": x.s, "p": p.s, "x.eta": x.eta, "p.eta": p.eta})
-		if err != nil {
-			return iter, false
-		}
-		rAr = scal["rAr"]
-		if store.Lossy() {
-			// Quantized restore: re-anchor x's checksums from the perturbed
-			// data before anything verifies them.
-			e.recompute(x)
-			res.Stats.LossyRestores++
-		}
-		e.mulVec(r.data, x.data)
-		vec.Sub(r.data, bT.data, r.data)
-		e.recompute(r)
-		e.mulVec(ar.data, r.data)
-		e.recompute(ar)
-		if store.Lossy() {
-			// The restored direction and rᵀAr belong to the exact snapshot
-			// state; against the reconstructed residual — dominated by the
-			// quantization noise A·δx — the stale scalar makes the first
-			// β = rᵀAr'/rᵀAr blow up and permanently poison p, stalling the
-			// recurrence at the error bound. A lossy restore is therefore a
-			// CR restart: p := r, Ap := Ar, rᵀAr fresh (the same
-			// re-projection the forward-recovery tier performs).
-			copyTracked(p, r)
-			copyTracked(ap, ar)
-			rAr = e.dot(r.data, ar.data)
-			res.Stats.RecoveryMVMs += 2
-		} else {
-			e.mulVec(ap.data, p.data)
-			e.recompute(ap)
-			res.Stats.RecoveryMVMs += 3
-		}
-		res.Stats.WastedIterations += iter - snapIter
-		opts.Trace.add(iter, EvRollback, "restored iteration %d, recomputed r, Ar, Ap", snapIter)
-		return snapIter, true
+//hot:loop CR iteration (§5.3 construction)
+func (c *cr) step(k *run) (status, error) {
+	return c.iterate(k, k.x, k.r, c.p, c.ar, c.ap)
+}
+
+//hot:protected x r p ar ap
+func (c *cr) iterate(k *run, x, r, p, ar, ap *tracked) (status, error) {
+	i := k.i
+	apap := k.dot(ap.data, ap.data)
+	//hot:cold suspect-scalar detection and rollback
+	if k.g.suspect(apap) || k.g.suspect(c.rAr) {
+		return k.scalarFault("ApᵀAp = %g or rᵀAr = %g", apap, c.rAr), nil
 	}
-	//hot:cold rollback-storm exit: runs at most once per solve
-	storm := func() (Result, error) {
-		res.Residual = relres
-		res.Stats.InjectedErrors = e.injectedCount()
-		return res, rollbackStormErr("CR", Basic)
+	//hot:cold breakdown exit
+	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
+	if apap == 0 || c.rAr == 0 {
+		return failed, k.breakdown("ApᵀAp = 0 or rᵀAr = 0")
 	}
-
-	// forwardRepair is the forward-recovery tier for CR. Each failed vector
-	// is repaired individually; a data repair of r invalidates the whole
-	// product family (Ar was computed from the pre-repair r, p and Ap carry
-	// its propagation), so it triggers a CR restart: Ar = A·r, p := r,
-	// Ap := Ar, rᵀAr fresh. restart forces that rebuild even without a data
-	// repair — the convergence exit skips the recurrence tail.
-	//hot:cold forward recovery rides the recovery budget
-	forwardRepair := func(iter int, xOK, rOK, arOK, apOK, pOK, restart bool) bool {
-		if !opts.ForwardRecovery || res.Stats.ForwardRepairs >= opts.MaxRollbacks {
-			return false
-		}
-		repaired := 0
-		restartFamily := restart
-		reconstructR := false
-		if !xOK {
-			out, diag := e.forwardDiagnose(x)
-			switch out {
-			case forwardRejected:
-				res.Stats.RejectedCorrections++
-				opts.Trace.add(iter, EvForwardRepair, "rejected fake correction on x; falling back")
-				return false
-			case forwardFailed:
-				opts.Trace.add(iter, EvForwardRepair, "localization failed on x; falling back")
-				return false
-			case forwardCorrected:
-				// An in-place correction moves the iterate, so the carried
-				// residual no longer satisfies r = b − A·x even when r's own
-				// verification passed; rebuild it below.
-				reconstructR = true
-				opts.Trace.add(iter, EvForwardRepair, "corrected x[%d] -= %.6g", diag.Pos, diag.Magnitude)
-			case forwardReanchored:
-				// Re-anchoring accepts x's data, including any sub-screen
-				// perturbation the old checksums disagreed with, while the
-				// recurrence residual tracks the old checksum state; rebuild
-				// r = b − A·x below so the two cannot drift apart permanently.
-				reconstructR = true
-				opts.Trace.add(iter, EvForwardRepair, "re-anchored checksum(x)")
-			}
-			repaired++
-		}
-		if !rOK {
-			// No in-place diagnosis is trusted on r — not even a confirmed
-			// §5.2 correction: a collapsed recurrence scalar can shrink an
-			// aliased multi-error pattern below the confirmation threshold,
-			// and accepting it re-anchors corruption into the recurrence's
-			// fixed-point anchor (see the PCG twin of this branch). r = b − A·x
-			// holds for any step lengths taken, so a clean x rebuilds it
-			// exactly for the price of one MVM.
-			reconstructR = true
-			repaired++
-		}
-		if reconstructR {
-			if !e.verify(x) {
-				return false
-			}
-			e.mulVec(r.data, x.data)
-			vec.Sub(r.data, bT.data, r.data)
-			e.recompute(r)
-			res.Stats.RecoveryMVMs++
-			restartFamily = true
-			opts.Trace.add(iter, EvForwardRepair, "reconstructed r = b − A·x")
-		}
-		// The stored product family is never repaired element-wise. Ar and
-		// Ap must equal A·r and A·p *exactly* — x advances by α·p while r
-		// retreats by α·Ap, so any mismatch breaks the b − A·x invariant —
-		// and even a §5.2-confirmed correction can be a fake accepted under
-		// a collapsed scalar (see the r branch). A corrupted p additionally
-		// invalidates the rᵀAr scalar and the Ap recurrence computed from
-		// it. Every failed verification here routes to the family restart,
-		// which rebuilds all three vectors from identity-exact state — no
-		// trusted in-place repair, no rollback.
-		if !arOK {
-			restartFamily = true
-			repaired++
-		}
-		if !apOK {
-			restartFamily = true
-			repaired++
-		}
-		if !pOK {
-			restartFamily = true
-			repaired++
-		}
-		if restartFamily {
-			e.mulVec(ar.data, r.data)
-			e.recompute(ar)
-			res.Stats.RecoveryMVMs++
-			copyTracked(p, r)
-			copyTracked(ap, ar)
-			rAr = e.dot(r.data, ar.data)
-			opts.Trace.add(iter, EvForwardRepair, "re-projected {p, Ar, Ap} (CR restart)")
-		}
-		if repaired == 0 {
-			return false
-		}
-		res.Stats.ForwardRepairs += repaired
-		res.Stats.RollbacksAvoided++
-		if snapIter, ok := store.LatestIteration(); ok {
-			res.Stats.IterationsSaved += iter - snapIter
-		}
-		return true
+	alpha := c.rAr / apap
+	k.axpy(i, x, alpha, p)
+	k.axpy(i, r, -alpha, ap)
+	if k.e.takeFlag() {
+		return faulted, nil
 	}
-
-	i := 0
-	// Steady-state iteration: hotalloc polices allocations, checksumguard
-	// raw writes to the protected vectors (//hot:cold branches excluded).
-	//
-	//hot:loop CR protected iteration (§5.3 construction)
-	//hot:protected x r p ar ap
-	for i < maxIter {
-		if err := opts.ctxErr("CR"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = e.injectedCount()
-			return res, err
-		}
-		if i > 0 && i%d == 0 {
-			// Unlike PCG/BiCGStab there is no preconditioner solve dividing
-			// the carried checksum error back down by d, so the Ar/Ap
-			// recurrences amplify the round-off bound η by ~(d·α + β) per
-			// iteration; left unanchored it swallows genuine corruption
-			// within a few detect windows. Verifying (and thereby
-			// re-anchoring) them at every boundary breaks that growth and
-			// catches a fault while it still lives in the product
-			// recurrences, before it reaches x or r.
-			var xOK, rOK, arOK, apOK, allOK bool
-			if opts.ForwardRecovery {
-				// Forward recovery needs every verdict (each failed vector
-				// is repaired individually); the rollback-only path keeps
-				// the short-circuit so its stats are unchanged.
-				xOK, rOK, arOK, apOK = e.verify(x), e.verify(r), e.verify(ar), e.verify(ap)
-				allOK = xOK && rOK && arOK && apOK
-			} else {
-				allOK = e.verify(x) && e.verify(r) && e.verify(ar) && e.verify(ap)
-			}
-			//hot:cold detection handling: forward repair first, else rollback
-			if !allOK {
-				opts.Trace.add(i, EvDetection, "outer-level: checksum(x)/checksum(r) mismatch")
-				if !forwardRepair(i, xOK, rOK, arOK, apOK, true, false) {
-					var ok bool
-					if i, ok = rollback(i); !ok {
-						return storm()
-					}
-					continue
-				}
-			}
-		}
-		//hot:cold amortized checkpoint branch: once per cd iterations
-		if i%cd == 0 {
-			if i > 0 && !e.verify(p) {
-				if !forwardRepair(i, true, true, true, true, false, false) {
-					var ok bool
-					if i, ok = rollback(i); !ok {
-						return storm()
-					}
-					continue
-				}
-			}
-			opts.Trace.add(i, EvCheckpoint, "snapshot {x, p}")
-			store.Save(i,
-				map[string][]float64{"x": x.data, "p": p.data},
-				map[string]float64{"rAr": rAr},
-				map[string][]float64{"x": x.s, "p": p.s, "x.eta": x.eta, "p.eta": p.eta})
-			res.Stats.Checkpoints++
-			res.Stats.CheckpointBytes = store.BytesCopied
-			res.Stats.CheckpointStoredBytes = store.BytesStored
-			e.corruptCheckpoint(i, &store)
-		}
-
-		apap := e.dot(ap.data, ap.data)
-		//hot:cold suspect-scalar detection and rollback
-		if suspectScalar(apap) || suspectScalar(rAr) {
-			res.Stats.Detections++
-			opts.Trace.add(i, EvDetection, "suspect recurrence scalar ApᵀAp = %g or rᵀAr = %g", apap, rAr)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		//hot:cold breakdown exit
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if apap == 0 || rAr == 0 {
-			res.Residual = relres
-			return res, breakdownErr("CR", Basic, i, "ApᵀAp = 0 or rᵀAr = 0")
-		}
-		alpha := rAr / apap
-		e.axpy(i, x, alpha, p)
-		e.axpy(i, r, -alpha, ap)
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		i++
-		res.Iterations = i
-
-		relres = e.norm2(r.data) / normB
-		//hot:cold diagnostic residual history, off by default
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		//hot:cold convergence exit: verified once per solve, rollback on a corrupted residual
-		if relres <= tolRes {
-			xOK := e.verify(x)
-			rOK := true
-			if xOK || opts.ForwardRecovery {
-				rOK = e.verify(r)
-			}
-			if xOK && rOK {
-				res.Converged = true
-				break
-			}
-			// The convergence exit skips the recurrence tail, so a forward
-			// repair here always rebuilds the product family (restart).
-			if forwardRepair(i, xOK, rOK, true, true, true, true) {
-				relres = e.norm2(r.data) / normB
-				if relres <= tolRes && e.verify(x) && e.verify(r) {
-					res.Converged = true
-					break
-				}
-				continue
-			}
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-
-		e.mvm(i-1, ar, r)
-		rArNew := e.dot(r.data, ar.data)
-		beta := rArNew / rAr
-		e.xpby(i-1, p, r, beta, p)
-		e.xpby(i-1, ap, ar, beta, ap)
-		rAr = rArNew
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
+	if k.advance(k.norm2(r.data)) {
+		return k.g.exit(k, r), nil
 	}
-
-	res.Residual = relres
-	res.Stats.InjectedErrors = e.injectedCount()
-	if !res.Converged {
-		return notConverged("ABFT CR", res, relres)
+	k.mvm(i, ar, r)
+	rArNew := k.dot(r.data, ar.data)
+	beta := rArNew / c.rAr
+	k.xpby(i, p, r, beta, p)
+	k.xpby(i, ap, ar, beta, ap)
+	c.rAr = rArNew
+	if k.e.takeFlag() {
+		return faulted, nil
 	}
-	return res, nil
+	return advanced, nil
 }

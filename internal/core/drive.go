@@ -1,0 +1,578 @@
+package core
+
+import (
+	"fmt"
+
+	"newsum/internal/checkpoint"
+	"newsum/internal/checksum"
+	"newsum/internal/precond"
+	"newsum/internal/sparse"
+)
+
+// ops is the operation vocabulary the Krylov recurrences are written
+// against: the paper's vector-generating operations (MVM, PCO and the VLO
+// forms) plus the two reductions, all over tracked vectors. The iter
+// argument is the fault model's clock; −1 marks clean set-up and recovery
+// work no scheduled event can match.
+type ops interface {
+	mvm(iter int, dst, src *tracked)
+	pco(iter int, dst, src *tracked) error
+	axpy(iter int, y *tracked, alpha float64, x *tracked)
+	xpby(iter int, dst, x *tracked, beta float64, y *tracked)
+	axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked)
+	dot(u, v []float64) float64
+	norm2(u []float64) float64
+}
+
+// status is the outcome of one pass through the driver's iteration.
+type status int
+
+const (
+	// advanced: the iteration completed (or a detection was repaired in
+	// place); carry on from k.i.
+	advanced status = iota
+	// converged: the residual met the tolerance and the guard accepted it.
+	converged
+	// faulted: a detection nothing could repair in place; roll back.
+	faulted
+	// failed: a hard error (breakdown, preconditioner failure); abort.
+	failed
+)
+
+// recurrence is one Krylov method: the numerical iteration and what the
+// driver must know to checkpoint and rebuild its state.
+type recurrence interface {
+	// shape describes the recurrence to the driver and the guards.
+	shape() *krylov
+	// start builds the first iteration's state from the initial residual.
+	start(k *run) error
+	// step runs iteration k.i through the vocabulary. It reports a fault
+	// the guard flagged mid-iteration, calls k.advance once the iterate and
+	// residual have moved, and hands a residual under the tolerance to the
+	// guard's exit.
+	step(k *run) (status, error)
+	// scalars and setScalars move the recurrence scalars into and out of
+	// the checkpoint's scalar map.
+	scalars(into map[string]float64)
+	setScalars(from map[string]float64)
+	// restart is the Krylov restart: rebuild the direction (and whatever
+	// hangs off it) from the current x and r alone.
+	restart(k *run) error
+	// restored rebuilds what a rollback does not restore, after {x, p} and
+	// the scalars are back and r = b − A·x has been recomputed. A lossy
+	// restore is always a restart: the restored direction and scalars
+	// belong to the exact snapshot state, and against the reconstructed
+	// residual — dominated by the quantization noise A·δx rather than the
+	// old convergence tail — the stale scalars make the first β blow up
+	// and permanently poison p, stalling the recurrence at the error bound.
+	restored(k *run, snapIter int, lossy bool) error
+}
+
+// krylov is the description a recurrence gives of itself.
+type krylov struct {
+	// p is the search direction: checkpointed beside x, verified before
+	// every snapshot (a corrupted direction in the checkpoint would make
+	// every future rollback futile).
+	p *tracked
+	// watch lists what the outer level verifies beside x and r. Every
+	// other vector's error propagates into x or r (Table 2).
+	watch []*tracked
+	// Trace wording, pinned by the golden timelines.
+	detectMsg, snapMsg, rebuiltMsg, restartMsg string
+}
+
+// guard is the detection policy attached at the operation boundaries of a
+// recurrence. Each hook reports whether the solve may carry on; a false
+// (or faulted) answer sends the driver to the checkpoint.
+type guard interface {
+	// boundary runs every DetectInterval iterations, before the step.
+	boundary(k *run) bool
+	// checkpoint runs every CheckpointInterval iterations, on state the
+	// boundary just accepted; it snapshots if the policy keeps snapshots.
+	checkpoint(k *run) bool
+	// inner runs on each MVM output; true means roll back.
+	inner(k *run, q, src *tracked) bool
+	// suspect reports whether a recurrence scalar must be treated as a
+	// propagated fault (see suspectScalar).
+	suspect(x float64) bool
+	// exit decides a residual (carried in resid) under the tolerance:
+	// converged, advanced (repaired in place, not there yet) or faulted.
+	exit(k *run, resid *tracked) status
+	// keepsResidual: r is checkpointed and restored, not recomputed.
+	keepsResidual() bool
+}
+
+// run is one solve in flight: the backend verbs, the recurrence, the guard
+// and the scaffold state all three share.
+type run struct {
+	ops
+	// setup holds the engine behind the verbs (also used directly, for
+	// clean set-up and recovery work), the iterate x, the right-hand side
+	// b and the stopping criteria.
+	setup
+	rec    recurrence
+	kr     *krylov
+	g      guard
+	opts   Options
+	method Method
+	scheme Scheme
+	res    Result
+
+	r      *tracked
+	i      int
+	relres float64
+
+	// The checkpointed set: maps built once, so a save allocates nothing.
+	store      checkpoint.Store
+	vecs, sums map[string][]float64
+	scal       map[string]float64
+}
+
+// Solve runs method under scheme on A·x = b. It is the single entry point
+// behind the per-scheme wrappers (BasicPCG, OnlineMVPBiCGSTAB, …): the
+// method picks the recurrence, the scheme picks the backend and the guard.
+// m is ignored by MethodCR, which is unpreconditioned. The orthogonality
+// baseline exists for PCG only (BiCGSTAB has no orthogonality relations,
+// §6), and CR is offered under the basic scheme only.
+func Solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	switch {
+	case method < MethodPCG || method > MethodCR:
+		return Result{}, fmt.Errorf("core: %v", method)
+	case scheme < Unprotected || scheme > OfflineResidual:
+		return Result{}, fmt.Errorf("core: %v", scheme)
+	case method == MethodPBiCGSTAB && scheme == Orthogonality,
+		method == MethodCR && scheme != Basic:
+		return Result{}, fmt.Errorf("core: %s is not available for %s", scheme, method)
+	}
+	if method == MethodCR {
+		m = nil
+	}
+	if scheme == OfflineResidual {
+		return offlineResidual(method, a, m, b, opts)
+	}
+	return solve(method, scheme, a, m, b, opts)
+}
+
+// solve assembles recurrence × backend × guard for one method × scheme and
+// drives it.
+func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	k := &run{method: method, scheme: scheme, opts: opts}
+	newSum := scheme == Basic || scheme == TwoLevel
+	// BiCGSTAB has no forward tier: the option is ignored there.
+	forward := newSum && opts.ForwardRecovery && method != MethodPBiCGSTAB
+	var weights []checksum.Weight
+	switch {
+	case !newSum: // the control arms and baselines carry no new-sum checksums
+	case forward || scheme == TwoLevel && opts.EagerTriple:
+		// Forward recovery needs the locating checksums δ2, δ3 on the
+		// outer-level vectors themselves, so all three weights are carried.
+		weights = checksum.Triple
+	default:
+		weights = checksum.Single
+	}
+	var err error
+	if k.setup, err = begin(a, m, b, weights, &k.opts, &k.res.Stats); err != nil {
+		return k.res, err
+	}
+	k.ops = k.e
+	if scheme == OnlineMV {
+		k.ops = newOMV(k.e)
+	}
+	k.r = k.e.newTracked("r")
+	switch method {
+	case MethodPCG:
+		k.rec = newPCG(k.e)
+	case MethodPBiCGSTAB:
+		k.rec = newBiCGSTAB(k.e)
+	default:
+		k.rec = newCR(k.e)
+	}
+	k.kr = k.rec.shape()
+	switch {
+	case newSum:
+		if scheme == TwoLevel && !opts.EagerTriple {
+			k.e.initLazyDiag()
+		}
+		k.g = &sumGuard{twoLevel: scheme == TwoLevel, forward: forward,
+			outer: append([]*tracked{k.x, k.r}, k.kr.watch...)}
+	case scheme == Orthogonality:
+		k.g = &gapGuard{trueR: make([]float64, k.e.n)}
+	default:
+		k.g = noGuard{}
+	}
+	return k.drive()
+}
+
+// drive is the scaffold every method × scheme shares: set-up, the
+// detect–checkpoint–step loop with its single rollback-or-storm sequence,
+// and the closing accounting.
+func (k *run) drive() (Result, error) {
+	k.res.X = k.x.data
+	// r = b − A·x0 via instrumented ops would charge a fault to set-up;
+	// initialization is performed cleanly.
+	k.e.residual(k.r, k.b, k.x)
+	k.relres = k.norm2(k.r.data) / k.normB
+	if k.relres <= k.tol {
+		k.res.Converged = true
+		return k.finish(nil)
+	}
+	if err := k.rec.start(k); err != nil {
+		return k.finish(err)
+	}
+	p := k.kr.p
+	k.store = k.opts.newStore()
+	k.vecs = map[string][]float64{"x": k.x.data, "p": p.data}
+	if k.g.keepsResidual() {
+		k.vecs["r"] = k.r.data
+	}
+	k.sums = map[string][]float64{"x": k.x.s, "p": p.s, "x.eta": k.x.eta, "p.eta": p.eta}
+	k.scal = map[string]float64{}
+
+	// The steady-state iteration: every allocation reachable from here is
+	// policed by the hotalloc analyzer, every raw write to the protected
+	// vectors by checksumguard (detection and recovery are //hot:cold —
+	// they ride the recovery budget, not the per-iteration one).
+	//
+	//hot:loop the protected iteration of every method × scheme
+	for k.i < k.maxIter {
+		// Cancellation boundary: a canceled or expired Options.Ctx is the
+		// caller's only handle on a diverging or fault-storming solve.
+		if err := k.opts.ctxErr(k.method.String()); err != nil {
+			return k.finish(err)
+		}
+		st, err := k.iterate()
+		//hot:cold exits and recovery: at most once per solve or per detection
+		switch st {
+		case converged:
+			k.res.Converged = true
+			return k.finish(nil)
+		case failed:
+			return k.finish(err)
+		case faulted:
+			if !k.rollback() {
+				return k.finish(rollbackStormErr(k.method.String(), k.scheme))
+			}
+		}
+	}
+	_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), k.res, k.relres)
+	return k.finish(err)
+}
+
+// iterate is one pass of the loop: outer-level detection every d
+// iterations (Algorithm 1 lines 5–6), a checkpoint every cd — a multiple
+// of d, so on state that was just verified — then the recurrence's step.
+//
+//hot:loop the protected iteration of every method × scheme
+func (k *run) iterate() (status, error) {
+	if k.i > 0 && k.i%k.opts.DetectInterval == 0 && !k.g.boundary(k) {
+		return faulted, nil
+	}
+	if k.i%k.opts.CheckpointInterval == 0 && !k.g.checkpoint(k) {
+		return faulted, nil
+	}
+	return k.rec.step(k)
+}
+
+// advance closes iteration k.i once the iterate and residual have moved:
+// the counter steps, the relative residual is recorded, and the result
+// reports whether it met the tolerance.
+func (k *run) advance(resNorm float64) bool {
+	k.i++
+	k.res.Iterations = k.i
+	k.relres = resNorm / k.normB
+	//hot:cold diagnostic residual history, off by default
+	if k.opts.RecordResiduals {
+		k.res.History = append(k.res.History, k.relres)
+	}
+	return k.relres <= k.tol
+}
+
+// finish closes the accounting on every exit path.
+func (k *run) finish(err error) (Result, error) {
+	k.res.Residual = k.relres
+	k.res.Stats.InjectedErrors = k.e.injectedCount()
+	return k.res, err
+}
+
+// scalarFault records a suspect recurrence scalar as a detection.
+//
+//hot:cold suspect-scalar detection: runs only after a fault
+func (k *run) scalarFault(format string, args ...any) status {
+	k.res.Stats.Detections++
+	k.opts.Trace.add(k.i, EvDetection, "suspect recurrence scalar "+format, args...)
+	return faulted
+}
+
+//hot:cold breakdown exit: at most once per solve
+func (k *run) breakdown(what string) error {
+	return breakdownErr(k.method.String(), k.scheme, k.i, what)
+}
+
+// save snapshots {x, p}, the recurrence scalars and the carried checksums
+// (plus r when the guard keeps it).
+//
+//hot:cold checkpoint machinery: invoked once per cd iterations, off the steady-state budget
+func (k *run) save() {
+	k.opts.Trace.add(k.i, EvCheckpoint, k.kr.snapMsg)
+	k.rec.scalars(k.scal)
+	k.store.Save(k.i, k.vecs, k.scal, k.sums)
+	st := &k.res.Stats
+	st.Checkpoints++
+	st.CheckpointBytes = k.store.BytesCopied
+	st.CheckpointStoredBytes = k.store.BytesStored
+	k.e.corruptCheckpoint(k.i, &k.store)
+}
+
+// rollback restores the latest snapshot and reconstructs what it does not
+// hold — r = b − A·x and the recurrence's derived vectors — the recovery
+// of Algorithm 1 line 9. False means the budget is spent or the snapshot
+// is unusable: the solve does not terminate (ErrRollbackStorm).
+//
+//hot:cold recovery machinery: runs only after a detection
+func (k *run) rollback() bool {
+	st := &k.res.Stats
+	st.Rollbacks++
+	if st.Rollbacks > k.opts.MaxRollbacks {
+		return false
+	}
+	snapIter, err := k.store.Restore(k.vecs, k.scal, k.sums)
+	if err != nil {
+		return false
+	}
+	k.rec.setScalars(k.scal)
+	lossy := k.store.Lossy()
+	if lossy {
+		// The restored iterate is quantized: the exact checksums that came
+		// back with it disagree with the perturbed data by up to n·bound,
+		// which verification would flag as a fault. Re-anchor them from
+		// the restored data — the solve restarts from the perturbed (still
+		// verified-clean) state, per Tao et al. A restored r was rounded
+		// independently of x, so it is rebuilt as well.
+		k.e.recompute(k.x)
+		st.LossyRestores++
+	}
+	verb := "kept"
+	if lossy || !k.g.keepsResidual() {
+		k.e.residual(k.r, k.b, k.x)
+		st.RecoveryMVMs++
+		verb = "recomputed"
+	}
+	if err := k.rec.restored(k, snapIter, lossy); err != nil {
+		return false
+	}
+	st.WastedIterations += k.i - snapIter
+	if tr := k.opts.Trace; tr != nil { // boxing the arguments allocates even for a nil trace
+		tr.add(k.i, EvRollback, "restored iteration %d, %s %s", snapIter, verb, k.kr.rebuiltMsg)
+	}
+	k.i = snapIter
+	return true
+}
+
+// noGuard is the absent policy: nothing is verified, nothing is
+// checkpointed, every residual under the tolerance is accepted. It is the
+// unprotected arm's guard, and online MV's — that baseline's protection
+// lives entirely inside its operations.
+type noGuard struct{}
+
+func (noGuard) boundary(*run) bool                  { return true }
+func (noGuard) checkpoint(*run) bool                { return true }
+func (noGuard) inner(*run, *tracked, *tracked) bool { return false }
+func (noGuard) suspect(float64) bool                { return false }
+func (noGuard) exit(*run, *tracked) status          { return converged }
+func (noGuard) keepsResidual() bool                 { return false }
+
+// sumGuard is the paper's policy: the new-sum checksums the engine carries
+// are verified lazily at the outer level (Algorithm 1), optionally probed
+// after every MVM (Algorithm 2's inner level), and — under forward
+// recovery — used to repair a detection in place before falling back to
+// the checkpoint.
+type sumGuard struct {
+	twoLevel, forward bool
+	// outer is x, r and the recurrence's watch list, in verification order.
+	outer []*tracked
+}
+
+// boundary verifies checksum(v) = cᵀv for the outer-level vectors, x and
+// r first.
+//
+//hot:loop outer-level detection, every d iterations
+func (g *sumGuard) boundary(k *run) bool {
+	xOK, rOK, others := g.verifyOuter(k, g.outer)
+	if xOK && rOK && others == 0 {
+		return true
+	}
+	//hot:cold detection handling: forward repair first, else rollback
+	k.opts.Trace.add(k.i, EvDetection, k.kr.detectMsg)
+	return g.repair(k, xOK, rOK, others, false)
+}
+
+// verifyOuter verifies vs in order and sorts the failures into x (first),
+// r (second) and a count of the rest. The rollback-only path stops at the
+// first failure; forward recovery needs every verdict, since each failed
+// vector is repaired individually.
+func (g *sumGuard) verifyOuter(k *run, vs []*tracked) (xOK, rOK bool, others int) {
+	xOK, rOK = true, true
+	for j, v := range vs {
+		if k.e.verify(v) {
+			continue
+		}
+		switch j {
+		case 0:
+			xOK = false
+		case 1:
+			rOK = false
+		default:
+			others++
+		}
+		if !g.forward {
+			break
+		}
+	}
+	return xOK, rOK, others
+}
+
+// checkpoint verifies p (one O(n) sum per cd) and snapshots.
+//
+//hot:loop amortized checkpoint branch: once per cd iterations
+func (g *sumGuard) checkpoint(k *run) bool {
+	//hot:cold a corrupted direction: forward repair first, else rollback
+	if k.i > 0 && !k.e.verify(k.kr.p) && !g.repair(k, true, true, 1, false) {
+		return false
+	}
+	k.save()
+	return true
+}
+
+// inner is the inner-level protection of the two-level scheme (Algorithm 2
+// lines 16–27): one-checksum probe, triple-checksum diagnosis, immediate
+// correction of single errors, immediate rollback on multiple errors.
+//
+//hot:loop inner-level probe after every MVM
+func (g *sumGuard) inner(k *run, q, src *tracked) bool {
+	if !g.twoLevel {
+		return false
+	}
+	diag := k.e.innerCheck(q, src)
+	//hot:cold correction/detection reporting after an inner-level event
+	switch diag.Kind {
+	case checksum.SingleError:
+		k.opts.Trace.add(k.i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.name, diag.Pos, diag.Magnitude)
+	case checksum.MultipleErrors:
+		k.opts.Trace.add(k.i, EvDetection, "inner-level: multiple errors in MVM output")
+		return true
+	}
+	return false
+}
+
+//hot:loop recurrence-scalar sanity check
+func (g *sumGuard) suspect(x float64) bool { return suspectScalar(x) }
+
+// exit verifies x and the residual before declaring victory, so a
+// corrupted small residual cannot smuggle out a wrong solution.
+//
+//hot:cold convergence exit: verified once per solve, recovery on a corrupted residual
+func (g *sumGuard) exit(k *run, resid *tracked) status {
+	xOK, rOK, _ := g.verifyOuter(k, []*tracked{k.x, resid})
+	if xOK && rOK {
+		return converged
+	}
+	// The convergence exit skips the recurrence tail, so a forward repair
+	// here always restarts before the next iteration reuses the direction.
+	if !g.repair(k, xOK, rOK, 0, true) {
+		return faulted
+	}
+	k.relres = k.norm2(k.r.data) / k.normB
+	if k.relres <= k.tol && k.e.verify(k.x) && k.e.verify(k.r) {
+		return converged
+	}
+	return advanced
+}
+
+func (g *sumGuard) keepsResidual() bool { return false }
+
+// repair is the forward-recovery tier: attempt an in-place repair of every
+// vector that failed verification, avoiding the rollback. xOK and rOK are
+// the verdicts on x and r, others counts the failed vectors beyond them
+// (the direction, stored products); restart forces the Krylov restart even
+// without a data repair. It returns true when the solve may continue
+// forward.
+//
+//hot:cold forward recovery rides the recovery budget
+func (g *sumGuard) repair(k *run, xOK, rOK bool, others int, restart bool) bool {
+	st := &k.res.Stats
+	if !g.forward || st.ForwardRepairs >= k.opts.MaxRollbacks {
+		return false
+	}
+	tr := k.opts.Trace
+	// Vectors beyond x and r are never taken at their word: like r they
+	// are rebuilt exactly, by the restart below, from the (just verified or
+	// just repaired) residual — no trusted in-place repair, no rollback.
+	repaired := others
+	restart = restart || others > 0
+	rebuildR := false
+	if !xOK {
+		out, diag := k.e.forwardDiagnose(k.x)
+		switch out {
+		case forwardRejected:
+			st.RejectedCorrections++
+			tr.add(k.i, EvForwardRepair, "rejected fake correction on x; falling back")
+			return false
+		case forwardFailed:
+			tr.add(k.i, EvForwardRepair, "localization failed on x; falling back")
+			return false
+		case forwardCorrected:
+			// An in-place correction moves the iterate, so the carried
+			// residual no longer satisfies r = b − A·x even when r's own
+			// verification passed; rebuild it below.
+			rebuildR = true
+			tr.add(k.i, EvForwardRepair, "corrected x[%d] -= %.6g", diag.Pos, diag.Magnitude)
+		case forwardReanchored:
+			// Re-anchoring accepts x's data as the iterate going forward,
+			// including any sub-screen perturbation the old checksums
+			// disagreed with — and the recurrence residual tracks the old
+			// checksum state, not the data. Rebuilding r = b − A·x below
+			// re-couples them; without it a tiny absorbed x error becomes
+			// a permanent offset between the recurrence residual and the
+			// true one, i.e. silent data corruption at convergence.
+			rebuildR = true
+			tr.add(k.i, EvForwardRepair, "re-anchored checksum(x)")
+		}
+		repaired++
+	}
+	if !rOK {
+		// No in-place diagnosis is trusted on r — not even a confirmed
+		// §5.2 correction. A fault that pollutes the recurrence scalar
+		// collapses α, shrinking an aliased multi-error pattern until the
+		// post-correction inconsistency (suppressed by ~1/j³ at large
+		// indices) hides below the confirmation threshold; accepting it
+		// re-anchors checksum-endorsed corruption into r, and since r is
+		// the recurrence's fixed-point anchor the solve then converges to
+		// the wrong answer with consistent checksums. r = b − A·x holds
+		// for any step lengths the recurrence took, so a clean (just
+		// verified or just repaired) x rebuilds it exactly, erasing
+		// whatever the corruption was for the price of one MVM.
+		rebuildR = true
+		repaired++
+	}
+	if rebuildR {
+		if !k.e.verify(k.x) {
+			return false
+		}
+		k.e.residual(k.r, k.b, k.x)
+		st.RecoveryMVMs++
+		restart = true
+		tr.add(k.i, EvForwardRepair, "reconstructed r = b − A·x")
+	}
+	if restart {
+		if err := k.rec.restart(k); err != nil {
+			return false
+		}
+		tr.add(k.i, EvForwardRepair, k.kr.restartMsg)
+	}
+	st.ForwardRepairs += repaired
+	st.RollbacksAvoided++
+	if snapIter, ok := k.store.LatestIteration(); ok {
+		st.IterationsSaved += k.i - snapIter
+	}
+	return true
+}

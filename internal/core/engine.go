@@ -10,6 +10,7 @@ import (
 	"newsum/internal/kernel"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // tracked pairs a vector with its carried checksum slots (one per weight),
@@ -27,17 +28,26 @@ type tracked struct {
 }
 
 // engine bundles the encoded matrices, weight set, tolerance, injector and
-// statistics shared by the instrumented operations of a protected solver.
+// statistics shared by the instrumented operations of a solve. It is the
+// default backend of the operation vocabulary (ops): every operation runs
+// its kernel on the pool, passes through the fault injector and updates the
+// carried checksums of whatever weight set the engine was built over. With
+// no weights nothing is encoded, carried or counted and the operations are
+// the plain kernels plus the injector — the unprotected arm.
 type engine struct {
 	n       int
 	a       *sparse.CSR
+	m       precond.Preconditioner
 	weights []checksum.Weight
-	encA    *checksum.Matrix
-	stages  []precond.Stage
-	encStg  []*checksum.Matrix
-	tol     checksum.Tol
-	inj     *fault.Injector
-	stats   *Stats
+	// perOp is what one vector-generating operation adds to
+	// Stats.ChecksumUpdates: 1 when checksums are carried, 0 when not.
+	perOp  int
+	encA   *checksum.Matrix
+	stages []precond.Stage
+	encStg []*checksum.Matrix
+	tol    checksum.Tol
+	inj    *fault.Injector
+	stats  *Stats
 
 	// pool runs the hot loops on shared-memory workers; nil is the serial
 	// pool (every kernel method falls through to the single-threaded
@@ -82,10 +92,25 @@ func (e *engine) initLazyDiag() {
 // precomputed Options.Encoding short-circuits the cᵀA − d·cᵀ derivation —
 // the offline pass amortized across solves — and pins the decoupling scalar.
 func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weight, opts *Options, stats *Stats) *engine {
-	var encA *checksum.Matrix
+	e := &engine{
+		n:       a.Rows,
+		a:       a,
+		m:       m,
+		weights: weights,
+		tol:     checksum.Tol{Theta: opts.Theta},
+		inj:     opts.Injector,
+		stats:   stats,
+		pool:    opts.Pool,
+	}
+	if len(weights) == 0 {
+		return e
+	}
+	e.perOp = 1
+	e.eager = opts.EagerDetection
 	var d float64
 	if opts.Encoding != nil && opts.Encoding.N == a.Rows {
-		encA = opts.Encoding.Matrix(weights)
+		e.enc = opts.Encoding
+		e.encA = opts.Encoding.Matrix(weights)
 		d = opts.Encoding.D
 	} else {
 		d = opts.DScalar
@@ -97,21 +122,7 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 				d = checksum.PracticalD(a)
 			}
 		}
-		encA = checksum.EncodeMatrix(a, weights, d)
-	}
-	e := &engine{
-		n:       a.Rows,
-		a:       a,
-		weights: weights,
-		encA:    encA,
-		tol:     checksum.Tol{Theta: opts.Theta},
-		inj:     opts.Injector,
-		stats:   stats,
-		pool:    opts.Pool,
-		eager:   opts.EagerDetection,
-	}
-	if opts.Encoding != nil && opts.Encoding.N == a.Rows {
-		e.enc = opts.Encoding
+		e.encA = checksum.EncodeMatrix(a, weights, d)
 	}
 	if m != nil {
 		e.stages = m.Stages()
@@ -172,21 +183,32 @@ func (e *engine) sums(v *tracked, k int) (sum, absSum float64) {
 // dot, norm2 and mulVec route the solver loops' reductions and SpMVs
 // through the pool; with a nil pool they are exactly vec.Dot, vec.Norm2
 // and a.MulVec.
+//
+//hot:loop reduction on the solve path
 func (e *engine) dot(u, v []float64) float64 { return e.pool.Dot(u, v) }
 
+//hot:loop reduction on the solve path
 func (e *engine) norm2(u []float64) float64 { return e.pool.Norm2(u) }
 
 func (e *engine) mulVec(y, x []float64) { e.pool.MulVec(e.a, y, x) }
 
-// verify checks v's first checksum relationship — the outer-level
-// verification of Algorithm 1 line 6 (one weighted sum, O(n)).
-//
-// On success the carried checksum is refreshed to the freshly measured sum
-// and its round-off bound reset. The refresh costs nothing (the sum is in
-// hand) and keeps the running η bound from compounding across verification
-// windows: without it, the d-amplification cycle (×d at each MVM update,
-// ÷d at each PCO) grows η by roughly (1+α) per iteration until it masks
-// genuine errors.
+// rhsNorm is ‖b‖₂, or 1 for b = 0 so relative residuals stay finite.
+func (e *engine) rhsNorm(b []float64) float64 {
+	if nb := e.norm2(b); nb > 0 {
+		return nb
+	}
+	return 1
+}
+
+// residual rebuilds r := b − A·x cleanly — no injector events, checksums
+// re-anchored from the data. Initialization and recovery both use it: the
+// paper injects errors only into the iteration loop.
+func (e *engine) residual(r, b, x *tracked) {
+	e.mulVec(r.data, x.data)
+	vec.Sub(r.data, b.data, r.data)
+	e.recompute(r)
+}
+
 // suspectScalar reports whether a recurrence scalar is numerically
 // meaningless — NaN, Inf, or beyond ≈√MaxFloat64 (any product of two such
 // magnitudes overflows). Under ABFT a scalar that size right after a
@@ -201,6 +223,17 @@ func suspectScalar(x float64) bool {
 	return math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e150
 }
 
+// verify checks v's first checksum relationship — the outer-level
+// verification of Algorithm 1 line 6 (one weighted sum, O(n)).
+//
+// On success the carried checksum is refreshed to the freshly measured sum
+// and its round-off bound reset. The refresh costs nothing (the sum is in
+// hand) and keeps the running η bound from compounding across verification
+// windows: without it, the d-amplification cycle (×d at each MVM update,
+// ÷d at each PCO) grows η by roughly (1+α) per iteration until it masks
+// genuine errors.
+//
+//hot:loop outer-level verification on the protected solve path
 //hot:protected v
 func (e *engine) verify(v *tracked) bool {
 	e.stats.Verifications++
@@ -219,6 +252,7 @@ func (e *engine) verify(v *tracked) bool {
 // faults corrupt the value the multiplication consumes but not the stored
 // vector; arithmetic faults strike the output.
 //
+//hot:loop instrumented MVM on the solve path
 //hot:protected dst src
 func (e *engine) mvm(iter int, dst, src *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteMVM, src.data)
@@ -237,6 +271,9 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 		e.pool.MulVec(e.a, dst.data, src.data)
 	}
 	e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
+	if e.encA == nil { // no checksums carried: nothing to update or to strike
+		return
+	}
 	// The update runs after the operation (and after any fault), reading
 	// src from memory — the ordering Lemma 2's proof analyses.
 	e.pool.UpdateMVMBound(e.encA, dst.s, dst.eta, src.data, src.s, src.eta)
@@ -267,6 +304,8 @@ func (e *engine) corruptCheckpoint(iter int, store *checkpoint.Store) {
 
 // pco computes dst := M⁻¹·src stage by stage, carrying checksums through
 // each stage with Eq. (4) (solves) or Eq. (2) (multiplies).
+//
+//hot:loop instrumented PCO on the solve path
 func (e *engine) pco(iter int, dst, src *tracked) error {
 	e.inj.InjectMemory(iter, fault.SitePCO, src.data)
 	// A cache/register fault makes the whole solve consume a transiently
@@ -278,8 +317,14 @@ func (e *engine) pco(iter int, dst, src *tracked) error {
 	if restoreCache := e.inj.CacheWindow(iter, fault.SitePCO, src.data); restoreCache != nil {
 		defer restoreCache()
 	}
-	if len(e.stages) == 0 { // identity preconditioner
-		copy(dst.data, src.data)
+	if len(e.stages) == 0 {
+		// The identity preconditioner — or any preconditioner on an engine
+		// that carries no checksums: with nothing to thread through the
+		// stages M⁻¹ is applied whole, as the unprotected solver applies it.
+		if err := applyClean(e.m, dst.data, src.data); err != nil {
+			//hot:cold preconditioner failure aborts the solve
+			return fmt.Errorf("core: PCO: %w", err)
+		}
 		copy(dst.s, src.s)
 		copy(dst.eta, src.eta)
 		e.inj.InjectOutput(iter, fault.SitePCO, dst.data)
@@ -309,11 +354,22 @@ func (e *engine) pco(iter int, dst, src *tracked) error {
 	return nil
 }
 
+// applyClean applies a preconditioner without instrumentation, for recovery
+// paths that must not consume injector events.
+func applyClean(m precond.Preconditioner, z, r []float64) error {
+	if m == nil {
+		copy(z, r)
+		return nil
+	}
+	return m.Apply(z, r)
+}
+
 // axpy computes y := y + alpha·x with the Eq. (3) checksum update. A cache
 // fault corrupts the value of x the update consumes while memory keeps the
 // clean copy; the checksum update (from x.s) stays clean, so y becomes
 // inconsistent and detectable.
 //
+//hot:loop instrumented VLO on the solve path
 //hot:protected y x
 func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteVLO, x.data)
@@ -323,27 +379,29 @@ func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 		restore()
 	}
 	checksum.UpdateVLOAxpyBound(y.s, y.eta, alpha, x.s, x.eta)
-	e.stats.ChecksumUpdates++
+	e.stats.ChecksumUpdates += e.perOp
 	e.inj.InjectOutput(iter, fault.SiteVLO, y.data)
 	e.eagerCheck(y)
 }
 
 // xpby computes dst := x + beta·y (dst may alias y) with checksum update.
 //
+//hot:loop instrumented VLO on the solve path
 //hot:protected dst x y
 func (e *engine) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 	e.pool.XpbyVLO(dst.data, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
-	e.stats.ChecksumUpdates++
+	e.stats.ChecksumUpdates += e.perOp
 	e.inj.InjectOutput(iter, fault.SiteVLO, dst.data)
 	e.eagerCheck(dst)
 }
 
 // axpbyInto computes dst := alpha·x + beta·y with checksum update.
 //
+//hot:loop instrumented VLO on the solve path
 //hot:protected dst x y
 func (e *engine) axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked) {
 	e.pool.AxpbyVLO(dst.data, alpha, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
-	e.stats.ChecksumUpdates++
+	e.stats.ChecksumUpdates += e.perOp
 	e.inj.InjectOutput(iter, fault.SiteVLO, dst.data)
 	e.eagerCheck(dst)
 }
@@ -368,11 +426,12 @@ func (e *engine) takeFlag() bool {
 
 // scaleInto computes dst := alpha·src with the Eq. (3) scaling update.
 //
+//hot:loop instrumented VLO on the solve path
 //hot:protected dst
 func (e *engine) scaleInto(iter int, dst *tracked, alpha float64, src *tracked) {
 	e.pool.Scale(dst.data, alpha, src.data)
 	checksum.UpdateVLOScaleBound(dst.s, dst.eta, alpha, src.s, src.eta)
-	e.stats.ChecksumUpdates++
+	e.stats.ChecksumUpdates += e.perOp
 	e.inj.InjectOutput(iter, fault.SiteVLO, dst.data)
 	e.eagerCheck(dst)
 }
@@ -400,6 +459,8 @@ func copyTracked(dst, src *tracked) {
 // paid only when an error was already detected); otherwise the event is
 // escalated to MultipleErrors and handled by rollback, which repairs the
 // input too.
+//
+//hot:loop inner-level probe on the two-level solve path
 func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
 	if e.encDiag != nil {
 		return e.innerCheckLazy(q, src)
@@ -412,6 +473,7 @@ func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
 // diagnoseLazy pass. The fault-free probe is the hot path; everything past
 // a detection rides the recovery budget.
 //
+//hot:loop inner-level probe on the two-level solve path
 //hot:protected q
 func (e *engine) innerCheckLazy(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
@@ -459,6 +521,7 @@ func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.Triple
 	return diag
 }
 
+//hot:loop inner-level probe on the two-level solve path
 //hot:protected q
 func (e *engine) innerCheckEager(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++

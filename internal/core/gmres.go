@@ -23,37 +23,16 @@ import (
 // checkpointed state is {x} alone).
 func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart int, opts Options) (Result, error) {
 	var res Result
-	if err := validateSystem(a, b); err != nil {
+	st, err := begin(a, m, b, checksum.Single, &opts, &res.Stats)
+	if err != nil {
 		return res, err
 	}
-	opts.normalize()
-	n := a.Rows
+	e, x, bT, normB, tolRes, maxIter := st.e, st.x, st.b, st.normB, st.tol, st.maxIter
 	if restart < 1 {
 		restart = 30
 	}
-	if restart > n {
-		restart = n
-	}
-	e := newEngine(a, m, checksum.Single, &opts, &res.Stats)
-
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
-	}
-	bT := e.wrap("b", b)
-
-	normB := e.norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
+	if restart > e.n {
+		restart = e.n
 	}
 
 	// Arnoldi storage: tracked basis vectors so checksums ride along.
@@ -141,9 +120,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		}
 		saveCheckpoint()
 
-		e.mulVec(w.data, x.data)
-		vec.Sub(w.data, bT.data, w.data)
-		e.recompute(w)
+		e.residual(w, bT, x)
 		beta := e.norm2(w.data)
 		relres = beta / normB
 		if relres <= tolRes {

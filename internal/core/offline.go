@@ -1,136 +1,10 @@
 package core
 
 import (
-	"newsum/internal/fault"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
-
-// Method selects the iterative method for the scheme-agnostic entry points.
-type Method int
-
-const (
-	// MethodPCG is preconditioned conjugate gradient.
-	MethodPCG Method = iota
-	// MethodPBiCGSTAB is preconditioned BiCGSTAB.
-	MethodPBiCGSTAB
-)
-
-func (m Method) String() string {
-	switch m {
-	case MethodPCG:
-		return "PCG"
-	case MethodPBiCGSTAB:
-		return "PBiCGSTAB"
-	default:
-		return "unknown method"
-	}
-}
-
-// UnprotectedPCG runs plain PCG with fault injection but no detection or
-// recovery of any kind. It is the substrate of the offline-residual scheme
-// and the control arm of the coverage experiments: whatever the injector
-// corrupts stays corrupted.
-func UnprotectedPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	inj := opts.Injector
-	n := a.Rows
-
-	x, err := cloneStart(n, opts.X0)
-	if err != nil {
-		return res, err
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-
-	a.MulVec(r, x)
-	vec.Sub(r, b, r)
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-
-	res.X = x
-	relres := vec.Norm2(r) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
-	}
-	if err := applyCleanInj(m, inj, -1, z, r); err != nil {
-		return res, err
-	}
-	copy(p, z)
-	rho := vec.Dot(r, z)
-
-	for i := 0; i < maxIter; i++ {
-		if err := opts.ctxErr("unprotected PCG"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = injCount(inj)
-			return res, err
-		}
-		inj.InjectMemory(i, fault.SiteMVM, p)
-		if restore := inj.CacheWindow(i, fault.SiteMVM, p); restore != nil {
-			a.MulVecStride(q, p, 0, 2)
-			restore()
-			a.MulVecStride(q, p, 1, 2)
-		} else {
-			a.MulVec(q, p)
-		}
-		inj.InjectOutput(i, fault.SiteMVM, q)
-
-		pq := vec.Dot(p, q)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if pq == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PCG", Unprotected, i, "pᵀAp = 0")
-		}
-		alpha := rho / pq
-		vec.Axpy(x, alpha, p)
-		inj.InjectOutput(i, fault.SiteVLO, x)
-		vec.Axpy(r, -alpha, q)
-		inj.InjectOutput(i, fault.SiteVLO, r)
-		res.Iterations = i + 1
-
-		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		if relres <= tolRes {
-			res.Converged = true
-			break
-		}
-		if err := applyCleanInj(m, inj, i, z, r); err != nil {
-			return res, err
-		}
-		rhoNew := vec.Dot(r, z)
-		beta := rhoNew / rho
-		vec.Xpby(p, z, beta, p)
-		inj.InjectOutput(i, fault.SiteVLO, p)
-		rho = rhoNew
-	}
-	res.Residual = relres
-	res.Stats.InjectedErrors = injCount(inj)
-	if !res.Converged {
-		return notConverged("unprotected PCG", res, relres)
-	}
-	return res, nil
-}
 
 // TrueResidual returns ‖b − A·x‖₂ / ‖b‖₂ computed from scratch — the
 // offline-residual scheme's end-of-run verification, and the ground truth
@@ -151,15 +25,24 @@ func TrueResidual(a *sparse.CSR, b, x []float64) float64 {
 // and — if corruption slipped through — recompute the entire solve. In the
 // paper's best case this costs 100% overhead whenever any error occurred.
 func OfflineResidualPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	opts.normalize()
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	res, err := UnprotectedPCG(a, m, b, opts)
+	return Solve(MethodPCG, OfflineResidual, a, m, b, opts)
+}
+
+// OfflineResidualPBiCGSTAB is the offline-residual scheme applied to
+// PBiCGSTAB: verify the true residual at the end, recompute from scratch on
+// failure.
+func OfflineResidualPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	return Solve(MethodPBiCGSTAB, OfflineResidual, a, m, b, opts)
+}
+
+// offlineResidual guards the end of the run rather than its iterations: an
+// unprotected solve, one true-residual check, one full rerun on failure.
+func offlineResidual(method Method, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	tol, _ := opts.stopping(a.Rows)
+	res, err := solve(method, Unprotected, a, m, b, opts)
 	res.Stats.Verifications++
 	res.Stats.RecoveryMVMs++
-	if err == nil && TrueResidual(a, b, res.X) <= 10*tolRes {
+	if err == nil && TrueResidual(a, b, res.X) <= 10*tol {
 		return res, nil
 	}
 	// Detected at the end: recompute everything. Scheduled one-shot faults
@@ -167,16 +50,13 @@ func OfflineResidualPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, op
 	// persistent error rates and will fail again.
 	res.Stats.Detections++
 	first := res.Stats
-	wasted := res.Iterations
-	res2, err2 := UnprotectedPCG(a, m, b, opts)
-	res2.Stats.Verifications += first.Verifications
+	res2, err2 := solve(method, Unprotected, a, m, b, opts)
+	res2.Stats.Verifications += first.Verifications + 1
 	res2.Stats.Detections += first.Detections
 	res2.Stats.RecoveryMVMs += first.RecoveryMVMs + 1
-	res2.Stats.WastedIterations = wasted
-	res2.Stats.InjectedErrors = injCount(opts.Injector)
-	res2.Stats.Verifications++
-	if err2 == nil && TrueResidual(a, b, res2.X) > 10*tolRes {
-		return notConverged("offline-residual PCG (rerun still corrupted)", res2, res2.Residual)
+	res2.Stats.WastedIterations = res.Iterations
+	if err2 == nil && TrueResidual(a, b, res2.X) > 10*tol {
+		return notConverged("offline-residual "+method.String()+" (rerun still corrupted)", res2, res2.Residual)
 	}
 	return res2, err2
 }

@@ -10,40 +10,43 @@ import (
 	"newsum/internal/vec"
 )
 
-// omv bundles the state of the online-MV baseline (§2, §6.2): the
-// Sloan-style scheme built on the traditional Huang–Abraham checksum. Every
-// MVM is verified against the encoded (cᵀA)·x and repaired by binary-search
-// localization plus partial recomputation; VLOs and PCOs — which the
-// traditional encoding cannot cover — are protected by duplicated execution
-// with majority-vote repair (the TMR stand-in of §6.2). The scheme has no
-// checkpoints and, critically, cannot detect corruption of an MVM's input
-// vector: memory and cache errors in x slip through (Table 3).
+// OnlineMVPCG solves A·x = b with PCG protected by the online-MV baseline.
+func OnlineMVPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	return Solve(MethodPCG, OnlineMV, a, m, b, opts)
+}
+
+// OnlineMVPBiCGSTAB solves A·x = b with PBiCGSTAB protected by the
+// online-MV baseline.
+func OnlineMVPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	return Solve(MethodPBiCGSTAB, OnlineMV, a, m, b, opts)
+}
+
+// omv is the online-MV baseline (§2, §6.2) as a backend of the operation
+// vocabulary: the Sloan-style scheme built on the traditional Huang–Abraham
+// checksum. Every MVM is verified against the encoded (cᵀA)·x and repaired
+// by binary-search localization plus partial recomputation; VLOs and PCOs —
+// which the traditional encoding cannot cover — are protected by duplicated
+// execution with majority-vote repair (the TMR stand-in of §6.2). The scheme
+// has no checkpoints and, critically, cannot detect corruption of an MVM's
+// input vector: memory and cache errors in x slip through (Table 3). It
+// rides a checksum-less engine for everything it does not override (the
+// reductions, the injector, the statistics).
 type omv struct {
-	n     int
-	a     *sparse.CSR
-	m     precond.Preconditioner
-	tA    *checksum.Traditional
-	tol   checksum.Tol
-	inj   *fault.Injector
-	stats *Stats
+	*engine
+	tA *checksum.Traditional
 
 	expected []float64
 	dup1     []float64
 	dup2     []float64
 }
 
-func newOMV(a *sparse.CSR, m precond.Preconditioner, opts *Options, stats *Stats) *omv {
+func newOMV(e *engine) *omv {
 	return &omv{
-		n:        a.Rows,
-		a:        a,
-		m:        m,
-		tA:       checksum.EncodeTraditional(a, checksum.Single),
-		tol:      checksum.Tol{Theta: opts.Theta},
-		inj:      opts.Injector,
-		stats:    stats,
+		engine:   e,
+		tA:       checksum.EncodeTraditional(e.a, checksum.Single),
 		expected: make([]float64, 1),
-		dup1:     make([]float64, a.Rows),
-		dup2:     make([]float64, a.Rows),
+		dup1:     make([]float64, e.n),
+		dup2:     make([]float64, e.n),
 	}
 }
 
@@ -73,7 +76,10 @@ func (o *omv) voteMemory(iter int, site fault.Site, v []float64) {
 // insidious case of §2: if a cached value of p is corrupted, both the
 // product and the checksum consume it, the relationship verifies, and the
 // error escapes.
-func (o *omv) mvm(iter int, q, p []float64) {
+//
+//hot:loop verified MVM on the online-MV solve path
+func (o *omv) mvm(iter int, dst, src *tracked) {
+	q, p := dst.data, src.data
 	o.voteMemory(iter, fault.SiteMVM, p)
 	restore := o.inj.CacheWindow(iter, fault.SiteMVM, p)
 	o.a.MulVec(q, p)
@@ -104,6 +110,8 @@ func sumAbs(v []float64) (sum, absSum float64) {
 // locateRepair is Sloan's binary-search localization: recompute the segment
 // checksum of [lo, hi) from A and p, recurse into inconsistent halves, and
 // recompute the offending rows when segments narrow to single elements.
+//
+//hot:cold localization and repair run only after a detection
 func (o *omv) locateRepair(q, p []float64, lo, hi int) {
 	if hi <= lo {
 		return
@@ -164,7 +172,8 @@ func (o *omv) dupCompare(iter int, site fault.Site, dst []float64, op func(out [
 
 // pco computes z := M⁻¹·r with duplicated execution. Memory faults on r
 // strike before both executions and therefore escape.
-func (o *omv) pco(iter int, z, r []float64) error {
+func (o *omv) pco(iter int, dst, src *tracked) error {
+	z, r := dst.data, src.data
 	o.voteMemory(iter, fault.SitePCO, r)
 	// A cached corrupted input feeds both duplicated executions — they
 	// agree, so the error escapes (the coverage hole in Table 3's
@@ -183,258 +192,28 @@ func (o *omv) pco(iter int, z, r []float64) error {
 }
 
 // axpy computes y := y + alpha·x with duplicated execution.
-func (o *omv) axpy(iter int, y []float64, alpha float64, x []float64) {
-	o.voteMemory(iter, fault.SiteVLO, x)
-	y0 := vec.Clone(y)
-	o.dupCompare(iter, fault.SiteVLO, y, func(out []float64) {
-		vec.Axpby(out, 1, y0, alpha, x)
+func (o *omv) axpy(iter int, y *tracked, alpha float64, x *tracked) {
+	o.voteMemory(iter, fault.SiteVLO, x.data)
+	y0 := vec.Clone(y.data)
+	o.dupCompare(iter, fault.SiteVLO, y.data, func(out []float64) {
+		vec.Axpby(out, 1, y0, alpha, x.data)
 	})
 }
 
 // xpby computes dst := x + beta·y with duplicated execution; dst may alias y.
-func (o *omv) xpby(iter int, dst, x []float64, beta float64, y []float64) {
-	y0 := y
-	if &dst[0] == &y[0] {
-		y0 = vec.Clone(y)
+func (o *omv) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
+	y0 := y.data
+	if dst == y {
+		y0 = vec.Clone(y.data)
 	}
-	o.dupCompare(iter, fault.SiteVLO, dst, func(out []float64) {
-		vec.Xpby(out, x, beta, y0)
+	o.dupCompare(iter, fault.SiteVLO, dst.data, func(out []float64) {
+		vec.Xpby(out, x.data, beta, y0)
 	})
 }
 
 // axpbyInto computes dst := alpha·x + beta·y with duplicated execution.
-func (o *omv) axpbyInto(iter int, dst []float64, alpha float64, x []float64, beta float64, y []float64) {
-	o.dupCompare(iter, fault.SiteVLO, dst, func(out []float64) {
-		vec.Axpby(out, alpha, x, beta, y)
+func (o *omv) axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked) {
+	o.dupCompare(iter, fault.SiteVLO, dst.data, func(out []float64) {
+		vec.Axpby(out, alpha, x.data, beta, y.data)
 	})
-}
-
-// OnlineMVPCG solves A·x = b with PCG protected by the online-MV baseline.
-func OnlineMVPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	o := newOMV(a, m, &opts, &res.Stats)
-	n := o.n
-
-	x, err := cloneStart(n, opts.X0)
-	if err != nil {
-		return res, err
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-
-	a.MulVec(r, x)
-	vec.Sub(r, b, r)
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-
-	res.X = x
-	relres := vec.Norm2(r) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
-	}
-	if err := o.pco(-1, z, r); err != nil {
-		return res, err
-	}
-	copy(p, z)
-	rho := vec.Dot(r, z)
-
-	for i := 0; i < maxIter; i++ {
-		if err := opts.ctxErr("online-MV PCG"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = injCount(opts.Injector)
-			return res, err
-		}
-		o.mvm(i, q, p)
-		pq := vec.Dot(p, q)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if pq == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PCG", OnlineMV, i, "pᵀAp = 0")
-		}
-		alpha := rho / pq
-		o.axpy(i, x, alpha, p)
-		o.axpy(i, r, -alpha, q)
-		res.Iterations = i + 1
-		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		if relres <= tolRes {
-			res.Converged = true
-			break
-		}
-		if err := o.pco(i, z, r); err != nil {
-			return res, err
-		}
-		rhoNew := vec.Dot(r, z)
-		beta := rhoNew / rho
-		o.xpby(i, p, z, beta, p)
-		rho = rhoNew
-	}
-	res.Residual = relres
-	res.Stats.InjectedErrors = injCount(opts.Injector)
-	if !res.Converged {
-		return notConverged("online-MV PCG", res, relres)
-	}
-	return res, nil
-}
-
-// OnlineMVPBiCGSTAB solves A·x = b with PBiCGSTAB protected by the
-// online-MV baseline.
-func OnlineMVPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	o := newOMV(a, m, &opts, &res.Stats)
-	n := o.n
-
-	x, err := cloneStart(n, opts.X0)
-	if err != nil {
-		return res, err
-	}
-	r := make([]float64, n)
-	p := make([]float64, n)
-	v := make([]float64, n)
-	s := make([]float64, n)
-	t := make([]float64, n)
-	phat := make([]float64, n)
-	shat := make([]float64, n)
-
-	a.MulVec(r, x)
-	vec.Sub(r, b, r)
-	rhat := vec.Clone(r)
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-
-	res.X = x
-	relres := vec.Norm2(r) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
-	}
-	rhoPrev, alpha, omega := 1.0, 1.0, 1.0
-	for i := 0; i < maxIter; i++ {
-		if err := opts.ctxErr("online-MV PBiCGSTAB"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = injCount(opts.Injector)
-			return res, err
-		}
-		rho := vec.Dot(rhat, r)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if rho == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", OnlineMV, i, "ρ = 0")
-		}
-		if i == 0 {
-			copy(p, r)
-		} else {
-			beta := (rho / rhoPrev) * (alpha / omega)
-			o.axpy(i, p, -omega, v)
-			o.xpby(i, p, r, beta, p)
-		}
-		if err := o.pco(i, phat, p); err != nil {
-			return res, err
-		}
-		o.mvm(i, v, phat)
-		rhatV := vec.Dot(rhat, v)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if rhatV == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", OnlineMV, i, "r̂ᵀv = 0")
-		}
-		alpha = rho / rhatV
-		o.axpbyInto(i, s, 1, r, -alpha, v)
-		res.Iterations = i + 1
-		if rel := vec.Norm2(s) / normB; rel <= tolRes {
-			o.axpy(i, x, alpha, phat)
-			relres = rel
-			if opts.RecordResiduals {
-				res.History = append(res.History, relres)
-			}
-			res.Converged = true
-			break
-		}
-		if err := o.pco(i, shat, s); err != nil {
-			return res, err
-		}
-		o.mvm(i, t, shat)
-		tt := vec.Dot(t, t)
-		if tt <= 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", OnlineMV, i, "tᵀt = 0")
-		}
-		omega = vec.Dot(t, s) / tt
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if omega == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PBiCGSTAB", OnlineMV, i, "ω = 0")
-		}
-		o.axpy(i, x, alpha, phat)
-		o.axpy(i, x, omega, shat)
-		o.axpbyInto(i, r, 1, s, -omega, t)
-		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		if relres <= tolRes {
-			res.Converged = true
-			break
-		}
-		rhoPrev = rho
-	}
-	res.Residual = relres
-	res.Stats.InjectedErrors = injCount(opts.Injector)
-	if !res.Converged {
-		return notConverged("online-MV PBiCGSTAB", res, relres)
-	}
-	return res, nil
-}
-
-func cloneStart(n int, x0 []float64) ([]float64, error) {
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, breakdownErr("solve", Unprotected, 0, "initial guess length mismatch")
-		}
-		copy(x, x0)
-	}
-	return x, nil
-}
-
-func injCount(inj *fault.Injector) int {
-	if inj == nil {
-		return 0
-	}
-	return len(inj.Injected)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"newsum/internal/fault"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
@@ -19,216 +18,65 @@ import (
 //   - it applies only to solvers whose vectors satisfy such relationships —
 //     there is no OrthoJacobi or OrthoChebyshev, and BiCGSTAB's lack of
 //     orthogonality structure is why §6.3 exercises it;
-//   - errors that do not propagate into the checked vectors escape.
+//   - errors that do not propagate into the checked vectors escape: a cache
+//     fault in a preconditioner solve corrupts z while r stays clean, so
+//     the residual relationship is untouched and there is nothing to
+//     detect (Table 3's cache/register "No").
 func OrthoPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
-	opts.normalize()
-	inj := opts.Injector
-	n := a.Rows
-
-	x, err := cloneStart(n, opts.X0)
-	if err != nil {
-		return res, err
-	}
-	r := make([]float64, n)
-	z := make([]float64, n)
-	p := make([]float64, n)
-	q := make([]float64, n)
-	trueR := make([]float64, n)
-
-	a.MulVec(r, x)
-	vec.Sub(r, b, r)
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
-	// The residual-relationship tolerance: the gap ‖(b−Ax) − r‖/‖b‖ grows
-	// only with round-off for a healthy run, while an injected error makes
-	// it jump by orders of magnitude.
-	const residGapTol = 1e-8
-
-	res.X = x
-	relres := vec.Norm2(r) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
-	}
-	if err := applyCleanInj(m, inj, -1, z, r); err != nil {
-		return res, err
-	}
-	copy(p, z)
-	rho := vec.Dot(r, z)
-
-	store := opts.newStore()
-	d, cd := opts.DetectInterval, opts.CheckpointInterval
-
-	save := func(iter int) {
-		store.Save(iter,
-			map[string][]float64{"x": x, "p": p, "r": r},
-			map[string]float64{"rho": rho}, nil)
-		res.Stats.Checkpoints++
-		res.Stats.CheckpointBytes = store.BytesCopied
-		res.Stats.CheckpointStoredBytes = store.BytesStored
-	}
-	rollback := func(iter int) (int, bool) {
-		res.Stats.Rollbacks++
-		if res.Stats.Rollbacks > opts.MaxRollbacks {
-			return iter, false
-		}
-		scal := map[string]float64{}
-		snapIter, err := store.Restore(
-			map[string][]float64{"x": x, "p": p, "r": r}, scal, nil)
-		if err != nil {
-			return iter, false
-		}
-		rho = scal["rho"]
-		if store.Lossy() {
-			// The restored state is quantized: x and r were rounded
-			// independently, so the residual relationship this baseline
-			// verifies no longer holds to residGapTol. Re-couple them by
-			// reconstructing r = b − A·x from the restored iterate — the
-			// orthogonality-baseline analogue of checksum re-anchoring.
-			a.MulVec(r, x)
-			vec.Sub(r, b, r)
-			res.Stats.RecoveryMVMs++
-			res.Stats.LossyRestores++
-			// The restored direction and ρ belong to the exact snapshot
-			// state; against the reconstructed residual the stale ρ makes
-			// the first β = ρ'/ρ blow up and poison p. Restart the
-			// recurrence from the reconstructed residual instead.
-			if err := applyCleanInj(m, inj, -1, z, r); err != nil {
-				return iter, false
-			}
-			copy(p, z)
-			rho = vec.Dot(r, z)
-		}
-		res.Stats.WastedIterations += iter - snapIter
-		return snapIter, true
-	}
-
-	i := 0
-	for i < maxIter {
-		if err := opts.ctxErr("OrthoPCG"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = injCount(opts.Injector)
-			return res, err
-		}
-		if i > 0 && i%d == 0 {
-			// Residual-relationship check: one full MVM.
-			a.MulVec(trueR, x)
-			vec.Sub(trueR, b, trueR)
-			vec.Sub(trueR, trueR, r)
-			res.Stats.Verifications++
-			res.Stats.RecoveryMVMs++
-			if vec.Norm2(trueR)/normB > residGapTol {
-				res.Stats.Detections++
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					res.Residual = relres
-					res.Stats.InjectedErrors = injCount(inj)
-					return res, rollbackStormErr("PCG", Orthogonality)
-				}
-				continue
-			}
-		}
-		if i%cd == 0 {
-			save(i)
-		}
-
-		inj.InjectMemory(i, fault.SiteMVM, p)
-		if restore := inj.CacheWindow(i, fault.SiteMVM, p); restore != nil {
-			a.MulVecStride(q, p, 0, 2)
-			restore()
-			a.MulVecStride(q, p, 1, 2)
-		} else {
-			a.MulVec(q, p)
-		}
-		inj.InjectOutput(i, fault.SiteMVM, q)
-
-		pq := vec.Dot(p, q)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if pq == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PCG", Orthogonality, i, "pᵀAp = 0")
-		}
-		alpha := rho / pq
-		vec.Axpy(x, alpha, p)
-		inj.InjectOutput(i, fault.SiteVLO, x)
-		vec.Axpy(r, -alpha, q)
-		inj.InjectOutput(i, fault.SiteVLO, r)
-		i++
-		res.Iterations = i
-
-		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		if relres <= tolRes {
-			// Final residual-relationship check before accepting.
-			a.MulVec(trueR, x)
-			vec.Sub(trueR, b, trueR)
-			vec.Sub(trueR, trueR, r)
-			res.Stats.RecoveryMVMs++
-			if vec.Norm2(trueR)/normB > residGapTol {
-				res.Stats.Detections++
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					res.Residual = relres
-					res.Stats.InjectedErrors = injCount(inj)
-					return res, rollbackStormErr("PCG", Orthogonality)
-				}
-				continue
-			}
-			res.Converged = true
-			break
-		}
-		if err := applyCleanInj(m, inj, i-1, z, r); err != nil {
-			return res, err
-		}
-		rhoNew := vec.Dot(r, z)
-		beta := rhoNew / rho
-		vec.Xpby(p, z, beta, p)
-		inj.InjectOutput(i-1, fault.SiteVLO, p)
-		rho = rhoNew
-	}
-
-	res.Residual = relres
-	res.Stats.InjectedErrors = injCount(inj)
-	if !res.Converged {
-		return notConverged("orthogonality PCG", res, relres)
-	}
-	return res, nil
+	return Solve(MethodPCG, Orthogonality, a, m, b, opts)
 }
 
-// applyCleanInj applies a preconditioner with fault injection on input and
-// output but no checksum protection. A cache fault corrupts the solve's
-// input transiently: z comes out wrong, r stays clean, and — since the
-// residual relationship r = b − A·x is untouched — the orthogonality
-// baseline has nothing to detect (Table 3's cache/register "No").
-func applyCleanInj(m precond.Preconditioner, inj *fault.Injector, iter int, z, r []float64) error {
-	inj.InjectMemory(iter, fault.SitePCO, r)
-	restore := inj.CacheWindow(iter, fault.SitePCO, r)
-	if err := applyClean(m, z, r); err != nil {
-		if restore != nil {
-			restore()
-		}
-		return err
-	}
-	if restore != nil {
-		restore()
-	}
-	inj.InjectOutput(iter, fault.SitePCO, z)
-	return nil
+// residGapTol is the residual-relationship tolerance: the gap
+// ‖(b−Ax) − r‖/‖b‖ grows only with round-off for a healthy run, while an
+// injected error makes it jump by orders of magnitude.
+const residGapTol = 1e-8
+
+// gapGuard is the orthogonality baseline's policy over the unprotected
+// operations: the residual gap is checked at every detect boundary and at
+// the convergence exit, and {x, p, r} are checkpointed — r included,
+// because the relationship it is checked against is the only protection
+// there is, so a restored r must be the one that was checked. A lossy
+// restore rounds x and r independently and breaks the relationship to
+// residGapTol; the driver then rebuilds r = b − A·x, this baseline's
+// analogue of checksum re-anchoring.
+type gapGuard struct {
+	noGuard
+	trueR []float64
 }
+
+// broken measures the residual gap: one full MVM.
+func (g *gapGuard) broken(k *run) bool {
+	k.e.mulVec(g.trueR, k.x.data)
+	vec.Sub(g.trueR, k.b.data, g.trueR)
+	vec.Sub(g.trueR, g.trueR, k.r.data)
+	k.res.Stats.RecoveryMVMs++
+	if k.norm2(g.trueR)/k.normB <= residGapTol {
+		return false
+	}
+	k.res.Stats.Detections++
+	return true
+}
+
+//hot:loop residual-relationship check, every d iterations
+func (g *gapGuard) boundary(k *run) bool {
+	k.res.Stats.Verifications++
+	return !g.broken(k)
+}
+
+//hot:loop amortized checkpoint branch: once per cd iterations
+func (g *gapGuard) checkpoint(k *run) bool {
+	k.save()
+	return true
+}
+
+// exit is the final residual-relationship check before accepting.
+//
+//hot:cold convergence exit: once per solve
+func (g *gapGuard) exit(k *run, _ *tracked) status {
+	if g.broken(k) {
+		return faulted
+	}
+	return converged
+}
+
+func (g *gapGuard) keepsResidual() bool { return true }

@@ -1,11 +1,17 @@
 package core
 
 import (
-	"newsum/internal/checksum"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
-	"newsum/internal/vec"
 )
+
+// UnprotectedPCG runs plain PCG with fault injection but no detection or
+// recovery of any kind. It is the substrate of the offline-residual scheme
+// and the control arm of the coverage experiments: whatever the injector
+// corrupts stays corrupted.
+func UnprotectedPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+	return Solve(MethodPCG, Unprotected, a, m, b, opts)
+}
 
 // BasicPCG solves the SPD system A·x = b with the paper's basic online ABFT
 // preconditioned conjugate gradient (Algorithm 1, Fig. 3): single-checksum
@@ -13,7 +19,7 @@ import (
 // x and r relationships every DetectInterval iterations, and checkpointing
 // of only the p and x vectors every CheckpointInterval iterations.
 func BasicPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	return abftPCG(a, m, b, opts, Basic)
+	return Solve(MethodPCG, Basic, a, m, b, opts)
 }
 
 // TwoLevelPCG solves A·x = b with the paper's two-level online ABFT PCG
@@ -21,439 +27,100 @@ func BasicPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options
 // MVM — correcting single errors immediately and rolling back on multiple
 // errors — combined with the Basic outer level.
 func TwoLevelPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
-	return abftPCG(a, m, b, opts, TwoLevel)
+	return Solve(MethodPCG, TwoLevel, a, m, b, opts)
 }
 
-func abftPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options, scheme Scheme) (Result, error) {
-	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
+// pcg is the preconditioned conjugate gradient recurrence. The checkpoint
+// set is {p, x} with ρ; r is recomputed as b − A·x.
+type pcg struct {
+	krylov
+	z, q *tracked
+	rho  float64
+}
+
+func newPCG(e *engine) *pcg {
+	return &pcg{
+		krylov: krylov{
+			p:          e.newTracked("p"),
+			detectMsg:  "outer-level: checksum(x)/checksum(r) mismatch",
+			snapMsg:    "snapshot {p, x}",
+			rebuiltMsg: "r",
+			restartMsg: "re-projected search direction (CG restart)",
+		},
+		z: e.newTracked("z"),
+		q: e.newTracked("q"),
 	}
-	opts.normalize()
-	weights := checksum.Single
-	if (scheme == TwoLevel && opts.EagerTriple) || opts.ForwardRecovery {
-		// Forward recovery needs the locating checksums δ2, δ3 on the
-		// outer-level vectors themselves, so all three weights are carried.
-		weights = checksum.Triple
+}
+
+func (c *pcg) shape() *krylov                  { return &c.krylov }
+func (c *pcg) scalars(s map[string]float64)    { s["rho"] = c.rho }
+func (c *pcg) setScalars(s map[string]float64) { c.rho = s["rho"] }
+func (c *pcg) start(k *run) error              { return c.restart(k) }
+
+// restart is the CG restart: z = M⁻¹r, p := z, ρ = rᵀz. After a forward
+// repair of r it is what keeps the repair honest — z and p were computed
+// from the pre-repair r at the tail of the previous iteration, so they are
+// polluted with checksum-consistent garbage; restarting from the repaired
+// residual preserves convergence at the cost of rebuilding the direction.
+func (c *pcg) restart(k *run) error {
+	if err := k.pco(-1, c.z, k.r); err != nil {
+		return err
 	}
-	e := newEngine(a, m, weights, &opts, &res.Stats)
-	if scheme == TwoLevel && !opts.EagerTriple {
-		e.initLazyDiag()
+	copyTracked(c.p, c.z)
+	c.rho = k.dot(k.r.data, c.z.data)
+	return nil
+}
+
+func (c *pcg) restored(k *run, _ int, lossy bool) error {
+	if lossy {
+		return c.restart(k)
 	}
-	n := e.n
+	return nil
+}
 
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
+//hot:loop PCG iteration (Algorithm 1 / 2)
+func (c *pcg) step(k *run) (status, error) {
+	return c.iterate(k, k.x, k.r, c.z, c.p, c.q)
+}
+
+//hot:protected x r z p q
+func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
+	i := k.i
+	k.mvm(i, q, p)
+	// Inner-level protection on the MVM output, then eager detection (if
+	// enabled), which flags a corrupted output the moment it is produced;
+	// recovery is the same rollback.
+	if k.g.inner(k, q, p) || k.e.takeFlag() {
+		return faulted, nil
 	}
-	r := e.newTracked("r")
-	z := e.newTracked("z")
-	p := e.newTracked("p")
-	q := e.newTracked("q")
-	bT := e.wrap("b", b)
-
-	// r = b − A·x0 via instrumented ops would charge a fault to setup;
-	// initialization is performed cleanly (the paper injects errors only
-	// into the iteration loop).
-	e.mulVec(r.data, x.data)
-	vec.Sub(r.data, bT.data, r.data)
-	e.recompute(r)
-
-	normB := e.norm2(b)
-	if normB <= 0 {
-		normB = 1
+	pq := k.dot(p.data, q.data)
+	//hot:cold suspect-scalar detection and rollback
+	if k.g.suspect(pq) {
+		return k.scalarFault("pᵀAp = %g", pq), nil
 	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
+	//hot:cold breakdown exit
+	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
+	if pq == 0 {
+		return failed, k.breakdown("pᵀAp = 0")
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
+	alpha := c.rho / pq
+	k.axpy(i, x, alpha, p)
+	k.axpy(i, r, -alpha, q)
+	if k.e.takeFlag() {
+		return faulted, nil
 	}
-
-	res.X = x.data
-	relres := e.norm2(r.data) / normB
-	if relres <= tolRes {
-		res.Converged = true
-		res.Residual = relres
-		return res, nil
+	if k.advance(k.norm2(r.data)) {
+		return k.g.exit(k, r), nil
 	}
-
-	if err := e.pco(-1, z, r); err != nil {
-		return res, err
+	if err := k.pco(i, z, r); err != nil {
+		return failed, err
 	}
-	copyTracked(p, z)
-	rho := e.dot(r.data, z.data)
-
-	store := opts.newStore()
-	d, cd := opts.DetectInterval, opts.CheckpointInterval
-
-	//hot:cold checkpoint machinery: invoked once per cd iterations, off the steady-state budget
-	saveCheckpoint := func(iter int) {
-		opts.Trace.add(iter, EvCheckpoint, "snapshot {p, x}")
-		store.Save(iter,
-			map[string][]float64{"p": p.data, "x": x.data},
-			map[string]float64{"rho": rho},
-			map[string][]float64{"p": p.s, "x": x.s, "p.eta": p.eta, "x.eta": x.eta},
-		)
-		res.Stats.Checkpoints++
-		res.Stats.CheckpointBytes = store.BytesCopied
-		res.Stats.CheckpointStoredBytes = store.BytesStored
-		e.corruptCheckpoint(iter, &store)
+	rhoNew := k.dot(r.data, z.data)
+	beta := rhoNew / c.rho
+	k.xpby(i, p, z, beta, p)
+	c.rho = rhoNew
+	if k.e.takeFlag() {
+		return faulted, nil
 	}
-	// rollback restores p, x (and their checksums) and rho, then
-	// reconstructs r = b − A·x and its checksums — the recovery of
-	// Algorithm 1 line 9 (one MVM plus checksum recomputation).
-	//hot:cold recovery machinery: runs only after a detection
-	rollback := func(iter int) (int, bool) {
-		res.Stats.Rollbacks++
-		if res.Stats.Rollbacks > opts.MaxRollbacks {
-			return iter, false
-		}
-		scal := map[string]float64{}
-		snapIter, err := store.Restore(
-			map[string][]float64{"p": p.data, "x": x.data},
-			scal,
-			map[string][]float64{"p": p.s, "x": x.s, "p.eta": p.eta, "x.eta": x.eta},
-		)
-		if err != nil {
-			return iter, false
-		}
-		rho = scal["rho"]
-		if store.Lossy() {
-			// The restored iterate is quantized: the exact checksums that
-			// came back with it disagree with the perturbed data by up to
-			// n·bound, which verification would flag as a fault. Re-anchor
-			// them from the restored data — the solve restarts from the
-			// perturbed (still verified-clean) state, per Tao et al.
-			e.recompute(x)
-			res.Stats.LossyRestores++
-		}
-		e.mulVec(r.data, x.data)
-		vec.Sub(r.data, bT.data, r.data)
-		e.recompute(r)
-		res.Stats.RecoveryMVMs++
-		if store.Lossy() {
-			// The restored direction and ρ belong to the *exact* snapshot
-			// state; against the reconstructed residual — dominated by the
-			// quantization noise A·δx rather than the old convergence tail —
-			// the stale ρ makes the first β = ρ'/ρ blow up and permanently
-			// poison p, stalling the recurrence at the error bound. A lossy
-			// restore is therefore a CG restart: z = M⁻¹r, p := z, ρ = rᵀz.
-			if err := e.pco(-1, z, r); err != nil {
-				return iter, false
-			}
-			copyTracked(p, z)
-			rho = e.dot(r.data, z.data)
-		}
-		res.Stats.WastedIterations += iter - snapIter
-		opts.Trace.add(iter, EvRollback, "restored iteration %d, recomputed r", snapIter)
-		return snapIter, true
-	}
-
-	// forwardRepair is the forward-recovery tier: attempt an in-place repair
-	// of every vector that failed verification, avoiding the rollback. xOK,
-	// rOK, pOK report which verifications passed; restart forces the search-
-	// direction re-projection even without a data repair (the convergence
-	// exit skips the recurrence tail, so z, p and ρ must be rebuilt before
-	// iterating on). Returns true when the solve may continue forward.
-	//hot:cold forward recovery rides the recovery budget
-	forwardRepair := func(iter int, xOK, rOK, pOK, restart bool) bool {
-		if !opts.ForwardRecovery || res.Stats.ForwardRepairs >= opts.MaxRollbacks {
-			return false
-		}
-		repaired := 0
-		dataRepair := restart
-		reconstructR := false
-		if !xOK {
-			out, diag := e.forwardDiagnose(x)
-			switch out {
-			case forwardRejected:
-				res.Stats.RejectedCorrections++
-				opts.Trace.add(iter, EvForwardRepair, "rejected fake correction on x; falling back")
-				return false
-			case forwardFailed:
-				opts.Trace.add(iter, EvForwardRepair, "localization failed on x; falling back")
-				return false
-			case forwardCorrected:
-				// An in-place correction moves the iterate, so the carried
-				// residual no longer satisfies r = b − A·x even when r's own
-				// verification passed; rebuild it below.
-				reconstructR = true
-				opts.Trace.add(iter, EvForwardRepair, "corrected x[%d] -= %.6g", diag.Pos, diag.Magnitude)
-			case forwardReanchored:
-				// Re-anchoring accepts x's data as the iterate going forward,
-				// including any sub-screen perturbation the old checksums
-				// disagreed with — and the recurrence residual tracks the old
-				// checksum state, not the data. Rebuilding r = b − A·x below
-				// re-couples them; without it a tiny absorbed x error becomes
-				// a permanent offset between the recurrence residual and the
-				// true one, i.e. silent data corruption at convergence.
-				reconstructR = true
-				opts.Trace.add(iter, EvForwardRepair, "re-anchored checksum(x)")
-			}
-			repaired++
-		}
-		if !rOK {
-			// No in-place diagnosis is trusted on r — not even a confirmed
-			// §5.2 correction. A fault that pollutes the recurrence scalar
-			// collapses α, shrinking an aliased multi-error pattern until the
-			// post-correction inconsistency (suppressed by ~1/j³ at large
-			// indices) hides below the confirmation threshold; accepting it
-			// re-anchors checksum-endorsed corruption into r, and since r is
-			// the recurrence's fixed-point anchor the solve then converges to
-			// the wrong answer with consistent checksums. r = b − A·x holds
-			// for any step lengths the recurrence took, so a clean (just
-			// verified or just repaired) x rebuilds it exactly, erasing
-			// whatever the corruption was for the price of one MVM.
-			reconstructR = true
-			repaired++
-		}
-		if reconstructR {
-			if !e.verify(x) {
-				return false
-			}
-			e.mulVec(r.data, x.data)
-			vec.Sub(r.data, bT.data, r.data)
-			e.recompute(r)
-			res.Stats.RecoveryMVMs++
-			dataRepair = true
-			opts.Trace.add(iter, EvForwardRepair, "reconstructed r = b − A·x")
-		}
-		if !pOK {
-			// Like r, the search direction is never taken at its word: the
-			// re-projection below rebuilds z and p exactly from the (just
-			// verified or just repaired) residual, so a failed verification
-			// of p routes there rather than through a trusted in-place
-			// repair or a rollback.
-			dataRepair = true
-			repaired++
-		}
-		if repaired == 0 {
-			return false
-		}
-		if dataRepair {
-			// z and p were computed from the pre-repair r at the tail of the
-			// previous iteration, so a data repair of r leaves them polluted
-			// with checksum-consistent garbage. Restart the recurrence from
-			// the repaired residual (z = M⁻¹r, p := z, ρ = rᵀz) — a CG
-			// restart, which preserves convergence at the cost of rebuilding
-			// the search direction.
-			if err := e.pco(-1, z, r); err != nil {
-				return false
-			}
-			copyTracked(p, z)
-			rho = e.dot(r.data, z.data)
-			opts.Trace.add(iter, EvForwardRepair, "re-projected search direction (CG restart)")
-		}
-		res.Stats.ForwardRepairs += repaired
-		res.Stats.RollbacksAvoided++
-		if snapIter, ok := store.LatestIteration(); ok {
-			res.Stats.IterationsSaved += iter - snapIter
-		}
-		return true
-	}
-
-	i := 0
-	// The steady-state iteration: every allocation inside is policed by
-	// the hotalloc analyzer, every raw write to the protected vectors by
-	// checksumguard (detection/recovery branches are marked //hot:cold —
-	// they ride the recovery budget, not the per-iteration one).
-	//
-	//hot:loop PCG protected iteration (Algorithm 1 / 2)
-	//hot:protected x r z p q
-	for i < maxIter {
-		// Cancellation boundary: a canceled or expired Options.Ctx is the
-		// caller's only handle on a diverging or fault-storming solve.
-		if err := opts.ctxErr("PCG"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = e.injectedCount()
-			return res, err
-		}
-		// Outer-level detection every d iterations (Algorithm 1 lines
-		// 5–6): verify only checksum(x) = cᵀx and checksum(r) = cᵀr —
-		// every other vector's error propagates into x or r (Table 2).
-		if i > 0 && i%d == 0 {
-			xOK := e.verify(x)
-			rOK := true
-			if xOK || opts.ForwardRecovery {
-				// Forward recovery needs both verdicts (each failed vector
-				// is repaired individually); the rollback-only path keeps
-				// the short-circuit so its stats are unchanged.
-				rOK = e.verify(r)
-			}
-			//hot:cold detection handling: forward repair first, else rollback
-			if !xOK || !rOK {
-				opts.Trace.add(i, EvDetection, "outer-level: checksum(x)/checksum(r) mismatch")
-				if !forwardRepair(i, xOK, rOK, true, false) {
-					var ok bool
-					if i, ok = rollback(i); !ok {
-						res.Residual = relres
-						res.Stats.InjectedErrors = e.injectedCount()
-						return res, rollbackStormErr("PCG", scheme)
-					}
-					continue
-				}
-			}
-		}
-		// Checkpoint every cd iterations; cd is a multiple of d, so x and
-		// r have just been verified clean. p is verified here (one O(n)
-		// sum per cd) — snapshotting a corrupted search direction would
-		// make every future rollback futile.
-		//
-		//hot:cold amortized checkpoint branch: once per cd iterations
-		if i%cd == 0 {
-			if i > 0 && !e.verify(p) {
-				if !forwardRepair(i, true, true, false, false) {
-					var ok bool
-					if i, ok = rollback(i); !ok {
-						res.Residual = relres
-						res.Stats.InjectedErrors = e.injectedCount()
-						return res, rollbackStormErr("PCG", scheme)
-					}
-					continue
-				}
-			}
-			saveCheckpoint(i)
-		}
-
-		e.mvm(i, q, p)
-		// Inner-level protection (two-level scheme only, Algorithm 2
-		// lines 16–27): one-checksum probe, triple-checksum diagnosis,
-		// immediate correction of single errors, immediate rollback on
-		// multiple errors.
-		if scheme == TwoLevel {
-			diag := e.innerCheck(q, p)
-			//hot:cold correction/detection reporting after an inner-level event
-			switch diag.Kind {
-			case checksum.SingleError:
-				opts.Trace.add(i, EvCorrection, "inner-level: q[%d] -= %.6g", diag.Pos, diag.Magnitude)
-			case checksum.MultipleErrors:
-				opts.Trace.add(i, EvDetection, "inner-level: multiple errors in MVM output")
-			}
-			//hot:cold rollback on an inner-level multiple-error diagnosis
-			if diag.Kind == checksum.MultipleErrors {
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					res.Residual = relres
-					res.Stats.InjectedErrors = e.injectedCount()
-					return res, rollbackStormErr("PCG", scheme)
-				}
-				continue
-			}
-		}
-
-		// Eager detection (if enabled) flags corrupted outputs the moment
-		// they are produced; recovery is the same rollback.
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("PCG", scheme)
-			}
-			continue
-		}
-
-		pq := e.dot(p.data, q.data)
-		//hot:cold suspect-scalar detection and rollback
-		if suspectScalar(pq) {
-			res.Stats.Detections++
-			opts.Trace.add(i, EvDetection, "suspect recurrence scalar pᵀAp = %g", pq)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("PCG", scheme)
-			}
-			continue
-		}
-		//hot:cold breakdown exit
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
-		if pq == 0 {
-			res.Residual = relres
-			return res, breakdownErr("PCG", scheme, i, "pᵀAp = 0")
-		}
-		alpha := rho / pq
-		e.axpy(i, x, alpha, p)
-		e.axpy(i, r, -alpha, q)
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("PCG", scheme)
-			}
-			continue
-		}
-		i++
-		res.Iterations = i
-
-		relres = e.norm2(r.data) / normB
-		//hot:cold diagnostic residual history, off by default
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
-		//hot:cold convergence exit: verified once per solve, rollback on a corrupted residual
-		if relres <= tolRes {
-			// Verify before declaring victory so a corrupted small
-			// residual cannot smuggle out a wrong solution.
-			xOK := e.verify(x)
-			rOK := true
-			if xOK || opts.ForwardRecovery {
-				rOK = e.verify(r)
-			}
-			if xOK && rOK {
-				res.Converged = true
-				break
-			}
-			// The convergence exit skips the recurrence tail, so a forward
-			// repair here always re-projects (restart = true) before the
-			// next iteration reuses the search direction.
-			if forwardRepair(i, xOK, rOK, true, true) {
-				relres = e.norm2(r.data) / normB
-				if relres <= tolRes && e.verify(x) && e.verify(r) {
-					res.Converged = true
-					break
-				}
-				continue
-			}
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("PCG", scheme)
-			}
-			continue
-		}
-
-		if err := e.pco(i-1, z, r); err != nil {
-			return res, err
-		}
-		rhoNew := e.dot(r.data, z.data)
-		beta := rhoNew / rho
-		e.xpby(i-1, p, z, beta, p)
-		rho = rhoNew
-		//hot:cold eager-detection rollback
-		if e.takeFlag() {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("PCG", scheme)
-			}
-			continue
-		}
-	}
-
-	res.Residual = relres
-	res.Stats.InjectedErrors = e.injectedCount()
-	if !res.Converged {
-		return notConverged("ABFT PCG", res, relres)
-	}
-	return res, nil
+	return advanced, nil
 }

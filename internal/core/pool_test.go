@@ -10,7 +10,7 @@ import (
 )
 
 // TestSolveBitwiseAcrossWorkers is the end-to-end determinism check for
-// the kernel wiring: a protected solve with a worker pool must reproduce
+// the kernel wiring: a solve with a worker pool must reproduce
 // the serial solve bit for bit — same iterates, same iteration count,
 // same detection statistics — at any worker count. This is what makes a
 // parallel ABFT solve's checksum comparisons reproducible (and what lets
@@ -27,23 +27,24 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	solve := func(name string, opts Options) (Result, error) {
-		switch name {
-		case "pcg":
-			return BasicPCG(a, m, b, opts)
-		case "pcg2l":
-			return TwoLevelPCG(a, m, b, opts)
-		case "bicgstab":
-			return BasicPBiCGSTAB(a, m, b, opts)
-		case "cr":
-			return BasicCR(a, b, opts)
-		default:
-			t.Fatalf("unknown solver %s", name)
-			return Result{}, nil
-		}
+	// The control arms ride the same engine as the protected ones, so they
+	// honour the pool — and owe the same bitwise contract.
+	arms := []struct {
+		name   string
+		method Method
+		scheme Scheme
+	}{
+		{"pcg", MethodPCG, Basic},
+		{"pcg2l", MethodPCG, TwoLevel},
+		{"bicgstab", MethodPBiCGSTAB, Basic},
+		{"cr", MethodCR, Basic},
+		{"pcg-unprotected", MethodPCG, Unprotected},
+		{"pcg-ortho", MethodPCG, Orthogonality},
+		{"bicgstab-unprotected", MethodPBiCGSTAB, Unprotected},
 	}
 
-	for _, name := range []string{"pcg", "pcg2l", "bicgstab", "cr"} {
+	for _, arm := range arms {
+		name := arm.name
 		var base Result
 		for run, workers := range []int{1, 1, 2, 4} { // repeat serial once: run-to-run stability
 			opts := Options{}
@@ -51,7 +52,7 @@ func TestSolveBitwiseAcrossWorkers(t *testing.T) {
 			opts.MaxIter = 2000
 			p := kernel.NewPool(workers)
 			opts.Pool = p
-			res, err := solve(name, opts)
+			res, err := Solve(arm.method, arm.scheme, a, m, b, opts)
 			p.Close()
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", name, workers, err)

@@ -353,6 +353,40 @@ func TestUnprotectedCorruptsSilently(t *testing.T) {
 	_ = err
 }
 
+// TestControlArmsSeeTheProtectedFaultModel: the control arms run through
+// the same engine operations as the protected arms, so the injector hooks
+// only the protected solve used to expose — VLO input memory and cache
+// windows, the checkpoint buffers — strike them too. An overhead or
+// coverage comparison between arms is only meaningful on the same events.
+func TestControlArmsSeeTheProtectedFaultModel(t *testing.T) {
+	a, m, b, _ := testSystem(t, 144)
+	ua, um, ub := unsymSystem(t, 12)
+	arms := []entryPoint{
+		{"pcg/unprotected", func(o Options) (Result, error) { return UnprotectedPCG(a, m, b, o) }},
+		{"pcg/ortho", func(o Options) (Result, error) { return OrthoPCG(a, m, b, o) }},
+		{"bicgstab/unprotected", func(o Options) (Result, error) { return UnprotectedPBiCGSTAB(ua, um, ub, o) }},
+	}
+	events := []fault.Event{
+		{Iteration: 3, Site: fault.SiteVLO, Kind: fault.Memory, Index: 5, Magnitude: 1e-3},
+		{Iteration: 3, Site: fault.SiteVLO, Kind: fault.CacheRegister, Index: 5, Magnitude: 1e-3},
+	}
+	for _, arm := range arms {
+		res, _ := arm.run(Options{Options: solver.Options{Tol: 1e-10}, Injector: fault.NewInjector(events, 3)})
+		if res.Stats.InjectedErrors != len(events) {
+			t.Errorf("%s: %d of %d scheduled VLO events fired", arm.name, res.Stats.InjectedErrors, len(events))
+		}
+	}
+	// The orthogonality baseline keeps checkpoints, so the checkpoint-buffer
+	// attack reaches it as well.
+	inj := fault.NewInjector([]fault.Event{
+		{Iteration: 0, Site: fault.SiteCheckpoint, Kind: fault.Memory, Index: 3, Magnitude: 1e-3},
+	}, 3)
+	res, _ := OrthoPCG(a, m, b, Options{Options: solver.Options{Tol: 1e-10}, Injector: inj})
+	if res.Stats.InjectedErrors != 1 {
+		t.Errorf("ortho: checkpoint-buffer event did not fire")
+	}
+}
+
 func TestMethodAndSchemeStrings(t *testing.T) {
 	if MethodPCG.String() != "PCG" || MethodPBiCGSTAB.String() != "PBiCGSTAB" || Method(9).String() == "" {
 		t.Errorf("Method.String broken")
@@ -588,15 +622,36 @@ func TestOfflineResidualPBiCGSTABRerunsOnCorruption(t *testing.T) {
 	}
 }
 
-// TestCloneStartLengthMismatch pins the X0 validation shared by the
-// BiCGSTAB-family entry points.
-func TestCloneStartLengthMismatch(t *testing.T) {
-	a, m, b := unsymSystem(t, 8)
-	_, err := UnprotectedPBiCGSTAB(a, m, b, Options{
-		Options: solver.Options{Tol: 1e-8, X0: make([]float64, a.Rows+1)},
-	})
-	if err == nil {
-		t.Fatal("mismatched X0 length must be rejected")
+// TestX0LengthValidatedEverywhere pins the shared set-up's X0 validation: a
+// wrong-length initial guess is an error at every entry point, never a
+// silent truncation or a half-filled iterate.
+func TestX0LengthValidatedEverywhere(t *testing.T) {
+	a, m, b, _ := testSystem(t, 64)
+	lo, hi := a.GershgorinBounds()
+	entries := []entryPoint{
+		{"UnprotectedPCG", func(o Options) (Result, error) { return UnprotectedPCG(a, m, b, o) }},
+		{"BasicPCG", func(o Options) (Result, error) { return BasicPCG(a, m, b, o) }},
+		{"TwoLevelPCG", func(o Options) (Result, error) { return TwoLevelPCG(a, m, b, o) }},
+		{"OnlineMVPCG", func(o Options) (Result, error) { return OnlineMVPCG(a, m, b, o) }},
+		{"OrthoPCG", func(o Options) (Result, error) { return OrthoPCG(a, m, b, o) }},
+		{"OfflineResidualPCG", func(o Options) (Result, error) { return OfflineResidualPCG(a, m, b, o) }},
+		{"UnprotectedPBiCGSTAB", func(o Options) (Result, error) { return UnprotectedPBiCGSTAB(a, m, b, o) }},
+		{"BasicPBiCGSTAB", func(o Options) (Result, error) { return BasicPBiCGSTAB(a, m, b, o) }},
+		{"TwoLevelPBiCGSTAB", func(o Options) (Result, error) { return TwoLevelPBiCGSTAB(a, m, b, o) }},
+		{"OnlineMVPBiCGSTAB", func(o Options) (Result, error) { return OnlineMVPBiCGSTAB(a, m, b, o) }},
+		{"OfflineResidualPBiCGSTAB", func(o Options) (Result, error) { return OfflineResidualPBiCGSTAB(a, m, b, o) }},
+		{"BasicCR", func(o Options) (Result, error) { return BasicCR(a, b, o) }},
+		{"BasicGMRES", func(o Options) (Result, error) { return BasicGMRES(a, m, b, 10, o) }},
+		{"BasicJacobi", func(o Options) (Result, error) { return BasicJacobi(a, b, o) }},
+		{"BasicChebyshev", func(o Options) (Result, error) { return BasicChebyshev(a, m, b, math.Max(lo, 1e-3), hi, o) }},
+	}
+	for _, e := range entries {
+		for _, n := range []int{a.Rows - 1, a.Rows + 1} {
+			_, err := e.run(Options{Options: solver.Options{Tol: 1e-8, X0: make([]float64, n)}})
+			if err == nil {
+				t.Errorf("%s accepted an initial guess of length %d for n = %d", e.name, n, a.Rows)
+			}
+		}
 	}
 }
 

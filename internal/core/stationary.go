@@ -19,39 +19,21 @@ import (
 // is just {x}.
 func BasicJacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 	var res Result
-	if err := validateSystem(a, b); err != nil {
+	if err := validateSystem(a, b); err != nil { // before the diagonal is read
 		return res, err
 	}
-	opts.normalize()
 	diagM, err := precond.Jacobi(a)
 	if err != nil {
 		return res, err
 	}
-	e := newEngine(a, diagM, checksum.Single, &opts, &res.Stats)
-	n := e.n
-
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
+	st, err := begin(a, diagM, b, checksum.Single, &opts, &res.Stats)
+	if err != nil {
+		return res, err
 	}
+	e, x, bT, normB, tolRes, maxIter := st.e, st.x, st.b, st.normB, st.tol, st.maxIter
 	w := e.newTracked("w")
 	r := e.newTracked("r")
 	u := e.newTracked("u")
-	bT := e.wrap("b", b)
-
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
 
 	store := opts.newStore()
 	d, cd := opts.DetectInterval, opts.CheckpointInterval
@@ -154,43 +136,19 @@ func BasicJacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 // Checkpoint set: {x, p, r} plus the recurrence scalar alpha.
 func BasicChebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, lmax float64, opts Options) (Result, error) {
 	var res Result
-	if err := validateSystem(a, b); err != nil {
-		return res, err
-	}
 	if lmin <= 0 || lmax <= lmin {
 		return res, breakdownErr("Chebyshev", Basic, 0, "need 0 < lmin < lmax")
 	}
-	opts.normalize()
-	e := newEngine(a, m, checksum.Single, &opts, &res.Stats)
-	n := e.n
-
-	x := e.newTracked("x")
-	if opts.X0 != nil {
-		copy(x.data, opts.X0)
-		e.recompute(x)
+	st, err := begin(a, m, b, checksum.Single, &opts, &res.Stats)
+	if err != nil {
+		return res, err
 	}
+	e, x, bT, normB, tolRes, maxIter := st.e, st.x, st.b, st.normB, st.tol, st.maxIter
 	r := e.newTracked("r")
 	z := e.newTracked("z")
 	p := e.newTracked("p")
 	q := e.newTracked("q")
-	bT := e.wrap("b", b)
-
-	a.MulVec(r.data, x.data)
-	vec.Sub(r.data, bT.data, r.data)
-	e.recompute(r)
-
-	normB := vec.Norm2(b)
-	if normB <= 0 {
-		normB = 1
-	}
-	tolRes := opts.Tol
-	if tolRes <= 0 {
-		tolRes = 1e-8
-	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 10 * n
-	}
+	e.residual(r, bT, x)
 
 	theta := (lmax + lmin) / 2
 	delta := (lmax - lmin) / 2
@@ -227,9 +185,7 @@ func BasicChebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, 
 			e.recompute(p)
 			res.Stats.LossyRestores++
 		}
-		a.MulVec(r.data, x.data)
-		vec.Sub(r.data, bT.data, r.data)
-		e.recompute(r)
+		e.residual(r, bT, x)
 		res.Stats.RecoveryMVMs++
 		res.Stats.WastedIterations += iter - snapIter
 		return snapIter, true

@@ -678,6 +678,13 @@ func parFaultsFor(req *Request, attempt int) []par.Fault {
 	return fs
 }
 
+// The serial engine's request vocabulary; Request.validate has already
+// restricted a request to these names (and serial cr to the basic scheme).
+var (
+	serialMethods = map[string]core.Method{"pcg": core.MethodPCG, "bicgstab": core.MethodPBiCGSTAB, "cr": core.MethodCR}
+	serialSchemes = map[string]core.Scheme{"basic": core.Basic, "twolevel": core.TwoLevel}
+)
+
 // dispatch runs one attempt on the engine the request names.
 func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc *checksum.Encoding,
 	m precond.Preconditioner, b []float64, attempt, d int, pool *kernel.Pool) (attemptResult, error) {
@@ -747,20 +754,7 @@ func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc
 		CheckpointAbsBound: s.cfg.CheckpointAbsBound,
 		CheckpointRelBound: s.cfg.CheckpointRelBound,
 	}
-	var res core.Result
-	var err error
-	switch {
-	case req.solver() == "pcg" && req.scheme() == "twolevel":
-		res, err = core.TwoLevelPCG(a, m, b, opts)
-	case req.solver() == "pcg":
-		res, err = core.BasicPCG(a, m, b, opts)
-	case req.solver() == "bicgstab" && req.scheme() == "twolevel":
-		res, err = core.TwoLevelPBiCGSTAB(a, m, b, opts)
-	case req.solver() == "bicgstab":
-		res, err = core.BasicPBiCGSTAB(a, m, b, opts)
-	default:
-		res, err = core.BasicCR(a, b, opts)
-	}
+	res, err := core.Solve(serialMethods[req.solver()], serialSchemes[req.scheme()], a, m, b, opts)
 	ar := attemptResult{
 		x:           res.X,
 		iterations:  res.Iterations,

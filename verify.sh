@@ -30,6 +30,12 @@ go run ./cmd/newsum-lint -baseline lint.baseline.json ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module (vet, tests) =="
+# benchmark/ is a module of its own (BENCHMARK.json's harness), so the
+# root ./... patterns above skip it; its tests re-check the exact counts
+# pinned in benchmark/pinned.json on small inputs.
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== fuzz seed replay (checksum) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 
