@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,8 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"newsum/internal/checkpoint"
 	"newsum/internal/fault"
+	"newsum/internal/precond"
 	"newsum/internal/solver"
+	"newsum/internal/sparse"
 )
 
 // entryPoint is one exported method × scheme solve with its options preset.
@@ -57,6 +61,16 @@ func TestFaultFreeBitwiseMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ja, jb := jacobiSystem()
+	refJacobi, err := solver.Jacobi(ja, jb, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca, cm, cb, lmin, lmax := chebyshevSystem()
+	refCheb, err := solver.Chebyshev(ca, cm, cb, lmin, lmax, sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name string
@@ -80,6 +94,8 @@ func TestFaultFreeBitwiseMatchesReference(t *testing.T) {
 		{"bicgstab/offline", refBi, func(o Options) (Result, error) { return OfflineResidualPBiCGSTAB(ua, um, ub, o) }},
 		{"cr/basic", refCR, func(o Options) (Result, error) { return BasicCR(a, b, o) }},
 		{"cr/basic-forward", refCR, func(o Options) (Result, error) { return BasicCR(a, b, forward(o)) }},
+		{"jacobi/basic", refJacobi, func(o Options) (Result, error) { return BasicJacobi(ja, jb, o) }},
+		{"chebyshev/basic", refCheb, func(o Options) (Result, error) { return BasicChebyshev(ca, cm, cb, lmin, lmax, o) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,4 +177,113 @@ func TestControlArmsUnderSingleFaults(t *testing.T) {
 		}
 	}
 	compareGolden(t, filepath.Join("testdata", "control_arms.golden"), sb.String())
+}
+
+// jacobiSystem is a diagonally dominant system Jacobi converges on.
+func jacobiSystem() (*sparse.CSR, []float64) {
+	a := sparse.DiagDominant(300, 5, 2)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1 + math.Sin(float64(i))
+	}
+	return a, b
+}
+
+// chebyshevSystem is the 1-D Laplacian with its exact spectral bounds.
+func chebyshevSystem() (a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, lmax float64) {
+	const n = 100
+	a = sparse.Tridiag(n, -1, 2, -1)
+	b = make([]float64, n)
+	for i := range b {
+		b[i] = 1 + math.Sin(float64(i))
+	}
+	lmin = 2 - 2*math.Cos(math.Pi/float64(n+1))
+	lmax = 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
+	return a, precond.Identity(n), b, lmin, lmax
+}
+
+// errKind classifies a solve's error without quoting its wording.
+func errKind(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrRollbackStorm):
+		return "storm"
+	case errors.Is(err, solver.ErrNotConverged):
+		return "not-converged"
+	default:
+		return "error"
+	}
+}
+
+// TestStationaryAndBlockUnderSingleFaults freezes what the three solvers
+// that kept a private detect–checkpoint–rollback loop — Jacobi, Chebyshev
+// and the block multi-RHS PCG — do under one scheduled strike per site, with
+// exact and lossy checkpoints: full Stats, iteration count, outcome and a
+// hash of the returned iterate's bits. The block solve runs four columns:
+// two clean, one struck once, one struck every iteration until its rollback
+// budget is spent. Moving these solvers onto the shared driver must leave
+// the file byte-identical except for the deltas docs/testing.md §2 lists.
+// Regenerate intentionally with -update.
+func TestStationaryAndBlockUnderSingleFaults(t *testing.T) {
+	ja, jb := jacobiSystem()
+	ca, cm, cb, lmin, lmax := chebyshevSystem()
+	a, m, _, _ := testSystem(t, 144)
+	bs := blockRHS(a, 4)
+
+	sites := []struct {
+		name string
+		site fault.Site
+	}{{"mvm", fault.SiteMVM}, {"pco", fault.SitePCO}, {"vlo", fault.SiteVLO}}
+	codecs := []struct {
+		name  string
+		codec checkpoint.Codec
+	}{{"full", checkpoint.Full}, {"lossy", checkpoint.Lossy}}
+	strike := func(iter int, site fault.Site) fault.Event {
+		return fault.Event{Iteration: iter, Site: site, Kind: fault.Arithmetic, Index: 17, Magnitude: 1e4}
+	}
+
+	var sb strings.Builder
+	for _, sc := range sites {
+		for _, cc := range codecs {
+			opts := func(events ...fault.Event) Options {
+				o := Options{
+					Options:            solver.Options{Tol: 1e-10},
+					DetectInterval:     2,
+					CheckpointInterval: 4,
+					MaxRollbacks:       3,
+					CheckpointCodec:    cc.codec,
+				}
+				if len(events) > 0 {
+					o.Injector = fault.NewInjector(events, 7)
+				}
+				return o
+			}
+			line := func(name string, res Result, err error) {
+				fmt.Fprintf(&sb, "%s %s %s outcome=%s iterations=%d x=%016x stats=%+v\n",
+					name, sc.name, cc.name, errKind(err), res.Iterations, hashX(res.X), res.Stats)
+			}
+
+			res, err := BasicJacobi(ja, jb, opts(strike(5, sc.site)))
+			line("jacobi", res, err)
+			res, err = BasicChebyshev(ca, cm, cb, lmin, lmax, opts(strike(5, sc.site)))
+			line("chebyshev", res, err)
+
+			storm := make([]fault.Event, 0, 40)
+			for i := 1; i <= 40; i++ {
+				storm = append(storm, strike(i, sc.site))
+			}
+			bo := BlockOptions{Options: opts(), ColInjectors: make([]*fault.Injector, len(bs))}
+			bo.ColInjectors[1] = fault.NewInjector([]fault.Event{strike(5, sc.site)}, 7)
+			bo.ColInjectors[3] = fault.NewInjector(storm, 7)
+			br, err := BasicBlockPCG(a, m, bs, bo)
+			if err != nil {
+				t.Fatalf("block solve: %v", err)
+			}
+			for j := range br.Cols {
+				line(fmt.Sprintf("block/col%d", j), br.Cols[j], br.Errs[j])
+			}
+		}
+	}
+	compareGolden(t, filepath.Join("testdata", "stationary_block.golden"), sb.String())
 }
