@@ -35,8 +35,6 @@ func newServiceHandler() http.Handler {
 type request struct {
 	Solver       string      `json:"solver,omitempty"`
 	Scheme       string      `json:"scheme,omitempty"`
-	Engine       string      `json:"engine,omitempty"`
-	Ranks        int         `json:"ranks,omitempty"`
 	Matrix       matrixSpec  `json:"matrix"`
 	MaxRollbacks int         `json:"max_rollbacks,omitempty"`
 	Faults       []faultSpec `json:"faults,omitempty"`
@@ -113,7 +111,7 @@ func main() {
 			case 1:
 				req.Scheme = "twolevel"
 			case 2:
-				req.Engine, req.Ranks = "par", 4
+				req.Solver = "bicgstab"
 			case 3:
 				// Engineered first-attempt abort: two strikes against a
 				// rollback budget of one force the service's retry path.

@@ -8,14 +8,17 @@
 // numerical operations, and the package is built the same way, as
 // recurrence × backend × guard:
 //
-//   - A recurrence (pcg.go, bicgstab.go, cr.go) is one Krylov method written
-//     once against the operation vocabulary ops — MVM, PCO, the VLO forms
-//     and the two reductions over tracked vectors.
-//   - A backend implements the vocabulary: the engine (engine.go) runs the
-//     kernels through the fault injector and carries whatever checksum
-//     weights it was given — with none it is the unprotected arm — and omv
-//     (onlinemv.go) is the online-MV baseline's verified MVM and duplicated
-//     execution.
+//   - A recurrence (pcg.go, bicgstab.go, cr.go, stationary.go) is one
+//     iterative method — PCG, PBiCGSTAB, CR, Chebyshev, Jacobi — written once
+//     against the operation vocabulary ops: MVM, PCO, the VLO forms and the
+//     two reductions over tracked vectors.
+//   - A backend implements the vocabulary. There are three: the engine
+//     (engine.go) runs the kernels through the fault injector and carries
+//     whatever checksum weights it was given — with none it is the
+//     unprotected arm; omv (onlinemv.go) is the online-MV baseline's verified
+//     MVM and duplicated execution; blockOps (block.go) is the batched
+//     multi-RHS backend, whose MVM product comes from one matrix traversal
+//     shared by every column.
 //   - A guard (drive.go, ortho.go) is the detection policy attached at the
 //     operation boundaries: none, the new-sum checksums (basic, two-level,
 //     forward recovery) or the orthogonality baseline's residual gap. The
@@ -24,9 +27,13 @@
 // One driver (drive.go) owns the scaffold every method × scheme shares:
 // defaults, cancellation, verify every d, checkpoint every cd, forward
 // repair before rollback, the rollback budget, the verified convergence
-// exit. Solve dispatches any method × scheme; the exported per-scheme entry
-// points are one-line wrappers over it. Jacobi, Chebyshev, GMRES and the
-// batched block PCG keep their own loops over the same engine.
+// exit. Solve dispatches any Krylov method × scheme; the exported per-scheme
+// entry points, BasicJacobi and BasicChebyshev are wrappers over the same
+// driver, and BasicBlockPCG is k ordinary runs of it stepped in lockstep.
+// BasicGMRES alone keeps a loop of its own over the engine: its checkpoint
+// is the restart cycle, not every cd iterations, and its rollback discards a
+// cycle instead of restoring a direction — the driver would need a method
+// branch to express that.
 //
 // Every solve computes the same iterates as its unprotected counterpart in
 // internal/solver, bit for bit, detects soft errors injected through a
@@ -108,6 +115,11 @@ const (
 	MethodPBiCGSTAB
 	// MethodCR is the (unpreconditioned) conjugate residual method.
 	MethodCR
+	// The stationary methods have entry points of their own (BasicJacobi,
+	// BasicChebyshev — Chebyshev needs spectral bounds Solve has no argument
+	// for); here they only name the run in errors and traces.
+	methodJacobi
+	methodChebyshev
 )
 
 func (m Method) String() string {
@@ -118,8 +130,24 @@ func (m Method) String() string {
 		return "PBiCGSTAB"
 	case MethodCR:
 		return "CR"
+	case methodJacobi:
+		return "Jacobi"
+	case methodChebyshev:
+		return "Chebyshev"
 	default:
 		return "unknown method"
+	}
+}
+
+// recurrence builds the Krylov recurrence Solve runs for m.
+func (m Method) recurrence(e *engine) recurrence {
+	switch m {
+	case MethodPCG:
+		return newPCG(e)
+	case MethodPBiCGSTAB:
+		return newBiCGSTAB(e)
+	default:
+		return newCR(e)
 	}
 }
 
@@ -370,14 +398,19 @@ func begin(a *sparse.CSR, m precond.Preconditioner, b []float64, weights []check
 		return setup{}, fmt.Errorf("core: initial guess length %d, want %d", len(opts.X0), a.Rows)
 	}
 	opts.normalize()
-	e := newEngine(a, m, weights, opts, stats)
+	return newEngine(a, m, weights, opts, stats).open(b, opts), nil
+}
+
+// open starts one solve on the engine: the iterate (X0 copied in, checksums
+// anchored), the wrapped right-hand side and the stopping criteria.
+func (e *engine) open(b []float64, opts *Options) setup {
 	s := setup{e: e, x: e.newTracked("x"), b: e.wrap("b", b), normB: e.rhsNorm(b)}
 	if opts.X0 != nil {
 		copy(s.x.data, opts.X0)
 		e.recompute(s.x)
 	}
 	s.tol, s.maxIter = opts.stopping(e.n)
-	return s, nil
+	return s
 }
 
 func validateSystem(a *sparse.CSR, b []float64) error {

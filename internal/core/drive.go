@@ -39,7 +39,7 @@ const (
 	failed
 )
 
-// recurrence is one Krylov method: the numerical iteration and what the
+// recurrence is one iterative method: the numerical iteration and what the
 // driver must know to checkpoint and rebuild its state.
 type recurrence interface {
 	// shape describes the recurrence to the driver and the guards.
@@ -59,12 +59,14 @@ type recurrence interface {
 	// hangs off it) from the current x and r alone.
 	restart(k *run) error
 	// restored rebuilds what a rollback does not restore, after {x, p} and
-	// the scalars are back and r = b − A·x has been recomputed. A lossy
-	// restore is always a restart: the restored direction and scalars
-	// belong to the exact snapshot state, and against the reconstructed
-	// residual — dominated by the quantization noise A·δx rather than the
-	// old convergence tail — the stale scalars make the first β blow up
-	// and permanently poison p, stalling the recurrence at the error bound.
+	// the scalars are back and r = b − A·x has been recomputed. For the
+	// Krylov methods a lossy restore is always a restart: the restored
+	// direction and scalars belong to the exact snapshot state, and against
+	// the reconstructed residual — dominated by the quantization noise A·δx
+	// rather than the old convergence tail — the stale scalars make the
+	// first β blow up and permanently poison p, stalling the recurrence at
+	// the error bound. (Chebyshev's scalars are a function of the iteration
+	// count alone, so it only re-anchors the quantized direction.)
 	restored(k *run, snapIter int, lossy bool) error
 }
 
@@ -72,11 +74,17 @@ type recurrence interface {
 type krylov struct {
 	// p is the search direction: checkpointed beside x, verified before
 	// every snapshot (a corrupted direction in the checkpoint would make
-	// every future rollback futile).
+	// every future rollback futile). nil for a method that keeps none —
+	// Jacobi's checkpoint set is {x}.
 	p *tracked
 	// watch lists what the outer level verifies beside x and r. Every
 	// other vector's error propagates into x or r (Table 2).
 	watch []*tracked
+	// xOnly: the method rebuilds r from x at the top of every iteration
+	// (Jacobi), so x is its whole state — the outer level and the
+	// convergence exit verify x alone, and a rollback has no residual to
+	// reconstruct.
+	xOnly bool
 	// Trace wording, pinned by the golden timelines.
 	detectMsg, snapMsg, rebuiltMsg, restartMsg string
 }
@@ -117,6 +125,7 @@ type run struct {
 	method Method
 	scheme Scheme
 	res    Result
+	err    error
 
 	r      *tracked
 	i      int
@@ -150,20 +159,26 @@ func Solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner
 	if scheme == OfflineResidual {
 		return offlineResidual(method, a, m, b, opts)
 	}
-	return solve(method, scheme, a, m, b, opts)
+	return solve(method, scheme, a, m, b, opts, method.recurrence)
+}
+
+// forwardTier reports whether a solve runs the forward-recovery tier: a
+// new-sum scheme with the option set, on a recurrence that has a Krylov
+// restart to rebuild the direction from — PCG and CR; elsewhere the option
+// is ignored.
+func forwardTier(method Method, scheme Scheme, opts *Options) bool {
+	return (scheme == Basic || scheme == TwoLevel) && opts.ForwardRecovery &&
+		(method == MethodPCG || method == MethodCR)
 }
 
 // solve assembles recurrence × backend × guard for one method × scheme and
 // drives it.
-func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
+func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options, newRec func(*engine) recurrence) (Result, error) {
 	k := &run{method: method, scheme: scheme, opts: opts}
-	newSum := scheme == Basic || scheme == TwoLevel
-	// BiCGSTAB has no forward tier: the option is ignored there.
-	forward := newSum && opts.ForwardRecovery && method != MethodPBiCGSTAB
 	var weights []checksum.Weight
 	switch {
-	case !newSum: // the control arms and baselines carry no new-sum checksums
-	case forward || scheme == TwoLevel && opts.EagerTriple:
+	case scheme != Basic && scheme != TwoLevel: // the control arms and baselines carry no new-sum checksums
+	case forwardTier(method, scheme, &opts) || scheme == TwoLevel && opts.EagerTriple:
 		// Forward recovery needs the locating checksums δ2, δ3 on the
 		// outer-level vectors themselves, so all three weights are carried.
 		weights = checksum.Triple
@@ -174,39 +189,49 @@ func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner
 	if k.setup, err = begin(a, m, b, weights, &k.opts, &k.res.Stats); err != nil {
 		return k.res, err
 	}
-	k.ops = k.e
+	k.assemble(newRec(k.e))
 	if scheme == OnlineMV {
 		k.ops = newOMV(k.e)
-	}
-	k.r = k.e.newTracked("r")
-	switch method {
-	case MethodPCG:
-		k.rec = newPCG(k.e)
-	case MethodPBiCGSTAB:
-		k.rec = newBiCGSTAB(k.e)
-	default:
-		k.rec = newCR(k.e)
-	}
-	k.kr = k.rec.shape()
-	switch {
-	case newSum:
-		if scheme == TwoLevel && !opts.EagerTriple {
-			k.e.initLazyDiag()
-		}
-		k.g = &sumGuard{twoLevel: scheme == TwoLevel, forward: forward,
-			outer: append([]*tracked{k.x, k.r}, k.kr.watch...)}
-	case scheme == Orthogonality:
-		k.g = &gapGuard{trueR: make([]float64, k.e.n)}
-	default:
-		k.g = noGuard{}
 	}
 	return k.drive()
 }
 
-// drive is the scaffold every method × scheme shares: set-up, the
+// assemble attaches the recurrence to a run whose set-up is done, with the
+// engine as the backend and the guard the scheme names.
+func (k *run) assemble(rec recurrence) {
+	k.ops = k.e
+	k.r = k.e.newTracked("r")
+	k.rec, k.kr = rec, rec.shape()
+	switch k.scheme {
+	case Basic, TwoLevel:
+		if k.scheme == TwoLevel && !k.opts.EagerTriple {
+			k.e.initLazyDiag()
+		}
+		g := &sumGuard{twoLevel: k.scheme == TwoLevel, forward: forwardTier(k.method, k.scheme, &k.opts),
+			outer: []*tracked{k.x}}
+		if !k.kr.xOnly {
+			g.outer = append(append(g.outer, k.r), k.kr.watch...)
+		}
+		k.g = g
+	case Orthogonality:
+		k.g = &gapGuard{trueR: make([]float64, k.e.n)}
+	default:
+		k.g = noGuard{}
+	}
+}
+
+// drive is the scaffold every method × scheme shares: set-up, then the
 // detect–checkpoint–step loop with its single rollback-or-storm sequence,
-// and the closing accounting.
+// one turn at a time, until the closing accounting.
 func (k *run) drive() (Result, error) {
+	for live := k.open(); live; live = k.turn() {
+	}
+	return k.res, k.err
+}
+
+// open builds the state the first turn starts from. False means the solve
+// is already over: x0 met the tolerance, or the recurrence could not start.
+func (k *run) open() bool {
 	k.res.X = k.x.data
 	// r = b − A·x0 via instrumented ops would charge a fault to set-up;
 	// initialization is performed cleanly.
@@ -219,43 +244,52 @@ func (k *run) drive() (Result, error) {
 	if err := k.rec.start(k); err != nil {
 		return k.finish(err)
 	}
-	p := k.kr.p
 	k.store = k.opts.newStore()
-	k.vecs = map[string][]float64{"x": k.x.data, "p": p.data}
+	k.vecs = map[string][]float64{"x": k.x.data}
+	k.sums = map[string][]float64{"x": k.x.s, "x.eta": k.x.eta}
+	if p := k.kr.p; p != nil {
+		k.vecs["p"] = p.data
+		k.sums["p"], k.sums["p.eta"] = p.s, p.eta
+	}
 	if k.g.keepsResidual() {
 		k.vecs["r"] = k.r.data
 	}
-	k.sums = map[string][]float64{"x": k.x.s, "p": p.s, "x.eta": k.x.eta, "p.eta": p.eta}
 	k.scal = map[string]float64{}
+	return true
+}
 
-	// The steady-state iteration: every allocation reachable from here is
-	// policed by the hotalloc analyzer, every raw write to the protected
-	// vectors by checksumguard (detection and recovery are //hot:cold —
-	// they ride the recovery budget, not the per-iteration one).
-	//
-	//hot:loop the protected iteration of every method × scheme
-	for k.i < k.maxIter {
-		// Cancellation boundary: a canceled or expired Options.Ctx is the
-		// caller's only handle on a diverging or fault-storming solve.
-		if err := k.opts.ctxErr(k.method.String()); err != nil {
-			return k.finish(err)
-		}
-		st, err := k.iterate()
-		//hot:cold exits and recovery: at most once per solve or per detection
-		switch st {
-		case converged:
-			k.res.Converged = true
-			return k.finish(nil)
-		case failed:
-			return k.finish(err)
-		case faulted:
-			if !k.rollback() {
-				return k.finish(rollbackStormErr(k.method.String(), k.scheme))
-			}
+// turn is one trip round the steady-state loop; false means the solve is
+// over, with the outcome in k.res and k.err. Every allocation reachable
+// from here is policed by the hotalloc analyzer, every raw write to the
+// protected vectors by checksumguard (detection and recovery are //hot:cold
+// — they ride the recovery budget, not the per-iteration one).
+//
+//hot:loop the protected iteration of every method × scheme
+func (k *run) turn() bool {
+	//hot:cold iteration-budget exit: at most once per solve
+	if k.i >= k.maxIter {
+		_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), k.res, k.relres)
+		return k.finish(err)
+	}
+	// Cancellation boundary: a canceled or expired Options.Ctx is the
+	// caller's only handle on a diverging or fault-storming solve.
+	if err := k.opts.ctxErr(k.method.String()); err != nil {
+		return k.finish(err)
+	}
+	st, err := k.iterate()
+	//hot:cold exits and recovery: at most once per solve or per detection
+	switch st {
+	case converged:
+		k.res.Converged = true
+		return k.finish(nil)
+	case failed:
+		return k.finish(err)
+	case faulted:
+		if !k.rollback() {
+			return k.finish(rollbackStormErr(k.method.String(), k.scheme))
 		}
 	}
-	_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), k.res, k.relres)
-	return k.finish(err)
+	return true
 }
 
 // iterate is one pass of the loop: outer-level detection every d
@@ -274,11 +308,16 @@ func (k *run) iterate() (status, error) {
 }
 
 // advance closes iteration k.i once the iterate and residual have moved:
-// the counter steps, the relative residual is recorded, and the result
-// reports whether it met the tolerance.
+// the counter steps and the new residual is observed.
 func (k *run) advance(resNorm float64) bool {
 	k.i++
 	k.res.Iterations = k.i
+	return k.observe(resNorm)
+}
+
+// observe records the relative residual and reports whether it met the
+// tolerance.
+func (k *run) observe(resNorm float64) bool {
 	k.relres = resNorm / k.normB
 	//hot:cold diagnostic residual history, off by default
 	if k.opts.RecordResiduals {
@@ -287,11 +326,13 @@ func (k *run) advance(resNorm float64) bool {
 	return k.relres <= k.tol
 }
 
-// finish closes the accounting on every exit path.
-func (k *run) finish(err error) (Result, error) {
+// finish closes the accounting on every exit path; it returns false, the
+// "no more turns" answer of open and turn.
+func (k *run) finish(err error) bool {
 	k.res.Residual = k.relres
 	k.res.Stats.InjectedErrors = k.e.injectedCount()
-	return k.res, err
+	k.err = err
+	return false
 }
 
 // scalarFault records a suspect recurrence scalar as a detection.
@@ -351,11 +392,14 @@ func (k *run) rollback() bool {
 		k.e.recompute(k.x)
 		st.LossyRestores++
 	}
-	verb := "kept"
-	if lossy || !k.g.keepsResidual() {
+	verb := "recomputed"
+	switch {
+	case k.kr.xOnly: // r is rebuilt by the next iteration anyway
+	case lossy || !k.g.keepsResidual():
 		k.e.residual(k.r, k.b, k.x)
 		st.RecoveryMVMs++
-		verb = "recomputed"
+	default:
+		verb = "kept"
 	}
 	if err := k.rec.restored(k, snapIter, lossy); err != nil {
 		return false
@@ -436,7 +480,7 @@ func (g *sumGuard) verifyOuter(k *run, vs []*tracked) (xOK, rOK bool, others int
 //hot:loop amortized checkpoint branch: once per cd iterations
 func (g *sumGuard) checkpoint(k *run) bool {
 	//hot:cold a corrupted direction: forward repair first, else rollback
-	if k.i > 0 && !k.e.verify(k.kr.p) && !g.repair(k, true, true, 1, false) {
+	if p := k.kr.p; k.i > 0 && p != nil && !k.e.verify(p) && !g.repair(k, true, true, 1, false) {
 		return false
 	}
 	k.save()
@@ -472,7 +516,11 @@ func (g *sumGuard) suspect(x float64) bool { return suspectScalar(x) }
 //
 //hot:cold convergence exit: verified once per solve, recovery on a corrupted residual
 func (g *sumGuard) exit(k *run, resid *tracked) status {
-	xOK, rOK, _ := g.verifyOuter(k, []*tracked{k.x, resid})
+	vs := []*tracked{k.x, resid}
+	if k.kr.xOnly {
+		vs = vs[:1]
+	}
+	xOK, rOK, _ := g.verifyOuter(k, vs)
 	if xOK && rOK {
 		return converged
 	}

@@ -271,6 +271,16 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 		e.pool.MulVec(e.a, dst.data, src.data)
 	}
 	e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
+	e.mvmUpdate(iter, dst, src)
+}
+
+// mvmUpdate carries the checksums through an MVM whose product is already
+// in dst — the second half of mvm, and all the block backend needs after
+// the shared traversal wrote the product.
+//
+//hot:loop Eq. (2) update on the solve path
+//hot:protected dst src
+func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 	if e.encA == nil { // no checksums carried: nothing to update or to strike
 		return
 	}

@@ -21,6 +21,13 @@ import (
 // changes only at restarts, so recovery from any error inside a cycle is
 // simply discarding the cycle and restarting from the verified x (the
 // checkpointed state is {x} alone).
+//
+// That is why GMRES keeps its own loop instead of running under the driver
+// (drive.go): its checkpoint is the restart cycle, not every cd iterations,
+// and its rollback discards a cycle rather than restoring a direction —
+// forcing it through the driver would put a method branch in the scaffold
+// every other method shares. It shares the engine, the set-up and the
+// closing accounting.
 func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart int, opts Options) (Result, error) {
 	var res Result
 	st, err := begin(a, m, b, checksum.Single, &opts, &res.Stats)
@@ -58,6 +65,13 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	var relres float64
 	total := 0
 	d := opts.DetectInterval
+
+	// finish closes the accounting on every exit path, as run.finish does.
+	finish := func(err error) (Result, error) {
+		res.Residual = relres
+		res.Stats.InjectedErrors = e.injectedCount()
+		return res, err
+	}
 
 	store := opts.newStore()
 	//hot:cold checkpoint machinery: invoked once per restart cycle
@@ -102,9 +116,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 
 	for total < maxIter {
 		if err := opts.ctxErr("GMRES"); err != nil {
-			res.Residual = relres
-			res.Stats.InjectedErrors = e.injectedCount()
-			return res, err
+			return finish(err)
 		}
 		// Cycle start: x is the only live state. Verify it (it was either
 		// freshly verified last cycle or is the initial guess), snapshot
@@ -113,9 +125,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			// x corrupted between cycles (e.g. a memory fault): restore
 			// the previous snapshot.
 			if !restoreX(0) {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("GMRES", Basic)
+				return finish(rollbackStormErr("GMRES", Basic))
 			}
 		}
 		saveCheckpoint()
@@ -138,7 +148,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		for ; k < restart && total < maxIter; k++ {
 			total++
 			if err := e.pco(total-1, zhat, v[k]); err != nil {
-				return res, err
+				return finish(err)
 			}
 			e.mvm(total-1, w, zhat)
 			// Modified Gram–Schmidt: dots are unprotected scalars (§3),
@@ -171,8 +181,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			}
 			denom := math.Hypot(h[k][k], h[k+1][k])
 			if denom <= 0 {
-				res.Residual = relres
-				return res, breakdownErr("GMRES", Basic, total, "Hessenberg breakdown")
+				return finish(breakdownErr("GMRES", Basic, total, "Hessenberg breakdown"))
 			}
 			cs[k] = h[k][k] / denom
 			sn[k] = h[k+1][k] / denom
@@ -196,9 +205,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			// Recovery: discard the Krylov cycle, restore the snapshot and
 			// restart. No other state survives a cycle boundary.
 			if !restoreX(k) {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("GMRES", Basic)
+				return finish(rollbackStormErr("GMRES", Basic))
 			}
 			continue
 		}
@@ -217,7 +224,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			e.axpy(total-1, w, y[j], v[j])
 		}
 		if err := e.pco(total-1, zhat, w); err != nil {
-			return res, err
+			return finish(err)
 		}
 		e.axpy(total-1, x, 1, zhat)
 
@@ -225,9 +232,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		// cycle like any other error.
 		if !e.verify(x) {
 			if !restoreX(k) {
-				res.Residual = relres
-				res.Stats.InjectedErrors = e.injectedCount()
-				return res, rollbackStormErr("GMRES", Basic)
+				return finish(rollbackStormErr("GMRES", Basic))
 			}
 			continue
 		}
@@ -244,10 +249,9 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		}
 	}
 
-	res.Residual = relres
-	res.Stats.InjectedErrors = e.injectedCount()
 	if !res.Converged {
-		return notConverged("ABFT GMRES", res, relres)
+		_, err := notConverged("ABFT GMRES", res, relres)
+		return finish(err)
 	}
-	return res, nil
+	return finish(nil)
 }

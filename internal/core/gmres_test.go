@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"newsum/internal/fault"
@@ -109,5 +111,44 @@ func TestBasicGMRESOnSPD(t *testing.T) {
 	}
 	if tr := TrueResidual(a, b, res.X); tr > 1e-8 {
 		t.Errorf("true residual %.3e", tr)
+	}
+}
+
+// dyingIdentity is the identity preconditioner until its budget of
+// applications runs out; then every Apply fails.
+type dyingIdentity struct {
+	precond.Preconditioner
+	left int
+}
+
+func (d *dyingIdentity) Apply(z, r []float64) error {
+	if d.left--; d.left < 0 {
+		return errors.New("preconditioner lost")
+	}
+	return d.Preconditioner.Apply(z, r)
+}
+
+// TestBasicGMRESFailedPCOClosesAccounting: a hard preconditioner failure
+// mid-cycle is an exit like any other — the result still reports the faults
+// that fired before it and the last residual the solve saw.
+func TestBasicGMRESFailedPCOClosesAccounting(t *testing.T) {
+	a, _, b := gmresSystem(t)
+	inj := fault.NewInjector([]fault.Event{
+		{Iteration: 2, Site: fault.SiteMVM, Kind: fault.Arithmetic, Index: 5, Magnitude: 1e-12},
+	}, 31)
+	m := &dyingIdentity{Preconditioner: precond.Identity(a.Rows), left: 6}
+	res, err := BasicGMRES(a, m, b, 20, Options{
+		Options:        solver.Options{Tol: 1e-10, MaxIter: 1000},
+		DetectInterval: 50, // the sub-threshold strike is never examined before the failure
+		Injector:       inj,
+	})
+	if err == nil || !strings.Contains(err.Error(), "preconditioner lost") {
+		t.Fatalf("err = %v, want the preconditioner failure", err)
+	}
+	if res.Stats.InjectedErrors != 1 {
+		t.Errorf("InjectedErrors = %d, want 1", res.Stats.InjectedErrors)
+	}
+	if res.Iterations != 6 || res.Residual <= 0 || res.Residual >= 1 {
+		t.Errorf("iterations %d residual %g, want the state after 6 Arnoldi steps", res.Iterations, res.Residual)
 	}
 }

@@ -39,7 +39,7 @@ func OfflineResidualPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float
 // unprotected solve, one true-residual check, one full rerun on failure.
 func offlineResidual(method Method, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Result, error) {
 	tol, _ := opts.stopping(a.Rows)
-	res, err := solve(method, Unprotected, a, m, b, opts)
+	res, err := solve(method, Unprotected, a, m, b, opts, method.recurrence)
 	res.Stats.Verifications++
 	res.Stats.RecoveryMVMs++
 	if err == nil && TrueResidual(a, b, res.X) <= 10*tol {
@@ -50,7 +50,7 @@ func offlineResidual(method Method, a *sparse.CSR, m precond.Preconditioner, b [
 	// persistent error rates and will fail again.
 	res.Stats.Detections++
 	first := res.Stats
-	res2, err2 := solve(method, Unprotected, a, m, b, opts)
+	res2, err2 := solve(method, Unprotected, a, m, b, opts, method.recurrence)
 	res2.Stats.Verifications += first.Verifications + 1
 	res2.Stats.Detections += first.Detections
 	res2.Stats.RecoveryMVMs += first.RecoveryMVMs + 1

@@ -385,6 +385,53 @@ func TestControlArmsSeeTheProtectedFaultModel(t *testing.T) {
 	if res.Stats.InjectedErrors != 1 {
 		t.Errorf("ortho: checkpoint-buffer event did not fire")
 	}
+
+	// Jacobi and Chebyshev run under the driver like every other method, so
+	// their snapshots are exposed to the checkpoint-buffer attack and their
+	// recovery is traced. A data strike right after the poisoned snapshot
+	// forces the rollback onto it: the solve either recovers or aborts
+	// loudly, never returns a wrong answer quietly.
+	ja, jb := jacobiSystem()
+	ca, cm, cb, lmin, lmax := chebyshevSystem()
+	stationary := []struct {
+		entryPoint
+		check func(x []float64) float64
+	}{
+		{entryPoint{"jacobi", func(o Options) (Result, error) { return BasicJacobi(ja, jb, o) }},
+			func(x []float64) float64 { return TrueResidual(ja, jb, x) }},
+		{entryPoint{"chebyshev", func(o Options) (Result, error) { return BasicChebyshev(ca, cm, cb, lmin, lmax, o) }},
+			func(x []float64) float64 { return TrueResidual(ca, cb, x) }},
+	}
+	for _, arm := range stationary {
+		tr := &Trace{}
+		res, err := arm.run(Options{
+			Options:            solver.Options{Tol: 1e-10},
+			DetectInterval:     2,
+			CheckpointInterval: 4,
+			MaxRollbacks:       6,
+			Trace:              tr,
+			Injector: fault.NewInjector([]fault.Event{
+				{Iteration: 4, Site: fault.SiteCheckpoint, Kind: fault.Memory, Index: 3, Magnitude: 1e-3},
+				{Iteration: 5, Site: fault.SiteMVM, Kind: fault.Arithmetic, Index: 17, Magnitude: 1e4},
+			}, 3),
+		})
+		if res.Stats.InjectedErrors != 2 {
+			t.Errorf("%s: %d of 2 events fired (checkpoint buffer + MVM)", arm.name, res.Stats.InjectedErrors)
+		}
+		switch {
+		case err == nil:
+			if tr := arm.check(res.X); tr > 1e-8 {
+				t.Errorf("%s: returned quietly with true residual %.3e", arm.name, tr)
+			}
+		case !errors.Is(err, ErrRollbackStorm):
+			t.Errorf("%s: %v, want recovery or a rollback storm", arm.name, err)
+		}
+		for _, kind := range []EventKind{EvDetection, EvCheckpoint, EvRollback} {
+			if tr.Count(kind) == 0 {
+				t.Errorf("%s: traced faulty run emitted no %s event", arm.name, kind)
+			}
+		}
+	}
 }
 
 func TestMethodAndSchemeStrings(t *testing.T) {

@@ -19,7 +19,7 @@ func ABFTBiCGStab(a *sparse.CSR, b []float64, nranks int, opts Options) (Result,
 		return Result{}, err
 	}
 	opts.normalize(a.Rows)
-	part := opts.partition(a, nranks)
+	part := NnzPartition(a, nranks)
 	return runTeam(nranks, opts.Topology, func(c *Comm) (Result, error) {
 		return rankBiCGStab(c, a, b, part, opts)
 	})

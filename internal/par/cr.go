@@ -19,7 +19,7 @@ func ABFTCR(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error
 		return Result{}, err
 	}
 	opts.normalize(a.Rows)
-	part := opts.partition(a, nranks)
+	part := NnzPartition(a, nranks)
 	return runTeam(nranks, opts.Topology, func(c *Comm) (Result, error) {
 		return rankCR(c, a, b, part, opts)
 	})

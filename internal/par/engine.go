@@ -126,9 +126,6 @@ type Options struct {
 	// Topology selects the collective algorithm family (default Tree;
 	// Linear keeps the O(P) baseline for comparison).
 	Topology Topology
-	// EvenRows forces the legacy even row partition instead of the
-	// nnz-balanced partitioner (benchmarks compare the two).
-	EvenRows bool
 	// CheckpointCodec selects the snapshot codec every rank checkpoints
 	// through: full deep copies (default), error-bounded lossy
 	// quantization, or differential encoding against the last verified
@@ -174,14 +171,6 @@ func (o *Options) normalize(n int) {
 	if o.MaxRollbacks <= 0 {
 		o.MaxRollbacks = 100
 	}
-}
-
-// partition builds the row partition the solve distributes over.
-func (o *Options) partition(a *sparse.CSR, nranks int) Partition {
-	if o.EvenRows {
-		return EvenPartition(a.Rows, nranks)
-	}
-	return NnzPartition(a, nranks)
 }
 
 // Result reports a distributed solve's outcome.

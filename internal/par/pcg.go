@@ -17,7 +17,7 @@ func ABFTPCG(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, erro
 		return Result{}, err
 	}
 	opts.normalize(a.Rows)
-	part := opts.partition(a, nranks)
+	part := NnzPartition(a, nranks)
 	return runTeam(nranks, opts.Topology, func(c *Comm) (Result, error) {
 		return rankPCG(c, a, b, part, opts)
 	})

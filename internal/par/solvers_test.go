@@ -7,7 +7,6 @@ import (
 	"newsum/internal/core"
 	"newsum/internal/precond"
 	"newsum/internal/solver"
-	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
 
@@ -114,31 +113,5 @@ func TestTopologiesAgree(t *testing.T) {
 				t.Errorf("missing comm stats: tree=%+v linear=%+v", tree.Comm, linear.Comm)
 			}
 		})
-	}
-}
-
-// The nnz-balanced partitioner must not change what the solver computes,
-// only where the rows live.
-func TestPartitionChoiceAgrees(t *testing.T) {
-	a := sparse.CircuitLike(600, 7)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1 + float64(i%7)
-	}
-	nnz, err := ABFTPCG(a, b, 4, Options{Tol: 1e-10})
-	if err != nil {
-		t.Fatalf("nnz partition: %v", err)
-	}
-	even, err := ABFTPCG(a, b, 4, Options{Tol: 1e-10, EvenRows: true})
-	if err != nil {
-		t.Fatalf("even partition: %v", err)
-	}
-	r := make([]float64, a.Rows)
-	for name, x := range map[string][]float64{"nnz": nnz.X, "even": even.X} {
-		a.MulVec(r, x)
-		vec.Sub(r, b, r)
-		if rel := vec.Norm2(r) / vec.Norm2(b); rel > 1e-9 {
-			t.Errorf("%s: true residual %.3e", name, rel)
-		}
 	}
 }

@@ -259,7 +259,6 @@ func (s *Service) deliverBatched(j *job, col *core.Result, n, nnz int, vr float6
 		JobID:       j.id,
 		Solver:      req.solver(),
 		Scheme:      req.scheme(),
-		Engine:      req.engine(),
 		N:           n,
 		NNZ:         nnz,
 		QueueMillis: float64(start.Sub(j.enqueued).Microseconds()) / 1000,

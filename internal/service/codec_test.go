@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestServiceLossyCheckpointCodec runs faulted jobs across both engines on
+// TestServiceLossyCheckpointCodec runs faulted jobs across solvers on
 // a service configured for lossy checkpointing: every rollback restores
 // quantized state, and every job must still finish verified — the serving
 // layer's no-SDC contract is codec-independent.
@@ -22,23 +22,21 @@ func TestServiceLossyCheckpointCodec(t *testing.T) {
 			Faults: []FaultSpec{{Iteration: 6, Index: -1}}},
 		{Matrix: laplaceSpec(), Solver: "bicgstab",
 			Faults: []FaultSpec{{Iteration: 6, Index: -1}}},
-		{Matrix: laplaceSpec(), Engine: "par", Ranks: 4, Solver: "pcg",
-			Faults: []FaultSpec{{Iteration: 6, Rank: 2, Index: -1}}},
 	}
 	for _, req := range reqs {
 		resp, err := s.Submit(context.Background(), req)
 		if err != nil {
-			t.Fatalf("%s/%s: %v", req.Engine, req.Solver, err)
+			t.Fatalf("%s: %v", req.Solver, err)
 		}
 		if !resp.Converged {
-			t.Fatalf("%s/%s: did not converge under lossy checkpointing", req.Engine, req.Solver)
+			t.Fatalf("%s: did not converge under lossy checkpointing", req.Solver)
 		}
 		if resp.VerifiedResidual > sdcTolFactor*1e-8 {
-			t.Fatalf("%s/%s: verified residual %.3e — silent corruption after lossy restore",
-				req.Engine, req.Solver, resp.VerifiedResidual)
+			t.Fatalf("%s: verified residual %.3e — silent corruption after lossy restore",
+				req.Solver, resp.VerifiedResidual)
 		}
 		if resp.Rollbacks == 0 {
-			t.Fatalf("%s/%s: fault did not force a rollback, lossy path unexercised", req.Engine, req.Solver)
+			t.Fatalf("%s: fault did not force a rollback, lossy path unexercised", req.Solver)
 		}
 	}
 }

@@ -68,16 +68,25 @@ func TestHTTPValidationAndMethodErrors(t *testing.T) {
 		}
 	})
 
-	t.Run("unknown field", func(t *testing.T) {
-		resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(`{"sovler":"pcg"}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d, want 400", resp.StatusCode)
-		}
-	})
+	// A misspelt field is a 400 — and so is a request still written against
+	// the removed per-request engine choice: it is refused, not silently run
+	// on the one engine left.
+	for name, body := range map[string]string{
+		"unknown field": `{"sovler":"pcg"}`,
+		"stale engine":  `{"engine":"par","ranks":4,"matrix":{"kind":"laplace2d","n":12}}`,
+		"stale rank":    `{"matrix":{"kind":"laplace2d","n":12},"faults":[{"iteration":2,"index":-1,"rank":1}]}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status = %d, want 400", resp.StatusCode)
+			}
+		})
+	}
 
 	t.Run("bad request semantics", func(t *testing.T) {
 		resp := postJSON(t, srv.URL+"/solve", Request{Solver: "sor", Matrix: laplaceSpec()})

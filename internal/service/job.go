@@ -1,14 +1,13 @@
 // Package service implements a long-running concurrent solve service over
-// the repo's ABFT engines: jobs arrive as JSON requests (over the stdlib
-// net/http API in http.go or programmatically via Submit), are admitted
-// against a bounded queue, scheduled onto a worker pool, and dispatched to
-// the serial (internal/core) or multi-rank (internal/par) engines with the
-// full protection stack active. The service layer adds what a single solve
-// cannot provide: an LRU cache of checksum encodings (the paper's offline
-// cᵀA − d·cᵀ precompute amortized across repeated solves against the same
-// operator), per-job deadlines, bounded retry when a solve aborts in a
-// rollback storm, and live counters for detections, corrections and
-// retries.
+// the repo's protected solvers: jobs arrive as JSON requests (over the
+// stdlib net/http API in http.go or programmatically via Submit), are
+// admitted against a bounded queue, scheduled onto a worker pool, and
+// dispatched to internal/core with the full protection stack active. The
+// service layer adds what a single solve cannot provide: an LRU cache of
+// checksum encodings (the paper's offline cᵀA − d·cᵀ precompute amortized
+// across repeated solves against the same operator), per-job deadlines,
+// bounded retry when a solve aborts in a rollback storm, and live counters
+// for detections, corrections and retries.
 package service
 
 import (
@@ -19,7 +18,6 @@ import (
 
 	"newsum/internal/core"
 	"newsum/internal/fault"
-	"newsum/internal/par"
 	"newsum/internal/sparse"
 )
 
@@ -183,10 +181,7 @@ type FaultSpec struct {
 	// Bit is the flipped IEEE-754 bit; 0 selects the default 62 (top
 	// exponent bit, always a detectable magnitude change).
 	Bit int `json:"bit,omitempty"`
-	// Rank targets a specific rank on the par engine (ignored serially).
-	Rank int `json:"rank,omitempty"`
-	// Site selects the struck operation on the serial engine: "mvm"
-	// (default), "pco", or "vlo". The par engine strikes MVM output only.
+	// Site selects the struck operation: "mvm" (default), "pco", or "vlo".
 	Site string `json:"site,omitempty"`
 }
 
@@ -210,7 +205,7 @@ func (f *FaultSpec) site() (fault.Site, error) {
 	}
 }
 
-// event maps the spec onto the serial engine's injector vocabulary.
+// event maps the spec onto the injector's vocabulary.
 func (f *FaultSpec) event() (fault.Event, error) {
 	site, err := f.site()
 	if err != nil {
@@ -226,32 +221,17 @@ func (f *FaultSpec) event() (fault.Event, error) {
 	}, nil
 }
 
-// parFault maps the spec onto the distributed engine's fault vocabulary.
-func (f *FaultSpec) parFault() par.Fault {
-	return par.Fault{
-		Iteration: f.Iteration,
-		Rank:      f.Rank,
-		Index:     f.Index,
-		BitFlip:   true,
-		Bit:       f.bit(),
-	}
-}
-
 // Request is one solve job.
 type Request struct {
 	// Solver is "pcg" (default), "bicgstab", or "cr".
 	Solver string `json:"solver,omitempty"`
 	// Scheme is "basic" (default, Algorithm 1) or "twolevel" (Algorithm 2).
 	Scheme string `json:"scheme,omitempty"`
-	// Engine is "serial" (default, internal/core) or "par" (internal/par).
-	Engine string `json:"engine,omitempty"`
-	// Ranks sizes the par engine's goroutine team (default 4).
-	Ranks int `json:"ranks,omitempty"`
 	// Matrix names the operator.
 	Matrix MatrixSpec `json:"matrix"`
 	// RHS is the right-hand side; nil means b[i] = 1 + (i mod 7).
 	RHS []float64 `json:"rhs,omitempty"`
-	// Precond is "none" (default) or "ilu0"; serial pcg/bicgstab only.
+	// Precond is "none" (default) or "ilu0"; pcg/bicgstab only.
 	Precond string `json:"precond,omitempty"`
 	// Tol, MaxIter, DetectInterval are the usual solve controls (defaults
 	// 1e-8, 10·n, 1). Retries tighten the detect interval automatically.
@@ -261,9 +241,9 @@ type Request struct {
 	// MaxRollbacks bounds per-attempt recovery before the solve aborts
 	// retryably (default: engine default).
 	MaxRollbacks int `json:"max_rollbacks,omitempty"`
-	// Forward enables the engines' forward-recovery tier: a detection first
-	// attempts an in-place triple-checksum repair before falling back to
-	// checkpoint rollback. Supported for pcg and cr on both engines.
+	// Forward enables the forward-recovery tier: a detection first attempts
+	// an in-place triple-checksum repair before falling back to checkpoint
+	// rollback. Supported for pcg and cr.
 	Forward bool `json:"forward,omitempty"`
 	// TimeoutMillis caps the job's wall time, queue wait included; 0 uses
 	// the service default.
@@ -295,20 +275,6 @@ func (r *Request) scheme() string {
 	return r.Scheme
 }
 
-func (r *Request) engine() string {
-	if r.Engine == "" {
-		return "serial"
-	}
-	return r.Engine
-}
-
-func (r *Request) ranks() int {
-	if r.Ranks <= 0 {
-		return 4
-	}
-	return r.Ranks
-}
-
 func (r *Request) tol() float64 {
 	if r.Tol <= 0 {
 		return 1e-8
@@ -317,13 +283,13 @@ func (r *Request) tol() float64 {
 }
 
 // batchable reports whether the job may join a batched multi-RHS solve:
-// the block engine covers exactly the serial basic-scheme unpreconditioned
-// PCG path, and fault-injection or tracing requests need the instrumented
+// the block solver covers exactly the basic-scheme unpreconditioned PCG
+// path, and fault-injection or tracing requests need the instrumented
 // per-column machinery of a solo solve, so they stay on the single-RHS
 // path. Everything here is a mode check — which *batch* a batchable job
 // may join is decided by batchParams plus a full-spec equality check.
 func (r *Request) batchable() bool {
-	return r.engine() == "serial" && r.solver() == "pcg" && r.scheme() == "basic" &&
+	return r.solver() == "pcg" && r.scheme() == "basic" &&
 		(r.Precond == "" || r.Precond == "none") && !r.Forward && !r.Trace &&
 		len(r.Faults) == 0 && r.ChaosFaults == 0
 }
@@ -361,27 +327,19 @@ func (r *Request) validate(maxRows int) error {
 	switch r.scheme() {
 	case "basic":
 	case "twolevel":
-		if r.solver() == "cr" && r.engine() == "serial" {
-			return fmt.Errorf("%w: serial cr supports the basic scheme only", ErrBadRequest)
+		if r.solver() == "cr" {
+			return fmt.Errorf("%w: cr supports the basic scheme only", ErrBadRequest)
 		}
 	default:
 		return fmt.Errorf("%w: unknown scheme %q", ErrBadRequest, r.Scheme)
-	}
-	switch r.engine() {
-	case "serial", "par":
-	default:
-		return fmt.Errorf("%w: unknown engine %q", ErrBadRequest, r.Engine)
-	}
-	if r.engine() == "par" && (r.ranks() < 1 || r.ranks() > 64) {
-		return fmt.Errorf("%w: ranks %d out of range [1, 64]", ErrBadRequest, r.Ranks)
 	}
 	switch r.Precond {
 	case "", "none", "ilu0":
 	default:
 		return fmt.Errorf("%w: unknown preconditioner %q", ErrBadRequest, r.Precond)
 	}
-	if r.Precond == "ilu0" && (r.engine() != "serial" || r.solver() == "cr") {
-		return fmt.Errorf("%w: ilu0 preconditioning applies to serial pcg/bicgstab only", ErrBadRequest)
+	if r.Precond == "ilu0" && r.solver() == "cr" {
+		return fmt.Errorf("%w: ilu0 preconditioning applies to pcg/bicgstab only", ErrBadRequest)
 	}
 	if r.Forward && r.solver() == "bicgstab" {
 		return fmt.Errorf("%w: forward recovery applies to pcg and cr only", ErrBadRequest)
@@ -392,9 +350,6 @@ func (r *Request) validate(maxRows int) error {
 	for i := range r.Faults {
 		if _, err := r.Faults[i].site(); err != nil {
 			return err
-		}
-		if r.engine() == "par" && (r.Faults[i].Rank < 0 || r.Faults[i].Rank >= r.ranks()) {
-			return fmt.Errorf("%w: fault %d targets rank %d of %d", ErrBadRequest, i, r.Faults[i].Rank, r.ranks())
 		}
 	}
 	if err := r.Matrix.validate(maxRows); err != nil {
@@ -446,7 +401,6 @@ type Response struct {
 	JobID  string `json:"job_id"`
 	Solver string `json:"solver"`
 	Scheme string `json:"scheme"`
-	Engine string `json:"engine"`
 	N      int    `json:"n"`
 	NNZ    int    `json:"nnz"`
 

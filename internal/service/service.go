@@ -15,7 +15,6 @@ import (
 	"newsum/internal/core"
 	"newsum/internal/fault"
 	"newsum/internal/kernel"
-	"newsum/internal/par"
 	"newsum/internal/precond"
 	"newsum/internal/solver"
 	"newsum/internal/sparse"
@@ -70,8 +69,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxMatrixRows is the admission bound on operator size (default 262144).
 	MaxMatrixRows int
-	// KernelWorkers is the per-job shared-memory kernel budget for the
-	// serial engine: each service worker owns one kernel.Pool of this size,
+	// KernelWorkers is the per-job shared-memory kernel budget: each
+	// service worker owns one kernel.Pool of this size,
 	// so Workers concurrent jobs use at most Workers×KernelWorkers threads
 	// for hot loops. 0 derives max(1, GOMAXPROCS/Workers) — the whole
 	// machine split evenly across concurrent jobs, never oversubscribed.
@@ -159,8 +158,8 @@ type job struct {
 }
 
 // Service is the concurrent solve service: a bounded worker pool over a
-// bounded admission queue, dispatching to the serial and distributed ABFT
-// engines with an encoding cache, per-job deadlines, and bounded retry.
+// bounded admission queue, dispatching to the protected solvers of
+// internal/core with an encoding cache, per-job deadlines, and bounded retry.
 type Service struct {
 	cfg   Config
 	codec checkpoint.Codec
@@ -364,8 +363,7 @@ func (s *Service) emit(j *job, event string, attempt int, detail string) {
 }
 
 // resolve produces the operator and (when available) its cached checksum
-// encoding. A nil encoding is always valid — the serial engine derives its
-// own — so cache-disabled and admission-failure paths degrade gracefully.
+// encoding. A nil encoding is always valid — the solve derives its own — so cache-disabled and admission-failure paths degrade gracefully.
 func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, error) {
 	key := req.Matrix.fingerprint()
 	if s.cache != nil {
@@ -405,8 +403,7 @@ func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, 
 	return a, enc, false, nil
 }
 
-// attemptResult normalizes one engine attempt's outcome across the serial
-// and distributed engines.
+// attemptResult is one attempt's outcome, as the retry loop accounts it.
 type attemptResult struct {
 	x           []float64
 	iterations  int
@@ -440,7 +437,6 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 		JobID:       j.id,
 		Solver:      req.solver(),
 		Scheme:      req.scheme(),
-		Engine:      req.engine(),
 		QueueMillis: float64(start.Sub(j.enqueued).Microseconds()) / 1000,
 	}
 	j.resp = resp
@@ -490,16 +486,13 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 		s.emit(j, "cache", 0, "miss")
 	}
 
-	// Serial preconditioner setup happens once, shared across attempts.
-	var m precond.Preconditioner
-	if req.engine() == "serial" {
-		m = precond.Identity(a.Rows)
-		if req.Precond == "ilu0" {
-			m, err = precond.ILU0(a)
-			if err != nil {
-				finish(fmt.Errorf("%w: ilu0 setup: %v", ErrBadRequest, err), "failed")
-				return
-			}
+	// Preconditioner setup happens once, shared across attempts.
+	var m precond.Preconditioner = precond.Identity(a.Rows)
+	if req.Precond == "ilu0" {
+		m, err = precond.ILU0(a)
+		if err != nil {
+			finish(fmt.Errorf("%w: ilu0 setup: %v", ErrBadRequest, err), "failed")
+			return
 		}
 	}
 	b := req.rhs(a.Rows)
@@ -567,7 +560,7 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 }
 
 // classifyRetry maps an attempt failure to a retry reason. Rollback storms
-// (the engines' retryable abort) and SDC suspicion always retry. When the
+// (the solver's retryable abort) and SDC suspicion always retry. When the
 // attempt ran with fault injection active, any other failure —
 // non-convergence, breakdown — is also retried, because a sub-threshold
 // strike can degrade the Krylov recurrence without ever tripping a
@@ -581,7 +574,7 @@ func classifyRetry(err error, hadFaults bool) (string, bool) {
 		return "", false
 	case errors.Is(err, errSDC):
 		return "sdc-suspect", true
-	case errors.Is(err, core.ErrRollbackStorm), errors.Is(err, par.ErrRollbackStorm):
+	case errors.Is(err, core.ErrRollbackStorm):
 		return "rollback-storm", true
 	case hadFaults:
 		return "fault-degraded", true
@@ -625,10 +618,10 @@ func chaosIteration(rng *rand.Rand, maxIter int) int {
 	return 1 + rng.Intn(h)
 }
 
-// serialFaults assembles the attempt's injector events: explicit strikes on
+// attemptFaults assembles the attempt's injector events: explicit strikes on
 // attempt 0 only (a fixed strike set re-applied to a retry would storm
 // identically), chaos strikes re-drawn every attempt.
-func serialFaults(req *Request, attempt int) []fault.Event {
+func attemptFaults(req *Request, attempt int) []fault.Event {
 	var evs []fault.Event
 	if attempt == 0 {
 		for i := range req.Faults {
@@ -655,84 +648,18 @@ func serialFaults(req *Request, attempt int) []fault.Event {
 	return evs
 }
 
-// parFaultsFor is serialFaults for the distributed engine's vocabulary.
-func parFaultsFor(req *Request, attempt int) []par.Fault {
-	var fs []par.Fault
-	if attempt == 0 {
-		for i := range req.Faults {
-			fs = append(fs, req.Faults[i].parFault())
-		}
-	}
-	if req.ChaosFaults > 0 {
-		rng := rand.New(rand.NewSource(chaosSeed(req.Seed, attempt)))
-		for k := 0; k < req.ChaosFaults; k++ {
-			fs = append(fs, par.Fault{
-				Iteration: chaosIteration(rng, req.MaxIter),
-				Rank:      rng.Intn(req.ranks()),
-				Index:     -1,
-				BitFlip:   true,
-				Bit:       44 + rng.Intn(18),
-			})
-		}
-	}
-	return fs
-}
-
-// The serial engine's request vocabulary; Request.validate has already
-// restricted a request to these names (and serial cr to the basic scheme).
+// The request vocabulary of core.Solve; Request.validate has already
+// restricted a request to these names (and cr to the basic scheme).
 var (
-	serialMethods = map[string]core.Method{"pcg": core.MethodPCG, "bicgstab": core.MethodPBiCGSTAB, "cr": core.MethodCR}
-	serialSchemes = map[string]core.Scheme{"basic": core.Basic, "twolevel": core.TwoLevel}
+	methods = map[string]core.Method{"pcg": core.MethodPCG, "bicgstab": core.MethodPBiCGSTAB, "cr": core.MethodCR}
+	schemes = map[string]core.Scheme{"basic": core.Basic, "twolevel": core.TwoLevel}
 )
 
-// dispatch runs one attempt on the engine the request names.
+// dispatch runs one attempt of the solve the request names.
 func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc *checksum.Encoding,
 	m precond.Preconditioner, b []float64, attempt, d int, pool *kernel.Pool) (attemptResult, error) {
-	if req.engine() == "par" {
-		popts := par.Options{
-			Tol:             req.Tol,
-			MaxIter:         req.MaxIter,
-			DetectInterval:  d,
-			MaxRollbacks:    req.MaxRollbacks,
-			TwoLevel:        req.scheme() == "twolevel",
-			ForwardRecovery: req.Forward,
-			Faults:          parFaultsFor(req, attempt),
-			Ctx:             ctx,
-
-			CheckpointCodec:    s.codec,
-			CheckpointAbsBound: s.cfg.CheckpointAbsBound,
-			CheckpointRelBound: s.cfg.CheckpointRelBound,
-		}
-		var res par.Result
-		var err error
-		switch req.solver() {
-		case "pcg":
-			res, err = par.ABFTPCG(a, b, req.ranks(), popts)
-		case "bicgstab":
-			res, err = par.ABFTBiCGStab(a, b, req.ranks(), popts)
-		case "cr":
-			res, err = par.ABFTCR(a, b, req.ranks(), popts)
-		}
-		return attemptResult{
-			x:           res.X,
-			iterations:  res.Iterations,
-			converged:   res.Converged,
-			residual:    res.Residual,
-			detections:  res.Detections,
-			corrections: res.Corrections,
-			rollbacks:   res.Rollbacks,
-			injected:    res.InjectedFaults,
-			trace:       res.Trace,
-
-			forwardRepairs:      res.ForwardRepairs,
-			rollbacksAvoided:    res.RollbacksAvoided,
-			iterationsSaved:     res.IterationsSaved,
-			rejectedCorrections: res.RejectedCorrections,
-		}, err
-	}
-
 	var inj *fault.Injector
-	if evs := serialFaults(req, attempt); len(evs) > 0 {
+	if evs := attemptFaults(req, attempt); len(evs) > 0 {
 		inj = fault.NewInjector(evs, chaosSeed(req.Seed, attempt))
 	}
 	var tr *core.Trace
@@ -754,7 +681,7 @@ func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc
 		CheckpointAbsBound: s.cfg.CheckpointAbsBound,
 		CheckpointRelBound: s.cfg.CheckpointRelBound,
 	}
-	res, err := core.Solve(serialMethods[req.solver()], serialSchemes[req.scheme()], a, m, b, opts)
+	res, err := core.Solve(methods[req.solver()], schemes[req.scheme()], a, m, b, opts)
 	ar := attemptResult{
 		x:           res.X,
 		iterations:  res.Iterations,

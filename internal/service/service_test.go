@@ -15,8 +15,8 @@ import (
 func laplaceSpec() MatrixSpec { return MatrixSpec{Kind: "laplace2d", N: 12} }
 
 // TestAcceptance64Concurrent is the PR's acceptance criterion: at least 64
-// concurrent solve jobs with fault injection active, mixed across engines,
-// solvers and schemes — zero silent corruption (every returned solution is
+// concurrent solve jobs with fault injection active, mixed across
+// solvers, schemes and recovery tiers — zero silent corruption (every returned solution is
 // re-verified against the operator), aborted solves retried to
 // convergence, and cache hits visible in the stats.
 func TestAcceptance64Concurrent(t *testing.T) {
@@ -50,9 +50,8 @@ func TestAcceptance64Concurrent(t *testing.T) {
 		case 3:
 			req.Solver, req.Scheme = "cr", "basic"
 		case 4:
-			// Distributed engine under the same chaos load.
-			req.Engine, req.Ranks, req.Solver = "par", 4, "pcg"
-			req.Matrix = laplaceSpec()
+			// Forward recovery under the same chaos load.
+			req.Solver, req.Forward = "pcg", true
 		case 5:
 			req.Solver, req.Scheme = "bicgstab", "twolevel"
 		case 6:
@@ -337,18 +336,14 @@ func TestValidation(t *testing.T) {
 	}{
 		{"unknown solver", Request{Solver: "sor", Matrix: laplaceSpec()}},
 		{"unknown scheme", Request{Scheme: "triple", Matrix: laplaceSpec()}},
-		{"unknown engine", Request{Engine: "gpu", Matrix: laplaceSpec()}},
-		{"serial twolevel cr", Request{Solver: "cr", Scheme: "twolevel", Matrix: laplaceSpec()}},
-		{"ranks out of range", Request{Engine: "par", Ranks: 1000, Matrix: laplaceSpec()}},
+		{"twolevel cr", Request{Solver: "cr", Scheme: "twolevel", Matrix: laplaceSpec()}},
 		{"unknown precond", Request{Precond: "amg", Matrix: laplaceSpec()}},
-		{"precond on par", Request{Engine: "par", Precond: "ilu0", Matrix: laplaceSpec()}},
+		{"precond on cr", Request{Solver: "cr", Precond: "ilu0", Matrix: laplaceSpec()}},
 		{"unknown matrix kind", Request{Matrix: MatrixSpec{Kind: "hilbert", N: 10}}},
 		{"matrix too large", Request{Matrix: MatrixSpec{Kind: "laplace2d", N: 200}}},
 		{"matrix too small", Request{Matrix: MatrixSpec{Kind: "spd", N: 1}}},
 		{"rhs length mismatch", Request{Matrix: laplaceSpec(), RHS: []float64{1, 2, 3}}},
 		{"bad fault site", Request{Matrix: laplaceSpec(), Faults: []FaultSpec{{Site: "gemm"}}}},
-		{"fault rank out of range", Request{Engine: "par", Ranks: 2, Matrix: laplaceSpec(),
-			Faults: []FaultSpec{{Rank: 5}}}},
 		{"too many chaos faults", Request{Matrix: laplaceSpec(), ChaosFaults: 1000}},
 		{"inline triplet mismatch", Request{Matrix: MatrixSpec{Kind: "inline", Size: 2,
 			Rows: []int{0}, Cols: []int{0, 1}, Vals: []float64{1}}}},

@@ -42,8 +42,8 @@ func reportServeInvariants(b *testing.B, s *service.Service) {
 
 // BenchmarkServeSolve measures one job through the full service path —
 // admission, queue, worker, encode, solve, server-side residual
-// verification — across engines and schemes, with one chaos fault per
-// job so the detection machinery is on the measured path.
+// verification — under both schemes, with one chaos fault per job so the
+// detection machinery is on the measured path.
 func BenchmarkServeSolve(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -51,7 +51,6 @@ func BenchmarkServeSolve(b *testing.B) {
 	}{
 		{"pcg-basic", service.Request{Matrix: serveSpec(), ChaosFaults: 1, Seed: benchSeed}},
 		{"pcg-twolevel", service.Request{Matrix: serveSpec(), Scheme: "twolevel", ChaosFaults: 1, Seed: benchSeed}},
-		{"par-pcg", service.Request{Matrix: serveSpec(), Engine: "par", Ranks: 4, ChaosFaults: 1, Seed: benchSeed}},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			s := service.New(serveBenchConfig(1))
@@ -99,28 +98,42 @@ func BenchmarkServeCacheHit(b *testing.B) {
 
 // BenchmarkServeBatch compares k same-operator protected solves offered
 // one at a time against the same k arriving concurrently and coalescing
-// into one multi-RHS block solve. jobs/s is the figure of record: the
-// batched side must amortize the per-iteration matrix traversal and
-// checksum verification across columns and come out ahead.
+// into one multi-RHS block solve. jobs/s is the figure of record. What the
+// batch shares is the per-iteration matrix traversal, so it pays only once
+// the operator no longer sits in cache: the small operator is the smoke arm
+// (it fits in L1/L2, where the two sides tie, and carries the deterministic
+// units under -short); the large one is the regime -batch-window is for,
+// and is where the batched side must come out ahead.
 func BenchmarkServeBatch(b *testing.B) {
+	benchServeBatch(b, service.MatrixSpec{Kind: "laplace2d", N: 20}, 400)
+	if !testing.Short() {
+		b.Run("circuit-40000", func(b *testing.B) {
+			benchServeBatch(b, service.MatrixSpec{Kind: "circuit", N: 40000, Seed: benchSeed}, 40000)
+		})
+	}
+}
+
+func benchServeBatch(b *testing.B, spec service.MatrixSpec, n int) {
 	const k = 8
-	spec := service.MatrixSpec{Kind: "laplace2d", N: 20}
 	rhs := func(col int) []float64 {
-		v := make([]float64, 400)
+		v := make([]float64, n)
 		for i := range v {
 			v[i] = 1 + float64((i*7+col*13)%11)
 		}
 		return v
 	}
+	// Warm the encoding cache so the one-time encode is not amortized over
+	// b.N — B/op must not depend on the iteration count.
+	warm := func(b *testing.B, s *service.Service) {
+		if _, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(0)}); err != nil {
+			b.Fatal(err)
+		}
+	}
 
 	b.Run("sequential", func(b *testing.B) {
 		s := service.New(serveBenchConfig(1))
 		defer s.Close()
-		// Warm the encoding cache so the one-time encode is not amortized
-		// over b.N — B/op must not depend on the iteration count.
-		if _, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(0)}); err != nil {
-			b.Fatal(err)
-		}
+		warm(b, s)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for c := 0; c < k; c++ {
@@ -144,9 +157,7 @@ func BenchmarkServeBatch(b *testing.B) {
 		cfg.MaxBatch = k
 		s := service.New(cfg)
 		defer s.Close()
-		if _, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(0)}); err != nil {
-			b.Fatal(err)
-		}
+		warm(b, s)
 		var batched int64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
