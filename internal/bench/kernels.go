@@ -10,6 +10,7 @@ import (
 	"newsum/internal/checksum"
 	"newsum/internal/kernel"
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // The kernels experiment: workers × n × kernel sweep over the
@@ -56,7 +57,8 @@ func fingerprint(xs []float64) uint64 {
 }
 
 // kernelCases builds the benchmark set for one operator size: SpMV, Dot,
-// fused SpMV+Dot (the PCG hot pair), axpy and norm2 over the 3D Laplacian.
+// the fused SpMV + Eq. (2) update + Dot (the PCG hot sequence), the
+// all-ones verification pair, axpy and norm2 over the 3D Laplacian.
 func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	n := a.Rows
 	enc := checksum.EncodeMatrix(a, checksum.Single, checksum.PracticalD(a))
@@ -64,6 +66,7 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	eta := make([]float64, 1)
 	sOut := make([]float64, 1)
 	etaOut := make([]float64, 1)
+	lv := vec.NewLeaves(1, n)
 	return []kernelCase{
 		{name: "spmv", run: func(p *kernel.Pool) uint64 {
 			p.MulVec(a, y, x)
@@ -75,9 +78,19 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 		{name: "spmv+dot", run: func(p *kernel.Pool) uint64 {
 			// The PCG inner step: q := A·p, then pᵀq, plus the Eq. (2)
 			// checksum update — the single hottest sequence in the repo.
-			p.MulVec(a, y, x)
-			p.UpdateMVMBound(enc, sOut, etaOut, x, su, eta)
-			return math.Float64bits(p.Dot(x, y)) ^ math.Float64bits(sOut[0])
+			// The update's row reduction rides the product's sweep; the
+			// fingerprint covers the product, the folded reduction and the
+			// carried checksum and bound they produce.
+			p.MulVecDotAbs(a, y, x, enc.Rows, lv)
+			lv.Fold()
+			enc.UpdateMVMBoundFrom(sOut, etaOut, lv.Sum, lv.Abs, su, eta)
+			return fingerprint(y[:min(n, 1024)]) ^ math.Float64bits(p.Dot(x, y)) ^
+				math.Float64bits(sOut[0]) ^ math.Float64bits(etaOut[0])<<1
+		}},
+		{name: "sumabs", run: func(p *kernel.Pool) uint64 {
+			// The all-ones verification pair.
+			sum, abs := p.SumAbs(z)
+			return math.Float64bits(sum) ^ math.Float64bits(abs)<<1
 		}},
 		{name: "axpby", run: func(p *kernel.Pool) uint64 {
 			// Overwriting form (dst = αx + βz) so repetitions are

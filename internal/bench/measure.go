@@ -74,7 +74,7 @@ func measureHostCostsOnce(w Workload, sampleIters int) (model.OpCosts, error) {
 		tu = 0
 	}
 
-	// t_d: two O(n) weighted sums (verify x and r).
+	// t_d: two O(n) verification pairs (verify x and r).
 	buf := make([]float64, n)
 	for i := range buf {
 		buf[i] = float64(i%7) * 0.25
@@ -83,8 +83,10 @@ func measureHostCostsOnce(w Workload, sampleIters int) (model.OpCosts, error) {
 	const detReps = 16
 	sink := 0.0
 	for k := 0; k < detReps; k++ {
-		sink += checksum.Ones.Apply(buf)
-		sink += checksum.Ones.Apply(buf)
+		for v := 0; v < 2; v++ {
+			sum, abs := checksum.Ones.ApplyAbs(buf)
+			sink += sum + abs
+		}
 	}
 	td := time.Since(start).Seconds() / detReps
 	_ = sink

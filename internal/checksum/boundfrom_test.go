@@ -9,10 +9,12 @@ import (
 	"newsum/internal/vec"
 )
 
-// The *From variants exist so internal/kernel can feed pool-computed row
-// reductions through the exact bound formulas the serial path uses. The
-// contract: given rowSum/rowAbs equal to vec.DotAbs on each encoded row,
-// the From form is bitwise-identical to the direct form — value AND η.
+// The *From variants exist so the fused kernels can feed row reductions
+// taken inside another sweep through the exact bound formulas the serial
+// path uses. The contract: given rowSum/rowAbs equal to vec.DotAbs on each
+// encoded row, the From form is bitwise-identical to the direct form —
+// value AND η — also when it runs in place (dst = su, etaDst = etaSrc), as
+// the engine's stage chain runs it.
 func TestUpdateBoundFromMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := sparse.Laplacian2D(9, 9)
@@ -50,7 +52,18 @@ func TestUpdateBoundFromMatchesDirect(t *testing.T) {
 		got := make([]float64, nw)
 		gotEta := make([]float64, nw)
 		tc.from(got, gotEta)
+		inPlace := append([]float64(nil), su...)
+		inPlaceEta := append([]float64(nil), eta...)
+		saveSu, saveEta := su, eta
+		su, eta = inPlace, inPlaceEta
+		tc.from(inPlace, inPlaceEta)
+		su, eta = saveSu, saveEta
 		for k := range want {
+			if math.Float64bits(inPlace[k]) != math.Float64bits(want[k]) ||
+				math.Float64bits(inPlaceEta[k]) != math.Float64bits(wantEta[k]) {
+				t.Errorf("%s weight %d: in place (%x, %x), direct (%x, %x)", tc.name, k,
+					inPlace[k], inPlaceEta[k], want[k], wantEta[k])
+			}
 			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
 				t.Errorf("%s weight %d: From %x, direct %x", tc.name, k,
 					math.Float64bits(got[k]), math.Float64bits(want[k]))

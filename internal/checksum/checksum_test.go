@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 func randVec(rng *rand.Rand, n int) []float64 {
@@ -332,5 +333,29 @@ func TestUpdateLinearityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOnesFastPathIsBitwise: Apply and ApplyAbs skip the per-element weight
+// call for c1, and nothing downstream can tell — the sums are the closure
+// path's, bit for bit, while a shifted or renamed weight keeps the closure.
+func TestOnesFastPathIsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range []int{0, 1, 127, 128, 129, 4097, 10000} {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = (rng.Float64() - 0.5) * math.Exp2(float64(rng.Intn(40)-20))
+		}
+		if got, want := Ones.Apply(x), vec.WeightedSum(x, Ones.At); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: Apply = %x, closure path %x", n, got, want)
+		}
+		gs, ga := Ones.ApplyAbs(x)
+		ws, wa := vec.WeightedSumAbs(x, Ones.At)
+		if math.Float64bits(gs) != math.Float64bits(ws) || math.Float64bits(ga) != math.Float64bits(wa) {
+			t.Fatalf("n=%d: ApplyAbs = (%x, %x), closure path (%x, %x)", n, gs, ga, ws, wa)
+		}
+	}
+	if !Ones.IsOnes() || Linear.IsOnes() || Harmonic.IsOnes() || ShiftWeight(Ones, 3).IsOnes() {
+		t.Fatal("IsOnes must single out c1 itself")
 	}
 }

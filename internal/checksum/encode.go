@@ -187,18 +187,22 @@ func (m *Matrix) UpdateMVMBound(dst, etaDst []float64, u []float64, su, etaSrc [
 // (Rows[k]·u, Σ|Rows[k]_i·u_i|) into the Eq. (2) update and its η bound.
 // The accumulation-depth term uses the blocked pairwise bound
 // (Block + ⌈log₂ blocks⌉)·ε rather than n·ε: vec's reductions guarantee it.
+//
+// The bound is written before the checksum so that dst may be su and etaDst
+// etaSrc: a stage chain carries its checksums through in place.
 func (m *Matrix) foldMVMBound(k int, dst, etaDst []float64, s, abs float64, su, etaSrc []float64) {
-	dst[k] = s + m.D*su[k]
 	etaDst[k] = math.Abs(m.D)*etaSrc[k] + ReduceEps(m.N)*(abs+math.Abs(m.D*su[k]))
+	dst[k] = s + m.D*su[k]
 }
 
 // UpdateMVMBoundFrom is UpdateMVMBound with the O(n) row reductions already
 // in hand — rowSum[k] and rowAbs[k] must be exactly vec.DotAbs(Rows[k], u).
-// internal/kernel computes them with its worker pool (bitwise-identical to
-// the serial reduction by the vec block-tree contract) and feeds them
-// through the same bound formulas here.
+// The fused kernels (kernel.MulVecDotAbs, precond.Stage.ApplyDotAbs) take
+// them inside the sweep that streams u anyway, bitwise-identical to the
+// separate reduction by the vec block-tree contract, and feed them through
+// the same bound formulas here. dst may be su and etaDst etaSrc.
 //
-//hot:loop Eq. (2) update fed by pooled kernels on the protected solve path
+//hot:loop Eq. (2) update fed by fused kernels on the protected solve path
 func (m *Matrix) UpdateMVMBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []float64) {
 	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) ||
 		len(etaDst) != len(m.Weights) || len(etaSrc) != len(m.Weights) ||
@@ -229,16 +233,18 @@ func (m *Matrix) UpdatePCOBound(dst, etaDst []float64, w []float64, su, etaSrc [
 }
 
 // foldPCOBound folds one weight's precomputed row reduction into the
-// Eq. (4) update and its η bound.
+// Eq. (4) update and its η bound — bound first, as in foldMVMBound, so the
+// update may run in place.
 func (m *Matrix) foldPCOBound(k int, dst, etaDst []float64, s, abs float64, su, etaSrc []float64) {
-	dst[k] = (su[k] - s) / m.D
 	etaDst[k] = (etaSrc[k] + ReduceEps(m.N)*(abs+math.Abs(su[k]))) / math.Abs(m.D)
+	dst[k] = (su[k] - s) / m.D
 }
 
 // UpdatePCOBoundFrom is UpdatePCOBound with the row reductions precomputed;
-// rowSum[k] and rowAbs[k] must be exactly vec.DotAbs(Rows[k], w).
+// rowSum[k] and rowAbs[k] must be exactly vec.DotAbs(Rows[k], w). dst may be
+// su and etaDst etaSrc.
 //
-//hot:loop Eq. (4) update fed by pooled kernels on the protected solve path
+//hot:loop Eq. (4) update fed by fused kernels on the protected solve path
 func (m *Matrix) UpdatePCOBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []float64) {
 	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) ||
 		len(etaDst) != len(m.Weights) || len(etaSrc) != len(m.Weights) ||

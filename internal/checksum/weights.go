@@ -28,6 +28,12 @@ type Weight struct {
 // Ones is c1 = (1, 1, ..., 1)ᵀ, the plain-sum checksum.
 var Ones = Weight{Name: "ones", At: func(int) float64 { return 1 }}
 
+// IsOnes reports whether w is c1. Its weighted sums are plain sums — 1·x_i
+// is exact, so Σx_i and Σ|x_i| are bitwise cᵀx and Σ|c_i·x_i| — which lets
+// every verifier (Apply and ApplyAbs here, the engines in internal/core and
+// internal/par) skip the call per element on its hottest reduction.
+func (w Weight) IsOnes() bool { return w.Name == Ones.Name }
+
 // Linear is c2 = (1, 2, ..., n)ᵀ, the position-weighted checksum used to
 // locate single errors (§5.2).
 var Linear = Weight{Name: "linear", At: func(i int) float64 { return float64(i + 1) }}
@@ -54,12 +60,18 @@ var Triple = []Weight{Ones, Linear, Harmonic}
 // carried checksum has O((Block + log n)·ε) round-off instead of O(n·ε) —
 // the near-τ band stays clear of accumulation noise at large n.
 func (w Weight) Apply(x []float64) float64 {
+	if w.IsOnes() {
+		return vec.Sum(x)
+	}
 	return vec.WeightedSum(x, w.At)
 }
 
 // ApplyAbs returns cᵀx and Σ|c_i·x_i| in one blocked pairwise pass — the
 // (measured sum, round-off scale) pair every verification needs.
 func (w Weight) ApplyAbs(x []float64) (sum, abs float64) {
+	if w.IsOnes() {
+		return vec.SumAbs(x)
+	}
 	return vec.WeightedSumAbs(x, w.At)
 }
 

@@ -66,11 +66,19 @@ type engine struct {
 	// through every operation (see Options.EagerTriple).
 	encDiag *checksum.Traditional
 
-	// scratch ping-pong buffers for multi-stage preconditioner
-	// applications, plus matching checksum and round-off-bound slots.
-	scratch    [2][]float64
-	scratchS   [2][]float64
-	scratchEta [2][]float64
+	// onesFirst records, once, that weights[0] is the all-ones weight, whose
+	// verification pair is a plain (Σ, Σ|·|) with no call per element.
+	onesFirst bool
+
+	// lv is the leaf workspace of the row reductions the fused MVM and PCO
+	// kernels take inside their own sweeps; its folded Sum/Abs feed the
+	// Eq. (2)/(4) updates.
+	lv *vec.Leaves
+
+	// scratch receives the output of a multiply stage of the
+	// preconditioner, the one stage kind that cannot run in place; nil when
+	// every stage is a solve.
+	scratch []float64
 
 	// enc is the caller-supplied precomputed encoding, when one was passed
 	// through Options.Encoding; nil means encA/encDiag were derived here.
@@ -105,6 +113,7 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 	if len(weights) == 0 {
 		return e
 	}
+	e.onesFirst = weights[0].IsOnes()
 	e.perOp = 1
 	e.eager = opts.EagerDetection
 	var d float64
@@ -129,13 +138,12 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 		e.encStg = make([]*checksum.Matrix, len(e.stages))
 		for i, st := range e.stages {
 			e.encStg[i] = checksum.EncodeMatrix(st.M, weights, d)
+			if st.Op == precond.StageMul && e.scratch == nil {
+				e.scratch = make([]float64, e.n)
+			}
 		}
 	}
-	for i := range e.scratch {
-		e.scratch[i] = make([]float64, e.n)
-		e.scratchS[i] = make([]float64, len(weights))
-		e.scratchEta[i] = make([]float64, len(weights))
-	}
+	e.lv = vec.NewLeaves(len(weights), e.n)
 	return e
 }
 
@@ -175,8 +183,15 @@ func (e *engine) recompute(v *tracked) {
 }
 
 // sums returns cᵀv and Σ|c_i·v_i| for weight k in one blocked pairwise
-// pass on the pool.
+// pass on the pool. The all-ones weight's pair is Σv_i, Σ|v_i| — 1·v_i is
+// exact, so bitwise the weighted pair — taken by the leaf that makes no
+// call per element.
+//
+//hot:loop verification reduction on the protected solve path
 func (e *engine) sums(v *tracked, k int) (sum, absSum float64) {
+	if k == 0 && e.onesFirst {
+		return e.pool.SumAbs(v.data)
+	}
 	return e.pool.WeightedSumAbs(v.data, e.weights[k].At)
 }
 
@@ -252,11 +267,18 @@ func (e *engine) verify(v *tracked) bool {
 // faults corrupt the value the multiplication consumes but not the stored
 // vector; arithmetic faults strike the output.
 //
+// The update's row reductions checksum(A)·src ride the product's own sweep
+// (kernel.MulVecDotAbs): they read src as the product reads it, struck by
+// a memory fault or not, and an output fault touches dst alone, so carried
+// checksums and verdicts are what a separate pass over src would give.
+//
 //hot:loop instrumented MVM on the solve path
 //hot:protected dst src
 func (e *engine) mvm(iter int, dst, src *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteMVM, src.data)
-	if restore := e.inj.CacheWindow(iter, fault.SiteMVM, src.data); restore != nil {
+	restore := e.inj.CacheWindow(iter, fault.SiteMVM, src.data)
+	switch {
+	case restore != nil:
 		// Model the paper's cache-eviction scenario (§2): the corrupted
 		// cached value is consumed by a subset of rows (here the even
 		// ones), then the line is evicted and the remaining rows reload
@@ -264,19 +286,29 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 		// error, which is what Lemma 2 case 3 analyses — and it defeats
 		// structural cancellations such as the zero column sums of graph
 		// Laplacians, which would hide an error consumed by every row.
+		// The input is transient, so the update must read it afterwards,
+		// from memory: mvmUpdate's separate pass.
 		e.a.MulVecStride(dst.data, src.data, 0, 2)
 		restore()
 		e.a.MulVecStride(dst.data, src.data, 1, 2)
-	} else {
+		e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
+		e.mvmUpdate(iter, dst, src)
+	case e.encA == nil: // no checksums carried: the plain product
 		e.pool.MulVec(e.a, dst.data, src.data)
+		e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
+	default:
+		e.pool.MulVecDotAbs(e.a, dst.data, src.data, e.encA.Rows, e.lv)
+		e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
+		e.lv.Fold()
+		e.mvmCarry(iter, dst, src)
 	}
-	e.inj.InjectOutput(iter, fault.SiteMVM, dst.data)
-	e.mvmUpdate(iter, dst, src)
 }
 
 // mvmUpdate carries the checksums through an MVM whose product is already
-// in dst — the second half of mvm, and all the block backend needs after
-// the shared traversal wrote the product.
+// in dst, reading src from memory after the operation (and after any
+// fault) — the ordering Lemma 2's proof analyses. It is what the cache-fault
+// branch of mvm needs, and all the block backend needs after the shared
+// traversal wrote the product.
 //
 //hot:loop Eq. (2) update on the solve path
 //hot:protected dst src
@@ -284,9 +316,19 @@ func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 	if e.encA == nil { // no checksums carried: nothing to update or to strike
 		return
 	}
-	// The update runs after the operation (and after any fault), reading
-	// src from memory — the ordering Lemma 2's proof analyses.
-	e.pool.UpdateMVMBound(e.encA, dst.s, dst.eta, src.data, src.s, src.eta)
+	for k, row := range e.encA.Rows {
+		e.lv.Sum[k], e.lv.Abs[k] = e.pool.DotAbs(row, src.data)
+	}
+	e.mvmCarry(iter, dst, src)
+}
+
+// mvmCarry carries dst's checksums through Eq. (2) from the row reductions
+// in e.lv.Sum / e.lv.Abs and closes the instrumented MVM.
+//
+//hot:loop Eq. (2) update on the solve path
+//hot:protected dst src
+func (e *engine) mvmCarry(iter int, dst, src *tracked) {
+	e.encA.UpdateMVMBoundFrom(dst.s, dst.eta, e.lv.Sum, e.lv.Abs, src.s, src.eta)
 	e.stats.ChecksumUpdates++
 	// A flip in the checksum accumulator itself (ModelChecksum): the data
 	// stays clean, the carried relationship breaks, and the inconsistency
@@ -340,25 +382,34 @@ func (e *engine) pco(iter int, dst, src *tracked) error {
 		e.inj.InjectOutput(iter, fault.SitePCO, dst.data)
 		return nil
 	}
+	// Every stage writes straight into dst — a solve may run in place, and
+	// the Eq. (2)/(4) folds carry the checksums in place — with the stage's
+	// row reductions taken inside its own sweep. Only a multiply needs its
+	// operand intact, so one fed from dst writes to the scratch instead.
 	in, inS, inEta := src.data, src.s, src.eta
 	for k, st := range e.stages {
-		out, outS, outEta := e.scratch[k%2], e.scratchS[k%2], e.scratchEta[k%2]
-		if err := st.Apply(out, in); err != nil {
+		out := dst.data
+		if st.Op == precond.StageMul && &in[0] == &out[0] {
+			out = e.scratch
+		}
+		enc := e.encStg[k]
+		if err := st.ApplyDotAbs(out, in, enc.Rows, e.lv); err != nil {
 			//hot:cold preconditioner failure aborts the solve
 			return fmt.Errorf("core: PCO stage %d: %w", k, err)
 		}
+		e.lv.Fold()
 		switch st.Op {
 		case precond.StageSolve:
-			e.pool.UpdatePCOBound(e.encStg[k], outS, outEta, out, inS, inEta)
+			enc.UpdatePCOBoundFrom(dst.s, dst.eta, e.lv.Sum, e.lv.Abs, inS, inEta)
 		case precond.StageMul:
-			e.pool.UpdateMVMBound(e.encStg[k], outS, outEta, in, inS, inEta)
+			enc.UpdateMVMBoundFrom(dst.s, dst.eta, e.lv.Sum, e.lv.Abs, inS, inEta)
 		}
 		e.stats.ChecksumUpdates++
-		in, inS, inEta = out, outS, outEta
+		in, inS, inEta = out, dst.s, dst.eta
 	}
-	copy(dst.data, in)
-	copy(dst.s, inS)
-	copy(dst.eta, inEta)
+	if &in[0] != &dst.data[0] {
+		copy(dst.data, in)
+	}
 	e.inj.InjectOutput(iter, fault.SitePCO, dst.data)
 	e.eagerCheck(dst)
 	return nil

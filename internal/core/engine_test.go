@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"newsum/internal/checksum"
+	"newsum/internal/kernel"
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
 )
@@ -231,5 +232,103 @@ func TestEngineDScalarOverride(t *testing.T) {
 	e := newEngine(a, nil, checksum.Single, &opts, &stats)
 	if e.encA.D != 8 {
 		t.Fatalf("DScalar override ignored: %v", e.encA.D)
+	}
+}
+
+// TestEngineFusedOpsMatchStagewiseReference: mvm and pco take their
+// checksum row reductions inside the product's and the stages' own sweeps
+// and carry the stage chain through dst in place. Output, carried checksums
+// and η bounds must nevertheless be, bit for bit, what the unfused sequence
+// gives — Apply into a fresh buffer, then UpdatePCOBound / UpdateMVMBound
+// over it — for solve-only chains (which run entirely in dst) and for
+// SSOR's solve·multiply·solve chain (whose multiply detours through the
+// one scratch), with one and three weights, serial and pooled.
+func TestEngineFusedOpsMatchStagewiseReference(t *testing.T) {
+	a := sparse.Laplacian2D(70, 70) // n = 4900: above the pool's serial cutover
+	n := a.Rows
+	bj, err := precond.BlockJacobiILU0(a, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := precond.IC0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jac, err := precond.Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssor, err := precond.SSOR(a, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := math.Float64bits
+	for _, m := range []precond.Preconditioner{bj, ic, jac, ssor} {
+		for _, weights := range [][]checksum.Weight{checksum.Single, checksum.Triple} {
+			for _, workers := range []int{1, 3} {
+				pool := kernel.NewPool(workers)
+				var stats Stats
+				opts := Options{Pool: pool}
+				opts.normalize()
+				e := newEngine(a, m, weights, &opts, &stats)
+				src := e.newTracked("src")
+				fillTracked(src, func(i int) float64 { return math.Sin(float64(3*i)) * math.Exp2(float64(i%30-15)) })
+				e.recompute(src)
+				for k := range src.eta {
+					src.eta[k] = 1e-17 * float64(k+1)
+				}
+
+				// MVM against MulVec + UpdateMVMBound.
+				dst := e.newTracked("dst")
+				e.mvm(0, dst, src)
+				want := make([]float64, n)
+				a.MulVec(want, src.data)
+				wantS, wantEta := make([]float64, len(weights)), make([]float64, len(weights))
+				e.encA.UpdateMVMBound(wantS, wantEta, src.data, src.s, src.eta)
+				check := func(what string, got *tracked, data, s, eta []float64) {
+					t.Helper()
+					for i := range data {
+						if bits(got.data[i]) != bits(data[i]) {
+							t.Fatalf("%s %s k=%d workers=%d: data[%d] = %x, reference %x", m.Name(), what, len(weights), workers, i, got.data[i], data[i])
+						}
+					}
+					for k := range s {
+						if bits(got.s[k]) != bits(s[k]) || bits(got.eta[k]) != bits(eta[k]) {
+							t.Fatalf("%s %s k=%d workers=%d: slot %d = (%x, %x), reference (%x, %x)",
+								m.Name(), what, len(weights), workers, k, got.s[k], got.eta[k], s[k], eta[k])
+						}
+					}
+				}
+				check("mvm", dst, want, wantS, wantEta)
+
+				// PCO against the stage-by-stage chain through fresh buffers.
+				if err := e.pco(0, dst, src); err != nil {
+					t.Fatal(err)
+				}
+				in, inS, inEta := src.data, src.s, src.eta
+				for k, st := range e.stages {
+					out := make([]float64, n)
+					if err := st.Apply(out, in); err != nil {
+						t.Fatal(err)
+					}
+					outS, outEta := make([]float64, len(weights)), make([]float64, len(weights))
+					switch st.Op {
+					case precond.StageSolve:
+						e.encStg[k].UpdatePCOBound(outS, outEta, out, inS, inEta)
+					case precond.StageMul:
+						e.encStg[k].UpdateMVMBound(outS, outEta, in, inS, inEta)
+					}
+					in, inS, inEta = out, outS, outEta
+				}
+				check("pco", dst, in, inS, inEta)
+				if got, want := stats.ChecksumUpdates, 1+len(e.stages); got != want {
+					t.Fatalf("%s: %d checksum updates counted, want %d", m.Name(), got, want)
+				}
+				if hasMul := m == ssor; (e.scratch != nil) != hasMul {
+					t.Fatalf("%s: scratch allocated = %v, want %v", m.Name(), e.scratch != nil, hasMul)
+				}
+				pool.Close()
+			}
+		}
 	}
 }

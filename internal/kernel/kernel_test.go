@@ -53,7 +53,11 @@ func TestReductionsBitwiseAcrossWorkers(t *testing.T) {
 			wantW := vec.WeightedSum(u, wfn)
 			wantWS, wantWA := vec.WeightedSumAbs(u, wfn)
 			wantN := vec.Norm2(u)
+			wantOS, wantOA := vec.WeightedSumAbs(u, checksum.Ones.At)
 			for run := 0; run < 3; run++ {
+				if gs, ga := p.SumAbs(u); !bitEq(gs, wantOS) || !bitEq(ga, wantOA) {
+					t.Fatalf("workers=%d n=%d run=%d: SumAbs = (%x, %x), ones-weighted (%x, %x)", workers, n, run, gs, ga, wantOS, wantOA)
+				}
 				if got := p.Dot(u, v); !bitEq(got, wantDot) {
 					t.Fatalf("workers=%d n=%d run=%d: Dot = %x, serial %x", workers, n, run, got, wantDot)
 				}
@@ -142,8 +146,9 @@ func TestMulVecBitwise(t *testing.T) {
 }
 
 // TestNnzBounds checks the partition invariants: monotone boundaries
-// covering [0, Rows], and no part holding more than its fair share of
-// nonzeros plus one row's worth.
+// covering [0, Rows], every interior one on a reduction-leaf boundary, and
+// no part holding more than its fair share of nonzeros plus one leaf's
+// worth of rows.
 func TestNnzBounds(t *testing.T) {
 	a := sparse.Laplacian3D(12, 12, 12)
 	for _, workers := range []int{2, 4, 7} {
@@ -158,10 +163,13 @@ func TestNnzBounds(t *testing.T) {
 				maxRow = w
 			}
 		}
-		fair := a.NNZ()/workers + maxRow
+		fair := a.NNZ()/workers + vec.Block*maxRow
 		for i := 0; i < workers; i++ {
 			if b[i] > b[i+1] {
 				t.Fatalf("workers=%d: bounds not monotone: %v", workers, b)
+			}
+			if b[i]%vec.Block != 0 {
+				t.Fatalf("workers=%d: boundary %d splits a leaf: %v", workers, b[i], b)
 			}
 			if got := a.RowPtr[b[i+1]] - a.RowPtr[b[i]]; got > fair {
 				t.Fatalf("workers=%d part %d: %d nnz > fair share %d", workers, i, got, fair)
@@ -275,39 +283,53 @@ func TestFusedVLOChecksums(t *testing.T) {
 	}
 }
 
-// TestUpdateBoundsBitwise checks the parallel MVM/PCO checksum updates
-// reproduce the serial checksum.Matrix methods bitwise.
-func TestUpdateBoundsBitwise(t *testing.T) {
-	a := sparse.Laplacian2D(70, 70) // n = 4900 > minParallel
-	weights := checksum.Triple
-	enc := checksum.EncodeMatrix(a, weights, checksum.PracticalD(a))
+// TestMulVecDotAbsBitwise: the fused SpMV's product is MulVec's and its
+// row reductions — and with them the Eq. (2) checksum and bound they feed —
+// are vec.DotAbs's, bit for bit, on the serial pool and on 2, 3 and 8
+// workers (3 and 8 leave partition boundaries that only the block-aligned
+// split keeps off the middle of a leaf), at sizes straddling the leaf
+// boundary and the serial cutover, with one and three weight rows.
+func TestMulVecDotAbsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	u := randVec(rng, a.Rows)
-	su := checksum.Checksums(u, weights)
-	etaSrc := []float64{1e-17, 1e-17, 1e-17}
-
-	wantS := make([]float64, len(weights))
-	wantEta := make([]float64, len(weights))
-	enc.UpdateMVMBound(wantS, wantEta, u, su, etaSrc)
-	wantPS := make([]float64, len(weights))
-	wantPEta := make([]float64, len(weights))
-	enc.UpdatePCOBound(wantPS, wantPEta, u, su, etaSrc)
-
-	for _, workers := range workerCounts {
-		p := poolFor(t, workers)
-		gotS := make([]float64, len(weights))
-		gotEta := make([]float64, len(weights))
-		p.UpdateMVMBound(enc, gotS, gotEta, u, su, etaSrc)
-		for k := range gotS {
-			if !bitEq(gotS[k], wantS[k]) || !bitEq(gotEta[k], wantEta[k]) {
-				t.Fatalf("workers=%d: UpdateMVMBound slot %d = (%x,%x), serial (%x,%x)",
-					workers, k, gotS[k], gotEta[k], wantS[k], wantEta[k])
-			}
-		}
-		p.UpdatePCOBound(enc, gotS, gotEta, u, su, etaSrc)
-		for k := range gotS {
-			if !bitEq(gotS[k], wantPS[k]) || !bitEq(gotEta[k], wantPEta[k]) {
-				t.Fatalf("workers=%d: UpdatePCOBound slot %d mismatch", workers, k)
+	for _, n := range []int{1, 127, 128, 129, 4095, 4096, 4097, 10000} {
+		a := sparse.DiagDominant(n, 5, int64(n))
+		x := randVec(rng, n)
+		wantY := make([]float64, n)
+		a.MulVec(wantY, x)
+		for _, weights := range [][]checksum.Weight{checksum.Single, checksum.Triple} {
+			enc := checksum.EncodeMatrix(a, weights, checksum.PracticalD(a))
+			su := checksum.Checksums(x, weights)
+			etaSrc := []float64{1e-17, 1e-17, 1e-17}[:len(weights)]
+			wantS := make([]float64, len(weights))
+			wantEta := make([]float64, len(weights))
+			enc.UpdateMVMBound(wantS, wantEta, x, su, etaSrc)
+			for _, workers := range []int{1, 2, 3, 8} {
+				p := poolFor(t, workers)
+				lv := vec.NewLeaves(len(weights), n)
+				y := make([]float64, n)
+				for run := 0; run < 2; run++ {
+					p.MulVecDotAbs(a, y, x, enc.Rows, lv)
+					lv.Fold()
+					for i := range y {
+						if !bitEq(y[i], wantY[i]) {
+							t.Fatalf("n=%d workers=%d run=%d: row %d = %x, MulVec %x", n, workers, run, i, y[i], wantY[i])
+						}
+					}
+					gotS := make([]float64, len(weights))
+					gotEta := make([]float64, len(weights))
+					enc.UpdateMVMBoundFrom(gotS, gotEta, lv.Sum, lv.Abs, su, etaSrc)
+					for k, row := range enc.Rows {
+						ws, wa := vec.DotAbs(row, x)
+						if !bitEq(lv.Sum[k], ws) || !bitEq(lv.Abs[k], wa) {
+							t.Fatalf("n=%d workers=%d run=%d row %d: reductions (%x, %x), DotAbs (%x, %x)",
+								n, workers, run, k, lv.Sum[k], lv.Abs[k], ws, wa)
+						}
+						if !bitEq(gotS[k], wantS[k]) || !bitEq(gotEta[k], wantEta[k]) {
+							t.Fatalf("n=%d workers=%d run=%d slot %d: carried (%x, %x), UpdateMVMBound (%x, %x)",
+								n, workers, run, k, gotS[k], gotEta[k], wantS[k], wantEta[k])
+						}
+					}
+				}
 			}
 		}
 	}

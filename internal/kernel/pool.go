@@ -1,8 +1,9 @@
 // Package kernel is the shared-memory parallel kernel layer behind the
 // repo's hot paths: sparse matrix–vector products, the blocked pairwise
-// reductions (dot, sum, weighted checksum sums, norms) and the fused
-// VLO/MVM/PCO checksum-update kernels the serial engine in internal/core
-// iterates over.
+// reductions (dot, sum, weighted checksum sums, norms), the fused VLO +
+// Eq. (3) update kernels and the SpMV that takes the Eq. (2) row
+// reductions inside its own sweep — what the serial engine in
+// internal/core iterates over.
 //
 // Determinism contract. Every kernel produces a result bitwise-identical
 // to its serial counterpart in internal/vec, internal/sparse and
@@ -13,7 +14,9 @@
 // Workers fill disjoint ranges of per-block leaf partials; a single
 // combiner (vec.PairwiseSum / vec.PairwiseNorm2) then folds the leaves
 // with exactly the serial tree. SpMV and the element-wise VLOs write
-// disjoint output elements, so their results are trivially order-free.
+// disjoint output elements, so their results are trivially order-free;
+// the fused SpMV's row ranges are cut on leaf boundaries, so the
+// reduction leaves it fills on the side are disjoint too.
 // ABFT relies on this: a recomputed checksum is compared against a
 // carried one under a round-off threshold, and a reduction whose value
 // depended on scheduling would smear that comparison band.
@@ -57,6 +60,7 @@ const (
 	opDot
 	opDotAbs
 	opSum
+	opSumAbs
 	opWeightedSum
 	opWeightedSumAbs
 	opNorm2
@@ -67,6 +71,8 @@ const (
 	opScale
 	// sparse matrix–vector product over nnz-balanced row ranges.
 	opMulVec
+	// the same product with the Eq. (2) row-reduction leaves filled inside it.
+	opMulVecDotAbs
 	// multi-RHS SpMV over the same row ranges: one traversal, k columns.
 	opMulVecBlock
 )
@@ -85,6 +91,8 @@ type op struct {
 	w           func(i int) float64
 	a           *sparse.CSR
 	dsts, xss   [][]float64
+	rows        [][]float64
+	lv          *vec.Leaves
 }
 
 // Pool is a persistent worker pool. NewPool(w) spawns w−1 helper
@@ -109,7 +117,6 @@ type Pool struct {
 	// demand, reused across calls. One solve at a time — see package doc.
 	buf1, buf2 []float64
 	bounds     []int
-	wsum, wabs []float64
 }
 
 // NewPool returns a pool with the given total worker count (the caller
@@ -201,6 +208,11 @@ func (p *Pool) execPart(part int) {
 		for b := lo; b < hi; b++ {
 			o.out1[b] = vec.SumBlock(o.x, b)
 		}
+	case opSumAbs:
+		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
+		for b := lo; b < hi; b++ {
+			o.out1[b], o.out2[b] = vec.SumAbsBlock(o.x, b)
+		}
 	case opWeightedSum:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
 		for b := lo; b < hi; b++ {
@@ -242,6 +254,8 @@ func (p *Pool) execPart(part int) {
 		}
 	case opMulVec:
 		o.a.MulVecRange(o.dst, o.x, p.bounds[part], p.bounds[part+1])
+	case opMulVecDotAbs:
+		o.a.MulVecDotAbs(o.dst, o.x, o.rows, o.lv, p.bounds[part], p.bounds[part+1])
 	case opMulVecBlock:
 		mulVecBlockRange(o.a, o.dsts, o.xss, p.bounds[part], p.bounds[part+1])
 	}
@@ -264,14 +278,4 @@ func (p *Pool) grow2(n int) ([]float64, []float64) {
 		p.buf2 = make([]float64, n)
 	}
 	return p.buf1[:n], p.buf2[:n]
-}
-
-// growW returns two length-k scratch slices for per-weight row
-// reductions (k is the checksum weight count, typically 1–3).
-func (p *Pool) growW(k int) ([]float64, []float64) {
-	if cap(p.wsum) < k {
-		p.wsum = make([]float64, k)
-		p.wabs = make([]float64, k)
-	}
-	return p.wsum[:k], p.wabs[:k]
 }

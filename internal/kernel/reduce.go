@@ -58,6 +58,22 @@ func (p *Pool) Sum(u []float64) float64 {
 	return vec.PairwiseSum(part)
 }
 
+// SumAbs returns Σu_i and Σ|u_i| — the verification pair of the all-ones
+// checksum — bitwise-equal to vec.SumAbs, and so to WeightedSumAbs with a
+// weight that is 1 everywhere.
+//
+//hot:loop verification kernel on the protected solve path
+func (p *Pool) SumAbs(u []float64) (sum, abs float64) {
+	if p == nil || len(u) < minParallel {
+		return vec.SumAbs(u)
+	}
+	nb := vec.Blocks(len(u))
+	sums, abss := p.grow2(nb)
+	p.op = op{kind: opSumAbs, nb: nb, x: u, out1: sums, out2: abss}
+	p.launch()
+	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
+}
+
 // WeightedSum returns Σ w(i)·u_i, bitwise-equal to vec.WeightedSum.
 //
 //hot:loop reduction kernel on the protected solve path

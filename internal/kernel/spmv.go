@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // MulVec computes y := A·x, bitwise-equal to a.MulVec: each output row is
@@ -26,12 +27,36 @@ func (p *Pool) MulVec(a *sparse.CSR, y, x []float64) {
 	p.launch()
 }
 
+// MulVecDotAbs computes y := A·x for a square matrix and, inside the same
+// sweep, fills lv's leaves of rows[j]·x and Σ|rows[j]_i·x_i| — the row
+// reductions of the Eq. (2) checksum update, which the caller folds. The
+// product is bitwise MulVec's and the folded reductions are bitwise
+// vec.DotAbs's at any worker count: each worker fills the leaves of the
+// blocks its row range covers, and nnzBounds keeps every boundary on a leaf
+// boundary, so no leaf is split.
+//
+//hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
+func (p *Pool) MulVecDotAbs(a *sparse.CSR, y, x []float64, rows [][]float64, lv *vec.Leaves) {
+	if len(x) != a.Cols || len(y) != a.Rows {
+		panic("kernel: dimension mismatch in MulVecDotAbs")
+	}
+	if p == nil || a.NNZ() < minParallel {
+		a.MulVecDotAbs(y, x, rows, lv, 0, a.Rows)
+		return
+	}
+	p.nnzBounds(a)
+	p.op = op{kind: opMulVecDotAbs, a: a, dst: y, x: x, rows: rows, lv: lv}
+	p.launch()
+}
+
 // nnzBounds fills p.bounds with workers+1 row boundaries splitting a's
-// rows into contiguous ranges of near-equal nonzero count. RowPtr is
-// sorted, so each boundary is one binary search — O(workers·log rows)
-// per call, negligible next to the O(nnz) product, which is why the
-// bounds are recomputed per call instead of cached against a matrix
-// identity. execPart reads the boundaries from p.bounds.
+// rows into contiguous ranges of near-equal nonzero count, each interior
+// boundary rounded down to a multiple of vec.Block so a fused kernel's
+// reduction leaves never straddle two workers. RowPtr is sorted, so each
+// boundary is one binary search — O(workers·log rows) per call, negligible
+// next to the O(nnz) product, which is why the bounds are recomputed per
+// call instead of cached against a matrix identity. execPart reads the
+// boundaries from p.bounds.
 //
 //hot:loop SpMV partitioner on the protected solve path
 func (p *Pool) nnzBounds(a *sparse.CSR) []int {
@@ -43,6 +68,7 @@ func (p *Pool) nnzBounds(a *sparse.CSR) []int {
 	nnz := a.NNZ()
 	for i := 1; i < p.workers; i++ {
 		j := sort.SearchInts(a.RowPtr, nnz/p.workers*i)
+		j -= j % vec.Block
 		if j < b[i-1] {
 			j = b[i-1]
 		}

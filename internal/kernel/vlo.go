@@ -98,37 +98,3 @@ func (p *Pool) XpbyVLO(dst, x []float64, beta float64, y []float64,
 	p.Xpby(dst, x, beta, y)
 	checksum.UpdateVLOAxpbyBound(sDst, etaDst, 1, sx, etaX, beta, sy, etaY)
 }
-
-// UpdateMVMBound is the parallel form of (*checksum.Matrix).UpdateMVMBound:
-// the O(n) dense row reductions run on the pool (bitwise-equal to
-// vec.DotAbs by the reduction contract) and feed the serial Eq. (2) fold
-// via UpdateMVMBoundFrom.
-//
-//hot:loop Eq. (2) checksum-update kernel on the protected solve path
-func (p *Pool) UpdateMVMBound(m *checksum.Matrix, dst, etaDst, u, su, etaSrc []float64) {
-	if p == nil {
-		m.UpdateMVMBound(dst, etaDst, u, su, etaSrc)
-		return
-	}
-	sums, abss := p.growW(len(m.Weights))
-	for k, row := range m.Rows {
-		sums[k], abss[k] = p.DotAbs(row, u)
-	}
-	m.UpdateMVMBoundFrom(dst, etaDst, sums, abss, su, etaSrc)
-}
-
-// UpdatePCOBound is the parallel form of (*checksum.Matrix).UpdatePCOBound,
-// the Eq. (4) preconditioner-solve update.
-//
-//hot:loop Eq. (4) checksum-update kernel on the protected solve path
-func (p *Pool) UpdatePCOBound(m *checksum.Matrix, dst, etaDst, w, su, etaSrc []float64) {
-	if p == nil {
-		m.UpdatePCOBound(dst, etaDst, w, su, etaSrc)
-		return
-	}
-	sums, abss := p.growW(len(m.Weights))
-	for k, row := range m.Rows {
-		sums[k], abss[k] = p.DotAbs(row, w)
-	}
-	m.UpdatePCOBoundFrom(dst, etaDst, sums, abss, su, etaSrc)
-}

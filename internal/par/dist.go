@@ -192,15 +192,33 @@ func NewDistVector(localLen, nWeights int) *DistVector {
 	return &DistVector{Data: make([]float64, localLen), S: make([]float64, nWeights)}
 }
 
+// localSums returns one rank's share of a checksum probe: the partial sums
+// Σ c(offset+i)·x_i and Σ|c(offset+i)·x_i| over its block, accumulated left
+// to right. Every recomputation of a partial checksum in this package goes
+// through it, so a verification's measured sum can re-anchor the carried
+// one bit for bit. The all-ones weight skips the call per element: 1·x_i is
+// exact, so the plain sums are the same bits.
+func localSums(w checksum.Weight, offset int, data []float64) (sum, abs float64) {
+	if w.IsOnes() {
+		for _, x := range data {
+			sum += x
+			abs += math.Abs(x)
+		}
+		return sum, abs
+	}
+	for i, x := range data {
+		t := w.At(offset+i) * x
+		sum += t
+		abs += math.Abs(t)
+	}
+	return sum, abs
+}
+
 // LocalChecksums recomputes the rank-local partial checksums of v for the
 // weights, offset by the rank's global row offset.
 func (v *DistVector) LocalChecksums(weights []checksum.Weight, offset int) {
 	for k, w := range weights {
-		var s float64
-		for i, x := range v.Data {
-			s += w.At(offset+i) * x
-		}
-		v.S[k] = s
+		v.S[k], _ = localSums(w, offset, v.Data)
 	}
 }
 
@@ -217,16 +235,18 @@ func GlobalNorm2(c *Comm, a *DistVector) float64 {
 // VerifyGlobal checks the global checksum relationship of v for weight k:
 // it all-reduces the locally recomputed partial weighted sum and the
 // locally carried partial checksum and compares them with the engine
-// tolerance rule. Every rank returns the same verdict.
+// tolerance rule. Every rank returns the same verdict. A pass re-anchors
+// the carried partial v.S[k] to the sum just measured — what recomputing it
+// would store, without the second pass over the block; a failure leaves it
+// untouched for diagnosis.
 func VerifyGlobal(c *Comm, v *DistVector, w checksum.Weight, k int, offset, n int, tol checksum.Tol) bool {
-	var sum, absSum float64
-	for i, x := range v.Data {
-		t := w.At(offset+i) * x
-		sum += t
-		absSum += math.Abs(t)
-	}
+	sum, absSum := localSums(w, offset, v.Data)
 	gSum := c.AllReduceSum(sum)
 	gAbs := c.AllReduceSum(absSum)
 	gS := c.AllReduceSum(v.S[k])
-	return tol.ConsistentAbs(gSum-gS, n, gAbs)
+	if !tol.ConsistentAbs(gSum-gS, n, gAbs) {
+		return false
+	}
+	v.S[k] = sum
+	return true
 }

@@ -631,7 +631,9 @@ func (e *rankEngine) verify(v *DistVector) bool {
 	if !VerifyGlobal(e.c, v, e.weights[0], 0, e.lo, e.n, e.tol) {
 		return false
 	}
-	v.LocalChecksums(e.weights, e.lo)
+	for k := 1; k < len(e.weights); k++ {
+		v.S[k], _ = localSums(e.weights[k], e.lo, v.Data)
+	}
 	return true
 }
 
@@ -660,12 +662,7 @@ func breakdownSuspect(v float64) bool {
 // δ2/δ3 evaluation, in-place correction by the owner rank. Returns false
 // when a rollback is required. Every rank returns the same verdict.
 func (e *rankEngine) innerCheck(out, in *DistVector) bool {
-	var sum, absSum float64
-	for i, x := range out.Data {
-		t := e.weights[0].At(e.lo+i) * x
-		sum += t
-		absSum += math.Abs(t)
-	}
+	sum, absSum := localSums(e.weights[0], e.lo, out.Data)
 	gSum := e.c.AllReduceSum(sum)
 	gAbs := e.c.AllReduceSum(absSum)
 	gS := e.c.AllReduceSum(out.S[0])
@@ -682,15 +679,11 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	deltas := []float64{d1, 0, 0}
 	absSums := []float64{gAbs, 0, 0}
 	for k, w := range e.diagWeights {
-		var exp, qs, qa float64
+		var exp float64
 		for i, x := range in.Data {
 			exp += e.diagRows[k][i] * x
 		}
-		for i, x := range out.Data {
-			t := w.At(e.lo+i) * x
-			qs += t
-			qa += math.Abs(t)
-		}
+		qs, qa := localSums(w, e.lo, out.Data)
 		deltas[k+1] = e.c.AllReduceSum(qs) - e.c.AllReduceSum(exp)
 		absSums[k+1] = e.c.AllReduceSum(qa)
 	}

@@ -1,8 +1,6 @@
 package par
 
 import (
-	"math"
-
 	"newsum/internal/checksum"
 	"newsum/internal/core"
 )
@@ -47,13 +45,7 @@ const (
 // weighted sum, its absolute-value companion for the threshold, and the
 // global carried checksum.
 func (e *rankEngine) globalSums(v *DistVector, k int) (gSum, gAbs, gS float64) {
-	w := e.weights[k]
-	var sum, abs float64
-	for i, x := range v.Data {
-		t := w.At(e.lo+i) * x
-		sum += t
-		abs += math.Abs(t)
-	}
+	sum, abs := localSums(e.weights[k], e.lo, v.Data)
 	return e.c.AllReduceSum(sum), e.c.AllReduceSum(abs), e.c.AllReduceSum(v.S[k])
 }
 

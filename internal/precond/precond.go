@@ -14,6 +14,7 @@ import (
 	"fmt"
 
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // StageOp distinguishes the two kinds of preconditioner stage.
@@ -65,15 +66,7 @@ func (s Stage) apply(out, in []float64) error {
 	case StageSolve:
 		switch s.Shape {
 		case Diagonal:
-			for i := range out {
-				d := s.M.At(i, i)
-				//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
-				if d == 0 {
-					return fmt.Errorf("precond: zero diagonal at %d", i)
-				}
-				out[i] = in[i] / d
-			}
-			return nil
+			return s.solveDiagonal(out, in, 0, len(out))
 		case Lower:
 			return s.M.SolveLower(out, in, false)
 		case LowerUnit:
@@ -82,6 +75,56 @@ func (s Stage) apply(out, in []float64) error {
 			return s.M.SolveUpper(out, in)
 		}
 	}
+	return fmt.Errorf("precond: unknown stage op %d", s.Op)
+}
+
+// solveDiagonal is the element-wise solve over rows [lo, hi).
+func (s Stage) solveDiagonal(out, in []float64, lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		d := s.M.At(i, i)
+		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
+		if d == 0 {
+			//hot:cold singular preconditioner aborts the solve
+			return fmt.Errorf("precond: zero diagonal at %d", i)
+		}
+		out[i] = in[i] / d
+	}
+	return nil
+}
+
+// ApplyDotAbs is Apply that also takes, inside the sweep that streams the
+// vector anyway, the row reductions the stage's checksum update needs: it
+// fills every leaf of lv with the partials of rows[j]·out and
+// Σ|rows[j]_i·out_i| for a solve (Eq. 4 reads the solution), of rows[j]·in
+// and its absolute sum for a multiply (Eq. 2 reads the operand), and the
+// caller folds them. Result and folded reductions are bitwise Apply's and
+// vec.DotAbs's. Aliasing is as for Apply.
+//
+//hot:loop fused PCO stage + checksum row reductions on the protected solve path
+func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) error {
+	switch s.Op {
+	case StageMul:
+		s.M.MulVecDotAbs(out, in, rows, lv, 0, s.M.Rows)
+		return nil
+	case StageSolve:
+		switch s.Shape {
+		case Diagonal:
+			for lo, n := 0, len(out); lo < n; lo += vec.Block {
+				if err := s.solveDiagonal(out, in, lo, min(lo+vec.Block, n)); err != nil {
+					return err
+				}
+				lv.FillBlock(rows, out, lo/vec.Block)
+			}
+			return nil
+		case Lower:
+			return s.M.SolveLowerDotAbs(out, in, false, rows, lv)
+		case LowerUnit:
+			return s.M.SolveLowerDotAbs(out, in, true, rows, lv)
+		case Upper:
+			return s.M.SolveUpperDotAbs(out, in, rows, lv)
+		}
+	}
+	//hot:cold malformed stage aborts the solve
 	return fmt.Errorf("precond: unknown stage op %d", s.Op)
 }
 

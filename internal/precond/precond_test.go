@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 func randVecP(rng *rand.Rand, n int) []float64 {
@@ -315,5 +316,109 @@ func BenchmarkBlockJacobiApply(b *testing.B) {
 		if err := p.Apply(z, r); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestStageApplyDotAbsBitwise: every stage kind's fused apply — lower,
+// unit-lower, upper and diagonal solves, and the multiply — produces the
+// output Apply produces and the row reductions a separate vec.DotAbs pass
+// over the vector the stage's checksum update reads produces (the solution
+// for a solve, the operand for a multiply), bit for bit, in place and out
+// of place, at sizes straddling the leaf boundary and with one and three
+// weight rows.
+func TestStageApplyDotAbsBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bits := math.Float64bits
+	for _, n := range []int{1, 127, 128, 129, 4095, 4096, 4097, 10000} {
+		a := sparse.DiagDominant(n, 5, int64(n))
+		jac, err := Jacobi(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stages := map[string]Stage{
+			"lower":     {Op: StageSolve, M: a.LowerTriangle(), Shape: Lower},
+			"lowerunit": {Op: StageSolve, M: a.LowerTriangle(), Shape: LowerUnit},
+			"upper":     {Op: StageSolve, M: a.UpperTriangle(), Shape: Upper},
+			"diagonal":  jac.Stages()[0],
+			"mul":       {Op: StageMul, M: a},
+		}
+		for name, st := range stages {
+			for _, k := range []int{1, 3} {
+				rows := make([][]float64, k)
+				for j := range rows {
+					rows[j] = randVecP(rng, n)
+				}
+				in := randVecP(rng, n)
+				want := make([]float64, n)
+				if err := st.Apply(want, in); err != nil {
+					t.Fatal(err)
+				}
+				reduced := want
+				if st.Op == StageMul {
+					reduced = in
+				}
+				lv := vec.NewLeaves(k, n)
+				for _, inPlace := range []bool{false, true} {
+					if inPlace && st.Op == StageMul {
+						continue
+					}
+					src := append([]float64(nil), in...)
+					got := make([]float64, n)
+					if inPlace {
+						got = src
+					}
+					if err := st.ApplyDotAbs(got, src, rows, lv); err != nil {
+						t.Fatal(err)
+					}
+					lv.Fold()
+					for i := range got {
+						if bits(got[i]) != bits(want[i]) {
+							t.Fatalf("%s n=%d k=%d inPlace=%v: out[%d] = %x, Apply %x", name, n, k, inPlace, i, got[i], want[i])
+						}
+					}
+					for j := range rows {
+						ws, wa := vec.DotAbs(rows[j], reduced)
+						if bits(lv.Sum[j]) != bits(ws) || bits(lv.Abs[j]) != bits(wa) {
+							t.Fatalf("%s n=%d k=%d inPlace=%v row %d: reductions (%x, %x), DotAbs (%x, %x)",
+								name, n, k, inPlace, j, lv.Sum[j], lv.Abs[j], ws, wa)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStageApplyDotAbsErrors: a singular factor fails the fused solve as
+// it fails the plain one.
+func TestStageApplyDotAbsErrors(t *testing.T) {
+	n := 200
+	c := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		if i != 150 {
+			c.Add(i, i, 2)
+		}
+		if i > 0 {
+			c.Add(i, i-1, -1)
+		}
+	}
+	l := c.ToCSR()
+	u := l.Transpose()
+	in := make([]float64, n)
+	out := make([]float64, n)
+	rows := [][]float64{make([]float64, n)}
+	lv := vec.NewLeaves(1, n)
+	for name, st := range map[string]Stage{
+		"lower":    {Op: StageSolve, M: l, Shape: Lower},
+		"upper":    {Op: StageSolve, M: u, Shape: Upper},
+		"diagonal": {Op: StageSolve, M: l, Shape: Diagonal},
+		"badop":    {Op: StageOp(7), M: l},
+	} {
+		if st.ApplyDotAbs(out, in, rows, lv) == nil {
+			t.Errorf("%s: singular or malformed stage applied without error", name)
+		}
+	}
+	if (Stage{Op: StageSolve, M: l, Shape: Lower}).ApplyDotAbs(out[:n-1], in, rows, lv) == nil {
+		t.Error("dimension mismatch applied without error")
 	}
 }

@@ -48,37 +48,76 @@ func (c *COO) AddSym(i, j int, v float64) {
 	}
 }
 
+// insertionRow is the longest row ToCSR sorts by insertion; longer rows go
+// through sort.Stable. Assembly rows hold a handful of entries, where the
+// quadratic sort is the fastest there is.
+const insertionRow = 32
+
 // ToCSR converts the accumulated entries to CSR form, sorting each row's
-// columns ascending and summing duplicate coordinates.
+// columns ascending and summing duplicate coordinates in the order they
+// were added. Linear in the entry count for bounded row lengths: a counting
+// sort buckets the entries by row, keeping insertion order, and each row is
+// then sorted by column, stably, in place.
 func (c *COO) ToCSR() *CSR {
 	n := len(c.v)
-	order := make([]int, n)
-	for k := range order {
-		order[k] = k
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ka, kb := order[a], order[b]
-		if c.i[ka] != c.i[kb] {
-			return c.i[ka] < c.i[kb]
-		}
-		return c.j[ka] < c.j[kb]
-	})
-
 	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
-	prevI, prevJ := -1, -1
-	for _, k := range order {
-		i, j, v := c.i[k], c.j[k], c.v[k]
-		if i == prevI && j == prevJ {
-			a.Val[len(a.Val)-1] += v
-			continue
-		}
-		a.ColIdx = append(a.ColIdx, j)
-		a.Val = append(a.Val, v)
-		a.RowPtr[i+1]++
-		prevI, prevJ = i, j
+	next := make([]int, c.rows+1)
+	for _, i := range c.i {
+		next[i+1]++
 	}
 	for i := 0; i < c.rows; i++ {
-		a.RowPtr[i+1] += a.RowPtr[i]
+		next[i+1] += next[i]
 	}
+	cols, vals := make([]int, n), make([]float64, n)
+	for k, i := range c.i {
+		p := next[i]
+		cols[p], vals[p] = c.j[k], c.v[k]
+		next[i] = p + 1
+	}
+	// next[i] is now the end of row i's bucket, and the start of row i+1's.
+	// Rows are sorted and compacted left to right; the write cursor w never
+	// overtakes the bucket being read.
+	w, lo := 0, 0
+	for i := 0; i < c.rows; i++ {
+		hi := next[i]
+		rc, rv := cols[lo:hi], vals[lo:hi]
+		if len(rc) <= insertionRow {
+			for p := 1; p < len(rc); p++ {
+				j, v := rc[p], rv[p]
+				q := p
+				for ; q > 0 && rc[q-1] > j; q-- {
+					rc[q], rv[q] = rc[q-1], rv[q-1]
+				}
+				rc[q], rv[q] = j, v
+			}
+		} else {
+			sort.Stable(byColumn{rc, rv})
+		}
+		first := w
+		for p, j := range rc {
+			if w > first && cols[w-1] == j {
+				vals[w-1] += rv[p]
+				continue
+			}
+			cols[w], vals[w] = j, rv[p]
+			w++
+		}
+		a.RowPtr[i+1] = w
+		lo = hi
+	}
+	a.ColIdx, a.Val = cols[:w], vals[:w]
 	return a
+}
+
+// byColumn sorts one row's (column, value) pairs by column.
+type byColumn struct {
+	cols []int
+	vals []float64
+}
+
+func (r byColumn) Len() int           { return len(r.cols) }
+func (r byColumn) Less(p, q int) bool { return r.cols[p] < r.cols[q] }
+func (r byColumn) Swap(p, q int) {
+	r.cols[p], r.cols[q] = r.cols[q], r.cols[p]
+	r.vals[p], r.vals[q] = r.vals[q], r.vals[p]
 }

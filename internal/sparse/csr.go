@@ -8,6 +8,8 @@ package sparse
 import (
 	"fmt"
 	"math"
+
+	"newsum/internal/vec"
 )
 
 // CSR is a sparse matrix in compressed sparse row format.
@@ -199,6 +201,29 @@ func (a *CSR) MulVecRange(y, x []float64, lo, hi int) {
 			s += a.Val[k] * x[a.ColIdx[k]]
 		}
 		y[i] = s
+	}
+}
+
+// MulVecDotAbs computes y[lo:hi] := (A·x)[lo:hi] for a square matrix and,
+// block of vec.Block rows by block inside the same sweep, lv's leaves of
+// rows[j]·x and Σ|rows[j]_i·x_i| for the blocks the range covers — the
+// Eq. (2) row reductions, taken while the block of x the product has just
+// walked past is still in L1. lo must be a multiple of vec.Block and hi one
+// too unless it is a.Rows, so that every leaf is built whole by one caller;
+// the product is MulVecRange's and the leaves are vec.DotAbsBlock's, bit
+// for bit.
+//
+//hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
+func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo, hi int) {
+	if a.Rows != a.Cols {
+		panic("sparse: MulVecDotAbs requires a square matrix")
+	}
+	if lo%vec.Block != 0 || (hi%vec.Block != 0 && hi != a.Rows) {
+		panic("sparse: row range not block-aligned in MulVecDotAbs")
+	}
+	for ; lo < hi; lo += vec.Block {
+		a.MulVecRange(y, x, lo, min(lo+vec.Block, hi))
+		lv.FillBlock(rows, x, lo/vec.Block)
 	}
 }
 

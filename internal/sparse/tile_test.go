@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"newsum/internal/vec"
 )
 
 // The kernel layer's parallel SpMV is built on one property: because
@@ -137,5 +139,64 @@ func TestRangeAndStrideAgree(t *testing.T) {
 	}
 	if i, ok := bitsEqual(byRange, byStride); !ok {
 		t.Fatalf("row %d: range %x vs stride %x", i, math.Float64bits(byRange[i]), math.Float64bits(byStride[i]))
+	}
+}
+
+// TestMulVecDotAbsTilesComposeBitwise: the fused SpMV keeps the tiling
+// property, with the one extra condition that tiles start and end on leaf
+// boundaries — any such partition, run in any order, gives MulVec's product
+// and, once folded, DotAbs's reductions, bit for bit. Anything else is a
+// caller bug and panics.
+func TestMulVecDotAbsTilesComposeBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, n := range []int{1, 127, 128, 129, 1000, 4097} {
+		a := adversarialCSR(rng, n, n)
+		x := make([]float64, n)
+		rows := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
+			for _, r := range rows {
+				r[i] = rng.NormFloat64()
+			}
+		}
+		want := make([]float64, n)
+		a.MulVec(want, x)
+		nb := vec.Blocks(n)
+		lv := vec.NewLeaves(len(rows), n)
+		for trial := 0; trial < 10; trial++ {
+			cuts := randomPartition(rng, nb, 1+rng.Intn(5))
+			got := make([]float64, n)
+			for _, t := range rng.Perm(len(cuts) - 1) {
+				a.MulVecDotAbs(got, x, rows, lv, cuts[t]*vec.Block, min(cuts[t+1]*vec.Block, n))
+			}
+			lv.Fold()
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("n=%d cuts %v: row %d = %x, MulVec %x", n, cuts, i, got[i], want[i])
+			}
+			for j, r := range rows {
+				ws, wa := vec.DotAbs(r, x)
+				if math.Float64bits(lv.Sum[j]) != math.Float64bits(ws) || math.Float64bits(lv.Abs[j]) != math.Float64bits(wa) {
+					t.Fatalf("n=%d cuts %v row %d: reductions (%x, %x), DotAbs (%x, %x)", n, cuts, j, lv.Sum[j], lv.Abs[j], ws, wa)
+				}
+			}
+		}
+	}
+	a := Tridiag(300, -1, 2, -1)
+	x, y := make([]float64, 300), make([]float64, 300)
+	lv := vec.NewLeaves(1, 300)
+	rows := [][]float64{x}
+	for name, f := range map[string]func(){
+		"unaligned lo": func() { a.MulVecDotAbs(y, x, rows, lv, 64, 300) },
+		"unaligned hi": func() { a.MulVecDotAbs(y, x, rows, lv, 0, 200) },
+		"not square":   func() { adversarialCSR(rng, 128, 256).MulVecDotAbs(y[:128], make([]float64, 256), rows, lv, 0, 128) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

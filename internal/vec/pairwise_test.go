@@ -132,3 +132,82 @@ func TestSumWithinDepthBoundUnderMisalignment(t *testing.T) {
 		}
 	}
 }
+
+// fusedSizes straddle the block boundary, the pool's serial cutover and a
+// ragged last block; the fused-kernel tests in sparse, precond and kernel
+// sweep the same set.
+var fusedSizes = []int{1, 127, 128, 129, 4095, 4096, 4097, 10000}
+
+func mixedVec(rng *rand.Rand, n int) []float64 {
+	u := make([]float64, n)
+	for i := range u {
+		// Mixed magnitudes and signs, so any change of summation order
+		// changes bits.
+		u[i] = (rng.Float64() - 0.5) * math.Exp2(float64(rng.Intn(40)-20))
+	}
+	return u
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestSumAbsIsTheOnesWeightedPair: 1·u_i is exact, so the plain (Σ, Σ|·|)
+// leaf must reproduce WeightedSumAbs under the all-ones weight bit for bit
+// — signed zeros included — which is what lets a verifier swap it in.
+func TestSumAbsIsTheOnesWeightedPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	ones := func(int) float64 { return 1 }
+	for _, n := range append([]int{0}, fusedSizes...) {
+		u := mixedVec(rng, n)
+		if n > 2 {
+			u[0], u[n/2] = math.Copysign(0, -1), 0
+		}
+		gs, ga := SumAbs(u)
+		ws, wa := WeightedSumAbs(u, ones)
+		if !sameBits(gs, ws) || !sameBits(ga, wa) {
+			t.Fatalf("n=%d: SumAbs = (%x, %x), weighted (%x, %x)", n, gs, ga, ws, wa)
+		}
+		for b := 0; b < Blocks(n); b++ {
+			gs, ga := SumAbsBlock(u, b)
+			ws, wa := WeightedSumAbsBlock(u, ones, b)
+			if !sameBits(gs, ws) || !sameBits(ga, wa) {
+				t.Fatalf("n=%d block %d: leaf = (%x, %x), weighted (%x, %x)", n, b, gs, ga, ws, wa)
+			}
+		}
+	}
+}
+
+// TestLeavesFoldToDotAbs: in whatever order a sweep visits the blocks,
+// every leaf is DotAbsBlock and the fold is DotAbs, bit for bit — one and
+// three reductions at a time.
+func TestLeavesFoldToDotAbs(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, n := range fusedSizes {
+		v := mixedVec(rng, n)
+		for _, k := range []int{1, 3} {
+			rows := make([][]float64, k)
+			for j := range rows {
+				rows[j] = mixedVec(rng, n)
+			}
+			lv := NewLeaves(k, n)
+			for _, order := range [][]int{rng.Perm(Blocks(n)), rng.Perm(Blocks(n))} {
+				for _, b := range order {
+					lv.FillBlock(rows, v, b)
+				}
+				lv.Fold()
+				for j := range rows {
+					for b := 0; b < Blocks(n); b++ {
+						ws, wa := DotAbsBlock(rows[j], v, b)
+						if !sameBits(lv.leafSum[j][b], ws) || !sameBits(lv.leafAbs[j][b], wa) {
+							t.Fatalf("n=%d k=%d row %d: leaf %d differs from DotAbsBlock", n, k, j, b)
+						}
+					}
+					ws, wa := DotAbs(rows[j], v)
+					if !sameBits(lv.Sum[j], ws) || !sameBits(lv.Abs[j], wa) {
+						t.Fatalf("n=%d k=%d row %d: leaves fold to (%x, %x), DotAbs (%x, %x)",
+							n, k, j, lv.Sum[j], lv.Abs[j], ws, wa)
+					}
+				}
+			}
+		}
+	}
+}

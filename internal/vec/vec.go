@@ -221,6 +221,18 @@ func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs fl
 	return sum, abs
 }
 
+// SumAbsBlock returns the block-b partials of Σu_i and Σ|u_i| in one pass:
+// the all-ones weight's leaf. 1·u_i is exact, so the pair is bitwise what
+// WeightedSumAbsBlock returns for w ≡ 1, without a call per element.
+func SumAbsBlock(u []float64, b int) (sum, abs float64) {
+	lo, hi := blockBounds(len(u), b)
+	for _, x := range u[lo:hi] {
+		sum += x
+		abs += math.Abs(x)
+	}
+	return sum, abs
+}
+
 // Dot returns the inner product u·v (the paper's VDP operation), blocked
 // pairwise.
 func Dot(u, v []float64) float64 {
@@ -256,6 +268,57 @@ func WeightedSum(u []float64, w func(i int) float64) float64 {
 // pass — the checksum verification's (measured sum, round-off scale) pair.
 func WeightedSumAbs(u []float64, w func(i int) float64) (sum, abs float64) {
 	return pairwise2(0, Blocks(len(u)), func(b int) (float64, float64) { return WeightedSumAbsBlock(u, w, b) })
+}
+
+// SumAbs returns Σu_i and Σ|u_i| in one blocked pairwise pass — the
+// verification pair of the all-ones checksum, bitwise-equal to
+// WeightedSumAbs with a weight that is 1 everywhere.
+func SumAbs(u []float64) (sum, abs float64) {
+	return pairwise2(0, Blocks(len(u)), func(b int) (float64, float64) { return SumAbsBlock(u, b) })
+}
+
+// Leaves is the workspace of k simultaneous (Σ, Σ|·|) blocked reductions
+// over length-n vectors whose leaves are computed inside another kernel's
+// sweep: an SpMV or a triangular solve calls FillBlock for block b while
+// the block of the vector it has just read or written is still in cache,
+// in whatever order it visits the blocks, and Fold then combines the
+// leaves with the tree every reduction in this package shares. The leaf is
+// DotAbsBlock and the tree is PairwiseSum, so Sum[j], Abs[j] are bitwise
+// what DotAbs(rows[j], v) returns — however many workers filled disjoint
+// block ranges, and in whatever order.
+type Leaves struct {
+	leafSum, leafAbs [][]float64
+	// Sum[j] and Abs[j] are reduction j's folded results, valid after Fold.
+	Sum, Abs []float64
+}
+
+// NewLeaves returns the workspace for k reductions over length-n vectors.
+func NewLeaves(k, n int) *Leaves {
+	l := &Leaves{
+		leafSum: make([][]float64, k), leafAbs: make([][]float64, k),
+		Sum: make([]float64, k), Abs: make([]float64, k),
+	}
+	for j := range l.leafSum {
+		l.leafSum[j] = make([]float64, Blocks(n))
+		l.leafAbs[j] = make([]float64, Blocks(n))
+	}
+	return l
+}
+
+// FillBlock stores the block-b leaves of rows[j]·v and Σ|rows[j]_i·v_i| for
+// every reduction j. rows holds one length-n vector per reduction.
+func (l *Leaves) FillBlock(rows [][]float64, v []float64, b int) {
+	for j, row := range rows {
+		l.leafSum[j][b], l.leafAbs[j][b] = DotAbsBlock(row, v, b)
+	}
+}
+
+// Fold combines the leaves into Sum and Abs. Every block must have been
+// filled since the last Fold.
+func (l *Leaves) Fold() {
+	for j := range l.Sum {
+		l.Sum[j], l.Abs[j] = PairwiseSum(l.leafSum[j]), PairwiseSum(l.leafAbs[j])
+	}
 }
 
 // Norm2Block returns block b's (scale, ssq) partial of the overflow-guarded
