@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -33,8 +34,9 @@ type Package struct {
 // Loader parses and type-checks packages of one module. Imports within the
 // module are resolved by recursively loading the imported directory;
 // standard-library imports are type-checked from GOROOT source via
-// go/importer. _test.go files and testdata directories are ignored, which
-// matches the analyzers' scope (they only police non-test code).
+// go/importer. _test.go files, files the default build excludes and
+// testdata directories are ignored, which matches the analyzers' scope
+// (they only police non-test code the host build compiles).
 type Loader struct {
 	// Root is the absolute module root (the directory holding go.mod).
 	Root string
@@ -178,7 +180,10 @@ func isInternalPath(path string) bool {
 	return false
 }
 
-// goFiles lists the buildable non-test .go files of dir, sorted.
+// goFiles lists the non-test .go files of dir that the default build would
+// compile, sorted: a file excluded by a //go:build line or a GOOS/GOARCH
+// name suffix is skipped, so a package that pairs an assembly-backed
+// declaration with a tagged portable fallback type-checks as one program.
 func goFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -191,7 +196,13 @@ func goFiles(dir string) ([]string, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
-		names = append(names, name)
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("analysis: reading build constraints: %w", err)
+		}
+		if match {
+			names = append(names, name)
+		}
 	}
 	sort.Strings(names)
 	return names, nil

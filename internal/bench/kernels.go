@@ -57,8 +57,9 @@ func fingerprint(xs []float64) uint64 {
 }
 
 // kernelCases builds the benchmark set for one operator size: SpMV, Dot,
-// the fused SpMV + Eq. (2) update + Dot (the PCG hot sequence), the
-// all-ones verification pair, axpy and norm2 over the 3D Laplacian.
+// the fused SpMV + Eq. (2) update + Dot (the PCG hot sequence), the row
+// reduction and the all-ones verification pair (the two (Σ, Σ|·|) leaves),
+// axpy and norm2 over the 3D Laplacian.
 func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	n := a.Rows
 	enc := checksum.EncodeMatrix(a, checksum.Single, checksum.PracticalD(a))
@@ -86,6 +87,11 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 			enc.UpdateMVMBoundFrom(sOut, etaOut, lv.Sum, lv.Abs, su, eta)
 			return fingerprint(y[:min(n, 1024)]) ^ math.Float64bits(p.Dot(x, y)) ^
 				math.Float64bits(sOut[0]) ^ math.Float64bits(etaOut[0])<<1
+		}},
+		{name: "dotabs", run: func(p *kernel.Pool) uint64 {
+			// One Eq. 2/4 row reduction on its own.
+			sum, abs := p.DotAbs(x, z)
+			return math.Float64bits(sum) ^ math.Float64bits(abs)<<1
 		}},
 		{name: "sumabs", run: func(p *kernel.Pool) uint64 {
 			// The all-ones verification pair.
@@ -179,15 +185,22 @@ func VerifyKernelsBitwise(points []KernelPoint) error {
 	return nil
 }
 
-// WriteKernelsTable renders the sweep in the standard report format.
+// nsPerElem is the point's wall time per repetition and vector element.
+func (p KernelPoint) nsPerElem() float64 {
+	return p.Seconds / float64(p.Reps) / float64(p.N) * 1e9
+}
+
+// WriteKernelsTable renders the sweep in the standard report format, with
+// the (Σ, Σ|·|) leaf this binary links (vec.LeafKernel) under the title.
 func WriteKernelsTable(out io.Writer, title string, points []KernelPoint) error {
 	var s sink
 	s.println(out, title)
+	s.printf(out, "checksum leaf (dotabs, sumabs, the fused update): %s\n", vec.LeafKernel)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	s.println(tw, "kernel\tn\tnnz\tworkers\treps\ttime(s)\tserial(s)\tspeedup\tbitwise")
+	s.println(tw, "kernel\tn\tnnz\tworkers\treps\ttime(s)\tns/elem\tserial(s)\tspeedup\tbitwise")
 	for _, p := range points {
-		s.printf(tw, "%s\t%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.2f\t%s\n",
-			p.Kernel, p.N, p.NNZ, p.Workers, p.Reps, p.Seconds, p.Serial, p.Speedup, yesNo(p.Bitwise))
+		s.printf(tw, "%s\t%d\t%d\t%d\t%d\t%.4f\t%.3f\t%.4f\t%.2f\t%s\n",
+			p.Kernel, p.N, p.NNZ, p.Workers, p.Reps, p.Seconds, p.nsPerElem(), p.Serial, p.Speedup, yesNo(p.Bitwise))
 	}
 	s.flush(tw)
 	return s.err
@@ -196,10 +209,10 @@ func WriteKernelsTable(out io.Writer, title string, points []KernelPoint) error 
 // WriteKernelsCSV emits the sweep as CSV with one row per point.
 func WriteKernelsCSV(w io.Writer, points []KernelPoint) error {
 	var s sink
-	s.println(w, "kernel,n,nnz,workers,reps,seconds,serial_seconds,speedup,bitwise")
+	s.println(w, "kernel,n,nnz,workers,reps,seconds,ns_per_elem,serial_seconds,speedup,bitwise")
 	for _, p := range points {
-		s.printf(w, "%s,%d,%d,%d,%d,%.6f,%.6f,%.4f,%s\n",
-			p.Kernel, p.N, p.NNZ, p.Workers, p.Reps, p.Seconds, p.Serial, p.Speedup, yesNo(p.Bitwise))
+		s.printf(w, "%s,%d,%d,%d,%d,%.6f,%.4f,%.6f,%.4f,%s\n",
+			p.Kernel, p.N, p.NNZ, p.Workers, p.Reps, p.Seconds, p.nsPerElem(), p.Serial, p.Speedup, yesNo(p.Bitwise))
 	}
 	return s.err
 }

@@ -193,18 +193,14 @@ func NewDistVector(localLen, nWeights int) *DistVector {
 }
 
 // localSums returns one rank's share of a checksum probe: the partial sums
-// Σ c(offset+i)·x_i and Σ|c(offset+i)·x_i| over its block, accumulated left
-// to right. Every recomputation of a partial checksum in this package goes
-// through it, so a verification's measured sum can re-anchor the carried
-// one bit for bit. The all-ones weight skips the call per element: 1·x_i is
-// exact, so the plain sums are the same bits.
+// Σ c(offset+i)·x_i and Σ|c(offset+i)·x_i| over its block. Every
+// recomputation of a partial checksum in this package goes through it, so
+// a verification's measured sum can re-anchor the carried one bit for bit.
+// The all-ones weight is vec.SumAbs, the leaf every serial checksum shares;
+// the other weights accumulate left to right.
 func localSums(w checksum.Weight, offset int, data []float64) (sum, abs float64) {
 	if w.IsOnes() {
-		for _, x := range data {
-			sum += x
-			abs += math.Abs(x)
-		}
-		return sum, abs
+		return vec.SumAbs(data)
 	}
 	for i, x := range data {
 		t := w.At(offset+i) * x

@@ -96,18 +96,27 @@ func Xpby(dst, x []float64, beta float64, y []float64) {
 
 // Reductions (Dot, Sum, WeightedSum, Norm2 and their Abs variants) use
 // fixed-block pairwise summation: the vector is cut into blocks of Block
-// elements, each block is accumulated left-to-right, and the block partials
-// are combined by a balanced pairwise tree. Naive left-to-right accumulation
-// has a worst-case error of O(n·ε)·Σ|terms|; at n ≈ 10⁶ that crowds the
-// near-τ band the checksum comparison verifies in, inflating false
-// positives. The blocked form tightens the bound to O((Block + log n)·ε),
-// independent of worker count.
+// elements, each block is accumulated in a fixed order, and the block
+// partials are combined by a balanced pairwise tree. Naive left-to-right
+// accumulation has a worst-case error of O(n·ε)·Σ|terms|; at n ≈ 10⁶ that
+// crowds the near-τ band the checksum comparison verifies in, inflating
+// false positives. The blocked form tightens the bound to
+// O((Block + log n)·ε), independent of worker count.
+//
+// There are two leaf orders. The solver's own reductions (Dot, Norm2)
+// accumulate a block left to right in one chain: their bits are pinned
+// against internal/solver and decide iteration counts. The checksum
+// reductions (DotAbs, SumAbs, WeightedSumAbs — value and Σ|·| — and Sum and
+// WeightedSum, which are the same leaves without the second result)
+// accumulate a block in four lanes, combined (l0+l2)+(l1+l3) — see leaf.go
+// — because three of them ride every protected iteration and a single
+// chain costs one FP-add latency per element.
 //
 // The reduction tree is a pure function of n — NEVER of how the leaves were
 // computed — so a parallel evaluation that computes leaf partials with any
 // number of workers and combines them with PairwiseSum reproduces the
 // serial result bit for bit. internal/kernel relies on this contract; do
-// not change the split rule or the leaf accumulation order without updating
+// not change the split rule or a leaf's accumulation order without updating
 // it (and docs/kernels.md) in lockstep.
 
 // Block is the fixed leaf size of every blocked pairwise reduction.
@@ -161,9 +170,20 @@ func pairwise2(lo, hi int, leaf func(b int) (float64, float64)) (float64, float6
 // PairwiseSum combines precomputed block partials with the same tree the
 // serial reductions use. kernel workers fill p[b] for disjoint block ranges
 // and a single combiner calls this; the result is bitwise-identical to the
-// serial reduction for any worker count.
+// serial reduction for any worker count. It is pairwise's tree walked on
+// the slice itself, without an indirect call per leaf: every fused checksum
+// update folds its leaves here, twice per encoded row.
+//
+//hot:loop folds the leaves of every fused and pooled reduction
 func PairwiseSum(p []float64) float64 {
-	return pairwise(0, len(p), func(b int) float64 { return p[b] })
+	switch len(p) {
+	case 0:
+		return 0
+	case 1:
+		return p[0]
+	}
+	mid := (len(p) + 1) / 2
+	return PairwiseSum(p[:mid]) + PairwiseSum(p[mid:])
 }
 
 // DotBlock returns the naive left-to-right partial of u·v over block b —
@@ -178,47 +198,40 @@ func DotBlock(u, v []float64, b int) float64 {
 }
 
 // DotAbsBlock returns the block-b partials of u·v and Σ|u_i·v_i| in one
-// pass — the leaf of the checksum verifier's (sum, absSum) evaluation.
+// pass — the four-lane leaf of every checksum row reduction. Both operands
+// are sliced here, so the leaf (assembly on amd64) sees only lengths Go has
+// checked.
 func DotAbsBlock(u, v []float64, b int) (sum, abs float64) {
 	lo, hi := blockBounds(len(u), b)
-	for i := lo; i < hi; i++ {
-		t := u[i] * v[i]
-		sum += t
-		abs += math.Abs(t)
-	}
-	return sum, abs
+	return dotAbsLeaf(u[lo:hi], v[lo:hi])
 }
 
-// SumBlock returns the naive partial of Σu_i over block b.
+// SumBlock returns the partial of Σu_i over block b: SumAbsBlock's sum, so
+// a checksum computed with Sum and one verified with SumAbs are the same
+// bits.
 func SumBlock(u []float64, b int) float64 {
-	lo, hi := blockBounds(len(u), b)
-	var s float64
-	for i := lo; i < hi; i++ {
-		s += u[i]
-	}
-	return s
+	sum, _ := SumAbsBlock(u, b)
+	return sum
 }
 
-// WeightedSumBlock returns the naive partial of Σ w(i)·u_i over block b.
+// WeightedSumBlock returns the partial of Σ w(i)·u_i over block b:
+// WeightedSumAbsBlock's sum.
 func WeightedSumBlock(u []float64, w func(i int) float64, b int) float64 {
-	lo, hi := blockBounds(len(u), b)
-	var s float64
-	for i := lo; i < hi; i++ {
-		s += w(i) * u[i]
-	}
-	return s
+	sum, _ := WeightedSumAbsBlock(u, w, b)
+	return sum
 }
 
 // WeightedSumAbsBlock returns the block-b partials of Σ w(i)·u_i and
-// Σ|w(i)·u_i| in one pass.
+// Σ|w(i)·u_i| in one pass: the products go through the same four-lane leaf
+// as SumAbsBlock, so the all-ones fast path is bitwise its weighted twin by
+// construction.
 func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs float64) {
 	lo, hi := blockBounds(len(u), b)
-	for i := lo; i < hi; i++ {
-		t := w(i) * u[i]
-		sum += t
-		abs += math.Abs(t)
+	var t [Block]float64
+	for i, x := range u[lo:hi] {
+		t[i] = w(lo+i) * x
 	}
-	return sum, abs
+	return sumAbsLeaf(t[:hi-lo])
 }
 
 // SumAbsBlock returns the block-b partials of Σu_i and Σ|u_i| in one pass:
@@ -226,11 +239,7 @@ func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs fl
 // WeightedSumAbsBlock returns for w ≡ 1, without a call per element.
 func SumAbsBlock(u []float64, b int) (sum, abs float64) {
 	lo, hi := blockBounds(len(u), b)
-	for _, x := range u[lo:hi] {
-		sum += x
-		abs += math.Abs(x)
-	}
-	return sum, abs
+	return sumAbsLeaf(u[lo:hi])
 }
 
 // Dot returns the inner product u·v (the paper's VDP operation), blocked

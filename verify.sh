@@ -36,8 +36,22 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum) =="
+echo "== fuzz seed replay (checksum, vec leaf kernels) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
+go test -run Fuzz -fuzz='^$' ./internal/vec/...
+
+echo "== portable checksum leaf: go test -tags purego (vec, kernel, checksum, sparse, precond, core, par) =="
+# On amd64 full blocks of every (Σ, Σ|·|) reduction run in
+# internal/vec/leaf_amd64.s; -tags purego links the Go leaf every other
+# platform gets, which must pass the same goldens, freeze rows and pins on
+# the same host — the two are one reduction order, bit for bit.
+go test -tags purego ./internal/vec/... ./internal/kernel/... ./internal/checksum/... ./internal/sparse/... ./internal/precond/... ./internal/core/... ./internal/par/...
+
+echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
+# Nothing else compiles the !amd64 files; go vet's asmdecl checks the
+# assembly's frame layout against its Go declarations on amd64 above.
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/vec/
 
 echo "== go test -race (par, core, service, kernel, router) =="
 go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/...
