@@ -393,7 +393,10 @@ func run(exp string, n, blocks, repeats int, seed int64, csvDir string, collecte
 		// cutover so the table shows both regimes.
 		nsides := []int{10, 17, 24}
 		workers := []int{1, 2, 4, 8}
-		pts := bench.KernelsSweep(nsides, workers, 10*repeats)
+		pts, err := bench.KernelsSweep(nsides, workers, 10*repeats)
+		if err != nil {
+			return err
+		}
 		if err := bench.VerifyKernelsBitwise(pts); err != nil {
 			return err
 		}

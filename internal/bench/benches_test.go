@@ -140,3 +140,32 @@ func TestDeterministicBenchesBitwise(t *testing.T) {
 		t.Fatalf("self-comparison failed: %+v", rep.Failures())
 	}
 }
+
+// TestKernelsSweepCoversTriSolve: the sweep carries the two triangular-solve
+// rows at every size, each checked against the reference loops, so the
+// determinism gate of -exp kernels covers the schedule.
+func TestKernelsSweepCoversTriSolve(t *testing.T) {
+	pts, err := KernelsSweep([]int{3, 6}, []int{1, 2}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyKernelsBitwise(pts); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, p := range pts {
+		if strings.HasPrefix(p.Kernel, "trisolve") {
+			if p.Workers != 1 || p.NNZ == 0 || p.Reps != 2 {
+				t.Errorf("malformed point %+v", p)
+			}
+			seen[p.Kernel]++
+		}
+	}
+	if seen["trisolve"] != 2 || seen["trisolve+dotabs"] != 2 {
+		t.Fatalf("triangular-solve rows: %v, want two of each", seen)
+	}
+	pts[len(pts)-1].Bitwise = false
+	if err := VerifyKernelsBitwise(pts); err == nil || !strings.Contains(err.Error(), "trisolve+dotabs") {
+		t.Fatalf("diverged trisolve point not reported: %v", err)
+	}
+}

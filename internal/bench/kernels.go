@@ -9,6 +9,7 @@ import (
 
 	"newsum/internal/checksum"
 	"newsum/internal/kernel"
+	"newsum/internal/precond"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
@@ -31,7 +32,7 @@ type KernelPoint struct {
 	Seconds float64 // total for Reps repetitions
 	Serial  float64 // serial seconds for the same Reps
 	Speedup float64
-	Bitwise bool // parallel result identical to serial, bit for bit
+	Bitwise bool // result identical to its reference (serial kernel; reference loops for trisolve), bit for bit
 }
 
 // kernelCase is one benchmarked kernel: run executes one repetition on
@@ -110,10 +111,90 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	}
 }
 
+// triSolvePoints times the triangular-solve schedule on the block-Jacobi
+// ILU(0) factors of a (16 blocks, walked two at a time): "trisolve" is the
+// L then U solve of one preconditioner application, "trisolve+dotabs" the
+// same with the Eq. (4) row reductions riding each solve. The solves do not
+// go through the pool, so each is one workers=1 point; its bitwise flag
+// compares solution (and folded reductions) with the reference loops
+// sparse.CSR.SolveLower / SolveUpper (and vec.DotAbs), not with itself.
+func triSolvePoints(a *sparse.CSR, b []float64, reps int) ([]KernelPoint, error) {
+	n := a.Rows
+	m, err := precond.BlockJacobiILU0(a, min(n, 16))
+	if err != nil {
+		return nil, err
+	}
+	stages := m.Stages()
+	l, u := stages[0], stages[1]
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1 + float64(i%5)/4
+	}
+	rows := [][]float64{w}
+	lv := vec.NewLeaves(1, n)
+	y := make([]float64, n)
+	var sums [4]float64 // Σ and Σ|·| after L, then after U
+
+	// The reference: the substitution loops and a separate reduction pass.
+	var wantSums [4]float64
+	if err := l.M.SolveLower(y, b, true); err != nil {
+		return nil, err
+	}
+	wantSums[0], wantSums[1] = vec.DotAbs(w, y)
+	if err := u.M.SolveUpper(y, y); err != nil {
+		return nil, err
+	}
+	wantSums[2], wantSums[3] = vec.DotAbs(w, y)
+	want := fingerprint(y)
+
+	cases := []struct {
+		name string
+		run  func() error
+	}{
+		{"trisolve", func() error {
+			if err := l.Apply(y, b); err != nil {
+				return err
+			}
+			return u.Apply(y, y)
+		}},
+		{"trisolve+dotabs", func() error {
+			if err := l.ApplyDotAbs(y, b, rows, lv); err != nil {
+				return err
+			}
+			lv.Fold()
+			sums[0], sums[1] = lv.Sum[0], lv.Abs[0]
+			if err := u.ApplyDotAbs(y, y, rows, lv); err != nil {
+				return err
+			}
+			lv.Fold()
+			sums[2], sums[3] = lv.Sum[0], lv.Abs[0]
+			return nil
+		}},
+	}
+	var points []KernelPoint
+	for _, c := range cases {
+		sums = wantSums // the plain solve leaves them alone
+		vec.Zero(y)
+		start := time.Now()
+		for r := 0; r < reps; r++ {
+			if err := c.run(); err != nil {
+				return nil, err
+			}
+		}
+		sec := time.Since(start).Seconds()
+		points = append(points, KernelPoint{
+			Kernel: c.name, N: n, NNZ: l.M.NNZ() + u.M.NNZ(), Workers: 1, Reps: reps,
+			Seconds: sec, Serial: sec, Speedup: 1,
+			Bitwise: fingerprint(y) == want && fingerprint(sums[:]) == fingerprint(wantSums[:]),
+		})
+	}
+	return points, nil
+}
+
 // MeasureKernels sweeps kernel × workers at one operator size nside³
 // (3D Laplacian) and returns one point per combination, including the
-// workers=1 serial baselines.
-func MeasureKernels(nside int, workerCounts []int, reps int) []KernelPoint {
+// workers=1 serial baselines, and the two triangular-solve points.
+func MeasureKernels(nside int, workerCounts []int, reps int) ([]KernelPoint, error) {
 	a := sparse.Laplacian3D(nside, nside, nside)
 	n := a.Rows
 	x := make([]float64, n)
@@ -160,25 +241,31 @@ func MeasureKernels(nside int, workerCounts []int, reps int) []KernelPoint {
 			points = append(points, pt)
 		}
 	}
-	return points
+	tri, err := triSolvePoints(a, z, reps)
+	return append(points, tri...), err
 }
 
 // KernelsSweep runs MeasureKernels for every operator size.
-func KernelsSweep(nsides, workerCounts []int, reps int) []KernelPoint {
+func KernelsSweep(nsides, workerCounts []int, reps int) ([]KernelPoint, error) {
 	var points []KernelPoint
 	for _, ns := range nsides {
-		points = append(points, MeasureKernels(ns, workerCounts, reps)...)
+		pts, err := MeasureKernels(ns, workerCounts, reps)
+		if err != nil {
+			return nil, err
+		}
+		points = append(points, pts...)
 	}
-	return points
+	return points, nil
 }
 
 // VerifyKernelsBitwise reports an error naming the first sweep point
-// whose parallel result diverged from serial — the hard failure mode the
-// determinism contract forbids.
+// whose result diverged from its reference — the serial kernel for a pooled
+// point, the reference substitution loops for a triangular solve — the hard
+// failure mode the determinism contract forbids.
 func VerifyKernelsBitwise(points []KernelPoint) error {
 	for _, p := range points {
 		if !p.Bitwise {
-			return fmt.Errorf("bench: kernel %s n=%d workers=%d diverged from serial bits",
+			return fmt.Errorf("bench: kernel %s n=%d workers=%d diverged from its reference bits",
 				p.Kernel, p.N, p.Workers)
 		}
 	}

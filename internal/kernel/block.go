@@ -74,8 +74,9 @@ func mulVecBlockRange(a *sparse.CSR, ys, xs [][]float64, lo, hi int) {
 			for j := range s {
 				s[j] = 0
 			}
-			for t := a.RowPtr[r]; t < a.RowPtr[r+1]; t++ {
-				v, c := a.Val[t], a.ColIdx[t]
+			cols, vals := a.RowView(r)
+			for t, c := range cols {
+				v := vals[t]
 				for j := range s {
 					s[j] += v * xc[j][c]
 				}

@@ -162,17 +162,10 @@ func (d *DistMatrix) LocalNNZ() int {
 // MulVec computes the local block of y = A·x: yLocal gets rows [Lo, Hi) of
 // the product, from the full (gathered) input vector xGlobal.
 func (d *DistMatrix) MulVec(yLocal, xGlobal []float64) {
-	a := d.Global
-	if len(xGlobal) != a.Cols || len(yLocal) != d.LocalRows() {
+	if len(xGlobal) != d.Global.Cols || len(yLocal) != d.LocalRows() {
 		panic("par: dimension mismatch in DistMatrix.MulVec")
 	}
-	for i := d.Lo; i < d.Hi; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * xGlobal[a.ColIdx[k]]
-		}
-		yLocal[i-d.Lo] = s
-	}
+	d.Global.MulVecRows(yLocal, xGlobal, d.Lo, d.Hi)
 }
 
 // DistVector is one rank's block of a distributed vector together with its

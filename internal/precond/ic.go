@@ -90,13 +90,7 @@ func IC0(a *sparse.CSR) (Preconditioner, error) {
 
 	l := &sparse.CSR{Rows: n, Cols: n, RowPtr: low.RowPtr, ColIdx: low.ColIdx, Val: val}
 	lt := l.Transpose()
-	return &staged{
-		name: "ic0",
-		n:    n,
-		stages: []Stage{
-			{Op: StageSolve, M: l, Shape: Lower},
-			{Op: StageSolve, M: lt, Shape: Upper},
-		},
-		scratch: make([]float64, n),
-	}, nil
+	return newStaged("ic0", n,
+		Stage{Op: StageSolve, M: l, Shape: Lower},
+		Stage{Op: StageSolve, M: lt, Shape: Upper})
 }

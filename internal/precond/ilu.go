@@ -94,16 +94,9 @@ func ILU0(a *sparse.CSR) (Preconditioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := a.Rows
-	return &staged{
-		name: "ilu0",
-		n:    n,
-		stages: []Stage{
-			{Op: StageSolve, M: l, Shape: LowerUnit},
-			{Op: StageSolve, M: u, Shape: Upper},
-		},
-		scratch: make([]float64, n),
-	}, nil
+	return newStaged("ilu0", a.Rows,
+		Stage{Op: StageSolve, M: l, Shape: LowerUnit},
+		Stage{Op: StageSolve, M: u, Shape: Upper})
 }
 
 // BlockJacobiILU0 returns the block-Jacobi preconditioner with an ILU(0)
@@ -146,15 +139,9 @@ func BlockJacobiILU0(a *sparse.CSR, nblocks int) (Preconditioner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &staged{
-		name: fmt.Sprintf("bjacobi%d-ilu0", nblocks),
-		n:    n,
-		stages: []Stage{
-			{Op: StageSolve, M: l, Shape: LowerUnit},
-			{Op: StageSolve, M: u, Shape: Upper},
-		},
-		scratch: make([]float64, n),
-	}, nil
+	return newStaged(fmt.Sprintf("bjacobi%d-ilu0", nblocks), n,
+		Stage{Op: StageSolve, M: l, Shape: LowerUnit},
+		Stage{Op: StageSolve, M: u, Shape: Upper})
 }
 
 // SSOR returns the symmetric successive-over-relaxation preconditioner
@@ -194,14 +181,8 @@ func SSOR(a *sparse.CSR, omega float64) (Preconditioner, error) {
 		upper.Add(i, i, diag[i]/omega)
 		mid.Add(i, i, diag[i]/omega)
 	}
-	return &staged{
-		name: fmt.Sprintf("ssor(%.2f)", omega),
-		n:    n,
-		stages: []Stage{
-			{Op: StageSolve, M: lower.ToCSR(), Shape: Lower},
-			{Op: StageMul, M: mid.ToCSR()},
-			{Op: StageSolve, M: upper.ToCSR(), Shape: Upper},
-		},
-		scratch: make([]float64, n),
-	}, nil
+	return newStaged(fmt.Sprintf("ssor(%.2f)", omega), n,
+		Stage{Op: StageSolve, M: lower.ToCSR(), Shape: Lower},
+		Stage{Op: StageMul, M: mid.ToCSR()},
+		Stage{Op: StageSolve, M: upper.ToCSR(), Shape: Upper})
 }

@@ -43,51 +43,87 @@ const (
 )
 
 // Stage is one step of a preconditioner application.
+//
+// A solve stage carries a schedule — the pivots as an array and, for a
+// triangular shape, the sparse.TriSchedule of its factor — built once by
+// this package's constructors, where a zero pivot or a malformed factor is
+// reported, and never written again: preconditioners are shared across
+// service workers. A solve stage written as a literal, Stage{Op, M, Shape},
+// has none: every Apply and ApplyDotAbs builds (one pass over M, O(n) words)
+// and discards one, reporting what construction would have — same results,
+// same bits, at a price only tests should pay.
 type Stage struct {
 	Op    StageOp
 	M     *sparse.CSR
 	Shape TriShape // meaningful for StageSolve
+
+	tri  *sparse.TriSchedule // Lower, LowerUnit, Upper
+	diag []float64           // Diagonal
+}
+
+// solveStage returns the solve stage of m with its schedule built.
+func solveStage(m *sparse.CSR, shape TriShape) (Stage, error) {
+	s := Stage{Op: StageSolve, M: m, Shape: shape}
+	var err error
+	switch shape {
+	case Diagonal:
+		s.diag = m.Diag(nil)
+		for i, d := range s.diag {
+			//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
+			if d == 0 {
+				return s, fmt.Errorf("precond: zero diagonal at %d", i)
+			}
+		}
+	case Lower, LowerUnit, Upper:
+		s.tri, err = sparse.NewTriSchedule(m, shape == Upper, shape == LowerUnit)
+	default:
+		err = fmt.Errorf("precond: unknown stage shape %d", shape)
+	}
+	return s, err
+}
+
+// scheduled returns s with a schedule: s itself unless it is a solve stage
+// written as a literal.
+//
+//hot:loop schedule lookup at the head of every stage application
+func (s Stage) scheduled() (Stage, error) {
+	if s.Op != StageSolve || s.tri != nil || s.diag != nil {
+		return s, nil
+	}
+	//hot:cold only a hand-built literal builds its schedule per call
+	return solveStage(s.M, s.Shape)
 }
 
 // Apply runs the stage: out := stage(in). out and in must not alias for
 // StageMul; solves tolerate aliasing. ABFT schemes use this to interleave
 // checksum updates between the stages of a composed preconditioner.
 func (s Stage) Apply(out, in []float64) error {
-	return s.apply(out, in)
-}
-
-// apply runs the stage: out := stage(in). out and in must not alias for
-// StageMul; solves tolerate aliasing.
-func (s Stage) apply(out, in []float64) error {
-	switch s.Op {
-	case StageMul:
+	s, err := s.scheduled()
+	if err != nil {
+		return err
+	}
+	switch {
+	case s.Op == StageMul:
 		s.M.MulVec(out, in)
 		return nil
-	case StageSolve:
-		switch s.Shape {
-		case Diagonal:
-			return s.solveDiagonal(out, in, 0, len(out))
-		case Lower:
-			return s.M.SolveLower(out, in, false)
-		case LowerUnit:
-			return s.M.SolveLower(out, in, true)
-		case Upper:
-			return s.M.SolveUpper(out, in)
-		}
+	case s.Op != StageSolve:
+		return fmt.Errorf("precond: unknown stage op %d", s.Op)
+	case s.Shape == Diagonal:
+		return s.solveDiagonal(out, in, 0, len(out))
 	}
-	return fmt.Errorf("precond: unknown stage op %d", s.Op)
+	return s.tri.Solve(out, in)
 }
 
 // solveDiagonal is the element-wise solve over rows [lo, hi).
+//
+//hot:loop element-wise solve of a diagonal stage
 func (s Stage) solveDiagonal(out, in []float64, lo, hi int) error {
+	if len(out) != len(s.diag) || len(in) != len(s.diag) {
+		//hot:cold dimension mismatch aborts the solve
+		return fmt.Errorf("precond: dimension mismatch in diagonal solve")
+	}
 	for i := lo; i < hi; i++ {
-		d := s.M.At(i, i)
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
-		if d == 0 {
-			//hot:cold singular preconditioner aborts the solve
-			return fmt.Errorf("precond: zero diagonal at %d", i)
-		}
-		out[i] = in[i] / d
+		out[i] = in[i] / s.diag[i]
 	}
 	return nil
 }
@@ -102,30 +138,27 @@ func (s Stage) solveDiagonal(out, in []float64, lo, hi int) error {
 //
 //hot:loop fused PCO stage + checksum row reductions on the protected solve path
 func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) error {
-	switch s.Op {
-	case StageMul:
+	s, err := s.scheduled()
+	if err != nil {
+		return err
+	}
+	switch {
+	case s.Op == StageMul:
 		s.M.MulVecDotAbs(out, in, rows, lv, 0, s.M.Rows)
 		return nil
-	case StageSolve:
-		switch s.Shape {
-		case Diagonal:
-			for lo, n := 0, len(out); lo < n; lo += vec.Block {
-				if err := s.solveDiagonal(out, in, lo, min(lo+vec.Block, n)); err != nil {
-					return err
-				}
-				lv.FillBlock(rows, out, lo/vec.Block)
+	case s.Op != StageSolve:
+		//hot:cold malformed stage aborts the solve
+		return fmt.Errorf("precond: unknown stage op %d", s.Op)
+	case s.Shape == Diagonal:
+		for lo, n := 0, len(out); lo < n; lo += vec.Block {
+			if err := s.solveDiagonal(out, in, lo, min(lo+vec.Block, n)); err != nil {
+				return err
 			}
-			return nil
-		case Lower:
-			return s.M.SolveLowerDotAbs(out, in, false, rows, lv)
-		case LowerUnit:
-			return s.M.SolveLowerDotAbs(out, in, true, rows, lv)
-		case Upper:
-			return s.M.SolveUpperDotAbs(out, in, rows, lv)
+			lv.FillBlock(rows, out, lo/vec.Block)
 		}
+		return nil
 	}
-	//hot:cold malformed stage aborts the solve
-	return fmt.Errorf("precond: unknown stage op %d", s.Op)
+	return s.tri.SolveDotAbs(out, in, rows, lv)
 }
 
 // Preconditioner solves M·z = r for z, and exposes its explicit stage
@@ -151,6 +184,18 @@ type staged struct {
 	n       int
 	stages  []Stage
 	scratch []float64
+}
+
+// newStaged returns the preconditioner that applies stages in order, each
+// solve stage with its schedule built.
+func newStaged(name string, n int, stages ...Stage) (Preconditioner, error) {
+	for i, st := range stages {
+		var err error
+		if stages[i], err = st.scheduled(); err != nil {
+			return nil, fmt.Errorf("precond: %s: %w", name, err)
+		}
+	}
+	return &staged{name: name, n: n, stages: stages, scratch: make([]float64, n)}, nil
 }
 
 func (p *staged) Dims() int       { return p.n }
@@ -179,7 +224,7 @@ func (p *staged) Apply(z, r []float64) error {
 		if st.Op == StageMul && &out[0] == &in[0] {
 			out = p.scratch
 		}
-		if err := st.apply(out, in); err != nil {
+		if err := st.Apply(out, in); err != nil {
 			return err
 		}
 		in = out
@@ -207,11 +252,5 @@ func Jacobi(a *sparse.CSR) (Preconditioner, error) {
 		}
 		c.Add(i, i, d)
 	}
-	m := c.ToCSR()
-	return &staged{
-		name:    "jacobi",
-		n:       n,
-		stages:  []Stage{{Op: StageSolve, M: m, Shape: Diagonal}},
-		scratch: make([]float64, n),
-	}, nil
+	return newStaged("jacobi", n, Stage{Op: StageSolve, M: c.ToCSR(), Shape: Diagonal})
 }

@@ -3,6 +3,8 @@ package precond
 import (
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 	"testing"
 
 	"newsum/internal/sparse"
@@ -325,7 +327,11 @@ func BenchmarkBlockJacobiApply(b *testing.B) {
 // over the vector the stage's checksum update reads produces (the solution
 // for a solve, the operand for a multiply), bit for bit, in place and out
 // of place, at sizes straddling the leaf boundary and with one and three
-// weight rows.
+// weight rows. Every solve shape runs twice: as the literal a test may
+// write (its schedule built per call) and as the constructors build it
+// (scheduled once) — including the block-Jacobi factors, whose schedule
+// walks 16 independent blocks in pairs — and the output is also held to the
+// reference loops of internal/sparse, not only to Apply.
 func TestStageApplyDotAbsBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	bits := math.Float64bits
@@ -335,12 +341,26 @@ func TestStageApplyDotAbsBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		bj, err := BlockJacobiILU0(a, min(n, 16))
+		if err != nil {
+			t.Fatal(err)
+		}
 		stages := map[string]Stage{
-			"lower":     {Op: StageSolve, M: a.LowerTriangle(), Shape: Lower},
-			"lowerunit": {Op: StageSolve, M: a.LowerTriangle(), Shape: LowerUnit},
-			"upper":     {Op: StageSolve, M: a.UpperTriangle(), Shape: Upper},
-			"diagonal":  jac.Stages()[0],
-			"mul":       {Op: StageMul, M: a},
+			"lower":      {Op: StageSolve, M: a.LowerTriangle(), Shape: Lower},
+			"lowerunit":  {Op: StageSolve, M: a.LowerTriangle(), Shape: LowerUnit},
+			"upper":      {Op: StageSolve, M: a.UpperTriangle(), Shape: Upper},
+			"diagonal":   jac.Stages()[0],
+			"mul":        {Op: StageMul, M: a},
+			"bjacobi-l":  bj.Stages()[0],
+			"bjacobi-u":  bj.Stages()[1],
+			"diag-plain": {Op: StageSolve, M: jac.Stages()[0].M, Shape: Diagonal},
+		}
+		for _, name := range []string{"lower", "lowerunit", "upper"} {
+			st, err := stages[name].scheduled()
+			if err != nil {
+				t.Fatal(err)
+			}
+			stages[name+"-scheduled"] = st
 		}
 		for name, st := range stages {
 			for _, k := range []int{1, 3} {
@@ -352,6 +372,13 @@ func TestStageApplyDotAbsBitwise(t *testing.T) {
 				want := make([]float64, n)
 				if err := st.Apply(want, in); err != nil {
 					t.Fatal(err)
+				}
+				if ref := referenceSolve(t, st, in); ref != nil {
+					for i := range ref {
+						if bits(want[i]) != bits(ref[i]) {
+							t.Fatalf("%s n=%d: Apply out[%d] = %x, reference loop %x", name, n, i, want[i], ref[i])
+						}
+					}
 				}
 				reduced := want
 				if st.Op == StageMul {
@@ -389,6 +416,26 @@ func TestStageApplyDotAbsBitwise(t *testing.T) {
 	}
 }
 
+// referenceSolve runs a triangular solve stage through the reference loops
+// of internal/sparse; nil for any other stage.
+func referenceSolve(t *testing.T, st Stage, in []float64) []float64 {
+	t.Helper()
+	if st.Op != StageSolve || st.Shape == Diagonal {
+		return nil
+	}
+	out := make([]float64, len(in))
+	var err error
+	if st.Shape == Upper {
+		err = st.M.SolveUpper(out, in)
+	} else {
+		err = st.M.SolveLower(out, in, st.Shape == LowerUnit)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestStageApplyDotAbsErrors: a singular factor fails the fused solve as
 // it fails the plain one.
 func TestStageApplyDotAbsErrors(t *testing.T) {
@@ -420,5 +467,117 @@ func TestStageApplyDotAbsErrors(t *testing.T) {
 	}
 	if (Stage{Op: StageSolve, M: l, Shape: Lower}).ApplyDotAbs(out[:n-1], in, rows, lv) == nil {
 		t.Error("dimension mismatch applied without error")
+	}
+}
+
+// TestSolveStagesScheduledAtConstruction: every constructor hands out solve
+// stages whose schedule is already built — Apply allocates nothing — and a
+// singular factor is refused there, with the row, where a literal reports
+// the same thing on its first application.
+func TestSolveStagesScheduledAtConstruction(t *testing.T) {
+	a := sparse.DiagDominant(300, 5, 7)
+	for name, build := range map[string]func() (Preconditioner, error){
+		"jacobi":  func() (Preconditioner, error) { return Jacobi(a) },
+		"ilu0":    func() (Preconditioner, error) { return ILU0(a) },
+		"bjacobi": func() (Preconditioner, error) { return BlockJacobiILU0(a, 4) },
+		"ic0":     func() (Preconditioner, error) { return IC0(sparse.Laplacian2D(12, 12)) },
+		"ssor":    func() (Preconditioner, error) { return SSOR(a, 1.2) },
+	} {
+		p, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, out := make([]float64, p.Dims()), make([]float64, p.Dims())
+		for i, st := range p.Stages() {
+			if st.Op == StageSolve && st.tri == nil && st.diag == nil {
+				t.Errorf("%s stage %d carries no schedule", name, i)
+			}
+			if st.Op == StageMul {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(5, func() { _ = st.Apply(out, in) }); allocs != 0 {
+				t.Errorf("%s stage %d: Apply allocates %v times", name, i, allocs)
+			}
+		}
+	}
+
+	c := sparse.NewCOO(4, 4)
+	for i := 0; i < 4; i++ {
+		if i != 2 {
+			c.Add(i, i, 2)
+		}
+		if i > 0 {
+			c.Add(i, i-1, -1)
+		}
+	}
+	l := c.ToCSR()
+	for _, tc := range []struct {
+		shape TriShape
+		m     *sparse.CSR
+		want  string
+	}{
+		{Lower, l, "sparse: zero diagonal at row 2 in SolveLower"},
+		{Upper, l.Transpose(), "sparse: zero diagonal at row 2 in SolveUpper"},
+		{Diagonal, l, "precond: zero diagonal at 2"},
+		{TriShape(9), l, "unknown stage shape"},
+	} {
+		lit := Stage{Op: StageSolve, M: tc.m, Shape: tc.shape}
+		_, errNew := newStaged("test", 4, lit)
+		errApply := lit.Apply(make([]float64, 4), make([]float64, 4))
+		for _, err := range []error{errNew, errApply} {
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("shape %d: error %v, want one containing %q", tc.shape, err, tc.want)
+			}
+		}
+	}
+	if _, err := solveStage(l, LowerUnit); err != nil {
+		t.Errorf("unit-lower stage looked at the diagonal: %v", err)
+	}
+}
+
+// TestSharedStagesApplyConcurrently: a preconditioner's stages are shared
+// by every worker that solves on its operator, so their schedules must be
+// read-only under Apply (run with -race) and every worker must get the
+// same bits.
+func TestSharedStagesApplyConcurrently(t *testing.T) {
+	a := sparse.CircuitLike(2000, 5)
+	p, err := BlockJacobiILU0(a, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.Rows
+	in := randVecP(rand.New(rand.NewSource(3)), n)
+	want := make([]float64, n)
+	if err := p.Apply(want, in); err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	outs := make([][]float64, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			out := append([]float64(nil), in...)
+			lv := vec.NewLeaves(1, n)
+			for _, st := range p.Stages() {
+				if errs[w] = st.ApplyDotAbs(out, out, [][]float64{in}, lv); errs[w] != nil {
+					return
+				}
+			}
+			outs[w] = out
+		}(w)
+	}
+	wg.Wait()
+	for w := range outs {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		for i := range want {
+			if math.Float64bits(outs[w][i]) != math.Float64bits(want[i]) {
+				t.Fatalf("worker %d: out[%d] = %x, serial Apply %x", w, i, outs[w][i], want[i])
+			}
+		}
 	}
 }

@@ -171,18 +171,50 @@ func (a *CSR) Transpose() *CSR {
 	return t
 }
 
+// rowDot returns Σ_k vals[k]·x[cols[k]], accumulated left to right from +0:
+// the order (and so the bits) of every product row in the repo. Reslicing
+// vals to len(cols) leaves the gather x[j] as the one bounds check of the
+// loop.
+//
+//hot:loop the SpMV inner loop, inlined into every caller
+func rowDot(cols []int, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	var s float64
+	for k, j := range cols {
+		s += vals[k] * x[j]
+	}
+	return s
+}
+
+// MulVecRows computes dst[i-lo] := (A·x)[i] for the rows i in [lo, hi) — the
+// one CSR row kernel behind MulVec, MulVecRange, MulVecDotAbs and
+// par.DistMatrix.MulVec. The backing slices are hoisted and each row is a
+// pair of sub-slices cut at consecutive RowPtr values, each loaded once.
+// dst must not alias x.
+//
+//hot:loop the CSR row kernel of every SpMV on the solve path
+func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
+	if lo < 0 || hi > a.Rows || lo > hi {
+		panic("sparse: bad row range in MulVecRows")
+	}
+	if len(x) != a.Cols || len(dst) != hi-lo {
+		panic("sparse: dimension mismatch in MulVecRows")
+	}
+	rowPtr, colIdx, val := a.RowPtr[lo:hi+1], a.ColIdx, a.Val
+	k0 := rowPtr[0]
+	for i := range dst {
+		k1 := rowPtr[i+1]
+		dst[i] = rowDot(colIdx[k0:k1], val[k0:k1], x)
+		k0 = k1
+	}
+}
+
 // MulVec computes y := A·x, the paper's MVM operation. y must not alias x.
 func (a *CSR) MulVec(y, x []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
+	if len(y) != a.Rows {
 		panic("sparse: dimension mismatch in MulVec")
 	}
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i] = s
-	}
+	a.MulVecRows(y, x, 0, a.Rows)
 }
 
 // MulVecRange computes y[lo:hi] := (A·x)[lo:hi], recomputing only the rows in
@@ -192,26 +224,27 @@ func (a *CSR) MulVecRange(y, x []float64, lo, hi int) {
 	if lo < 0 || hi > a.Rows || lo > hi {
 		panic("sparse: bad row range in MulVecRange")
 	}
-	if len(x) != a.Cols || len(y) != a.Rows {
+	if len(y) != a.Rows {
 		panic("sparse: dimension mismatch in MulVecRange")
 	}
-	for i := lo; i < hi; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i] = s
-	}
+	a.MulVecRows(y[lo:hi], x, lo, hi)
 }
 
+// fuseStretch is how many rows the fused SpMV multiplies before it fills
+// the leaves they cover: 64 leaves, a 64 KB stretch of x that is still in L2
+// at any n. The row kernel runs ahead across rows, and restarting it every
+// leaf cost more than the reduction it made room for (docs/kernels.md
+// "Sparse sweep contract").
+const fuseStretch = 64 * vec.Block
+
 // MulVecDotAbs computes y[lo:hi] := (A·x)[lo:hi] for a square matrix and,
-// block of vec.Block rows by block inside the same sweep, lv's leaves of
-// rows[j]·x and Σ|rows[j]_i·x_i| for the blocks the range covers — the
-// Eq. (2) row reductions, taken while the block of x the product has just
-// walked past is still in L1. lo must be a multiple of vec.Block and hi one
-// too unless it is a.Rows, so that every leaf is built whole by one caller;
-// the product is MulVecRange's and the leaves are vec.DotAbsBlock's, bit
-// for bit.
+// stretch of fuseStretch rows by stretch inside the same sweep, lv's leaves
+// of rows[j]·x and Σ|rows[j]_i·x_i| for the blocks the range covers — the
+// Eq. (2) row reductions, taken while the stretch of x the product has just
+// walked past is still in cache. lo must be a multiple of vec.Block and hi
+// one too unless it is a.Rows, so that every leaf is built whole by one
+// caller; the product is MulVecRange's and the leaves are
+// vec.DotAbsBlock's, bit for bit.
 //
 //hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
 func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo, hi int) {
@@ -221,9 +254,12 @@ func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo,
 	if lo%vec.Block != 0 || (hi%vec.Block != 0 && hi != a.Rows) {
 		panic("sparse: row range not block-aligned in MulVecDotAbs")
 	}
-	for ; lo < hi; lo += vec.Block {
-		a.MulVecRange(y, x, lo, min(lo+vec.Block, hi))
-		lv.FillBlock(rows, x, lo/vec.Block)
+	for ; lo < hi; lo += fuseStretch {
+		next := min(lo+fuseStretch, hi)
+		a.MulVecRange(y, x, lo, next)
+		for blk := lo / vec.Block; blk*vec.Block < next; blk++ {
+			lv.FillBlock(rows, x, blk)
+		}
 	}
 }
 
@@ -239,11 +275,8 @@ func (a *CSR) MulVecStride(y, x []float64, start, stride int) {
 		panic("sparse: dimension mismatch in MulVecStride")
 	}
 	for i := start; i < a.Rows; i += stride {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColIdx[k]]
-		}
-		y[i] = s
+		cols, vals := a.RowView(i)
+		y[i] = rowDot(cols, vals, x)
 	}
 }
 

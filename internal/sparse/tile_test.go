@@ -81,6 +81,13 @@ func TestMulVecRangeTilesComposeBitwise(t *testing.T) {
 		}
 		for k := 0; k+1 < len(cuts); k++ {
 			a.MulVecRange(got, x, cuts[k], cuts[k+1])
+			// The same rows into a local slice — a rank's view of its block.
+			local := make([]float64, cuts[k+1]-cuts[k])
+			a.MulVecRows(local, x, cuts[k], cuts[k+1])
+			if i, ok := bitsEqual(local, want[cuts[k]:cuts[k+1]]); !ok {
+				t.Fatalf("trial %d rows [%d, %d): local row %d = %x, MulVec %x",
+					trial, cuts[k], cuts[k+1], i, local[i], want[cuts[k]+i])
+			}
 		}
 		if i, ok := bitsEqual(got, want); !ok {
 			t.Fatalf("trial %d cuts %v: row %d = %x, MulVec %x",
@@ -152,18 +159,19 @@ func TestMulVecDotAbsTilesComposeBitwise(t *testing.T) {
 	for _, n := range []int{1, 127, 128, 129, 1000, 4097} {
 		a := adversarialCSR(rng, n, n)
 		x := make([]float64, n)
-		rows := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
+		three := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
 		for i := range x {
 			x[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
-			for _, r := range rows {
+			for _, r := range three {
 				r[i] = rng.NormFloat64()
 			}
 		}
 		want := make([]float64, n)
 		a.MulVec(want, x)
 		nb := vec.Blocks(n)
-		lv := vec.NewLeaves(len(rows), n)
 		for trial := 0; trial < 10; trial++ {
+			rows := three[:1+2*(trial%2)] // one weight row, then three
+			lv := vec.NewLeaves(len(rows), n)
 			cuts := randomPartition(rng, nb, 1+rng.Intn(5))
 			got := make([]float64, n)
 			for _, t := range rng.Perm(len(cuts) - 1) {

@@ -1,0 +1,306 @@
+package sparse
+
+import (
+	"fmt"
+
+	"newsum/internal/vec"
+)
+
+// triCoalesce is the fewest rows an independent block keeps to itself;
+// shorter neighbours are merged until they reach it, so that the per-unit
+// bookkeeping of a solve is spread over enough rows to vanish.
+const triCoalesce = 32
+
+// TriSchedule is a triangular solve with everything that depends only on
+// the factor decided once: where each row's strict triangle lies in the
+// factor's own ColIdx/Val (O(n) words; the factor is not copied), the
+// pivots as an array, the zero-pivot and shape checks, and the boundaries
+// of the diagonal blocks that share no unknown. It is immutable after
+// NewTriSchedule and may be used from any number of goroutines.
+//
+// The bits are SolveLower's and SolveUpper's: every row subtracts its
+// stored products from b_i left to right and divides by the pivot. Rows of
+// two independent blocks never read each other's unknowns, so no
+// interleaving of them can reach an operand; Solve walks two blocks in
+// lockstep only to give the core two subtract–divide chains to overlap
+// instead of one (docs/kernels.md "Sparse sweep contract").
+type TriSchedule struct {
+	m     *CSR
+	upper bool
+	// Row i's strict triangle is m.ColIdx[beg[i]:end[i]] and m.Val likewise.
+	// One of the two is a window onto m.RowPtr, the other the schedule's own.
+	beg, end []int
+	diag     []float64 // pivots; nil for a unit diagonal
+	// units lists, in solve order, the rows (lo, mid, hi) of each step: the
+	// independent blocks [lo, mid) and [mid, hi) in lockstep, or the single
+	// chain [lo, hi) when mid == hi. The steps tile the rows contiguously,
+	// ascending for a lower factor and descending for an upper one, so every
+	// row on the solved side of a finished step is final.
+	units []int
+}
+
+// NewTriSchedule builds the solve schedule of the triangular factor m:
+// lower, or upper when upper is set; unit says the diagonal is one whatever
+// is stored (ILU(0) L factors). Entries on the wrong side of the diagonal
+// are ignored, as SolveLower and SolveUpper ignore them. It fails on a
+// non-square matrix, on a row not sorted by column and — with the reference
+// loops' message and row — on an absent or zero pivot.
+func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
+	n := m.Rows
+	op := "SolveLower"
+	if upper {
+		op = "SolveUpper"
+	}
+	if m.Cols != n {
+		return nil, fmt.Errorf("sparse: dimension mismatch in %s", op)
+	}
+	t := &TriSchedule{m: m, upper: upper}
+	cut := make([]int, n)
+	if upper {
+		t.beg, t.end = cut, m.RowPtr[1:]
+	} else {
+		t.beg, t.end = m.RowPtr[:n], cut
+	}
+	if !unit {
+		t.diag = make([]float64, n)
+	}
+	// reach[i] is the farthest unknown row i reads: its smallest strict
+	// column in a lower factor, its largest in an upper one.
+	reach := make([]int, n)
+	for i := 0; i < n; i++ {
+		// Peel the strict triangle off its end of the sorted row; the pivot
+		// and the ignored side are what is left in [lo, hi).
+		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+		reach[i] = i
+		if upper {
+			for ; hi > lo && m.ColIdx[hi-1] > i; hi-- {
+				reach[i] = max(reach[i], m.ColIdx[hi-1])
+			}
+			cut[i] = hi
+		} else {
+			for ; lo < hi && m.ColIdx[lo] < i; lo++ {
+				reach[i] = min(reach[i], m.ColIdx[lo])
+			}
+			cut[i] = lo
+		}
+		pivot := 0.0
+		for k := lo; k < hi; k++ {
+			switch j := m.ColIdx[k]; {
+			case j == i:
+				pivot = m.Val[k]
+			case (j > i) == upper:
+				return nil, fmt.Errorf("sparse: row %d not sorted by column in %s", i, op)
+			}
+		}
+		if unit {
+			continue
+		}
+		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
+		if pivot == 0 {
+			return nil, fmt.Errorf("sparse: zero diagonal at row %d in %s", i, op)
+		}
+		t.diag[i] = pivot
+	}
+	t.units = triUnits(triBlocks(reach, upper), upper)
+	return t, nil
+}
+
+// triBlocks returns the boundaries 0 = c₀ < … < c_k = n of the independent
+// diagonal blocks read off reach (which it overwrites): in a lower factor
+// row i starts a block iff no row ≥ i reads an unknown < i, in an upper one
+// iff no row < i reads an unknown ≥ i. Blocks shorter than triCoalesce are
+// merged into a neighbour, which keeps the union independent of the rest.
+func triBlocks(reach []int, upper bool) []int {
+	n := len(reach)
+	if upper {
+		for i := 1; i < n; i++ {
+			reach[i] = max(reach[i], reach[i-1]) // the farthest any row ≤ i reads
+		}
+	} else {
+		for i := n - 2; i >= 0; i-- {
+			reach[i] = min(reach[i], reach[i+1]) // the farthest any row ≥ i reads
+		}
+	}
+	blocks := []int{0}
+	for i := 1; i < n; i++ {
+		starts := reach[i] >= i
+		if upper {
+			starts = reach[i-1] < i
+		}
+		if starts && i-blocks[len(blocks)-1] >= triCoalesce {
+			blocks = append(blocks, i)
+		}
+	}
+	if k := len(blocks) - 1; k > 0 && n-blocks[k] < triCoalesce {
+		blocks = blocks[:k]
+	}
+	return append(blocks, n)
+}
+
+// triUnits pairs the blocks off in solve order — from the top for a lower
+// factor, from the bottom for an upper one — as (lo, mid, hi) triples. A
+// block left without a partner (always the case for a factor that is one
+// block, such as plain ILU(0)) is cut at the vec.Block leaf boundaries into
+// single chains, so that the fused solve fills each leaf as it completes.
+func triUnits(blocks []int, upper bool) []int {
+	nb := len(blocks) - 1
+	var units []int
+	if upper {
+		p := nb
+		for ; p >= 2; p -= 2 {
+			units = append(units, blocks[p-2], blocks[p-1], blocks[p])
+		}
+		for hi := blocks[p]; hi > 0; {
+			lo := (hi - 1) / vec.Block * vec.Block
+			units = append(units, lo, hi, hi)
+			hi = lo
+		}
+		return units
+	}
+	p := 0
+	for ; p+2 <= nb; p += 2 {
+		units = append(units, blocks[p], blocks[p+1], blocks[p+2])
+	}
+	for lo, n := blocks[p], blocks[nb]; lo < n; {
+		hi := min((lo/vec.Block+1)*vec.Block, n)
+		units = append(units, lo, hi, hi)
+		lo = hi
+	}
+	return units
+}
+
+// Solve solves T·x = b for x. x and b may alias. The only error left to
+// solve time is a length mismatch.
+//
+//hot:loop triangular solve of every factored preconditioner application
+func (t *TriSchedule) Solve(x, b []float64) error {
+	return t.SolveDotAbs(x, b, nil, nil)
+}
+
+// SolveDotAbs is Solve that also fills lv's leaves of rows[j]·x and
+// Σ|rows[j]_i·x_i| — the Eq. (4) row reductions over the solution — each
+// leaf once every row in it is final: ascending for a lower factor; for an
+// upper one last leaf first, which the fold does not care about. The
+// solution is Solve's and the folded leaves are vec.DotAbs's, bit for bit.
+// A nil lv fills nothing.
+//
+//hot:loop fused triangular solve + Eq. (4) row reductions on the protected solve path
+func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leaves) error {
+	n := t.m.Rows
+	if len(x) != n || len(b) != n {
+		//hot:cold dimension mismatch aborts the solve
+		return fmt.Errorf("sparse: dimension mismatch in TriSchedule.Solve")
+	}
+	next := 0 // the first leaf not yet filled (lower) …
+	if t.upper {
+		next = vec.Blocks(n) // … or the last one filled (upper)
+	}
+	for u := 0; u+2 < len(t.units); u += 3 {
+		lo, mid, hi := t.units[u], t.units[u+1], t.units[u+2]
+		// k rows of each block in lockstep from the ends the substitution
+		// starts at, then what is left of the longer block alone.
+		k := min(mid-lo, hi-mid)
+		if t.upper {
+			t.pair(x, b, mid-k, hi-k, k)
+			t.chain(x, b, lo, mid-k)
+			t.chain(x, b, mid, hi-k)
+		} else {
+			t.pair(x, b, lo, mid, k)
+			t.chain(x, b, lo+k, mid)
+			t.chain(x, b, mid+k, hi)
+		}
+		if lv == nil {
+			continue
+		}
+		if t.upper {
+			for ; next > 0 && (next-1)*vec.Block >= lo; next-- {
+				lv.FillBlock(rows, x, next-1)
+			}
+		} else {
+			for ; next*vec.Block < n && min((next+1)*vec.Block, n) <= hi; next++ {
+				lv.FillBlock(rows, x, next)
+			}
+		}
+	}
+	return nil
+}
+
+// triRow returns s − Σ_k vals[k]·x[cols[k]], subtracted left to right: the
+// order (and so the bits) of a substitution row.
+//
+//hot:loop the substitution inner loop, inlined into chain and pair
+func triRow(s float64, cols []int, vals, x []float64) float64 {
+	vals = vals[:len(cols)]
+	for k, j := range cols {
+		s -= vals[k] * x[j]
+	}
+	return s
+}
+
+// chain solves the rows [lo, hi) as one substitution chain, ascending for a
+// lower factor and descending for an upper one. The row-indexed arrays are
+// cut to the range first, so the loops index them unchecked.
+//
+//hot:loop one substitution chain
+func (t *TriSchedule) chain(x, b []float64, lo, hi int) {
+	beg, end, xs, bs := t.beg[lo:hi], t.end[lo:hi], x[lo:hi], b[lo:hi]
+	var diag []float64 // stays empty for a unit diagonal: r < len(diag) is the test
+	if t.diag != nil {
+		diag = t.diag[lo:hi]
+	}
+	colIdx, val := t.m.ColIdx, t.m.Val
+	if t.upper {
+		for r := len(beg) - 1; r >= 0; r-- {
+			s := triRow(bs[r], colIdx[beg[r]:end[r]], val[beg[r]:end[r]], x)
+			if r < len(diag) {
+				s /= diag[r]
+			}
+			xs[r] = s
+		}
+		return
+	}
+	for r := range beg {
+		s := triRow(bs[r], colIdx[beg[r]:end[r]], val[beg[r]:end[r]], x)
+		if r < len(diag) {
+			s /= diag[r]
+		}
+		xs[r] = s
+	}
+}
+
+// pair solves the n rows from i and the n rows from j, two independent
+// blocks, in lockstep. Neither chain reads what the other writes, so each
+// row's operands — and bits — are those of chain.
+//
+//hot:loop two independent substitution chains in lockstep
+func (t *TriSchedule) pair(x, b []float64, i, j, n int) {
+	begI, endI, xi, bi := t.beg[i:][:n], t.end[i:][:n], x[i:][:n], b[i:][:n]
+	begJ, endJ, xj, bj := t.beg[j:][:n], t.end[j:][:n], x[j:][:n], b[j:][:n]
+	var di, dj []float64
+	if t.diag != nil {
+		di, dj = t.diag[i:][:n], t.diag[j:][:n]
+	}
+	dj = dj[:len(di)]
+	colIdx, val := t.m.ColIdx, t.m.Val
+	if t.upper {
+		for r := n - 1; r >= 0; r-- {
+			si := triRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+			sj := triRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+			if r < len(di) {
+				si /= di[r]
+				sj /= dj[r]
+			}
+			xi[r], xj[r] = si, sj
+		}
+		return
+	}
+	for r := 0; r < n; r++ {
+		si := triRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+		sj := triRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+		if r < len(di) {
+			si /= di[r]
+			sj /= dj[r]
+		}
+		xi[r], xj[r] = si, sj
+	}
+}

@@ -1,0 +1,405 @@
+package sparse
+
+import (
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"newsum/internal/vec"
+)
+
+// The scheduled triangular solve promises the reference loops' bits: every
+// test here runs CSR.SolveLower / SolveUpper beside TriSchedule on the same
+// factor and compares IEEE-754 patterns, never magnitudes.
+
+// triShape names the three solve shapes.
+type triShape struct {
+	name        string
+	upper, unit bool
+}
+
+var triShapes = []triShape{
+	{"lowerunit", false, true},
+	{"lower", false, false},
+	{"upper", true, false},
+}
+
+// reference runs the loop the shape's schedule must reproduce.
+func (s triShape) reference(m *CSR, x, b []float64) error {
+	if s.upper {
+		return m.SolveUpper(x, b)
+	}
+	return m.SolveLower(x, b, s.unit)
+}
+
+// blockTriangle draws a triangular factor whose strict triangle couples
+// rows only within the consecutive diagonal blocks of the given sizes, so
+// the block structure the schedule should find is known. Every row is
+// diagonally dominant (the solution stays finite however long the chain)
+// with entries spread over twenty binades. empty is the fraction of rows left with no strict entry; with
+// wrongSide, rows also carry entries across the diagonal — inside and
+// outside their block — that every solve must ignore.
+func blockTriangle(rng *rand.Rand, sizes []int, upper bool, empty float64, wrongSide bool) *CSR {
+	n := 0
+	for _, s := range sizes {
+		n += s
+	}
+	val := func() float64 { return rng.NormFloat64() * math.Exp2(float64(-3-rng.Intn(20))) }
+	c := NewCOO(n, n)
+	lo := 0
+	for _, size := range sizes {
+		hi := lo + size
+		for i := lo; i < hi; i++ {
+			c.Add(i, i, 1+rng.Float64()) // ToCSR sums duplicates, so the pivot is added once
+			from, to := lo, i            // strict columns available to row i
+			if upper {
+				from, to = i+1, hi
+			}
+			if to > from && rng.Float64() >= empty {
+				for k := 1 + rng.Intn(4); k > 0; k-- {
+					c.Add(i, from+rng.Intn(to-from), val())
+				}
+				if rng.Intn(3) == 0 { // chain to the neighbour: the latency-bound case
+					if upper {
+						c.Add(i, i+1, val())
+					} else {
+						c.Add(i, i-1, val())
+					}
+				}
+			}
+			if wrongSide {
+				if j := rng.Intn(n); (j > i) != upper && j != i {
+					c.Add(i, j, val())
+				}
+			}
+		}
+		lo = hi
+	}
+	return c.ToCSR()
+}
+
+// blockDiagonal drops every coupling of a between the nblocks contiguous
+// row ranges block-Jacobi cuts it into (the ranges of
+// precond.BlockJacobiILU0), leaving the pattern its ILU(0) factors have.
+func blockDiagonal(a *CSR, nblocks int) *CSR {
+	n := a.Rows
+	c := NewCOO(n, n)
+	for b := 0; b < nblocks; b++ {
+		lo, hi := b*n/nblocks, (b+1)*n/nblocks
+		for i := lo; i < hi; i++ {
+			cols, vals := a.RowView(i)
+			for k, j := range cols {
+				if j >= lo && j < hi {
+					c.Add(i, j, vals[k])
+				}
+			}
+		}
+	}
+	return c.ToCSR()
+}
+
+// checkTriSchedule holds the schedule of (m, shape) to the reference loop:
+// out of place, with x aliasing b, and fused with one and three weight
+// rows, whose folded leaves must be vec.DotAbs's over the solution.
+func checkTriSchedule(t *testing.T, rng *rand.Rand, m *CSR, shape triShape) *TriSchedule {
+	t.Helper()
+	n := m.Rows
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(20)-10))
+	}
+	want := make([]float64, n)
+	if err := shape.reference(m, want, b); err != nil {
+		t.Fatalf("%s: reference: %v", shape.name, err)
+	}
+	sched, err := NewTriSchedule(m, shape.upper, shape.unit)
+	if err != nil {
+		t.Fatalf("%s: NewTriSchedule: %v", shape.name, err)
+	}
+	check := func(what string, got []float64) {
+		t.Helper()
+		if i, ok := bitsEqual(got, want); !ok {
+			t.Fatalf("%s n=%d %s: x[%d] = %x, reference %x", shape.name, n, what, i, got[i], want[i])
+		}
+	}
+	got := make([]float64, n)
+	if err := sched.Solve(got, b); err != nil {
+		t.Fatal(err)
+	}
+	check("Solve", got)
+	alias := append([]float64(nil), b...)
+	if err := sched.Solve(alias, alias); err != nil {
+		t.Fatal(err)
+	}
+	check("Solve in place", alias)
+	for _, k := range []int{1, 3} {
+		rows := make([][]float64, k)
+		for j := range rows {
+			rows[j] = make([]float64, n)
+			for i := range rows[j] {
+				rows[j][i] = rng.NormFloat64()
+			}
+		}
+		lv := vec.NewLeaves(k, n)
+		for _, inPlace := range []bool{false, true} {
+			src := append([]float64(nil), b...)
+			dst := make([]float64, n)
+			if inPlace {
+				dst = src
+			}
+			if err := sched.SolveDotAbs(dst, src, rows, lv); err != nil {
+				t.Fatal(err)
+			}
+			lv.Fold()
+			check("SolveDotAbs", dst)
+			for j := range rows {
+				ws, wa := vec.DotAbs(rows[j], want)
+				if math.Float64bits(lv.Sum[j]) != math.Float64bits(ws) || math.Float64bits(lv.Abs[j]) != math.Float64bits(wa) {
+					t.Fatalf("%s n=%d k=%d inPlace=%v row %d: leaves fold to (%x, %x), DotAbs (%x, %x)",
+						shape.name, n, k, inPlace, j, lv.Sum[j], lv.Abs[j], ws, wa)
+				}
+			}
+		}
+	}
+	return sched
+}
+
+// scheduleBlocks recovers the block boundaries a schedule walks and checks
+// on the way that its units tile [0, n) contiguously in solve order.
+func scheduleBlocks(t *testing.T, s *TriSchedule) []int {
+	t.Helper()
+	n := s.m.Rows
+	edge := 0 // where the next unit must start
+	if s.upper {
+		edge = n
+	}
+	cuts := map[int]bool{0: true, n: true}
+	chainLo, chainHi := n, 0 // extent of the partnerless block's slices
+	for u := 0; u < len(s.units); u += 3 {
+		lo, mid, hi := s.units[u], s.units[u+1], s.units[u+2]
+		if lo > mid || mid > hi || lo == hi {
+			t.Fatalf("malformed unit (%d, %d, %d)", lo, mid, hi)
+		}
+		if s.upper {
+			if hi != edge {
+				t.Fatalf("unit (%d, %d, %d) does not continue at %d", lo, mid, hi, edge)
+			}
+			edge = lo
+		} else {
+			if lo != edge {
+				t.Fatalf("unit (%d, %d, %d) does not continue at %d", lo, mid, hi, edge)
+			}
+			edge = hi
+		}
+		if mid < hi {
+			cuts[lo], cuts[mid], cuts[hi] = true, true, true
+			continue
+		}
+		if hi-lo > vec.Block || (lo/vec.Block != (hi-1)/vec.Block) {
+			t.Fatalf("single chain (%d, %d) straddles a leaf boundary", lo, hi)
+		}
+		chainLo, chainHi = min(chainLo, lo), max(chainHi, hi)
+	}
+	if (s.upper && edge != 0) || (!s.upper && edge != n) {
+		t.Fatalf("units stop at %d of %d rows", edge, n)
+	}
+	if chainLo < chainHi {
+		cuts[chainLo], cuts[chainHi] = true, true
+	}
+	var blocks []int
+	for c := range cuts {
+		blocks = append(blocks, c)
+	}
+	sort.Ints(blocks)
+	return blocks
+}
+
+// independentCut is the brute-force oracle: rows [c, n) and [0, c) share no
+// unknown iff no strict-triangle entry joins a row on one side of c to a
+// column on the other.
+func independentCut(m *CSR, upper bool, c int) bool {
+	for i := 0; i < m.Rows; i++ {
+		cols, _ := m.RowView(i)
+		for _, j := range cols {
+			if j == i || (j > i) != upper {
+				continue
+			}
+			if (i >= c) != (j >= c) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkBlocks holds the schedule's blocks to the oracle: every boundary is
+// an independent cut, every block has reached the coalescing floor (unless
+// it is the only one), and no block hides a cut the greedy merge should
+// have taken — one at least a floor past its start, other than the last
+// cut of all dropped because what followed was too short.
+func checkBlocks(t *testing.T, m *CSR, s *TriSchedule) {
+	t.Helper()
+	n := m.Rows
+	blocks := scheduleBlocks(t, s)
+	for b := 0; b+1 < len(blocks); b++ {
+		lo, hi := blocks[b], blocks[b+1]
+		if lo > 0 && !independentCut(m, s.upper, lo) {
+			t.Fatalf("boundary %d couples its two sides", lo)
+		}
+		if hi-lo < triCoalesce && len(blocks) > 2 {
+			t.Fatalf("block [%d, %d) is below the coalescing floor %d", lo, hi, triCoalesce)
+		}
+		for c := lo + triCoalesce; c < hi; c++ {
+			if independentCut(m, s.upper, c) && !(hi == n && n-c < triCoalesce) {
+				t.Fatalf("block [%d, %d) misses the independent cut at %d", lo, hi, c)
+			}
+		}
+	}
+}
+
+func TestTriScheduleMatchesReferenceBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	equal := func(k, size int) []int {
+		s := make([]int, k)
+		for i := range s {
+			s[i] = size
+		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		sizes []int
+		empty float64
+		wrong bool
+	}{
+		{"one block", []int{700}, 0.1, false},
+		{"16 equal blocks", equal(16, 100), 0.1, false},
+		{"unequal blocks", []int{300, 41, 200, 129, 128, 127, 64}, 0.1, false},
+		{"blocks below a leaf and below the floor", []int{5, 40, 3, 100, 31, 32, 33, 200, 1, 1, 1, 90, 2}, 0.2, false},
+		{"odd block count", equal(5, 150), 0.1, false},
+		{"mostly empty strict parts", []int{400}, 0.9, false},
+		{"no strict part at all", []int{300}, 1, false},
+		{"wrong-side entries ignored", []int{90, 35, 260}, 0.1, true},
+		{"n=0", nil, 0, false},
+		{"n=1", []int{1}, 0, false},
+		{"n=127", []int{127}, 0.1, false},
+		{"n=128", []int{64, 64}, 0.1, false},
+		{"n=129", []int{129}, 0.1, true},
+	}
+	for _, tc := range cases {
+		for _, shape := range triShapes {
+			m := blockTriangle(rng, tc.sizes, shape.upper, tc.empty, tc.wrong)
+			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
+				checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
+			})
+		}
+	}
+}
+
+// TestTriScheduleOnPreconditionerPatterns runs the patterns the benchmark's
+// preconditioners hand the schedule: one block (plain ILU(0)) and the 16
+// block-Jacobi ranges, equal on the circuit operator and unequal on
+// ConvectionDiffusion2D(150, 150) (22 500 rows ÷ 16 gives 1406 and 1407) —
+// where the schedule must find exactly the ranges block-Jacobi cut.
+func TestTriScheduleOnPreconditionerPatterns(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for name, a := range map[string]*CSR{
+		"circuit":  CircuitLike(1600, 3),
+		"convdiff": ConvectionDiffusion2D(150, 150, 0.5),
+	} {
+		n := a.Rows
+		a.Scale(1 / a.NormInf()) // the unit-diagonal solve of the raw triangle would overflow
+		bd := blockDiagonal(a, 16)
+		for _, shape := range triShapes {
+			whole, cut := a.LowerTriangle(), bd.LowerTriangle()
+			if shape.upper {
+				whole, cut = a.UpperTriangle(), bd.UpperTriangle()
+			}
+			checkTriSchedule(t, rng, whole, shape)
+			blocks := scheduleBlocks(t, checkTriSchedule(t, rng, cut, shape))
+			if name != "convdiff" {
+				continue // the circuit blocks may split further; the grid's cannot
+			}
+			for b := 0; b <= 16; b++ {
+				if blocks[b] != b*n/16 {
+					t.Fatalf("%s %s: blocks %v, want the 16 block-Jacobi ranges", name, shape.name, blocks)
+				}
+			}
+		}
+	}
+}
+
+// TestTriScheduleBlocksProperty: random block structures, block detection
+// against the oracle and the solve against the reference.
+func TestTriScheduleBlocksProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		sizes := make([]int, 1+rng.Intn(12))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(80)
+		}
+		shape := triShapes[trial%len(triShapes)]
+		m := blockTriangle(rng, sizes, shape.upper, rng.Float64()/2, trial%2 == 0)
+		checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
+	}
+}
+
+func TestNewTriScheduleErrors(t *testing.T) {
+	c := NewCOO(3, 3)
+	c.Add(0, 0, 1)
+	c.Add(1, 0, 1) // no (1,1) entry
+	c.Add(2, 2, 1)
+	l := c.ToCSR()
+	for _, tc := range []struct {
+		name        string
+		m           *CSR
+		upper, unit bool
+		want        string
+	}{
+		{"absent lower pivot", l, false, false, "sparse: zero diagonal at row 1 in SolveLower"},
+		{"absent upper pivot", l.Transpose(), true, false, "sparse: zero diagonal at row 1 in SolveUpper"},
+		{"not square", adversarialCSR(rand.New(rand.NewSource(1)), 4, 5), false, true, "dimension mismatch"},
+		{"unsorted row", &CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 1, 3}, ColIdx: []int{0, 1, 0}, Val: []float64{1, 1, 1}}, false, false, "row 1 not sorted"},
+		{"unsorted upper row", &CSR{Rows: 2, Cols: 2, RowPtr: []int{0, 2, 3}, ColIdx: []int{1, 0, 1}, Val: []float64{1, 1, 1}}, true, false, "row 0 not sorted"},
+	} {
+		if _, err := NewTriSchedule(tc.m, tc.upper, tc.unit); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	// The unit shape never looks at the diagonal, stored or not.
+	s, err := NewTriSchedule(l, false, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, 3)
+	if err := s.Solve(x[:2], x); err == nil {
+		t.Error("short x solved without error")
+	}
+	if err := s.SolveDotAbs(x, x[:2], nil, vec.NewLeaves(0, 3)); err == nil {
+		t.Error("short b solved without error")
+	}
+}
+
+// FuzzTriSchedule draws a block-structured triangle of either shape from
+// the fuzzed parameters and holds its schedule to the reference loop and
+// the oracle. Seeds live in testdata/fuzz/FuzzTriSchedule.
+func FuzzTriSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, n, nblocks, emptyPct uint16, upper, unit, wrongSide bool) {
+		rng := rand.New(rand.NewSource(seed))
+		rows := int(n) % 600
+		sizes := make([]int, 0, int(nblocks)%40+1)
+		for left := rows; left > 0; {
+			s := left
+			if len(sizes)+1 < cap(sizes) {
+				s = 1 + rng.Intn(left)
+			}
+			sizes = append(sizes, s)
+			left -= s
+		}
+		shape := triShape{"fuzz", upper, unit && !upper}
+		m := blockTriangle(rng, sizes, upper, float64(emptyPct%101)/100, wrongSide)
+		checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
+	})
+}

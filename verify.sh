@@ -36,9 +36,10 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec leaf kernels) =="
+echo "== fuzz seed replay (checksum, vec leaf kernels, sparse triangular-solve schedule) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
+go test -run Fuzz -fuzz='^$' ./internal/sparse/...
 
 echo "== portable checksum leaf: go test -tags purego (vec, kernel, checksum, sparse, precond, core, par) =="
 # On amd64 full blocks of every (Σ, Σ|·|) reduction run in
