@@ -8,6 +8,7 @@ import (
 	"newsum/internal/bench/trajectory"
 	"newsum/internal/model"
 	"newsum/internal/par"
+	"newsum/internal/sparse"
 )
 
 func TestAppendBenchDropsNonFinite(t *testing.T) {
@@ -143,8 +144,22 @@ func TestDeterministicBenchesBitwise(t *testing.T) {
 
 // TestKernelsSweepCoversTriSolve: the sweep carries the two triangular-solve
 // rows at every size, each checked against the reference loops, so the
-// determinism gate of -exp kernels covers the schedule.
+// determinism gate of -exp kernels covers the schedule; and the two SpMV
+// rows are checked against the row loop on a plan-less view of the
+// operator, so it covers the row plan.
 func TestKernelsSweepCoversTriSolve(t *testing.T) {
+	a := sparse.Laplacian3D(6, 6, 6) // 216 rows: one planned window and a ragged end
+	v := make([]float64, a.Rows)
+	for i := range v {
+		v[i] = 1 + float64(i%13)/13
+	}
+	for _, kc := range kernelCases(a, v, make([]float64, a.Rows), v) {
+		if multiplies := strings.HasPrefix(kc.name, "spmv"); multiplies != (kc.ref != nil) {
+			t.Errorf("%s: row-loop reference present = %v", kc.name, kc.ref != nil)
+		} else if multiplies && kc.ref(nil) != kc.run(nil) {
+			t.Errorf("%s: planned product differs from the row loop", kc.name)
+		}
+	}
 	pts, err := KernelsSweep([]int{3, 6}, []int{1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -32,7 +32,7 @@ type KernelPoint struct {
 	Seconds float64 // total for Reps repetitions
 	Serial  float64 // serial seconds for the same Reps
 	Speedup float64
-	Bitwise bool // result identical to its reference (serial kernel; reference loops for trisolve), bit for bit
+	Bitwise bool // result identical to its reference, bit for bit: the serial kernel, which for the SpMV rows must itself match the row loop on a plan-less view of the operator; the reference loops for trisolve
 }
 
 // kernelCase is one benchmarked kernel: run executes one repetition on
@@ -41,6 +41,10 @@ type KernelPoint struct {
 type kernelCase struct {
 	name string
 	run  func(p *kernel.Pool) uint64
+	// ref, for the kernels that multiply by the operator, is run on a
+	// plan-less view of the same arrays (sparse.CSR doc): the row loop.
+	// Serial against pooled alone would pass with both sides wrong.
+	ref func(p *kernel.Pool) uint64
 }
 
 // fingerprint folds a float64 slice into a 64-bit FNV-1a over the raw
@@ -69,26 +73,33 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	sOut := make([]float64, 1)
 	etaOut := make([]float64, 1)
 	lv := vec.NewLeaves(1, n)
-	return []kernelCase{
-		{name: "spmv", run: func(p *kernel.Pool) uint64 {
-			p.MulVec(a, y, x)
+	spmv := func(m *sparse.CSR) func(*kernel.Pool) uint64 {
+		return func(p *kernel.Pool) uint64 {
+			p.MulVec(m, y, x)
 			return fingerprint(y[:min(n, 1024)])
-		}},
-		{name: "dot", run: func(p *kernel.Pool) uint64 {
-			return math.Float64bits(p.Dot(x, z))
-		}},
-		{name: "spmv+dot", run: func(p *kernel.Pool) uint64 {
+		}
+	}
+	spmvDot := func(m *sparse.CSR) func(*kernel.Pool) uint64 {
+		return func(p *kernel.Pool) uint64 {
 			// The PCG inner step: q := A·p, then pᵀq, plus the Eq. (2)
 			// checksum update — the single hottest sequence in the repo.
 			// The update's row reduction rides the product's sweep; the
 			// fingerprint covers the product, the folded reduction and the
 			// carried checksum and bound they produce.
-			p.MulVecDotAbs(a, y, x, enc.Rows, lv)
+			p.MulVecDotAbs(m, y, x, enc.Rows, lv)
 			lv.Fold()
 			enc.UpdateMVMBoundFrom(sOut, etaOut, lv.Sum, lv.Abs, su, eta)
 			return fingerprint(y[:min(n, 1024)]) ^ math.Float64bits(p.Dot(x, y)) ^
 				math.Float64bits(sOut[0]) ^ math.Float64bits(etaOut[0])<<1
+		}
+	}
+	rowLoop := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
+	return []kernelCase{
+		{name: "spmv", run: spmv(a), ref: spmv(rowLoop)},
+		{name: "dot", run: func(p *kernel.Pool) uint64 {
+			return math.Float64bits(p.Dot(x, z))
 		}},
+		{name: "spmv+dot", run: spmvDot(a), ref: spmvDot(rowLoop)},
 		{name: "dotabs", run: func(p *kernel.Pool) uint64 {
 			// One Eq. 2/4 row reduction on its own.
 			sum, abs := p.DotAbs(x, z)
@@ -214,12 +225,13 @@ func MeasureKernels(nside int, workerCounts []int, reps int) ([]KernelPoint, err
 			serialFP = kc.run(nil)
 		}
 		serialSec := time.Since(start).Seconds()
+		serialOK := kc.ref == nil || kc.ref(nil) == serialFP
 
 		for _, workers := range workerCounts {
 			if workers <= 1 {
 				points = append(points, KernelPoint{
 					Kernel: kc.name, N: n, NNZ: a.NNZ(), Workers: 1, Reps: reps,
-					Seconds: serialSec, Serial: serialSec, Speedup: 1, Bitwise: true,
+					Seconds: serialSec, Serial: serialSec, Speedup: 1, Bitwise: serialOK,
 				})
 				continue
 			}
@@ -233,7 +245,7 @@ func MeasureKernels(nside int, workerCounts []int, reps int) ([]KernelPoint, err
 			p.Close()
 			pt := KernelPoint{
 				Kernel: kc.name, N: n, NNZ: a.NNZ(), Workers: workers, Reps: reps,
-				Seconds: sec, Serial: serialSec, Bitwise: fp == serialFP,
+				Seconds: sec, Serial: serialSec, Bitwise: fp == serialFP && serialOK,
 			}
 			if sec > 0 {
 				pt.Speedup = serialSec / sec

@@ -106,7 +106,7 @@ func (c *COO) ToCSR() *CSR {
 		lo = hi
 	}
 	a.ColIdx, a.Val = cols[:w], vals[:w]
-	return a
+	return a.planRows()
 }
 
 // byColumn sorts one row's (column, value) pairs by column.

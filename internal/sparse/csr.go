@@ -18,11 +18,22 @@ import (
 // ColIdx[RowPtr[i]:RowPtr[i+1]] and Val[RowPtr[i]:RowPtr[i+1]]. Column
 // indices within a row are sorted ascending, which the triangular solves
 // and the diagonal extraction rely on.
+//
+// The pattern — Rows, Cols, RowPtr, ColIdx — is immutable once the matrix is
+// built: the row plan below and every TriSchedule's window onto RowPtr are
+// derived from it once and never again. Val may be edited in place (Scale,
+// the in-place factorizations). Everything in this package that builds a
+// CSR ends by planning its rows; a CSR assembled as a literal has no plan
+// and multiplies by the plain row loop, which is also what the tests hold
+// the planned product to. Validate reports a plan that no longer matches
+// RowPtr.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
 	ColIdx     []int
 	Val        []float64
+
+	plan *rowPlan // the order MulVecRows visits rows in; nil: as stored
 }
 
 // NNZ returns the number of stored entries.
@@ -74,6 +85,9 @@ func (a *CSR) Validate() error {
 			prev = j
 		}
 	}
+	if a.plan != nil {
+		return a.plan.validate(a)
+	}
 	return nil
 }
 
@@ -98,7 +112,8 @@ func (a *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// Clone returns a deep copy of the matrix.
+// Clone returns a deep copy of the matrix. The copy shares the row plan,
+// which is a function of the pattern alone and is never written.
 func (a *CSR) Clone() *CSR {
 	b := &CSR{
 		Rows:   a.Rows,
@@ -106,6 +121,7 @@ func (a *CSR) Clone() *CSR {
 		RowPtr: make([]int, len(a.RowPtr)),
 		ColIdx: make([]int, len(a.ColIdx)),
 		Val:    make([]float64, len(a.Val)),
+		plan:   a.plan,
 	}
 	copy(b.RowPtr, a.RowPtr)
 	copy(b.ColIdx, a.ColIdx)
@@ -168,7 +184,7 @@ func (a *CSR) Transpose() *CSR {
 			next[j]++
 		}
 	}
-	return t
+	return t.planRows()
 }
 
 // rowDot returns Σ_k vals[k]·x[cols[k]], accumulated left to right from +0:
@@ -188,9 +204,11 @@ func rowDot(cols []int, vals, x []float64) float64 {
 
 // MulVecRows computes dst[i-lo] := (A·x)[i] for the rows i in [lo, hi) — the
 // one CSR row kernel behind MulVec, MulVecRange, MulVecDotAbs and
-// par.DistMatrix.MulVec. The backing slices are hoisted and each row is a
-// pair of sub-slices cut at consecutive RowPtr values, each loaded once.
-// dst must not alias x.
+// par.DistMatrix.MulVec. The whole vec.Block windows of the range go run by
+// run through the row plan where there is one (rowplan.go); its ragged ends,
+// and all of it otherwise, through the row loop. Each row is rowDot's sum
+// either way, so where a range is cut and how it is walked cannot reach a
+// bit. dst must not alias x.
 //
 //hot:loop the CSR row kernel of every SpMV on the solve path
 func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
@@ -200,6 +218,21 @@ func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
 	if len(x) != a.Cols || len(dst) != hi-lo {
 		panic("sparse: dimension mismatch in MulVecRows")
 	}
+	if w0, w1 := (lo+vec.Block-1)/vec.Block, hi/vec.Block; a.plan != nil && w0 < w1 {
+		head, tail := w0*vec.Block, w1*vec.Block
+		a.mulRows(dst[:head-lo], x, lo, head)
+		a.mulWindows(dst[head-lo:tail-lo], x, w0, w1)
+		dst, lo = dst[tail-lo:], tail
+	}
+	a.mulRows(dst, x, lo, hi)
+}
+
+// mulRows is MulVecRows taking the rows as stored. The backing slices are
+// hoisted and each row is a pair of sub-slices cut at consecutive RowPtr
+// values, each loaded once.
+//
+//hot:loop the CSR row loop
+func (a *CSR) mulRows(dst, x []float64, lo, hi int) {
 	rowPtr, colIdx, val := a.RowPtr[lo:hi+1], a.ColIdx, a.Val
 	k0 := rowPtr[0]
 	for i := range dst {

@@ -88,7 +88,7 @@ func (a *CSR) LowerTriangle() *CSR {
 	for i := 0; i < a.Rows; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	return t
+	return t.planRows()
 }
 
 // UpperTriangle returns the upper triangle of the matrix (including the
@@ -107,7 +107,7 @@ func (a *CSR) UpperTriangle() *CSR {
 	for i := 0; i < a.Rows; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	return t
+	return t.planRows()
 }
 
 // SubMatrix extracts the principal submatrix with rows and columns in
@@ -132,5 +132,5 @@ func (a *CSR) SubMatrix(lo, hi int) *CSR {
 	for i := 0; i < n; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	return t
+	return t.planRows()
 }

@@ -21,8 +21,8 @@ const triCoalesce = 32
 // The bits are SolveLower's and SolveUpper's: every row subtracts its
 // stored products from b_i left to right and divides by the pivot. Rows of
 // two independent blocks never read each other's unknowns, so no
-// interleaving of them can reach an operand; Solve walks two blocks in
-// lockstep only to give the core two subtract–divide chains to overlap
+// interleaving of them can reach an operand; Solve walks four blocks in
+// lockstep only to give the core four subtract–divide chains to overlap
 // instead of one (docs/kernels.md "Sparse sweep contract").
 type TriSchedule struct {
 	m     *CSR
@@ -31,9 +31,10 @@ type TriSchedule struct {
 	// One of the two is a window onto m.RowPtr, the other the schedule's own.
 	beg, end []int
 	diag     []float64 // pivots; nil for a unit diagonal
-	// units lists, in solve order, the rows (lo, mid, hi) of each step: the
-	// independent blocks [lo, mid) and [mid, hi) in lockstep, or the single
-	// chain [lo, hi) when mid == hi. The steps tile the rows contiguously,
+	// units lists, in solve order, the five boundaries c₀ ≤ … ≤ c₄ of each
+	// step: the independent blocks [c₀, c₁) … [c₃, c₄) in lockstep, the
+	// trailing ones empty when fewer than four blocks were left — a single
+	// chain is (lo, hi, hi, hi, hi). The steps tile the rows contiguously,
 	// ascending for a lower factor and descending for an upper one, so every
 	// row on the solved side of a finished step is final.
 	units []int
@@ -137,34 +138,42 @@ func triBlocks(reach []int, upper bool) []int {
 	return append(blocks, n)
 }
 
-// triUnits pairs the blocks off in solve order — from the top for a lower
-// factor, from the bottom for an upper one — as (lo, mid, hi) triples. A
-// block left without a partner (always the case for a factor that is one
-// block, such as plain ILU(0)) is cut at the vec.Block leaf boundaries into
-// single chains, so that the fused solve fills each leaf as it completes.
+// triUnits groups the blocks four at a time in solve order — from the top
+// for a lower factor, from the bottom for an upper one — as five boundaries
+// each; two or three blocks left at the end make a unit whose trailing
+// blocks are empty. A block left on its own (always the case for a factor
+// that is one block, such as plain ILU(0)) is cut at the vec.Block leaf
+// boundaries into single chains, so that the fused solve fills each leaf as
+// it completes.
 func triUnits(blocks []int, upper bool) []int {
-	nb := len(blocks) - 1
 	var units []int
-	if upper {
-		p := nb
-		for ; p >= 2; p -= 2 {
-			units = append(units, blocks[p-2], blocks[p-1], blocks[p])
+	// The blocks not yet in a unit lie between boundaries lo and hi.
+	lo, hi := 0, len(blocks)-1
+	for hi-lo >= 2 {
+		g := min(hi-lo, 4)
+		first := lo
+		if upper {
+			hi -= g
+			first = hi
+		} else {
+			lo += g
 		}
-		for hi := blocks[p]; hi > 0; {
-			lo := (hi - 1) / vec.Block * vec.Block
-			units = append(units, lo, hi, hi)
-			hi = lo
+		for j := 0; j <= 4; j++ {
+			units = append(units, blocks[first+min(j, g)])
+		}
+	}
+	if upper {
+		for end := blocks[hi]; end > blocks[lo]; {
+			start := max((end-1)/vec.Block*vec.Block, blocks[lo])
+			units = append(units, start, end, end, end, end)
+			end = start
 		}
 		return units
 	}
-	p := 0
-	for ; p+2 <= nb; p += 2 {
-		units = append(units, blocks[p], blocks[p+1], blocks[p+2])
-	}
-	for lo, n := blocks[p], blocks[nb]; lo < n; {
-		hi := min((lo/vec.Block+1)*vec.Block, n)
-		units = append(units, lo, hi, hi)
-		lo = hi
+	for start := blocks[lo]; start < blocks[hi]; {
+		end := min((start/vec.Block+1)*vec.Block, blocks[hi])
+		units = append(units, start, end, end, end, end)
+		start = end
 	}
 	return units
 }
@@ -195,20 +204,10 @@ func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leav
 	if t.upper {
 		next = vec.Blocks(n) // … or the last one filled (upper)
 	}
-	for u := 0; u+2 < len(t.units); u += 3 {
-		lo, mid, hi := t.units[u], t.units[u+1], t.units[u+2]
-		// k rows of each block in lockstep from the ends the substitution
-		// starts at, then what is left of the longer block alone.
-		k := min(mid-lo, hi-mid)
-		if t.upper {
-			t.pair(x, b, mid-k, hi-k, k)
-			t.chain(x, b, lo, mid-k)
-			t.chain(x, b, mid, hi-k)
-		} else {
-			t.pair(x, b, lo, mid, k)
-			t.chain(x, b, lo+k, mid)
-			t.chain(x, b, mid+k, hi)
-		}
+	for u := 0; u+4 < len(t.units); u += 5 {
+		c := t.units[u : u+5 : u+5]
+		lo, hi := c[0], c[4]
+		t.lockstep(x, b, c)
 		if lv == nil {
 			continue
 		}
@@ -223,6 +222,60 @@ func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leav
 		}
 	}
 	return nil
+}
+
+// lockstep solves the independent blocks [c[j], c[j+1]) of one unit: all
+// four a row each per trip while all four have rows left, then what is left
+// two blocks at a time, then one. A chain is where a block has got to: its
+// first row not final and how many are left.
+//
+//hot:loop one unit of the triangular solve
+func (t *TriSchedule) lockstep(x, b []float64, c []int) {
+	var at, left [4]int
+	n := 0
+	for j := range at {
+		if c[j+1] > c[j] {
+			at[n], left[n] = c[j], c[j+1]-c[j]
+			n++
+		}
+	}
+	for n > 0 {
+		// k rows of the first `width` chains from the end the substitution
+		// starts at, which for an upper factor is the far end of what is left.
+		width, k := 1, left[0]
+		if n >= 2 {
+			width, k = 2, min(k, left[1])
+		}
+		if n == 4 {
+			width, k = 4, min(k, left[2], left[3])
+		}
+		var from [4]int
+		for j := 0; j < width; j++ {
+			from[j] = at[j]
+			left[j] -= k
+			if t.upper {
+				from[j] += left[j]
+			} else {
+				at[j] += k
+			}
+		}
+		switch width {
+		case 4:
+			t.quad(x, b, from, k)
+		case 2:
+			t.pair(x, b, from[0], from[1], k)
+		default:
+			t.chain(x, b, from[0], from[0]+k)
+		}
+		m := 0
+		for j := 0; j < n; j++ {
+			if left[j] > 0 {
+				at[m], left[m] = at[j], left[j]
+				m++
+			}
+		}
+		n = m
+	}
 }
 
 // triRow returns s − Σ_k vals[k]·x[cols[k]], subtracted left to right: the
@@ -302,5 +355,51 @@ func (t *TriSchedule) pair(x, b []float64, i, j, n int) {
 			sj /= dj[r]
 		}
 		xi[r], xj[r] = si, sj
+	}
+}
+
+// quad is pair for four independent blocks: the n rows from each of at, in
+// lockstep.
+//
+//hot:loop four independent substitution chains in lockstep
+func (t *TriSchedule) quad(x, b []float64, at [4]int, n int) {
+	begI, endI, xi, bi := t.beg[at[0]:][:n], t.end[at[0]:][:n], x[at[0]:][:n], b[at[0]:][:n]
+	begJ, endJ, xj, bj := t.beg[at[1]:][:n], t.end[at[1]:][:n], x[at[1]:][:n], b[at[1]:][:n]
+	begK, endK, xk, bk := t.beg[at[2]:][:n], t.end[at[2]:][:n], x[at[2]:][:n], b[at[2]:][:n]
+	begL, endL, xl, bl := t.beg[at[3]:][:n], t.end[at[3]:][:n], x[at[3]:][:n], b[at[3]:][:n]
+	var di, dj, dk, dl []float64
+	if t.diag != nil {
+		di, dj, dk, dl = t.diag[at[0]:][:n], t.diag[at[1]:][:n], t.diag[at[2]:][:n], t.diag[at[3]:][:n]
+	}
+	dj, dk, dl = dj[:len(di)], dk[:len(di)], dl[:len(di)]
+	colIdx, val := t.m.ColIdx, t.m.Val
+	if t.upper {
+		for r := n - 1; r >= 0; r-- {
+			si := triRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+			sj := triRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+			sk := triRow(bk[r], colIdx[begK[r]:endK[r]], val[begK[r]:endK[r]], x)
+			sl := triRow(bl[r], colIdx[begL[r]:endL[r]], val[begL[r]:endL[r]], x)
+			if r < len(di) {
+				si /= di[r]
+				sj /= dj[r]
+				sk /= dk[r]
+				sl /= dl[r]
+			}
+			xi[r], xj[r], xk[r], xl[r] = si, sj, sk, sl
+		}
+		return
+	}
+	for r := 0; r < n; r++ {
+		si := triRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+		sj := triRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+		sk := triRow(bk[r], colIdx[begK[r]:endK[r]], val[begK[r]:endK[r]], x)
+		sl := triRow(bl[r], colIdx[begL[r]:endL[r]], val[begL[r]:endL[r]], x)
+		if r < len(di) {
+			si /= di[r]
+			sj /= dj[r]
+			sk /= dk[r]
+			sl /= dl[r]
+		}
+		xi[r], xj[r], xk[r], xl[r] = si, sj, sk, sl
 	}
 }

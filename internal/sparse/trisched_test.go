@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -177,24 +178,42 @@ func scheduleBlocks(t *testing.T, s *TriSchedule) []int {
 	}
 	cuts := map[int]bool{0: true, n: true}
 	chainLo, chainHi := n, 0 // extent of the partnerless block's slices
-	for u := 0; u < len(s.units); u += 3 {
-		lo, mid, hi := s.units[u], s.units[u+1], s.units[u+2]
-		if lo > mid || mid > hi || lo == hi {
-			t.Fatalf("malformed unit (%d, %d, %d)", lo, mid, hi)
+	if len(s.units)%5 != 0 {
+		t.Fatalf("%d unit words: not five boundaries a unit", len(s.units))
+	}
+	for u := 0; u < len(s.units); u += 5 {
+		c := s.units[u : u+5]
+		lo, hi := c[0], c[4]
+		nblocks := 0
+		for j := 0; j < 4; j++ {
+			switch {
+			case c[j] > c[j+1]:
+				t.Fatalf("malformed unit %v", c)
+			case c[j] < c[j+1]:
+				if nblocks != j {
+					t.Fatalf("unit %v has an empty block before a full one", c)
+				}
+				nblocks++
+			}
+		}
+		if nblocks == 0 {
+			t.Fatalf("empty unit %v", c)
 		}
 		if s.upper {
 			if hi != edge {
-				t.Fatalf("unit (%d, %d, %d) does not continue at %d", lo, mid, hi, edge)
+				t.Fatalf("unit %v does not continue at %d", c, edge)
 			}
 			edge = lo
 		} else {
 			if lo != edge {
-				t.Fatalf("unit (%d, %d, %d) does not continue at %d", lo, mid, hi, edge)
+				t.Fatalf("unit %v does not continue at %d", c, edge)
 			}
 			edge = hi
 		}
-		if mid < hi {
-			cuts[lo], cuts[mid], cuts[hi] = true, true, true
+		if nblocks > 1 {
+			for _, b := range c {
+				cuts[b] = true
+			}
 			continue
 		}
 		if hi-lo > vec.Block || (lo/vec.Block != (hi-1)/vec.Block) {
@@ -279,6 +298,18 @@ func TestTriScheduleMatchesReferenceBitwise(t *testing.T) {
 		{"unequal blocks", []int{300, 41, 200, 129, 128, 127, 64}, 0.1, false},
 		{"blocks below a leaf and below the floor", []int{5, 40, 3, 100, 31, 32, 33, 200, 1, 1, 1, 90, 2}, 0.2, false},
 		{"odd block count", equal(5, 150), 0.1, false},
+		// Four-way lockstep: every block in turn the one that runs out first
+		// and last, so the pair and chain that finish a unit start from each
+		// of the four; then units of three, of four + one, of four + three,
+		// and four units of four.
+		{"3 unequal blocks", []int{100, 41, 77}, 0.1, false},
+		{"4 blocks ascending", []int{40, 50, 60, 70}, 0.1, false},
+		{"4 blocks descending", []int{70, 60, 50, 40}, 0.1, false},
+		{"4 blocks, inner ones longest", []int{45, 170, 130, 33}, 0.1, false},
+		{"4 blocks, two tied", []int{60, 35, 60, 90}, 0.1, true},
+		{"5 unequal blocks", []int{40, 150, 60, 129, 45}, 0.1, false},
+		{"7 unequal blocks", []int{64, 33, 90, 47, 120, 35, 80}, 0.1, false},
+		{"16 unequal blocks", []int{88, 87, 88, 33, 140, 87, 88, 88, 40, 87, 129, 88, 87, 50, 88, 87}, 0.1, false},
 		{"mostly empty strict parts", []int{400}, 0.9, false},
 		{"no strict part at all", []int{300}, 1, false},
 		{"wrong-side entries ignored", []int{90, 35, 260}, 0.1, true},
@@ -344,6 +375,47 @@ func TestTriScheduleBlocksProperty(t *testing.T) {
 		m := blockTriangle(rng, sizes, shape.upper, rng.Float64()/2, trial%2 == 0)
 		checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
 	}
+	// Block counts that leave every remainder of a group of four, each block
+	// of its own length at or above the coalescing floor and chained densely
+	// enough not to split: the schedule must walk exactly these blocks.
+	for trial, nblocks := range []int{3, 4, 5, 7, 16, 3, 4, 5, 7, 16, 4, 4} {
+		sizes := make([]int, nblocks)
+		want := []int{0}
+		for i := range sizes {
+			sizes[i] = triCoalesce + rng.Intn(100)
+			want = append(want, want[i]+sizes[i])
+		}
+		shape := triShapes[trial%len(triShapes)]
+		m := chainedBlocks(rng, sizes, shape.upper)
+		sched := checkTriSchedule(t, rng, m, shape)
+		checkBlocks(t, m, sched)
+		if got := scheduleBlocks(t, sched); !slices.Equal(got, want) {
+			t.Fatalf("%s, %d blocks: schedule walks %v, built %v", shape.name, nblocks, got, want)
+		}
+	}
+}
+
+// chainedBlocks is blockTriangle with every row chained to its neighbour
+// inside the block, so that no block splits into smaller independent ones.
+func chainedBlocks(rng *rand.Rand, sizes []int, upper bool) *CSR {
+	m := blockTriangle(rng, sizes, upper, 0.3, false)
+	c := NewCOO(m.Rows, m.Cols)
+	lo := 0
+	for _, size := range sizes {
+		for i := lo; i < lo+size; i++ {
+			cols, vals := m.RowView(i)
+			for k, j := range cols {
+				c.Add(i, j, vals[k])
+			}
+			if upper && i+1 < lo+size {
+				c.Add(i, i+1, 0x1p-9)
+			} else if !upper && i > lo {
+				c.Add(i, i-1, 0x1p-9)
+			}
+		}
+		lo += size
+	}
+	return c.ToCSR()
 }
 
 func TestNewTriScheduleErrors(t *testing.T) {

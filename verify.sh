@@ -36,7 +36,7 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec leaf kernels, sparse triangular-solve schedule) =="
+echo "== fuzz seed replay (checksum, vec leaf kernels, sparse FuzzTriSchedule + FuzzRowPlan) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
