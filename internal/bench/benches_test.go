@@ -144,21 +144,27 @@ func TestDeterministicBenchesBitwise(t *testing.T) {
 
 // TestKernelsSweepCoversTriSolve: the sweep carries the two triangular-solve
 // rows at every size, each checked against the reference loops, so the
-// determinism gate of -exp kernels covers the schedule; and the two SpMV
-// rows are checked against the row loop on a plan-less view of the
-// operator, so it covers the row plan.
+// determinism gate of -exp kernels covers the schedule; the two SpMV rows
+// are checked against the row loop on a plan-less view of the operator, so
+// it covers the row plan; and dot, norm2 and the VLOs are checked against
+// Go loops on the same arrays, so it covers the lockstep and packed leaves.
 func TestKernelsSweepCoversTriSolve(t *testing.T) {
 	a := sparse.Laplacian3D(6, 6, 6) // 216 rows: one planned window and a ragged end
 	v := make([]float64, a.Rows)
 	for i := range v {
 		v[i] = 1 + float64(i%13)/13
 	}
+	referenced := map[string]bool{"spmv": true, "spmv+dot": true, "dot": true, "norm2": true, "axpy": true, "xpby": true, "axpby": true}
 	for _, kc := range kernelCases(a, v, make([]float64, a.Rows), v) {
-		if multiplies := strings.HasPrefix(kc.name, "spmv"); multiplies != (kc.ref != nil) {
-			t.Errorf("%s: row-loop reference present = %v", kc.name, kc.ref != nil)
-		} else if multiplies && kc.ref(nil) != kc.run(nil) {
-			t.Errorf("%s: planned product differs from the row loop", kc.name)
+		if referenced[kc.name] != (kc.ref != nil) {
+			t.Errorf("%s: reference present = %v", kc.name, kc.ref != nil)
+		} else if kc.ref != nil && kc.out == nil && kc.ref(nil) != kc.run(nil) {
+			t.Errorf("%s: kernel differs from its reference loop", kc.name)
 		}
+		delete(referenced, kc.name)
+	}
+	if len(referenced) != 0 {
+		t.Errorf("sweep lost referenced kernels: %v", referenced)
 	}
 	pts, err := KernelsSweep([]int{3, 6}, []int{1, 2}, 2)
 	if err != nil {

@@ -32,7 +32,7 @@ type KernelPoint struct {
 	Seconds float64 // total for Reps repetitions
 	Serial  float64 // serial seconds for the same Reps
 	Speedup float64
-	Bitwise bool // result identical to its reference, bit for bit: the serial kernel, which for the SpMV rows must itself match the row loop on a plan-less view of the operator; the reference loops for trisolve
+	Bitwise bool // result identical to its reference, bit for bit: the serial kernel, which must itself match the row loop on a plan-less view of the operator (SpMV rows) or the Go loop on the same arrays (dot, norm2, the VLOs); the reference loops for trisolve
 }
 
 // kernelCase is one benchmarked kernel: run executes one repetition on
@@ -41,10 +41,55 @@ type KernelPoint struct {
 type kernelCase struct {
 	name string
 	run  func(p *kernel.Pool) uint64
-	// ref, for the kernels that multiply by the operator, is run on a
-	// plan-less view of the same arrays (sparse.CSR doc): the row loop.
-	// Serial against pooled alone would pass with both sides wrong.
+	// ref is the kernel's reference on the same arrays: for the kernels
+	// that multiply by the operator, the same run on a plan-less view of it
+	// (sparse.CSR doc: the row loop); for the dense kernels, the Go loop
+	// written out below. Serial against pooled alone would pass with both
+	// sides wrong.
 	ref func(p *kernel.Pool) uint64
+	// reset, for a kernel that updates an operand in place, restores it
+	// before each series of repetitions, so that every series and the
+	// reference leave the same bits behind.
+	reset func()
+	// out, for a kernel that writes a vector, is that vector: a series
+	// folds all of it into its fingerprint once the clock has stopped.
+	out []float64
+}
+
+// norm2ByLoop is vec.Norm2 with every leaf taken by the scalar loop the
+// package keeps as its reference: one pass per block, a running scale and
+// the sum of squares relative to it, folded by vec.PairwiseNorm2.
+func norm2ByLoop(u []float64) float64 {
+	nb := vec.Blocks(len(u))
+	scales, ssqs := make([]float64, nb), make([]float64, nb)
+	for b := range scales {
+		scale, ssq := 0.0, 1.0
+		for _, x := range u[b*vec.Block : min((b+1)*vec.Block, len(u))] {
+			if math.Float64bits(x)<<1 == 0 { // ±0: the loop's skip
+				continue
+			}
+			ax := math.Abs(x)
+			if scale < ax {
+				r := scale / ax
+				ssq = 1 + ssq*r*r
+				scale = ax
+			} else {
+				r := ax / scale
+				ssq += r * r
+			}
+		}
+		scales[b], ssqs[b] = scale, ssq
+	}
+	return vec.PairwiseNorm2(scales, ssqs)
+}
+
+// dotByBlock is vec.Dot with one vec.DotBlock call per leaf.
+func dotByBlock(u, v []float64) float64 {
+	leaves := make([]float64, vec.Blocks(len(u)))
+	for b := range leaves {
+		leaves[b] = vec.DotBlock(u, v, b)
+	}
+	return vec.PairwiseSum(leaves)
 }
 
 // fingerprint folds a float64 slice into a 64-bit FNV-1a over the raw
@@ -64,7 +109,7 @@ func fingerprint(xs []float64) uint64 {
 // kernelCases builds the benchmark set for one operator size: SpMV, Dot,
 // the fused SpMV + Eq. (2) update + Dot (the PCG hot sequence), the row
 // reduction and the all-ones verification pair (the two (Σ, Σ|·|) leaves),
-// axpy and norm2 over the 3D Laplacian.
+// the three VLOs and norm2 over the 3D Laplacian.
 func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 	n := a.Rows
 	enc := checksum.EncodeMatrix(a, checksum.Single, checksum.PracticalD(a))
@@ -98,7 +143,7 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 		{name: "spmv", run: spmv(a), ref: spmv(rowLoop)},
 		{name: "dot", run: func(p *kernel.Pool) uint64 {
 			return math.Float64bits(p.Dot(x, z))
-		}},
+		}, ref: func(*kernel.Pool) uint64 { return math.Float64bits(dotByBlock(x, z)) }},
 		{name: "spmv+dot", run: spmvDot(a), ref: spmvDot(rowLoop)},
 		{name: "dotabs", run: func(p *kernel.Pool) uint64 {
 			// One Eq. 2/4 row reduction on its own.
@@ -110,15 +155,36 @@ func kernelCases(a *sparse.CSR, x, y, z []float64) []kernelCase {
 			sum, abs := p.SumAbs(z)
 			return math.Float64bits(sum) ^ math.Float64bits(abs)<<1
 		}},
+		{name: "axpy", run: func(p *kernel.Pool) uint64 {
+			p.Axpy(y, 1e-9, x)
+			return 0
+		}, ref: func(*kernel.Pool) uint64 {
+			for i, v := range x {
+				y[i] += 1e-9 * v
+			}
+			return 0
+		}, reset: func() { copy(y, z) }, out: y},
+		{name: "xpby", run: func(p *kernel.Pool) uint64 {
+			p.Xpby(y, x, 0.5, z)
+			return 0
+		}, ref: func(*kernel.Pool) uint64 {
+			for i := range y {
+				y[i] = x[i] + 0.5*z[i]
+			}
+			return 0
+		}, out: y},
 		{name: "axpby", run: func(p *kernel.Pool) uint64 {
-			// Overwriting form (dst = αx + βz) so repetitions are
-			// stateless and serial/parallel fingerprints comparable.
 			p.Axpby(y, 1e-9, x, 0.5, z)
-			return math.Float64bits(y[n/2])
-		}},
+			return 0
+		}, ref: func(*kernel.Pool) uint64 {
+			for i := range y {
+				y[i] = 1e-9*x[i] + 0.5*z[i]
+			}
+			return 0
+		}, out: y},
 		{name: "norm2", run: func(p *kernel.Pool) uint64 {
 			return math.Float64bits(p.Norm2(x))
-		}},
+		}, ref: func(*kernel.Pool) uint64 { return math.Float64bits(norm2ByLoop(x)) }},
 	}
 }
 
@@ -218,14 +284,26 @@ func MeasureKernels(nside int, workerCounts []int, reps int) ([]KernelPoint, err
 
 	var points []KernelPoint
 	for _, kc := range kernelCases(a, x, y, z) {
-		// Serial reference: timing baseline and bitwise fingerprint.
-		var serialFP uint64
-		start := time.Now()
-		for r := 0; r < reps; r++ {
-			serialFP = kc.run(nil)
+		// series runs reps repetitions of f from the case's reset state.
+		series := func(f func(*kernel.Pool) uint64, p *kernel.Pool) (fp uint64, sec float64) {
+			if kc.reset != nil {
+				kc.reset()
+			}
+			start := time.Now()
+			for r := 0; r < reps; r++ {
+				fp = f(p)
+			}
+			sec = time.Since(start).Seconds()
+			return fp ^ fingerprint(kc.out), sec
 		}
-		serialSec := time.Since(start).Seconds()
-		serialOK := kc.ref == nil || kc.ref(nil) == serialFP
+		// Serial: timing baseline and bitwise fingerprint, itself held
+		// against the reference where the case has one.
+		serialFP, serialSec := series(kc.run, nil)
+		serialOK := true
+		if kc.ref != nil {
+			refFP, _ := series(kc.ref, nil)
+			serialOK = refFP == serialFP
+		}
 
 		for _, workers := range workerCounts {
 			if workers <= 1 {
@@ -236,12 +314,7 @@ func MeasureKernels(nside int, workerCounts []int, reps int) ([]KernelPoint, err
 				continue
 			}
 			p := kernel.NewPool(workers)
-			var fp uint64
-			start := time.Now()
-			for r := 0; r < reps; r++ {
-				fp = kc.run(p)
-			}
-			sec := time.Since(start).Seconds()
+			fp, sec := series(kc.run, p)
 			p.Close()
 			pt := KernelPoint{
 				Kernel: kc.name, N: n, NNZ: a.NNZ(), Workers: workers, Reps: reps,
@@ -290,11 +363,12 @@ func (p KernelPoint) nsPerElem() float64 {
 }
 
 // WriteKernelsTable renders the sweep in the standard report format, with
-// the (Σ, Σ|·|) leaf this binary links (vec.LeafKernel) under the title.
+// the full-block leaves and VLO body this binary links (vec.LeafKernel)
+// under the title.
 func WriteKernelsTable(out io.Writer, title string, points []KernelPoint) error {
 	var s sink
 	s.println(out, title)
-	s.printf(out, "checksum leaf (dotabs, sumabs, the fused update): %s\n", vec.LeafKernel)
+	s.printf(out, "linked kernels (dotabs, sumabs and the fused update; norm2; axpy, xpby, axpby): %s\n", vec.LeafKernel)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	s.println(tw, "kernel\tn\tnnz\tworkers\treps\ttime(s)\tns/elem\tserial(s)\tspeedup\tbitwise")
 	for _, p := range points {

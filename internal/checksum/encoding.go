@@ -33,20 +33,47 @@ type Encoding struct {
 }
 
 // NewEncoding derives the full offline encoding of a with decoupling scalar
-// d; d = 0 selects PracticalD(a). Cost: four passes over the nonzeros (three
-// new-sum rows plus two diagnosis rows sharing a pass structure) — the
-// paper's offline encoding cost, paid once per operator.
+// d; d = 0 selects PracticalD(a). Cost: one pass over the nonzeros — the
+// three c_kᵀA rows accumulate side by side, each weight evaluated once per
+// matrix row, and the Linear and Harmonic rows are copied out as the
+// diagnosis rows before − d·c_kᵀ densifies all three — the paper's offline
+// encoding cost, paid once per operator. Each row sees EncodeMatrix's and
+// EncodeTraditional's additions in their order, so the bits are theirs.
 func NewEncoding(a *sparse.CSR, d float64) *Encoding {
+	if a.Rows != a.Cols {
+		panic("checksum: NewEncoding requires a square matrix")
+	}
 	//lint:ignore floatcmp d == 0 is the unset sentinel selecting the derived scalar
 	if d == 0 {
 		d = PracticalD(a)
 	}
-	return &Encoding{
-		N:    a.Rows,
-		D:    d,
-		mat:  EncodeMatrix(a, Triple, d),
-		diag: EncodeTraditional(a, []Weight{Linear, Harmonic}),
+	n := a.Rows
+	rows := make([][]float64, len(Triple))
+	for k := range rows {
+		rows[k] = make([]float64, n)
 	}
+	ones, linear, harmonic := rows[0], rows[1], rows[2]
+	for i := 0; i < n; i++ {
+		c0, c1, c2 := Triple[0].At(i), Triple[1].At(i), Triple[2].At(i)
+		cols, vals := a.RowView(i)
+		for t, j := range cols {
+			v := vals[t]
+			ones[j] += c0 * v
+			linear[j] += c1 * v
+			harmonic[j] += c2 * v
+		}
+	}
+	diag := &Traditional{N: n, Weights: Triple[1:], Rows: make([][]float64, len(Triple)-1)}
+	for k, row := range rows[1:] {
+		diag.Rows[k] = append([]float64(nil), row...)
+	}
+	for k, w := range Triple {
+		row := rows[k]
+		for j := range row {
+			row[j] -= d * w.At(j)
+		}
+	}
+	return &Encoding{N: n, D: d, mat: &Matrix{N: n, D: d, Weights: Triple, Rows: rows}, diag: diag}
 }
 
 // Matrix returns the new-sum encoded matrix for the requested weight set,

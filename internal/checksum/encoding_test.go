@@ -46,6 +46,32 @@ func TestEncodingBitForBit(t *testing.T) {
 	}
 }
 
+// TestEncodingOnePassIsThePerWeightPasses: NewEncoding accumulates its
+// three rows side by side in one sweep of the nonzeros; on an unsymmetric
+// operator, a random SPD one and with a caller's d, every row is still the
+// one EncodeMatrix or EncodeTraditional accumulates alone.
+func TestEncodingOnePassIsThePerWeightPasses(t *testing.T) {
+	for name, a := range map[string]*sparse.CSR{
+		"convdiff": sparse.ConvectionDiffusion2D(13, 11, 40),
+		"spd":      sparse.SPDRandom(300, 4, 5),
+		"tridiag":  sparse.Tridiag(1, -1, 2, -1),
+	} {
+		for _, d := range []float64{0, 1024} {
+			enc := NewEncoding(a, d)
+			mat := EncodeMatrix(a, Triple, enc.D)
+			diag := EncodeTraditional(a, []Weight{Linear, Harmonic})
+			if !rowsEqualBits(enc.mat.Rows, mat.Rows) || !rowsEqualBits(enc.diag.Rows, diag.Rows) {
+				t.Fatalf("%s d=%g: one-pass rows differ from the per-weight passes", name, d)
+			}
+			for k, w := range diag.Weights {
+				if enc.Diag().Weights[k].Name != w.Name {
+					t.Fatalf("%s: diagnosis weight %d is %s, want %s", name, k, enc.Diag().Weights[k].Name, w.Name)
+				}
+			}
+		}
+	}
+}
+
 // TestEncodingDeterministic asserts two independent derivations agree via
 // EqualBits — the admission check the service cache runs before trusting a
 // stored encoding.

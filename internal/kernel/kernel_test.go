@@ -221,6 +221,59 @@ func TestVLOBitwise(t *testing.T) {
 	}
 }
 
+// TestDenseKernelsAreTheGoLoops: Dot, Norm2 and the VLOs against loops
+// written out here — one chain per vec.Block under vec.PairwiseSum, the
+// element-wise expressions — not against the serial kernels, on the serial
+// pool and on 2, 3 and 8 workers: the lockstep leaf filler, the packed norm
+// leaf and the packed VLO body start wherever a worker's range starts, at
+// lengths on and around the four-block, 64-leaf and pool-cutover boundaries.
+func TestDenseKernelsAreTheGoLoops(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	sizes := []int{0, 1, 127, 128, 129, 511, 512, 513, 640, 4095, 4096, 4099, 8191, 8192, 8193, 8320, 10000, 22500, 100003}
+	alpha, beta := 1.7, -0.3
+	for _, n := range sizes {
+		// Element 1 of an allocation: 8 bytes off its alignment.
+		x, y := randVec(rng, n+1)[1:], randVec(rng, n)
+		leaves := make([]float64, vec.Blocks(n))
+		for b := range leaves {
+			leaves[b] = vec.DotBlock(x, y, b)
+		}
+		wantDot := vec.PairwiseSum(leaves)
+		wantNorm := vec.Norm2(x) // held against the loop leaf in internal/vec
+		wantAxpy, wantAxpby, wantXpby := make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range x {
+			wantAxpy[i] = y[i] + alpha*x[i]
+			wantAxpby[i] = alpha*x[i] + beta*y[i]
+			wantXpby[i] = x[i] + beta*y[i]
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			p := poolFor(t, workers)
+			if got := p.Dot(x, y); !bitEq(got, wantDot) {
+				t.Fatalf("n=%d workers=%d: Dot = %x, PairwiseSum(DotBlock) %x", n, workers, got, wantDot)
+			}
+			if got := p.Norm2(x); !bitEq(got, wantNorm) {
+				t.Fatalf("n=%d workers=%d: Norm2 = %x, serial %x", n, workers, got, wantNorm)
+			}
+			check := func(name string, got, want []float64) {
+				t.Helper()
+				for i := range want {
+					if !bitEq(got[i], want[i]) {
+						t.Fatalf("n=%d workers=%d %s: element %d = %x, loop %x", n, workers, name, i, got[i], want[i])
+					}
+				}
+			}
+			got := append([]float64(nil), y...)
+			p.Axpy(got, alpha, x)
+			check("Axpy", got, wantAxpy)
+			p.Axpby(got, alpha, x, beta, y)
+			check("Axpby", got, wantAxpby)
+			copy(got, y)
+			p.Xpby(got, x, beta, got) // p := z + beta·p, dst the very slice y is
+			check("Xpby in place", got, wantXpby)
+		}
+	}
+}
+
 // TestFusedVLOChecksums checks the fused kernels update data and carried
 // checksums exactly like the unfused engine sequence.
 func TestFusedVLOChecksums(t *testing.T) {

@@ -195,9 +195,7 @@ func (p *Pool) execPart(part int) {
 	switch o.kind {
 	case opDot:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b] = vec.DotBlock(o.x, o.y, b)
-		}
+		vec.DotBlocks(o.out1[lo:hi], o.x, o.y, lo)
 	case opDotAbs:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
 		for b := lo; b < hi; b++ {
@@ -230,28 +228,16 @@ func (p *Pool) execPart(part int) {
 		}
 	case opAxpy:
 		lo, hi := o.n*part/p.workers, o.n*(part+1)/p.workers
-		yy, xx := o.dst[lo:hi], o.x[lo:hi]
-		for i, v := range xx {
-			yy[i] += o.alpha * v
-		}
+		vec.Axpy(o.dst[lo:hi], o.alpha, o.x[lo:hi])
 	case opAxpby:
 		lo, hi := o.n*part/p.workers, o.n*(part+1)/p.workers
-		dd, xx, yy := o.dst[lo:hi], o.x[lo:hi], o.y[lo:hi]
-		for i := range dd {
-			dd[i] = o.alpha*xx[i] + o.beta*yy[i]
-		}
+		vec.Axpby(o.dst[lo:hi], o.alpha, o.x[lo:hi], o.beta, o.y[lo:hi])
 	case opXpby:
 		lo, hi := o.n*part/p.workers, o.n*(part+1)/p.workers
-		dd, xx, yy := o.dst[lo:hi], o.x[lo:hi], o.y[lo:hi]
-		for i := range dd {
-			dd[i] = xx[i] + o.beta*yy[i]
-		}
+		vec.Xpby(o.dst[lo:hi], o.x[lo:hi], o.beta, o.y[lo:hi])
 	case opScale:
 		lo, hi := o.n*part/p.workers, o.n*(part+1)/p.workers
-		dd, uu := o.dst[lo:hi], o.x[lo:hi]
-		for i, v := range uu {
-			dd[i] = o.alpha * v
-		}
+		vec.Scale(o.dst[lo:hi], o.alpha, o.x[lo:hi])
 	case opMulVec:
 		o.a.MulVecRange(o.dst, o.x, p.bounds[part], p.bounds[part+1])
 	case opMulVecDotAbs:

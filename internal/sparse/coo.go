@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -27,6 +28,14 @@ func (c *COO) Dims() (rows, cols int) { return c.rows, c.cols }
 
 // NNZ returns the number of accumulated entries (before duplicate merging).
 func (c *COO) NNZ() int { return len(c.v) }
+
+// Grow reserves room for n more entries, so that a generator that knows
+// how many it will add (or a close upper bound) pays for one allocation per
+// array instead of a doubling and a copy every time it outgrows one. A
+// negative n panics.
+func (c *COO) Grow(n int) {
+	c.i, c.j, c.v = slices.Grow(c.i, n), slices.Grow(c.j, n), slices.Grow(c.v, n)
+}
 
 // Add appends the entry (i, j, v). Zero values are kept so that explicitly
 // stored zeros survive the round trip, as Matrix Market allows.

@@ -211,3 +211,60 @@ func TestGeneratorBitsPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestGrowReservesOnce: after Grow(k) the next k entries land in the arrays
+// Grow made, and the entries added before it are still there, in order.
+func TestGrowReservesOnce(t *testing.T) {
+	c := NewCOO(50, 50)
+	c.Add(3, 4, 1.5)
+	c.Add(3, 4, 2.5) // a duplicate, summed in insertion order by ToCSR
+	c.Grow(40)
+	first := &c.v[:1][0]
+	for k := 0; k < 40; k++ {
+		c.Add(k, (k*7)%50, float64(k))
+	}
+	if &c.v[0] != first || cap(c.i) != cap(c.v) || cap(c.j) != cap(c.v) {
+		t.Fatalf("40 entries after Grow(40) moved the arrays (caps %d %d %d)", cap(c.i), cap(c.j), cap(c.v))
+	}
+	c.Grow(0)
+	c.Grow(1) // no room left: one more array each, entries kept
+	if c.NNZ() != 42 {
+		t.Fatalf("NNZ = %d after Grow, want 42", c.NNZ())
+	}
+	want := NewCOO(50, 50)
+	want.Add(3, 4, 1.5)
+	want.Add(3, 4, 2.5)
+	for k := 0; k < 40; k++ {
+		want.Add(k, (k*7)%50, float64(k))
+	}
+	if fingerprint(c.ToCSR()) != fingerprint(want.ToCSR()) {
+		t.Fatalf("a reserved builder converts to a different CSR")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Grow(-1) did not panic")
+		}
+	}()
+	c.Grow(-1)
+}
+
+// TestStencilReservationsAreExact: the stencil generators reserve exactly
+// the entries they add — none is a duplicate, so that is the CSR's count.
+func TestStencilReservationsAreExact(t *testing.T) {
+	for _, g := range []struct {
+		name     string
+		a        *CSR
+		reserved int
+	}{
+		{"Laplacian2D(7,11)", Laplacian2D(7, 11), 5*77 - 2*7 - 2*11},
+		{"Laplacian2D(1,1)", Laplacian2D(1, 1), 1},
+		{"Laplacian3D(3,4,5)", Laplacian3D(3, 4, 5), 7*60 - 2*(12+20+15)},
+		{"ConvectionDiffusion2D(9,5,20)", ConvectionDiffusion2D(9, 5, 20), 5*45 - 2*9 - 2*5},
+		{"Tridiag(1,-1,2,-1)", Tridiag(1, -1, 2, -1), 1},
+		{"Tridiag(17,-1,2,-1)", Tridiag(17, -1, 2, -1), 49},
+	} {
+		if g.a.NNZ() != g.reserved {
+			t.Errorf("%s: %d entries, the generator reserves %d", g.name, g.a.NNZ(), g.reserved)
+		}
+	}
+}

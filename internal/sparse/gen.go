@@ -15,6 +15,7 @@ func Laplacian2D(nx, ny int) *CSR {
 	}
 	n := nx * ny
 	c := NewCOO(n, n)
+	c.Grow(5*n - 2*nx - 2*ny)
 	idx := func(i, j int) int { return i*ny + j }
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
@@ -45,6 +46,7 @@ func Laplacian3D(nx, ny, nz int) *CSR {
 	}
 	n := nx * ny * nz
 	c := NewCOO(n, n)
+	c.Grow(7*n - 2*(nx*ny+ny*nz+nx*nz))
 	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
@@ -93,7 +95,9 @@ func CircuitLike(n int, seed int64) *CSR {
 	side := int(math.Sqrt(float64(n)))
 	n = side * side
 	rng := rand.New(rand.NewSource(seed))
+	wires := int(0.05 * float64(n))
 	c := NewCOO(n, n)
+	c.Grow(4*side*(side-1) + 2*wires + n) // every lattice link and wire kept, both directions, and the diagonal
 	diag := make([]float64, n)
 	idx := func(i, j int) int { return i*side + j }
 
@@ -124,7 +128,6 @@ func CircuitLike(n int, seed int64) *CSR {
 	// Long-range "vias/wires": a sprinkling of random pairs, roughly 0.05
 	// per node. Kept sparse so the graph diameter — and hence the
 	// conditioning — stays grid-like rather than small-world.
-	wires := int(0.05 * float64(n))
 	for w := 0; w < wires; w++ {
 		u := rng.Intn(n)
 		v := rng.Intn(n)
@@ -159,6 +162,7 @@ func ConvectionDiffusion2D(nx, ny int, beta float64) *CSR {
 	n := nx * ny
 	h := 1.0 / float64(nx+1)
 	c := NewCOO(n, n)
+	c.Grow(5*n - 2*nx - 2*ny)
 	idx := func(i, j int) int { return i*ny + j }
 	// Upwind convection in the +x direction: contributes beta*h to the
 	// diagonal and -beta*h to the west neighbour.
@@ -194,6 +198,7 @@ func DiagDominant(n, nnzPerRow int, seed int64) *CSR {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	c := NewCOO(n, n)
+	c.Grow(n * (nnzPerRow + 1)) // fewer where a draw repeats a column
 	for i := 0; i < n; i++ {
 		var offSum float64
 		seen := map[int]bool{i: true}
@@ -221,6 +226,7 @@ func SPDRandom(n, degree int, seed int64) *CSR {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	c := NewCOO(n, n)
+	c.Grow(n * (2*degree + 1)) // fewer where a draw hits the diagonal
 	diag := make([]float64, n)
 	for u := 0; u < n; u++ {
 		for k := 0; k < degree; k++ {
@@ -250,6 +256,7 @@ func Tridiag(n int, sub, diag, super float64) *CSR {
 		panic("sparse: Tridiag needs n >= 1")
 	}
 	c := NewCOO(n, n)
+	c.Grow(3*n - 2)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			c.Add(i, i-1, sub)

@@ -13,8 +13,9 @@ import "math"
 // accumulators per sum); ragged tail blocks, other architectures and
 // -tags purego run the Go leaves below. Both produce the same bits, so
 // which one is linked is invisible to every caller; docs/kernels.md
-// "Reduction contract" has the order and why the solver's own reductions
-// (Dot, Norm2) keep their single chain.
+// "Reduction contract" has the order, why the solver's own reductions
+// (Dot, Norm2) keep theirs — left to right — and how those are filled
+// without waiting on it.
 
 // dotAbsLanes is the portable leaf of u·v and Σ|u_i·v_i|. len(v) must be at
 // least len(u). The product is spelled float64(·) so that no platform may

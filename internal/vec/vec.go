@@ -67,28 +67,53 @@ func Axpy(y []float64, alpha float64, x []float64) {
 	if len(y) != len(x) {
 		panic("vec: length mismatch in Axpy")
 	}
+	k := axpbyPacked(y, alpha, x, 1, y)
+	axpyLoop(y[k:], alpha, x[k:])
+}
+
+// Axpby computes w := alpha*x + beta*y, the general VLO of Eq. (3) in the
+// paper. dst may be x or y — the same slice, not one that overlaps it at an
+// offset: elements are read and written four at a time.
+func Axpby(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
+	if len(dst) != len(x) || len(dst) != len(y) {
+		panic("vec: length mismatch in Axpby")
+	}
+	k := axpbyPacked(dst, alpha, x, beta, y)
+	axpbyLoop(dst[k:], alpha, x[k:], beta, y[k:])
+}
+
+// Xpby computes w := x + beta*y, the search-direction update p = z + beta*p
+// used by CG-family methods. dst may be x or y — the same slice, not one
+// that overlaps it at an offset.
+func Xpby(dst, x []float64, beta float64, y []float64) {
+	if len(dst) != len(x) || len(dst) != len(y) {
+		panic("vec: length mismatch in Xpby")
+	}
+	k := axpbyPacked(dst, 1, x, beta, y)
+	xpbyLoop(dst[k:], x[k:], beta, y[k:])
+}
+
+// The three loops below are the VLOs as they have always been written. They
+// are what non-amd64 and -tags purego builds run end to end, what every
+// build runs over the last len mod 4 elements, and what the tests hold the
+// packed prefix (axpbyPacked, leaf_amd64.go) against, bit for bit.
+
+//hot:loop reference and tail of Axpy
+func axpyLoop(y []float64, alpha float64, x []float64) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}
 }
 
-// Axpby computes w := alpha*x + beta*y, the general VLO of Eq. (3) in the
-// paper. dst may alias x or y.
-func Axpby(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
-	if len(dst) != len(x) || len(dst) != len(y) {
-		panic("vec: length mismatch in Axpby")
-	}
+//hot:loop reference and tail of Axpby
+func axpbyLoop(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
 	for i := range dst {
 		dst[i] = alpha*x[i] + beta*y[i]
 	}
 }
 
-// Xpby computes w := x + beta*y, the search-direction update p = z + beta*p
-// used by CG-family methods. dst may alias x or y.
-func Xpby(dst, x []float64, beta float64, y []float64) {
-	if len(dst) != len(x) || len(dst) != len(y) {
-		panic("vec: length mismatch in Xpby")
-	}
+//hot:loop reference and tail of Xpby
+func xpbyLoop(dst, x []float64, beta float64, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] + beta*y[i]
 	}
@@ -104,8 +129,11 @@ func Xpby(dst, x []float64, beta float64, y []float64) {
 // O((Block + log n)·ε), independent of worker count.
 //
 // There are two leaf orders. The solver's own reductions (Dot, Norm2)
-// accumulate a block left to right in one chain: their bits are pinned
-// against internal/solver and decide iteration counts. The checksum
+// accumulate a block left to right: their bits are pinned against
+// internal/solver and decide iteration counts, so they keep that order —
+// but not its cost: DotBlocks runs the chains of four blocks side by side,
+// and on amd64 the norm's full-block leaf takes its divide and square two
+// elements at a time and adds the squares in element order. The checksum
 // reductions (DotAbs, SumAbs, WeightedSumAbs — value and Σ|·| — and Sum and
 // WeightedSum, which are the same leaves without the second result)
 // accumulate a block in four lanes, combined (l0+l2)+(l1+l3) — see leaf.go
@@ -197,6 +225,33 @@ func DotBlock(u, v []float64, b int) float64 {
 	return s
 }
 
+// DotBlocks stores the leaves of blocks lo, lo+1, … of u·v in part, one per
+// element: part[k] is DotBlock(u, v, lo+k), bit for bit. Full blocks are
+// taken four at a time in lockstep — four chains in one loop, each the
+// left-to-right chain of its own block, so the loop waits on one FP-add
+// latency per four elements and no leaf changes — and what is left, the
+// ragged last block included, through DotBlock.
+//
+//hot:loop leaf filler of Dot and of kernel.Pool's pooled dot
+func DotBlocks(part, u, v []float64, lo int) {
+	k := 0
+	for ; k+4 <= len(part) && (lo+k+4)*Block <= len(u); k += 4 {
+		uu := (*[4 * Block]float64)(u[(lo+k)*Block:])
+		vv := (*[4 * Block]float64)(v[(lo+k)*Block:])
+		var s0, s1, s2, s3 float64
+		for i := 0; i < Block; i++ {
+			s0 += uu[i] * vv[i]
+			s1 += uu[Block+i] * vv[Block+i]
+			s2 += uu[2*Block+i] * vv[2*Block+i]
+			s3 += uu[3*Block+i] * vv[3*Block+i]
+		}
+		part[k], part[k+1], part[k+2], part[k+3] = s0, s1, s2, s3
+	}
+	for ; k < len(part); k++ {
+		part[k] = DotBlock(u, v, lo+k)
+	}
+}
+
 // DotAbsBlock returns the block-b partials of u·v and Σ|u_i·v_i| in one
 // pass — the four-lane leaf of every checksum row reduction. Both operands
 // are sliced here, so the leaf (assembly on amd64) sees only lengths Go has
@@ -248,7 +303,28 @@ func Dot(u, v []float64) float64 {
 	if len(u) != len(v) {
 		panic("vec: length mismatch in Dot")
 	}
-	return pairwise(0, Blocks(len(u)), func(b int) float64 { return DotBlock(u, v, b) })
+	return dotTree(u, v, 0, Blocks(len(u)))
+}
+
+// dotSubtree is the widest block range Dot folds from one stack scratch.
+const dotSubtree = 64
+
+// dotTree is pairwise's tree over the blocks [lo, hi) of u·v: the split rule
+// down to ranges of at most dotSubtree blocks, then the leaves of a range
+// filled by DotBlocks and folded by PairwiseSum, which is that same rule.
+func dotTree(u, v []float64, lo, hi int) float64 {
+	if hi-lo <= dotSubtree {
+		return dotLeaves(u, v, lo, hi)
+	}
+	mid := lo + (hi-lo+1)/2
+	return dotTree(u, v, lo, mid) + dotTree(u, v, mid, hi)
+}
+
+// dotLeaves holds the scratch so that dotTree's frames stay small.
+func dotLeaves(u, v []float64, lo, hi int) float64 {
+	var part [dotSubtree]float64
+	DotBlocks(part[:hi-lo], u, v, lo)
+	return PairwiseSum(part[:hi-lo])
 }
 
 // DotAbs returns u·v and Σ|u_i·v_i| in one blocked pairwise pass — the pair
@@ -335,9 +411,18 @@ func (l *Leaves) Fold() {
 // is scale·√ssq. An all-zero block reports (0, 1).
 func Norm2Block(u []float64, b int) (scale, ssq float64) {
 	lo, hi := blockBounds(len(u), b)
+	return norm2Leaf(u[lo:hi])
+}
+
+// norm2Loop is the norm's leaf as it has always been written: one pass,
+// left to right, a running scale and the sum of squares relative to it. It
+// is what ragged blocks, non-amd64 and -tags purego builds run, and what
+// the tests hold the packed leaf (leaf_amd64.s) against, bit for bit.
+//
+//hot:loop leaf of every ragged-block and non-amd64 norm
+func norm2Loop(u []float64) (scale, ssq float64) {
 	ssq = 1
-	for i := lo; i < hi; i++ {
-		x := u[i]
+	for _, x := range u {
 		//lint:ignore floatcmp exact-zero sparsity skip only avoids no-op work
 		if x == 0 {
 			continue

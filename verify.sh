@@ -36,16 +36,17 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec leaf kernels, sparse FuzzTriSchedule + FuzzRowPlan) =="
+echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
 
-echo "== portable checksum leaf: go test -tags purego (vec, kernel, checksum, sparse, precond, core, par) =="
-# On amd64 full blocks of every (Σ, Σ|·|) reduction run in
-# internal/vec/leaf_amd64.s; -tags purego links the Go leaf every other
+echo "== portable leaves and VLO loops: go test -tags purego (vec, kernel, checksum, sparse, precond, core, par) =="
+# On amd64 full blocks of every (Σ, Σ|·|) reduction and of the norm, and
+# the multiple-of-four prefix of Axpy/Xpby/Axpby, run in
+# internal/vec/leaf_amd64.s; -tags purego links the Go loops every other
 # platform gets, which must pass the same goldens, freeze rows and pins on
-# the same host — the two are one reduction order, bit for bit.
+# the same host — the two are one arithmetic, bit for bit.
 go test -tags purego ./internal/vec/... ./internal/kernel/... ./internal/checksum/... ./internal/sparse/... ./internal/precond/... ./internal/core/... ./internal/par/...
 
 echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
