@@ -2,22 +2,18 @@
 // committed trajectory file and records new runs into it.
 //
 // It reads `go test -bench` output — raw text or the `-json` (test2json)
-// stream — parses every metric line (ns/op, B/op, allocs/op, and this
-// repo's custom b.ReportMetric units), and compares the run against the
-// newest record in the baseline trajectory using per-unit regression
-// rules. A regression exits non-zero and names the metric.
+// stream — parses every metric line, keeps the units the trajectory has a
+// rule for (B/op, allocs/op, and this repo's deterministic b.ReportMetric
+// units: sdc-rate, wasted-iters, detect-%, stored-bytes, …), and compares
+// the run against the newest record in the baseline trajectory. A
+// regression exits non-zero and names the metric. Wall-clock units have no
+// rule: they are neither compared nor recorded (benchmark/ takes those).
 //
 // Usage:
 //
-//	go test -bench . -benchmem | newsum-benchdiff -baseline BENCH_CORE.json -smoke
+//	go test -bench . -benchmem | newsum-benchdiff -baseline BENCH_CORE.json
 //	newsum-benchdiff -baseline BENCH_CORE.json -input bench.out -record -commit "$(git rev-parse HEAD)"
-//	newsum-benchdiff -baseline BENCH_SERVE.json -only '^BenchmarkServe' -input bench.out -smoke
-//
-// In -smoke mode (verify.sh runs this against a -benchtime=1x run)
-// wall-clock units are advisory: only deterministic units — allocs/op,
-// B/op pins, sdc-rate, wasted-iters, detection rates, bitwise flags,
-// exact model metrics — can fail the gate. A full run without -smoke
-// gates timing units too.
+//	newsum-benchdiff -baseline BENCH_SERVE.json -only '^BenchmarkServe' -input bench.out
 package main
 
 import (
@@ -57,7 +53,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		suite      = fs.String("suite", "Go Benchmark", "suite name inside the trajectory file")
 		only       = fs.String("only", "", "regexp: keep only matching benchmark names")
 		exclude    = fs.String("exclude", "", "regexp: drop matching benchmark names")
-		smoke      = fs.Bool("smoke", false, "smoke mode: wall-clock units are advisory, deterministic units still gate")
 		record     = fs.Bool("record", false, "append this run to the baseline file (refused on regression unless -force)")
 		force      = fs.Bool("force", false, "record even when the gate fails (deliberate re-baselining)")
 		commit     = fs.String("commit", "unknown", "commit id for the recorded entry")
@@ -88,7 +83,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fprintln(stderr, "newsum-benchdiff:", err)
 		return 2
 	}
-	benches, err = filterBenches(benches, *only, *exclude)
+	rules := trajectory.DefaultRules()
+	benches, err = filterBenches(benches, rules, *only, *exclude)
 	if err != nil {
 		fprintln(stderr, "newsum-benchdiff:", err)
 		return 2
@@ -106,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	failed := false
 	if base, ok := file.Latest(*suite); ok {
-		rep := trajectory.Compare(base.Benches, benches, trajectory.DefaultRules(), *smoke)
+		rep := trajectory.Compare(base.Benches, benches, rules)
 		if err := rep.WriteText(stdout); err != nil {
 			fprintln(stderr, "newsum-benchdiff:", err)
 			return 2
@@ -146,9 +142,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// filterBenches applies the -only / -exclude name regexps.
-func filterBenches(benches []trajectory.Bench, only, exclude string) ([]trajectory.Bench, error) {
-	keep := benches
+// filterBenches keeps the metrics whose unit has a rule — the rest are
+// neither compared nor recorded — and applies the -only / -exclude name
+// regexps.
+func filterBenches(benches []trajectory.Bench, rules trajectory.RuleSet, only, exclude string) ([]trajectory.Bench, error) {
+	var keep []trajectory.Bench
+	for _, b := range benches {
+		if _, ok := rules.ByUnit[b.Unit]; ok {
+			keep = append(keep, b)
+		}
+	}
 	if only != "" {
 		re, err := regexp.Compile(only)
 		if err != nil {

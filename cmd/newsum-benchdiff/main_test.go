@@ -28,8 +28,8 @@ func seedBaseline(t *testing.T, dir string, benches []trajectory.Bench) string {
 
 // TestGateSelfTest is the standing gate's own regression test: inject a
 // >threshold regression in a deterministic unit into a fresh temp-dir
-// baseline and require the comparator to exit non-zero naming the metric
-// — in smoke mode, exactly as verify.sh runs it.
+// baseline and require the comparator to exit non-zero naming the metric,
+// exactly as verify.sh runs it.
 func TestGateSelfTest(t *testing.T) {
 	base := seedBaseline(t, t.TempDir(), []trajectory.Bench{
 		{Name: "BenchmarkAblationDetectionLatency/lazy-d8", Value: 168, Unit: "wasted-iters"},
@@ -40,7 +40,7 @@ func TestGateSelfTest(t *testing.T) {
 	input := "BenchmarkAblationDetectionLatency/lazy-d8 1 100 ns/op 200 wasted-iters\n" +
 		"BenchmarkAblationVerifyCost 1 100 ns/op 3 allocs/op\n"
 	var out, errOut strings.Builder
-	code := run([]string{"-baseline", base, "-smoke"}, strings.NewReader(input), &out, &errOut)
+	code := run([]string{"-baseline", base}, strings.NewReader(input), &out, &errOut)
 	if code == 0 {
 		t.Fatalf("injected regression did not fail the gate:\n%s%s", out.String(), errOut.String())
 	}
@@ -53,7 +53,7 @@ func TestGateSelfTest(t *testing.T) {
 }
 
 // TestGatePassesCleanRun: the same run re-compared against itself passes,
-// and timing drift alone stays advisory in smoke mode.
+// and a wall-clock unit is not compared at all — a 1x pass times nothing.
 func TestGatePassesCleanRun(t *testing.T) {
 	base := seedBaseline(t, t.TempDir(), []trajectory.Bench{
 		{Name: "BenchmarkX", Value: 100, Unit: "ns/op"},
@@ -62,21 +62,17 @@ func TestGatePassesCleanRun(t *testing.T) {
 	// 50x timing blowup but identical deterministic metric.
 	input := "BenchmarkX 1 5000 ns/op 7 wasted-iters\n"
 	var out, errOut strings.Builder
-	if code := run([]string{"-baseline", base, "-smoke"}, strings.NewReader(input), &out, &errOut); code != 0 {
-		t.Fatalf("clean smoke run failed (%d):\n%s%s", code, out.String(), errOut.String())
+	if code := run([]string{"-baseline", base}, strings.NewReader(input), &out, &errOut); code != 0 {
+		t.Fatalf("clean run failed (%d):\n%s%s", code, out.String(), errOut.String())
 	}
-	if !strings.Contains(out.String(), "drift") {
-		t.Errorf("timing drift not reported as advisory:\n%s", out.String())
-	}
-	// The same input without -smoke gates the timing unit.
-	var out2, errOut2 strings.Builder
-	if code := run([]string{"-baseline", base}, strings.NewReader(input), &out2, &errOut2); code == 0 {
-		t.Fatalf("full-mode compare ignored a 50x timing regression:\n%s", out2.String())
+	if !strings.Contains(out.String(), "compared 1 metrics: 1 ok") {
+		t.Errorf("want the wasted-iters metric alone compared:\n%s", out.String())
 	}
 }
 
-// TestRecordAndFilters: -record appends a trimmed record; -only/-exclude
-// split one bench stream into per-suite baselines.
+// TestRecordAndFilters: -record appends a trimmed record without the
+// wall-clock units; -only/-exclude split one bench stream into per-suite
+// baselines.
 func TestRecordAndFilters(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "BENCH_CORE.json")
@@ -94,13 +90,11 @@ func TestRecordAndFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec, ok := f.Latest("Go Benchmark")
-	if !ok || len(rec.Benches) != 2 || rec.Commit.ID != "abc123" {
+	if !ok || len(rec.Benches) != 1 || rec.Commit.ID != "abc123" {
 		t.Fatalf("recorded entry wrong: %+v", rec)
 	}
-	for _, b := range rec.Benches {
-		if strings.HasPrefix(b.Name, "BenchmarkServe") {
-			t.Fatalf("-exclude leaked a serve metric: %+v", b)
-		}
+	if b := rec.Benches[0]; b.Name != "BenchmarkCore" || b.Unit != "allocs/op" {
+		t.Fatalf("recorded %+v, want BenchmarkCore's allocs/op alone (no ns/op, no serve metric)", b)
 	}
 
 	// -only keeps just the serve metrics.
@@ -116,7 +110,7 @@ func TestRecordAndFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 	srec, _ := sf.Latest("Go Benchmark")
-	if len(srec.Benches) != 2 || !strings.HasPrefix(srec.Benches[0].Name, "BenchmarkServe") {
+	if len(srec.Benches) != 1 || !strings.HasPrefix(srec.Benches[0].Name, "BenchmarkServe") {
 		t.Fatalf("-only kept wrong metrics: %+v", srec.Benches)
 	}
 }
@@ -130,7 +124,7 @@ func TestRecordRefusedOnRegression(t *testing.T) {
 	})
 	input := "BenchmarkX 1 100 ns/op 2 sdc-rate\n"
 	var out, errOut strings.Builder
-	if code := run([]string{"-baseline", base, "-smoke", "-record"},
+	if code := run([]string{"-baseline", base, "-record"},
 		strings.NewReader(input), &out, &errOut); code == 0 {
 		t.Fatal("regressed -record run exited zero")
 	}
@@ -146,7 +140,7 @@ func TestRecordRefusedOnRegression(t *testing.T) {
 	}
 
 	var out2, errOut2 strings.Builder
-	if code := run([]string{"-baseline", base, "-smoke", "-record", "-force"},
+	if code := run([]string{"-baseline", base, "-record", "-force"},
 		strings.NewReader(input), &out2, &errOut2); code != 1 {
 		t.Fatalf("-force run exit = %d, want 1 (gate still reports the regression)", code)
 	}
@@ -162,6 +156,7 @@ func TestRecordRefusedOnRegression(t *testing.T) {
 func TestRunUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{},                                      // missing -baseline
+		{"-baseline", "x", "-smoke"},            // removed flag: there is one mode
 		{"-baseline", "x", "-only", "("},        // bad regexp
 		{"-baseline", "x", "-input", "/nope"},   // unreadable input
 		{"-baseline", "/nope/dir/x", "-record"}, // parse fails first on empty stdin
@@ -186,7 +181,7 @@ func TestFirstRecordHasNoBaseline(t *testing.T) {
 	var out, errOut strings.Builder
 	path := filepath.Join(t.TempDir(), "b.json")
 	code := run([]string{"-baseline", path},
-		strings.NewReader("BenchmarkX 1 100 ns/op\n"), &out, &errOut)
+		strings.NewReader("BenchmarkX 1 100 ns/op 0 allocs/op\n"), &out, &errOut)
 	if code != 0 || !strings.Contains(out.String(), "no baseline record") {
 		t.Fatalf("first run against empty baseline = %d, %s", code, out.String())
 	}

@@ -12,9 +12,9 @@
 //     detection or correction event on the run's timeline.
 //
 // Alongside the campaign grid it sweeps the false-positive rate of
-// fault-free runs across verification thresholds θ, and measures the
-// end-to-end overhead of protection — the two axes (sensitivity vs noise,
-// protection vs cost) a detection threshold trades between.
+// fault-free runs across verification thresholds θ — the sensitivity
+// against noise a detection threshold trades. What protection costs in
+// time is the repo benchmark's question (benchmark/, main_over_base_x).
 package accuracy
 
 import (
@@ -117,25 +117,6 @@ type FPPoint struct {
 // FalsePositive reports whether the fault-free run raised any alarm.
 func (p FPPoint) FalsePositive() bool { return p.Detections > 0 }
 
-// OverheadPoint compares one protected solve against its unprotected
-// counterpart on the same system.
-type OverheadPoint struct {
-	Solver        string
-	Scheme        string
-	BaselineSec   float64
-	ProtectedSec  float64
-	BaselineIters int
-	ProtectedIter int
-}
-
-// OverheadPct is the relative wall-clock cost of protection in percent.
-func (p OverheadPoint) OverheadPct() float64 {
-	if p.BaselineSec <= 0 {
-		return 0
-	}
-	return 100 * (p.ProtectedSec - p.BaselineSec) / p.BaselineSec
-}
-
 // Config parameterizes a campaign.
 type Config struct {
 	// Side is the 2-D Laplacian grid side; the system has Side² unknowns.
@@ -196,9 +177,8 @@ func (c *Config) normalize() {
 
 // Report bundles a full campaign's outputs.
 type Report struct {
-	Cells    []Cell
-	FP       []FPPoint
-	Overhead []OverheadPoint
+	Cells []Cell
+	FP    []FPPoint
 	// Forward compares forward recovery against rollback-only recovery on
 	// identical strike schedules, per (engine × solver).
 	Forward []ForwardPoint
@@ -208,7 +188,7 @@ type Report struct {
 }
 
 // Run executes the full campaign: the serial and parallel detection grids,
-// the false-positive sweep, and the overhead measurement.
+// the false-positive sweep, and the forward and checkpoint comparisons.
 func Run(cfg Config) (Report, error) {
 	cfg.normalize()
 	var rep Report
@@ -227,11 +207,6 @@ func Run(cfg Config) (Report, error) {
 		return rep, fmt.Errorf("accuracy: false-positive sweep: %w", err)
 	}
 	rep.FP = fp
-	oh, err := MeasureOverhead(cfg)
-	if err != nil {
-		return rep, fmt.Errorf("accuracy: overhead: %w", err)
-	}
-	rep.Overhead = oh
 	fw, err := CompareForward(cfg)
 	if err != nil {
 		return rep, fmt.Errorf("accuracy: forward comparison: %w", err)

@@ -171,26 +171,6 @@ func TestBelowThresholdNeverCorrupts(t *testing.T) {
 	}
 }
 
-// Overhead measurement must produce one point per solver with both sides
-// having actually run.
-func TestMeasureOverhead(t *testing.T) {
-	points, err := MeasureOverhead(Config{})
-	if err != nil {
-		t.Fatalf("overhead: %v", err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("%d overhead points, want 3", len(points))
-	}
-	for _, p := range points {
-		if p.BaselineIters == 0 || p.ProtectedIter == 0 {
-			t.Errorf("%s: baseline %d iters, protected %d iters", p.Solver, p.BaselineIters, p.ProtectedIter)
-		}
-		if p.BaselineSec <= 0 || p.ProtectedSec <= 0 {
-			t.Errorf("%s: non-positive timings %g/%g", p.Solver, p.BaselineSec, p.ProtectedSec)
-		}
-	}
-}
-
 func TestOutcomeStrings(t *testing.T) {
 	want := map[Outcome]string{
 		Recovered: "recovered", Aborted: "aborted", SDC: "SDC", Masked: "masked", Outcome(9): "unknown-outcome",
@@ -232,18 +212,8 @@ func TestFirstAlarm(t *testing.T) {
 	}
 }
 
-func TestOverheadPct(t *testing.T) {
-	p := OverheadPoint{BaselineSec: 2, ProtectedSec: 2.5}
-	if got := p.OverheadPct(); math.Abs(got-25) > 1e-12 {
-		t.Errorf("OverheadPct = %v, want 25", got)
-	}
-	if (OverheadPoint{}).OverheadPct() != 0 {
-		t.Errorf("zero baseline should report 0 overhead")
-	}
-}
-
 // A minimal end-to-end campaign through Run: one solver, two models, one
-// trial — enough to exercise the orchestration (grid + FP sweep + overhead)
+// trial — enough to exercise the orchestration (grid + FP sweep + comparisons)
 // without re-running the full matrix.
 func TestRunEndToEnd(t *testing.T) {
 	rep, err := Run(Config{
@@ -259,8 +229,8 @@ func TestRunEndToEnd(t *testing.T) {
 	if len(rep.Cells) != 4 { // 2 engines × 2 models
 		t.Errorf("%d cells, want 4", len(rep.Cells))
 	}
-	if len(rep.FP) != 2 || len(rep.Overhead) != 1 {
-		t.Errorf("FP=%d overhead=%d, want 2 and 1", len(rep.FP), len(rep.Overhead))
+	if len(rep.FP) != 2 {
+		t.Errorf("FP=%d, want 2", len(rep.FP))
 	}
 	for _, c := range rep.Cells {
 		if c.SDC > 0 {

@@ -53,10 +53,6 @@ type ForwardPoint struct {
 	Mismatches int
 }
 
-// WastedDelta is the iterations the forward arm did not throw away: the
-// rollback-only arm's waste minus the forward arm's residual waste.
-func (p ForwardPoint) WastedDelta() int { return p.BaseWasted - p.FwdWasted }
-
 // record folds one arm run into the point.
 func (p *ForwardPoint) record(forward bool, rollbacks, wasted, repairs, avoided, saved, rejected int, matches bool) {
 	if forward {

@@ -2,7 +2,6 @@ package accuracy
 
 import (
 	"fmt"
-	"time"
 
 	"newsum/internal/core"
 	"newsum/internal/precond"
@@ -58,53 +57,6 @@ func FalsePositiveSweep(cfg Config) ([]FPPoint, error) {
 				Rollbacks:  pres.Rollbacks,
 			})
 		}
-	}
-	return points, nil
-}
-
-// MeasureOverhead times each protected basic serial solve against its
-// unprotected counterpart on the same system — the end-to-end cost of the
-// checksum updates, verifications and checkpoints on a fault-free run.
-func MeasureOverhead(cfg Config) ([]OverheadPoint, error) {
-	cfg.normalize()
-	a, b, _ := system(cfg.Side)
-	m, err := precond.BlockJacobiILU0(a, 4)
-	if err != nil {
-		return nil, err
-	}
-	sOpts := solver.Options{Tol: 1e-10}
-	baselines := map[string]func() (solver.Result, error){
-		"pcg":      func() (solver.Result, error) { return solver.PCG(a, m, b, sOpts) },
-		"bicgstab": func() (solver.Result, error) { return solver.PBiCGSTAB(a, m, b, sOpts) },
-		"cr":       func() (solver.Result, error) { return solver.CR(a, b, sOpts) },
-	}
-	var points []OverheadPoint
-	for _, sv := range cfg.Solvers {
-		baseline, ok := baselines[sv]
-		if !ok {
-			return nil, fmt.Errorf("accuracy: no unprotected baseline for %q", sv)
-		}
-		start := time.Now()
-		bres, err := baseline()
-		baseSec := time.Since(start).Seconds()
-		if err != nil {
-			return nil, fmt.Errorf("unprotected %s: %w", sv, err)
-		}
-		start = time.Now()
-		pres, err := runSerial(sv, "basic", a, m, b, core.Options{
-			Options:            sOpts,
-			DetectInterval:     serialDetect,
-			CheckpointInterval: serialCheckpoint,
-		})
-		protSec := time.Since(start).Seconds()
-		if err != nil {
-			return nil, fmt.Errorf("protected %s: %w", sv, err)
-		}
-		points = append(points, OverheadPoint{
-			Solver: sv, Scheme: "basic",
-			BaselineSec: baseSec, ProtectedSec: protSec,
-			BaselineIters: bres.Iterations, ProtectedIter: pres.Iterations,
-		})
 	}
 	return points, nil
 }

@@ -12,8 +12,8 @@ import (
 // The accuracy experiment: run the adversarial fault-model campaign of
 // internal/accuracy and render its three outputs — the detection grid over
 // (engine × solver × scheme × fault model × magnitude), the false-positive
-// sweep over verification thresholds θ, and the end-to-end protection
-// overhead. Where the other experiments reproduce the paper's cost tables,
+// sweep over verification thresholds θ, and forward recovery against
+// rollback. Where the other experiments reproduce the paper's cost tables,
 // this one quantifies the claim those costs buy: which faults the online
 // checks actually catch, how fast, and at what alarm rate.
 
@@ -43,17 +43,6 @@ func WriteAccuracyReport(out io.Writer, title string, rep accuracy.Report) error
 	for _, p := range rep.FP {
 		s.printf(tw, "%s\t%s\t%.0e\t%d\t%d\t%d\n",
 			p.Engine, p.Solver, p.Theta, p.Iterations, p.Detections, p.Rollbacks)
-	}
-	s.flush(tw)
-
-	s.println(out, "")
-	s.println(out, "Overhead: protected (basic scheme) vs unprotected serial solve")
-	tw = tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	s.println(tw, "solver\tbase(s)\tprotected(s)\toverhead\tbase iters\tprot iters")
-	for _, p := range rep.Overhead {
-		s.printf(tw, "%s\t%.4f\t%.4f\t%+.1f%%\t%d\t%d\n",
-			p.Solver, p.BaselineSec, p.ProtectedSec, p.OverheadPct(),
-			p.BaselineIters, p.ProtectedIter)
 	}
 	s.flush(tw)
 
@@ -120,18 +109,6 @@ func WriteAccuracyForwardCSV(w io.Writer, rep accuracy.Report) error {
 			p.BaseRollbacks, p.BaseWasted, p.FwdRollbacks, p.FwdWasted,
 			p.ForwardRepairs, p.RollbacksAvoided, p.IterationsSaved,
 			p.Rejected, p.Mismatches)
-	}
-	return s.err
-}
-
-// WriteAccuracyOverheadCSV emits the protection-overhead comparison.
-func WriteAccuracyOverheadCSV(w io.Writer, rep accuracy.Report) error {
-	var s sink
-	s.println(w, "solver,scheme,baseline_sec,protected_sec,overhead_pct,baseline_iters,protected_iters")
-	for _, p := range rep.Overhead {
-		s.printf(w, "%s,%s,%.6f,%.6f,%.2f,%d,%d\n",
-			p.Solver, p.Scheme, p.BaselineSec, p.ProtectedSec, p.OverheadPct(),
-			p.BaselineIters, p.ProtectedIter)
 	}
 	return s.err
 }

@@ -203,17 +203,6 @@ func TestMeasureHostCosts(t *testing.T) {
 	}
 }
 
-func TestMeasureOpTimes(t *testing.T) {
-	w, err := LaplacePCG(20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := MeasureOpTimes(w)
-	if ops.MVM <= 0 || ops.PCO <= 0 || ops.VDP <= 0 || ops.VLO <= 0 {
-		t.Fatalf("op times: %+v", ops)
-	}
-}
-
 func TestFigureOverheadsSmall(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")

@@ -122,50 +122,6 @@ func measureHostCostsOnce(w Workload, sampleIters int) (model.OpCosts, error) {
 	return model.OpCosts{Iter: t, Update: tu, Detect: td, Checkpoint: tc, Recover: tr}, nil
 }
 
-// MeasureOpTimes measures the per-operation costs (MVM, PCO, VDP, VLO) the
-// Table 4 conversion uses, on the host.
-func MeasureOpTimes(w Workload) model.OpTimes {
-	n := w.A.Rows
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i%13) * 0.1
-	}
-	const reps = 8
-
-	start := time.Now()
-	for k := 0; k < reps; k++ {
-		w.A.MulVec(y, x)
-	}
-	mvm := time.Since(start).Seconds() / reps
-
-	pco := mvm
-	if w.M != nil {
-		start = time.Now()
-		for k := 0; k < reps; k++ {
-			//lint:ignore errdrop timing loop over an operator already validated by the solve; a failure here only skews one sample
-			_ = w.M.Apply(y, x)
-		}
-		pco = time.Since(start).Seconds() / reps
-	}
-
-	start = time.Now()
-	sink := 0.0
-	for k := 0; k < reps; k++ {
-		sink += vec.Dot(x, x)
-	}
-	vdp := time.Since(start).Seconds() / reps
-	_ = sink
-
-	start = time.Now()
-	for k := 0; k < reps; k++ {
-		vec.Axpy(y, 0.5, x)
-	}
-	vlo := time.Since(start).Seconds() / reps
-
-	return model.OpTimes{MVM: mvm, PCO: pco, VDP: vdp, VLO: vlo}
-}
-
 func isNotConverged(err error) bool {
 	return err != nil && errors.Is(err, solver.ErrNotConverged)
 }

@@ -9,46 +9,32 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
-	"text/tabwriter"
 	"time"
 
-	"newsum/internal/bench/trajectory"
 	"newsum/internal/router"
 	"newsum/internal/service"
 )
 
-// The shard experiment: the same closed-loop protected-solve load offered
-// to a consistent-hash router over K backends versus one single process
-// holding the identical total worker budget (K×W workers, one shared
-// encoding cache and admission queue). Both sides are driven over real
-// HTTP so the comparison includes the transport the router actually adds;
-// what it measures is whether fingerprint affinity — every operator's
-// encoding cached hot on exactly one backend, K independent admission
-// queues — buys back more than the extra hop costs.
+// The load behind the root suite's BenchmarkServeShard: the same
+// closed-loop protected-solve jobs offered to a consistent-hash router over
+// K backends and to one single process holding the identical total worker
+// budget (K×W workers, one shared encoding cache and admission queue), both
+// over real HTTP. The benchmark owns the clock; what this file reports is
+// the pair of counters a sharded fleet must keep at zero like a single
+// process does. The router hop itself is timed by benchmark/'s router_tiny
+// workload (router.hop_ms_p50 and the other router.* rungs).
 
-// ShardPoint is one fleet-shape measurement.
+// ShardPoint is what one fleet shape did with its jobs.
 type ShardPoint struct {
-	// Backends is the fleet width; 1 means the single-process control
-	// (no router in front).
-	Backends int
-	// Workers is the per-backend worker count; the single-process control
-	// gets Backends×Workers so the total solve budget matches.
-	Workers    int
-	Clients    int
-	Jobs       int
-	Seconds    float64
-	Throughput float64 // completed jobs per second
-	// Redispatches and RoutedAround are router counters (0 for the
-	// control); SDCSuspects and FailedJobs are summed across the fleet and
-	// must be zero.
-	Redispatches int64
-	RoutedAround int64
-	SDCSuspects  int64
-	FailedJobs   int64
+	Jobs int
+	// SDCSuspects and FailedJobs are summed across the fleet and must be
+	// zero.
+	SDCSuspects int64
+	FailedJobs  int64
 }
 
-// shardSpecs is the operator pool for the shard load: more distinct
-// fingerprints than serveSpecs so the ring has something to spread.
+// shardSpecs is the operator pool for the shard load: enough distinct
+// fingerprints that the ring has something to spread.
 func shardSpecs() []service.MatrixSpec {
 	return []service.MatrixSpec{
 		{Kind: "laplace2d", N: 12},
@@ -65,13 +51,13 @@ func shardBackendConfig(workers int) service.Config {
 }
 
 // MeasureShardPoint drives jobs protected solves from clients closed-loop
-// HTTP clients at a fleet of the given shape and reports the aggregate.
+// HTTP clients at a fleet of the given shape (backends = 1 is the
+// single-process control, no router in front) and reports the aggregate.
 func MeasureShardPoint(backends, workers, clients, jobs int, seed int64) (ShardPoint, error) {
-	p := ShardPoint{Backends: backends, Workers: workers, Clients: clients, Jobs: jobs}
+	p := ShardPoint{Jobs: jobs}
 
-	var url string
-	var fleet []*router.LocalBackend
 	if backends > 1 {
+		var fleet []*router.LocalBackend
 		cfgs := make([]router.Backend, backends)
 		for i := range cfgs {
 			lb := &router.LocalBackend{Cfg: shardBackendConfig(workers)}
@@ -87,14 +73,9 @@ func MeasureShardPoint(backends, workers, clients, jobs int, seed int64) (ShardP
 		}()
 		srv := httptest.NewServer(rt.Handler())
 		defer srv.Close()
-		url = srv.URL
-		elapsed, err := driveShardLoad(url, clients, jobs, seed)
-		if err != nil {
+		if err := driveShardLoad(srv.URL, clients, jobs, seed); err != nil {
 			return p, err
 		}
-		p.Seconds = elapsed
-		st := rt.Stats()
-		p.Redispatches, p.RoutedAround = st.Redispatches, st.RoutedAround
 		for _, lb := range fleet {
 			if svc := lb.Service(); svc != nil {
 				snap := svc.Stats()
@@ -107,24 +88,18 @@ func MeasureShardPoint(backends, workers, clients, jobs int, seed int64) (ShardP
 		defer svc.Close()
 		srv := httptest.NewServer(svc.Handler())
 		defer srv.Close()
-		url = srv.URL
-		elapsed, err := driveShardLoad(url, clients, jobs, seed)
-		if err != nil {
+		if err := driveShardLoad(srv.URL, clients, jobs, seed); err != nil {
 			return p, err
 		}
-		p.Seconds = elapsed
 		snap := svc.Stats()
 		p.SDCSuspects, p.FailedJobs = snap.SDCSuspects, snap.Failed
-	}
-	if p.Seconds > 0 {
-		p.Throughput = float64(jobs) / p.Seconds
 	}
 	return p, nil
 }
 
 // driveShardLoad offers jobs solves from clients closed-loop HTTP clients,
 // honoring 429 backpressure by waiting and re-offering the same job.
-func driveShardLoad(url string, clients, jobs int, seed int64) (float64, error) {
+func driveShardLoad(url string, clients, jobs int, seed int64) error {
 	specs := shardSpecs()
 	work := make(chan int)
 	var wg sync.WaitGroup
@@ -138,7 +113,6 @@ func driveShardLoad(url string, clients, jobs int, seed int64) (float64, error) 
 		mu.Unlock()
 	}
 
-	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
@@ -193,61 +167,5 @@ func driveShardLoad(url string, clients, jobs int, seed int64) (float64, error) 
 	}
 	close(work)
 	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return time.Since(start).Seconds(), nil
-}
-
-// ShardSweep measures each fleet width at a fixed per-backend worker count.
-func ShardSweep(backendCounts []int, workers, clients, jobs int, seed int64) ([]ShardPoint, error) {
-	var points []ShardPoint
-	for _, k := range backendCounts {
-		p, err := MeasureShardPoint(k, workers, clients, jobs, seed)
-		if err != nil {
-			return nil, err
-		}
-		points = append(points, p)
-	}
-	return points, nil
-}
-
-// ShardBenches flattens the sweep into trajectory metrics: jobs/s per
-// fleet shape plus the Zero-class corruption counters.
-func ShardBenches(pts []ShardPoint) []trajectory.Bench {
-	var bs []trajectory.Bench
-	for _, p := range pts {
-		n := fmt.Sprintf("shard/backends=%d/workers=%d", p.Backends, p.Workers)
-		bs = appendBench(bs, n, p.Throughput, "jobs/s")
-		bs = appendBench(bs, n+"/sdc-suspects", float64(p.SDCSuspects), "sdc-suspects")
-		bs = appendBench(bs, n+"/failed-jobs", float64(p.FailedJobs), "failed-jobs")
-	}
-	return bs
-}
-
-// WriteShardTable renders the sweep in the standard report format.
-func WriteShardTable(out io.Writer, title string, points []ShardPoint) error {
-	var s sink
-	s.println(out, title)
-	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	s.println(tw, "backends\tworkers\tjobs\ttime(s)\tjobs/s\tredispatch\trouted-around\tsdc-suspects\tfailed")
-	for _, p := range points {
-		s.printf(tw, "%d\t%d\t%d\t%.3f\t%.1f\t%d\t%d\t%d\t%d\n",
-			p.Backends, p.Workers, p.Jobs, p.Seconds, p.Throughput,
-			p.Redispatches, p.RoutedAround, p.SDCSuspects, p.FailedJobs)
-	}
-	s.flush(tw)
-	return s.err
-}
-
-// WriteShardCSV emits the sweep as CSV with one row per point.
-func WriteShardCSV(w io.Writer, points []ShardPoint) error {
-	var s sink
-	s.println(w, "backends,workers,clients,jobs,seconds,jobs_per_sec,redispatches,routed_around,sdc_suspects,failed_jobs")
-	for _, p := range points {
-		s.printf(w, "%d,%d,%d,%d,%.6f,%.3f,%d,%d,%d,%d\n",
-			p.Backends, p.Workers, p.Clients, p.Jobs, p.Seconds, p.Throughput,
-			p.Redispatches, p.RoutedAround, p.SDCSuspects, p.FailedJobs)
-	}
-	return s.err
+	return firstErr
 }

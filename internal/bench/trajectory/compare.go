@@ -11,15 +11,15 @@ type Class int
 
 const (
 	// LowerIsBetter fails when the value rises past the tolerance
-	// (ns/op, B/op, allocs/op, wasted-iters, latency-iters, alarms).
+	// (B/op, allocs/op, wasted-iters, latency-iters, stored-bytes).
 	LowerIsBetter Class = iota
 	// HigherIsBetter fails when the value falls past the tolerance
-	// (MB/s, jobs/s, detect-%, bitwise).
+	// (detect-%).
 	HigherIsBetter
 	// Exact fails on any drift in either direction — reserved for
-	// metrics that are pure deterministic functions of the code (model
-	// projections, optimal intervals): a change means the model changed,
-	// which must be an explicit re-baseline, never noise.
+	// metrics that are pure deterministic functions of the code and the
+	// committed seed (iterations saved, repairs): a change means the
+	// behaviour changed, which must be an explicit re-baseline.
 	Exact
 	// Zero fails unless the value is exactly 0 regardless of baseline —
 	// the invariant class (SDC rate, SDC suspects, failed jobs).
@@ -34,24 +34,18 @@ type Rule struct {
 	// + AbsTol). Both zero means any worsening fails.
 	RelTol float64
 	AbsTol float64
-	// Timing marks wall-clock-derived units. In smoke mode (verify.sh's
-	// -benchtime=1x run) their regressions are reported as advisory
-	// drift instead of failing the gate: one-iteration timings are too
-	// noisy to gate on honestly. Full mode gates them like any other.
-	Timing bool
 	// PinZero pins a zero baseline: once a benchmark commits 0 for this
 	// unit (0 allocs/op on the protected iteration path), any nonzero
 	// candidate fails even inside the tolerances.
 	PinZero bool
 }
 
-// RuleSet maps units to rules.
+// RuleSet maps units to rules. A unit without a rule is neither compared
+// nor recorded: wall times (ns/op, MB/s, jobs/s, the bench suite's µs and
+// overhead-% metrics) belong to benchmark/, which takes them with a clock
+// that resolves them; name a rule to gate a new deterministic unit.
 type RuleSet struct {
 	ByUnit map[string]Rule
-	// Default applies to unknown units: gated in full mode at 25%,
-	// advisory in smoke mode (unknown semantics are assumed timing-ish;
-	// name a rule to gate a new unit deterministically).
-	Default Rule
 }
 
 // DefaultRules is the repo's standing policy, documented in
@@ -59,10 +53,8 @@ type RuleSet struct {
 func DefaultRules() RuleSet {
 	return RuleSet{
 		ByUnit: map[string]Rule{
-			// Standard go-bench units.
-			"ns/op": {Class: LowerIsBetter, RelTol: 0.15, Timing: true},
-			"MB/s":  {Class: HigherIsBetter, RelTol: 0.15, Timing: true},
-			"B/op":  {Class: LowerIsBetter, RelTol: 0.25, AbsTol: 4096, PinZero: true},
+			// go-bench memory units.
+			"B/op": {Class: LowerIsBetter, RelTol: 0.25, AbsTol: 4096, PinZero: true},
 			"allocs/op": {Class: LowerIsBetter, RelTol: 0.25, AbsTol: 16,
 				PinZero: true},
 			// Deterministic custom units: bitwise-reproducible at the
@@ -72,9 +64,7 @@ func DefaultRules() RuleSet {
 			"failed-jobs":   {Class: Zero},
 			"wasted-iters":  {Class: LowerIsBetter},
 			"latency-iters": {Class: LowerIsBetter},
-			"alarms":        {Class: LowerIsBetter},
 			"detect-%":      {Class: HigherIsBetter},
-			"bitwise":       {Class: HigherIsBetter},
 			"iters":         {Class: Exact},
 			"repairs":       {Class: Exact},
 			"mismatches":    {Class: Zero},
@@ -84,18 +74,7 @@ func DefaultRules() RuleSet {
 			"stored-bytes": {Class: LowerIsBetter},
 			"extra-iters":  {Class: LowerIsBetter},
 			"aborted":      {Class: Zero},
-			"interval":     {Class: Exact},
-			"cells":        {Class: Exact},
-			"model-%":      {Class: Exact},
-			"model-s":      {Class: Exact},
-			"model-ms":     {Class: Exact},
-			// Wall-clock-derived custom units.
-			"overhead-%": {Class: LowerIsBetter, RelTol: 0.25, Timing: true},
-			"jobs/s":     {Class: HigherIsBetter, RelTol: 0.25, Timing: true},
-			"ms":         {Class: LowerIsBetter, RelTol: 0.25, Timing: true},
-			"x":          {Class: HigherIsBetter, RelTol: 0.25, Timing: true},
 		},
-		Default: Rule{Class: LowerIsBetter, RelTol: 0.25, Timing: true},
 	}
 }
 
@@ -116,9 +95,6 @@ const (
 	// fails the gate with a named diagnostic (a silently dropped
 	// benchmark is itself a regression of the measurement backbone).
 	StatusVanished
-	// StatusAdvisory: a timing unit drifted past its threshold in smoke
-	// mode — reported, not failed.
-	StatusAdvisory
 )
 
 func (s Status) String() string {
@@ -133,8 +109,6 @@ func (s Status) String() string {
 		return "new"
 	case StatusVanished:
 		return "VANISHED"
-	case StatusAdvisory:
-		return "drift"
 	default:
 		return "unknown-status"
 	}
@@ -153,7 +127,6 @@ type Delta struct {
 // Report is a full comparison: one delta per candidate metric, in run
 // order, followed by one per vanished baseline metric, in baseline order.
 type Report struct {
-	Smoke  bool
 	Deltas []Delta
 }
 
@@ -172,9 +145,11 @@ func (r Report) Failures() []Delta {
 func (r Report) Failed() bool { return len(r.Failures()) > 0 }
 
 // Compare diffs a candidate run against a baseline record's benches,
-// metric by metric. Deterministic: same inputs, same report.
-func Compare(base, cand []Bench, rs RuleSet, smoke bool) Report {
-	rep := Report{Smoke: smoke}
+// metric by metric, skipping on both sides every unit rs has no rule for
+// (older records carry wall-clock units; they neither compare nor
+// vanish). Deterministic: same inputs, same report.
+func Compare(base, cand []Bench, rs RuleSet) Report {
+	var rep Report
 	type key struct{ name, unit string }
 	baseline := make(map[key]Bench, len(base))
 	for _, b := range base {
@@ -182,9 +157,10 @@ func Compare(base, cand []Bench, rs RuleSet, smoke bool) Report {
 	}
 	seen := make(map[key]bool, len(cand))
 	for _, c := range cand {
+		rule, ok := rs.ByUnit[c.Unit]
 		k := key{c.Name, c.Unit}
-		if seen[k] {
-			continue // duplicate metric in the run: first wins
+		if !ok || seen[k] {
+			continue // no rule, or a duplicate metric in the run: first wins
 		}
 		seen[k] = true
 		b, ok := baseline[k]
@@ -195,11 +171,11 @@ func Compare(base, cand []Bench, rs RuleSet, smoke bool) Report {
 			})
 			continue
 		}
-		rep.Deltas = append(rep.Deltas, evaluate(b, c, rs.rule(c.Unit), smoke))
+		rep.Deltas = append(rep.Deltas, evaluate(b, c, rule))
 	}
 	for _, b := range base {
 		k := key{b.Name, b.Unit}
-		if !seen[k] {
+		if _, ok := rs.ByUnit[b.Unit]; ok && !seen[k] {
 			rep.Deltas = append(rep.Deltas, Delta{
 				Name: b.Name, Unit: b.Unit, Base: b.Value,
 				Status: StatusVanished,
@@ -208,13 +184,6 @@ func Compare(base, cand []Bench, rs RuleSet, smoke bool) Report {
 		}
 	}
 	return rep
-}
-
-func (rs RuleSet) rule(unit string) Rule {
-	if r, ok := rs.ByUnit[unit]; ok {
-		return r
-	}
-	return rs.Default
 }
 
 // isZeroBits reports exact floating-point zero (either sign) without a
@@ -228,14 +197,9 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b)
 }
 
-func evaluate(base, cand Bench, rule Rule, smoke bool) Delta {
+func evaluate(base, cand Bench, rule Rule) Delta {
 	d := Delta{Name: cand.Name, Unit: cand.Unit, Base: base.Value, New: cand.Value}
 	fail := func(reason string) Delta {
-		if rule.Timing && smoke {
-			d.Status = StatusAdvisory
-			d.Reason = reason + " (timing unit: advisory in smoke mode)"
-			return d
-		}
 		d.Status = StatusRegressed
 		d.Reason = reason
 		return d
@@ -243,17 +207,13 @@ func evaluate(base, cand Bench, rule Rule, smoke bool) Delta {
 	switch rule.Class {
 	case Zero:
 		if !isZeroBits(cand.Value) {
-			d.Status = StatusRegressed
-			d.Reason = fmt.Sprintf("%s must stay 0, got %g", cand.Unit, cand.Value)
-			return d
+			return fail(fmt.Sprintf("%s must stay 0, got %g", cand.Unit, cand.Value))
 		}
 		d.Status = StatusOK
 		return d
 	case Exact:
 		if !sameBits(base.Value, cand.Value) {
-			d.Status = StatusRegressed
-			d.Reason = fmt.Sprintf("exact metric drifted: %g -> %g", base.Value, cand.Value)
-			return d
+			return fail(fmt.Sprintf("exact metric drifted: %g -> %g", base.Value, cand.Value))
 		}
 		d.Status = StatusOK
 		return d
@@ -261,9 +221,7 @@ func evaluate(base, cand Bench, rule Rule, smoke bool) Delta {
 	// PinZero overrides tolerances before anything else: a committed 0
 	// is a contract, not a sample.
 	if rule.PinZero && isZeroBits(base.Value) && !isZeroBits(cand.Value) {
-		d.Status = StatusRegressed
-		d.Reason = fmt.Sprintf("pinned at 0 %s in baseline, got %g", cand.Unit, cand.Value)
-		return d
+		return fail(fmt.Sprintf("pinned at 0 %s in baseline, got %g", cand.Unit, cand.Value))
 	}
 	limit := math.Abs(base.Value)*rule.RelTol + rule.AbsTol
 	switch rule.Class {
@@ -289,9 +247,9 @@ func evaluate(base, cand Bench, rule Rule, smoke bool) Delta {
 }
 
 // WriteText renders the report: failures first (the gate's diagnostics),
-// then advisory drift and new metrics, then a one-line summary.
+// then new metrics, then a one-line summary.
 func (r Report) WriteText(w io.Writer) error {
-	var counts [6]int
+	var counts [StatusVanished + 1]int
 	for _, d := range r.Deltas {
 		counts[d.Status]++
 	}
@@ -309,18 +267,14 @@ func (r Report) WriteText(w io.Writer) error {
 		}
 	}
 	for _, d := range r.Deltas {
-		if d.Status == StatusAdvisory || d.Status == StatusNew {
+		if d.Status == StatusNew {
 			if _, err := fmt.Fprintf(w, "%s: %s [%s]: %s\n", d.Status, d.Name, d.Unit, d.Reason); err != nil {
 				return werr(err)
 			}
 		}
 	}
-	mode := "full"
-	if r.Smoke {
-		mode = "smoke"
-	}
-	_, err := fmt.Fprintf(w, "compared %d metrics (%s mode): %d ok, %d improved, %d new, %d drift, %d regressed, %d vanished\n",
-		len(r.Deltas), mode, counts[StatusOK], counts[StatusImproved],
-		counts[StatusNew], counts[StatusAdvisory], counts[StatusRegressed], counts[StatusVanished])
+	_, err := fmt.Fprintf(w, "compared %d metrics: %d ok, %d improved, %d new, %d regressed, %d vanished\n",
+		len(r.Deltas), counts[StatusOK], counts[StatusImproved],
+		counts[StatusNew], counts[StatusRegressed], counts[StatusVanished])
 	return werr(err)
 }

@@ -7,7 +7,7 @@ import (
 
 // TestCompareTable drives the comparator over synthetic trajectories:
 // improvement, regression just inside and just outside each threshold,
-// metrics appearing and vanishing, and the zero-pinned exact metrics.
+// a metric appearing, and the zero-pinned and exact metrics.
 func TestCompareTable(t *testing.T) {
 	rules := DefaultRules()
 	one := func(name, unit string, v float64) []Bench {
@@ -16,55 +16,38 @@ func TestCompareTable(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		base, cand []Bench
-		smoke      bool
 		status     Status
 		failed     bool
 	}{
-		// ns/op: ±15%, but a timing unit — gated in full mode only.
-		{"ns/op improvement", one("B", "ns/op", 1000), one("B", "ns/op", 800), false, StatusImproved, false},
-		{"ns/op just inside +15%", one("B", "ns/op", 1000), one("B", "ns/op", 1150), false, StatusOK, false},
-		{"ns/op just outside +15% full", one("B", "ns/op", 1000), one("B", "ns/op", 1151), false, StatusRegressed, true},
-		{"ns/op just outside +15% smoke is advisory", one("B", "ns/op", 1000), one("B", "ns/op", 1151), true, StatusAdvisory, false},
-		{"ns/op 10x blowup smoke is still advisory", one("B", "ns/op", 1000), one("B", "ns/op", 10000), true, StatusAdvisory, false},
-
-		// MB/s: higher is better.
-		{"MB/s just inside -15%", one("B", "MB/s", 200), one("B", "MB/s", 170), false, StatusOK, false},
-		{"MB/s just outside -15% full", one("B", "MB/s", 200), one("B", "MB/s", 169.9), false, StatusRegressed, true},
-
-		// allocs/op: gated in smoke mode too (deterministic), ±25% + 16.
-		{"allocs/op just inside", one("B", "allocs/op", 100), one("B", "allocs/op", 141), true, StatusOK, false},
-		{"allocs/op just outside", one("B", "allocs/op", 100), one("B", "allocs/op", 142), true, StatusRegressed, true},
-		{"allocs/op improvement", one("B", "allocs/op", 100), one("B", "allocs/op", 60), true, StatusImproved, false},
+		// allocs/op: ±25% + 16.
+		{"allocs/op just inside", one("B", "allocs/op", 100), one("B", "allocs/op", 141), StatusOK, false},
+		{"allocs/op just outside", one("B", "allocs/op", 100), one("B", "allocs/op", 142), StatusRegressed, true},
+		{"allocs/op improvement", one("B", "allocs/op", 100), one("B", "allocs/op", 60), StatusImproved, false},
 
 		// Zero-pinned: a committed 0 allocs/op is exact, tolerances or not.
-		{"pinned zero allocs stays zero", one("B", "allocs/op", 0), one("B", "allocs/op", 0), true, StatusOK, false},
-		{"pinned zero allocs broken by 1", one("B", "allocs/op", 0), one("B", "allocs/op", 1), true, StatusRegressed, true},
-		{"pinned zero B/op broken inside abs tolerance", one("B", "B/op", 0), one("B", "B/op", 64), true, StatusRegressed, true},
+		{"pinned zero allocs stays zero", one("B", "allocs/op", 0), one("B", "allocs/op", 0), StatusOK, false},
+		{"pinned zero allocs broken by 1", one("B", "allocs/op", 0), one("B", "allocs/op", 1), StatusRegressed, true},
+		{"pinned zero B/op broken inside abs tolerance", one("B", "B/op", 0), one("B", "B/op", 64), StatusRegressed, true},
 
 		// Zero-class invariants: baseline value is irrelevant.
-		{"sdc-rate must stay zero", one("B", "sdc-rate", 0), one("B", "sdc-rate", 2), true, StatusRegressed, true},
-		{"sdc-rate zero ok", one("B", "sdc-rate", 0), one("B", "sdc-rate", 0), true, StatusOK, false},
+		{"sdc-rate must stay zero", one("B", "sdc-rate", 0), one("B", "sdc-rate", 2), StatusRegressed, true},
+		{"sdc-rate zero ok", one("B", "sdc-rate", 0), one("B", "sdc-rate", 0), StatusOK, false},
 
 		// Exact class: any drift in either direction fails.
-		{"model-%% drift up", one("B", "model-%", 4.8125), one("B", "model-%", 4.8126), true, StatusRegressed, true},
-		{"model-%% drift down", one("B", "model-%", 4.8125), one("B", "model-%", 4.8124), true, StatusRegressed, true},
-		{"model-%% identical", one("B", "model-%", 4.8125), one("B", "model-%", 4.8125), true, StatusOK, false},
+		{"iters drift up", one("B", "iters", 163), one("B", "iters", 164), StatusRegressed, true},
+		{"iters drift down", one("B", "iters", 163), one("B", "iters", 162), StatusRegressed, true},
+		{"iters identical", one("B", "iters", 163), one("B", "iters", 163), StatusOK, false},
 
 		// Deterministic counters: zero tolerance, improvement allowed.
-		{"wasted-iters any increase fails", one("B", "wasted-iters", 130), one("B", "wasted-iters", 131), true, StatusRegressed, true},
-		{"wasted-iters decrease improves", one("B", "wasted-iters", 130), one("B", "wasted-iters", 90), true, StatusImproved, false},
-		{"detect-%% any drop fails", one("B", "detect-%", 100), one("B", "detect-%", 99), true, StatusRegressed, true},
-		{"bitwise flag drop fails", one("B", "bitwise", 1), one("B", "bitwise", 0), true, StatusRegressed, true},
+		{"wasted-iters any increase fails", one("B", "wasted-iters", 130), one("B", "wasted-iters", 131), StatusRegressed, true},
+		{"wasted-iters decrease improves", one("B", "wasted-iters", 130), one("B", "wasted-iters", 90), StatusImproved, false},
+		{"detect-%% any drop fails", one("B", "detect-%", 100), one("B", "detect-%", 99), StatusRegressed, true},
 
 		// New metric: recorded, never failed.
-		{"new benchmark recorded not failed", nil, one("B", "ns/op", 5), true, StatusNew, false},
-
-		// Unknown unit: default rule, advisory in smoke, gated in full.
-		{"unknown unit smoke", one("B", "t_r-µs", 100), one("B", "t_r-µs", 1000), true, StatusAdvisory, false},
-		{"unknown unit full", one("B", "t_r-µs", 100), one("B", "t_r-µs", 1000), false, StatusRegressed, true},
+		{"new benchmark recorded not failed", nil, one("B", "allocs/op", 5), StatusNew, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep := Compare(tc.base, tc.cand, rules, tc.smoke)
+			rep := Compare(tc.base, tc.cand, rules)
 			if len(rep.Deltas) != 1 {
 				t.Fatalf("got %d deltas, want 1: %+v", len(rep.Deltas), rep.Deltas)
 			}
@@ -83,11 +66,11 @@ func TestCompareTable(t *testing.T) {
 // a regression.
 func TestCompareVanished(t *testing.T) {
 	base := []Bench{
-		{Name: "BenchmarkKept", Value: 1, Unit: "ns/op"},
+		{Name: "BenchmarkKept", Value: 1, Unit: "allocs/op"},
 		{Name: "BenchmarkDropped", Value: 2, Unit: "wasted-iters"},
 	}
-	cand := []Bench{{Name: "BenchmarkKept", Value: 1, Unit: "ns/op"}}
-	rep := Compare(base, cand, DefaultRules(), true)
+	cand := []Bench{{Name: "BenchmarkKept", Value: 1, Unit: "allocs/op"}}
+	rep := Compare(base, cand, DefaultRules())
 	if !rep.Failed() {
 		t.Fatal("vanished metric did not fail the gate")
 	}
@@ -107,18 +90,43 @@ func TestCompareVanished(t *testing.T) {
 	}
 }
 
+// TestCompareSkipsUnitsWithoutARule: a wall-clock or unknown unit is
+// compared on neither side — a 10× slower ns/op is not a regression, a
+// baseline ns/op or t_r-µs the run no longer carries has not vanished, a
+// new one is not reported — while the ruled unit beside it still gates.
+func TestCompareSkipsUnitsWithoutARule(t *testing.T) {
+	base := []Bench{
+		{Name: "B", Value: 1000, Unit: "ns/op"},
+		{Name: "B", Value: 100, Unit: "t_r-µs"},
+		{Name: "B", Value: 0, Unit: "allocs/op"},
+	}
+	cand := []Bench{
+		{Name: "B", Value: 10000, Unit: "ns/op"},
+		{Name: "B", Value: 50, Unit: "jobs/s"},
+		{Name: "B", Value: 0, Unit: "allocs/op"},
+	}
+	rep := Compare(base, cand, DefaultRules())
+	if len(rep.Deltas) != 1 || rep.Deltas[0].Unit != "allocs/op" || rep.Deltas[0].Status != StatusOK {
+		t.Fatalf("deltas = %+v, want the allocs/op pin alone, ok", rep.Deltas)
+	}
+	cand[2].Value = 1
+	if rep := Compare(base, cand, DefaultRules()); !rep.Failed() {
+		t.Fatal("broken allocs/op pin passed beside unruled units")
+	}
+}
+
 // TestCompareSameNameDifferentUnit: metrics are keyed by (name, unit); the
 // units of one benchmark line compare independently.
 func TestCompareSameNameDifferentUnit(t *testing.T) {
 	base := []Bench{
-		{Name: "B", Value: 1000, Unit: "ns/op"},
+		{Name: "B", Value: 1000, Unit: "B/op"},
 		{Name: "B", Value: 0, Unit: "allocs/op"},
 	}
 	cand := []Bench{
-		{Name: "B", Value: 900, Unit: "ns/op"},
+		{Name: "B", Value: 900, Unit: "B/op"},
 		{Name: "B", Value: 3, Unit: "allocs/op"},
 	}
-	rep := Compare(base, cand, DefaultRules(), true)
+	rep := Compare(base, cand, DefaultRules())
 	fs := rep.Failures()
 	if len(fs) != 1 || fs[0].Unit != "allocs/op" {
 		t.Fatalf("failures = %+v, want exactly the allocs/op pin break", fs)
@@ -133,7 +141,7 @@ func TestCompareDuplicateCandidate(t *testing.T) {
 		{Name: "B", Value: 10, Unit: "wasted-iters"},
 		{Name: "B", Value: 99, Unit: "wasted-iters"},
 	}
-	rep := Compare(base, cand, DefaultRules(), true)
+	rep := Compare(base, cand, DefaultRules())
 	if len(rep.Deltas) != 1 || rep.Failed() {
 		t.Fatalf("duplicate metric mishandled: %+v", rep.Deltas)
 	}
@@ -143,19 +151,19 @@ func TestCompareDuplicateCandidate(t *testing.T) {
 // order — the comparator itself obeys the determinism invariant.
 func TestCompareDeterministic(t *testing.T) {
 	base := []Bench{
-		{Name: "A", Value: 1, Unit: "ns/op"},
+		{Name: "A", Value: 1, Unit: "allocs/op"},
 		{Name: "C", Value: 3, Unit: "wasted-iters"},
 		{Name: "D", Value: 0, Unit: "sdc-rate"},
 	}
 	cand := []Bench{
-		{Name: "A", Value: 2, Unit: "ns/op"},
-		{Name: "B", Value: 9, Unit: "alarms"},
+		{Name: "A", Value: 2, Unit: "allocs/op"},
+		{Name: "B", Value: 9, Unit: "latency-iters"},
 		{Name: "D", Value: 0, Unit: "sdc-rate"},
 	}
 	var first string
 	for i := 0; i < 5; i++ {
 		var sb strings.Builder
-		rep := Compare(base, cand, DefaultRules(), true)
+		rep := Compare(base, cand, DefaultRules())
 		if err := rep.WriteText(&sb); err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +178,7 @@ func TestCompareDeterministic(t *testing.T) {
 func TestStatusStrings(t *testing.T) {
 	for s, want := range map[Status]string{
 		StatusOK: "ok", StatusImproved: "improved", StatusRegressed: "REGRESSED",
-		StatusNew: "new", StatusVanished: "VANISHED", StatusAdvisory: "drift",
+		StatusNew: "new", StatusVanished: "VANISHED",
 		Status(99): "unknown-status",
 	} {
 		if s.String() != want {

@@ -5,19 +5,16 @@
 // repos commit under dev/bench/data.js (sanmarg/pack, Eyas/xwgen; see
 // SNIPPETS.md): a file holds named suites, a suite holds one record per
 // recorded run, and a record holds the commit it measured plus a flat
-// list of {name, value, unit, extra} benches. One record captures
-// everything a run reports — ns/op, B/op, allocs/op, and this repo's
-// custom units (protection-overhead %, detection-latency iterations,
-// SDC rate, wasted iterations, bitwise determinism flags).
+// list of {name, value, unit, extra} benches. One record captures the
+// deterministic units of a run — B/op, allocs/op, and this repo's custom
+// ones (detection-latency iterations, SDC rate, wasted iterations, stored
+// bytes); wall times are benchmark/'s to take and are not recorded here.
 //
-// Three layers feed it:
+// Two layers, one feed:
 //
 //   - parse.go turns `go test -bench` output (raw text or the test2json
 //     `-json` stream) into benches, so the root bench_test.go suite can be
 //     piped straight into a committed BENCH_*.json trajectory;
-//   - internal/bench's per-experiment emitters turn every newsum-bench
-//     experiment's point structs — the same single metric source its
-//     tables and CSVs render — into benches;
 //   - compare.go diffs a fresh run against the latest committed record
 //     with per-unit regression rules, the verify.sh standing gate.
 package trajectory

@@ -11,8 +11,9 @@ import (
 )
 
 // workerCounts are the pool sizes every determinism test sweeps; 1 maps
-// to the nil (serial) pool.
-var workerCounts = []int{1, 2, 4}
+// to the nil (serial) pool, 3 and 8 leave partition boundaries that only
+// the block-aligned split keeps off the middle of a leaf.
+var workerCounts = []int{1, 2, 3, 4, 8}
 
 func poolFor(t *testing.T, workers int) *Pool {
 	t.Helper()
@@ -37,8 +38,8 @@ func bitEq(a, b float64) bool {
 
 // TestReductionsBitwiseAcrossWorkers is the determinism contract test:
 // every reduction, at sizes straddling minParallel and the block
-// boundary, is bitwise-identical to the serial vec result for worker
-// counts 1/2/4 and across repeated runs on the same pool.
+// boundary, is bitwise-identical to the serial vec result for every worker
+// count and across repeated runs on the same pool.
 func TestReductionsBitwiseAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sizes := []int{0, 1, 127, 128, 129, 4095, 4096, 100_000}
@@ -319,6 +320,11 @@ func TestFusedVLOChecksums(t *testing.T) {
 		wantS := make([]float64, len(weights))
 		wantEta := make([]float64, len(weights))
 		checksum.UpdateVLOAxpbyBound(wantS, wantEta, alpha, sx, etaX, beta, sy, etaY)
+		for i := range dst {
+			if !bitEq(dst[i], wantDst[i]) {
+				t.Fatalf("workers=%d AxpbyVLO: data %d mismatch", workers, i)
+			}
+		}
 		for k := range sDst {
 			if !bitEq(sDst[k], wantS[k]) || !bitEq(etaDst[k], wantEta[k]) {
 				t.Fatalf("workers=%d AxpbyVLO: checksum slot %d mismatch", workers, k)
@@ -341,7 +347,8 @@ func TestFusedVLOChecksums(t *testing.T) {
 	}
 }
 
-// TestMulVecDotAbsBitwise: the fused SpMV's product is MulVec's and its
+// TestMulVecDotAbsBitwise: the fused SpMV's product is the row loop's on a
+// plan-less view of the operator (as in TestMulVecBitwise) and its
 // row reductions — and with them the Eq. (2) checksum and bound they feed —
 // are vec.DotAbs's, bit for bit, on the serial pool and on 2, 3 and 8
 // workers (3 and 8 leave partition boundaries that only the block-aligned
@@ -353,7 +360,8 @@ func TestMulVecDotAbsBitwise(t *testing.T) {
 		a := sparse.DiagDominant(n, 5, int64(n))
 		x := randVec(rng, n)
 		wantY := make([]float64, n)
-		a.MulVec(wantY, x)
+		rowLoop := &sparse.CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: a.RowPtr, ColIdx: a.ColIdx, Val: a.Val}
+		rowLoop.MulVec(wantY, x)
 		for _, weights := range [][]checksum.Weight{checksum.Single, checksum.Triple} {
 			enc := checksum.EncodeMatrix(a, weights, checksum.PracticalD(a))
 			su := checksum.Checksums(x, weights)
@@ -370,7 +378,7 @@ func TestMulVecDotAbsBitwise(t *testing.T) {
 					lv.Fold()
 					for i := range y {
 						if !bitEq(y[i], wantY[i]) {
-							t.Fatalf("n=%d workers=%d run=%d: row %d = %x, MulVec %x", n, workers, run, i, y[i], wantY[i])
+							t.Fatalf("n=%d workers=%d run=%d: row %d = %x, row loop %x", n, workers, run, i, y[i], wantY[i])
 						}
 					}
 					gotS := make([]float64, len(weights))

@@ -193,8 +193,7 @@ func benchServeBatch(b *testing.B, spec service.MatrixSpec, n int) {
 
 // BenchmarkServeShard compares a router-fronted 2-backend fleet against a
 // single process holding the same total worker budget, both driven over
-// real HTTP by closed-loop clients (internal/bench MeasureShardPoint, the
-// same harness as newsum-bench -exp shard).
+// real HTTP by closed-loop clients (internal/bench MeasureShardPoint).
 func BenchmarkServeShard(b *testing.B) {
 	jobs := 48
 	if testing.Short() {

@@ -58,20 +58,19 @@ GOARCH=arm64 go vet ./internal/vec/
 echo "== go test -race (par, core, service, kernel, router) =="
 go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/...
 
-echo "== bench smoke + trajectory gate (docs/benchmarks.md) =="
+echo "== bench pass + trajectory gate (docs/benchmarks.md) =="
 # One quick pass over the whole root bench suite (1 iteration, -short
 # sizes) guards against benchmark bit-rot, then the run is gated against
-# the committed trajectories. -smoke keeps wall-clock units advisory (a
-# 1x run times nothing meaningfully) while still failing hard on the
-# deterministic units: allocs/op pins, sdc-rate, sdc-suspects,
-# failed-jobs, wasted-iters, detect-%, bitwise flags, exact model
-# metrics. Re-baseline deliberately with newsum-benchdiff -record (see
-# docs/benchmarks.md "Re-baselining honestly").
+# the committed trajectories on its deterministic units: allocs/op and
+# B/op pins, sdc-rate, sdc-suspects, failed-jobs, wasted-iters, detect-%,
+# stored-bytes. A 1x run times nothing, and wall-clock units have no rule:
+# benchmark/ takes every wall time. Re-baseline deliberately with
+# newsum-benchdiff -record (docs/benchmarks.md "Re-baselining honestly").
 bench_out=$(mktemp)
 trap 'rm -f "$bench_out"' EXIT
 go test -run '^$' -bench . -benchmem -benchtime=1x -short . >"$bench_out"
-go run ./cmd/newsum-benchdiff -baseline BENCH_CORE.json -exclude '^BenchmarkServe' -smoke -input "$bench_out"
-go run ./cmd/newsum-benchdiff -baseline BENCH_SERVE.json -only '^BenchmarkServe' -smoke -input "$bench_out"
+go run ./cmd/newsum-benchdiff -baseline BENCH_CORE.json -exclude '^BenchmarkServe' -input "$bench_out"
+go run ./cmd/newsum-benchdiff -baseline BENCH_SERVE.json -only '^BenchmarkServe' -input "$bench_out"
 # The checkpoint-codec sweep also runs through the CLI path so -exp
 # checkpoint cannot bit-rot: a small deterministic grid, discarded output
 # — BenchmarkCheckpoint above carries the gated metrics.
@@ -109,11 +108,13 @@ go test -cover ./internal/fault/ ./internal/checksum/ ./internal/checkpoint/ ./i
 		}
 	'
 
-echo "== non-test Go lines per internal package =="
+echo "== non-test Go lines: per internal package, per cmd, whole repo =="
 # ROADMAP's line targets and CHANGES.md entries quote these figures; read
 # them off here instead of recounting by hand.
-find internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs wc -l |
-	awk '$2 != "total" { sub("/[^/]*$", "", $2); n[$2] += $1; all += $1 }
-		END { for (p in n) printf "%7d %s\n", n[p], p; printf "%7d internal (all)\n", all }' | sort -k2
+find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l |
+	awk '$2 != "total" { sub("^\\./", "", $2); repo += $1; if ($2 !~ "^(internal|cmd)/") next
+			sub("/[^/]*$", "", $2); n[$2] += $1; if ($2 ~ "^internal") all += $1 }
+		END { for (p in n) printf "%7d %s\n", n[p], p
+			printf "%7d internal (all)\n%7d whole repo (non-test)\n", all, repo }' | sort -k2
 
 echo "verify: OK"
