@@ -10,7 +10,12 @@ package par
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sync"
+	"time"
+
+	"newsum/internal/vec"
 )
 
 // Topology selects the collective algorithm family of a team.
@@ -90,10 +95,13 @@ type segment struct {
 	data []float64
 }
 
-// message is one point-to-point payload. Exactly one of data/segs is
-// meaningful per collective; barrier tokens carry neither. Payload slices
-// are never mutated after send, so forwarding them (all-gather) is safe.
+// message is one point-to-point payload. Exactly one of val/data/segs is
+// meaningful per collective; barrier tokens carry none. data and segs point
+// into the sender's payload buffers (Comm.buf, segBuf): the sender alone
+// writes them, and not again before every rank has left the collective that
+// sent them, so forwarding them (all-gather) is safe.
 type message struct {
+	val  float64
 	data []float64
 	segs []segment
 }
@@ -113,9 +121,10 @@ type team struct {
 	vecAcc []float64
 	gather []float64
 
-	// Point-to-point mesh (Tree topology): ch[from][to] carries messages
-	// from rank `from` to rank `to`. Capacity 2 with at most one message
-	// per ordered pair per collective makes a send-blocked cycle require a
+	// Point-to-point mesh (Tree topology): ch[from][to] is the mailbox of
+	// the ordered pair, written by rank `from` and polled, then blocked on,
+	// by rank `to` (Comm.recv). Capacity 2 with at most one message per
+	// ordered pair per collective makes a send-blocked cycle require a
 	// strictly decreasing chain of collective indices around the cycle —
 	// impossible — so the mesh is deadlock-free.
 	ch [][]chan message
@@ -129,6 +138,26 @@ type Comm struct {
 	rank  int
 	t     *team
 	stats CommStats
+
+	// Payload buffers of the Tree vector collectives, grown on first use:
+	// the partial sums an AllReduceVec sends, or the copy of this rank's
+	// block and the segment list an AllGather sends. Peers read them until
+	// they leave the collective, and a rank can enter the next one — but not
+	// the one after, whose result needs every rank's contribution to the
+	// next — while a peer is still inside: a pair, by vecCalls' parity.
+	buf      [2][]float64
+	segBuf   [2][]segment
+	vecCalls uint
+}
+
+// payload returns this call's payload buffer, n words, and its parity.
+func (c *Comm) payload(n int) ([]float64, uint) {
+	par := c.vecCalls & 1
+	c.vecCalls++
+	if cap(c.buf[par]) < n {
+		c.buf[par] = make([]float64, n)
+	}
+	return c.buf[par][:n], par
 }
 
 // NewTeam creates a communicator team of the given size with the default
@@ -163,6 +192,10 @@ func NewTeamTopology(size int, topo Topology) []*Comm {
 	comms := make([]*Comm, size)
 	for r := range comms {
 		comms[r] = &Comm{rank: r, t: t}
+		if topo == Tree {
+			segs := make([]segment, 2*size)
+			comms[r].segBuf = [2][]segment{segs[:0:size], segs[size:size]}
+		}
 	}
 	return comms
 }
@@ -182,20 +215,40 @@ func (c *Comm) Stats() CommStats { return c.stats }
 // ResetStats zeroes this rank's communication counters.
 func (c *Comm) ResetStats() { c.stats = CommStats{} }
 
-// send delivers a message to rank `to`, accounting for the payload.
-func (c *Comm) send(to int, m message) {
+// send hands m, a payload of the given number of words, to rank `to`.
+//
+//hot:loop every Tree collective is a few sends and receives
+func (c *Comm) send(to int, m message, words int) {
 	c.stats.MsgsSent++
-	words := int64(len(m.data))
-	for _, s := range m.segs {
-		words += int64(len(s.data))
-	}
-	c.stats.WordsMoved += words
+	c.stats.WordsMoved += int64(words)
 	c.t.ch[c.rank][to] <- m
 }
 
-// recv blocks for the next message from rank `from`.
+// pollBudget is how long recv polls a mailbox, yielding between polls,
+// before it parks on it: about what a park and its wake-up cost on the
+// reference host (2 vCPUs). A 2-rank PCG on Laplacian2D(150) — 3 400
+// collectives; the serial engine takes 110 ms — takes 133 ms parking at
+// once (a late wake-up makes the peer park at the next collective), 97 ms
+// polling 20 µs, 94 ms 50 µs, 85 ms 100 µs. The yield is load-bearing: a
+// rank made runnable on the poller's own P gets it only when the poller lets
+// go. Without runtime.Gosched, 4 ranks on 2 Ps take 256 ms against 112, 2
+// ranks on one P 284 against 119, beside a busy neighbour 238 against 164.
+const pollBudget = 100 * time.Microsecond
+
+// recv returns the next message from rank `from`: poll, yield, poll, …, and
+// once the budget is spent block on the channel.
+//
+//hot:loop every Tree collective is a few sends and receives
 func (c *Comm) recv(from int) message {
-	return <-c.t.ch[from][c.rank]
+	ch := c.t.ch[from][c.rank]
+	for start := time.Now(); time.Since(start) < pollBudget; runtime.Gosched() {
+		select {
+		case m := <-ch:
+			return m
+		default:
+		}
+	}
+	return <-ch
 }
 
 // coreSize returns the largest power of two not exceeding p — the
@@ -247,8 +300,9 @@ func (c *Comm) barrier() {
 	}
 	// Dissemination barrier: ceil(log2 P) token rounds.
 	p := c.t.size
+	//hot:loop a Tree collective
 	for k := 1; k < p; k <<= 1 {
-		c.send((c.rank+k)%p, message{})
+		c.send((c.rank+k)%p, message{}, 0)
 		c.recv((c.rank - k + p) % p)
 	}
 }
@@ -299,6 +353,8 @@ func (c *Comm) allReduceSumLinear(v float64) float64 {
 // standard fold for non-power-of-two team sizes. After round k every rank
 // of a 2^k block holds the same block sum (addition is commutative), so
 // the final value is identical on every rank.
+//
+//hot:loop a Tree collective: several per solver iteration
 func (c *Comm) allReduceSumTree(v float64) float64 {
 	p := c.t.size
 	core := coreSize(p)
@@ -307,19 +363,19 @@ func (c *Comm) allReduceSumTree(v float64) float64 {
 	if rank >= core {
 		// Fold in: hand the contribution to the core partner, wait for
 		// the reduced result.
-		c.send(rank-core, message{data: []float64{v}})
-		return c.recv(rank - core).data[0]
+		c.send(rank-core, message{val: v}, 1)
+		return c.recv(rank - core).val
 	}
 	if rank < rem {
-		v += c.recv(rank + core).data[0]
+		v += c.recv(rank + core).val
 	}
 	for mask := 1; mask < core; mask <<= 1 {
 		partner := rank ^ mask
-		c.send(partner, message{data: []float64{v}})
-		v += c.recv(partner).data[0]
+		c.send(partner, message{val: v}, 1)
+		v += c.recv(partner).val
 	}
 	if rank < rem {
-		c.send(rank+core, message{data: []float64{v}})
+		c.send(rank+core, message{val: v}, 1)
 	}
 	return v
 }
@@ -371,33 +427,48 @@ func (c *Comm) allReduceVecLinear(dst, src []float64) {
 	c.barrier()
 }
 
+// allReduceVecTree is allReduceSumTree element by element. A peer adds a
+// sent partial sum in while this rank is already a round further on, so each
+// round's sum is written to a slice of its own.
+//
+//hot:loop a Tree collective
 func (c *Comm) allReduceVecTree(dst, src []float64) {
-	p := c.t.size
+	p, n := c.t.size, len(src)
 	core := coreSize(p)
 	rem := p - core
 	rank := c.rank
-	acc := append([]float64(nil), src...)
 	if rank >= core {
-		c.send(rank-core, message{data: acc})
+		acc, _ := c.payload(n)
+		copy(acc, src)
+		c.send(rank-core, message{data: acc}, n)
 		copy(dst, c.recv(rank-core).data)
 		return
 	}
-	addIn := func(m message) {
-		for i, x := range m.data {
-			acc[i] += x
-		}
+	// One slice for the fold-in's sum and one per round; the last round's is
+	// dst itself unless a folded-in rank waits for it to be echoed.
+	sums := bits.Len(uint(core))
+	if rank >= rem {
+		sums--
 	}
+	buf, _ := c.payload(n * sums)
+	acc := buf[:n]
+	copy(acc, src)
 	if rank < rem {
-		addIn(c.recv(rank + core))
+		vec.Add(acc, acc, c.recv(rank+core).data)
 	}
-	for mask := 1; mask < core; mask <<= 1 {
+	for mask, k := 1, 1; mask < core; mask, k = mask<<1, k+1 {
 		partner := rank ^ mask
-		c.send(partner, message{data: append([]float64(nil), acc...)})
-		addIn(c.recv(partner))
+		c.send(partner, message{data: acc}, n)
+		in := c.recv(partner).data
+		if k == sums {
+			vec.Add(dst, acc, in)
+			return
+		}
+		next := buf[k*n : (k+1)*n]
+		vec.Add(next, acc, in)
+		acc = next
 	}
-	if rank < rem {
-		c.send(rank+core, message{data: append([]float64(nil), acc...)})
-	}
+	c.send(rank+core, message{data: acc}, n) // rank < rem: the echo
 	copy(dst, acc)
 }
 
@@ -444,37 +515,49 @@ func (c *Comm) allGatherLinear(global, local []float64, offset int) {
 
 // allGatherTree is the recursive-doubling all-gather: each round doubles
 // the set of blocks a rank holds; segments ride with their global offsets
-// so the partition may be arbitrary (nnz-balanced blocks included).
+// so the partition may be arbitrary (nnz-balanced blocks included). The
+// caller may overwrite local as soon as the call returns, while slower peers
+// are still placing it, so what travels is a copy.
+//
+//hot:loop a Tree collective: the halo exchange of every distributed MVM
 func (c *Comm) allGatherTree(global, local []float64, offset int) {
 	p := c.t.size
 	core := coreSize(p)
 	rem := p - core
 	rank := c.rank
-	segs := []segment{{off: offset, data: append([]float64(nil), local...)}}
-	place := func(into []float64, ss []segment) {
-		for _, s := range ss {
-			copy(into[s.off:s.off+len(s.data)], s.data)
-		}
-	}
+	blk, par := c.payload(len(local))
+	copy(blk, local)
+	segs := c.segBuf[par][:0]
+	segs = append(segs, segment{off: offset, data: blk})
 	if rank >= core {
 		// Fold in: the block joins the core partner's set before the
 		// doubling rounds, so the echoed result includes it.
-		c.send(rank-core, message{segs: segs})
-		place(global, c.recv(rank-core).segs)
-		return
+		c.send(rank-core, message{segs: segs}, len(local))
+		segs = c.recv(rank - core).segs
+	} else {
+		if rank < rem {
+			segs = append(segs, c.recv(rank+core).segs...)
+		}
+		for mask := 1; mask < core; mask <<= 1 {
+			partner := rank ^ mask
+			c.send(partner, message{segs: segs}, segWords(segs))
+			segs = append(segs, c.recv(partner).segs...)
+		}
+		if rank < rem {
+			c.send(rank+core, message{segs: segs}, segWords(segs))
+		}
 	}
-	if rank < rem {
-		segs = append(segs, c.recv(rank+core).segs...)
+	for _, s := range segs {
+		copy(global[s.off:s.off+len(s.data)], s.data)
 	}
-	for mask := 1; mask < core; mask <<= 1 {
-		partner := rank ^ mask
-		c.send(partner, message{segs: segs})
-		segs = append(segs, c.recv(partner).segs...)
+}
+
+// segWords returns the payload words of a segment list.
+func segWords(segs []segment) (words int) {
+	for _, s := range segs {
+		words += len(s.data)
 	}
-	if rank < rem {
-		c.send(rank+core, message{segs: segs})
-	}
-	place(global, segs)
+	return words
 }
 
 // Bcast distributes root's value to every rank.
@@ -516,13 +599,15 @@ func (c *Comm) bcastLinear(v float64, root int) float64 {
 // from the peer that clears its lowest set (root-relative) bit, then
 // forwards down the remaining subtree — log2 P rounds, each rank sends at
 // most log2 P messages.
+//
+//hot:loop a Tree collective
 func (c *Comm) bcastTree(v float64, root int) float64 {
 	p := c.t.size
 	vrank := (c.rank - root + p) % p
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			v = c.recv((c.rank - mask + p) % p).data[0]
+			v = c.recv((c.rank - mask + p) % p).val
 			break
 		}
 		mask <<= 1
@@ -530,7 +615,7 @@ func (c *Comm) bcastTree(v float64, root int) float64 {
 	mask >>= 1
 	for mask > 0 {
 		if vrank+mask < p {
-			c.send((c.rank+mask)%p, message{data: []float64{v}})
+			c.send((c.rank+mask)%p, message{val: v}, 1)
 		}
 		mask >>= 1
 	}

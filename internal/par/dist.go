@@ -180,9 +180,10 @@ type DistVector struct {
 }
 
 // NewDistVector allocates a zero block of the given local length with
-// nWeights checksum slots.
+// nWeights checksum slots, in one array.
 func NewDistVector(localLen, nWeights int) *DistVector {
-	return &DistVector{Data: make([]float64, localLen), S: make([]float64, nWeights)}
+	buf := make([]float64, localLen+nWeights)
+	return &DistVector{Data: buf[:localLen:localLen], S: buf[localLen:]}
 }
 
 // localSums returns one rank's share of a checksum probe: the partial sums

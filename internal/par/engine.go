@@ -285,11 +285,11 @@ type rankEngine struct {
 	stages []precond.Stage
 	encStg []*checksum.Matrix
 	// pco scratch, hoisted out of the per-iteration path: each rank engine
-	// applies its preconditioner sequentially, so two ping-pong data
-	// buffers and two checksum buffers serve any stage-chain length with
-	// zero steady-state allocations.
-	pcoBuf, pcoBuf2 []float64
-	pcoS, pcoS2     []float64
+	// applies its preconditioner sequentially, so one data buffer, which
+	// ping-pongs with the destination, and two checksum buffers serve any
+	// stage-chain length with zero steady-state allocations.
+	pcoBuf      []float64
+	pcoS, pcoS2 []float64
 	// Lazy diagnosis state for the two-level inner check: this rank's
 	// column slices of c_kᵀA for the locating weights.
 	diagWeights []checksum.Weight
@@ -298,8 +298,10 @@ type rankEngine struct {
 	bL *DistVector
 	xg []float64 // gathered global vector buffer
 
-	store checkpoint.Store
-	fired []bool
+	store          checkpoint.Store
+	ckData, ckSums map[string][]float64 // stateMaps' two maps …
+	ckNames        string               // … and the names in them, sorted and joined
+	fired          []bool
 	// curIter/curSeq track the (iteration, MVM-within-iteration) coordinate
 	// faults are addressed by; beginIter resets the sequence.
 	curIter, curSeq int
@@ -335,15 +337,18 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		},
 	}
 	e.pcoBuf = make([]float64, e.local)
-	e.pcoBuf2 = make([]float64, e.local)
 	e.pcoS = make([]float64, len(e.weights))
 	e.pcoS2 = make([]float64, len(e.weights))
 
 	var setupErr error
 	if withPrecond {
 		// Local block preconditioner: ILU(0) of the diagonal block, exactly
-		// block-Jacobi with blocks = ranks.
-		blk := a.SubMatrix(lo, hi)
+		// block-Jacobi with blocks = ranks. The factorization leaves its
+		// input alone, so a team of one factors a itself.
+		blk := a
+		if c.Size() > 1 {
+			blk = a.SubMatrix(lo, hi)
+		}
 		mLocal, err := precond.ILU0(blk)
 		if err != nil {
 			setupErr = fmt.Errorf("par: rank %d ILU(0): %w", c.Rank(), err)
@@ -376,10 +381,12 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 
 	// This rank's slices of checksum(A), one per carried weight: partial
 	// c_kᵀA from the owned rows, all-reduced over the team, then sliced
-	// and shifted.
+	// and shifted. e.xg is free until the first MVM and serves as the
+	// n-length scratch of every weight.
+	full := e.xg
 	e.rowAs = make([][]float64, len(e.weights))
 	for k, w := range e.weights {
-		full := make([]float64, e.n)
+		clear(full)
 		checksum.PartialMatrixRow(a, w, lo, hi, full)
 		c.AllReduceVec(full, full)
 		e.rowAs[k] = checksum.LocalRowSlice(full, w, e.dScalar, lo, hi)
@@ -389,10 +396,10 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		e.diagWeights = []checksum.Weight{checksum.Linear, checksum.Harmonic}
 		e.diagRows = make([][]float64, len(e.diagWeights))
 		for k, w := range e.diagWeights {
-			fullK := make([]float64, e.n)
-			checksum.PartialMatrixRow(a, w, lo, hi, fullK)
-			c.AllReduceVec(fullK, fullK)
-			e.diagRows[k] = append([]float64(nil), fullK[lo:hi]...)
+			clear(full)
+			checksum.PartialMatrixRow(a, w, lo, hi, full)
+			c.AllReduceVec(full, full)
+			e.diagRows[k] = append([]float64(nil), full[lo:hi]...)
 		}
 	}
 
@@ -560,10 +567,13 @@ func (e *rankEngine) residualFresh(r, x *DistVector) {
 // stages it is the identity.
 func (e *rankEngine) pco(dst, src *DistVector) error {
 	in, inS := src.Data, src.S
-	// The engine-owned scratch ping-pongs through the stage chain: a
-	// stage's input (in, inS) is dead once consumed, so the next stage
-	// writes into the other buffer of each pair.
-	buf, spare := e.pcoBuf, e.pcoBuf2
+	// The stage chain ping-pongs between the engine's scratch and dst — a
+	// stage's input (in, inS) is dead once consumed — starting on the side
+	// that makes the last stage write dst. dst must not alias src.
+	buf, spare := e.pcoBuf, dst.Data
+	if len(e.stages)%2 == 1 {
+		buf, spare = spare, buf
+	}
 	bufS, spareS := e.pcoS, e.pcoS2
 	for k, st := range e.stages {
 		if err := st.Apply(buf, in); err != nil {
@@ -579,7 +589,9 @@ func (e *rankEngine) pco(dst, src *DistVector) error {
 		buf, spare = spare, buf
 		bufS, spareS = spareS, bufS
 	}
-	copy(dst.Data, in)
+	if len(e.stages) == 0 {
+		copy(dst.Data, in)
+	}
 	copy(dst.S, inS)
 	return nil
 }
@@ -700,25 +712,35 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	return true
 }
 
+// stateMaps returns the vectors' data and checksum slices by name — the two
+// maps the store saves from and restores into — built on the first call: a
+// solver checkpoints and restores the same vectors every time, and their
+// sorted names are joined once for the timeline.
+func (e *rankEngine) stateMaps(vecs map[string]*DistVector) (data, sums map[string][]float64) {
+	if e.ckData == nil {
+		e.ckData, e.ckSums = make(map[string][]float64, len(vecs)), make(map[string][]float64, len(vecs))
+		names := make([]string, 0, len(vecs))
+		for name, v := range vecs {
+			e.ckData[name], e.ckSums[name] = v.Data, v.S
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		e.ckNames = strings.Join(names, ", ")
+	}
+	return e.ckData, e.ckSums
+}
+
 // save snapshots the given tracked vectors (data + checksums) and scalars,
 // then fires any checkpoint-buffer faults scheduled against this rank at
 // this iteration: the snapshot copy is poisoned, the live state is not, so
 // the corruption stays dormant until a rollback restores it.
 func (e *rankEngine) save(iter int, vecs map[string]*DistVector, scalars map[string]float64) {
-	data := make(map[string][]float64, len(vecs))
-	sums := make(map[string][]float64, len(vecs))
-	names := make([]string, 0, len(vecs))
-	for name, v := range vecs {
-		data[name] = v.Data
-		sums[name] = v.S
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	data, sums := e.stateMaps(vecs)
 	e.store.Save(iter, data, scalars, sums)
 	e.res.Checkpoints++
 	e.res.CheckpointBytes = e.store.BytesCopied
 	e.res.CheckpointStoredBytes = e.store.BytesStored
-	e.trace(iter, core.EvCheckpoint, "snapshot {%s}", strings.Join(names, ", "))
+	e.trace(iter, core.EvCheckpoint, "snapshot {%s}", e.ckNames)
 	for fi, f := range e.opts.Faults {
 		if f.Target != TargetCheckpoint || f.Iteration != iter || f.Rank != e.c.Rank() || e.fired[fi] {
 			continue
@@ -747,12 +769,7 @@ func (e *rankEngine) restore(vecs map[string]*DistVector, scalars map[string]flo
 	if e.res.Rollbacks > e.opts.MaxRollbacks {
 		return 0, false
 	}
-	data := make(map[string][]float64, len(vecs))
-	sums := make(map[string][]float64, len(vecs))
-	for name, v := range vecs {
-		data[name] = v.Data
-		sums[name] = v.S
-	}
+	data, sums := e.stateMaps(vecs)
 	snapIter, err := e.store.Restore(data, scalars, sums)
 	if err != nil {
 		return 0, false
@@ -775,8 +792,10 @@ func (e *rankEngine) restore(vecs map[string]*DistVector, scalars map[string]flo
 
 // gatherX assembles the full solution vector on every rank.
 func (e *rankEngine) gatherX(x *DistVector) []float64 {
-	e.c.AllGather(e.xg, x.Data, e.lo)
-	out := make([]float64, len(e.xg))
-	copy(out, e.xg)
+	out := e.xg // runTeam reports rank 0's result; the others' is dropped
+	if e.c.Rank() == 0 {
+		out = make([]float64, e.n)
+	}
+	e.c.AllGather(out, x.Data, e.lo)
 	return out
 }

@@ -6,84 +6,68 @@ import (
 	"newsum/internal/sparse"
 )
 
-// ilu0Factor computes the ILU(0) factorization of a in place on a copy:
-// L (unit lower triangular) and U (upper triangular) share A's sparsity
-// pattern. It uses the standard IKJ-ordered algorithm restricted to the
-// pattern of A.
+// ilu0Factor computes the ILU(0) factorization of a: L (unit lower
+// triangular) and U (upper triangular) share A's sparsity pattern. It is
+// the standard IKJ-ordered algorithm restricted to the pattern of A, run in
+// place on A's two triangles — row i's entries left of the diagonal live in
+// L, the rest in U — so the factors are the only copy made.
 func ilu0Factor(a *sparse.CSR) (l, u *sparse.CSR, err error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, nil, fmt.Errorf("precond: ILU(0) requires a square matrix")
 	}
-	w := a.Clone()
-	// diagPos[i] is the index in w.Val of entry (i,i), or -1.
-	diagPos := make([]int, n)
+	l, u = a.LowerTriangle(), a.UpperTriangle()
 	for i := 0; i < n; i++ {
-		diagPos[i] = -1
-		for k := w.RowPtr[i]; k < w.RowPtr[i+1]; k++ {
-			if w.ColIdx[k] == i {
-				diagPos[i] = k
-				break
-			}
-		}
-		if diagPos[i] == -1 {
+		// The diagonal, where stored, ends L's row i and starts U's.
+		if k := u.RowPtr[i]; k == u.RowPtr[i+1] || u.ColIdx[k] != i {
 			return nil, nil, fmt.Errorf("precond: ILU(0) requires stored diagonal (row %d)", i)
 		}
 	}
-	// colPos[j] maps column j to its index within the current working row.
-	colPos := make([]int, n)
-	for j := range colPos {
-		colPos[j] = -1
+	// pos[j] is where the working row holds column j — in l.Val left of the
+	// diagonal, in u.Val from it on — or -1.
+	pos := make([]int, n)
+	for j := range pos {
+		pos[j] = -1
 	}
 	for i := 0; i < n; i++ {
-		lo, hi := w.RowPtr[i], w.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			colPos[w.ColIdx[k]] = k
+		lrow, urow := l.ColIdx[l.RowPtr[i]:l.RowPtr[i+1]-1], u.ColIdx[u.RowPtr[i]:u.RowPtr[i+1]]
+		for k, j := range lrow {
+			pos[j] = l.RowPtr[i] + k
 		}
-		for k := lo; k < hi; k++ {
-			t := w.ColIdx[k]
-			if t >= i {
-				break
-			}
-			piv := w.Val[diagPos[t]]
-			//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
-			if piv == 0 {
-				return nil, nil, fmt.Errorf("precond: ILU(0) zero pivot at row %d", t)
-			}
-			factor := w.Val[k] / piv
-			w.Val[k] = factor
+		for k, j := range urow {
+			pos[j] = u.RowPtr[i] + k
+		}
+		for k := l.RowPtr[i]; k < l.RowPtr[i+1]-1; k++ {
+			// Row t < i is finished, and its pivot was found nonzero then.
+			t := l.ColIdx[k]
+			factor := l.Val[k] / u.Val[u.RowPtr[t]]
+			l.Val[k] = factor
 			// Row update restricted to A's pattern: row_i -= factor*row_t
 			// for columns > t present in row i.
-			for kk := diagPos[t] + 1; kk < w.RowPtr[t+1]; kk++ {
-				j := w.ColIdx[kk]
-				if p := colPos[j]; p >= 0 {
-					w.Val[p] -= factor * w.Val[kk]
+			for kk := u.RowPtr[t] + 1; kk < u.RowPtr[t+1]; kk++ {
+				j := u.ColIdx[kk]
+				switch p := pos[j]; {
+				case p < 0:
+				case j < i:
+					l.Val[p] -= factor * u.Val[kk]
+				default:
+					u.Val[p] -= factor * u.Val[kk]
 				}
 			}
 		}
 		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
-		if w.Val[diagPos[i]] == 0 {
+		if u.Val[u.RowPtr[i]] == 0 {
 			return nil, nil, fmt.Errorf("precond: ILU(0) zero pivot at row %d", i)
 		}
-		for k := lo; k < hi; k++ {
-			colPos[w.ColIdx[k]] = -1
+		for _, j := range lrow {
+			pos[j] = -1
 		}
-	}
-	// Split into strict-lower-with-unit-diag L and upper U.
-	lc := sparse.NewCOO(n, n)
-	uc := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		for k := w.RowPtr[i]; k < w.RowPtr[i+1]; k++ {
-			j := w.ColIdx[k]
-			if j < i {
-				lc.Add(i, j, w.Val[k])
-			} else {
-				uc.Add(i, j, w.Val[k])
-			}
+		for _, j := range urow {
+			pos[j] = -1
 		}
-		lc.Add(i, i, 1)
+		l.Val[l.RowPtr[i+1]-1] = 1
 	}
-	return lc.ToCSR(), uc.ToCSR(), nil
+	return l, u, nil
 }
 
 // ILU0 returns the incomplete-LU(0) preconditioner M = L·U with the sparsity
@@ -116,6 +100,7 @@ func BlockJacobiILU0(a *sparse.CSR, nblocks int) (Preconditioner, error) {
 	// factorization never mixes blocks because dropped couplings leave the
 	// pattern block-diagonal.
 	bd := sparse.NewCOO(n, n)
+	bd.Grow(a.NNZ())
 	for b := 0; b < nblocks; b++ {
 		lo := b * n / nblocks
 		hi := (b + 1) * n / nblocks

@@ -44,7 +44,9 @@ func newRowPlan(rowPtr []int, nnz int) *rowPlan {
 	if nw == 0 || len(rowPtr)+nnz > math.MaxInt32 {
 		return nil
 	}
-	p := &rowPlan{order: make([]uint8, nw*vec.Block), first: make([]int32, nw+1)}
+	// A window of the stencil and circuit operators holds two to four row
+	// lengths; room for four runs a window spares most plans the regrowth.
+	p := &rowPlan{order: make([]uint8, nw*vec.Block), runs: make([]rowRun, 0, 4*nw), first: make([]int32, nw+1)}
 	for w := 0; w < nw; w++ {
 		ptr := rowPtr[w*vec.Block:][:vec.Block+1]
 		order := p.order[w*vec.Block:][:0]

@@ -75,39 +75,13 @@ func (a *CSR) SolveUpper(x, b []float64) error {
 // LowerTriangle returns the lower triangle of the matrix (including the
 // diagonal) as a new CSR matrix.
 func (a *CSR) LowerTriangle() *CSR {
-	t := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] <= i {
-				t.ColIdx = append(t.ColIdx, a.ColIdx[k])
-				t.Val = append(t.Val, a.Val[k])
-				t.RowPtr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	return t.planRows()
+	return a.cut(0, a.Rows, 0, a.Cols, func(i int) (int, int) { return 0, i + 1 })
 }
 
 // UpperTriangle returns the upper triangle of the matrix (including the
 // diagonal) as a new CSR matrix.
 func (a *CSR) UpperTriangle() *CSR {
-	t := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	for i := 0; i < a.Rows; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if a.ColIdx[k] >= i {
-				t.ColIdx = append(t.ColIdx, a.ColIdx[k])
-				t.Val = append(t.Val, a.Val[k])
-				t.RowPtr[i+1]++
-			}
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
-	}
-	return t.planRows()
+	return a.cut(0, a.Rows, 0, a.Cols, func(i int) (int, int) { return i, a.Cols })
 }
 
 // SubMatrix extracts the principal submatrix with rows and columns in
@@ -117,20 +91,41 @@ func (a *CSR) SubMatrix(lo, hi int) *CSR {
 	if lo < 0 || hi > a.Rows || hi > a.Cols || lo > hi {
 		panic("sparse: bad range in SubMatrix")
 	}
-	n := hi - lo
-	t := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := lo; i < hi; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j >= lo && j < hi {
-				t.ColIdx = append(t.ColIdx, j-lo)
-				t.Val = append(t.Val, a.Val[k])
-				t.RowPtr[i-lo+1]++
-			}
+	return a.cut(lo, hi, lo, hi-lo, func(int) (int, int) { return lo, hi })
+}
+
+// cut builds the cols-column matrix of rows [r0, r1) of a, row i cut to its
+// columns in window(i) = [c0, c1) — a run of the row, the columns being
+// ascending — and those renumbered from shift. It counts, allocates the
+// three arrays at their final length, then fills: a rank's block and a
+// factorization's triangles are cut inside every distributed solve.
+func (a *CSR) cut(r0, r1, shift, cols int, window func(i int) (c0, c1 int)) *CSR {
+	run := func(i int) (s, e int) {
+		c0, c1 := window(i)
+		s, e = a.RowPtr[i], a.RowPtr[i+1]
+		for s < e && a.ColIdx[s] < c0 {
+			s++
 		}
+		for e > s && a.ColIdx[e-1] >= c1 {
+			e--
+		}
+		return s, e
 	}
-	for i := 0; i < n; i++ {
-		t.RowPtr[i+1] += t.RowPtr[i]
+	n := r1 - r0
+	t := &CSR{Rows: n, Cols: cols, RowPtr: make([]int, n+1)}
+	for i := r0; i < r1; i++ {
+		s, e := run(i)
+		t.RowPtr[i-r0+1] = t.RowPtr[i-r0] + e - s
+	}
+	t.ColIdx, t.Val = make([]int, t.RowPtr[n]), make([]float64, t.RowPtr[n])
+	for i := r0; i < r1; i++ {
+		s, e := run(i)
+		k := t.RowPtr[i-r0]
+		copy(t.Val[k:], a.Val[s:e])
+		for _, j := range a.ColIdx[s:e] {
+			t.ColIdx[k] = j - shift
+			k++
+		}
 	}
 	return t.planRows()
 }

@@ -122,7 +122,7 @@ func triBlocks(reach []int, upper bool) []int {
 			reach[i] = min(reach[i], reach[i+1]) // the farthest any row ≥ i reads
 		}
 	}
-	blocks := []int{0}
+	blocks := make([]int, 1, n/triCoalesce+2) // no block but the last is shorter than triCoalesce
 	for i := 1; i < n; i++ {
 		starts := reach[i] >= i
 		if upper {
@@ -146,7 +146,8 @@ func triBlocks(reach []int, upper bool) []int {
 // boundaries into single chains, so that the fused solve fills each leaf as
 // it completes.
 func triUnits(blocks []int, upper bool) []int {
-	var units []int
+	// A unit takes two blocks or more, a single chain a leaf or its ragged end.
+	units := make([]int, 0, 5*(len(blocks)/2+blocks[len(blocks)-1]/vec.Block+2))
 	// The blocks not yet in a unit lie between boundaries lo and hi.
 	lo, hi := 0, len(blocks)-1
 	for hi-lo >= 2 {

@@ -2,11 +2,6 @@
 
 package vec
 
-// LeafKernel names what this binary links for full blocks and packed
-// prefixes — the (Σ, Σ|·|) and norm leaves and the VLO body; newsum-bench
-// -exp kernels prints it.
-const LeafKernel = "sse2"
-
 // dotAbs128 and sumAbs128 are the full-block leaves in leaf_amd64.s: SSE2
 // only, which every amd64 has, so there is nothing to detect or dispatch.
 // The array-pointer parameters make the callers' slice-to-array conversions

@@ -2,11 +2,6 @@
 
 package vec
 
-// LeafKernel names what this binary links for full blocks and packed
-// prefixes — the (Σ, Σ|·|) and norm leaves and the VLO body; newsum-bench
-// -exp kernels prints it.
-const LeafKernel = "portable"
-
 // dotAbsLeaf is the leaf of u·v and Σ|u_i·v_i| over one block's elements.
 //
 //hot:loop leaf of every checksum row reduction

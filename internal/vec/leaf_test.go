@@ -135,7 +135,6 @@ func checkLeaves(t *testing.T, u, v []float64) {
 // bit, across block-boundary sizes, both 16-byte alignments and the special
 // values of leafPatterns.
 func TestLeafKernelsMatchPortableAndSpec(t *testing.T) {
-	t.Logf("linked leaf: %s", LeafKernel)
 	rng := rand.New(rand.NewSource(47))
 	for _, p := range leafPatterns {
 		t.Run(p.name, func(t *testing.T) {

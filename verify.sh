@@ -55,8 +55,11 @@ echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 
-echo "== go test -race (par, core, service, kernel, router) =="
+echo "== go test -race (par, core, service, kernel, router); par once more on one P =="
 go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/...
+# A rank's receive polls before it parks; on one P the rank it waits for runs
+# only if the poll yields, so every change exercises the yield.
+GOMAXPROCS=1 go test ./internal/par/...
 
 echo "== bench pass + trajectory gate (docs/benchmarks.md) =="
 # One quick pass over the whole root bench suite (1 iteration, -short
