@@ -59,9 +59,7 @@ const (
 	// blocked reductions: workers fill disjoint leaf partials.
 	opDot
 	opDotAbs
-	opSum
 	opSumAbs
-	opWeightedSum
 	opWeightedSumAbs
 	opNorm2
 	// element-wise VLOs: workers write disjoint ranges.
@@ -198,29 +196,13 @@ func (p *Pool) execPart(part int) {
 		vec.DotBlocks(o.out1[lo:hi], o.x, o.y, lo)
 	case opDotAbs:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b], o.out2[b] = vec.DotAbsBlock(o.x, o.y, b)
-		}
-	case opSum:
-		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b] = vec.SumBlock(o.x, b)
-		}
+		vec.DotAbsBlocks(o.out1[lo:hi], o.out2[lo:hi], o.x, o.y, lo)
 	case opSumAbs:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b], o.out2[b] = vec.SumAbsBlock(o.x, b)
-		}
-	case opWeightedSum:
-		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b] = vec.WeightedSumBlock(o.x, o.w, b)
-		}
+		vec.SumAbsBlocks(o.out1[lo:hi], o.out2[lo:hi], o.x, lo)
 	case opWeightedSumAbs:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b], o.out2[b] = vec.WeightedSumAbsBlock(o.x, o.w, b)
-		}
+		weightedSumAbsBlocks(o.out1, o.out2, o.x, o.w, lo, hi)
 	case opNorm2:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
 		for b := lo; b < hi; b++ {
@@ -244,6 +226,23 @@ func (p *Pool) execPart(part int) {
 		o.a.MulVecDotAbs(o.dst, o.x, o.rows, o.lv, p.bounds[part], p.bounds[part+1])
 	case opMulVecBlock:
 		mulVecBlockRange(o.a, o.dsts, o.xss, p.bounds[part], p.bounds[part+1])
+	}
+}
+
+// weightedSumAbsBlocks stores the leaves of blocks [lo, hi) of Σ w(i)·x_i as
+// vec.WeightedSumAbs takes them: the products of four blocks at a time —
+// one lockstep group of the leaf filler — through a stack scratch.
+//
+//hot:loop a worker's share of the pooled weighted verification
+func weightedSumAbsBlocks(sum, abs, x []float64, w func(i int) float64, lo, hi int) {
+	var t [4 * vec.Block]float64
+	for ; lo < hi; lo += 4 {
+		k, first := min(4, hi-lo), lo*vec.Block
+		xs := x[first:min(first+k*vec.Block, len(x))]
+		for i, xi := range xs {
+			t[i] = w(first+i) * xi
+		}
+		vec.SumAbsBlocks(sum[lo:lo+k], abs[lo:lo+k], t[:len(xs)], 0)
 	}
 }
 

@@ -44,18 +44,12 @@ func (p *Pool) DotAbs(u, v []float64) (sum, abs float64) {
 	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
 }
 
-// Sum returns Σu_i, bitwise-equal to vec.Sum.
+// Sum returns Σu_i, bitwise-equal to vec.Sum: SumAbs's sum.
 //
 //hot:loop reduction kernel on the protected solve path
 func (p *Pool) Sum(u []float64) float64 {
-	if p == nil || len(u) < minParallel {
-		return vec.Sum(u)
-	}
-	nb := vec.Blocks(len(u))
-	part := p.grow1(nb)
-	p.op = op{kind: opSum, nb: nb, x: u, out1: part}
-	p.launch()
-	return vec.PairwiseSum(part)
+	sum, _ := p.SumAbs(u)
+	return sum
 }
 
 // SumAbs returns Σu_i and Σ|u_i| — the verification pair of the all-ones
@@ -74,18 +68,13 @@ func (p *Pool) SumAbs(u []float64) (sum, abs float64) {
 	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
 }
 
-// WeightedSum returns Σ w(i)·u_i, bitwise-equal to vec.WeightedSum.
+// WeightedSum returns Σ w(i)·u_i, bitwise-equal to vec.WeightedSum:
+// WeightedSumAbs's sum.
 //
 //hot:loop reduction kernel on the protected solve path
 func (p *Pool) WeightedSum(u []float64, w func(i int) float64) float64 {
-	if p == nil || len(u) < minParallel {
-		return vec.WeightedSum(u, w)
-	}
-	nb := vec.Blocks(len(u))
-	part := p.grow1(nb)
-	p.op = op{kind: opWeightedSum, nb: nb, x: u, w: w, out1: part}
-	p.launch()
-	return vec.PairwiseSum(part)
+	sum, _ := p.WeightedSumAbs(u, w)
+	return sum
 }
 
 // WeightedSumAbs returns Σ w(i)·u_i and Σ|w(i)·u_i| — the checksum

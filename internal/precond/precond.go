@@ -150,11 +150,13 @@ func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) 
 		//hot:cold malformed stage aborts the solve
 		return fmt.Errorf("precond: unknown stage op %d", s.Op)
 	case s.Shape == Diagonal:
-		for lo, n := 0, len(out); lo < n; lo += vec.Block {
-			if err := s.solveDiagonal(out, in, lo, min(lo+vec.Block, n)); err != nil {
+		// Four leaves at a time: one lockstep group of the leaf filler.
+		for lo, n := 0, len(out); lo < n; lo += 4 * vec.Block {
+			hi := min(lo+4*vec.Block, n)
+			if err := s.solveDiagonal(out, in, lo, hi); err != nil {
 				return err
 			}
-			lv.FillBlock(rows, out, lo/vec.Block)
+			lv.FillBlocks(rows, out, lo/vec.Block, vec.Blocks(hi))
 		}
 		return nil
 	}

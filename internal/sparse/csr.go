@@ -277,7 +277,7 @@ const fuseStretch = 64 * vec.Block
 // walked past is still in cache. lo must be a multiple of vec.Block and hi
 // one too unless it is a.Rows, so that every leaf is built whole by one
 // caller; the product is MulVecRange's and the leaves are
-// vec.DotAbsBlock's, bit for bit.
+// vec.DotAbsBlocks's, bit for bit.
 //
 //hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
 func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo, hi int) {
@@ -290,9 +290,7 @@ func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo,
 	for ; lo < hi; lo += fuseStretch {
 		next := min(lo+fuseStretch, hi)
 		a.MulVecRange(y, x, lo, next)
-		for blk := lo / vec.Block; blk*vec.Block < next; blk++ {
-			lv.FillBlock(rows, x, blk)
-		}
+		lv.FillBlocks(rows, x, lo/vec.Block, vec.Blocks(next))
 	}
 }
 

@@ -212,13 +212,20 @@ func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leav
 		if lv == nil {
 			continue
 		}
+		// Every leaf this unit made final, in one call: those that end by
+		// hi, the ragged last one included, or that start at lo or after.
+		from, to := next, hi/vec.Block
+		if hi == n {
+			to = vec.Blocks(n)
+		}
 		if t.upper {
-			for ; next > 0 && (next-1)*vec.Block >= lo; next-- {
-				lv.FillBlock(rows, x, next-1)
-			}
-		} else {
-			for ; next*vec.Block < n && min((next+1)*vec.Block, n) <= hi; next++ {
-				lv.FillBlock(rows, x, next)
+			from, to = vec.Blocks(lo), next
+		}
+		if from < to {
+			lv.FillBlocks(rows, x, from, to)
+			next = to
+			if t.upper {
+				next = from
 			}
 		}
 	}

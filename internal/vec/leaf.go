@@ -3,19 +3,20 @@ package vec
 import "math"
 
 // The (Σ, Σ|·|) leaf. Every checksum reduction in the repo — serial, pooled,
-// and fused into an SpMV or triangular-solve sweep through Leaves.FillBlock
-// — computes its per-block partials here, in one fixed order: lane j
-// accumulates the block's elements i ≡ j (mod 4) left to right from +0, and
-// the block's value is (l0+l2)+(l1+l3). Four independent chains of at most
-// Block/4 adds replace one chain of Block, so the leaf no longer waits on
-// the FP-add latency once per element, and its worst-case error bound only
-// tightens. On amd64 a full block runs in leaf_amd64.s (SSE2, two packed
-// accumulators per sum); ragged tail blocks, other architectures and
-// -tags purego run the Go leaves below. Both produce the same bits, so
-// which one is linked is invisible to every caller; docs/kernels.md
-// "Reduction contract" has the order, why the solver's own reductions
-// (Dot, Norm2) keep theirs — left to right — and how those are filled
-// without waiting on it.
+// and fused into an SpMV or triangular-solve sweep through Leaves.FillBlocks
+// — takes its per-block partials from the range fillers DotAbsBlocks and
+// SumAbsBlocks, in one fixed order: lane j accumulates the block's elements
+// i ≡ j (mod 4) left to right from +0, and the block's value is
+// (l0+l2)+(l1+l3). Four independent chains of at most Block/4 adds replace
+// one chain of Block, and the worst-case error bound of a leaf only
+// tightens. On an amd64 with AVX the full blocks of a range run in
+// leaf_amd64.s, a block's four lanes in one register and four blocks side
+// by side, so the loop does not wait on an add's latency at all; ragged
+// tail blocks, an amd64 without AVX, other architectures and -tags purego
+// run the Go leaves below. Both produce the same bits, so which one runs is
+// invisible to every caller; docs/kernels.md "Reduction contract" has the
+// order, why the solver's own reductions (Dot, Norm2) keep theirs — left to
+// right — and how those are filled without waiting on it.
 
 // dotAbsLanes is the portable leaf of u·v and Σ|u_i·v_i|. len(v) must be at
 // least len(u). The product is spelled float64(·) so that no platform may
@@ -23,7 +24,7 @@ import "math"
 // and GOAMD64=v3 do so otherwise): the assembly rounds the product, so the
 // Go must.
 //
-//hot:loop leaf of every ragged-block and non-amd64 checksum reduction
+//hot:loop leaf of every ragged-block and non-AVX checksum reduction
 func dotAbsLanes(u, v []float64) (sum, abs float64) {
 	v = v[:len(u)]
 	var s0, s1, s2, s3, a0, a1, a2, a3 float64
@@ -63,7 +64,7 @@ func dotAbsLanes(u, v []float64) (sum, abs float64) {
 // sumAbsLanes is the portable leaf of Σu_i and Σ|u_i|: dotAbsLanes against
 // the all-ones vector, whose products are exact.
 //
-//hot:loop leaf of every ragged-block and non-amd64 verification
+//hot:loop leaf of every ragged-block and non-AVX verification
 func sumAbsLanes(u []float64) (sum, abs float64) {
 	var s0, s1, s2, s3, a0, a1, a2, a3 float64
 	for len(u) >= 4 {
@@ -90,4 +91,24 @@ func sumAbsLanes(u []float64) (sum, abs float64) {
 		a2 += math.Abs(u[2])
 	}
 	return (s0 + s2) + (s1 + s3), (a0 + a2) + (a1 + a3)
+}
+
+// dotAbsLanesBlocks is DotAbsBlocks with every leaf taken by dotAbsLanes.
+//
+//hot:loop portable filler of every checksum row reduction
+func dotAbsLanesBlocks(sum, abs, u, v []float64, lo int) {
+	for k := range sum {
+		l, h := blockBounds(len(u), lo+k)
+		sum[k], abs[k] = dotAbsLanes(u[l:h], v[l:h])
+	}
+}
+
+// sumAbsLanesBlocks is SumAbsBlocks with every leaf taken by sumAbsLanes.
+//
+//hot:loop portable filler of every all-ones verification
+func sumAbsLanesBlocks(sum, abs, u []float64, lo int) {
+	for k := range sum {
+		l, h := blockBounds(len(u), lo+k)
+		sum[k], abs[k] = sumAbsLanes(u[l:h])
+	}
 }

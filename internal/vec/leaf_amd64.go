@@ -2,35 +2,56 @@
 
 package vec
 
-// dotAbs128 and sumAbs128 are the full-block leaves in leaf_amd64.s: SSE2
-// only, which every amd64 has, so there is nothing to detect or dispatch.
-// The array-pointer parameters make the callers' slice-to-array conversions
-// the length check; the assembly reads exactly Block elements.
+// useAVX is whether the full blocks of a (Σ, Σ|·|) range run in
+// leaf_amd64.s: the CPU has AVX and the OS saves its registers, asked once.
+// It selects between two implementations of one arithmetic and is not an
+// input to any result; only the package's tests write it, to run both.
+var useAVX = hasAVX()
+
+func hasAVX() bool
+
+// dotAbsAVX and sumAbsAVX store the leaves of `blocks` consecutive full
+// blocks starting at u (and v), four blocks in lockstep and the rest one at
+// a time. They read exactly blocks·Block elements of each operand and write
+// exactly blocks elements of sum and of abs; the callers below reslice to
+// those lengths first, so Go has checked every one.
 
 //go:noescape
-func dotAbs128(u, v *[Block]float64) (sum, abs float64)
+func dotAbsAVX(sum, abs, u, v *float64, blocks int)
 
 //go:noescape
-func sumAbs128(u *[Block]float64) (sum, abs float64)
+func sumAbsAVX(sum, abs, u *float64, blocks int)
 
-// dotAbsLeaf is the leaf of u·v and Σ|u_i·v_i| over one block's elements.
+// DotAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of u·v,
+// one per element of sum and abs: sum[k], abs[k] are DotAbsBlock(u, v, lo+k),
+// bit for bit. The full blocks go to the AVX body where there is one, the
+// ragged last block and everything else to the portable lanes.
 //
-//hot:loop leaf of every checksum row reduction
-func dotAbsLeaf(u, v []float64) (sum, abs float64) {
-	if len(u) == Block {
-		return dotAbs128((*[Block]float64)(u), (*[Block]float64)(v))
+//hot:loop leaf filler of every checksum row reduction
+func DotAbsBlocks(sum, abs, u, v []float64, lo int) {
+	abs, v = abs[:len(sum)], v[:len(u)]
+	k := 0
+	if full := min(len(sum), len(u)/Block-lo); useAVX && full > 0 {
+		k = full
+		uu, vv := u[lo*Block:(lo+k)*Block], v[lo*Block:(lo+k)*Block]
+		dotAbsAVX(&sum[0], &abs[0], &uu[0], &vv[0], k)
 	}
-	return dotAbsLanes(u, v)
+	dotAbsLanesBlocks(sum[k:], abs[k:], u, v, lo+k)
 }
 
-// sumAbsLeaf is the leaf of Σu_i and Σ|u_i| over one block's elements.
+// SumAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of Σu_i:
+// DotAbsBlocks against the all-ones vector, whose products are exact.
 //
-//hot:loop leaf of every all-ones verification
-func sumAbsLeaf(u []float64) (sum, abs float64) {
-	if len(u) == Block {
-		return sumAbs128((*[Block]float64)(u))
+//hot:loop leaf filler of every all-ones verification
+func SumAbsBlocks(sum, abs, u []float64, lo int) {
+	abs = abs[:len(sum)]
+	k := 0
+	if full := min(len(sum), len(u)/Block-lo); useAVX && full > 0 {
+		k = full
+		uu := u[lo*Block : (lo+k)*Block]
+		sumAbsAVX(&sum[0], &abs[0], &uu[0], k)
 	}
-	return sumAbsLanes(u)
+	sumAbsLanesBlocks(sum[k:], abs[k:], u, lo+k)
 }
 
 // norm2128 is Norm2Block's full-block leaf in leaf_amd64.s: norm2Loop's

@@ -2,90 +2,153 @@
 
 #include "textflag.h"
 
-// The full-block (Σ, Σ|·|) leaves of leaf.go's reduction contract: lane j
-// sums elements i ≡ j (mod 4) left to right from +0, the block's value is
-// (l0+l2)+(l1+l3). X0 = (l0, l1) and X1 = (l2, l3) carry the sum, X2 and X3
-// the sum of magnitudes; |t| is t with the sign bit masked off. Loads are
-// unaligned: a []float64 is only 8-byte aligned.
+// The (Σ, Σ|·|) leaves of leaf.go's reduction contract over full blocks:
+// lane j sums elements i ≡ j (mod 4) left to right from +0, the block's
+// value is (l0+l2)+(l1+l3). One 256-bit register holds a block's four
+// lanes; four blocks run side by side (Y0–Y3 their sums, Y4–Y7 their sums
+// of magnitudes), so a trip's eight adds wait on nothing but each other's
+// issue slots, and the blocks left over run one at a time on Y0 and Y4.
+// The product is rounded (VMULPD) before it is added — no FMA — and |t| is
+// t with the sign bit masked off. FOLD adds a register's high half to its
+// low half, (l0+l2, l1+l3); VHADDPD then adds that pair's two lanes, for
+// two blocks at once. Loads are unaligned: a []float64 is only 8-byte
+// aligned.
 
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
 DATA absmask<>+8(SB)/8, $0x7fffffffffffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $16
 
-// func dotAbs128(u, v *[128]float64) (sum, abs float64)
-TEXT ·dotAbs128(SB), NOSPLIT, $0-32
-	MOVQ   u+0(FP), SI
-	MOVQ   v+8(FP), DI
-	MOVUPD absmask<>(SB), X7
-	XORPS  X0, X0
-	XORPS  X1, X1
-	XORPS  X2, X2
-	XORPS  X3, X3
-	MOVQ   $32, CX
+#define FOLD(Y, X) \
+	VEXTRACTF128 $1, Y, X8 \
+	VADDPD       X8, X, X
 
-dotloop:
-	MOVUPD (SI), X4
-	MOVUPD 16(SI), X5
-	MOVUPD (DI), X6
-	MULPD  X6, X4
-	MOVUPD 16(DI), X6
-	MULPD  X6, X5
-	ADDPD  X4, X0
-	ADDPD  X5, X1
-	ANDPD  X7, X4
-	ANDPD  X7, X5
-	ADDPD  X4, X2
-	ADDPD  X5, X3
-	ADDQ   $32, SI
-	ADDQ   $32, DI
-	DECQ   CX
-	JNZ    dotloop
+// DOT adds the four products at off(SI)·off(DI) to S and their magnitudes
+// to A; SUM does the same for the four elements at off(SI).
+#define DOT(off, S, A) \
+	VMOVUPD off(SI)(AX*1), Y8     \
+	VMULPD  off(DI)(AX*1), Y8, Y8 \
+	VADDPD  Y8, S, S              \
+	VANDPD  Y12, Y8, Y8           \
+	VADDPD  Y8, A, A
 
-	ADDPD    X1, X0     // (l0+l2, l1+l3)
-	ADDPD    X3, X2
-	MOVAPD   X0, X1
-	MOVAPD   X2, X3
-	UNPCKHPD X1, X1     // high lane down
-	UNPCKHPD X3, X3
-	ADDSD    X1, X0     // (l0+l2) + (l1+l3)
-	ADDSD    X3, X2
-	MOVSD    X0, sum+16(FP)
-	MOVSD    X2, abs+24(FP)
+#define SUM(off, S, A) \
+	VMOVUPD off(SI)(AX*1), Y8 \
+	VADDPD  Y8, S, S          \
+	VANDPD  Y12, Y8, Y8       \
+	VADDPD  Y8, A, A
+
+// KERNEL is the body both entries share: TERMS is DOT or SUM. SI and DI
+// walk the operands a block at a time (SUM never loads through DI, so
+// advancing it there is idle), R8 and R9 the leaves, CX counts the blocks
+// left, AX is the byte offset inside a block.
+#define KERNEL(TERMS) \
+	VBROADCASTSD absmask<>(SB), Y12 \
+	CMPQ         CX, $4             \
+	JLT          single             \
+quad: \
+	VXORPD Y0, Y0, Y0 \
+	VXORPD Y1, Y1, Y1 \
+	VXORPD Y2, Y2, Y2 \
+	VXORPD Y3, Y3, Y3 \
+	VXORPD Y4, Y4, Y4 \
+	VXORPD Y5, Y5, Y5 \
+	VXORPD Y6, Y6, Y6 \
+	VXORPD Y7, Y7, Y7 \
+	XORQ   AX, AX     \
+quadloop: \
+	TERMS(0, Y0, Y4)    \
+	TERMS(1024, Y1, Y5) \
+	TERMS(2048, Y2, Y6) \
+	TERMS(3072, Y3, Y7) \
+	ADDQ    $32, AX     \
+	CMPQ    AX, $1024   \
+	JNE     quadloop    \
+	FOLD(Y0, X0)        \
+	FOLD(Y1, X1)        \
+	FOLD(Y2, X2)        \
+	FOLD(Y3, X3)        \
+	FOLD(Y4, X4)        \
+	FOLD(Y5, X5)        \
+	FOLD(Y6, X6)        \
+	FOLD(Y7, X7)        \
+	VHADDPD X1, X0, X0  \
+	VHADDPD X3, X2, X2  \
+	VHADDPD X5, X4, X4  \
+	VHADDPD X7, X6, X6  \
+	VMOVUPD X0, (R8)    \
+	VMOVUPD X2, 16(R8)  \
+	VMOVUPD X4, (R9)    \
+	VMOVUPD X6, 16(R9)  \
+	ADDQ    $4096, SI   \
+	ADDQ    $4096, DI   \
+	ADDQ    $32, R8     \
+	ADDQ    $32, R9     \
+	SUBQ    $4, CX      \
+	CMPQ    CX, $4      \
+	JGE     quad        \
+single: \
+	TESTQ  CX, CX     \
+	JZ     done       \
+	VXORPD Y0, Y0, Y0 \
+	VXORPD Y4, Y4, Y4 \
+	XORQ   AX, AX     \
+singleloop: \
+	TERMS(0, Y0, Y4)   \
+	ADDQ    $32, AX    \
+	CMPQ    AX, $1024  \
+	JNE     singleloop \
+	FOLD(Y0, X0)       \
+	FOLD(Y4, X4)       \
+	VHADDPD X0, X0, X0 \
+	VHADDPD X4, X4, X4 \
+	VMOVSD  X0, (R8)   \
+	VMOVSD  X4, (R9)   \
+	ADDQ    $1024, SI  \
+	ADDQ    $1024, DI  \
+	ADDQ    $8, R8     \
+	ADDQ    $8, R9     \
+	DECQ    CX         \
+	JMP     single     \
+done: \
+	VZEROUPPER \
 	RET
 
-// func sumAbs128(u *[128]float64) (sum, abs float64)
-TEXT ·sumAbs128(SB), NOSPLIT, $0-24
-	MOVQ   u+0(FP), SI
-	MOVUPD absmask<>(SB), X7
-	XORPS  X0, X0
-	XORPS  X1, X1
-	XORPS  X2, X2
-	XORPS  X3, X3
-	MOVQ   $32, CX
+// func dotAbsAVX(sum, abs, u, v *float64, blocks int)
+TEXT ·dotAbsAVX(SB), NOSPLIT, $0-40
+	MOVQ sum+0(FP), R8
+	MOVQ abs+8(FP), R9
+	MOVQ u+16(FP), SI
+	MOVQ v+24(FP), DI
+	MOVQ blocks+32(FP), CX
+	KERNEL(DOT)
 
-sumloop:
-	MOVUPD (SI), X4
-	MOVUPD 16(SI), X5
-	ADDPD  X4, X0
-	ADDPD  X5, X1
-	ANDPD  X7, X4
-	ANDPD  X7, X5
-	ADDPD  X4, X2
-	ADDPD  X5, X3
-	ADDQ   $32, SI
-	DECQ   CX
-	JNZ    sumloop
+// func sumAbsAVX(sum, abs, u *float64, blocks int)
+TEXT ·sumAbsAVX(SB), NOSPLIT, $0-32
+	MOVQ sum+0(FP), R8
+	MOVQ abs+8(FP), R9
+	MOVQ u+16(FP), SI
+	MOVQ blocks+24(FP), CX
+	KERNEL(SUM)
 
-	ADDPD    X1, X0
-	ADDPD    X3, X2
-	MOVAPD   X0, X1
-	MOVAPD   X2, X3
-	UNPCKHPD X1, X1
-	UNPCKHPD X3, X3
-	ADDSD    X1, X0
-	ADDSD    X3, X2
-	MOVSD    X0, sum+8(FP)
-	MOVSD    X2, abs+16(FP)
+// hasAVX reports whether the CPU has AVX and the OS saves the YMM state:
+// CPUID.1:ECX bits 27 (OSXSAVE) and 28 (AVX), then XCR0 bits 1 and 2.
+//
+// func hasAVX() bool
+TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+noavx:
 	RET
 
 DATA one<>+0(SB)/8, $0x3ff0000000000000

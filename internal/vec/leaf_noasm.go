@@ -2,15 +2,21 @@
 
 package vec
 
-// dotAbsLeaf is the leaf of u·v and Σ|u_i·v_i| over one block's elements.
+// DotAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of u·v,
+// one per element of sum and abs: sum[k], abs[k] are DotAbsBlock(u, v, lo+k).
 //
-//hot:loop leaf of every checksum row reduction
-func dotAbsLeaf(u, v []float64) (sum, abs float64) { return dotAbsLanes(u, v) }
+//hot:loop leaf filler of every checksum row reduction
+func DotAbsBlocks(sum, abs, u, v []float64, lo int) {
+	dotAbsLanesBlocks(sum, abs[:len(sum)], u, v[:len(u)], lo)
+}
 
-// sumAbsLeaf is the leaf of Σu_i and Σ|u_i| over one block's elements.
+// SumAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of Σu_i:
+// DotAbsBlocks against the all-ones vector, whose products are exact.
 //
-//hot:loop leaf of every all-ones verification
-func sumAbsLeaf(u []float64) (sum, abs float64) { return sumAbsLanes(u) }
+//hot:loop leaf filler of every all-ones verification
+func SumAbsBlocks(sum, abs, u []float64, lo int) {
+	sumAbsLanesBlocks(sum, abs[:len(sum)], u, lo)
+}
 
 // norm2Leaf is the (scale, ssq) leaf of the norm over one block's elements.
 //

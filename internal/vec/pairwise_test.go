@@ -16,6 +16,35 @@ func naiveSum(x []float64) float64 {
 	return s
 }
 
+// pairwise is the reduction tree as plain recursion over the block-index
+// range [lo, hi), split at mid = lo + ceil((hi-lo)/2), with a call per
+// leaf: what PairwiseSum, the subtree scratches and the range fillers must
+// reproduce, bit for bit.
+func pairwise(lo, hi int, leaf func(b int) float64) float64 {
+	if hi <= lo {
+		return 0
+	}
+	if hi-lo == 1 {
+		return leaf(lo)
+	}
+	mid := lo + (hi-lo+1)/2
+	return pairwise(lo, mid, leaf) + pairwise(mid, hi, leaf)
+}
+
+// pairwise2 is pairwise for the pair (value, |value|).
+func pairwise2(lo, hi int, leaf func(b int) (float64, float64)) (float64, float64) {
+	if hi <= lo {
+		return 0, 0
+	}
+	if hi-lo == 1 {
+		return leaf(lo)
+	}
+	mid := lo + (hi-lo+1)/2
+	s1, a1 := pairwise2(lo, mid, leaf)
+	s2, a2 := pairwise2(mid, hi, leaf)
+	return s1 + s2, a1 + a2
+}
+
 func naiveDot(u, v []float64) float64 {
 	var s float64
 	for i := range u {
@@ -176,9 +205,9 @@ func TestSumAbsIsTheOnesWeightedPair(t *testing.T) {
 	}
 }
 
-// TestLeavesFoldToDotAbs: in whatever order a sweep visits the blocks,
-// every leaf is DotAbsBlock and the fold is DotAbs, bit for bit — one and
-// three reductions at a time.
+// TestLeavesFoldToDotAbs: in whatever order a sweep visits the blocks and
+// however it cuts them into ranges, every leaf is DotAbsBlock and the fold
+// is DotAbs, bit for bit — one and three reductions at a time.
 func TestLeavesFoldToDotAbs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, n := range fusedSizes {
@@ -189,9 +218,10 @@ func TestLeavesFoldToDotAbs(t *testing.T) {
 				rows[j] = mixedVec(rng, n)
 			}
 			lv := NewLeaves(k, n)
-			for _, order := range [][]int{rng.Perm(Blocks(n)), rng.Perm(Blocks(n))} {
-				for _, b := range order {
-					lv.FillBlock(rows, v, b)
+			for _, width := range []int{1, 3, 64} {
+				// Ranges of up to width blocks, visited in a random order.
+				for _, r := range rng.Perm((Blocks(n) + width - 1) / width) {
+					lv.FillBlocks(rows, v, r*width, min((r+1)*width, Blocks(n)))
 				}
 				lv.Fold()
 				for j := range rows {

@@ -166,49 +166,29 @@ func blockBounds(n, b int) (lo, hi int) {
 	return lo, hi
 }
 
-// pairwise combines leaf values over the block-index range [lo, hi) with
-// the canonical split rule mid = lo + ceil((hi-lo)/2). PairwiseSum and the
-// serial reductions below share this exact tree.
-func pairwise(lo, hi int, leaf func(b int) float64) float64 {
-	if hi <= lo {
-		return 0
-	}
-	if hi-lo == 1 {
-		return leaf(lo)
-	}
-	mid := lo + (hi-lo+1)/2
-	return pairwise(lo, mid, leaf) + pairwise(mid, hi, leaf)
-}
-
-// pairwise2 is pairwise for paired accumulators (value, |value|); combining
-// the pair in one descent is arithmetically identical to two separate trees.
-func pairwise2(lo, hi int, leaf func(b int) (float64, float64)) (float64, float64) {
-	if hi <= lo {
-		return 0, 0
-	}
-	if hi-lo == 1 {
-		return leaf(lo)
-	}
-	mid := lo + (hi-lo+1)/2
-	s1, a1 := pairwise2(lo, mid, leaf)
-	s2, a2 := pairwise2(mid, hi, leaf)
-	return s1 + s2, a1 + a2
-}
-
-// PairwiseSum combines precomputed block partials with the same tree the
-// serial reductions use. kernel workers fill p[b] for disjoint block ranges
-// and a single combiner calls this; the result is bitwise-identical to the
-// serial reduction for any worker count. It is pairwise's tree walked on
-// the slice itself, without an indirect call per leaf: every fused checksum
-// update folds its leaves here, twice per encoded row.
+// PairwiseSum combines precomputed block partials with the tree every
+// reduction in this package shares: the block-index range is split at
+// mid = lo + ceil((hi-lo)/2) down to single leaves. The serial reductions
+// fold their subtrees here; kernel workers fill p[b] for disjoint block
+// ranges and a single combiner calls this, so the result is
+// bitwise-identical to the serial reduction for any worker count. Four
+// leaves or fewer are written out — the same splits, without a call each —
+// because every fused checksum update folds its leaves here, twice per
+// encoded row.
 //
-//hot:loop folds the leaves of every fused and pooled reduction
+//hot:loop folds the leaves of every serial, fused and pooled reduction
 func PairwiseSum(p []float64) float64 {
 	switch len(p) {
 	case 0:
 		return 0
 	case 1:
 		return p[0]
+	case 2:
+		return p[0] + p[1]
+	case 3:
+		return (p[0] + p[1]) + p[2]
+	case 4:
+		return (p[0] + p[1]) + (p[2] + p[3])
 	}
 	mid := (len(p) + 1) / 2
 	return PairwiseSum(p[:mid]) + PairwiseSum(p[mid:])
@@ -253,48 +233,51 @@ func DotBlocks(part, u, v []float64, lo int) {
 }
 
 // DotAbsBlock returns the block-b partials of u·v and Σ|u_i·v_i| in one
-// pass — the four-lane leaf of every checksum row reduction. Both operands
-// are sliced here, so the leaf (assembly on amd64) sees only lengths Go has
-// checked.
+// pass — the four-lane leaf of every checksum row reduction, as the range
+// filler DotAbsBlocks stores it.
 func DotAbsBlock(u, v []float64, b int) (sum, abs float64) {
-	lo, hi := blockBounds(len(u), b)
-	return dotAbsLeaf(u[lo:hi], v[lo:hi])
-}
-
-// SumBlock returns the partial of Σu_i over block b: SumAbsBlock's sum, so
-// a checksum computed with Sum and one verified with SumAbs are the same
-// bits.
-func SumBlock(u []float64, b int) float64 {
-	sum, _ := SumAbsBlock(u, b)
-	return sum
-}
-
-// WeightedSumBlock returns the partial of Σ w(i)·u_i over block b:
-// WeightedSumAbsBlock's sum.
-func WeightedSumBlock(u []float64, w func(i int) float64, b int) float64 {
-	sum, _ := WeightedSumAbsBlock(u, w, b)
-	return sum
-}
-
-// WeightedSumAbsBlock returns the block-b partials of Σ w(i)·u_i and
-// Σ|w(i)·u_i| in one pass: the products go through the same four-lane leaf
-// as SumAbsBlock, so the all-ones fast path is bitwise its weighted twin by
-// construction.
-func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs float64) {
-	lo, hi := blockBounds(len(u), b)
-	var t [Block]float64
-	for i, x := range u[lo:hi] {
-		t[i] = w(lo+i) * x
-	}
-	return sumAbsLeaf(t[:hi-lo])
+	var s, a [1]float64
+	DotAbsBlocks(s[:], a[:], u, v, b)
+	return s[0], a[0]
 }
 
 // SumAbsBlock returns the block-b partials of Σu_i and Σ|u_i| in one pass:
 // the all-ones weight's leaf. 1·u_i is exact, so the pair is bitwise what
 // WeightedSumAbsBlock returns for w ≡ 1, without a call per element.
 func SumAbsBlock(u []float64, b int) (sum, abs float64) {
-	lo, hi := blockBounds(len(u), b)
-	return sumAbsLeaf(u[lo:hi])
+	return WeightedSumAbsBlock(u, nil, b)
+}
+
+// WeightedSumAbsBlock returns the block-b partials of Σ w(i)·u_i and
+// Σ|w(i)·u_i| in one pass; a nil w is the all-ones weight.
+func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs float64) {
+	var s, a [1]float64
+	weightedSumAbsBlocks(s[:], a[:], u, w, b)
+	return s[0], a[0]
+}
+
+// weightedSumAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of
+// Σ w(i)·u_i. The products of one lockstep group of blocks at a time go
+// through a stack scratch to SumAbsBlocks, so the all-ones fast path — a
+// nil w, which hands u itself to SumAbsBlocks — is bitwise its weighted
+// twin by construction.
+//
+//hot:loop leaf filler of every weighted verification
+func weightedSumAbsBlocks(sum, abs, u []float64, w func(i int) float64, lo int) {
+	if w == nil {
+		SumAbsBlocks(sum, abs, u, lo)
+		return
+	}
+	var t [4 * Block]float64
+	for k := 0; k < len(sum); k += 4 {
+		g := min(4, len(sum)-k)
+		first := (lo + k) * Block
+		x := u[first:min(first+g*Block, len(u))]
+		for i, xi := range x {
+			t[i] = w(first+i) * xi
+		}
+		SumAbsBlocks(sum[k:k+g], abs[k:k+g], t[:len(x)], 0)
+	}
 }
 
 // Dot returns the inner product u·v (the paper's VDP operation), blocked
@@ -306,7 +289,8 @@ func Dot(u, v []float64) float64 {
 	return dotTree(u, v, 0, Blocks(len(u)))
 }
 
-// dotSubtree is the widest block range Dot folds from one stack scratch.
+// dotSubtree is the widest block range a serial reduction folds from one
+// stack scratch.
 const dotSubtree = 64
 
 // dotTree is pairwise's tree over the blocks [lo, hi) of u·v: the split rule
@@ -333,44 +317,77 @@ func DotAbs(u, v []float64) (sum, abs float64) {
 	if len(u) != len(v) {
 		panic("vec: length mismatch in DotAbs")
 	}
-	return pairwise2(0, Blocks(len(u)), func(b int) (float64, float64) { return DotAbsBlock(u, v, b) })
+	return dotAbsTree(u, v, 0, Blocks(len(u)))
+}
+
+// dotAbsTree is dotTree for the pair: DotAbsBlocks fills a subtree's leaves,
+// and combining the pair in one descent is arithmetically identical to two
+// separate trees.
+func dotAbsTree(u, v []float64, lo, hi int) (sum, abs float64) {
+	if hi-lo <= dotSubtree {
+		var s, a [dotSubtree]float64
+		DotAbsBlocks(s[:hi-lo], a[:hi-lo], u, v, lo)
+		return PairwiseSum(s[:hi-lo]), PairwiseSum(a[:hi-lo])
+	}
+	mid := lo + (hi-lo+1)/2
+	s1, a1 := dotAbsTree(u, v, lo, mid)
+	s2, a2 := dotAbsTree(u, v, mid, hi)
+	return s1 + s2, a1 + a2
 }
 
 // Sum returns the sum of the elements of u, i.e. the inner product with the
-// all-ones checksum vector c1, blocked pairwise.
+// all-ones checksum vector c1, blocked pairwise: SumAbs's sum, so a
+// checksum computed with Sum and one verified with SumAbs are the same bits.
 func Sum(u []float64) float64 {
-	return pairwise(0, Blocks(len(u)), func(b int) float64 { return SumBlock(u, b) })
+	sum, _ := SumAbs(u)
+	return sum
 }
 
 // WeightedSum returns sum_i w(i)*u[i] for a functional weight, used by the
 // checksum package to evaluate c2 = (1..n) and c3 = (1, 1/2, ..., 1/n)
-// inner products without materializing the weight vectors. Blocked pairwise.
+// inner products without materializing the weight vectors: WeightedSumAbs's
+// sum.
 func WeightedSum(u []float64, w func(i int) float64) float64 {
-	return pairwise(0, Blocks(len(u)), func(b int) float64 { return WeightedSumBlock(u, w, b) })
+	sum, _ := WeightedSumAbs(u, w)
+	return sum
 }
 
 // WeightedSumAbs returns Σ w(i)·u_i and Σ|w(i)·u_i| in one blocked pairwise
 // pass — the checksum verification's (measured sum, round-off scale) pair.
+// A nil w is the all-ones weight.
 func WeightedSumAbs(u []float64, w func(i int) float64) (sum, abs float64) {
-	return pairwise2(0, Blocks(len(u)), func(b int) (float64, float64) { return WeightedSumAbsBlock(u, w, b) })
+	return weightedSumAbsTree(u, w, 0, Blocks(len(u)))
+}
+
+// weightedSumAbsTree is dotAbsTree over the products w(i)·u_i.
+func weightedSumAbsTree(u []float64, w func(i int) float64, lo, hi int) (sum, abs float64) {
+	if hi-lo <= dotSubtree {
+		var s, a [dotSubtree]float64
+		weightedSumAbsBlocks(s[:hi-lo], a[:hi-lo], u, w, lo)
+		return PairwiseSum(s[:hi-lo]), PairwiseSum(a[:hi-lo])
+	}
+	mid := lo + (hi-lo+1)/2
+	s1, a1 := weightedSumAbsTree(u, w, lo, mid)
+	s2, a2 := weightedSumAbsTree(u, w, mid, hi)
+	return s1 + s2, a1 + a2
 }
 
 // SumAbs returns Σu_i and Σ|u_i| in one blocked pairwise pass — the
 // verification pair of the all-ones checksum, bitwise-equal to
 // WeightedSumAbs with a weight that is 1 everywhere.
 func SumAbs(u []float64) (sum, abs float64) {
-	return pairwise2(0, Blocks(len(u)), func(b int) (float64, float64) { return SumAbsBlock(u, b) })
+	return WeightedSumAbs(u, nil)
 }
 
 // Leaves is the workspace of k simultaneous (Σ, Σ|·|) blocked reductions
 // over length-n vectors whose leaves are computed inside another kernel's
-// sweep: an SpMV or a triangular solve calls FillBlock for block b while
-// the block of the vector it has just read or written is still in cache,
-// in whatever order it visits the blocks, and Fold then combines the
-// leaves with the tree every reduction in this package shares. The leaf is
-// DotAbsBlock and the tree is PairwiseSum, so Sum[j], Abs[j] are bitwise
-// what DotAbs(rows[j], v) returns — however many workers filled disjoint
-// block ranges, and in whatever order.
+// sweep: an SpMV or a triangular solve calls FillBlocks for a range of
+// blocks while the stretch of the vector it has just read or written is
+// still in cache, in whatever order it visits the ranges, and Fold then
+// combines the leaves with the tree every reduction in this package shares.
+// The leaves are DotAbsBlocks's and the tree is PairwiseSum, so Sum[j],
+// Abs[j] are bitwise what DotAbs(rows[j], v) returns — however many workers
+// filled disjoint block ranges, and in whatever order.
 type Leaves struct {
 	leafSum, leafAbs [][]float64
 	// Sum[j] and Abs[j] are reduction j's folded results, valid after Fold.
@@ -390,11 +407,14 @@ func NewLeaves(k, n int) *Leaves {
 	return l
 }
 
-// FillBlock stores the block-b leaves of rows[j]·v and Σ|rows[j]_i·v_i| for
-// every reduction j. rows holds one length-n vector per reduction.
-func (l *Leaves) FillBlock(rows [][]float64, v []float64, b int) {
+// FillBlocks stores the leaves of rows[j]·v and Σ|rows[j]_i·v_i| over the
+// blocks [b0, b1) for every reduction j. rows holds one length-n vector
+// per reduction.
+//
+//hot:loop leaf filler of every fused checksum update
+func (l *Leaves) FillBlocks(rows [][]float64, v []float64, b0, b1 int) {
 	for j, row := range rows {
-		l.leafSum[j][b], l.leafAbs[j][b] = DotAbsBlock(row, v, b)
+		DotAbsBlocks(l.leafSum[j][b0:b1], l.leafAbs[j][b0:b1], row, v, b0)
 	}
 }
 

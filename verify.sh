@@ -41,12 +41,21 @@ go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
 
-echo "== portable leaves and VLO loops: go test -tags purego (vec, kernel, checksum, sparse, precond, core, par) =="
-# On amd64 full blocks of every (Σ, Σ|·|) reduction and of the norm, and
-# the multiple-of-four prefix of Axpy/Xpby/Axpby, run in
-# internal/vec/leaf_amd64.s; -tags purego links the Go loops every other
-# platform gets, which must pass the same goldens, freeze rows and pins on
-# the same host — the two are one arithmetic, bit for bit.
+echo "== leaves: which one this host ran, then the portable ones (AVX off; -tags purego: vec, kernel, checksum, sparse, precond, core, par) =="
+# On an amd64 with AVX the full blocks of every (Σ, Σ|·|) range run in
+# internal/vec/leaf_amd64.s; without it, for ragged blocks, and everywhere
+# else they run the Go lanes. TestLeafDispatch logs which of the two every
+# golden above ran on and, if that was AVX, repeats the leaf tests with the
+# dispatch variable off, so the branch a non-AVX amd64 takes runs on every
+# verify. -tags purego then links the Go loops every other platform gets —
+# leaves, the norm's leaf and the Axpy/Xpby/Axpby prefix — which must pass
+# the same goldens, freeze rows and pins on the same host: one arithmetic,
+# bit for bit.
+leaf_out=$(go test -v -run '^TestLeafDispatch$' ./internal/vec/) || {
+	echo "$leaf_out" >&2
+	exit 1
+}
+echo "$leaf_out" | grep 'leaf:' || echo "    leaf: portable lanes (no amd64 assembly linked)"
 go test -tags purego ./internal/vec/... ./internal/kernel/... ./internal/checksum/... ./internal/sparse/... ./internal/precond/... ./internal/core/... ./internal/par/...
 
 echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
