@@ -10,15 +10,14 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"newsum/internal/service"
 )
 
 // The proxy layer: each /solve request is hashed to its ring order and
-// forwarded to the first healthy, non-saturated slot. Three failure shapes
-// are handled distinctly:
+// forwarded to the less busy of the first two healthy, non-saturated slots
+// (see pick). Three failure shapes are handled distinctly:
 //
 //   - Network failure (connection refused/reset, mid-response drop): the
 //     crash signature. The slot is reported to the supervisor and the job
@@ -106,10 +105,6 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 		saturated: map[int]int{},
 		waitUntil: time.Now().Add(rt.cfg.DispatchWait),
 	}
-	if r.URL.Query().Get("stream") == "1" {
-		rt.streamProxy(w, r, d, body)
-		return
-	}
 	rt.proxy(w, r, d, body)
 }
 
@@ -123,14 +118,19 @@ type dispatch struct {
 	waitUntil time.Time
 }
 
-// pick selects the next target: the first healthy, non-saturated slot in
-// ring order. When every healthy slot is saturated it reports saturation;
-// when no slot is healthy it waits, within the dispatch budget, for the
-// supervisor to revive one — a restart takes milliseconds, and failing the
-// job instead would surface a recoverable fault to the client.
+// pick selects the next target: of the first two healthy, non-saturated
+// slots in ring order, the one with fewer jobs in flight, ties to the first.
+// An idle or evenly loaded router therefore sends every job to its primary;
+// under a collision a job spills to its operator's secondary and never
+// further, so an operator's encoding is cached on at most two backends.
+// When every healthy slot is saturated it reports saturation; when no slot
+// is healthy it waits, within the dispatch budget, for the supervisor to
+// revive one — a restart takes milliseconds, and failing the job instead
+// would surface a recoverable fault to the client.
 func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 	for {
 		sawHealthy := false
+		first, firstURL, firstLoad := -1, "", int64(0)
 		for _, idx := range d.order {
 			url, ok := d.rt.slots[idx].healthyURL()
 			if !ok {
@@ -140,7 +140,20 @@ func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 			if _, sat := d.saturated[idx]; sat {
 				continue
 			}
-			return idx, url, nil
+			load := d.rt.slots[idx].inFlight.Load()
+			if first >= 0 {
+				if load < firstLoad {
+					return idx, url, nil
+				}
+				break
+			}
+			if load == 0 {
+				return idx, url, nil // an idle first candidate cannot lose
+			}
+			first, firstURL, firstLoad = idx, url, load
+		}
+		if first >= 0 {
+			return first, firstURL, nil
 		}
 		if sawHealthy {
 			return 0, "", errAllSaturated
@@ -215,60 +228,114 @@ func drainClose(resp *http.Response) {
 	resp.Body.Close()
 }
 
-// proxy relays a buffered (non-streaming) solve. The backend's response is
+// relay is the client side of one job. Nothing reaches the client before
+// the attempt that ends the job, except a stream's progress lines; the
+// header goes out with the first byte.
+type relay struct {
+	w           http.ResponseWriter
+	stream      bool
+	wroteHeader bool
+}
+
+func (rl *relay) write(status int, contentType string, b []byte) {
+	if !rl.wroteHeader {
+		if contentType != "" {
+			rl.w.Header().Set("Content-Type", contentType)
+		}
+		rl.w.WriteHeader(status)
+		rl.wroteHeader = true
+	}
+	_, _ = rl.w.Write(b) //lint:ignore errdrop a client hangup only ends the relay early; nothing to recover
+	if f, ok := rl.w.(http.Flusher); ok && rl.stream {
+		f.Flush()
+	}
+}
+
+// upstreamEnd is how one attempt ended when it did not fail: saturated
+// (retryAfter > 0), or with the bytes that end the job, not yet relayed —
+// a buffered reply, a pre-stream rejection, or a stream's terminal line.
+type upstreamEnd struct {
+	retryAfter  int
+	status      int
+	contentType string
+	last        []byte
+}
+
+// proxy dispatches the job until an attempt ends it, routing around
+// saturated slots and re-dispatching after failed ones. A buffered reply is
 // read in full before a byte reaches the client, so a backend dying
 // mid-response is indistinguishable from one dying before it — both
-// re-dispatch.
+// re-dispatch. A stream's progress lines flow through as they arrive; if
+// the upstream dies before its terminal line, the client sees the next
+// attempt's lines on the same response.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, d *dispatch, body []byte) {
+	rl := &relay{w: w, stream: r.URL.Query().Get("stream") == "1"}
 	for {
-		idx, url, perr := d.pick(r.Context())
-		if perr != nil {
-			rt.failJob(w, d, perr)
-			return
-		}
-		s := rt.slots[idx]
-		s.mu.Lock()
-		s.dispatched++
-		s.mu.Unlock()
-		resp, err := rt.forward(r.Context(), url, body, false)
-		if err != nil {
-			if r.Context().Err() != nil {
+		idx, url, err := d.pick(r.Context())
+		if err == nil {
+			var end upstreamEnd
+			end, err = rt.attempt(r.Context(), rl, idx, url, body)
+			switch {
+			case err == nil && end.retryAfter > 0:
+				d.routeAround(idx, end.retryAfter)
+				continue
+			case err == nil:
+				rl.write(end.status, end.contentType, end.last)
+				return
+			case r.Context().Err() != nil:
 				return // the client is gone; nothing to deliver or retry for
+			case d.spendRetry(idx):
+				continue
 			}
-			if !d.spendRetry(idx) {
-				rt.failJob(w, d, fmt.Errorf("%w: %v", errBudget, err))
-				return
-			}
-			continue
+			err = fmt.Errorf("%w: %v", errBudget, err)
 		}
-		if resp.StatusCode == http.StatusTooManyRequests {
-			d.routeAround(idx, retryAfterHeader(resp))
-			drainClose(resp)
-			continue
-		}
-		out, rerr := io.ReadAll(resp.Body)
-		_ = resp.Body.Close() //lint:ignore errdrop body fully read; rerr above already carries any transport failure
-		if rerr != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			if !d.spendRetry(idx) {
-				rt.failJob(w, d, fmt.Errorf("%w: %v", errBudget, rerr))
-				return
-			}
-			continue
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		_, _ = w.Write(out) //lint:ignore errdrop response already committed; a client hangup here is unactionable
+		rt.failJob(rl, d, err)
 		return
 	}
 }
 
-// failJob surfaces a dispatch failure on a response that has not started.
-func (rt *Router) failJob(w http.ResponseWriter, d *dispatch, err error) {
+// attempt is one dispatch of the job to slot idx, and the one owner of the
+// slot's in-flight count: up on entry, down on every return — relayed,
+// saturated or failed, the client gone included. The bytes that end the
+// job are returned, not written, so the count is down before the client
+// can see the job end and send its next one.
+func (rt *Router) attempt(ctx context.Context, rl *relay, idx int, url string, body []byte) (upstreamEnd, error) {
+	s := rt.slots[idx]
+	s.mu.Lock()
+	s.dispatched++
+	s.mu.Unlock()
+	s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+
+	resp, err := rt.forward(ctx, url, body, rl.stream)
+	if err != nil {
+		return upstreamEnd{}, err
+	}
+	if resp.StatusCode == http.StatusTooManyRequests {
+		// A stream reports overload as an error line, but a header-level
+		// 429 is saturation there too.
+		drainClose(resp)
+		return upstreamEnd{retryAfter: retryAfterHeader(resp)}, nil
+	}
+	if rl.stream && resp.StatusCode == http.StatusOK {
+		return rl.relayStream(resp)
+	}
+	// A buffered reply, or a pre-stream rejection (e.g. 400): relayed
+	// verbatim once.
+	out, err := io.ReadAll(resp.Body)
+	_ = resp.Body.Close() //lint:ignore errdrop body fully read; err above already carries any transport failure
+	return upstreamEnd{status: resp.StatusCode, contentType: resp.Header.Get("Content-Type"), last: out}, err
+}
+
+// failJob surfaces a dispatch failure: as a proper status while the
+// response is unstarted, as a terminal NDJSON error line after.
+func (rt *Router) failJob(rl *relay, d *dispatch, err error) {
+	if rl.wroteHeader {
+		line, _ := json.Marshal(streamLine{Event: "error", Error: err.Error()}) //lint:ignore errdrop marshaling a flat struct of two strings cannot fail
+		rl.write(http.StatusOK, "", append(line, '\n'))
+		return
+	}
+	w := rl.w
 	switch {
 	case errors.Is(err, errAllSaturated):
 		rt.count(func(c *routerCounters) { c.saturated++ })
@@ -292,82 +359,13 @@ type streamLine struct {
 	Error string `json:"error"`
 }
 
-// streamProxy relays a streamed solve line by line. Progress lines flow
-// through as they arrive; if the upstream dies before its terminal line,
-// the job is re-dispatched and the client sees the new attempt's lines on
-// the same response. An upstream queue-full error line counts as
-// saturation (route around, no budget), provided nothing of that attempt
-// has been relayed yet — which holds because admission is checked before
-// the first progress event exists.
-func (rt *Router) streamProxy(w http.ResponseWriter, r *http.Request, d *dispatch, body []byte) {
-	flusher, _ := w.(http.Flusher)
-	wroteHeader := false
-	for {
-		idx, url, perr := d.pick(r.Context())
-		if perr != nil {
-			rt.failStream(w, d, perr, wroteHeader, flusher)
-			return
-		}
-		s := rt.slots[idx]
-		s.mu.Lock()
-		s.dispatched++
-		s.mu.Unlock()
-		resp, err := rt.forward(r.Context(), url, body, true)
-		if err == nil && resp.StatusCode == http.StatusTooManyRequests {
-			// Defensive: the backend streams 429 as an error line, but a
-			// header-level 429 still means saturation.
-			d.routeAround(idx, retryAfterHeader(resp))
-			drainClose(resp)
-			continue
-		}
-		if err == nil && resp.StatusCode != http.StatusOK {
-			// Pre-stream rejection (e.g. 400): relay verbatim once.
-			out, rerr := io.ReadAll(resp.Body)
-			_ = resp.Body.Close() //lint:ignore errdrop body fully read; rerr above already carries any transport failure
-			if rerr == nil {
-				if !wroteHeader {
-					if ct := resp.Header.Get("Content-Type"); ct != "" {
-						w.Header().Set("Content-Type", ct)
-					}
-					w.WriteHeader(resp.StatusCode)
-				}
-				_, _ = w.Write(out) //lint:ignore errdrop response already committed
-				return
-			}
-			err = rerr
-		}
-		if err != nil {
-			if r.Context().Err() != nil {
-				return
-			}
-			if !d.spendRetry(idx) {
-				rt.failStream(w, d, fmt.Errorf("%w: %v", errBudget, err), wroteHeader, flusher)
-				return
-			}
-			continue
-		}
-		done, saturated, serr := rt.relayStream(w, flusher, resp, &wroteHeader)
-		if done {
-			return
-		}
-		if saturated {
-			d.routeAround(idx, 1)
-			continue
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		if !d.spendRetry(idx) {
-			rt.failStream(w, d, fmt.Errorf("%w: %v", errBudget, serr), wroteHeader, flusher)
-			return
-		}
-	}
-}
-
-// relayStream copies upstream NDJSON lines to the client until the
-// terminal line (done=true), an admission-overload first line
-// (saturated=true, nothing relayed), or an upstream failure (both false).
-func (rt *Router) relayStream(w http.ResponseWriter, flusher http.Flusher, resp *http.Response, wroteHeader *bool) (done, saturated bool, err error) {
+// relayStream copies upstream NDJSON lines to the client up to the terminal
+// line, which it returns unrelayed. A first line that is the service's
+// admission-overload error (exactly service.ErrOverloaded) is saturation:
+// route around, nothing relayed — which holds because admission is checked
+// before the first progress event exists. An upstream failure before the
+// terminal line returns the error.
+func (rl *relay) relayStream(resp *http.Response) (upstreamEnd, error) {
 	defer resp.Body.Close() //lint:ignore errdrop relay outcome is decided by the line loop; the close is cleanup
 	br := bufio.NewReader(resp.Body)
 	first := true
@@ -378,43 +376,22 @@ func (rt *Router) relayStream(w http.ResponseWriter, flusher http.Flusher, resp 
 			var sl streamLine
 			//lint:ignore errdrop,hotalloc a malformed upstream line is still relayed verbatim; the two-field decode (one small boxed pointer per progress line) is what makes terminal-line detection possible at all
 			_ = json.Unmarshal(line, &sl)
-			if first && sl.Event == "error" && strings.Contains(sl.Error, "queue full") {
-				return false, true, nil
+			if first && sl.Event == "error" && sl.Error == service.ErrOverloaded.Error() {
+				return upstreamEnd{retryAfter: 1}, nil
 			}
 			first = false
-			if !*wroteHeader {
-				w.Header().Set("Content-Type", "application/x-ndjson")
-				w.WriteHeader(http.StatusOK)
-				*wroteHeader = true
-			}
-			_, _ = w.Write(line) //lint:ignore errdrop a mid-stream client hangup only ends the relay early
-			if flusher != nil {
-				flusher.Flush()
-			}
 			if sl.Event == "result" || sl.Event == "error" {
-				return true, false, nil
+				return upstreamEnd{status: http.StatusOK, contentType: ndjson, last: line}, nil
 			}
+			rl.write(http.StatusOK, ndjson, line)
 		}
 		if rerr != nil {
-			return false, false, rerr
+			return upstreamEnd{}, rerr
 		}
 	}
 }
 
-// failStream surfaces a dispatch failure on a stream: as a proper status
-// while the response is unstarted, as a terminal error line after.
-func (rt *Router) failStream(w http.ResponseWriter, d *dispatch, err error, wroteHeader bool, flusher http.Flusher) {
-	if !wroteHeader {
-		rt.failJob(w, d, err)
-		return
-	}
-	line, _ := json.Marshal(streamLine{Event: "error", Error: err.Error()}) //lint:ignore errdrop marshaling a flat struct of two strings cannot fail
-	line = append(line, '\n')
-	_, _ = w.Write(line) //lint:ignore errdrop terminal line races a client hangup; nothing to recover
-	if flusher != nil {
-		flusher.Flush()
-	}
-}
+const ndjson = "application/x-ndjson"
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -1,9 +1,10 @@
 // Package router is the sharded front tier over N supervised newsum-serve
 // backends: it consistent-hashes each job's operator spec
 // (service.MatrixSpec.Fingerprint) onto a backend so that every operator's
-// double-derivation-verified checksum encoding is cached hot on exactly
-// one process, health-checks the backends over their HTTP API, restarts
-// dead ones, and re-dispatches in-flight jobs with a bounded retry budget.
+// double-derivation-verified checksum encoding is cached hot on its primary
+// (and, when jobs collide there, on its secondary: at most two processes),
+// health-checks the backends over their HTTP API, restarts dead ones, and
+// re-dispatches in-flight jobs with a bounded retry budget.
 //
 // The tier extends the repo's ABFT story one level up, in the spirit of
 // Bosilca et al.: inside a backend, a struck vector element is detected by
@@ -24,7 +25,7 @@ import (
 // order is the distinct-slot sequence met walking clockwise from it.
 // Virtual nodes smooth the per-slot load; consistent hashing keeps almost
 // every fingerprint's primary slot stable when a slot set changes — which
-// is what keeps encoding caches hot and exclusive.
+// is what keeps encoding caches hot and their copies few.
 type ring struct {
 	slots  int
 	points []ringPoint

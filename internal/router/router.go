@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -115,6 +116,10 @@ type slot struct {
 	restarts    int64
 	dispatched  int64
 	failures    int64
+
+	// inFlight counts the jobs dispatched here and not yet finished; the
+	// pick reads it without the lock.
+	inFlight atomic.Int64
 }
 
 func (s *slot) snapshotLocked() SlotStatus {
@@ -125,6 +130,7 @@ func (s *slot) snapshotLocked() SlotStatus {
 		Restarts:   s.restarts,
 		Dispatched: s.dispatched,
 		Failures:   s.failures,
+		InFlight:   s.inFlight.Load(),
 	}
 }
 
@@ -170,6 +176,7 @@ type SlotStatus struct {
 	Restarts   int64  `json:"restarts"`
 	Dispatched int64  `json:"dispatched"`
 	Failures   int64  `json:"failures"`
+	InFlight   int64  `json:"in_flight"`
 }
 
 // Stats is the router's /stats JSON shape.
@@ -188,6 +195,13 @@ type Stats struct {
 	Slots        []SlotStatus `json:"slots"`
 }
 
+// upstreamIdlePerHost is how many idle connections the router keeps to each
+// backend. Go's default transport keeps two: with more than two jobs in
+// flight on one backend, most connections would close after their job and
+// the next jobs would dial new ones. 64 is above the jobs a backend of any
+// worker count here holds at once, at the price of one idle socket each.
+const upstreamIdlePerHost = 64
+
 // New starts every backend and the supervisor. Backends that fail to start
 // enter the dead state and are retried on the supervision cadence rather
 // than failing construction — a router over a partially dead fleet still
@@ -197,10 +211,13 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("router: at least one backend required")
 	}
+	upstream := http.DefaultTransport.(*http.Transport).Clone()
+	upstream.MaxIdleConns = 0 // no fleet-wide cap: the per-backend one bounds it
+	upstream.MaxIdleConnsPerHost = upstreamIdlePerHost
 	rt := &Router{
 		cfg:    cfg,
 		ring:   newRing(len(cfg.Backends), cfg.VNodes),
-		client: &http.Client{},
+		client: &http.Client{Transport: upstream},
 		probes: &http.Client{Timeout: cfg.HealthTimeout},
 		kick:   make(chan int, len(cfg.Backends)),
 		stop:   make(chan struct{}),
@@ -224,6 +241,7 @@ func New(cfg Config) (*Router, error) {
 func (rt *Router) Close() error {
 	close(rt.stop)
 	rt.wg.Wait()
+	rt.client.CloseIdleConnections()
 	var first error
 	for _, s := range rt.slots {
 		if err := s.backend.Stop(); err != nil && first == nil {

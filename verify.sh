@@ -64,11 +64,17 @@ echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 
-echo "== go test -race (par, core, service, kernel, router); par once more on one P =="
+echo "== go test -race (par, core, service, kernel, router); par and router once more on one P =="
 go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/...
 # A rank's receive polls before it parks; on one P the rank it waits for runs
-# only if the poll yields, so every change exercises the yield.
+# only if the poll yields, so every change exercises the yield. The router's
+# pick reads in-flight counts that other handlers move, and on one P those
+# handlers interleave differently. The kill-mid-solve test is left out there:
+# on one P the backend finishes its whole solve before the client reads the
+# first progress line, so there is nothing left to kill (it fails so at the
+# parent of the change that added this pass, 18 runs in 20).
 GOMAXPROCS=1 go test ./internal/par/...
+GOMAXPROCS=1 go test -skip '^TestRouterKillMidSolveRedispatch$' ./internal/router/...
 
 echo "== bench pass + trajectory gate (docs/benchmarks.md) =="
 # One quick pass over the whole root bench suite (1 iteration, -short
