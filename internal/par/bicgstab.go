@@ -1,256 +1,147 @@
 package par
 
 import (
-	"fmt"
-
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
 
 // ABFTBiCGStab runs the online ABFT preconditioned BiCGSTAB distributed
-// over nranks goroutine ranks, mirroring core's serial abftBiCGSTAB on the
-// rankEngine. BiCGStab exercises the engine harder than PCG: two protected
-// MVMs and two PCOs per iteration, an extra fixed shadow residual that is
-// never checksummed (it is read-only after setup), and an early exit on the
-// intermediate residual s. The checkpoint set is the minimal {x, p} plus
-// the recurrence scalars; r and v are recomputed on rollback.
+// over nranks goroutine ranks, mirroring core's serial abftBiCGSTAB under
+// the rank driver. BiCGStab exercises the engine harder than PCG: two
+// protected MVMs and two PCOs per iteration, an extra fixed shadow residual
+// that is never checksummed (it is read-only after setup), and an early exit
+// on the intermediate residual s. The checkpoint set is the minimal {x, p}
+// plus the recurrence scalars; r and v are recomputed on rollback.
 func ABFTBiCGStab(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error) {
-	if err := validateProblem(a, b, nranks); err != nil {
-		return Result{}, err
-	}
-	opts.normalize(a.Rows)
-	part := NnzPartition(a, nranks)
-	return runTeam(nranks, opts.Topology, func(c *Comm) (Result, error) {
-		return rankBiCGStab(c, a, b, part, opts)
-	})
+	return solve(a, b, nranks, opts, true, newBiCGStab)
 }
 
-func rankBiCGStab(c *Comm, a *sparse.CSR, b []float64, part Partition, opts Options) (res Result, err error) {
-	e, err := newRankEngine(c, a, b, part, &opts, &res, true)
-	if err != nil {
-		return res, err
+// bicgstab is the preconditioned BiCGSTAB recurrence. It has no forward
+// tier: a detection always rolls back.
+type bicgstab struct {
+	krylov
+	v, s, t, phat, shat   *DistVector
+	rhat                  []float64 // local block of the shadow residual, fixed for the whole solve
+	rhoPrev, alpha, omega float64
+}
+
+func newBiCGStab(k *rankRun) recurrence {
+	c := &bicgstab{v: k.newVec(), s: k.newVec(), t: k.newVec(), phat: k.newVec(), shat: k.newVec()}
+	c.krylov = krylov{
+		name: "BiCGStab", verifyP: true,
+		// v is verified alongside x and r: a huge corruption in v can be
+		// scaled below the detection threshold on its way into s (α =
+		// ρ/r̂ᵀv divides it away), so the MVM output itself must be
+		// checked while the raw inconsistency is still visible.
+		outer:     []*DistVector{k.x, k.r, c.v},
+		detectMsg: "outer-level: checksum mismatch in {x, r, v}",
+		snapMsg:   "snapshot {p, x}",
 	}
-	defer e.finish()
+	return c
+}
 
-	x := e.newVec()
-	r := e.newVec()
-	p := e.newVec()
-	v := e.newVec()
-	s := e.newVec()
-	t := e.newVec()
-	phat := e.newVec()
-	shat := e.newVec()
+func (c *bicgstab) shape() *krylov { return &c.krylov }
 
-	// r = b − A·x0 (x0 = 0, so r = b) with exact local checksums.
-	copyDist(r, e.bL)
-	rhat := vec.Clone(r.Data) // local block of the shadow residual, fixed for the whole solve
+func (c *bicgstab) scalars(s map[string]float64) {
+	s["rhoPrev"], s["alpha"], s["omega"] = c.rhoPrev, c.alpha, c.omega
+}
 
-	normB := e.norm2(e.bL)
-	if normB <= 0 {
-		normB = 1
+func (c *bicgstab) setScalars(s map[string]float64) {
+	c.rhoPrev, c.alpha, c.omega = s["rhoPrev"], s["alpha"], s["omega"]
+}
+
+func (c *bicgstab) start(k *rankRun) error {
+	c.rhat = vec.Clone(k.r.Data)
+	c.rhoPrev, c.alpha, c.omega = 1, 1, 1
+	return nil
+}
+
+// restart is the BiCGStab restart: α := 0 forces β = (ρ/ρ')·(α/ω) = 0 at
+// the next iteration, collapsing the direction update to p := r, so the
+// stale {p, v, ρ', ω} never enter the recurrence.
+func (c *bicgstab) restart(k *rankRun) error {
+	copyDist(k.p, k.r)
+	c.rhoPrev, c.alpha, c.omega = 1, 0, 1
+	return nil
+}
+
+func (c *bicgstab) restored(k *rankRun, snapIter int, _ bool) error {
+	if snapIter == 0 {
+		return nil // iteration 0 sets p := r and rebuilds v itself
 	}
-	relres := e.norm2(r) / normB
-	if relres <= opts.Tol {
-		res.Converged = true
-		res.Residual = relres
-		res.X = e.gatherX(x)
-		return res, nil
+	// v = A·M⁻¹·p, needed by the search-direction update.
+	if err := k.pco(c.phat, k.p); err != nil {
+		return err
 	}
+	k.mvmFresh(c.v, c.phat)
+	return nil
+}
 
-	rhoPrev, alpha, omega := 1.0, 1.0, 1.0
+//hot:loop BiCGStab iteration (§5.3 construction)
+func (c *bicgstab) step(k *rankRun) (status, error) {
+	return c.iterate(k, k.x, k.r, k.p, c.v, c.s, c.t, c.phat, c.shat)
+}
 
-	d, cd := opts.DetectInterval, opts.CheckpointInterval
-	save := func(iter int) {
-		e.save(iter,
-			map[string]*DistVector{"x": x, "p": p},
-			map[string]float64{"rhoPrev": rhoPrev, "alpha": alpha, "omega": omega})
+//hot:protected x r p v s t phat shat
+func (c *bicgstab) iterate(k *rankRun, x, r, p, v, s, t, phat, shat *DistVector) (status, error) {
+	rho := k.dotRaw(c.rhat, r)
+	//hot:cold suspect-scalar detection
+	if breakdownSuspect(rho) {
+		return k.breakdown("ρ = %v", rho)
 	}
-	// rollback restores {x, p} and the scalars, then reconstructs
-	// r = b − A·x and v = A·M⁻¹p with fresh checksums.
-	rollback := func(iter int) (int, bool) {
-		scal := map[string]float64{}
-		snapIter, ok := e.restore(map[string]*DistVector{"x": x, "p": p}, scal)
-		if !ok {
-			return iter, false
-		}
-		rhoPrev, alpha, omega = scal["rhoPrev"], scal["alpha"], scal["omega"]
-		e.residualFresh(r, x)
-		if e.store.Lossy() {
-			// The restored direction and scalars belong to the exact
-			// snapshot state; against the reconstructed residual the stale ρ
-			// makes the first β = (ρ/ρ')·(α/ω) blow up and permanently
-			// poison p. A lossy restore is therefore a BiCGStab restart:
-			// α := 0 forces β = 0 at the next iteration, collapsing the
-			// direction update to p := r, so the stale {p, v, ρ', ω} never
-			// enter the recurrence.
-			copyDist(p, r)
-			rhoPrev, alpha, omega = 1, 0, 1
-		}
-		if snapIter > 0 {
-			// v = A·M⁻¹·p, needed by the search-direction update.
-			if err := e.pco(phat, p); err != nil {
-				return iter, false
-			}
-			e.mvmFresh(v, phat)
-		}
-		return snapIter, true
+	if k.i == 0 {
+		copyDist(p, r)
+	} else {
+		// p = r + β·(p − ω·v)
+		beta := (rho / c.rhoPrev) * (c.alpha / c.omega)
+		k.axpy(p, -c.omega, v)
+		k.xpby(p, r, beta, p)
 	}
-	storm := func() (Result, error) {
-		res.Residual = relres
-		return res, fmt.Errorf("par: ABFT BiCGStab: %w", ErrRollbackStorm)
+	if err := k.pco(phat, p); err != nil {
+		return failed, err
 	}
+	k.mvm(v, phat)
+	if k.opts.TwoLevel && !k.innerCheck(v, phat) {
+		return faulted, nil
+	}
+	rhatV := k.dotRaw(c.rhat, v)
+	//hot:cold suspect-scalar detection
+	if breakdownSuspect(rhatV) {
+		return k.breakdown("r̂ᵀv = %v", rhatV)
+	}
+	c.alpha = rho / rhatV
+	k.axpbyInto(s, 1, r, -c.alpha, v)
 
-	i := 0
-	for i < opts.MaxIter {
-		e.beginIter(i)
-		if e.canceled() {
-			res.Residual = relres
-			return res, e.cancelErr("ABFT BiCGStab")
-		}
-		if i > 0 && i%d == 0 {
-			// v is verified alongside x and r: a huge corruption in v can be
-			// scaled below the detection threshold on its way into s (α =
-			// ρ/r̂ᵀv divides it away), so the MVM output itself must be
-			// checked while the raw inconsistency is still visible.
-			if !e.verify(x) || !e.verify(r) || !e.verify(v) {
-				e.detect(i, "outer-level: checksum mismatch in {x, r, v}")
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-		}
-		if i%cd == 0 {
-			// Guard the snapshot: p must verify clean before it becomes
-			// the rollback target.
-			if i > 0 && !e.verify(p) {
-				e.detect(i, "pre-checkpoint: checksum(p) mismatch")
-				var ok bool
-				if i, ok = rollback(i); !ok {
-					return storm()
-				}
-				continue
-			}
-			save(i)
-		}
-
-		rho := e.dotRaw(rhat, r)
-		if breakdownSuspect(rho) {
-			e.detect(i, "breakdown suspect: ρ = %v", rho)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				return res, fmt.Errorf("par: BiCGStab breakdown at iteration %d: ρ = %v", i, rho)
-			}
-			continue
-		}
-		if i == 0 {
-			copyDist(p, r)
-		} else {
-			beta := (rho / rhoPrev) * (alpha / omega)
-			// p = r + beta*(p − omega*v)
-			e.axpy(p, -omega, v)
-			e.xpby(p, r, beta, p)
-		}
-		if err := e.pco(phat, p); err != nil {
-			return res, err
-		}
-		e.mvm(v, phat)
-		if opts.TwoLevel && !e.innerCheck(v, phat) {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		rhatV := e.dotRaw(rhat, v)
-		if breakdownSuspect(rhatV) {
-			e.detect(i, "breakdown suspect: r̂ᵀv = %v", rhatV)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				return res, fmt.Errorf("par: BiCGStab breakdown at iteration %d: r̂ᵀv = %v", i, rhatV)
-			}
-			continue
-		}
-		alpha = rho / rhatV
-		e.axpbyInto(s, 1, r, -alpha, v)
-
-		if rel := e.norm2(s) / normB; rel <= opts.Tol {
-			e.axpy(x, alpha, phat)
-			i++
-			res.Iterations = i
-			relres = rel
-			if e.verify(x) && e.verify(s) {
-				res.Converged = true
-				break
-			}
-			e.detect(i, "converged intermediate residual failed verification")
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-
-		if err := e.pco(shat, s); err != nil {
-			return res, err
-		}
-		e.mvm(t, shat)
-		if opts.TwoLevel && !e.innerCheck(t, shat) {
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
-		tt := e.dot(t, t)
-		if breakdownSuspect(tt) || tt < 0 {
-			e.detect(i, "breakdown suspect: tᵀt = %v", tt)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				return res, fmt.Errorf("par: BiCGStab breakdown at iteration %d: tᵀt = %v", i, tt)
-			}
-			continue
-		}
-		omega = e.dot(t, s) / tt
-		if breakdownSuspect(omega) {
-			e.detect(i, "breakdown suspect: ω = %v", omega)
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				res.Residual = relres
-				return res, fmt.Errorf("par: BiCGStab breakdown at iteration %d: ω = %v", i, omega)
-			}
-			continue
-		}
-		e.axpy(x, alpha, phat)
-		e.axpy(x, omega, shat)
-		e.axpbyInto(r, 1, s, -omega, t)
-		rhoPrev = rho
-		i++
-		res.Iterations = i
-
-		relres = e.norm2(r) / normB
-		if relres <= opts.Tol {
-			if e.verify(x) && e.verify(r) {
-				res.Converged = true
-				break
-			}
-			e.detect(i, "converged residual failed verification")
-			var ok bool
-			if i, ok = rollback(i); !ok {
-				return storm()
-			}
-			continue
-		}
+	//hot:cold early-convergence exit: runs once per solve
+	if sNorm := k.norm2(s); sNorm/k.normB <= k.opts.Tol {
+		k.axpy(x, c.alpha, phat)
+		k.advance(sNorm)
+		return k.exit(s, "intermediate residual"), nil
 	}
 
-	res.Residual = relres
-	res.X = e.gatherX(x)
-	if !res.Converged {
-		return res, fmt.Errorf("par: ABFT BiCGStab did not converge in %d iterations (relres %.3e)", res.Iterations, relres)
+	if err := k.pco(shat, s); err != nil {
+		return failed, err
 	}
-	return res, nil
+	k.mvm(t, shat)
+	if k.opts.TwoLevel && !k.innerCheck(t, shat) {
+		return faulted, nil
+	}
+	tt := k.dot(t, t)
+	//hot:cold suspect-scalar detection
+	if breakdownSuspect(tt) || tt < 0 {
+		return k.breakdown("tᵀt = %v", tt)
+	}
+	c.omega = k.dot(t, s) / tt
+	//hot:cold suspect-scalar detection
+	if breakdownSuspect(c.omega) {
+		return k.breakdown("ω = %v", c.omega)
+	}
+	k.axpy(x, c.alpha, phat)
+	k.axpy(x, c.omega, shat)
+	k.axpbyInto(r, 1, s, -c.omega, t)
+	c.rhoPrev = rho
+	if k.advance(k.norm2(r)) {
+		return k.exit(r, "residual"), nil
+	}
+	return advanced, nil
 }

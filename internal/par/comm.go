@@ -327,6 +327,7 @@ func (c *Comm) AllReduceSum(v float64) float64 {
 	return c.allReduceSumTree(v)
 }
 
+//hot:cold the O(P) comparison baseline: its rendezvous closures allocate
 func (c *Comm) allReduceSumLinear(v float64) float64 {
 	c.stats.MsgsSent++
 	c.stats.WordsMoved++
@@ -478,6 +479,7 @@ func (c *Comm) allReduceVecTree(dst, src []float64) {
 // length on every rank. This is the halo exchange of the distributed MVM
 // (each rank needs the full input vector for its row block).
 func (c *Comm) AllGather(global []float64, local []float64, offset int) {
+	//hot:cold a caller's out-of-range block aborts the program
 	if offset < 0 || offset+len(local) > len(global) {
 		panic(fmt.Sprintf("par: AllGather block [%d,%d) outside global %d", offset, offset+len(local), len(global)))
 	}
@@ -493,6 +495,7 @@ func (c *Comm) AllGather(global []float64, local []float64, offset int) {
 	c.allGatherTree(global, local, offset)
 }
 
+//hot:cold the O(P) comparison baseline: its rendezvous closures allocate
 func (c *Comm) allGatherLinear(global, local []float64, offset int) {
 	c.stats.MsgsSent++
 	c.stats.WordsMoved += int64(len(local))

@@ -5,9 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
-	"sync"
 
 	"newsum/internal/checkpoint"
 	"newsum/internal/checksum"
@@ -18,13 +15,10 @@ import (
 )
 
 // This file is the distributed counterpart of internal/core/engine.go: the
-// per-rank machinery every parallel ABFT solver shares. A solver body (see
-// pcg.go, bicgstab.go, cr.go) is written against a rankEngine exactly the
-// way the serial solvers are written against *engine — tracked distributed
-// vectors, instrumented MVM/PCO/VLO operations that carry partial checksums,
-// replicated verification, and checkpoint/rollback helpers — so adding a new
-// protected solver is one recurrence loop, not a re-derivation of the
-// distribution and protection layers.
+// per-rank machinery — tracked distributed vectors, instrumented MVM/PCO/VLO
+// operations that carry partial checksums, replicated verification — that
+// the rank driver (drive.go) and its recurrences are written against the
+// way core's are written against *engine.
 
 // Target selects which state a distributed fault corrupts.
 type Target int
@@ -215,52 +209,6 @@ type Result struct {
 	Trace []core.TraceEvent
 }
 
-func validateProblem(a *sparse.CSR, b []float64, nranks int) error {
-	if a.Rows != a.Cols {
-		return fmt.Errorf("par: matrix must be square")
-	}
-	if len(b) != a.Rows {
-		return fmt.Errorf("par: rhs length %d, want %d", len(b), a.Rows)
-	}
-	if nranks < 1 || nranks > a.Rows {
-		return fmt.Errorf("par: nranks %d out of range", nranks)
-	}
-	return nil
-}
-
-// runTeam spawns one goroutine rank per Comm, runs body on each, and merges
-// the per-rank instrumentation (fault counts and comm stats) into rank 0's
-// replicated result. The solver counters (iterations, detections, …) are
-// identical on every rank because every branch they feed is taken on a
-// replicated all-reduced value.
-func runTeam(nranks int, topo Topology, body func(c *Comm) (Result, error)) (Result, error) {
-	comms := NewTeamTopology(nranks, topo)
-	results := make([]Result, nranks)
-	errs := make([]error, nranks)
-	var wg sync.WaitGroup
-	for r := 0; r < nranks; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			results[rank], errs[rank] = body(comms[rank])
-		}(r)
-	}
-	wg.Wait()
-	res := results[0]
-	for r := 1; r < nranks; r++ {
-		res.InjectedFaults += results[r].InjectedFaults
-		res.CheckpointBytes += results[r].CheckpointBytes
-		res.CheckpointStoredBytes += results[r].CheckpointStoredBytes
-		res.Comm.Merge(results[r].Comm)
-	}
-	for _, err := range errs {
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
-}
-
 // rankEngine is one rank's view of a protected distributed solve: its row
 // block, its slice of the encoded checksum rows, its local preconditioner
 // stages, and the instrumented operations the solver loops are built from.
@@ -298,12 +246,9 @@ type rankEngine struct {
 	bL *DistVector
 	xg []float64 // gathered global vector buffer
 
-	store          checkpoint.Store
-	ckData, ckSums map[string][]float64 // stateMaps' two maps …
-	ckNames        string               // … and the names in them, sorted and joined
-	fired          []bool
+	fired []bool
 	// curIter/curSeq track the (iteration, MVM-within-iteration) coordinate
-	// faults are addressed by; beginIter resets the sequence.
+	// faults are addressed by; the driver resets both at every iteration.
 	curIter, curSeq int
 }
 
@@ -330,11 +275,6 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		dScalar: checksum.PracticalD(a),
 		xg:      make([]float64, a.Rows),
 		fired:   make([]bool, len(opts.Faults)),
-		store: checkpoint.Store{
-			Codec:    opts.CheckpointCodec,
-			AbsBound: opts.CheckpointAbsBound,
-			RelBound: opts.CheckpointRelBound,
-		},
 	}
 	e.pcoBuf = make([]float64, e.local)
 	e.pcoS = make([]float64, len(e.weights))
@@ -411,45 +351,14 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 
 func (e *rankEngine) newVec() *DistVector { return NewDistVector(e.local, len(e.weights)) }
 
-// beginIter sets the fault coordinate for the iteration about to run.
-func (e *rankEngine) beginIter(i int) { e.curIter = i; e.curSeq = 0 }
-
-// canceled is the replicated cancellation probe: each rank contributes its
-// local view of Options.Ctx to a scalar all-reduce, so the verdict — and
-// therefore the abort point — is identical on every rank and no rank leaves
-// a peer blocked in a collective. Without a context it costs nothing.
-func (e *rankEngine) canceled() bool {
-	if e.opts.Ctx == nil {
-		return false
+// strike applies fault f to v[f.Index] (out of range, -1 included, means
+// v[0]) — the flip/additive arithmetic shared by the output, checksum and
+// checkpoint targets.
+func strike(f Fault, v []float64) {
+	idx := f.Index
+	if idx < 0 || idx >= len(v) {
+		idx = 0
 	}
-	flag := 0.0
-	select {
-	case <-e.opts.Ctx.Done():
-		flag = 1
-	default:
-	}
-	return e.c.AllReduceSum(flag) > 0
-}
-
-// cancelErr builds the per-rank abort error after a positive canceled()
-// verdict, wrapping the context's own error so callers can classify it.
-func (e *rankEngine) cancelErr(method string) error {
-	err := e.opts.Ctx.Err()
-	if err == nil {
-		// Replicated verdict but this rank's ctx not yet settled locally —
-		// the cause is still cancellation.
-		err = context.Canceled
-	}
-	return fmt.Errorf("par: %s solve canceled: %w", method, err)
-}
-
-// finish stores the rank's collective instrumentation into the result; the
-// solver bodies defer it so every exit path reports comm stats.
-func (e *rankEngine) finish() { e.res.Comm = e.c.Stats() }
-
-// strike applies one fault to v[idx] — the flip/additive arithmetic shared
-// by the output, checksum and checkpoint targets.
-func strike(f Fault, v []float64, idx int) {
 	if f.BitFlip {
 		bit := uint(62)
 		if f.Bit >= 0 && f.Bit <= 63 {
@@ -466,43 +375,24 @@ func strike(f Fault, v []float64, idx int) {
 	v[idx] += mag
 }
 
-// inject fires any scheduled output fault addressed to this rank at the
-// current (iteration, MVM) coordinate. Faults are one-shot: a strike
-// consumed before a rollback does not re-fire when its iteration
-// re-executes (the paper's scenarios schedule a fixed set of errors).
-func (e *rankEngine) inject(dst *DistVector) {
-	for fi, f := range e.opts.Faults {
-		if f.Target != TargetOutput || f.Iteration != e.curIter || f.Rank != e.c.Rank() || f.MVM != e.curSeq || e.fired[fi] {
-			continue
-		}
-		e.fired[fi] = true
-		e.res.InjectedFaults++
-		idx := f.Index
-		if idx < 0 || idx >= e.local {
-			idx = 0
-		}
-		strike(f, dst.Data, idx)
+// fires reports whether scheduled fault fi strikes target now — addressed
+// to this rank at iteration iter and, but for a checkpoint strike, at the
+// current MVM — and marks it fired. Faults are one-shot: a strike consumed
+// before a rollback does not re-fire when its iteration re-executes (the
+// paper's scenarios schedule a fixed set of errors).
+func (e *rankEngine) fires(fi int, target Target, iter int) bool {
+	f := &e.opts.Faults[fi]
+	if f.Target != target || f.Iteration != iter || f.Rank != e.c.Rank() || (target != TargetCheckpoint && f.MVM != e.curSeq) || e.fired[fi] {
+		return false
 	}
+	e.fired[fi] = true
+	e.res.InjectedFaults++
+	return true
 }
 
-// injectChecksum fires checksum-state faults at the current (iteration, MVM)
-// coordinate, corrupting the carried partial checksum scalar after the MVM
-// updated it. The output data stays clean; the protection breaks — the
-// false-positive the verifier must charge a rollback for.
-func (e *rankEngine) injectChecksum(dst *DistVector) {
-	for fi, f := range e.opts.Faults {
-		if f.Target != TargetChecksum || f.Iteration != e.curIter || f.Rank != e.c.Rank() || f.MVM != e.curSeq || e.fired[fi] {
-			continue
-		}
-		e.fired[fi] = true
-		e.res.InjectedFaults++
-		strike(f, dst.S, 0)
-	}
-}
-
-// trace appends one timeline event, recorded by rank 0 only: every verdict
-// that drives an event is replicated-deterministic, so rank 0's log is the
-// team's log, in core's event vocabulary.
+// trace appends one timeline event on rank 0 (see Result.Trace).
+//
+//hot:cold timeline events ride the detection and checkpoint budgets
 func (e *rankEngine) trace(iter int, kind core.EventKind, format string, args ...any) {
 	if e.c.Rank() != 0 {
 		return
@@ -516,6 +406,8 @@ func (e *rankEngine) trace(iter int, kind core.EventKind, format string, args ..
 
 // detect counts one detection (replicated on every rank) and records it on
 // the team timeline.
+//
+//hot:cold runs only after a verification failed
 func (e *rankEngine) detect(iter int, format string, args ...any) {
 	e.res.Detections++
 	e.trace(iter, core.EvDetection, format, args...)
@@ -535,7 +427,11 @@ func (e *rankEngine) mvmClean(dst, src *DistVector) {
 // rule, so an injected error leaves dst.Data inconsistent with dst.S.
 func (e *rankEngine) mvm(dst, src *DistVector) {
 	e.mvmClean(dst, src)
-	e.inject(dst)
+	for fi, f := range e.opts.Faults {
+		if e.fires(fi, TargetOutput, e.curIter) {
+			strike(f, dst.Data)
+		}
+	}
 	for k := range e.weights {
 		row := e.rowAs[k]
 		var dot float64
@@ -544,7 +440,14 @@ func (e *rankEngine) mvm(dst, src *DistVector) {
 		}
 		dst.S[k] = dot + e.dScalar*src.S[k]
 	}
-	e.injectChecksum(dst)
+	// A checksum strike corrupts the carried partial checksum after the
+	// update: the data stays clean, the protection breaks — the false
+	// positive the verifier must charge a rollback for.
+	for fi, f := range e.opts.Faults {
+		if e.fires(fi, TargetChecksum, e.curIter) {
+			strike(f, dst.S[:1]) // the first weight's, whatever the index
+		}
+	}
 	e.curSeq++
 }
 
@@ -649,35 +552,12 @@ func (e *rankEngine) verify(v *DistVector) bool {
 	return true
 }
 
-// scalarSanityBound is the largest magnitude a recurrence scalar can take
-// before it is treated as corrupted: beyond ≈√MaxFloat64 any product of two
-// such scalars overflows, and an exponent-bit upset scales an iterate
-// element by 2^±1024 — landing its dot products far past this bound. The
-// guard matters because a huge denominator is then divided away (α = ρ/r̂ᵀv
-// collapses toward zero), scaling the corruption below the checksum
-// detection threshold before the next verification boundary sees it.
-const scalarSanityBound = 1e150
-
-// breakdownSuspect reports whether a replicated recurrence scalar is
-// unusable — exactly zero, NaN, Inf, or absurdly large. Under ABFT such a
-// value right after a protected MVM is far more likely a propagated fault
-// than a genuine Lanczos-type breakdown, so the solver loops treat it as a
-// detection and roll back; only an exhausted rollback budget surfaces it as
-// an error.
-func breakdownSuspect(v float64) bool {
-	//lint:ignore floatcmp exact zero is the breakdown condition itself
-	return v == 0 || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > scalarSanityBound
-}
-
 // innerCheck is the distributed two-level inner level run after a protected
 // MVM out = A·in: global δ1 probe on out, input-purity check on in, lazy
 // δ2/δ3 evaluation, in-place correction by the owner rank. Returns false
 // when a rollback is required. Every rank returns the same verdict.
 func (e *rankEngine) innerCheck(out, in *DistVector) bool {
-	sum, absSum := localSums(e.weights[0], e.lo, out.Data)
-	gSum := e.c.AllReduceSum(sum)
-	gAbs := e.c.AllReduceSum(absSum)
-	gS := e.c.AllReduceSum(out.S[0])
+	gSum, gAbs, gS := e.globalSums(out, 0)
 	d1 := gSum - gS
 	if e.tol.ConsistentAbs(d1, e.n, gAbs) {
 		return true
@@ -688,8 +568,8 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	if !e.verify(in) {
 		return false
 	}
-	deltas := []float64{d1, 0, 0}
-	absSums := []float64{gAbs, 0, 0}
+	deltas := [3]float64{d1}
+	absSums := [3]float64{gAbs}
 	for k, w := range e.diagWeights {
 		var exp float64
 		for i, x := range in.Data {
@@ -699,7 +579,7 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 		deltas[k+1] = e.c.AllReduceSum(qs) - e.c.AllReduceSum(exp)
 		absSums[k+1] = e.c.AllReduceSum(qa)
 	}
-	diag := checksum.Diagnose(deltas, e.n, absSums, e.tol)
+	diag := checksum.Diagnose(deltas[:], e.n, absSums[:], e.tol)
 	if diag.Kind != checksum.SingleError {
 		return false
 	}
@@ -707,95 +587,8 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 		out.Data[diag.Pos-e.lo] -= diag.Magnitude
 	}
 	e.res.Corrections++
+	//hot:cold the timeline entry of a correction
 	e.trace(e.curIter, core.EvCorrection, "inner-level: corrected element %d", diag.Pos)
 	e.c.Barrier() // correction visible before anyone reads out
 	return true
-}
-
-// stateMaps returns the vectors' data and checksum slices by name — the two
-// maps the store saves from and restores into — built on the first call: a
-// solver checkpoints and restores the same vectors every time, and their
-// sorted names are joined once for the timeline.
-func (e *rankEngine) stateMaps(vecs map[string]*DistVector) (data, sums map[string][]float64) {
-	if e.ckData == nil {
-		e.ckData, e.ckSums = make(map[string][]float64, len(vecs)), make(map[string][]float64, len(vecs))
-		names := make([]string, 0, len(vecs))
-		for name, v := range vecs {
-			e.ckData[name], e.ckSums[name] = v.Data, v.S
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		e.ckNames = strings.Join(names, ", ")
-	}
-	return e.ckData, e.ckSums
-}
-
-// save snapshots the given tracked vectors (data + checksums) and scalars,
-// then fires any checkpoint-buffer faults scheduled against this rank at
-// this iteration: the snapshot copy is poisoned, the live state is not, so
-// the corruption stays dormant until a rollback restores it.
-func (e *rankEngine) save(iter int, vecs map[string]*DistVector, scalars map[string]float64) {
-	data, sums := e.stateMaps(vecs)
-	e.store.Save(iter, data, scalars, sums)
-	e.res.Checkpoints++
-	e.res.CheckpointBytes = e.store.BytesCopied
-	e.res.CheckpointStoredBytes = e.store.BytesStored
-	e.trace(iter, core.EvCheckpoint, "snapshot {%s}", e.ckNames)
-	for fi, f := range e.opts.Faults {
-		if f.Target != TargetCheckpoint || f.Iteration != iter || f.Rank != e.c.Rank() || e.fired[fi] {
-			continue
-		}
-		e.fired[fi] = true
-		e.res.InjectedFaults++
-		// Strike every snapshotted vector in sorted-name order (Strike's
-		// visit order) so the corruption is deterministic regardless of
-		// map iteration — it lands in the stored payload, whichever codec
-		// encodes it, and stays dormant until a rollback.
-		e.store.Strike(func(_ string, buf []float64) {
-			idx := f.Index
-			if idx < 0 || idx >= len(buf) {
-				idx = 0
-			}
-			strike(f, buf, idx)
-		})
-	}
-}
-
-// restore rolls the tracked vectors and scalars back to the latest
-// snapshot, charging one rollback against the budget. The verdict is
-// replicated: every rank holds the same snapshot iteration and budget.
-func (e *rankEngine) restore(vecs map[string]*DistVector, scalars map[string]float64) (int, bool) {
-	e.res.Rollbacks++
-	if e.res.Rollbacks > e.opts.MaxRollbacks {
-		return 0, false
-	}
-	data, sums := e.stateMaps(vecs)
-	snapIter, err := e.store.Restore(data, scalars, sums)
-	if err != nil {
-		return 0, false
-	}
-	if e.store.Lossy() {
-		// The restored blocks are quantized: the exact carried checksums
-		// that came back with them disagree with the perturbed data by up
-		// to n·bound, which the next verification would flag as a fault.
-		// Re-anchor each rank's partial checksums from the restored data —
-		// a local recomputation, so the verdict stays replicated.
-		for _, v := range vecs {
-			v.LocalChecksums(e.weights, e.lo)
-		}
-		e.res.LossyRestores++
-	}
-	e.res.WastedIterations += e.curIter - snapIter
-	e.trace(e.curIter, core.EvRollback, "restored iteration %d", snapIter)
-	return snapIter, true
-}
-
-// gatherX assembles the full solution vector on every rank.
-func (e *rankEngine) gatherX(x *DistVector) []float64 {
-	out := e.xg // runTeam reports rank 0's result; the others' is dropped
-	if e.c.Rank() == 0 {
-		out = make([]float64, e.n)
-	}
-	e.c.AllGather(out, x.Data, e.lo)
-	return out
 }

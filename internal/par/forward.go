@@ -5,40 +5,17 @@ import (
 	"newsum/internal/core"
 )
 
-// This file is the distributed forward-recovery tier (ROADMAP item 5, after
-// Fasi–Langou–Robert–Uçar, arXiv:1511.04478), mirroring
-// internal/core/forward.go: when an outer-level verification fires under
-// Options.ForwardRecovery, the team re-measures all three §5.2 checksum
-// relations of the suspect vector through all-reduces and repairs it in
-// place when the triple-checksum analysis localizes the corruption. Every
-// verdict derives from all-reduced values, so the classification — and
-// therefore the control flow — is identical on every rank; only the owner
-// rank touches data, followed by a barrier.
-
 // forwardOutcome classifies one attempt to repair an outer-level distributed
 // vector in place after a failed verification. It is a local copy of core's
 // unexported enum with the same meaning.
 type forwardOutcome int
 
 const (
-	// forwardClean: every relation held on re-measurement — the triggering
-	// probe fired on threshold-level noise; the checksums were re-anchored.
-	forwardClean forwardOutcome = iota
-	// forwardReanchored: exactly one relation was broken, which no data
-	// error can produce — the corrupted site was the carried checksum
-	// state; it was re-derived from the (trustworthy) data.
-	forwardReanchored
-	// forwardCorrected: the §5.2 single-error test passed, the owner rank
-	// corrected the located element, and the post-repair confirmation
-	// verified all three relations globally.
-	forwardCorrected
-	// forwardRejected: a correction was applied but the confirmation
-	// failed — a fake-correction candidate, undone; rollback required.
-	forwardRejected
-	// forwardFailed: localization failed (multiple errors); rollback
-	// required (the caller may still reconstruct the vector from clean
-	// state where an identity such as r = b − A·x is available).
-	forwardFailed
+	forwardClean      forwardOutcome = iota // every relation held on re-measurement: noise; re-anchored
+	forwardReanchored                       // one relation broken, which no data error can do: checksum re-derived
+	forwardCorrected                        // §5.2 single error corrected by its owner rank, confirmed globally
+	forwardRejected                         // the correction failed its confirmation and was undone: fake
+	forwardFailed                           // localization failed (multiple errors): rebuild from clean state or roll back
 )
 
 // globalSums all-reduces the weight-k checksum probe of v: the global

@@ -403,24 +403,6 @@ func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, 
 	return a, enc, false, nil
 }
 
-// attemptResult is one attempt's outcome, as the retry loop accounts it.
-type attemptResult struct {
-	x           []float64
-	iterations  int
-	converged   bool
-	residual    float64
-	detections  int
-	corrections int
-	rollbacks   int
-	injected    int
-	trace       []core.TraceEvent
-
-	forwardRepairs      int
-	rollbacksAvoided    int
-	iterationsSaved     int
-	rejectedCorrections int
-}
-
 // run executes one job end to end: resolve, attempt loop with retry, SDC
 // verification, stats, events.
 func (s *Service) run(j *job, pool *kernel.Pool) {
@@ -501,33 +483,34 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 	for attempt := 0; ; attempt++ {
 		d := detectIntervalFor(req, attempt)
 		s.emit(j, "attempt", attempt, fmt.Sprintf("d=%d", d))
-		ar, err := s.dispatch(j.ctx, req, a, enc, m, b, attempt, d, pool)
+		res, trace, err := s.dispatch(j.ctx, req, a, enc, m, b, attempt, d, pool)
+		st := &res.Stats
 		resp.Attempts = attempt + 1
-		resp.Detections += ar.detections
-		resp.Corrections += ar.corrections
-		resp.Rollbacks += ar.rollbacks
-		resp.InjectedFaults += ar.injected
-		resp.ForwardRepairs += ar.forwardRepairs
-		resp.RollbacksAvoided += ar.rollbacksAvoided
-		resp.IterationsSaved += ar.iterationsSaved
-		resp.RejectedCorrections += ar.rejectedCorrections
-		resp.Iterations = ar.iterations
-		resp.Converged = ar.converged
-		resp.Residual = ar.residual
+		resp.Detections += st.Detections
+		resp.Corrections += st.Corrections
+		resp.Rollbacks += st.Rollbacks
+		resp.InjectedFaults += st.InjectedErrors
+		resp.ForwardRepairs += st.ForwardRepairs
+		resp.RollbacksAvoided += st.RollbacksAvoided
+		resp.IterationsSaved += st.IterationsSaved
+		resp.RejectedCorrections += st.RejectedCorrections
+		resp.Iterations = res.Iterations
+		resp.Converged = res.Converged
+		resp.Residual = res.Residual
 		if req.Trace {
-			resp.Trace = traceJSON(ar.trace)
+			resp.Trace = traceJSON(trace)
 		}
 
 		if err == nil {
 			// End-to-end SDC guard: recompute the true residual from the
 			// returned solution. A fault that slipped every checksum would
 			// surface here as a converged claim the operator contradicts.
-			vr := core.TrueResidual(a, b, ar.x)
+			vr := core.TrueResidual(a, b, res.X)
 			resp.VerifiedResidual = vr
 			s.stats.add(func(st *stats) { st.verifiedResiduals++ })
 			if vr <= sdcTolFactor*req.tol() {
 				if req.ReturnSolution {
-					resp.X = ar.x
+					resp.X = res.X
 				}
 				solveErr = nil
 				break
@@ -655,9 +638,10 @@ var (
 	schemes = map[string]core.Scheme{"basic": core.Basic, "twolevel": core.TwoLevel}
 )
 
-// dispatch runs one attempt of the solve the request names.
+// dispatch runs one attempt of the solve the request names, returning its
+// trace events when the request asks for them.
 func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc *checksum.Encoding,
-	m precond.Preconditioner, b []float64, attempt, d int, pool *kernel.Pool) (attemptResult, error) {
+	m precond.Preconditioner, b []float64, attempt, d int, pool *kernel.Pool) (core.Result, []core.TraceEvent, error) {
 	var inj *fault.Injector
 	if evs := attemptFaults(req, attempt); len(evs) > 0 {
 		inj = fault.NewInjector(evs, chaosSeed(req.Seed, attempt))
@@ -682,23 +666,8 @@ func (s *Service) dispatch(ctx context.Context, req *Request, a *sparse.CSR, enc
 		CheckpointRelBound: s.cfg.CheckpointRelBound,
 	}
 	res, err := core.Solve(methods[req.solver()], schemes[req.scheme()], a, m, b, opts)
-	ar := attemptResult{
-		x:           res.X,
-		iterations:  res.Iterations,
-		converged:   res.Converged,
-		residual:    res.Residual,
-		detections:  res.Stats.Detections,
-		corrections: res.Stats.Corrections,
-		rollbacks:   res.Stats.Rollbacks,
-		injected:    res.Stats.InjectedErrors,
-
-		forwardRepairs:      res.Stats.ForwardRepairs,
-		rollbacksAvoided:    res.Stats.RollbacksAvoided,
-		iterationsSaved:     res.Stats.IterationsSaved,
-		rejectedCorrections: res.Stats.RejectedCorrections,
+	if tr == nil {
+		return res, nil, err
 	}
-	if tr != nil {
-		ar.trace = tr.Events
-	}
-	return ar, err
+	return res, tr.Events, err
 }
