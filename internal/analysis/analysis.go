@@ -100,11 +100,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 	return p.Pkg.Info.ObjectOf(id)
 }
 
-// Filename returns the name of the file containing pos.
-func (p *Pass) Filename(pos token.Pos) string {
-	return p.Pkg.Fset.Position(pos).Filename
-}
-
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	pos        token.Position

@@ -194,7 +194,7 @@ func TestLemma2ArithmeticDetection(t *testing.T) {
 	sw := make([]float64, 1)
 	enc.UpdateMVM(sw, u, su)
 	w[7] += 1000 // arithmetic error
-	delta := Delta1(w, Ones, sw[0])
+	delta := Ones.Apply(w) - sw[0]
 	if (Tol{}).ConsistentAbs(delta, a.Rows, 1000) {
 		t.Fatalf("arithmetic error escaped: delta %v", delta)
 	}
@@ -299,7 +299,7 @@ func TestEncodePanics(t *testing.T) {
 
 func TestMatrixString(t *testing.T) {
 	enc := EncodeMatrix(sparse.Identity(3), Double, 8)
-	if enc.String() == "" || enc.NumChecksums() != 2 {
+	if enc.String() == "" || len(enc.Weights) != 2 {
 		t.Fatalf("descriptor broken: %q", enc.String())
 	}
 }

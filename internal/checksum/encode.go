@@ -55,9 +55,6 @@ func EncodeMatrix(a *sparse.CSR, weights []Weight, d float64) *Matrix {
 	return m
 }
 
-// NumChecksums returns the number of encoded checksum rows.
-func (m *Matrix) NumChecksums() int { return len(m.Weights) }
-
 // UpdateMVM computes the output checksums of w := A·u from the input
 // checksums su, per Eq. (2): checksum_k(w) = Rows[k]·u + d·su[k].
 // The result is written to dst, which must have one slot per weight.
@@ -317,14 +314,6 @@ func Deltas(y []float64, weights []Weight, expected []float64) []float64 {
 		d[k] = w.Apply(y) - expected[k]
 	}
 	return d
-}
-
-// Delta1 computes only δ1 = c1ᵀy − expected1, the cheap single-checksum
-// detection probe the inner level runs after every MVM (§5.3 step 7a).
-//
-//hot:loop per-MVM single-checksum detection probe (Sec. 5.3 step 7a)
-func Delta1(y []float64, w Weight, expected float64) float64 {
-	return w.Apply(y) - expected
 }
 
 // String identifies the encoding for diagnostics.

@@ -49,11 +49,6 @@ func (t Tol) ConsistentAbs(delta float64, n int, absSum float64) bool {
 	return math.Abs(delta) <= t.theta()*scale
 }
 
-// InconsistentAbs is the negation of ConsistentAbs.
-func (t Tol) InconsistentAbs(delta float64, n int, absSum float64) bool {
-	return !t.ConsistentAbs(delta, n, absSum)
-}
-
 // BoundSafety is the multiple of the running round-off bound η below which
 // an inconsistency is attributed to floating point. The η bounds are
 // first-order (they ignore O(ε²) terms and assume the standard summation

@@ -1,7 +1,5 @@
 package fault
 
-import "fmt"
-
 // The adversarial fault-model matrix. The paper's campaigns (§6.3) strike
 // single high-exponent flips into solver vectors — the easy case, where the
 // injected error is many orders of magnitude above the round-off threshold
@@ -72,16 +70,6 @@ func (m Model) String() string {
 	default:
 		return "unknown-model"
 	}
-}
-
-// ParseModel maps a display name back to its Model.
-func ParseModel(s string) (Model, error) {
-	for _, m := range Models() {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("fault: unknown model %q", s)
 }
 
 // AttacksRecovery reports whether the model corrupts recovery state rather

@@ -5,18 +5,15 @@ import (
 	"testing"
 )
 
+// TestModelStringsRoundTrip: every model has its own display name, so a
+// name maps back to exactly one model.
 func TestModelStringsRoundTrip(t *testing.T) {
+	byName := map[string]Model{}
 	for _, m := range Models() {
-		got, err := ParseModel(m.String())
-		if err != nil {
-			t.Fatalf("ParseModel(%q): %v", m, err)
+		if prev, dup := byName[m.String()]; dup {
+			t.Fatalf("%v and %v share the name %q", prev, m, m.String())
 		}
-		if got != m {
-			t.Fatalf("round trip %q: got %v", m, got)
-		}
-	}
-	if _, err := ParseModel("no-such-model"); err == nil {
-		t.Fatalf("ParseModel accepted garbage")
+		byName[m.String()] = m
 	}
 	if Model(99).String() != "unknown-model" || Magnitude(99).String() != "unknown-magnitude" {
 		t.Fatalf("unknown enum strings broken")
@@ -153,57 +150,6 @@ func TestChecksumAndCheckpointModelSites(t *testing.T) {
 	cp := ModelCheckpoint.Events(MagLarge, 10, SiteMVM)
 	if cp[0].Site != SiteCheckpoint || cp[0].Kind != Memory {
 		t.Fatalf("checkpoint model: site %v kind %v", cp[0].Site, cp[0].Kind)
-	}
-}
-
-func TestArrivalTimes(t *testing.T) {
-	for _, dist := range []Arrival{ArrivalUniform, ArrivalPoisson, ArrivalBurst} {
-		times := ArrivalTimes(dist, 8, 200, 11)
-		if len(times) != 8 {
-			t.Fatalf("%v: %d times, want 8", dist, len(times))
-		}
-		for i, it := range times {
-			if it < 0 || it >= 200 {
-				t.Fatalf("%v: time %d out of range", dist, it)
-			}
-			if i > 0 && times[i-1] > it {
-				t.Fatalf("%v: not sorted: %v", dist, times)
-			}
-		}
-		// Deterministic for a fixed seed.
-		again := ArrivalTimes(dist, 8, 200, 11)
-		for i := range times {
-			if times[i] != again[i] {
-				t.Fatalf("%v: not deterministic", dist)
-			}
-		}
-	}
-	// Burst arrivals cluster inside a tenth of the run.
-	times := ArrivalTimes(ArrivalBurst, 16, 1000, 5)
-	if spread := times[len(times)-1] - times[0]; spread >= 100 {
-		t.Fatalf("burst arrivals spread %d ≥ window 100", spread)
-	}
-	if ArrivalTimes(ArrivalUniform, 0, 100, 1) != nil {
-		t.Fatalf("k=0 should yield no times")
-	}
-	if Arrival(9).String() != "unknown-arrival" {
-		t.Fatalf("Arrival.String broken")
-	}
-}
-
-func TestModelScenarioGrid(t *testing.T) {
-	for _, m := range Models() {
-		for _, g := range Magnitudes() {
-			evs := ModelScenario(m, g, ArrivalUniform, 3, 100, SiteMVM, 7)
-			if len(evs) != 3 {
-				t.Fatalf("%v/%v: %d events, want 3", m, g, len(evs))
-			}
-			for _, e := range evs {
-				if e.Iteration < 0 || e.Iteration >= 100 {
-					t.Fatalf("%v/%v: iteration %d out of range", m, g, e.Iteration)
-				}
-			}
-		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package fault
 
-import (
-	"math/rand"
-	"sort"
-)
+import "math/rand"
 
 // The paper's §6.2/§6.3 error-rate scenarios, expressed as event schedules.
 // All index choices are deterministic given the seed so experiments are
@@ -61,89 +58,6 @@ func Scenario3(totalIters int) []Event {
 			Kind:      Arithmetic,
 			Index:     -1,
 		})
-	}
-	return events
-}
-
-// Arrival selects the inter-arrival distribution of a fault schedule —
-// the parameterization the fixed Scenario1–3 schedules lack.
-type Arrival int
-
-const (
-	// ArrivalUniform lands each strike independently and uniformly over
-	// the whole execution.
-	ArrivalUniform Arrival = iota
-	// ArrivalPoisson draws exponential inter-arrival gaps (a Poisson
-	// process with rate k/totalIters), the standard soft-error model.
-	ArrivalPoisson
-	// ArrivalBurst clusters every strike inside one short window (a tenth
-	// of the execution), modelling a transient environmental upset.
-	ArrivalBurst
-)
-
-func (a Arrival) String() string {
-	switch a {
-	case ArrivalUniform:
-		return "uniform"
-	case ArrivalPoisson:
-		return "poisson"
-	case ArrivalBurst:
-		return "burst"
-	default:
-		return "unknown-arrival"
-	}
-}
-
-// ArrivalTimes draws k strike iterations in [0, totalIters) from the given
-// distribution, sorted ascending. Deterministic for a fixed seed.
-func ArrivalTimes(dist Arrival, k, totalIters int, seed int64) []int {
-	rng := rand.New(rand.NewSource(seed))
-	if totalIters < 1 {
-		totalIters = 1
-	}
-	if k < 1 {
-		return nil
-	}
-	times := make([]int, 0, k)
-	switch dist {
-	case ArrivalPoisson:
-		// Mean gap totalIters/(k+1) places ~k arrivals inside the run;
-		// overshoots are clamped to the final iteration.
-		mean := float64(totalIters) / float64(k+1)
-		t := 0.0
-		for i := 0; i < k; i++ {
-			t += rng.ExpFloat64() * mean
-			it := int(t)
-			if it >= totalIters {
-				it = totalIters - 1
-			}
-			times = append(times, it)
-		}
-	case ArrivalBurst:
-		window := totalIters / 10
-		if window < 1 {
-			window = 1
-		}
-		start := rng.Intn(totalIters - window + 1)
-		for i := 0; i < k; i++ {
-			times = append(times, start+rng.Intn(window))
-		}
-	default: // ArrivalUniform
-		for i := 0; i < k; i++ {
-			times = append(times, rng.Intn(totalIters))
-		}
-	}
-	sort.Ints(times)
-	return times
-}
-
-// ModelScenario schedules k strikes of model m at magnitude g against the
-// given site, with arrival times drawn from dist — the campaign generator
-// the detection-accuracy harness grids over.
-func ModelScenario(m Model, g Magnitude, dist Arrival, k, totalIters int, site Site, seed int64) []Event {
-	var events []Event
-	for _, it := range ArrivalTimes(dist, k, totalIters, seed) {
-		events = append(events, m.Events(g, it, site)...)
 	}
 	return events
 }

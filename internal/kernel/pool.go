@@ -146,15 +146,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// Workers returns the pool's total worker count; 1 for the nil (serial)
-// pool.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 // Close shuts the helper goroutines down and waits for them to exit.
 // Safe on a nil pool and safe to call twice.
 func (p *Pool) Close() {

@@ -44,14 +44,6 @@ func (p *Pool) DotAbs(u, v []float64) (sum, abs float64) {
 	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
 }
 
-// Sum returns Σu_i, bitwise-equal to vec.Sum: SumAbs's sum.
-//
-//hot:loop reduction kernel on the protected solve path
-func (p *Pool) Sum(u []float64) float64 {
-	sum, _ := p.SumAbs(u)
-	return sum
-}
-
 // SumAbs returns Σu_i and Σ|u_i| — the verification pair of the all-ones
 // checksum — bitwise-equal to vec.SumAbs, and so to WeightedSumAbs with a
 // weight that is 1 everywhere.
@@ -66,15 +58,6 @@ func (p *Pool) SumAbs(u []float64) (sum, abs float64) {
 	p.op = op{kind: opSumAbs, nb: nb, x: u, out1: sums, out2: abss}
 	p.launch()
 	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
-}
-
-// WeightedSum returns Σ w(i)·u_i, bitwise-equal to vec.WeightedSum:
-// WeightedSumAbs's sum.
-//
-//hot:loop reduction kernel on the protected solve path
-func (p *Pool) WeightedSum(u []float64, w func(i int) float64) float64 {
-	sum, _ := p.WeightedSumAbs(u, w)
-	return sum
 }
 
 // WeightedSumAbs returns Σ w(i)·u_i and Σ|w(i)·u_i| — the checksum

@@ -18,6 +18,8 @@ func FuzzRead(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n0 0 0\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9999999\n1 1 1\n")
 	f.Add("%%MatrixMarket matrix coordinate real general\n-1 -1 -1\n")
+	f.Add(hugeRows)
+	f.Add(billionRows)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		a, hdr, err := Read(strings.NewReader(input))

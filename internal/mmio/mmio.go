@@ -23,6 +23,11 @@ type Header struct {
 	Symmetry string // "general", "symmetric"
 }
 
+// maxDim bounds the rows and columns a size line may declare, about ten
+// times G3_circuit's 1 585 478 rows. The CSR is built with two arrays of
+// rows+1 words whatever the entries, so a larger claim is refused first.
+const maxDim = 1 << 24
+
 // Read parses a Matrix Market stream into a CSR matrix. Symmetric files are
 // expanded to full storage, matching how iterative solvers consume them.
 func Read(r io.Reader) (*sparse.CSR, Header, error) {
@@ -74,6 +79,9 @@ func Read(r io.Reader) (*sparse.CSR, Header, error) {
 	}
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, h, fmt.Errorf("mmio: negative dimensions in size line")
+	}
+	if rows > maxDim || cols > maxDim {
+		return nil, h, fmt.Errorf("mmio: size line declares %dx%d, above the %d limit", rows, cols, maxDim)
 	}
 
 	coo := sparse.NewCOO(rows, cols)

@@ -89,6 +89,14 @@ func TestReadInteger(t *testing.T) {
 	}
 }
 
+// Size lines that claim more rows than can be allocated: 2⁶² rows made
+// building the CSR panic (makeslice: len out of range), and 10⁹ rows asked
+// for 16 GB before a single entry was read.
+const (
+	hugeRows    = "%%MatrixMarket matrix coordinate real general\n4611686018427387904 1 0\n"
+	billionRows = "%%MatrixMarket matrix coordinate real general\n1000000000 1 0\n"
+)
+
 func TestReadErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":           "",
@@ -103,6 +111,8 @@ func TestReadErrors(t *testing.T) {
 		"bad value":       "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 zzz\n",
 		"missing fields":  "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
 		"negative header": "%%MatrixMarket matrix coordinate real general\n-1 2 1\n1 1 1.0\n",
+		"2^62 rows":       hugeRows,
+		"billion rows":    billionRows,
 	}
 	for name, src := range cases {
 		if _, _, err := Read(strings.NewReader(src)); err == nil {

@@ -104,23 +104,3 @@ func Surface(c OpCosts, lambda float64, iters, maxCD, maxD int) []SurfacePoint {
 	}
 	return pts
 }
-
-// YoungInterval returns Young's classic first-order approximation of the
-// optimal checkpoint interval, √(2·t_c/λ), expressed in iterations of
-// effective length τ = t + t_u + t_d/d. It is the textbook sanity check for
-// the Eq. (5) optimum: the two agree to within a small factor at low error
-// rates and diverge as λ·cd·τ leaves the linear regime.
-func YoungInterval(c OpCosts, lambda float64, d int) int {
-	if lambda <= 0 || d < 1 {
-		return 1 << 20
-	}
-	tau := c.Iter + c.Update + c.Detect/float64(d)
-	if tau <= 0 {
-		return 1
-	}
-	iv := int(math.Sqrt(2*c.Checkpoint/lambda)/tau + 0.5)
-	if iv < 1 {
-		iv = 1
-	}
-	return iv
-}

@@ -1,11 +1,11 @@
 // Package par is the parallel execution substrate standing in for the
 // paper's MPI/PETSc runs on 2048 Stampede cores: goroutine "ranks" joined
-// by message-passing collectives (barrier, all-reduce, all-gather,
-// broadcast), a row-partitioned distributed sparse matrix, and a family of
-// distributed ABFT solvers — PCG, BiCGStab and CR — built on a shared
-// per-rank engine whose checkpoints and checksum state are rank-local, the
-// property §5.1 highlights for scalability ("all the checkpoints and
-// checksums are saved locally").
+// by message-passing collectives (barrier, all-reduce, all-gather), a
+// row-partitioned distributed sparse matrix, and a family of distributed
+// ABFT solvers — PCG, BiCGStab and CR — built on a shared per-rank engine
+// whose checkpoints and checksum state are rank-local, the property §5.1
+// highlights for scalability ("all the checkpoints and checksums are saved
+// locally").
 package par
 
 import (
@@ -22,13 +22,12 @@ import (
 type Topology int
 
 const (
-	// Tree is the default: recursive-doubling all-reduce and all-gather,
-	// binomial-tree broadcast, and a dissemination barrier — O(log P)
-	// rounds of pairwise channel exchanges, no shared accumulator. The
-	// reduction combines block sums with the same association tree on
-	// every rank (IEEE-754 addition is commutative), so all ranks obtain
-	// bitwise-identical results and the solvers' replicated control flow
-	// stays in lockstep.
+	// Tree is the default: recursive-doubling all-reduce and all-gather
+	// and a dissemination barrier — O(log P) rounds of pairwise channel
+	// exchanges, no shared accumulator. The reduction combines block sums
+	// with the same association tree on every rank (IEEE-754 addition is
+	// commutative), so all ranks obtain bitwise-identical results and the
+	// solvers' replicated control flow stays in lockstep.
 	Tree Topology = iota
 	// Linear is the original rendezvous implementation: every rank funnels
 	// through one mutex-guarded accumulator, O(P) serialization per
@@ -63,7 +62,7 @@ type CommStats struct {
 	// Gathers counts all-gathers (the halo exchange of each distributed
 	// MVM).
 	Gathers int
-	// Broadcasts counts broadcast collectives.
+	// Broadcasts stays 0: no collective of the team broadcasts.
 	Broadcasts int
 	// MsgsSent counts point-to-point messages this rank sent (Tree), or
 	// rendezvous phases it entered (Linear).
@@ -206,14 +205,8 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the team.
 func (c *Comm) Size() int { return c.t.size }
 
-// Topology returns the team's collective topology.
-func (c *Comm) Topology() Topology { return c.t.topo }
-
 // Stats returns a snapshot of this rank's communication counters.
 func (c *Comm) Stats() CommStats { return c.stats }
-
-// ResetStats zeroes this rank's communication counters.
-func (c *Comm) ResetStats() { c.stats = CommStats{} }
 
 // send hands m, a payload of the given number of words, to rank `to`.
 //
@@ -561,68 +554,6 @@ func segWords(segs []segment) (words int) {
 		words += len(s.data)
 	}
 	return words
-}
-
-// Bcast distributes root's value to every rank.
-func (c *Comm) Bcast(v float64, root int) float64 {
-	if root < 0 || root >= c.t.size {
-		panic(fmt.Sprintf("par: Bcast root %d outside team of %d", root, c.t.size))
-	}
-	c.stats.Broadcasts++
-	if c.t.size == 1 {
-		return v
-	}
-	if c.t.topo == Linear {
-		return c.bcastLinear(v, root)
-	}
-	return c.bcastTree(v, root)
-}
-
-func (c *Comm) bcastLinear(v float64, root int) float64 {
-	if c.rank == root {
-		c.stats.MsgsSent++
-		c.stats.WordsMoved++
-	}
-	c.arrive(
-		func(t *team) {
-			if c.rank == root {
-				t.result = v
-			}
-		},
-		nil,
-	)
-	c.t.mu.Lock()
-	r := c.t.result
-	c.t.mu.Unlock()
-	c.barrier()
-	return r
-}
-
-// bcastTree is the binomial-tree broadcast rooted at root: a rank receives
-// from the peer that clears its lowest set (root-relative) bit, then
-// forwards down the remaining subtree — log2 P rounds, each rank sends at
-// most log2 P messages.
-//
-//hot:loop a Tree collective
-func (c *Comm) bcastTree(v float64, root int) float64 {
-	p := c.t.size
-	vrank := (c.rank - root + p) % p
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			v = c.recv((c.rank - mask + p) % p).val
-			break
-		}
-		mask <<= 1
-	}
-	mask >>= 1
-	for mask > 0 {
-		if vrank+mask < p {
-			c.send((c.rank+mask)%p, message{val: v}, 1)
-		}
-		mask >>= 1
-	}
-	return v
 }
 
 // BlockRange returns the contiguous row range [lo, hi) owned by rank r when

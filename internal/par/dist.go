@@ -26,11 +26,6 @@ func (p Partition) Range(r int) (lo, hi int) {
 	return p.Bounds[r], p.Bounds[r+1]
 }
 
-// LocalLen returns the number of rows rank r owns.
-func (p Partition) LocalLen(r int) int {
-	return p.Bounds[r+1] - p.Bounds[r]
-}
-
 // Validate checks the partition invariants.
 func (p Partition) Validate() error {
 	if len(p.Bounds) < 2 {
@@ -153,11 +148,6 @@ func SplitPartition(a *sparse.CSR, p Partition, r int) *DistMatrix {
 
 // LocalRows returns the number of rows this rank owns.
 func (d *DistMatrix) LocalRows() int { return d.Hi - d.Lo }
-
-// LocalNNZ returns the number of nonzeros in this rank's row block.
-func (d *DistMatrix) LocalNNZ() int {
-	return d.Global.RowPtr[d.Hi] - d.Global.RowPtr[d.Lo]
-}
 
 // MulVec computes the local block of y = A·x: yLocal gets rows [Lo, Hi) of
 // the product, from the full (gathered) input vector xGlobal.

@@ -114,26 +114,6 @@ func TestVerifyGlobalDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	const ranks = 4
-	comms := NewTeam(ranks)
-	ch := make(chan float64, ranks)
-	for r := 0; r < ranks; r++ {
-		go func(c *Comm) {
-			v := -1.0
-			if c.Rank() == 2 {
-				v = 42
-			}
-			ch <- c.Bcast(v, 2)
-		}(comms[r])
-	}
-	for i := 0; i < ranks; i++ {
-		if got := <-ch; got != 42 {
-			t.Fatalf("Bcast: got %v", got)
-		}
-	}
-}
-
 func TestAllReduceVec(t *testing.T) {
 	const ranks = 3
 	comms := NewTeam(ranks)

@@ -69,14 +69,15 @@ func TestPartitionEdgeGeometry(t *testing.T) {
 				}
 				total := 0
 				for r := 0; r < tc.size; r++ {
-					total += p.LocalLen(r)
+					lo, hi := p.Range(r)
+					total += hi - lo
 				}
 				if total != n {
 					t.Fatalf("partition covers %d rows, want %d", total, n)
 				}
 				if n >= tc.size {
 					for r := 0; r < tc.size; r++ {
-						if p.LocalLen(r) == 0 {
+						if lo, hi := p.Range(r); hi == lo {
 							t.Fatalf("rank %d empty with n=%d >= size=%d", r, n, tc.size)
 						}
 					}
@@ -96,7 +97,7 @@ func TestPartitionZeroRows(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for r := 0; r < 3; r++ {
-			if p.LocalLen(r) != 0 {
+			if lo, hi := p.Range(r); hi != lo {
 				t.Fatalf("%s: rank %d non-empty on n=0", name, r)
 			}
 		}
@@ -159,12 +160,9 @@ func TestSingleRankCollectives(t *testing.T) {
 					t.Errorf("AllGather[%d]: %v", i, global[i])
 				}
 			}
-			if got := c.Bcast(7, 0); got != 7 {
-				t.Errorf("Bcast: %v", got)
-			}
 			c.Barrier()
 			st := c.Stats()
-			if st.Reductions != 1 || st.VecReductions != 1 || st.Gathers != 1 || st.Broadcasts != 1 || st.Barriers != 1 {
+			if st.Reductions != 1 || st.VecReductions != 1 || st.Gathers != 1 || st.Barriers != 1 {
 				t.Errorf("single-rank stats not counted: %+v", st)
 			}
 			if st.MsgsSent != 0 {
@@ -232,9 +230,8 @@ func TestTopologyEquivalenceAllSizes(t *testing.T) {
 						src := []float64{rank, 2 * rank, 1}
 						red := make([]float64, 3)
 						c.AllReduceVec(red, src)
-						bc := c.Bcast(rank*10, size-1)
 						c.Barrier()
-						out := append([]float64{sum, bc}, red...)
+						out := append([]float64{sum}, red...)
 						ch <- append(out, g...)
 					}(comms[r])
 				}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"newsum/internal/precond"
 	"newsum/internal/solver"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
@@ -47,7 +48,7 @@ func TestABFTPCGSerialEquivalence(t *testing.T) {
 	// With one rank and the same block-Jacobi structure, iterates should
 	// track the serial solver closely.
 	a, b, _ := parSystem(t)
-	serial, err := solver.CG(a, b, solver.Options{Tol: 1e-10})
+	serial, err := solver.PCG(a, precond.Identity(a.Rows), b, solver.Options{Tol: 1e-10})
 	if err != nil {
 		t.Fatalf("serial CG: %v", err)
 	}

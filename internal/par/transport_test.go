@@ -55,10 +55,9 @@ func refAllReduce(vals []float64) float64 {
 }
 
 // wantStats is the closed form of what rank r sends over `each` calls of
-// every collective in the mixed sequence (vector length m, Bcast from every
-// root in turn).
+// every collective in the mixed sequence (vector length m).
 func wantStats(p, r, each, m int, bounds []int) CommStats {
-	st := CommStats{Barriers: each, Reductions: each, VecReductions: each, Gathers: each, Broadcasts: each}
+	st := CommStats{Barriers: each, Reductions: each, VecReductions: each, Gathers: each}
 	if p == 1 {
 		return st
 	}
@@ -95,21 +94,6 @@ func wantStats(p, r, each, m int, bounds []int) CommStats {
 	st.WordsMoved = int64(each * (msgs + m*msgs + gatherWords))
 	// Dissemination barrier: ceil(log2 p) tokens, no payload.
 	st.MsgsSent += int64(each * bits.Len(uint(p-1)))
-	// Binomial broadcast: a rank forwards below its lowest set root-relative
-	// bit (the root below the team's span), where the peer exists.
-	for i := 0; i < each; i++ {
-		vr := (r - i%p + p) % p
-		top := 1 << bits.Len(uint(p-1))
-		if vr != 0 {
-			top = vr & -vr
-		}
-		for mask := top >> 1; mask > 0; mask >>= 1 {
-			if vr+mask < p {
-				st.MsgsSent++
-				st.WordsMoved++
-			}
-		}
-	}
 	return st
 }
 
@@ -136,7 +120,7 @@ func TestTransportMixedCollectives(t *testing.T) {
 					if err != nil {
 						t.Errorf("rank %d: %v", r, err)
 					}
-					if got, want := comms[r].Stats(), wantStats(p, r, steps/5, m, bounds); got != want {
+					if got, want := comms[r].Stats(), wantStats(p, r, steps/4, m, bounds); got != want {
 						t.Errorf("rank %d of %d (n=%d): stats %+v, want %+v", r, p, n, got, want)
 					}
 				}
@@ -155,7 +139,7 @@ func transportRank(c *Comm, steps, m int, bounds []int) error {
 	src, dst := make([]float64, m), make([]float64, m)
 	local, global := make([]float64, bounds[r+1]-bounds[r]), make([]float64, n)
 	for i := 0; i < steps; i++ {
-		switch i % 5 {
+		switch i % 4 {
 		case 0:
 			for q := range vals {
 				vals[q] = transportVal(q, i)
@@ -193,11 +177,6 @@ func transportRank(c *Comm, steps, m int, bounds []int) error {
 			// peers may still be placing this gather's segments.
 			clear(local)
 		case 3:
-			root := i / 5 % p
-			if got, want := c.Bcast(transportVal(r, i), root), transportVal(root, i); math.Float64bits(got) != math.Float64bits(want) {
-				return fmt.Errorf("step %d Bcast(root %d) = %v, want %v", i, root, got, want)
-			}
-		case 4:
 			c.Barrier()
 		}
 	}
@@ -235,7 +214,6 @@ func TestCollectivesSteadyStateZeroAllocs(t *testing.T) {
 		bounds := transportBounds(p)
 		rounds := map[string]func(c *Comm){
 			"AllReduceSum": func(c *Comm) { c.AllReduceSum(float64(c.Rank())) },
-			"Bcast":        func(c *Comm) { c.Bcast(1, p-1) },
 			"Barrier":      func(c *Comm) { c.Barrier() },
 		}
 		// One caller-owned set of arguments per rank, made before the run.

@@ -82,13 +82,6 @@ func (lb *LocalBackend) Service() *service.Service {
 	return lb.svc
 }
 
-// URL returns the current incarnation's base URL; empty when stopped.
-func (lb *LocalBackend) URL() string {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	return lb.url
-}
-
 // StaticBackend joins an externally managed newsum-serve by URL: Start
 // just hands the URL back and Stop is a no-op, so the supervisor can probe
 // and route around it but cannot restart it — a dead static backend stays

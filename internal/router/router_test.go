@@ -199,6 +199,36 @@ func TestRouterMethodAndDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestRouterOversizedGridIsABadRequest: a grid side whose square wraps int
+// is the backend's 400, relayed as such. Were it admitted, building the
+// operator would panic on a service worker and take the in-process backend
+// down with it; the router would re-dispatch the job and restart the slot.
+func TestRouterOversizedGridIsABadRequest(t *testing.T) {
+	rt, srv := newTestRouter(t, fastSupervision(
+		&LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 4}},
+		&LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 4}}))
+	for _, n := range []string{"4294967296", "3037000500"} {
+		body := `{"matrix":{"kind":"laplace2d","n":` + n + `}}`
+		resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("n=%s: status %d, want 400", n, resp.StatusCode)
+		}
+	}
+	st := rt.Stats()
+	if st.Redispatches != 0 {
+		t.Fatalf("redispatches = %d, want 0", st.Redispatches)
+	}
+	for _, s := range st.Slots {
+		if s.Restarts != 0 || s.State != slotHealthy.String() {
+			t.Fatalf("slot %d: %d restarts, state %s; want 0, healthy", s.Slot, s.Restarts, s.State)
+		}
+	}
+}
+
 func TestRouterStreamRelay(t *testing.T) {
 	_, srv := newTestRouter(t, fastSupervision(
 		&LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 4}}))
@@ -600,11 +630,16 @@ func TestSupervisorRestartsDeadBackend(t *testing.T) {
 func TestBackendLifecycles(t *testing.T) {
 	t.Run("local double start", func(t *testing.T) {
 		lb := &LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 2}}
+		current := func() string {
+			lb.mu.Lock()
+			defer lb.mu.Unlock()
+			return lb.url
+		}
 		url, err := lb.Start()
 		if err != nil || url == "" {
 			t.Fatalf("start: %q %v", url, err)
 		}
-		if lb.URL() != url || lb.Service() == nil {
+		if current() != url || lb.Service() == nil {
 			t.Fatal("accessors disagree with Start")
 		}
 		if _, err := lb.Start(); err == nil {
@@ -616,7 +651,7 @@ func TestBackendLifecycles(t *testing.T) {
 		if err := lb.Stop(); err != nil {
 			t.Fatalf("double stop must be a no-op, got %v", err)
 		}
-		if lb.URL() != "" || lb.Service() != nil {
+		if current() != "" || lb.Service() != nil {
 			t.Fatal("accessors must clear after Stop")
 		}
 	})

@@ -75,6 +75,9 @@ func TestHTTPValidationAndMethodErrors(t *testing.T) {
 		"unknown field": `{"sovler":"pcg"}`,
 		"stale engine":  `{"engine":"par","ranks":4,"matrix":{"kind":"laplace2d","n":12}}`,
 		"stale rank":    `{"matrix":{"kind":"laplace2d","n":12},"faults":[{"iteration":2,"index":-1,"rank":1}]}`,
+		// Grid sides whose square wraps int64: to 0, and to a negative.
+		"grid n*n wraps to 0":     `{"matrix":{"kind":"laplace2d","n":4294967296}}`,
+		"grid n*n wraps negative": `{"matrix":{"kind":"convection","n":3037000500}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(body))

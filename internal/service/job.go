@@ -62,8 +62,9 @@ func (m *MatrixSpec) validate(maxRows int) error {
 		if m.N < 2 {
 			return fmt.Errorf("%w: matrix kind %q needs grid side n >= 2", ErrBadRequest, m.Kind)
 		}
-		if m.N*m.N > maxRows {
-			return fmt.Errorf("%w: matrix size %d exceeds the service limit %d", ErrBadRequest, m.N*m.N, maxRows)
+		// By division: a grid side near √MaxInt would wrap m.N*m.N.
+		if m.N > maxRows/m.N {
+			return fmt.Errorf("%w: matrix size %d² exceeds the service limit %d", ErrBadRequest, m.N, maxRows)
 		}
 	case "circuit", "spd", "diagdom":
 		if m.N < 2 {

@@ -1,9 +1,9 @@
 // Package solver implements the unprotected iterative methods the paper
-// targets (Fig. 1 and §6): Jacobi, Chebyshev, CG, preconditioned CG,
-// BiCGSTAB, preconditioned BiCGSTAB, conjugate residual and steepest
-// descent. These serve both as the fault-free performance baselines for the
-// overhead experiments and as the loop skeletons the ABFT schemes in
-// internal/core instrument.
+// targets (Fig. 1 and §6): Jacobi, Chebyshev, preconditioned CG and
+// BiCGSTAB (precond.Identity gives the plain methods), conjugate residual
+// and steepest descent. These serve both as the fault-free performance
+// baselines for the overhead experiments and as the loop skeletons the ABFT
+// schemes in internal/core instrument.
 package solver
 
 import (
@@ -82,12 +82,6 @@ func checkSystem(a *sparse.CSR, b []float64) error {
 	return nil
 }
 
-// CG solves the SPD system A·x = b with the (unpreconditioned) conjugate
-// gradient method.
-func CG(a *sparse.CSR, b []float64, opts Options) (Result, error) {
-	return PCG(a, precond.Identity(a.Rows), b, opts)
-}
-
 // PCG solves the SPD system A·x = b with the preconditioned conjugate
 // gradient method, following the loop of the paper's Fig. 1 exactly: one
 // MVM, one PCO, three vector updates and two dot products per iteration.
@@ -158,12 +152,6 @@ func PCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Re
 		return res, fmt.Errorf("%w: PCG after %d iterations (relres %.3e)", ErrNotConverged, res.Iterations, relres)
 	}
 	return res, nil
-}
-
-// BiCGSTAB solves the general system A·x = b with the unpreconditioned
-// biconjugate gradient stabilized method.
-func BiCGSTAB(a *sparse.CSR, b []float64, opts Options) (Result, error) {
-	return PBiCGSTAB(a, precond.Identity(a.Rows), b, opts)
 }
 
 // PBiCGSTAB solves A·x = b with the preconditioned BiCGSTAB method of van

@@ -36,7 +36,7 @@ func checkClose(t *testing.T, got, want []float64, tol float64) {
 func TestCGOnLaplacian(t *testing.T) {
 	a := sparse.Laplacian2D(12, 12)
 	b, xTrue := system(a, 1)
-	res, err := CG(a, b, Options{Tol: 1e-12})
+	res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestPBiCGSTABOnUnsymmetric(t *testing.T) {
 	}
 	checkClose(t, res.X, xTrue, 1e-6)
 
-	plain, err := BiCGSTAB(a, b, Options{Tol: 1e-12})
+	plain, err := PBiCGSTAB(a, precond.Identity(a.Rows), b, Options{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSteepestDescent(t *testing.T) {
 func TestNotConvergedError(t *testing.T) {
 	a := sparse.Laplacian2D(10, 10)
 	b, _ := system(a, 9)
-	_, err := CG(a, b, Options{Tol: 1e-14, MaxIter: 2})
+	_, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-14, MaxIter: 2})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("want ErrNotConverged, got %v", err)
 	}
@@ -168,14 +168,14 @@ func TestNotConvergedError(t *testing.T) {
 
 func TestDimensionErrors(t *testing.T) {
 	a := sparse.Laplacian2D(4, 4)
-	if _, err := CG(a, make([]float64, 3), Options{}); err == nil {
+	if _, err := PCG(a, precond.Identity(a.Rows), make([]float64, 3), Options{}); err == nil {
 		t.Fatalf("rhs mismatch accepted")
 	}
 	rect := sparse.NewCOO(3, 4).ToCSR()
-	if _, err := CG(rect, make([]float64, 3), Options{}); err == nil {
+	if _, err := PCG(rect, precond.Identity(rect.Rows), make([]float64, 3), Options{}); err == nil {
 		t.Fatalf("rectangular matrix accepted")
 	}
-	if _, err := CG(a, make([]float64, 16), Options{X0: make([]float64, 5)}); err == nil {
+	if _, err := PCG(a, precond.Identity(a.Rows), make([]float64, 16), Options{X0: make([]float64, 5)}); err == nil {
 		t.Fatalf("x0 mismatch accepted")
 	}
 }
@@ -184,7 +184,7 @@ func TestInitialGuess(t *testing.T) {
 	a := sparse.Laplacian2D(8, 8)
 	b, xTrue := system(a, 10)
 	// Starting at the exact solution converges in 0 iterations.
-	res, err := CG(a, b, Options{Tol: 1e-8, X0: xTrue})
+	res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-8, X0: xTrue})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestInitialGuess(t *testing.T) {
 
 func TestZeroRHS(t *testing.T) {
 	a := sparse.Laplacian2D(5, 5)
-	res, err := CG(a, make([]float64, a.Rows), Options{})
+	res, err := PCG(a, precond.Identity(a.Rows), make([]float64, a.Rows), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestZeroRHS(t *testing.T) {
 func TestResidualHistoryMonotoneOnSPD(t *testing.T) {
 	a := sparse.Laplacian2D(10, 10)
 	b, _ := system(a, 11)
-	res, err := CG(a, b, Options{Tol: 1e-10, RecordResiduals: true})
+	res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-10, RecordResiduals: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestCGSolvesRandomSPDProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := sparse.SPDRandom(60, 3, seed)
 		b, _ := system(a, seed+1)
-		res, err := CG(a, b, Options{Tol: 1e-10, MaxIter: 10000})
+		res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-10, MaxIter: 10000})
 		if err != nil {
 			return false
 		}
@@ -245,7 +245,7 @@ func TestBiCGSTABSolvesRandomProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		a := sparse.DiagDominant(60, 4, seed)
 		b, _ := system(a, seed+2)
-		res, err := BiCGSTAB(a, b, Options{Tol: 1e-10, MaxIter: 10000})
+		res, err := PBiCGSTAB(a, precond.Identity(a.Rows), b, Options{Tol: 1e-10, MaxIter: 10000})
 		if err != nil {
 			return false
 		}

@@ -23,12 +23,6 @@ func NewCOO(rows, cols int) *COO {
 	return &COO{rows: rows, cols: cols}
 }
 
-// Dims returns the matrix dimensions.
-func (c *COO) Dims() (rows, cols int) { return c.rows, c.cols }
-
-// NNZ returns the number of accumulated entries (before duplicate merging).
-func (c *COO) NNZ() int { return len(c.v) }
-
 // Grow reserves room for n more entries, so that a generator that knows
 // how many it will add (or a close upper bound) pays for one allocation per
 // array instead of a doubling and a copy every time it outgrows one. A

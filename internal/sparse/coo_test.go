@@ -228,8 +228,8 @@ func TestGrowReservesOnce(t *testing.T) {
 	}
 	c.Grow(0)
 	c.Grow(1) // no room left: one more array each, entries kept
-	if c.NNZ() != 42 {
-		t.Fatalf("NNZ = %d after Grow, want 42", c.NNZ())
+	if len(c.v) != 42 {
+		t.Fatalf("%d entries after Grow, want 42", len(c.v))
 	}
 	want := NewCOO(50, 50)
 	want.Add(3, 4, 1.5)

@@ -21,8 +21,8 @@ import (
 //
 // The pattern — Rows, Cols, RowPtr, ColIdx — is immutable once the matrix is
 // built: the row plan below and every TriSchedule's window onto RowPtr are
-// derived from it once and never again. Val may be edited in place (Scale,
-// the in-place factorizations). Everything in this package that builds a
+// derived from it once and never again. Val may be edited in place (the
+// in-place factorizations). Everything in this package that builds a
 // CSR ends by planning its rows; a CSR assembled as a literal has no plan
 // and multiplies by the plain row loop, which is also what the tests hold
 // the planned product to. Validate reports a plan that no longer matches
@@ -311,27 +311,6 @@ func (a *CSR) MulVecStride(y, x []float64, start, stride int) {
 	}
 }
 
-// MulTransVec computes y := Aᵀ·x without materializing the transpose.
-// y must not alias x.
-func (a *CSR) MulTransVec(y, x []float64) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("sparse: dimension mismatch in MulTransVec")
-	}
-	for i := range y {
-		y[i] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		xi := x[i]
-		//lint:ignore floatcmp exact-zero sparsity skip only avoids no-op work
-		if xi == 0 {
-			continue
-		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			y[a.ColIdx[k]] += a.Val[k] * xi
-		}
-	}
-}
-
 // NormInf returns the induced infinity norm max_i sum_j |a_ij|, the ‖A‖∞
 // appearing in the paper's lower bound for the scalar d (Lemma 2).
 func (a *CSR) NormInf() float64 {
@@ -343,17 +322,6 @@ func (a *CSR) NormInf() float64 {
 		}
 		if s > m {
 			m = s
-		}
-	}
-	return m
-}
-
-// MaxAbs returns the largest magnitude of any stored entry.
-func (a *CSR) MaxAbs() float64 {
-	var m float64
-	for _, v := range a.Val {
-		if av := math.Abs(v); av > m {
-			m = av
 		}
 	}
 	return m
@@ -436,13 +404,6 @@ func (a *CSR) IsDiagonallyDominant() bool {
 func (a *CSR) RowView(i int) (cols []int, vals []float64) {
 	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 	return a.ColIdx[lo:hi], a.Val[lo:hi]
-}
-
-// Scale multiplies every stored entry by s in place.
-func (a *CSR) Scale(s float64) {
-	for i := range a.Val {
-		a.Val[i] *= s
-	}
 }
 
 // Dense returns the dense row-major form of the matrix; intended for tests

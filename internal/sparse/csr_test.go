@@ -140,24 +140,6 @@ func TestMulVecRangeAndStride(t *testing.T) {
 	}
 }
 
-func TestMulTransVecMatchesTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randomCSR(rng, 11, 19, 70)
-	x := make([]float64, 11)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	y1 := make([]float64, 19)
-	a.MulTransVec(y1, x)
-	y2 := make([]float64, 19)
-	a.Transpose().MulVec(y2, x)
-	for i := range y1 {
-		if math.Abs(y1[i]-y2[i]) > 1e-12 {
-			t.Fatalf("MulTransVec[%d]=%v, transpose %v", i, y1[i], y2[i])
-		}
-	}
-}
-
 // Property: transposing twice is the identity.
 func TestTransposeInvolutionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
@@ -198,13 +180,10 @@ func TestDiag(t *testing.T) {
 	}
 }
 
-func TestNormInfAndMaxAbs(t *testing.T) {
+func TestNormInf(t *testing.T) {
 	a := Tridiag(5, -1, 2, -1)
 	if got := a.NormInf(); got != 4 {
 		t.Fatalf("NormInf: %v", got)
-	}
-	if got := a.MaxAbs(); got != 2 {
-		t.Fatalf("MaxAbs: %v", got)
 	}
 }
 
@@ -223,9 +202,11 @@ func TestSymmetryChecks(t *testing.T) {
 func TestScaleAndClone(t *testing.T) {
 	a := Tridiag(3, -1, 2, -1)
 	b := a.Clone()
-	b.Scale(2)
+	for i := range b.Val {
+		b.Val[i] *= 2
+	}
 	if a.At(0, 0) != 2 || b.At(0, 0) != 4 {
-		t.Fatalf("Scale affected the original or missed the clone")
+		t.Fatalf("scaling the clone's values reached the original or missed the clone")
 	}
 }
 

@@ -505,39 +505,6 @@ func Norm2(u []float64) float64 {
 	return s * math.Sqrt(q)
 }
 
-// NormInf returns the maximum absolute element of u.
-func NormInf(u []float64) float64 {
-	var m float64
-	for _, x := range u {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// Norm1 returns the sum of absolute values of u.
-func Norm1(u []float64) float64 {
-	var s float64
-	for _, x := range u {
-		s += math.Abs(x)
-	}
-	return s
-}
-
-// MaxAbsIndex returns the index of the element with the largest magnitude,
-// or -1 for an empty vector.
-func MaxAbsIndex(u []float64) int {
-	idx := -1
-	var m float64
-	for i, x := range u {
-		if a := math.Abs(x); idx < 0 || a > m {
-			m, idx = a, i
-		}
-	}
-	return idx
-}
-
 // Equal reports whether u and v agree element-wise to within tol in absolute
 // value. Vectors of different lengths are never equal.
 func Equal(u, v []float64, tol float64) bool {

@@ -108,12 +108,6 @@ func TestNorms(t *testing.T) {
 	if got := Norm2(u); !almostEqual(got, 5, 1e-15) {
 		t.Fatalf("Norm2: %v", got)
 	}
-	if got := NormInf(u); got != 4 {
-		t.Fatalf("NormInf: %v", got)
-	}
-	if got := Norm1(u); got != 7 {
-		t.Fatalf("Norm1: %v", got)
-	}
 	if got := Norm2(nil); got != 0 {
 		t.Fatalf("Norm2(nil): %v", got)
 	}
@@ -126,15 +120,6 @@ func TestNorm2Overflow(t *testing.T) {
 	want := 1e200 * math.Sqrt2
 	if math.IsInf(got, 1) || !almostEqual(got, want, 1e-14) {
 		t.Fatalf("Norm2 overflow: got %v, want %v", got, want)
-	}
-}
-
-func TestMaxAbsIndex(t *testing.T) {
-	if got := MaxAbsIndex(nil); got != -1 {
-		t.Fatalf("MaxAbsIndex(nil): %v", got)
-	}
-	if got := MaxAbsIndex([]float64{1, -5, 3}); got != 1 {
-		t.Fatalf("MaxAbsIndex: %v", got)
 	}
 }
 
