@@ -230,7 +230,8 @@ func drainClose(resp *http.Response) {
 
 // relay is the client side of one job. Nothing reaches the client before
 // the attempt that ends the job, except a stream's progress lines; the
-// header goes out with the first byte.
+// header goes out with the first byte. Only relayStream flushes: the bytes
+// that end the job go out when the handler returns.
 type relay struct {
 	w           http.ResponseWriter
 	stream      bool
@@ -246,9 +247,6 @@ func (rl *relay) write(status int, contentType string, b []byte) {
 		rl.wroteHeader = true
 	}
 	_, _ = rl.w.Write(b) //lint:ignore errdrop a client hangup only ends the relay early; nothing to recover
-	if f, ok := rl.w.(http.Flusher); ok && rl.stream {
-		f.Flush()
-	}
 }
 
 // upstreamEnd is how one attempt ended when it did not fail: saturated
@@ -265,9 +263,11 @@ type upstreamEnd struct {
 // saturated slots and re-dispatching after failed ones. A buffered reply is
 // read in full before a byte reaches the client, so a backend dying
 // mid-response is indistinguishable from one dying before it — both
-// re-dispatch. A stream's progress lines flow through as they arrive; if
-// the upstream dies before its terminal line, the client sees the next
-// attempt's lines on the same response.
+// re-dispatch. A stream's progress lines flow through as they arrive (see
+// relayStream); if the upstream dies before its terminal line, the client
+// sees the next attempt's lines on the same response. The line or reply
+// that ends the job is written unflushed: the handler returns right after
+// it, and net/http sends it with the end of the response in one write.
 func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, d *dispatch, body []byte) {
 	rl := &relay{w: w, stream: r.URL.Query().Get("stream") == "1"}
 	for {
@@ -359,36 +359,73 @@ type streamLine struct {
 	Error string `json:"error"`
 }
 
+// progressPrefix is how every progress line the service writes begins: its
+// progress encoder renders the event field first, byte for byte as
+// encoding/json would. Such a line is neither terminal nor an overload
+// error, so the relay passes it on without decoding it.
+var progressPrefix = []byte(`{"event":"progress",`)
+
 // relayStream copies upstream NDJSON lines to the client up to the terminal
 // line, which it returns unrelayed. A first line that is the service's
 // admission-overload error (exactly service.ErrOverloaded) is saturation:
 // route around, nothing relayed — which holds because admission is checked
 // before the first progress event exists. An upstream failure before the
 // terminal line returns the error.
+//
+// Delivery rule: a relayed line is flushed only when the reader holds no
+// complete further line, the moment the next read could block. Lines that
+// arrived together leave together, and nothing relayed waits on upstream.
 func (rl *relay) relayStream(resp *http.Response) (upstreamEnd, error) {
 	defer resp.Body.Close() //lint:ignore errdrop relay outcome is decided by the line loop; the close is cleanup
 	br := bufio.NewReader(resp.Body)
+	flusher, _ := rl.w.(http.Flusher)
 	first := true
 	//hot:loop proxy relay: one upstream NDJSON line per solver progress event
 	for {
-		line, rerr := br.ReadBytes('\n')
+		// A line points into br's buffer until the next read; the terminal
+		// one is returned with no read after it.
+		line, rerr := br.ReadSlice('\n')
+		//hot:cold a line longer than the buffer (a result carrying its solution) is copied whole
+		if rerr == bufio.ErrBufferFull {
+			line, rerr = readLong(br, line)
+		}
 		if len(line) > 0 {
-			var sl streamLine
-			//lint:ignore errdrop,hotalloc a malformed upstream line is still relayed verbatim; the two-field decode (one small boxed pointer per progress line) is what makes terminal-line detection possible at all
-			_ = json.Unmarshal(line, &sl)
-			if first && sl.Event == "error" && sl.Error == service.ErrOverloaded.Error() {
-				return upstreamEnd{retryAfter: 1}, nil
+			//hot:cold a line the progress encoder did not write: the terminal one, once per attempt
+			if !bytes.HasPrefix(line, progressPrefix) {
+				var sl streamLine
+				_ = json.Unmarshal(line, &sl) //lint:ignore errdrop a malformed upstream line is still relayed verbatim
+				if first && sl.Event == "error" && sl.Error == service.ErrOverloaded.Error() {
+					return upstreamEnd{retryAfter: 1}, nil
+				}
+				if sl.Event == "result" || sl.Event == "error" {
+					return upstreamEnd{status: http.StatusOK, contentType: ndjson, last: line}, nil
+				}
 			}
 			first = false
-			if sl.Event == "result" || sl.Event == "error" {
-				return upstreamEnd{status: http.StatusOK, contentType: ndjson, last: line}, nil
-			}
 			rl.write(http.StatusOK, ndjson, line)
+			if flusher != nil && !lineBuffered(br) {
+				flusher.Flush()
+			}
 		}
 		if rerr != nil {
 			return upstreamEnd{}, rerr
 		}
 	}
+}
+
+// readLong finishes a line that filled br's buffer: head, copied out of the
+// buffer, and the rest up to the newline.
+func readLong(br *bufio.Reader, head []byte) ([]byte, error) {
+	head = append([]byte(nil), head...)
+	rest, err := br.ReadBytes('\n')
+	return append(head, rest...), err
+}
+
+// lineBuffered reports whether br already holds a complete line, so that
+// reading it cannot block.
+func lineBuffered(br *bufio.Reader) bool {
+	buf, err := br.Peek(br.Buffered())
+	return err == nil && bytes.IndexByte(buf, '\n') >= 0
 }
 
 const ndjson = "application/x-ndjson"

@@ -122,12 +122,22 @@ type streamLine struct {
 // lines, ending with a "result" (or "error") line. The submitting goroutine
 // is joined through the result channel receive after the event channel
 // closes.
+//
+// Delivery rule: every line reaches the client before the handler waits
+// for the next event, and lines already queued share one write. A flush
+// costs a syscall, a TCP segment and a wakeup on the far side, so the loop
+// flushes only when the event channel is empty, the moment its receive
+// could block. The terminal line is not flushed: the handler returns right
+// after it, and net/http sends it with the chunk terminator in one write.
 func (s *Service) streamSolve(w http.ResponseWriter, r *http.Request, req Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	events := make(chan JobEvent, 128)
+	// The most events a job emits: start, cache, one attempt per try, one
+	// retry per retry and the result (a batched job emits 4), so a reader
+	// that stalls for the whole job drops none; 128 caps a large budget.
+	events := make(chan JobEvent, min(2*s.cfg.MaxRetries+4, 128))
 	type outcome struct {
 		resp *Response
 		err  error
@@ -147,7 +157,7 @@ func (s *Service) streamSolve(w http.ResponseWriter, r *http.Request, req Reques
 	//hot:loop serve-path NDJSON progress stream: one event per solver attempt step
 	for ev := range events {
 		_, _ = w.Write(enc.encodeProgress(&ev)) //lint:ignore errdrop a mid-stream client hangup only ends the stream early
-		if flusher != nil {
+		if flusher != nil && len(events) == 0 {
 			flusher.Flush()
 		}
 	}
@@ -158,9 +168,6 @@ func (s *Service) streamSolve(w http.ResponseWriter, r *http.Request, req Reques
 		line.Error = out.err.Error()
 	}
 	_ = json.NewEncoder(w).Encode(line) //lint:ignore errdrop the final line races a client hangup; nothing to recover
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func postJSON(t *testing.T, url string, body any) *http.Response {
@@ -229,6 +232,105 @@ func TestHTTPStream(t *testing.T) {
 	}
 	if !final.Converged || final.Attempts != 2 {
 		t.Fatalf("final converged=%v attempts=%d", final.Converged, final.Attempts)
+	}
+}
+
+// TestHTTPStreamDeliversBeforeWaiting: a progress line reaches the client
+// before the handler waits for the next event. The attempt line of a solve
+// that runs for a while must arrive while the job is still in flight.
+func TestHTTPStreamDeliversBeforeWaiting(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp := postJSON(t, srv.URL+"/solve?stream=1", Request{
+		Matrix: MatrixSpec{Kind: "laplace2d", N: 128},
+		Tol:    1e-12,
+	})
+	defer resp.Body.Close()
+	br := bufio.NewReader(resp.Body)
+	for {
+		b, err := br.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("stream ended before the attempt line: %v", err)
+		}
+		var line streamLine
+		if err := json.Unmarshal(b, &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", b, err)
+		}
+		if line.Event == "progress" && line.Job.Event == "attempt" {
+			break
+		}
+	}
+	if n := s.Stats().InFlight; n != 1 {
+		t.Fatalf("in flight %d when the attempt line arrived, want 1: the line waited for the solve", n)
+	}
+	rest, err := io.ReadAll(br)
+	if err != nil || !bytes.Contains(rest, []byte(`"event":"result"`)) {
+		t.Fatalf("stream tail %q (%v), want it to end in the result line", rest, err)
+	}
+}
+
+// stalledWriter is a ResponseWriter whose first Write blocks until release
+// closes: the stream's reader takes one event and then reads nothing more.
+type stalledWriter struct {
+	http.ResponseWriter
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (w *stalledWriter) Write(b []byte) (int, error) {
+	w.once.Do(func() { <-w.release })
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *stalledWriter) Flush() { w.ResponseWriter.(http.Flusher).Flush() }
+
+// TestHTTPStreamKeepsEveryEvent: a job that spends its whole retry budget
+// while its stream reads nothing until the job is over still delivers the
+// full timeline, and the service drops no event.
+func TestHTTPStreamKeepsEveryEvent(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4, MaxRetries: 1})
+	defer s.Close()
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(&stalledWriter{ResponseWriter: w, release: release}, r)
+	}))
+	defer srv.Close()
+
+	go func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for s.Stats().Completed+s.Stats().Failed == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+	}()
+	resp := postJSON(t, srv.URL+"/solve?stream=1", Request{
+		Matrix:       laplaceSpec(),
+		MaxRollbacks: 1,
+		Faults:       []FaultSpec{{Iteration: 2, Index: -1}, {Iteration: 12, Index: -1}},
+	})
+	defer resp.Body.Close()
+	var kinds []string
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var line streamLine
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if line.Event != "progress" {
+			kinds = append(kinds, line.Event)
+			continue
+		}
+		kinds = append(kinds, line.Job.Event)
+	}
+	want := []string{"start", "cache", "attempt", "retry", "attempt", "result", "result"}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("stream %v, want %v", kinds, want)
+	}
+	if n := s.Stats().EventsDropped; n != 0 {
+		t.Fatalf("events dropped = %d, want 0", n)
 	}
 }
 

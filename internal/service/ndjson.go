@@ -1,6 +1,9 @@
 package service
 
-import "strconv"
+import (
+	"strconv"
+	"unicode/utf8"
+)
 
 // progressEncoder hand-renders the per-event NDJSON progress line of a
 // streamed solve into a reusable buffer. encoding/json's Encoder walks the
@@ -47,16 +50,31 @@ const hexDigits = "0123456789abcdef"
 // appendJSONString appends s as a JSON string literal using the same
 // escaping rules as encoding/json with its default HTML escaping: quote,
 // backslash and control characters are escaped (\b, \f, \n, \r, \t get
-// their short forms, the rest \u00xx), and '<', '>', '&' become <, >,
-// & so the stream stays safe to embed. Valid non-ASCII UTF-8 passes
-// through unchanged, exactly as encoding/json leaves it; the event fields
-// are generated internally and are always valid UTF-8.
+// their short forms, the rest \u00XX), and '<', '>', '&' get \u00XX
+// escapes too, so the stream stays safe to embed. Valid non-ASCII UTF-8
+// passes through unchanged, except the JavaScript line terminators U+2028
+// and U+2029, which get \u20XX escapes; each byte of an invalid UTF-8
+// sequence becomes the escaped replacement character U+FFFD, so every
+// line is valid JSON.
 //
 //hot:loop string rendering for every progress event field
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
 		c := s[i]
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			switch {
+			case r == utf8.RuneError && size == 1:
+				b = append(b, '\\', 'u', 'f', 'f', 'f', 'd')
+			case r == 0x2028 || r == 0x2029:
+				b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+			default:
+				b = append(b, s[i:i+size]...)
+			}
+			i += size - 1
+			continue
+		}
 		switch {
 		case c == '"':
 			b = append(b, '\\', '"')

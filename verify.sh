@@ -36,10 +36,13 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan) =="
+echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress, router FuzzRelayStream, mmio FuzzRead) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
+go test -run Fuzz -fuzz='^$' ./internal/service/...
+go test -run Fuzz -fuzz='^$' ./internal/router/...
+go test -run Fuzz -fuzz='^$' ./internal/mmio/...
 
 echo "== leaves: which one this host ran, then the portable ones (AVX off; -tags purego: vec, kernel, checksum, sparse, precond, core, par) =="
 # On an amd64 with AVX the full blocks of every (Σ, Σ|·|) range run in
