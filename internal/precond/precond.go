@@ -49,9 +49,10 @@ const (
 // this package's constructors, where a zero pivot or a malformed factor is
 // reported, and never written again: preconditioners are shared across
 // service workers. A solve stage written as a literal, Stage{Op, M, Shape},
-// has none: every Apply and ApplyDotAbs builds (one pass over M, O(n) words)
-// and discards one, reporting what construction would have — same results,
-// same bits, at a price only tests should pay.
+// has none: every Apply and ApplyDotAbs builds (one pass over M, a second
+// over the strict triangle of a one-block factor that may run lagged, O(n)
+// words) and discards one, reporting what construction would have — same
+// results, same bits, at a price only tests should pay.
 type Stage struct {
 	Op    StageOp
 	M     *sparse.CSR

@@ -538,45 +538,53 @@ func TestSolveStagesScheduledAtConstruction(t *testing.T) {
 // TestSharedStagesApplyConcurrently: a preconditioner's stages are shared
 // by every worker that solves on its operator, so their schedules must be
 // read-only under Apply (run with -race) and every worker must get the
-// same bits.
+// same bits. Two kinds of schedule are shared: the 16 independent blocks of
+// a block-Jacobi factor, and the lagged segments of a plain ILU(0) of a
+// grid operator (one block, bandwidth 40, lag 1).
 func TestSharedStagesApplyConcurrently(t *testing.T) {
-	a := sparse.CircuitLike(2000, 5)
-	p, err := BlockJacobiILU0(a, 16)
+	circuit := sparse.CircuitLike(2000, 5)
+	bj, err := BlockJacobiILU0(circuit, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := a.Rows
-	in := randVecP(rand.New(rand.NewSource(3)), n)
-	want := make([]float64, n)
-	if err := p.Apply(want, in); err != nil {
+	ilu, err := ILU0(sparse.Laplacian2D(40, 40))
+	if err != nil {
 		t.Fatal(err)
 	}
-	const workers = 4
-	outs := make([][]float64, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := append([]float64(nil), in...)
-			lv := vec.NewLeaves(1, n)
-			for _, st := range p.Stages() {
-				if errs[w] = st.ApplyDotAbs(out, out, [][]float64{in}, lv); errs[w] != nil {
-					return
-				}
-			}
-			outs[w] = out
-		}(w)
-	}
-	wg.Wait()
-	for w := range outs {
-		if errs[w] != nil {
-			t.Fatal(errs[w])
+	for _, p := range []Preconditioner{bj, ilu} {
+		n := p.Dims()
+		in := randVecP(rand.New(rand.NewSource(3)), n)
+		want := make([]float64, n)
+		if err := p.Apply(want, in); err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if math.Float64bits(outs[w][i]) != math.Float64bits(want[i]) {
-				t.Fatalf("worker %d: out[%d] = %x, serial Apply %x", w, i, outs[w][i], want[i])
+		const workers = 4
+		outs := make([][]float64, workers)
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				out := append([]float64(nil), in...)
+				lv := vec.NewLeaves(1, n)
+				for _, st := range p.Stages() {
+					if errs[w] = st.ApplyDotAbs(out, out, [][]float64{in}, lv); errs[w] != nil {
+						return
+					}
+				}
+				outs[w] = out
+			}(w)
+		}
+		wg.Wait()
+		for w := range outs {
+			if errs[w] != nil {
+				t.Fatal(errs[w])
+			}
+			for i := range want {
+				if math.Float64bits(outs[w][i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s worker %d: out[%d] = %x, serial Apply %x", p.Name(), w, i, outs[w][i], want[i])
+				}
 			}
 		}
 	}

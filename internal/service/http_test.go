@@ -81,6 +81,10 @@ func TestHTTPValidationAndMethodErrors(t *testing.T) {
 		// Grid sides whose square wraps int64: to 0, and to a negative.
 		"grid n*n wraps to 0":     `{"matrix":{"kind":"laplace2d","n":4294967296}}`,
 		"grid n*n wraps negative": `{"matrix":{"kind":"convection","n":3037000500}}`,
+		// A generator degree past the bound, and one that would allocate
+		// until the process is killed.
+		"degree 65":   `{"matrix":{"kind":"spd","n":4,"degree":65}}`,
+		"degree 2^61": `{"matrix":{"kind":"spd","n":4,"degree":2305843009213693952}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(body))

@@ -36,7 +36,8 @@ type MatrixSpec struct {
 	N int `json:"n,omitempty"`
 	// Seed feeds the random generators (circuit, spd, diagdom).
 	Seed int64 `json:"seed,omitempty"`
-	// Degree is nonzeros per row for spd and diagdom (default 4).
+	// Degree is nonzeros per row for spd and diagdom (default 4, at most
+	// maxDegree).
 	Degree int `json:"degree,omitempty"`
 	// Beta is the convection coefficient for kind "convection".
 	Beta float64 `json:"beta,omitempty"`
@@ -46,6 +47,10 @@ type MatrixSpec struct {
 	Cols []int     `json:"cols,omitempty"`
 	Vals []float64 `json:"vals,omitempty"`
 }
+
+// maxDegree bounds MatrixSpec.Degree: the generators append degree entries
+// per row, so an unbounded degree is an unbounded allocation.
+const maxDegree = 64
 
 func (m *MatrixSpec) degree() int {
 	if m.Degree <= 0 {
@@ -57,6 +62,9 @@ func (m *MatrixSpec) degree() int {
 // validate checks the spec against the service's admission limits before
 // any O(n) work happens.
 func (m *MatrixSpec) validate(maxRows int) error {
+	if m.Degree > maxDegree {
+		return fmt.Errorf("%w: matrix degree %d exceeds %d", ErrBadRequest, m.Degree, maxDegree)
+	}
 	switch m.Kind {
 	case "laplace2d", "convection":
 		if m.N < 2 {

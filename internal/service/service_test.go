@@ -345,6 +345,9 @@ func TestValidation(t *testing.T) {
 		{"rhs length mismatch", Request{Matrix: laplaceSpec(), RHS: []float64{1, 2, 3}}},
 		{"bad fault site", Request{Matrix: laplaceSpec(), Faults: []FaultSpec{{Site: "gemm"}}}},
 		{"too many chaos faults", Request{Matrix: laplaceSpec(), ChaosFaults: 1000}},
+		{"degree past the bound", Request{Matrix: MatrixSpec{Kind: "spd", N: 4, Degree: maxDegree + 1}}},
+		{"degree 2^61", Request{Matrix: MatrixSpec{Kind: "spd", N: 4, Degree: 1 << 61}}},
+		{"diagdom degree past the bound", Request{Matrix: MatrixSpec{Kind: "diagdom", N: 4, Degree: maxDegree + 1}}},
 		{"inline triplet mismatch", Request{Matrix: MatrixSpec{Kind: "inline", Size: 2,
 			Rows: []int{0}, Cols: []int{0, 1}, Vals: []float64{1}}}},
 		{"inline index out of range", Request{Matrix: MatrixSpec{Kind: "inline", Size: 2,
@@ -357,6 +360,37 @@ func TestValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadRequest", err)
 			}
 		})
+	}
+}
+
+// TestMatrixDegreeBound: a generator degree of maxDegree is admitted and
+// solved; past it the request is refused before anything is built — a
+// degree of 2⁶¹ once made SPDRandom append entries until the process was
+// killed.
+func TestMatrixDegreeBound(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	for _, req := range []Request{
+		{Matrix: MatrixSpec{Kind: "spd", N: 200, Degree: maxDegree, Seed: 3}},
+		{Solver: "bicgstab", Matrix: MatrixSpec{Kind: "diagdom", N: 200, Degree: maxDegree, Seed: 3}},
+	} {
+		resp, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("%s degree %d: %v", req.Matrix.Kind, maxDegree, err)
+		}
+		if !resp.Converged {
+			t.Fatalf("%s degree %d: not converged", req.Matrix.Kind, maxDegree)
+		}
+	}
+	for _, degree := range []int{maxDegree + 1, 1 << 61} {
+		start := time.Now()
+		_, err := s.Submit(context.Background(), Request{Matrix: MatrixSpec{Kind: "spd", N: 4, Degree: degree}})
+		if !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("degree %d: got %v, want ErrBadRequest", degree, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("degree %d: refused after %v", degree, d)
+		}
 	}
 }
 

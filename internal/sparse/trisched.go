@@ -15,15 +15,20 @@ const triCoalesce = 32
 // the factor decided once: where each row's strict triangle lies in the
 // factor's own ColIdx/Val (O(n) words; the factor is not copied), the
 // pivots as an array, the zero-pivot and shape checks, and the boundaries
-// of the diagonal blocks that share no unknown. It is immutable after
-// NewTriSchedule and may be used from any number of goroutines.
+// of the diagonal blocks that share no unknown — or, for a factor that is
+// one banded block, of its segments. It is immutable after NewTriSchedule
+// and may be used from any number of goroutines.
 //
 // The bits are SolveLower's and SolveUpper's: every row subtracts its
 // stored products from b_i left to right and divides by the pivot. Rows of
 // two independent blocks never read each other's unknowns, so no
 // interleaving of them can reach an operand; Solve walks four blocks in
 // lockstep only to give the core four subtract–divide chains to overlap
-// instead of one (docs/kernels.md "Sparse sweep contract").
+// instead of one. A factor that is one block, and whose bandwidth w leaves
+// room, is walked as four consecutive segments of w rows instead, each
+// started λ rows behind the one before it in solve order, λ the least lag
+// at which every unknown a row reads is final when it is read
+// (docs/kernels.md "Sparse sweep contract").
 type TriSchedule struct {
 	m     *CSR
 	upper bool
@@ -32,12 +37,14 @@ type TriSchedule struct {
 	beg, end []int
 	diag     []float64 // pivots; nil for a unit diagonal
 	// units lists, in solve order, the five boundaries c₀ ≤ … ≤ c₄ of each
-	// step: the independent blocks [c₀, c₁) … [c₃, c₄) in lockstep, the
-	// trailing ones empty when fewer than four blocks were left — a single
-	// chain is (lo, hi, hi, hi, hi). The steps tile the rows contiguously,
-	// ascending for a lower factor and descending for an upper one, so every
-	// row on the solved side of a finished step is final.
+	// step: the independent blocks [c₀, c₁) … [c₃, c₄) — or the segments
+	// of one block — in lockstep, the trailing ones empty when fewer than
+	// four were left; a single chain is (lo, hi, hi, hi, hi). The steps tile
+	// the rows contiguously, ascending for a lower factor and descending for
+	// an upper one, so every row on the solved side of a finished step is
+	// final.
 	units []int
+	lag   int // λ when the units are segments, 0 when they are blocks
 }
 
 // NewTriSchedule builds the solve schedule of the triangular factor m:
@@ -66,8 +73,10 @@ func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
 		t.diag = make([]float64, n)
 	}
 	// reach[i] is the farthest unknown row i reads: its smallest strict
-	// column in a lower factor, its largest in an upper one.
+	// column in a lower factor, its largest in an upper one; band is the
+	// farthest any row reads.
 	reach := make([]int, n)
+	band := 0
 	for i := 0; i < n; i++ {
 		// Peel the strict triangle off its end of the sorted row; the pivot
 		// and the ignored side are what is left in [lo, hi).
@@ -84,6 +93,7 @@ func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
 			}
 			cut[i] = lo
 		}
+		band = max(band, reach[i]-i, i-reach[i])
 		pivot := 0.0
 		for k := lo; k < hi; k++ {
 			switch j := m.ColIdx[k]; {
@@ -102,8 +112,69 @@ func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
 		}
 		t.diag[i] = pivot
 	}
-	t.units = triUnits(triBlocks(reach, upper), upper)
+	blocks := triBlocks(reach, upper)
+	// A lag pays when the prologue and epilogue, 3λ rows of each segment
+	// outside the four-way steady state, stay under half a segment.
+	if len(blocks) == 2 && band > 0 && n >= 4*band {
+		if lag := t.segmentLag(band); lag > 0 && 6*lag < band {
+			t.lag, t.units = lag, lagUnits(n, band, upper)
+			return t, nil
+		}
+	}
+	t.units = triUnits(blocks, upper)
 	return t, nil
+}
+
+// segmentLag returns λ for the segments [s·w, (s+1)·w) of the rows, w the
+// bandwidth, the last one cut short at n, grouped four at a time as
+// lagUnits groups them. A row reads its own segment and the one before it
+// in solve order, its leader; an unknown there at distance d from the row
+// sits ℓ − d rows further into the leader than the row is into its own,
+// each counted from where the substitution enters it and ℓ the leader's
+// length, so the row may run once the leader is more than ℓ − d rows ahead.
+// λ is one more than the largest ℓ − d over the entries that cross a
+// boundary inside a unit — a unit's leading segment reads only units
+// already solved — and 0 when none does. It stops early, returning what it
+// has, once λ is past any use.
+func (t *TriSchedule) segmentLag(w int) int {
+	n, lag := len(t.beg), 0
+	colIdx, beg, end := t.m.ColIdx, t.beg, t.end[:n]
+	for s, seg := 0, 0; seg < n && 6*lag < w; s, seg = s+1, seg+w {
+		if (!t.upper && s%4 == 0) || (t.upper && s%4 == 3) {
+			continue // a unit's leading segment
+		}
+		next, lead := min(seg+w, n), w // a lower factor's leader is whole
+		if t.upper {
+			lead = min(next+w, n) - next
+		}
+		for i := seg; i < next; i++ {
+			for _, j := range colIdx[beg[i]:end[i]] {
+				if j < seg || j >= next {
+					lag = max(lag, lead+1-max(i-j, j-i))
+				}
+			}
+		}
+	}
+	return lag
+}
+
+// lagUnits groups the segments [s·w, (s+1)·w) of the rows [0, n) — the last
+// one cut short at n — four at a time in solve order, from the top for a
+// lower factor and from the bottom for an upper one. The unit at the far
+// end of the rows may have fewer than four, its trailing boundaries at n.
+func lagUnits(n, w int, upper bool) []int {
+	k := (n + 4*w - 1) / (4 * w)
+	units := make([]int, 0, 5*k)
+	for u := 0; u < k; u++ {
+		lo := 4 * w * u
+		if upper {
+			lo = 4 * w * (k - 1 - u)
+		}
+		for j := 0; j <= 4; j++ {
+			units = append(units, min(lo+j*w, n))
+		}
+	}
+	return units
 }
 
 // triBlocks returns the boundaries 0 = c₀ < … < c_k = n of the independent
@@ -113,13 +184,17 @@ func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
 // merged into a neighbour, which keeps the union independent of the rest.
 func triBlocks(reach []int, upper bool) []int {
 	n := len(reach)
+	// The running extreme stays in a register: reloading the element just
+	// stored put a store-to-load forward on every row's critical path.
 	if upper {
-		for i := 1; i < n; i++ {
-			reach[i] = max(reach[i], reach[i-1]) // the farthest any row ≤ i reads
+		for i, far := 0, 0; i < n; i++ {
+			far = max(far, reach[i])
+			reach[i] = far // the farthest any row ≤ i reads
 		}
 	} else {
-		for i := n - 2; i >= 0; i-- {
-			reach[i] = min(reach[i], reach[i+1]) // the farthest any row ≥ i reads
+		for i, far := n-1, n; i >= 0; i-- {
+			far = min(far, reach[i])
+			reach[i] = far // the farthest any row ≥ i reads
 		}
 	}
 	blocks := make([]int, 1, n/triCoalesce+2) // no block but the last is shorter than triCoalesce
@@ -232,33 +307,63 @@ func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leav
 	return nil
 }
 
-// lockstep solves the independent blocks [c[j], c[j+1]) of one unit: all
-// four a row each per trip while all four have rows left, then what is left
-// two blocks at a time, then one. A chain is where a block has got to: its
-// first row not final and how many are left.
+// lockstep solves the chains [c[j], c[j+1]) of one unit. Independent
+// blocks (lag 0) run all four a row each per trip while all four have rows
+// left, then what is left two blocks at a time, then one. The segments of a
+// lagged unit start λ rows apart in solve order — the lowest segment of a
+// lower factor leads, the highest of an upper one — and every segment that
+// has started runs on each trip, which keeps each λ rows behind its leader:
+// one alone, two as a pair, three as a pair and then the third alone over
+// the same rows (it reads only what the pair has finished), and the steady
+// state four at a time. A chain is where a block has got to: its first row
+// not final, how many are left and how many rows it waits before it starts.
 //
 //hot:loop one unit of the triangular solve
 func (t *TriSchedule) lockstep(x, b []float64, c []int) {
-	var at, left [4]int
+	if c[1] == c[4] {
+		// A single chain — a leaf of a one-block factor that is not lagged,
+		// or a block left without a partner — needs none of what follows.
+		t.chain(x, b, c[0], c[1])
+		return
+	}
+	var at, left, wait [4]int
 	n := 0
 	for j := range at {
-		if c[j+1] > c[j] {
-			at[n], left[n] = c[j], c[j+1]-c[j]
+		s := j
+		if t.lag > 0 && t.upper {
+			s = 3 - j // the highest segment leads
+		}
+		if c[s+1] > c[s] {
+			at[n], left[n], wait[n] = c[s], c[s+1]-c[s], n*t.lag
 			n++
 		}
 	}
 	for n > 0 {
-		// k rows of the first `width` chains from the end the substitution
-		// starts at, which for an upper factor is the far end of what is left.
+		// The first chain runs whatever it waits: its leader, if any, is done.
+		started := 1
+		for started < n && wait[started] == 0 {
+			started++
+		}
+		// k rows of the first `width` chains — and of a third alone, in a
+		// lagged unit — from the end the substitution starts at, which for an
+		// upper factor is the far end of what is left; no further than the
+		// next chain's start.
 		width, k := 1, left[0]
-		if n >= 2 {
+		if started >= 2 {
 			width, k = 2, min(k, left[1])
 		}
-		if n == 4 {
+		if started == 4 {
 			width, k = 4, min(k, left[2], left[3])
 		}
+		runs := width
+		if started == 3 && t.lag > 0 {
+			runs, k = 3, min(k, left[2])
+		}
+		if started < n {
+			k = min(k, wait[started])
+		}
 		var from [4]int
-		for j := 0; j < width; j++ {
+		for j := 0; j < runs; j++ {
 			from[j] = at[j]
 			left[j] -= k
 			if t.upper {
@@ -267,18 +372,26 @@ func (t *TriSchedule) lockstep(x, b []float64, c []int) {
 				at[j] += k
 			}
 		}
-		switch width {
-		case 4:
+		for j := started; j < n; j++ {
+			wait[j] -= k
+		}
+		switch {
+		case width == 4 && t.lag > 0:
+			t.segQuad(x, b, from, k)
+		case width == 4:
 			t.quad(x, b, from, k)
-		case 2:
+		case width == 2:
 			t.pair(x, b, from[0], from[1], k)
 		default:
 			t.chain(x, b, from[0], from[0]+k)
 		}
+		if runs == 3 {
+			t.chain(x, b, from[2], from[2]+k)
+		}
 		m := 0
 		for j := 0; j < n; j++ {
 			if left[j] > 0 {
-				at[m], left[m] = at[j], left[j]
+				at[m], left[m], wait[m] = at[j], left[j], wait[j]
 				m++
 			}
 		}
@@ -329,11 +442,12 @@ func (t *TriSchedule) chain(x, b []float64, lo, hi int) {
 	}
 }
 
-// pair solves the n rows from i and the n rows from j, two independent
-// blocks, in lockstep. Neither chain reads what the other writes, so each
-// row's operands — and bits — are those of chain.
+// pair solves the n rows from i and the n rows from j — two independent
+// blocks, or two lagged segments — in lockstep. Neither chain reads what
+// the other writes on the same trip, so each row's operands — and bits —
+// are those of chain.
 //
-//hot:loop two independent substitution chains in lockstep
+//hot:loop two substitution chains in lockstep
 func (t *TriSchedule) pair(x, b []float64, i, j, n int) {
 	begI, endI, xi, bi := t.beg[i:][:n], t.end[i:][:n], x[i:][:n], b[i:][:n]
 	begJ, endJ, xj, bj := t.beg[j:][:n], t.end[j:][:n], x[j:][:n], b[j:][:n]
@@ -402,6 +516,66 @@ func (t *TriSchedule) quad(x, b []float64, at [4]int, n int) {
 		sj := triRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
 		sk := triRow(bk[r], colIdx[begK[r]:endK[r]], val[begK[r]:endK[r]], x)
 		sl := triRow(bl[r], colIdx[begL[r]:endL[r]], val[begL[r]:endL[r]], x)
+		if r < len(di) {
+			si /= di[r]
+			sj /= dj[r]
+			sk /= dk[r]
+			sl /= dl[r]
+		}
+		xi[r], xj[r], xk[r], xl[r] = si, sj, sk, sl
+	}
+}
+
+// segRow is triRow for the steady state of a lagged unit: a row of exactly
+// two strict entries — almost every row of a 5-point factor — is written
+// out, the same two subtractions in the same order, without the loop.
+//
+//hot:loop the substitution inner loop of a lagged unit, inlined into segQuad
+func segRow(s float64, cols []int, vals, x []float64) float64 {
+	if len(cols) == 2 {
+		vals = vals[:2]
+		return s - vals[0]*x[cols[0]] - vals[1]*x[cols[1]]
+	}
+	return triRow(s, cols, vals, x)
+}
+
+// segQuad is quad for the steady state of a lagged unit: four consecutive
+// segments, each λ rows behind the one before it, so that every unknown a
+// row reads was written on an earlier trip and none on this one.
+//
+//hot:loop four lagged segments of one block in lockstep
+func (t *TriSchedule) segQuad(x, b []float64, at [4]int, n int) {
+	begI, endI, xi, bi := t.beg[at[0]:][:n], t.end[at[0]:][:n], x[at[0]:][:n], b[at[0]:][:n]
+	begJ, endJ, xj, bj := t.beg[at[1]:][:n], t.end[at[1]:][:n], x[at[1]:][:n], b[at[1]:][:n]
+	begK, endK, xk, bk := t.beg[at[2]:][:n], t.end[at[2]:][:n], x[at[2]:][:n], b[at[2]:][:n]
+	begL, endL, xl, bl := t.beg[at[3]:][:n], t.end[at[3]:][:n], x[at[3]:][:n], b[at[3]:][:n]
+	var di, dj, dk, dl []float64
+	if t.diag != nil {
+		di, dj, dk, dl = t.diag[at[0]:][:n], t.diag[at[1]:][:n], t.diag[at[2]:][:n], t.diag[at[3]:][:n]
+	}
+	dj, dk, dl = dj[:len(di)], dk[:len(di)], dl[:len(di)]
+	colIdx, val := t.m.ColIdx, t.m.Val
+	if t.upper {
+		for r := n - 1; r >= 0; r-- {
+			si := segRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+			sj := segRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+			sk := segRow(bk[r], colIdx[begK[r]:endK[r]], val[begK[r]:endK[r]], x)
+			sl := segRow(bl[r], colIdx[begL[r]:endL[r]], val[begL[r]:endL[r]], x)
+			if r < len(di) {
+				si /= di[r]
+				sj /= dj[r]
+				sk /= dk[r]
+				sl /= dl[r]
+			}
+			xi[r], xj[r], xk[r], xl[r] = si, sj, sk, sl
+		}
+		return
+	}
+	for r := 0; r < n; r++ {
+		si := segRow(bi[r], colIdx[begI[r]:endI[r]], val[begI[r]:endI[r]], x)
+		sj := segRow(bj[r], colIdx[begJ[r]:endJ[r]], val[begJ[r]:endJ[r]], x)
+		sk := segRow(bk[r], colIdx[begK[r]:endK[r]], val[begK[r]:endK[r]], x)
+		sl := segRow(bl[r], colIdx[begL[r]:endL[r]], val[begL[r]:endL[r]], x)
 		if r < len(di) {
 			si /= di[r]
 			sj /= dj[r]

@@ -125,7 +125,9 @@ func checkTriSchedule(t *testing.T, rng *rand.Rand, m *CSR, shape triShape) *Tri
 			t.Fatalf("%s n=%d %s: x[%d] = %x, reference %x", shape.name, n, what, i, got[i], want[i])
 		}
 	}
-	got := make([]float64, n)
+	// An output starts as NaN, so a row that reads an unknown before it is
+	// written cannot match the reference.
+	got := nans(n)
 	if err := sched.Solve(got, b); err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func checkTriSchedule(t *testing.T, rng *rand.Rand, m *CSR, shape triShape) *Tri
 		lv := vec.NewLeaves(k, n)
 		for _, inPlace := range []bool{false, true} {
 			src := append([]float64(nil), b...)
-			dst := make([]float64, n)
+			dst := nans(n)
 			if inPlace {
 				dst = src
 			}
@@ -165,6 +167,15 @@ func checkTriSchedule(t *testing.T, rng *rand.Rand, m *CSR, shape triShape) *Tri
 		}
 	}
 	return sched
+}
+
+// nans returns n NaNs.
+func nans(n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		x[i] = math.NaN()
+	}
+	return x
 }
 
 // scheduleBlocks recovers the block boundaries a schedule walks and checks
@@ -261,6 +272,10 @@ func independentCut(m *CSR, upper bool, c int) bool {
 func checkBlocks(t *testing.T, m *CSR, s *TriSchedule) {
 	t.Helper()
 	n := m.Rows
+	if s.lag > 0 {
+		checkLag(t, m, s)
+		return
+	}
 	blocks := scheduleBlocks(t, s)
 	for b := 0; b+1 < len(blocks); b++ {
 		lo, hi := blocks[b], blocks[b+1]
@@ -276,6 +291,178 @@ func checkBlocks(t *testing.T, m *CSR, s *TriSchedule) {
 			}
 		}
 	}
+}
+
+// bandwidth is the brute-force farthest any row of m's strict triangle
+// reads from its own index.
+func bandwidth(m *CSR, upper bool) int {
+	w := 0
+	for i := 0; i < m.Rows; i++ {
+		cols, _ := m.RowView(i)
+		for _, j := range cols {
+			if j != i && (j > i) == upper {
+				w = max(w, j-i, i-j)
+			}
+		}
+	}
+	return w
+}
+
+// lagSteps replays a lagged schedule at the given lag: the step at which
+// each row is written, every unit's steps after the unit before it, the
+// leading segment's rows from the unit's first step and each later segment
+// lag steps behind the one before it — the lowest segment leading in a
+// lower factor, the highest in an upper one.
+func lagSteps(s *TriSchedule, lag int) []int {
+	step := make([]int, s.m.Rows)
+	base := 0
+	for u := 0; u < len(s.units); u += 5 {
+		c := s.units[u : u+5]
+		next, started := base, 0
+		for k := 0; k < 4; k++ {
+			seg := k
+			if s.upper {
+				seg = 3 - k
+			}
+			lo, hi := c[seg], c[seg+1]
+			if lo == hi {
+				continue
+			}
+			for r := 0; r < hi-lo; r++ {
+				i := lo + r
+				if s.upper {
+					i = hi - 1 - r
+				}
+				step[i] = base + started*lag + r
+				next = max(next, step[i]+1)
+			}
+			started++
+		}
+		base = next
+	}
+	return step
+}
+
+// unreadyRead is the dependency oracle: the first strict entry (i, j) of m
+// whose unknown x_j is not written at an earlier step than row i, or ok.
+func unreadyRead(m *CSR, upper bool, step []int) (i, j int, ok bool) {
+	for i := 0; i < m.Rows; i++ {
+		cols, _ := m.RowView(i)
+		for _, j := range cols {
+			if j != i && (j > i) == upper && step[j] >= step[i] {
+				return i, j, false
+			}
+		}
+	}
+	return 0, 0, true
+}
+
+// checkLag holds a lagged schedule to the rule that chose it and to the
+// dependency oracle: the factor is one block with room for four segments
+// of its bandwidth w and a lag under w/6; the units are the segments
+// [s·w, (s+1)·w) four at a time, tiling the rows in solve order; replayed
+// step by step at the schedule's lag every row reads only unknowns already
+// written, and at one less some row does not.
+func checkLag(t *testing.T, m *CSR, s *TriSchedule) {
+	t.Helper()
+	n, w := m.Rows, bandwidth(m, s.upper)
+	if n < 4*w || 6*s.lag >= w {
+		t.Fatalf("lag %d chosen for n=%d, bandwidth %d", s.lag, n, w)
+	}
+	for c := triCoalesce; c <= n-triCoalesce; c++ {
+		if independentCut(m, s.upper, c) {
+			t.Fatalf("lag %d chosen for a factor with an independent cut at %d", s.lag, c)
+		}
+	}
+	edge := 0 // where the next unit must start (lower) or end (upper)
+	if s.upper {
+		edge = n
+	}
+	for u := 0; u < len(s.units); u += 5 {
+		c := s.units[u : u+5]
+		lo := c[0]
+		if lo%(4*w) != 0 {
+			t.Fatalf("unit %v does not start on a group of four segments of %d", c, w)
+		}
+		for j, b := range c {
+			if b != min(lo+j*w, n) {
+				t.Fatalf("unit %v is not four segments of %d rows", c, w)
+			}
+		}
+		if (!s.upper && lo != edge) || (s.upper && c[4] != edge) {
+			t.Fatalf("unit %v does not continue at %d", c, edge)
+		}
+		edge = c[4]
+		if s.upper {
+			edge = lo
+		}
+	}
+	if (s.upper && edge != 0) || (!s.upper && edge != n) {
+		t.Fatalf("units stop at %d of %d rows", edge, n)
+	}
+	if i, j, ok := unreadyRead(m, s.upper, lagSteps(s, s.lag)); !ok {
+		t.Fatalf("lag %d: row %d reads x[%d] before it is written", s.lag, i, j)
+	}
+	if _, _, ok := unreadyRead(m, s.upper, lagSteps(s, s.lag-1)); ok {
+		t.Fatalf("lag %d is not the least: %d would do", s.lag, s.lag-1)
+	}
+}
+
+// bandTriangle draws a triangular factor of n rows with bandwidth exactly w
+// (every row from w on reads the unknown w before it, as a grid row reads
+// the one below) whose least lag is exactly lag, 1 ≤ lag ≤ w: rows chain to
+// their neighbour and read earlier rows inside their segment [s·w, (s+1)·w),
+// and reach into the segment before only at distances the lag allows, the
+// first row of the second segment at the nearest. An upper factor is the
+// same pattern mirrored. Values and wrongSide are as in blockTriangle.
+func bandTriangle(rng *rand.Rand, n, w, lag int, upper, wrongSide bool) *CSR {
+	val := func() float64 { return rng.NormFloat64() * math.Exp2(float64(-3-rng.Intn(20))) }
+	c := NewCOO(n, n)
+	add := func(i, j int) { // the strict entry row i reads x_j, on the factor's side
+		if upper {
+			i, j = j, i
+		}
+		c.Add(i, j, val())
+	}
+	for i := 0; i < n; i++ {
+		c.Add(i, i, 1+rng.Float64())
+		seg := i / w * w
+		if i >= w {
+			add(i, i-w)
+		}
+		if i > seg {
+			add(i, i-1)
+			if rng.Intn(3) == 0 {
+				add(i, seg+rng.Intn(i-seg))
+			}
+		}
+		if d := w + 1 - lag + rng.Intn(lag); rng.Intn(4) == 0 && d > i-seg && d <= i {
+			add(i, i-d)
+		}
+		if wrongSide {
+			if j := rng.Intn(n); (j > i) != upper && j != i {
+				c.Add(i, j, val())
+			}
+		}
+	}
+	if n > w {
+		add(w, lag-1)
+	}
+	return c.ToCSR()
+}
+
+// iluPattern returns the lower and upper triangles of a, which have the
+// pattern of its ILU(0) factors — all the schedule reads of them — scaled
+// by 1/‖a‖∞ so that a unit-diagonal solve of the lower one cannot overflow.
+func iluPattern(a *CSR) (l, u *CSR) {
+	l, u = a.LowerTriangle(), a.UpperTriangle()
+	s := 1 / a.NormInf()
+	for _, m := range []*CSR{l, u} {
+		for k := range m.Val {
+			m.Val[k] *= s
+		}
+	}
+	return l, u
 }
 
 func TestTriScheduleMatchesReferenceBitwise(t *testing.T) {
@@ -324,6 +511,46 @@ func TestTriScheduleMatchesReferenceBitwise(t *testing.T) {
 			m := blockTriangle(rng, tc.sizes, shape.upper, tc.empty, tc.wrong)
 			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
 				checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
+			})
+		}
+	}
+	// ILU(0) patterns — L for the unit shape, U, and Uᵀ as a lower factor
+	// with pivots — of the operators whose one-block factors run lagged, and of
+	// those that fall back to leaf-cut chains (checkBlocks holds a one-block
+	// factor to one block): too few segments, a lag too long for the
+	// segment, a rank block cut in the middle of a grid row, a circuit.
+	lap := Laplacian2D(40, 30)
+	for _, tc := range []struct {
+		name string
+		a    *CSR
+		lag  int // 0: not lagged
+	}{
+		{"ilu0 Laplacian2D(60,60)", Laplacian2D(60, 60), 1},
+		{"ilu0 Laplacian2D(50,37)", Laplacian2D(50, 37), 1},
+		{"ilu0 Laplacian2D(40,7)", Laplacian2D(40, 7), 1},
+		{"ilu0 Laplacian2D(40,6), lag too long", Laplacian2D(40, 6), 0},
+		{"ilu0 Laplacian2D(3,50), three segments", Laplacian2D(3, 50), 0},
+		{"ilu0 ConvectionDiffusion2D(40,30)", ConvectionDiffusion2D(40, 30, 0.5), 1},
+		{"ilu0 Laplacian3D(10,9,8)", Laplacian3D(10, 9, 8), 1},
+		{"ilu0 rank block 2 of 2", lap.SubMatrix(600, 1200), 1},
+		{"ilu0 rank block 2 of 3, mid grid row", lap.SubMatrix(400, 800), 0},
+		{"ilu0 CircuitLike(1600), one block", CircuitLike(1600, 3), 0},
+	} {
+		l, u := iluPattern(tc.a)
+		for _, shape := range triShapes {
+			m := l
+			switch {
+			case shape.upper:
+				m = u
+			case !shape.unit:
+				m = u.Transpose()
+			}
+			t.Run(tc.name+"/"+shape.name, func(t *testing.T) {
+				s := checkTriSchedule(t, rng, m, shape)
+				if s.lag != tc.lag {
+					t.Fatalf("lag %d, want %d", s.lag, tc.lag)
+				}
+				checkBlocks(t, m, s)
 			})
 		}
 	}
@@ -398,6 +625,67 @@ func TestTriScheduleBlocksProperty(t *testing.T) {
 	}
 }
 
+// TestTriScheduleLagProperty: random banded one-block factors, every lag
+// from 1 to past the rule's limit and lengths from under four segments up.
+// Each is lagged exactly when the rule says — and then held to the
+// dependency oracle, its lag the least that works — or else walked as
+// leaf-cut chains (checkBlocks: a one-block factor has no cut to walk);
+// the solve always matches the reference.
+func TestTriScheduleLagProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 60; trial++ {
+		w := 7 + rng.Intn(60)
+		lag := 1 + rng.Intn(w/4)
+		n := w + 1 + rng.Intn(8*w)
+		shape := triShapes[trial%len(triShapes)]
+		m := bandTriangle(rng, n, w, lag, shape.upper, trial%2 == 0)
+		s := checkTriSchedule(t, rng, m, shape)
+		checkBlocks(t, m, s)
+		want := lag
+		if n < 4*w || 6*lag >= w {
+			want = 0
+		}
+		if s.lag != want {
+			t.Fatalf("%s n=%d w=%d: lag %d, want %d", shape.name, n, w, s.lag, want)
+		}
+	}
+}
+
+// TestTriScheduleAllocs: the lag analysis allocates nothing beyond the
+// arrays NewTriSchedule built before it existed — the schedule, its cut,
+// the reach scratch, the block list, the units and a non-unit factor's
+// pivots — and a lagged solve, plain or fused, allocates nothing.
+func TestTriScheduleAllocs(t *testing.T) {
+	l, u := iluPattern(Laplacian2D(150, 150))
+	n := l.Rows
+	for _, tc := range []struct {
+		name        string
+		m           *CSR
+		upper, unit bool
+		allocs      float64
+	}{
+		{"lowerunit", l, false, true, 5},
+		{"upper", u, true, false, 6},
+	} {
+		var s *TriSchedule
+		var err error
+		if a := testing.AllocsPerRun(5, func() { s, err = NewTriSchedule(tc.m, tc.upper, tc.unit) }); err != nil || a != tc.allocs {
+			t.Fatalf("%s: NewTriSchedule allocates %v times (err %v), want %v", tc.name, a, err, tc.allocs)
+		}
+		if s.lag == 0 {
+			t.Fatalf("%s: the ILU(0) pattern of Laplacian2D(150,150) is not lagged", tc.name)
+		}
+		x, b := make([]float64, n), make([]float64, n)
+		rows, lv := [][]float64{make([]float64, n)}, vec.NewLeaves(1, n)
+		if a := testing.AllocsPerRun(5, func() { err = s.Solve(x, b) }); err != nil || a != 0 {
+			t.Errorf("%s: Solve allocates %v times (err %v)", tc.name, a, err)
+		}
+		if a := testing.AllocsPerRun(5, func() { err = s.SolveDotAbs(x, b, rows, lv) }); err != nil || a != 0 {
+			t.Errorf("%s: SolveDotAbs allocates %v times (err %v)", tc.name, a, err)
+		}
+	}
+}
+
 // chainedBlocks is blockTriangle with every row chained to its neighbour
 // inside the block, so that no block splits into smaller independent ones.
 func chainedBlocks(rng *rand.Rand, sizes []int, upper bool) *CSR {
@@ -459,11 +747,23 @@ func TestNewTriScheduleErrors(t *testing.T) {
 
 // FuzzTriSchedule draws a block-structured triangle of either shape from
 // the fuzzed parameters and holds its schedule to the reference loop and
-// the oracle. Seeds live in testdata/fuzz/FuzzTriSchedule.
+// the oracles. With the top bit of nblocks set it draws one banded block
+// instead, of bandwidth 1 + nblocks mod 64 and lag 1 + emptyPct mod that.
+// Seeds live in testdata/fuzz/FuzzTriSchedule.
 func FuzzTriSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, nblocks, emptyPct uint16, upper, unit, wrongSide bool) {
 		rng := rand.New(rand.NewSource(seed))
 		rows := int(n) % 600
+		shape := triShape{"fuzz", upper, unit && !upper}
+		if nblocks >= 1<<15 {
+			w := 1 + int(nblocks)%64
+			if rows <= w {
+				return
+			}
+			m := bandTriangle(rng, rows, w, 1+int(emptyPct)%w, upper, wrongSide)
+			checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
+			return
+		}
 		sizes := make([]int, 0, int(nblocks)%40+1)
 		for left := rows; left > 0; {
 			s := left
@@ -473,7 +773,6 @@ func FuzzTriSchedule(f *testing.F) {
 			sizes = append(sizes, s)
 			left -= s
 		}
-		shape := triShape{"fuzz", upper, unit && !upper}
 		m := blockTriangle(rng, sizes, upper, float64(emptyPct%101)/100, wrongSide)
 		checkBlocks(t, m, checkTriSchedule(t, rng, m, shape))
 	})

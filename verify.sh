@@ -67,8 +67,10 @@ echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 
-echo "== go test -race (par, core, service, kernel, router); par and router once more on one P =="
-go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/...
+echo "== go test -race (par, core, service, kernel, router, sparse, precond); par and router once more on one P =="
+# sparse and precond: a TriSchedule is shared by every worker solving on
+# its operator (precond.TestSharedStagesApplyConcurrently).
+go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/... ./internal/sparse/... ./internal/precond/...
 # A rank's receive polls before it parks; on one P the rank it waits for runs
 # only if the poll yields, so every change exercises the yield. The router's
 # pick reads in-flight counts that other handlers move, and on one P those
