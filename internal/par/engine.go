@@ -283,13 +283,8 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 	var setupErr error
 	if withPrecond {
 		// Local block preconditioner: ILU(0) of the diagonal block, exactly
-		// block-Jacobi with blocks = ranks. The factorization leaves its
-		// input alone, so a team of one factors a itself.
-		blk := a
-		if c.Size() > 1 {
-			blk = a.SubMatrix(lo, hi)
-		}
-		mLocal, err := precond.ILU0(blk)
+		// block-Jacobi with blocks = ranks, factored where it is cut from a.
+		mLocal, err := precond.ILU0Block(a, lo, hi)
 		if err != nil {
 			setupErr = fmt.Errorf("par: rank %d ILU(0): %w", c.Rank(), err)
 		} else {

@@ -153,12 +153,12 @@ func TestILU0FactorMatchesCOO(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
-		l, u, err := ilu0Factor(a)
+		p, err := ILU0(a)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		requireFactorEqual(t, name+" L", l, wantL)
-		requireFactorEqual(t, name+" U", u, wantU)
+		requireFactorEqual(t, name+" L", p.Stages()[0].M, wantL)
+		requireFactorEqual(t, name+" U", p.Stages()[1].M, wantU)
 		for _, nblocks := range []int{1, 16} {
 			if nblocks > a.Rows {
 				continue
@@ -180,7 +180,8 @@ func TestILU0FactorMatchesCOO(t *testing.T) {
 
 // TestILU0FactorErrorsMatchCOO: a rectangular matrix, a missing diagonal
 // (also behind a zero pivot, which must not pre-empt it) and a zero pivot —
-// stored, or produced by the elimination — fail with the oracle's text.
+// stored, or produced by the elimination — fail with the oracle's text, and
+// block-Jacobi in one block with the text its own assembly loop gave.
 func TestILU0FactorErrorsMatchCOO(t *testing.T) {
 	build := func(n int, entries ...[3]float64) *sparse.CSR {
 		c := sparse.NewCOO(n, n)
@@ -189,18 +190,107 @@ func TestILU0FactorErrorsMatchCOO(t *testing.T) {
 		}
 		return c.ToCSR()
 	}
-	for name, a := range map[string]*sparse.CSR{
-		"rectangular":       sparse.NewCOO(2, 3).ToCSR(),
-		"no diagonal":       build(2, [3]float64{0, 1, 1}, [3]float64{1, 0, 1}),
-		"empty row":         build(3, [3]float64{0, 0, 1}, [3]float64{2, 2, 1}),
-		"diagonal past row": build(3, [3]float64{0, 0, 0}, [3]float64{1, 0, 1}, [3]float64{1, 2, 1}, [3]float64{2, 2, 1}),
-		"stored zero pivot": build(2, [3]float64{0, 0, 0}, [3]float64{1, 0, 1}, [3]float64{1, 1, 1}),
-		"eliminated pivot":  build(2, [3]float64{0, 0, 2}, [3]float64{0, 1, 4}, [3]float64{1, 0, 1}, [3]float64{1, 1, 2}),
+	for _, c := range []struct {
+		name    string
+		a       *sparse.CSR
+		bjacobi string // BlockJacobiILU0(a, 1)'s error
+	}{
+		{"rectangular", sparse.NewCOO(2, 3).ToCSR(), "precond: block Jacobi requires a square matrix"},
+		{"no diagonal", build(2, [3]float64{0, 1, 1}, [3]float64{1, 0, 1}), "precond: block Jacobi requires stored diagonal (row 0)"},
+		{"empty row", build(3, [3]float64{0, 0, 1}, [3]float64{2, 2, 1}), "precond: block Jacobi requires stored diagonal (row 1)"},
+		{"diagonal past row", build(3, [3]float64{0, 0, 0}, [3]float64{1, 0, 1}, [3]float64{1, 2, 1}, [3]float64{2, 2, 1}),
+			"precond: block Jacobi requires stored diagonal (row 1)"},
+		{"stored zero pivot", build(2, [3]float64{0, 0, 0}, [3]float64{1, 0, 1}, [3]float64{1, 1, 1}), "precond: ILU(0) zero pivot at row 0"},
+		{"eliminated pivot", build(2, [3]float64{0, 0, 2}, [3]float64{0, 1, 4}, [3]float64{1, 0, 1}, [3]float64{1, 1, 2}),
+			"precond: ILU(0) zero pivot at row 1"},
 	} {
-		_, _, want := ilu0FactorCOO(a)
-		_, _, got := ilu0Factor(a)
+		_, _, want := ilu0FactorCOO(c.a)
+		_, got := ILU0(c.a)
 		if want == nil || got == nil || got.Error() != want.Error() {
-			t.Errorf("%s: error %v, COO-built %v", name, got, want)
+			t.Errorf("%s: error %v, COO-built %v", c.name, got, want)
 		}
+		if _, got := BlockJacobiILU0(c.a, 1); got == nil || got.Error() != c.bjacobi {
+			t.Errorf("%s: block Jacobi error %v, want %q", c.name, got, c.bjacobi)
+		}
+	}
+}
+
+// TestFactorAllocs pins what ILU0 and block-Jacobi's factorization
+// allocate on the benchmark's grid operator: the two factors, each three
+// arrays and a row plan, the factorization's one scratch row — and, for
+// ILU0, the stages' schedules. No intermediate copy of A. (BlockJacobiILU0
+// itself adds the schedules and a fmt.Sprintf whose buffer pool a garbage
+// collection may empty, so its count is not exact from run to run.)
+func TestFactorAllocs(t *testing.T) {
+	a := sparse.ConvectionDiffusion2D(150, 150, 0.5)
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func() error
+	}{
+		{"ILU0", 31, func() error { _, err := ILU0(a); return err }},
+		// BlockJacobiILU0 made 14 allocations more when A's block diagonal
+		// was assembled through a COO builder and its triangles cut from
+		// that copy.
+		{"ilu0Factor(16 blocks)", 17, func() error { _, _, err := ilu0Factor(a, 0, a.Rows, 16, "block Jacobi"); return err }},
+	} {
+		if got := testing.AllocsPerRun(3, func() {
+			if err := c.f(); err != nil {
+				t.Fatal(err)
+			}
+		}); got != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// ssorByCOO is SSOR's three stage matrices as they were built before they
+// were cut from A's triangles: entry by entry through COO builders.
+func ssorByCOO(a *sparse.CSR, omega float64) (lower, mid, upper *sparse.CSR) {
+	n := a.Rows
+	diag := a.Diag(nil)
+	lc, uc, mc := sparse.NewCOO(n, n), sparse.NewCOO(n, n), sparse.NewCOO(n, n)
+	scale := omega / (2 - omega)
+	for i := 0; i < n; i++ {
+		cols, vals := a.RowView(i)
+		for k, j := range cols {
+			switch {
+			case j < i:
+				lc.Add(i, j, vals[k]*scale)
+			case j > i:
+				uc.Add(i, j, vals[k])
+			}
+		}
+		lc.Add(i, i, diag[i]/omega*scale)
+		uc.Add(i, i, diag[i]/omega)
+		mc.Add(i, i, diag[i]/omega)
+	}
+	return lc.ToCSR(), mc.ToCSR(), uc.ToCSR()
+}
+
+// TestSSORStagesMatchCOO: SSOR's stages, rewritten in place on A's
+// triangles and an identity, equal the COO-built ones bit for bit; a zero
+// or missing diagonal fails at the same row with the same text.
+func TestSSORStagesMatchCOO(t *testing.T) {
+	for name, a := range builderGenerators() {
+		for _, omega := range []float64{1, 1.2, 0.3} {
+			p, err := SSOR(a, omega)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			l, m, u := ssorByCOO(a, omega)
+			st := p.Stages()
+			what := fmt.Sprintf("%s ssor(%g)", name, omega)
+			requireFactorEqual(t, what+" lower", st[0].M, l)
+			requireFactorEqual(t, what+" mid", st[1].M, m)
+			requireFactorEqual(t, what+" upper", st[2].M, u)
+		}
+	}
+	c := sparse.NewCOO(3, 3)
+	c.Add(0, 0, 1)
+	c.Add(1, 0, 1)
+	c.Add(2, 2, 0)
+	if _, err := SSOR(c.ToCSR(), 1); err == nil || err.Error() != "precond: SSOR requires nonzero diagonal (row 1)" {
+		t.Fatalf("missing diagonal: %v", err)
 	}
 }

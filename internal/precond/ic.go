@@ -20,11 +20,11 @@ func IC0(a *sparse.CSR) (Preconditioner, error) {
 	if a.Cols != n {
 		return nil, fmt.Errorf("precond: IC(0) requires a square matrix")
 	}
-	low := a.LowerTriangle()
-	// Column-indexed view of the growing factor: for the dot products
-	// Σ_k L[i][k]·L[j][k] we walk the two rows' sorted column lists.
-	val := make([]float64, len(low.Val))
-	copy(val, low.Val)
+	// L is factored in place on the copy of a's lower triangle that
+	// BlockTriangles cuts. For the dot products Σ_k L[i][k]·L[j][k] we walk
+	// the two rows' sorted column lists.
+	low, _ := a.BlockTriangles(0, n, 1)
+	val := low.Val
 
 	rowOf := func(i int) ([]int, []float64) {
 		lo, hi := low.RowPtr[i], low.RowPtr[i+1]

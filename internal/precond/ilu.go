@@ -6,21 +6,21 @@ import (
 	"newsum/internal/sparse"
 )
 
-// ilu0Factor computes the ILU(0) factorization of a: L (unit lower
-// triangular) and U (upper triangular) share A's sparsity pattern. It is
-// the standard IKJ-ordered algorithm restricted to the pattern of A, run in
-// place on A's two triangles — row i's entries left of the diagonal live in
-// L, the rest in U — so the factors are the only copy made.
-func ilu0Factor(a *sparse.CSR) (l, u *sparse.CSR, err error) {
-	n := a.Rows
-	if a.Cols != n {
-		return nil, nil, fmt.Errorf("precond: ILU(0) requires a square matrix")
-	}
-	l, u = a.LowerTriangle(), a.UpperTriangle()
+// ilu0Factor computes the ILU(0) factorization of the nblocks diagonal
+// blocks of rows [lo, hi) of the square matrix a, renumbered from lo: L
+// (unit lower triangular) and U (upper triangular) share the blocks'
+// sparsity pattern. It is the standard IKJ-ordered algorithm restricted to
+// that pattern, run in place on the pair sparse.CSR.BlockTriangles cuts —
+// row i's entries left of the diagonal live in L, the rest in U — so the
+// factors are the only copy made. who names the caller in the
+// missing-diagonal error.
+func ilu0Factor(a *sparse.CSR, lo, hi, nblocks int, who string) (l, u *sparse.CSR, err error) {
+	l, u = a.BlockTriangles(lo, hi, nblocks)
+	n := u.Rows
 	for i := 0; i < n; i++ {
 		// The diagonal, where stored, ends L's row i and starts U's.
 		if k := u.RowPtr[i]; k == u.RowPtr[i+1] || u.ColIdx[k] != i {
-			return nil, nil, fmt.Errorf("precond: ILU(0) requires stored diagonal (row %d)", i)
+			return nil, nil, fmt.Errorf("precond: %s requires stored diagonal (row %d)", who, i)
 		}
 	}
 	// pos[j] is where the working row holds column j — in l.Val left of the
@@ -74,11 +74,22 @@ func ilu0Factor(a *sparse.CSR) (l, u *sparse.CSR, err error) {
 // pattern of a. Application is two triangular solves, each an explicit PCO
 // the ABFT encoding protects via Eq. (4).
 func ILU0(a *sparse.CSR) (Preconditioner, error) {
-	l, u, err := ilu0Factor(a)
+	if a.Cols != a.Rows {
+		return nil, fmt.Errorf("precond: ILU(0) requires a square matrix")
+	}
+	return ILU0Block(a, 0, a.Rows)
+}
+
+// ILU0Block returns the ILU(0) preconditioner of the diagonal block of the
+// square matrix a on rows and columns [lo, hi), numbered from lo: what one
+// rank of a row-partitioned solve applies to its own rows. The block is
+// factored where it is cut, without a copy of it first.
+func ILU0Block(a *sparse.CSR, lo, hi int) (Preconditioner, error) {
+	l, u, err := ilu0Factor(a, lo, hi, 1, "ILU(0)")
 	if err != nil {
 		return nil, err
 	}
-	return newStaged("ilu0", a.Rows,
+	return newStaged("ilu0", hi-lo,
 		Stage{Op: StageSolve, M: l, Shape: LowerUnit},
 		Stage{Op: StageSolve, M: u, Shape: Upper})
 }
@@ -96,31 +107,9 @@ func BlockJacobiILU0(a *sparse.CSR, nblocks int) (Preconditioner, error) {
 	if nblocks < 1 || nblocks > n {
 		return nil, fmt.Errorf("precond: nblocks %d out of range [1,%d]", nblocks, n)
 	}
-	// Assemble the block-diagonal restriction of A, then ILU(0) it; the
-	// factorization never mixes blocks because dropped couplings leave the
+	// The factorization never mixes blocks: the dropped couplings leave the
 	// pattern block-diagonal.
-	bd := sparse.NewCOO(n, n)
-	bd.Grow(a.NNZ())
-	for b := 0; b < nblocks; b++ {
-		lo := b * n / nblocks
-		hi := (b + 1) * n / nblocks
-		for i := lo; i < hi; i++ {
-			cols, vals := a.RowView(i)
-			onDiag := false
-			for k, j := range cols {
-				if j >= lo && j < hi {
-					bd.Add(i, j, vals[k])
-					if j == i {
-						onDiag = true
-					}
-				}
-			}
-			if !onDiag {
-				return nil, fmt.Errorf("precond: block Jacobi requires stored diagonal (row %d)", i)
-			}
-		}
-	}
-	l, u, err := ilu0Factor(bd.ToCSR())
+	l, u, err := ilu0Factor(a, 0, n, nblocks, "block Jacobi")
 	if err != nil {
 		return nil, err
 	}
@@ -143,31 +132,29 @@ func SSOR(a *sparse.CSR, omega float64) (Preconditioner, error) {
 		return nil, fmt.Errorf("precond: SSOR omega %g out of (0,2)", omega)
 	}
 	diag := a.Diag(nil)
-	lower := sparse.NewCOO(n, n)
-	upper := sparse.NewCOO(n, n)
-	mid := sparse.NewCOO(n, n)
-	scale := omega / (2 - omega)
-	for i := 0; i < n; i++ {
+	for i, d := range diag {
 		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
-		if diag[i] == 0 {
+		if d == 0 {
 			return nil, fmt.Errorf("precond: SSOR requires nonzero diagonal (row %d)", i)
 		}
-		cols, vals := a.RowView(i)
-		for k, j := range cols {
-			switch {
-			case j < i:
-				// Fold the trailing ω/(2−ω) scale into the first factor.
-				lower.Add(i, j, vals[k]*scale)
-			case j > i:
-				upper.Add(i, j, vals[k])
-			}
+	}
+	// Every diagonal is stored, so A's triangles have the stages' patterns;
+	// their values are rewritten in place.
+	lower, upper := a.BlockTriangles(0, n, 1)
+	mid := sparse.Identity(n)
+	scale := omega / (2 - omega)
+	for i := 0; i < n; i++ {
+		end := lower.RowPtr[i+1] - 1
+		for k := lower.RowPtr[i]; k < end; k++ {
+			// Fold the trailing ω/(2−ω) scale into the first factor.
+			lower.Val[k] *= scale
 		}
-		lower.Add(i, i, diag[i]/omega*scale)
-		upper.Add(i, i, diag[i]/omega)
-		mid.Add(i, i, diag[i]/omega)
+		lower.Val[end] = diag[i] / omega * scale
+		upper.Val[upper.RowPtr[i]] = diag[i] / omega
+		mid.Val[i] = diag[i] / omega
 	}
 	return newStaged(fmt.Sprintf("ssor(%.2f)", omega), n,
-		Stage{Op: StageSolve, M: lower.ToCSR(), Shape: Lower},
-		Stage{Op: StageMul, M: mid.ToCSR()},
-		Stage{Op: StageSolve, M: upper.ToCSR(), Shape: Upper})
+		Stage{Op: StageSolve, M: lower, Shape: Lower},
+		Stage{Op: StageMul, M: mid},
+		Stage{Op: StageSolve, M: upper, Shape: Upper})
 }

@@ -9,9 +9,10 @@ import (
 	"newsum/internal/sparse"
 )
 
-// TestRankBlocksMatchCOO: what a rank engine builds at set-up — its diagonal
-// block under the nnz-balanced partition and the block's ILU(0) stages —
-// equals the COO-routed block and factors bit for bit, at 1–4 ranks.
+// TestRankBlocksMatchCOO: what a rank engine builds at set-up — the ILU(0)
+// stages of its diagonal block under the nnz-balanced partition, cut and
+// factored in place — equals the factors of the COO-routed block bit for
+// bit, at 1–4 ranks.
 func TestRankBlocksMatchCOO(t *testing.T) {
 	for name, a := range map[string]*sparse.CSR{
 		"laplacian2d": sparse.Laplacian2D(40, 40),
@@ -33,9 +34,7 @@ func TestRankBlocksMatchCOO(t *testing.T) {
 					}
 				}
 				want := c.ToCSR()
-				blk := a.SubMatrix(lo, hi)
-				precond.RequireFactorEqual(t, what+" block", blk, want)
-				m, err := precond.ILU0(blk)
+				m, err := precond.ILU0Block(a, lo, hi)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
@@ -46,6 +45,25 @@ func TestRankBlocksMatchCOO(t *testing.T) {
 				precond.RequireFactorEqual(t, what+" L", m.Stages()[0].M, wantL)
 				precond.RequireFactorEqual(t, what+" U", m.Stages()[1].M, wantU)
 			}
+		}
+	}
+}
+
+// TestRankFactorAllocs pins what a rank's factor allocates at set-up inside
+// every timed par solve: the same count for the second of two ranks as for
+// a team of one, so no copy of the rank's block is made first (39 when
+// SubMatrix made one).
+func TestRankFactorAllocs(t *testing.T) {
+	a := sparse.Laplacian2D(150, 150)
+	part := par.NnzPartition(a, 2)
+	lo, hi := part.Range(1)
+	for _, r := range [][2]int{{0, a.Rows}, {lo, hi}} {
+		if got := testing.AllocsPerRun(3, func() {
+			if _, err := precond.ILU0Block(a, r[0], r[1]); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 31 {
+			t.Errorf("ILU0Block(a, %d, %d): %v allocations, want 31", r[0], r[1], got)
 		}
 	}
 }

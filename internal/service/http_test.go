@@ -85,6 +85,10 @@ func TestHTTPValidationAndMethodErrors(t *testing.T) {
 		// until the process is killed.
 		"degree 65":   `{"matrix":{"kind":"spd","n":4,"degree":65}}`,
 		"degree 2^61": `{"matrix":{"kind":"spd","n":4,"degree":2305843009213693952}}`,
+		// CircuitLike needs four nodes: below that its panic killed the
+		// process from a worker goroutine.
+		"circuit n=2": `{"matrix":{"kind":"circuit","n":2}}`,
+		"circuit n=3": `{"matrix":{"kind":"circuit","n":3}}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			resp, err := http.Post(srv.URL+"/solve", "application/json", strings.NewReader(body))

@@ -27,9 +27,10 @@ import (
 // kind "inline" ships the operator itself as COO triplets.
 type MatrixSpec struct {
 	// Kind selects the operator family: "laplace2d" (N×N grid Laplacian,
-	// n = N² unknowns), "circuit" (CircuitLike, n = N), "convection"
-	// (ConvectionDiffusion2D on an N×N grid with coefficient Beta), "spd"
-	// (SPDRandom), "diagdom" (DiagDominant), or "inline".
+	// n = N² unknowns), "circuit" (CircuitLike, n = N rounded down to a
+	// perfect square, N >= 4), "convection" (ConvectionDiffusion2D on an
+	// N×N grid with coefficient Beta), "spd" (SPDRandom), "diagdom"
+	// (DiagDominant), or "inline".
 	Kind string `json:"kind"`
 	// N is the generator size parameter (grid side for laplace2d and
 	// convection, dimension otherwise).
@@ -75,8 +76,12 @@ func (m *MatrixSpec) validate(maxRows int) error {
 			return fmt.Errorf("%w: matrix size %d² exceeds the service limit %d", ErrBadRequest, m.N, maxRows)
 		}
 	case "circuit", "spd", "diagdom":
-		if m.N < 2 {
-			return fmt.Errorf("%w: matrix kind %q needs dimension n >= 2", ErrBadRequest, m.Kind)
+		least := 2
+		if m.Kind == "circuit" {
+			least = 4 // CircuitLike's smallest grid of nodes is 2×2
+		}
+		if m.N < least {
+			return fmt.Errorf("%w: matrix kind %q needs dimension n >= %d", ErrBadRequest, m.Kind, least)
 		}
 		if m.N > maxRows {
 			return fmt.Errorf("%w: matrix size %d exceeds the service limit %d", ErrBadRequest, m.N, maxRows)
@@ -381,7 +386,9 @@ func (m *MatrixSpec) rows() (int, error) {
 	switch m.Kind {
 	case "laplace2d", "convection":
 		return m.N * m.N, nil
-	case "circuit", "spd", "diagdom":
+	case "circuit":
+		return sparse.CircuitOrder(m.N), nil
+	case "spd", "diagdom":
 		return m.N, nil
 	case "inline":
 		return m.Size, nil

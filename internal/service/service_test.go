@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"newsum/internal/sparse"
 )
 
 // laplaceSpec is the small shared operator most tests solve against: a
@@ -342,6 +344,11 @@ func TestValidation(t *testing.T) {
 		{"unknown matrix kind", Request{Matrix: MatrixSpec{Kind: "hilbert", N: 10}}},
 		{"matrix too large", Request{Matrix: MatrixSpec{Kind: "laplace2d", N: 200}}},
 		{"matrix too small", Request{Matrix: MatrixSpec{Kind: "spd", N: 1}}},
+		// CircuitLike panics below n = 4, in a worker nothing recovers.
+		{"circuit n=2", Request{Matrix: MatrixSpec{Kind: "circuit", N: 2}}},
+		{"circuit n=3", Request{Matrix: MatrixSpec{Kind: "circuit", N: 3}}},
+		// A circuit operator has ⌊√n⌋² rows, not n.
+		{"circuit rhs of n", Request{Matrix: MatrixSpec{Kind: "circuit", N: 300}, RHS: make([]float64, 300)}},
 		{"rhs length mismatch", Request{Matrix: laplaceSpec(), RHS: []float64{1, 2, 3}}},
 		{"bad fault site", Request{Matrix: laplaceSpec(), Faults: []FaultSpec{{Site: "gemm"}}}},
 		{"too many chaos faults", Request{Matrix: laplaceSpec(), ChaosFaults: 1000}},
@@ -360,6 +367,30 @@ func TestValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadRequest", err)
 			}
 		})
+	}
+}
+
+// TestCircuitRHSLength: a circuit job of n = 300 solves the 17² = 289-row
+// operator CircuitLike builds, so a 289-entry rhs is admitted and the
+// solution has 289 entries, and n = 4 — the smallest admitted — solves.
+func TestCircuitRHSLength(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 2})
+	defer s.Close()
+	rhs := make([]float64, 289)
+	for i := range rhs {
+		rhs[i] = 1 + float64(i%5)
+	}
+	for _, req := range []Request{
+		{Matrix: MatrixSpec{Kind: "circuit", N: 300, Seed: 11}, RHS: rhs, ReturnSolution: true},
+		{Matrix: MatrixSpec{Kind: "circuit", N: 4, Seed: 11}, ReturnSolution: true},
+	} {
+		resp, err := s.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("circuit n=%d: %v", req.Matrix.N, err)
+		}
+		if want := sparse.CircuitOrder(req.Matrix.N); !resp.Converged || resp.N != want || len(resp.X) != want {
+			t.Fatalf("circuit n=%d: converged %v, n %d, len(x) %d, want %d", req.Matrix.N, resp.Converged, resp.N, len(resp.X), want)
+		}
 	}
 }
 

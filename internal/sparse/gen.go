@@ -13,29 +13,7 @@ func Laplacian2D(nx, ny int) *CSR {
 	if nx < 1 || ny < 1 {
 		panic("sparse: Laplacian2D needs positive grid dimensions")
 	}
-	n := nx * ny
-	c := NewCOO(n, n)
-	c.Grow(5*n - 2*nx - 2*ny)
-	idx := func(i, j int) int { return i*ny + j }
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			r := idx(i, j)
-			c.Add(r, r, 4)
-			if i > 0 {
-				c.Add(r, idx(i-1, j), -1)
-			}
-			if i < nx-1 {
-				c.Add(r, idx(i+1, j), -1)
-			}
-			if j > 0 {
-				c.Add(r, idx(i, j-1), -1)
-			}
-			if j < ny-1 {
-				c.Add(r, idx(i, j+1), -1)
-			}
-		}
-	}
-	return c.ToCSR()
+	return grid(nx, ny, 1, 4, -1)
 }
 
 // Laplacian3D returns the 7-point finite-difference Laplacian on an
@@ -44,37 +22,75 @@ func Laplacian3D(nx, ny, nz int) *CSR {
 	if nx < 1 || ny < 1 || nz < 1 {
 		panic("sparse: Laplacian3D needs positive grid dimensions")
 	}
+	return grid(nx, ny, nz, 6, -1)
+}
+
+// grid returns the 7-point operator on an nx×ny×nz grid — the 5-point one
+// when nz is 1 — row (i·ny+j)·nz+k for point (i, j, k): diag on the
+// diagonal, west on the coupling to (i−1, j, k) and -1 on the others. Each
+// row is written in column order straight into arrays of its final size.
+func grid(nx, ny, nz int, diag, west float64) *CSR {
 	n := nx * ny * nz
-	c := NewCOO(n, n)
-	c.Grow(7*n - 2*(nx*ny+ny*nz+nx*nz))
-	idx := func(i, j, k int) int { return (i*ny+j)*nz + k }
+	w := newRowWriter(n, 7*n-2*(nx*ny+ny*nz+nx*nz))
+	sy, sx := nz, ny*nz // the row strides of a step in j and in i
 	for i := 0; i < nx; i++ {
 		for j := 0; j < ny; j++ {
 			for k := 0; k < nz; k++ {
-				r := idx(i, j, k)
-				c.Add(r, r, 6)
+				r := (i*ny+j)*nz + k
 				if i > 0 {
-					c.Add(r, idx(i-1, j, k), -1)
-				}
-				if i < nx-1 {
-					c.Add(r, idx(i+1, j, k), -1)
+					w.add(r-sx, west)
 				}
 				if j > 0 {
-					c.Add(r, idx(i, j-1, k), -1)
-				}
-				if j < ny-1 {
-					c.Add(r, idx(i, j+1, k), -1)
+					w.add(r-sy, -1)
 				}
 				if k > 0 {
-					c.Add(r, idx(i, j, k-1), -1)
+					w.add(r-1, -1)
 				}
+				w.add(r, diag)
 				if k < nz-1 {
-					c.Add(r, idx(i, j, k+1), -1)
+					w.add(r+1, -1)
 				}
+				if j < ny-1 {
+					w.add(r+sy, -1)
+				}
+				if i < nx-1 {
+					w.add(r+sx, -1)
+				}
+				w.endRow()
 			}
 		}
 	}
-	return c.ToCSR()
+	return w.done()
+}
+
+// rowWriter builds a CSR whose rows arrive in order, each one's columns
+// ascending and distinct, straight into arrays allocated at their final
+// length: what COO.ToCSR would make of the same entries, without the
+// bucketing and the sort.
+type rowWriter struct {
+	a    *CSR
+	k, i int // the next entry and the row being written
+}
+
+func newRowWriter(n, nnz int) rowWriter {
+	return rowWriter{a: &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, nnz), Val: make([]float64, nnz)}}
+}
+
+func (w *rowWriter) add(j int, v float64) {
+	w.a.ColIdx[w.k], w.a.Val[w.k] = j, v
+	w.k++
+}
+
+func (w *rowWriter) endRow() {
+	w.i++
+	w.a.RowPtr[w.i] = w.k
+}
+
+func (w *rowWriter) done() *CSR {
+	if w.i != w.a.Rows || w.k != len(w.a.Val) {
+		panic("sparse: rowWriter filled short of its size")
+	}
+	return w.a.planRows()
 }
 
 // CircuitLike generates a synthetic SPD matrix with the character of the
@@ -92,8 +108,8 @@ func CircuitLike(n int, seed int64) *CSR {
 	if n < 4 {
 		panic("sparse: CircuitLike needs n >= 4")
 	}
+	n = CircuitOrder(n)
 	side := int(math.Sqrt(float64(n)))
-	n = side * side
 	rng := rand.New(rand.NewSource(seed))
 	wires := int(0.05 * float64(n))
 	c := NewCOO(n, n)
@@ -151,6 +167,13 @@ func CircuitLike(n int, seed int64) *CSR {
 	return c.ToCSR()
 }
 
+// CircuitOrder returns the order of CircuitLike(n, ·): n rounded down to a
+// perfect square.
+func CircuitOrder(n int) int {
+	side := int(math.Sqrt(float64(n)))
+	return side * side
+}
+
 // ConvectionDiffusion2D returns the 5-point upwind discretization of
 // -Δu + β·∇u on an nx×ny grid. For β ≠ 0 the matrix is unsymmetric, which is
 // the regime the paper exercises with PBiCGSTAB (§6). beta controls the
@@ -159,33 +182,11 @@ func ConvectionDiffusion2D(nx, ny int, beta float64) *CSR {
 	if nx < 1 || ny < 1 {
 		panic("sparse: ConvectionDiffusion2D needs positive grid dimensions")
 	}
-	n := nx * ny
-	h := 1.0 / float64(nx+1)
-	c := NewCOO(n, n)
-	c.Grow(5*n - 2*nx - 2*ny)
-	idx := func(i, j int) int { return i*ny + j }
 	// Upwind convection in the +x direction: contributes beta*h to the
 	// diagonal and -beta*h to the west neighbour.
+	h := 1.0 / float64(nx+1)
 	bh := beta * h
-	for i := 0; i < nx; i++ {
-		for j := 0; j < ny; j++ {
-			r := idx(i, j)
-			c.Add(r, r, 4+bh)
-			if i > 0 {
-				c.Add(r, idx(i-1, j), -1-bh)
-			}
-			if i < nx-1 {
-				c.Add(r, idx(i+1, j), -1)
-			}
-			if j > 0 {
-				c.Add(r, idx(i, j-1), -1)
-			}
-			if j < ny-1 {
-				c.Add(r, idx(i, j+1), -1)
-			}
-		}
-	}
-	return c.ToCSR()
+	return grid(nx, ny, 1, 4+bh, -1-bh)
 }
 
 // DiagDominant returns a random strictly diagonally dominant matrix of
@@ -199,15 +200,18 @@ func DiagDominant(n, nnzPerRow int, seed int64) *CSR {
 	rng := rand.New(rand.NewSource(seed))
 	c := NewCOO(n, n)
 	c.Grow(n * (nnzPerRow + 1)) // fewer where a draw repeats a column
+	// seen[j] == i+1: row i already holds column j. One slice serves every
+	// row, as no row's mark equals another's.
+	seen := make([]int, n)
 	for i := 0; i < n; i++ {
 		var offSum float64
-		seen := map[int]bool{i: true}
+		seen[i] = i + 1
 		for k := 0; k < nnzPerRow; k++ {
 			j := rng.Intn(n)
-			if seen[j] {
+			if seen[j] == i+1 {
 				continue
 			}
-			seen[j] = true
+			seen[j] = i + 1
 			v := rng.Float64()*2 - 1
 			c.Add(i, j, v)
 			offSum += math.Abs(v)
@@ -255,25 +259,26 @@ func Tridiag(n int, sub, diag, super float64) *CSR {
 	if n < 1 {
 		panic("sparse: Tridiag needs n >= 1")
 	}
-	c := NewCOO(n, n)
-	c.Grow(3*n - 2)
+	w := newRowWriter(n, 3*n-2)
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			c.Add(i, i-1, sub)
+			w.add(i-1, sub)
 		}
-		c.Add(i, i, diag)
+		w.add(i, diag)
 		if i < n-1 {
-			c.Add(i, i+1, super)
+			w.add(i+1, super)
 		}
+		w.endRow()
 	}
-	return c.ToCSR()
+	return w.done()
 }
 
 // Identity returns the n×n identity matrix.
 func Identity(n int) *CSR {
-	c := NewCOO(n, n)
+	w := newRowWriter(n, n)
 	for i := 0; i < n; i++ {
-		c.Add(i, i, 1)
+		w.add(i, 1)
+		w.endRow()
 	}
-	return c.ToCSR()
+	return w.done()
 }

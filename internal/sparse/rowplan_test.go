@@ -169,10 +169,12 @@ func TestRowPlanMatchesRowLoopBitwise(t *testing.T) {
 		a := g.a
 		checkRowPlan(t, rng, g.name, a)
 		// Everything else in the package that hands out a CSR plans it too.
+		l, u := a.BlockTriangles(0, a.Rows, 1)
+		bl, bu := a.BlockTriangles(3, a.Rows-2, 3)
 		for _, d := range []named{
 			{"Transpose", a.Transpose()}, {"Clone", a.Clone()},
-			{"LowerTriangle", a.LowerTriangle()}, {"UpperTriangle", a.UpperTriangle()},
-			{"SubMatrix", a.SubMatrix(3, a.Rows-2)},
+			{"BlockTriangles lower", l}, {"BlockTriangles upper", u},
+			{"BlockTriangles shifted lower", bl}, {"BlockTriangles shifted upper", bu},
 		} {
 			checkRowPlan(t, rng, g.name+"."+d.name, d.a)
 		}

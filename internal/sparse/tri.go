@@ -72,60 +72,68 @@ func (a *CSR) SolveUpper(x, b []float64) error {
 	return nil
 }
 
-// LowerTriangle returns the lower triangle of the matrix (including the
-// diagonal) as a new CSR matrix.
-func (a *CSR) LowerTriangle() *CSR {
-	return a.cut(0, a.Rows, 0, a.Cols, func(i int) (int, int) { return 0, i + 1 })
-}
-
-// UpperTriangle returns the upper triangle of the matrix (including the
-// diagonal) as a new CSR matrix.
-func (a *CSR) UpperTriangle() *CSR {
-	return a.cut(0, a.Rows, 0, a.Cols, func(i int) (int, int) { return i, a.Cols })
-}
-
-// SubMatrix extracts the principal submatrix with rows and columns in
-// [lo, hi), used by the block-Jacobi preconditioner to carve out diagonal
-// blocks. Entries outside the column range are dropped.
-func (a *CSR) SubMatrix(lo, hi int) *CSR {
-	if lo < 0 || hi > a.Rows || hi > a.Cols || lo > hi {
-		panic("sparse: bad range in SubMatrix")
+// BlockTriangles cuts rows [lo, hi) of the matrix into the pair an ILU(0)
+// factor is computed in, in place: the lower (j ≤ i) and upper (j ≥ i)
+// triangles of its nblocks diagonal blocks, block b holding rows and
+// columns [lo+b·m/nblocks, lo+(b+1)·m/nblocks) with m = hi−lo. Entries
+// outside a row's block are dropped and the rest renumbered from lo, so both
+// are m×m; a stored diagonal is in both. One pass counts, the six arrays are
+// allocated at their final length, a second pass fills: plain ILU(0) is one
+// block of every row, block-Jacobi nblocks of them, and a par rank cuts its
+// own rows inside every distributed solve.
+func (a *CSR) BlockTriangles(lo, hi, nblocks int) (l, u *CSR) {
+	m := hi - lo
+	if lo < 0 || hi > a.Rows || hi > a.Cols || m < 0 || nblocks < 1 || nblocks > max(m, 1) {
+		panic("sparse: bad range in BlockTriangles")
 	}
-	return a.cut(lo, hi, lo, hi-lo, func(int) (int, int) { return lo, hi })
-}
-
-// cut builds the cols-column matrix of rows [r0, r1) of a, row i cut to its
-// columns in window(i) = [c0, c1) — a run of the row, the columns being
-// ascending — and those renumbered from shift. It counts, allocates the
-// three arrays at their final length, then fills: a rank's block and a
-// factorization's triangles are cut inside every distributed solve.
-func (a *CSR) cut(r0, r1, shift, cols int, window func(i int) (c0, c1 int)) *CSR {
-	run := func(i int) (s, e int) {
-		c0, c1 := window(i)
-		s, e = a.RowPtr[i], a.RowPtr[i+1]
-		for s < e && a.ColIdx[s] < c0 {
-			s++
+	l = &CSR{Rows: m, Cols: m, RowPtr: make([]int, m+1)}
+	u = &CSR{Rows: m, Cols: m, RowPtr: make([]int, m+1)}
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			l.ColIdx, l.Val = make([]int, l.RowPtr[m]), make([]float64, l.RowPtr[m])
+			u.ColIdx, u.Val = make([]int, u.RowPtr[m]), make([]float64, u.RowPtr[m])
 		}
-		for e > s && a.ColIdx[e-1] >= c1 {
-			e--
-		}
-		return s, e
-	}
-	n := r1 - r0
-	t := &CSR{Rows: n, Cols: cols, RowPtr: make([]int, n+1)}
-	for i := r0; i < r1; i++ {
-		s, e := run(i)
-		t.RowPtr[i-r0+1] = t.RowPtr[i-r0] + e - s
-	}
-	t.ColIdx, t.Val = make([]int, t.RowPtr[n]), make([]float64, t.RowPtr[n])
-	for i := r0; i < r1; i++ {
-		s, e := run(i)
-		k := t.RowPtr[i-r0]
-		copy(t.Val[k:], a.Val[s:e])
-		for _, j := range a.ColIdx[s:e] {
-			t.ColIdx[k] = j - shift
-			k++
+		for b := 0; b < nblocks; b++ {
+			c0, c1 := lo+b*m/nblocks, lo+(b+1)*m/nblocks
+			for i := c0; i < c1; i++ {
+				// Row i's entries in [c0, c1) are [s, e). L takes [s, dl),
+				// those up to the diagonal, and U [d, e), those from it on;
+				// dl = d+1 where the diagonal is stored, else d.
+				s, e := a.RowPtr[i], a.RowPtr[i+1]
+				for s < e && a.ColIdx[s] < c0 {
+					s++
+				}
+				d := s
+				for d < e && a.ColIdx[d] < i {
+					d++
+				}
+				for e > d && a.ColIdx[e-1] >= c1 {
+					e--
+				}
+				dl := d
+				if d < e && a.ColIdx[d] == i {
+					dl++
+				}
+				r := i - lo
+				if pass == 0 {
+					l.RowPtr[r+1] = l.RowPtr[r] + dl - s
+					u.RowPtr[r+1] = u.RowPtr[r] + e - d
+					continue
+				}
+				a.copyRun(l, l.RowPtr[r], s, dl, lo)
+				a.copyRun(u, u.RowPtr[r], d, e, lo)
+			}
 		}
 	}
-	return t.planRows()
+	return l.planRows(), u.planRows()
+}
+
+// copyRun writes a's entries [s, e) into t from position k on, their
+// columns less shift.
+func (a *CSR) copyRun(t *CSR, k, s, e, shift int) {
+	copy(t.Val[k:], a.Val[s:e])
+	for _, j := range a.ColIdx[s:e] {
+		t.ColIdx[k] = j - shift
+		k++
+	}
 }

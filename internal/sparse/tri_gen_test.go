@@ -48,7 +48,7 @@ func TestSolveLowerUnitDiag(t *testing.T) {
 }
 
 func TestSolveInPlaceAliasing(t *testing.T) {
-	l := Tridiag(5, -1, 2, 0).LowerTriangle()
+	l, _ := Tridiag(5, -1, 2, 0).BlockTriangles(0, 5, 1)
 	b := []float64{1, 2, 3, 4, 5}
 	want := make([]float64, 5)
 	if err := l.SolveLower(want, b, false); err != nil {
@@ -81,8 +81,7 @@ func TestSolveZeroDiagonalError(t *testing.T) {
 
 func TestTriangleSplit(t *testing.T) {
 	a := Laplacian2D(3, 3)
-	lo := a.LowerTriangle()
-	up := a.UpperTriangle()
+	lo, up := a.BlockTriangles(0, a.Rows, 1)
 	// Every entry must appear in exactly one triangle (diagonal in both).
 	if lo.NNZ()+up.NNZ() != a.NNZ()+a.Rows {
 		t.Fatalf("triangles: %d + %d vs %d + %d", lo.NNZ(), up.NNZ(), a.NNZ(), a.Rows)
@@ -107,16 +106,22 @@ func TestTriangleSplit(t *testing.T) {
 	}
 }
 
-func TestSubMatrix(t *testing.T) {
+// TestBlockTrianglesShifted: the pair cut from a principal block, numbered
+// from its first row, holds that block's entries — a par rank's rows.
+func TestBlockTrianglesShifted(t *testing.T) {
 	a := Laplacian2D(4, 4)
-	s := a.SubMatrix(4, 12)
-	if s.Rows != 8 || s.Cols != 8 {
-		t.Fatalf("SubMatrix dims: %dx%d", s.Rows, s.Cols)
+	l, u := a.BlockTriangles(4, 12, 1)
+	if l.Rows != 8 || l.Cols != 8 || u.Rows != 8 || u.Cols != 8 {
+		t.Fatalf("BlockTriangles dims: %dx%d, %dx%d", l.Rows, l.Cols, u.Rows, u.Cols)
 	}
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 8; j++ {
-			if s.At(i, j) != a.At(i+4, j+4) {
-				t.Fatalf("SubMatrix (%d,%d) mismatch", i, j)
+			got := l.At(i, j)
+			if j > i {
+				got = u.At(i, j)
+			}
+			if got != a.At(i+4, j+4) {
+				t.Fatalf("BlockTriangles (%d,%d) mismatch", i, j)
 			}
 		}
 	}

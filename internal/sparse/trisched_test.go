@@ -81,26 +81,6 @@ func blockTriangle(rng *rand.Rand, sizes []int, upper bool, empty float64, wrong
 	return c.ToCSR()
 }
 
-// blockDiagonal drops every coupling of a between the nblocks contiguous
-// row ranges block-Jacobi cuts it into (the ranges of
-// precond.BlockJacobiILU0), leaving the pattern its ILU(0) factors have.
-func blockDiagonal(a *CSR, nblocks int) *CSR {
-	n := a.Rows
-	c := NewCOO(n, n)
-	for b := 0; b < nblocks; b++ {
-		lo, hi := b*n/nblocks, (b+1)*n/nblocks
-		for i := lo; i < hi; i++ {
-			cols, vals := a.RowView(i)
-			for k, j := range cols {
-				if j >= lo && j < hi {
-					c.Add(i, j, vals[k])
-				}
-			}
-		}
-	}
-	return c.ToCSR()
-}
-
 // checkTriSchedule holds the schedule of (m, shape) to the reference loop:
 // out of place, with x aliasing b, and fused with one and three weight
 // rows, whose folded leaves must be vec.DotAbs's over the solution.
@@ -451,11 +431,12 @@ func bandTriangle(rng *rand.Rand, n, w, lag int, upper, wrongSide bool) *CSR {
 	return c.ToCSR()
 }
 
-// iluPattern returns the lower and upper triangles of a, which have the
-// pattern of its ILU(0) factors — all the schedule reads of them — scaled
-// by 1/‖a‖∞ so that a unit-diagonal solve of the lower one cannot overflow.
-func iluPattern(a *CSR) (l, u *CSR) {
-	l, u = a.LowerTriangle(), a.UpperTriangle()
+// iluPattern returns the lower and upper triangles of a's principal block
+// [lo, hi), which have the pattern of its ILU(0) factors — all the schedule
+// reads of them — scaled by 1/‖a‖∞ so that a unit-diagonal solve of the
+// lower one cannot overflow.
+func iluPattern(a *CSR, lo, hi int) (l, u *CSR) {
+	l, u = a.BlockTriangles(lo, hi, 1)
 	s := 1 / a.NormInf()
 	for _, m := range []*CSR{l, u} {
 		for k := range m.Val {
@@ -521,22 +502,26 @@ func TestTriScheduleMatchesReferenceBitwise(t *testing.T) {
 	// segment, a rank block cut in the middle of a grid row, a circuit.
 	lap := Laplacian2D(40, 30)
 	for _, tc := range []struct {
-		name string
-		a    *CSR
-		lag  int // 0: not lagged
+		name   string
+		a      *CSR
+		lo, hi int // the rank block; hi 0: all of a
+		lag    int // 0: not lagged
 	}{
-		{"ilu0 Laplacian2D(60,60)", Laplacian2D(60, 60), 1},
-		{"ilu0 Laplacian2D(50,37)", Laplacian2D(50, 37), 1},
-		{"ilu0 Laplacian2D(40,7)", Laplacian2D(40, 7), 1},
-		{"ilu0 Laplacian2D(40,6), lag too long", Laplacian2D(40, 6), 0},
-		{"ilu0 Laplacian2D(3,50), three segments", Laplacian2D(3, 50), 0},
-		{"ilu0 ConvectionDiffusion2D(40,30)", ConvectionDiffusion2D(40, 30, 0.5), 1},
-		{"ilu0 Laplacian3D(10,9,8)", Laplacian3D(10, 9, 8), 1},
-		{"ilu0 rank block 2 of 2", lap.SubMatrix(600, 1200), 1},
-		{"ilu0 rank block 2 of 3, mid grid row", lap.SubMatrix(400, 800), 0},
-		{"ilu0 CircuitLike(1600), one block", CircuitLike(1600, 3), 0},
+		{"ilu0 Laplacian2D(60,60)", Laplacian2D(60, 60), 0, 0, 1},
+		{"ilu0 Laplacian2D(50,37)", Laplacian2D(50, 37), 0, 0, 1},
+		{"ilu0 Laplacian2D(40,7)", Laplacian2D(40, 7), 0, 0, 1},
+		{"ilu0 Laplacian2D(40,6), lag too long", Laplacian2D(40, 6), 0, 0, 0},
+		{"ilu0 Laplacian2D(3,50), three segments", Laplacian2D(3, 50), 0, 0, 0},
+		{"ilu0 ConvectionDiffusion2D(40,30)", ConvectionDiffusion2D(40, 30, 0.5), 0, 0, 1},
+		{"ilu0 Laplacian3D(10,9,8)", Laplacian3D(10, 9, 8), 0, 0, 1},
+		{"ilu0 rank block 2 of 2", lap, 600, 1200, 1},
+		{"ilu0 rank block 2 of 3, mid grid row", lap, 400, 800, 0},
+		{"ilu0 CircuitLike(1600), one block", CircuitLike(1600, 3), 0, 0, 0},
 	} {
-		l, u := iluPattern(tc.a)
+		if tc.hi == 0 {
+			tc.hi = tc.a.Rows
+		}
+		l, u := iluPattern(tc.a, tc.lo, tc.hi)
 		for _, shape := range triShapes {
 			m := l
 			switch {
@@ -572,11 +557,12 @@ func TestTriScheduleOnPreconditionerPatterns(t *testing.T) {
 		for i, s := 0, 1/a.NormInf(); i < len(a.Val); i++ {
 			a.Val[i] *= s
 		}
-		bd := blockDiagonal(a, 16)
+		l, u := a.BlockTriangles(0, n, 1)
+		bl, bu := a.BlockTriangles(0, n, 16)
 		for _, shape := range triShapes {
-			whole, cut := a.LowerTriangle(), bd.LowerTriangle()
+			whole, cut := l, bl
 			if shape.upper {
-				whole, cut = a.UpperTriangle(), bd.UpperTriangle()
+				whole, cut = u, bu
 			}
 			checkTriSchedule(t, rng, whole, shape)
 			blocks := scheduleBlocks(t, checkTriSchedule(t, rng, cut, shape))
@@ -656,7 +642,7 @@ func TestTriScheduleLagProperty(t *testing.T) {
 // the reach scratch, the block list, the units and a non-unit factor's
 // pivots — and a lagged solve, plain or fused, allocates nothing.
 func TestTriScheduleAllocs(t *testing.T) {
-	l, u := iluPattern(Laplacian2D(150, 150))
+	l, u := iluPattern(Laplacian2D(150, 150), 0, 22500)
 	n := l.Rows
 	for _, tc := range []struct {
 		name        string

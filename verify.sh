@@ -36,7 +36,7 @@ echo "== benchmark module (vet, tests) =="
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress, router FuzzRelayStream, mmio FuzzRead) =="
+echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress + FuzzRequestBuild, router FuzzRelayStream, mmio FuzzRead) =="
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
