@@ -9,7 +9,7 @@
 // Two fleet modes:
 //
 //	newsum-router -addr :8070 -backends 4 -backend-cmd ./newsum-serve \
-//	    -base-port 9080 -backend-args "-workers 2 -batch-window 2ms"
+//	    -base-port 9080 -backend-args "-workers 2 -cache-size 32"
 //
 // spawns and supervises 4 newsum-serve child processes on ports
 // 9080..9083, restarting any that die; or
@@ -109,7 +109,7 @@ func main() {
 	addr := flag.String("addr", ":8070", "router listen address")
 	backends := flag.Int("backends", 2, "newsum-serve child processes to spawn and supervise")
 	backendCmd := flag.String("backend-cmd", "newsum-serve", "backend binary to exec")
-	backendArgs := flag.String("backend-args", "", "space-separated extra flags for each backend (e.g. \"-workers 2 -batch-window 2ms\")")
+	backendArgs := flag.String("backend-args", "", "space-separated extra flags for each backend (e.g. \"-workers 2 -cache-size 32\")")
 	basePort := flag.Int("base-port", 9080, "first backend port; slot i listens on base-port+i")
 	join := flag.String("join", "", "comma-separated backend URLs to join instead of spawning (no restart supervision)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per backend on the hash ring (0 = default 64)")

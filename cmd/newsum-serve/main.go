@@ -36,8 +36,6 @@ func main() {
 	retries := flag.Int("retries", 0, "max automatic retries per job (0 = default 2, negative disables)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	maxRows := flag.Int("max-rows", 0, "admission bound on operator size (0 = default 262144)")
-	batchWindow := flag.Duration("batch-window", 0, "multi-RHS coalescing window (0 = batching disabled)")
-	maxBatch := flag.Int("max-batch", 0, "max right-hand sides per batched solve (0 = default 8)")
 	ckptCodec := flag.String("checkpoint-codec", "", "snapshot codec for solver checkpoints: full (default), lossy, diff")
 	ckptRelBound := flag.Float64("checkpoint-rel-bound", 0, "lossy codec per-element relative error bound (0 = package default)")
 	ckptAbsBound := flag.Float64("checkpoint-abs-bound", 0, "lossy codec per-element absolute error bound (0 = relative only)")
@@ -52,8 +50,6 @@ func main() {
 		MaxRetries:     *retries,
 		DefaultTimeout: *timeout,
 		MaxMatrixRows:  *maxRows,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *maxBatch,
 
 		CheckpointCodec:    *ckptCodec,
 		CheckpointRelBound: *ckptRelBound,

@@ -44,10 +44,11 @@ func steadyStateAllocs(t *testing.T, iters int, pool *kernel.Pool,
 // TestSolveSteadyStateZeroAllocs asserts the steady-state allocation
 // contract end to end: once a protected solve is warmed up, every further
 // iteration performs zero heap allocations — serial and on a worker pool,
-// for basic and two-level PCG and for BiCGStab. The static counterpart is
-// the hotalloc analyzer over the //hot:loop-annotated solver loops; this
-// test catches what escape analysis decides behind the analyzer's back
-// (closure capture, interface boxing, append growth).
+// for basic and two-level PCG, for BiCGStab and for the online-MV baseline
+// of both. The static counterpart is the hotalloc analyzer over the
+// //hot:loop-annotated solver loops; this test catches what escape analysis
+// decides behind the analyzer's back (closure capture, interface boxing,
+// append growth).
 func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement solves are not short")
@@ -79,6 +80,11 @@ func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 		// ISSUE 10 fix that hoisted the y workspace out of the restart loop
 		// and the Store's double-buffered snapshot reuse.
 		{"BasicGMRES", func(opts Options) (Result, error) { return BasicGMRES(a, m, b, 8, opts) }},
+		// The online-MV baseline's duplicated VLOs keep the operand they
+		// overwrite in a buffer of the backend's, so its overhead in
+		// Figs. 6–7 carries no allocator or GC time.
+		{"OnlineMVPCG", func(opts Options) (Result, error) { return OnlineMVPCG(a, m, b, opts) }},
+		{"OnlineMVPBiCGSTAB", func(opts Options) (Result, error) { return OnlineMVPBiCGSTAB(a, m, b, opts) }},
 	}
 	const k = 24
 	for _, workers := range []int{0, 4} {

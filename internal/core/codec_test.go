@@ -223,48 +223,6 @@ func TestDiffCodecBitwiseIdenticalToFull(t *testing.T) {
 	}
 }
 
-// TestBlockPCGLossyRollbackRecovers exercises the lossy restore path in
-// the batched block solver: the struck column re-anchors its checksums
-// from the quantized state and converges; clean columns stay untouched.
-func TestBlockPCGLossyRollbackRecovers(t *testing.T) {
-	a, m, _, _ := testSystem(t, 400)
-	const k = 3
-	const struck = 1
-	bs := blockRHS(a, k)
-	injs := make([]*fault.Injector, k)
-	injs[struck] = fault.NewInjector([]fault.Event{
-		{Iteration: 7, Site: fault.SiteMVM, Kind: fault.Arithmetic, Index: 13},
-	}, 1)
-	br, err := BasicBlockPCG(a, m, bs, BlockOptions{
-		Options: Options{
-			Options:            solver.Options{Tol: 1e-10},
-			DetectInterval:     2,
-			CheckpointInterval: 6,
-			CheckpointCodec:    checkpoint.Lossy,
-			CheckpointRelBound: 1e-6,
-		},
-		ColInjectors: injs,
-	})
-	if err != nil {
-		t.Fatalf("block solve: %v", err)
-	}
-	for j := 0; j < k; j++ {
-		if br.Errs[j] != nil || !br.Cols[j].Converged {
-			t.Fatalf("col %d failed under lossy checkpointing: %v", j, br.Errs[j])
-		}
-		checkSolution(t, a, bs[j], br.Cols[j].X, 1e-9)
-	}
-	if br.Cols[struck].Stats.Rollbacks == 0 || br.Cols[struck].Stats.LossyRestores == 0 {
-		t.Fatalf("struck column: rollbacks=%d lossyRestores=%d, want both > 0",
-			br.Cols[struck].Stats.Rollbacks, br.Cols[struck].Stats.LossyRestores)
-	}
-	for j := 0; j < k; j++ {
-		if j != struck && br.Cols[j].Stats.LossyRestores != 0 {
-			t.Fatalf("clean col %d recorded a lossy restore", j)
-		}
-	}
-}
-
 // TestLossyFaultFreeLeavesTrajectoryUntouched: saving through any codec
 // only reads solver state — with no restore, a lossy-codec run must match
 // the default run exactly.

@@ -12,13 +12,11 @@
 //     iterative method — PCG, PBiCGSTAB, CR, Chebyshev, Jacobi — written once
 //     against the operation vocabulary ops: MVM, PCO, the VLO forms and the
 //     two reductions over tracked vectors.
-//   - A backend implements the vocabulary. There are three: the engine
+//   - A backend implements the vocabulary. There are two: the engine
 //     (engine.go) runs the kernels through the fault injector and carries
 //     whatever checksum weights it was given — with none it is the
 //     unprotected arm; omv (onlinemv.go) is the online-MV baseline's verified
-//     MVM and duplicated execution; blockOps (block.go) is the batched
-//     multi-RHS backend, whose MVM product comes from one matrix traversal
-//     shared by every column.
+//     MVM and duplicated execution.
 //   - A guard (drive.go, ortho.go) is the detection policy attached at the
 //     operation boundaries: none, the new-sum checksums (basic, two-level,
 //     forward recovery) or the orthogonality baseline's residual gap. The
@@ -29,7 +27,7 @@
 // repair before rollback, the rollback budget, the verified convergence
 // exit. Solve dispatches any Krylov method × scheme; the exported per-scheme
 // entry points, BasicJacobi and BasicChebyshev are wrappers over the same
-// driver, and BasicBlockPCG is k ordinary runs of it stepped in lockstep.
+// driver.
 // BasicGMRES alone keeps a loop of its own over the engine: its checkpoint
 // is the restart cycle, not every cd iterations, and its rollback discards a
 // cycle instead of restoring a direction — the driver would need a method

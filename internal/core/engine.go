@@ -306,9 +306,8 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 
 // mvmUpdate carries the checksums through an MVM whose product is already
 // in dst, reading src from memory after the operation (and after any
-// fault) — the ordering Lemma 2's proof analyses. It is what the cache-fault
-// branch of mvm needs, and all the block backend needs after the shared
-// traversal wrote the product.
+// fault) — the ordering Lemma 2's proof analyses. The cache-fault branch of
+// mvm needs it.
 //
 //hot:loop Eq. (2) update on the solve path
 //hot:protected dst src

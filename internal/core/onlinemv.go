@@ -38,6 +38,9 @@ type omv struct {
 	expected []float64
 	dup1     []float64
 	dup2     []float64
+	// y0 holds the operand a duplicated VLO overwrites, so that every
+	// execution reads its value from before the first one.
+	y0 []float64
 }
 
 func newOMV(e *engine) *omv {
@@ -47,6 +50,7 @@ func newOMV(e *engine) *omv {
 		expected: make([]float64, 1),
 		dup1:     make([]float64, e.n),
 		dup2:     make([]float64, e.n),
+		y0:       make([]float64, e.n),
 	}
 }
 
@@ -194,7 +198,8 @@ func (o *omv) pco(iter int, dst, src *tracked) error {
 // axpy computes y := y + alpha·x with duplicated execution.
 func (o *omv) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 	o.voteMemory(iter, fault.SiteVLO, x.data)
-	y0 := vec.Clone(y.data)
+	y0 := o.y0
+	copy(y0, y.data)
 	o.dupCompare(iter, fault.SiteVLO, y.data, func(out []float64) {
 		vec.Axpby(out, 1, y0, alpha, x.data)
 	})
@@ -204,7 +209,8 @@ func (o *omv) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 func (o *omv) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 	y0 := y.data
 	if dst == y {
-		y0 = vec.Clone(y.data)
+		y0 = o.y0
+		copy(y0, y.data)
 	}
 	o.dupCompare(iter, fault.SiteVLO, dst.data, func(out []float64) {
 		vec.Xpby(out, x.data, beta, y0)

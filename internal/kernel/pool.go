@@ -71,8 +71,6 @@ const (
 	opMulVec
 	// the same product with the Eq. (2) row-reduction leaves filled inside it.
 	opMulVecDotAbs
-	// multi-RHS SpMV over the same row ranges: one traversal, k columns.
-	opMulVecBlock
 )
 
 // op is the operand set of the in-flight kernel call. The launching
@@ -88,7 +86,6 @@ type op struct {
 	out1, out2  []float64
 	w           func(i int) float64
 	a           *sparse.CSR
-	dsts, xss   [][]float64
 	rows        [][]float64
 	lv          *vec.Leaves
 }
@@ -215,8 +212,6 @@ func (p *Pool) execPart(part int) {
 		o.a.MulVecRange(o.dst, o.x, p.bounds[part], p.bounds[part+1])
 	case opMulVecDotAbs:
 		o.a.MulVecDotAbs(o.dst, o.x, o.rows, o.lv, p.bounds[part], p.bounds[part+1])
-	case opMulVecBlock:
-		mulVecBlockRange(o.a, o.dsts, o.xss, p.bounds[part], p.bounds[part+1])
 	}
 }
 

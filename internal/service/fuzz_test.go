@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 )
 
 // fuzzMaxRows keeps the operators FuzzRequestBuild builds small.
@@ -15,9 +16,11 @@ const fuzzMaxRows = 4096
 // operator and right-hand side built. Nothing may panic — a panic there
 // happens in a worker goroutine and kills the service — the operator must
 // have the rows validation counted, and an admitted rhs exactly that many
-// entries. The committed seeds include the two requests that broke these:
-// a circuit of n = 2, and a circuit of n = 300 with a 300-entry rhs for its
-// 289-row operator.
+// entries. An admitted timeout_ms is a deadline of at most 24 h, and an
+// admitted max_iter at most 100 iterations per row. The committed seeds
+// include the requests that broke these: a circuit of n = 2, a circuit of
+// n = 300 with a 300-entry rhs for its 289-row operator, a timeout_ms of
+// 1e13 that wraps negative as a time.Duration, and a max_iter of 2⁶³ − 1.
 func FuzzRequestBuild(f *testing.F) {
 	for _, body := range []string{
 		`{"matrix":{"kind":"laplace2d","n":12}}`,
@@ -39,6 +42,12 @@ func FuzzRequestBuild(f *testing.F) {
 		n, err := req.Matrix.rows()
 		if err != nil {
 			t.Fatalf("validated request has no row count: %v", err)
+		}
+		if req.TimeoutMillis < 0 || req.TimeoutMillis > int(24*time.Hour/time.Millisecond) {
+			t.Fatalf("admitted timeout_ms %d, a deadline of %v", req.TimeoutMillis, time.Duration(req.TimeoutMillis)*time.Millisecond)
+		}
+		if req.MaxIter < 0 || req.MaxIter > 100*n {
+			t.Fatalf("admitted max_iter %d for %d rows", req.MaxIter, n)
 		}
 		a, err := req.Matrix.build()
 		if err != nil {

@@ -135,8 +135,8 @@ func (s *Service) streamSolve(w http.ResponseWriter, r *http.Request, req Reques
 	flusher, _ := w.(http.Flusher)
 
 	// The most events a job emits: start, cache, one attempt per try, one
-	// retry per retry and the result (a batched job emits 4), so a reader
-	// that stalls for the whole job drops none; 128 caps a large budget.
+	// retry per retry and the result, so a reader that stalls for the whole
+	// job drops none; 128 caps a large budget.
 	events := make(chan JobEvent, min(2*s.cfg.MaxRetries+4, 128))
 	type outcome struct {
 		resp *Response

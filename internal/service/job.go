@@ -162,7 +162,7 @@ func (m *MatrixSpec) fingerprint() uint64 {
 // Fingerprint exposes the spec hash to routing tiers: the newsum-router
 // consistent-hashes jobs by it so each operator's encoding cache stays hot
 // on exactly one backend. Routing collisions are harmless (two operators
-// sharing a backend), unlike batching collisions, which equalSpec guards.
+// sharing a backend), unlike cache collisions, which equalSpec guards.
 func (m *MatrixSpec) Fingerprint() uint64 { return m.fingerprint() }
 
 // equalSpec reports whether two specs name the same operator, with inline
@@ -235,6 +235,16 @@ func (f *FaultSpec) event() (fault.Event, error) {
 	}, nil
 }
 
+// maxTimeoutMillis bounds Request.TimeoutMillis at 24 h. Past ≈ 9.2e12 ms
+// the conversion to a time.Duration wraps negative, and the job would be
+// cancelled before it started.
+const maxTimeoutMillis = 24 * 60 * 60 * 1000
+
+// maxIterPerRow bounds Request.MaxIter at 100·n, ten times the default. A
+// service without a default deadline runs an unreachable tol until the cap,
+// so an unbounded cap would hold a worker indefinitely.
+const maxIterPerRow = 100
+
 // Request is one solve job.
 type Request struct {
 	// Solver is "pcg" (default), "bicgstab", or "cr".
@@ -248,7 +258,8 @@ type Request struct {
 	// Precond is "none" (default) or "ilu0"; pcg/bicgstab only.
 	Precond string `json:"precond,omitempty"`
 	// Tol, MaxIter, DetectInterval are the usual solve controls (defaults
-	// 1e-8, 10·n, 1). Retries tighten the detect interval automatically.
+	// 1e-8, 10·n, 1; MaxIter at most maxIterPerRow·n). Retries tighten the
+	// detect interval automatically.
 	Tol            float64 `json:"tol,omitempty"`
 	MaxIter        int     `json:"max_iter,omitempty"`
 	DetectInterval int     `json:"detect_interval,omitempty"`
@@ -260,7 +271,7 @@ type Request struct {
 	// rollback. Supported for pcg and cr.
 	Forward bool `json:"forward,omitempty"`
 	// TimeoutMillis caps the job's wall time, queue wait included; 0 uses
-	// the service default.
+	// the service default. At most maxTimeoutMillis.
 	TimeoutMillis int `json:"timeout_ms,omitempty"`
 	// Faults schedules explicit strikes; they fire on attempt 0 only.
 	Faults []FaultSpec `json:"faults,omitempty"`
@@ -296,40 +307,6 @@ func (r *Request) tol() float64 {
 	return r.Tol
 }
 
-// batchable reports whether the job may join a batched multi-RHS solve:
-// the block solver covers exactly the basic-scheme unpreconditioned PCG
-// path, and fault-injection or tracing requests need the instrumented
-// per-column machinery of a solo solve, so they stay on the single-RHS
-// path. Everything here is a mode check — which *batch* a batchable job
-// may join is decided by batchParams plus a full-spec equality check.
-func (r *Request) batchable() bool {
-	return r.solver() == "pcg" && r.scheme() == "basic" &&
-		(r.Precond == "" || r.Precond == "none") && !r.Forward && !r.Trace &&
-		len(r.Faults) == 0 && r.ChaosFaults == 0
-}
-
-// batchParams is the solve-parameter portion of a batch's identity: jobs
-// coalesce into one block solve only when the parameters that shape the
-// iteration — tolerance, caps, detection cadence, deadline — are equal, so
-// every column of the batch runs the iteration its request asked for.
-type batchParams struct {
-	tol           float64
-	maxIter       int
-	detect        int
-	maxRollbacks  int
-	timeoutMillis int
-}
-
-func (r *Request) batchParams() batchParams {
-	return batchParams{
-		tol:           r.Tol,
-		maxIter:       r.MaxIter,
-		detect:        r.DetectInterval,
-		maxRollbacks:  r.MaxRollbacks,
-		timeoutMillis: r.TimeoutMillis,
-	}
-}
-
 // validate vets the whole request against the service limits; every
 // failure wraps ErrBadRequest so the HTTP layer maps it to a 400.
 func (r *Request) validate(maxRows int) error {
@@ -361,6 +338,9 @@ func (r *Request) validate(maxRows int) error {
 	if r.ChaosFaults < 0 || r.ChaosFaults > 64 {
 		return fmt.Errorf("%w: chaos_faults %d out of range [0, 64]", ErrBadRequest, r.ChaosFaults)
 	}
+	if r.TimeoutMillis < 0 || r.TimeoutMillis > maxTimeoutMillis {
+		return fmt.Errorf("%w: timeout_ms %d out of range [0, %d]", ErrBadRequest, r.TimeoutMillis, maxTimeoutMillis)
+	}
 	for i := range r.Faults {
 		if _, err := r.Faults[i].site(); err != nil {
 			return err
@@ -369,14 +349,15 @@ func (r *Request) validate(maxRows int) error {
 	if err := r.Matrix.validate(maxRows); err != nil {
 		return err
 	}
-	if r.RHS != nil {
-		n, err := r.Matrix.rows()
-		if err != nil {
-			return err
-		}
-		if len(r.RHS) != n {
-			return fmt.Errorf("%w: rhs length %d, want %d", ErrBadRequest, len(r.RHS), n)
-		}
+	n, err := r.Matrix.rows()
+	if err != nil {
+		return err
+	}
+	if r.MaxIter < 0 || r.MaxIter > maxIterPerRow*n {
+		return fmt.Errorf("%w: max_iter %d out of range [0, %d]", ErrBadRequest, r.MaxIter, maxIterPerRow*n)
+	}
+	if r.RHS != nil && len(r.RHS) != n {
+		return fmt.Errorf("%w: rhs length %d, want %d", ErrBadRequest, len(r.RHS), n)
 	}
 	return nil
 }
@@ -433,11 +414,6 @@ type Response struct {
 	Attempts int      `json:"attempts"`
 	Retried  []string `json:"retried,omitempty"`
 	CacheHit bool     `json:"cache_hit"`
-	// Batched marks a job solved as one column of a coalesced multi-RHS
-	// block solve; BatchCols is that batch's column count. A batchable job
-	// that fell back to the single-RHS path reports Batched=false.
-	Batched   bool `json:"batched,omitempty"`
-	BatchCols int  `json:"batch_cols,omitempty"`
 
 	// Fault-tolerance counters, summed across attempts.
 	Detections     int `json:"detections"`

@@ -77,14 +77,6 @@ type Config struct {
 	// Negative forces serial kernels. Results are bitwise-independent of
 	// this setting (the kernel determinism contract).
 	KernelWorkers int
-	// BatchWindow enables coalescing of concurrent batchable requests that
-	// share an operator spec and solve parameters into one block multi-RHS
-	// protected solve: the first such job opens a batch, later arrivals
-	// join it until the window elapses or MaxBatch columns are gathered.
-	// 0 (the default) disables batching entirely.
-	BatchWindow time.Duration
-	// MaxBatch caps the columns of one block solve (default 8, max 32).
-	MaxBatch int
 	// CheckpointCodec names the snapshot codec every protected solve
 	// checkpoints through: "" or "full" (deep copies), "lossy"
 	// (error-bounded quantization) or "diff"/"incremental" (differential
@@ -121,11 +113,6 @@ func (c Config) normalized() Config {
 	if c.KernelWorkers < 1 {
 		c.KernelWorkers = 1
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 8
-	} else if c.MaxBatch > 32 {
-		c.MaxBatch = 32
-	}
 	return c
 }
 
@@ -151,10 +138,6 @@ type job struct {
 	resp     *Response
 	err      error
 	done     chan struct{}
-	// batch is non-nil on a batch leader: the job that carries an open
-	// batch through the admission queue. The worker that dequeues it runs
-	// the whole batch (leader included) as one block solve.
-	batch *batch
 }
 
 // Service is the concurrent solve service: a bounded worker pool over a
@@ -167,8 +150,6 @@ type Service struct {
 
 	cacheMu sync.Mutex
 	cache   *encCache // nil when disabled
-
-	batcher *batcher // nil when batching is disabled
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -196,9 +177,6 @@ func New(cfg Config) *Service {
 	if cfg.CacheSize > 0 {
 		s.cache = newEncCache(cfg.CacheSize)
 	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(s, cfg.BatchWindow, cfg.MaxBatch)
-	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		//lint:ignore goroutineguard long-lived pool worker; joined in Close via s.wg.Wait after the queue is closed
@@ -218,9 +196,6 @@ func (s *Service) Close() {
 	s.closed = true
 	close(s.queue)
 	s.mu.Unlock()
-	if s.batcher != nil {
-		s.batcher.sealAll()
-	}
 	s.wg.Wait()
 }
 
@@ -278,24 +253,6 @@ func (s *Service) SubmitObserved(ctx context.Context, req Request, events chan<-
 	}
 	s.seq++
 	j.id = fmt.Sprintf("job-%d", s.seq)
-	if s.batcher != nil && j.req.batchable() {
-		// Batched admission: join an open batch for this spec or open a
-		// new one (whose leader takes a queue slot like any job). Either
-		// way the job completes through the batch, or through the
-		// single-RHS fallback path the batch demotes it to.
-		err := s.batcher.submit(j)
-		s.mu.Unlock()
-		if err != nil {
-			if cancel != nil {
-				cancel()
-			}
-			s.stats.add(func(st *stats) { st.rejected++ })
-			return fail(err)
-		}
-		s.stats.add(func(st *stats) { st.accepted++ })
-		<-j.done
-		return j.resp, j.err
-	}
 	select {
 	case s.queue <- j:
 		s.mu.Unlock()
@@ -339,10 +296,6 @@ func (s *Service) worker() {
 	pool := kernel.NewPool(s.cfg.KernelWorkers)
 	defer pool.Close()
 	for j := range s.queue {
-		if j.batch != nil {
-			s.runBatch(j.batch, pool)
-			continue
-		}
 		s.run(j, pool)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -352,6 +353,15 @@ func TestValidation(t *testing.T) {
 		{"rhs length mismatch", Request{Matrix: laplaceSpec(), RHS: []float64{1, 2, 3}}},
 		{"bad fault site", Request{Matrix: laplaceSpec(), Faults: []FaultSpec{{Site: "gemm"}}}},
 		{"too many chaos faults", Request{Matrix: laplaceSpec(), ChaosFaults: 1000}},
+		{"negative timeout_ms", Request{Matrix: laplaceSpec(), TimeoutMillis: -1}},
+		{"timeout_ms past 24 h", Request{Matrix: laplaceSpec(), TimeoutMillis: 86_400_001}},
+		// 1e13 ms wraps a time.Duration to −2 346 317 h: a deadline already past.
+		{"timeout_ms wraps negative", Request{Matrix: laplaceSpec(), TimeoutMillis: 1e13}},
+		{"negative max_iter", Request{Matrix: laplaceSpec(), MaxIter: -1}},
+		// laplaceSpec has 144 rows; past 100·n an unreachable tol holds a
+		// worker for as long as the cap allows.
+		{"max_iter past 100n", Request{Matrix: laplaceSpec(), MaxIter: 100*144 + 1}},
+		{"max_iter near MaxInt", Request{Matrix: laplaceSpec(), MaxIter: math.MaxInt}},
 		{"degree past the bound", Request{Matrix: MatrixSpec{Kind: "spd", N: 4, Degree: maxDegree + 1}}},
 		{"degree 2^61", Request{Matrix: MatrixSpec{Kind: "spd", N: 4, Degree: 1 << 61}}},
 		{"diagdom degree past the bound", Request{Matrix: MatrixSpec{Kind: "diagdom", N: 4, Degree: maxDegree + 1}}},
@@ -367,6 +377,17 @@ func TestValidation(t *testing.T) {
 				t.Fatalf("got %v, want ErrBadRequest", err)
 			}
 		})
+	}
+}
+
+// TestTimeoutAndIterationBounds: the largest timeout_ms (24 h) and max_iter
+// (100·n) a request may name are admitted and solved.
+func TestTimeoutAndIterationBounds(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	resp, err := s.Submit(context.Background(), Request{Matrix: laplaceSpec(), TimeoutMillis: 86_400_000, MaxIter: 100 * 144})
+	if err != nil || !resp.Converged {
+		t.Fatalf("request at both bounds: converged %v, err %v", resp != nil && resp.Converged, err)
 	}
 }
 

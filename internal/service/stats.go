@@ -40,9 +40,6 @@ type stats struct {
 	iterationsSaved    int64
 	rejectedRepairs    int64
 	forwardRecovered   int64
-	batches            int64
-	batchedJobs        int64
-	batchFallbacks     int64
 	solveMillisSamples [latRingCap]float64
 	sampleNext         int
 	sampleCount        int
@@ -85,13 +82,6 @@ type Snapshot struct {
 	IterationsSaved     int64 `json:"iterations_saved"`
 	RejectedCorrections int64 `json:"rejected_corrections"`
 	ForwardRecovered    int64 `json:"forward_recovered"`
-
-	// Batched multi-RHS solves: block solves executed, jobs that rode in
-	// one, and columns that fell back to the single-RHS path (per-column
-	// failure or SDC suspicion — the batch never retries as a unit).
-	Batches        int64 `json:"batches"`
-	BatchedJobs    int64 `json:"batched_jobs"`
-	BatchFallbacks int64 `json:"batch_fallbacks"`
 
 	// Streaming.
 	EventsDropped int64 `json:"events_dropped"`
@@ -188,9 +178,6 @@ func (s *stats) snapshot() Snapshot {
 		Rollbacks:         s.rollbacks,
 		InjectedFaults:    s.injectedFaults,
 		VerifiedResiduals: s.verifiedResiduals,
-		Batches:           s.batches,
-		BatchedJobs:       s.batchedJobs,
-		BatchFallbacks:    s.batchFallbacks,
 		EventsDropped:     s.eventsDropped,
 		LatencySamples:    s.sampleCount,
 

@@ -10,10 +10,7 @@ package newsum
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"newsum/internal/bench"
 	"newsum/internal/service"
@@ -94,101 +91,6 @@ func BenchmarkServeCacheHit(b *testing.B) {
 	}
 	b.StopTimer()
 	reportServeInvariants(b, s)
-}
-
-// BenchmarkServeBatch compares k same-operator protected solves offered
-// one at a time against the same k arriving concurrently and coalescing
-// into one multi-RHS block solve. jobs/s is the figure of record. What the
-// batch shares is the per-iteration matrix traversal, so it pays only once
-// the operator no longer sits in cache: the small operator is the smoke arm
-// (it fits in L1/L2, where the two sides tie, and carries the deterministic
-// units under -short); the large one is the regime -batch-window is for,
-// and is where the batched side must come out ahead.
-func BenchmarkServeBatch(b *testing.B) {
-	benchServeBatch(b, service.MatrixSpec{Kind: "laplace2d", N: 20}, 400)
-	if !testing.Short() {
-		b.Run("circuit-40000", func(b *testing.B) {
-			benchServeBatch(b, service.MatrixSpec{Kind: "circuit", N: 40000, Seed: benchSeed}, 40000)
-		})
-	}
-}
-
-func benchServeBatch(b *testing.B, spec service.MatrixSpec, n int) {
-	const k = 8
-	rhs := func(col int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = 1 + float64((i*7+col*13)%11)
-		}
-		return v
-	}
-	// Warm the encoding cache so the one-time encode is not amortized over
-	// b.N — B/op must not depend on the iteration count.
-	warm := func(b *testing.B, s *service.Service) {
-		if _, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(0)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-
-	b.Run("sequential", func(b *testing.B) {
-		s := service.New(serveBenchConfig(1))
-		defer s.Close()
-		warm(b, s)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for c := 0; c < k; c++ {
-				resp, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(c)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !resp.Converged {
-					b.Fatal("job did not converge")
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "jobs/s")
-		reportServeInvariants(b, s)
-	})
-
-	b.Run("batched", func(b *testing.B) {
-		cfg := serveBenchConfig(1)
-		cfg.BatchWindow = 5 * time.Millisecond
-		cfg.MaxBatch = k
-		s := service.New(cfg)
-		defer s.Close()
-		warm(b, s)
-		var batched int64
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for c := 0; c < k; c++ {
-				wg.Add(1)
-				go func(c int) {
-					defer wg.Done()
-					resp, err := s.Submit(context.Background(), service.Request{Matrix: spec, RHS: rhs(c)})
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if !resp.Converged {
-						b.Error("job did not converge")
-						return
-					}
-					if resp.Batched {
-						atomic.AddInt64(&batched, 1)
-					}
-				}(c)
-			}
-			wg.Wait()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(k*b.N)/b.Elapsed().Seconds(), "jobs/s")
-		if batched == 0 {
-			b.Fatal("no job was ever batched; the coalescing window never filled")
-		}
-		reportServeInvariants(b, s)
-	})
 }
 
 // BenchmarkServeShard compares a router-fronted 2-backend fleet against a
