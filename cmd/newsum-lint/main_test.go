@@ -37,8 +37,8 @@ func TestList(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr %q", code, errOut.String())
 	}
 	all := analysis.All()
-	if len(all) < 7 {
-		t.Errorf("registry lists %d analyzers, expected at least the 7 of this tier", len(all))
+	if len(all) < 6 {
+		t.Errorf("registry lists %d analyzers, expected at least the 6 of this tier", len(all))
 	}
 	for _, az := range all {
 		if !strings.Contains(out.String(), az.Name()) {

@@ -48,7 +48,6 @@ func TestGolden(t *testing.T) {
 		{"errdrop", []analysis.Analyzer{analysis.NewErrDrop()}},
 		{"bannedcall", []analysis.Analyzer{analysis.NewBannedCall()}},
 		{"goroutineguard", []analysis.Analyzer{analysis.NewGoroutineGuard()}},
-		{"hotalloc", []analysis.Analyzer{analysis.NewHotAlloc()}},
 		{"checksumguard", []analysis.Analyzer{analysis.NewChecksumGuard()}},
 		// stalesuppress judges directive usage against the analyzers that
 		// ran, so its golden case runs the full registry — the way the

@@ -4,10 +4,11 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // ChecksumGuard enforces the paper's checksum-coverage invariant inside
-// //hot:protected regions: every write to a declared protected vector must
+// protected functions: every write to a declared protected vector must
 // flow through a call (the internal/vec, internal/kernel and
 // internal/checksum operations, which maintain the cᵀv checksum and its
 // η error bound alongside the data — Eqs. 2–4), never through raw
@@ -24,10 +25,19 @@ import (
 //
 // Calls receiving protected vectors as arguments are the sanctioned path
 // and always pass; the one raw anchor write lives in checksum.Anchor,
-// which re-derives the checksum from a fresh reduction. Regions are
-// declared with //hot:protected on the solver loops (x, r, p, ... of PCG,
-// BiCGStab, CR) and on the engine's operation methods (see hot.go for the
-// directive language).
+// which re-derives the checksum from a fresh reduction.
+//
+// A function is protected by a directive in its doc comment:
+//
+//	//hot:protected <name>...
+//
+// Every variable the function body uses under a listed name is protected
+// (so shadowing cannot smuggle a write past the guard), and a name that
+// matches none is reported. The solver steps (x, r, p, ... of PCG,
+// BiCGStab, CR, Jacobi, Chebyshev) and the engine's operation methods
+// carry one. Any other //hot: comment — a directive elsewhere, an unknown
+// kind, an empty name list — is reported too, so a stale annotation fails
+// the lint instead of guarding nothing.
 type ChecksumGuard struct {
 	Base
 }
@@ -38,24 +48,79 @@ func NewChecksumGuard() *ChecksumGuard {
 		"flags raw writes and aliasing re-slices of //hot:protected vectors that bypass the checksum-maintaining ops")}
 }
 
-// RunPackage implements Analyzer. Protected regions are resolved from the
-// same directive model hotalloc uses.
+// RunPackage implements Analyzer.
 func (a *ChecksumGuard) RunPackage(pass *Pass) {
-	model := buildHotModel(pass)
-	for _, r := range model.protRegions {
-		objs, missing := model.protObjects(r)
-		for _, name := range missing {
-			pass.Reportf(r.pos, "//hot:protected name %q does not resolve to a variable in its region", name)
-		}
-		if len(objs) == 0 {
+	for _, f := range pass.Pkg.Files {
+		if isTestFile(pass.Pkg.Fset, f) {
 			continue
 		}
-		g := &guardWalker{pass: pass, objs: objs}
-		model.walkProtected(r, g.visit)
+		docOf := map[*ast.CommentGroup]*ast.FuncDecl{}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Doc != nil && fn.Body != nil {
+				docOf[fn.Doc] = fn
+			}
+		}
+		for _, group := range f.Comments {
+			for _, c := range group.List {
+				rest, ok := strings.CutPrefix(c.Text, "//hot:")
+				if !ok {
+					continue
+				}
+				kind, args, _ := strings.Cut(rest, " ")
+				names := strings.Fields(args)
+				fn := docOf[group]
+				switch {
+				case kind != "protected":
+					pass.Reportf(c.Pos(), "unknown //hot:%s directive (want //hot:protected <name>...)", kind)
+				case fn == nil:
+					pass.Reportf(c.Pos(), "//hot:protected must sit in the doc comment of a function declaration with a body")
+				case len(names) == 0:
+					pass.Reportf(c.Pos(), "//hot:protected needs at least one vector name")
+				default:
+					guardFunc(pass, fn, names, c.Pos())
+				}
+			}
+		}
 	}
 }
 
-// guardWalker checks one protected region against one protected-object set.
+// guardFunc resolves a protected function's declared names to the
+// variables its body uses under them and checks every write to those.
+func guardFunc(pass *Pass, fn *ast.FuncDecl, names []string, pos token.Pos) {
+	found := map[string]bool{}
+	for _, name := range names {
+		found[name] = false
+	}
+	objs := map[types.Object]string{}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if _, declared := found[id.Name]; declared {
+				if v, ok := pass.ObjectOf(id).(*types.Var); ok {
+					objs[v] = id.Name
+					found[id.Name] = true
+				}
+			}
+		}
+		return true
+	})
+	for _, name := range names {
+		if !found[name] {
+			pass.Reportf(pos, "//hot:protected name %q does not resolve to a variable in its function", name)
+		}
+	}
+	if len(objs) == 0 {
+		return
+	}
+	g := &guardWalker{pass: pass, objs: objs}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if n != nil {
+			g.visit(n)
+		}
+		return true
+	})
+}
+
+// guardWalker checks one protected function against its protected-object set.
 type guardWalker struct {
 	pass *Pass
 	objs map[types.Object]string
@@ -116,4 +181,38 @@ func (g *guardWalker) protected(e ast.Expr) (string, bool) {
 	}
 	name, ok := g.objs[obj]
 	return name, ok
+}
+
+// baseObject resolves the variable at the base of an index, slice, selector
+// or pointer chain: x, x.data, x.data[i], x.s[1:] all resolve to x's
+// object. It returns nil for bases that are not simple variables.
+func baseObject(pass *Pass, e ast.Expr) types.Object {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return pass.ObjectOf(x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
+}
+
+// calleeBuiltin names the builtin a call invokes, or "".
+func calleeBuiltin(pass *Pass, call *ast.CallExpr) string {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if b, ok := pass.ObjectOf(id).(*types.Builtin); ok {
+		return b.Name()
+	}
+	return ""
 }

@@ -13,7 +13,6 @@ func All() []Analyzer {
 		NewErrDrop(),
 		NewBannedCall(),
 		NewGoroutineGuard(),
-		NewHotAlloc(),
 		NewChecksumGuard(),
 		NewStaleSuppress(),
 	}

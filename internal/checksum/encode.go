@@ -59,8 +59,6 @@ func EncodeMatrix(a *sparse.CSR, weights []Weight, d float64) *Matrix {
 // checksums su, per Eq. (2): checksum_k(w) = Rows[k]·u + d·su[k].
 // The result is written to dst, which must have one slot per weight.
 // Cost: one dense dot of length N per weight — O(N), independent of nnz.
-//
-//hot:loop Eq. (2) MVM checksum update on the protected solve path
 func (m *Matrix) UpdateMVM(dst []float64, u []float64, su []float64) {
 	if len(u) != m.N {
 		panic("checksum: vector length mismatch in UpdateMVM")
@@ -78,8 +76,6 @@ func (m *Matrix) UpdateMVM(dst []float64, u []float64, su []float64) {
 // (sign-corrected) Eq. (4): checksum_k(w) = (su[k] − Rows[k]·w) / d, where
 // Rows encodes M. See DESIGN.md §2 for the derivation; this form satisfies
 // Lemma 1's identity checksum(w) − cᵀw = (checksum(u) − cᵀu)/d.
-//
-//hot:loop Eq. (4) PCO checksum update on the protected solve path
 func (m *Matrix) UpdatePCO(dst []float64, w []float64, su []float64) {
 	if len(w) != m.N {
 		panic("checksum: vector length mismatch in UpdatePCO")
@@ -94,8 +90,6 @@ func (m *Matrix) UpdatePCO(dst []float64, w []float64, su []float64) {
 
 // UpdateVLOAxpby computes the checksums of z := alpha·x + beta·y from the
 // operand checksums, per Eq. (3). O(1) per weight. dst may alias sx or sy.
-//
-//hot:loop Eq. (3) VLO checksum update on the protected solve path
 func UpdateVLOAxpby(dst []float64, alpha float64, sx []float64, beta float64, sy []float64) {
 	if len(dst) != len(sx) || len(dst) != len(sy) {
 		panic("checksum: checksum slot mismatch in UpdateVLOAxpby")
@@ -106,8 +100,6 @@ func UpdateVLOAxpby(dst []float64, alpha float64, sx []float64, beta float64, sy
 }
 
 // UpdateVLOScale computes the checksums of w := alpha·u. dst may alias su.
-//
-//hot:loop Eq. (3) scaling update on the protected solve path
 func UpdateVLOScale(dst []float64, alpha float64, su []float64) {
 	if len(dst) != len(su) {
 		panic("checksum: checksum slot mismatch in UpdateVLOScale")
@@ -118,8 +110,6 @@ func UpdateVLOScale(dst []float64, alpha float64, su []float64) {
 }
 
 // UpdateVLOAxpy computes the checksums of y := y + alpha·x in place on sy.
-//
-//hot:loop Eq. (3) in-place axpy update on the protected solve path
 func UpdateVLOAxpy(sy []float64, alpha float64, sx []float64) {
 	if len(sy) != len(sx) {
 		panic("checksum: checksum slot mismatch in UpdateVLOAxpy")
@@ -164,8 +154,6 @@ func ReduceEps(n int) float64 {
 
 // UpdateMVMBound is UpdateMVM plus η propagation:
 // η_out = |d|·η_in + depth·ε·(Σ|row_i·u_i| + |d·su|).
-//
-//hot:loop Eq. (2) update with eta propagation on the protected solve path
 func (m *Matrix) UpdateMVMBound(dst, etaDst []float64, u []float64, su, etaSrc []float64) {
 	if len(u) != m.N {
 		panic("checksum: vector length mismatch in UpdateMVMBound")
@@ -198,8 +186,6 @@ func (m *Matrix) foldMVMBound(k int, dst, etaDst []float64, s, abs float64, su, 
 // them inside the sweep that streams u anyway, bitwise-identical to the
 // separate reduction by the vec block-tree contract, and feed them through
 // the same bound formulas here. dst may be su and etaDst etaSrc.
-//
-//hot:loop Eq. (2) update fed by fused kernels on the protected solve path
 func (m *Matrix) UpdateMVMBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []float64) {
 	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) ||
 		len(etaDst) != len(m.Weights) || len(etaSrc) != len(m.Weights) ||
@@ -213,8 +199,6 @@ func (m *Matrix) UpdateMVMBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []fl
 
 // UpdatePCOBound is UpdatePCO plus η propagation:
 // η_out = (η_in + depth·ε·(Σ|row_i·w_i| + |su|)) / |d|.
-//
-//hot:loop Eq. (4) update with eta propagation on the protected solve path
 func (m *Matrix) UpdatePCOBound(dst, etaDst []float64, w []float64, su, etaSrc []float64) {
 	if len(w) != m.N {
 		panic("checksum: vector length mismatch in UpdatePCOBound")
@@ -240,8 +224,6 @@ func (m *Matrix) foldPCOBound(k int, dst, etaDst []float64, s, abs float64, su, 
 // UpdatePCOBoundFrom is UpdatePCOBound with the row reductions precomputed;
 // rowSum[k] and rowAbs[k] must be exactly vec.DotAbs(Rows[k], w). dst may be
 // su and etaDst etaSrc.
-//
-//hot:loop Eq. (4) update fed by fused kernels on the protected solve path
 func (m *Matrix) UpdatePCOBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []float64) {
 	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) ||
 		len(etaDst) != len(m.Weights) || len(etaSrc) != len(m.Weights) ||
@@ -254,8 +236,6 @@ func (m *Matrix) UpdatePCOBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []fl
 }
 
 // UpdateVLOAxpbyBound is UpdateVLOAxpby plus η propagation.
-//
-//hot:loop Eq. (3) update with eta propagation on the protected solve path
 func UpdateVLOAxpbyBound(dst, etaDst []float64, alpha float64, sx, etaX []float64, beta float64, sy, etaY []float64) {
 	for k := range dst {
 		dst[k] = alpha*sx[k] + beta*sy[k]
@@ -265,8 +245,6 @@ func UpdateVLOAxpbyBound(dst, etaDst []float64, alpha float64, sx, etaX []float6
 }
 
 // UpdateVLOAxpyBound is UpdateVLOAxpy plus η propagation (in place on sy).
-//
-//hot:loop Eq. (3) in-place update with eta propagation on the protected solve path
 func UpdateVLOAxpyBound(sy, etaY []float64, alpha float64, sx, etaX []float64) {
 	for k := range sy {
 		sy[k] += alpha * sx[k]
@@ -277,8 +255,6 @@ func UpdateVLOAxpyBound(sy, etaY []float64, alpha float64, sx, etaX []float64) {
 // UpdateVLOScaleBound is UpdateVLOScale plus η propagation: the scaled
 // source bound α·η plus the rounding of the k multiplications themselves,
 // bounded by 2ε|dst[k]|.
-//
-//hot:loop Eq. (3) scaling update on the protected solve path
 func UpdateVLOScaleBound(dst, etaDst []float64, alpha float64, su, etaSrc []float64) {
 	for k := range dst {
 		dst[k] = alpha * su[k]
@@ -294,8 +270,6 @@ func UpdateVLOScaleBound(dst, etaDst []float64, alpha float64, su, etaSrc []floa
 // η band cannot compound across verification windows, and checksumguard
 // can insist every other mutation of protected state flows through the
 // Eq. (2)–(4) update kernels.
-//
-//hot:loop verification re-anchor on the protected solve path
 func Anchor(s, eta []float64, k int, sum, absSum float64, n int) {
 	s[k] = sum
 	eta[k] = ReduceEps(n) * absSum

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"newsum/internal/kernel"
@@ -15,8 +16,7 @@ import (
 // so the solve always runs the full budget and returns ErrNotConverged.
 // Setup (engine, tracked vectors, the i=0 checkpoint, the final error) is
 // a constant, so comparing the count at k and 2k iterations isolates the
-// per-iteration cost — the quantity the hotalloc analyzer polices
-// statically and this test pins dynamically.
+// per-iteration cost.
 func steadyStateAllocs(t *testing.T, iters int, pool *kernel.Pool,
 	run func(opts Options) (Result, error)) float64 {
 	t.Helper()
@@ -44,11 +44,13 @@ func steadyStateAllocs(t *testing.T, iters int, pool *kernel.Pool,
 // TestSolveSteadyStateZeroAllocs asserts the steady-state allocation
 // contract end to end: once a protected solve is warmed up, every further
 // iteration performs zero heap allocations — serial and on a worker pool,
-// for basic and two-level PCG, for BiCGStab and for the online-MV baseline
-// of both. The static counterpart is the hotalloc analyzer over the
-// //hot:loop-annotated solver loops; this test catches what escape analysis
-// decides behind the analyzer's back (closure capture, interface boxing,
-// append growth).
+// for every method the driver runs (PCG, BiCGStab, CR, Jacobi, Chebyshev,
+// GMRES), every scheme that brings steady-state verbs or a guard of its own
+// (basic, two-level lazy and eager-triple, online-MV, orthogonality), and
+// both preconditioner kinds: the diagonal stage and the triangular
+// schedule of block-Jacobi ILU(0). It measures the real heap, so it sees
+// what escape analysis decides — closure capture, interface boxing,
+// append growth — through every interface call of the driver.
 func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement solves are not short")
@@ -66,14 +68,31 @@ func TestSolveSteadyStateZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every benchmark workload preconditions with block-Jacobi ILU(0),
+	// whose application runs the triangular-solve schedule.
+	ilu, err := precond.BlockJacobiILU0(a, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The spectrum of D⁻¹A for the 7-point Laplacian on a 17³ grid is
+	// 1 ± cos(π/18) at its ends.
+	lmin, lmax := 1-math.Cos(math.Pi/18), 1+math.Cos(math.Pi/18)
+	eager := func(opts Options) Options { opts.EagerTriple = true; return opts }
 
 	solvers := []struct {
 		name string
 		run  func(opts Options) (Result, error)
 	}{
 		{"BasicPCG", func(opts Options) (Result, error) { return BasicPCG(a, m, b, opts) }},
+		{"BasicPCG-ILU0", func(opts Options) (Result, error) { return BasicPCG(a, ilu, b, opts) }},
 		{"TwoLevelPCG", func(opts Options) (Result, error) { return TwoLevelPCG(a, m, b, opts) }},
+		{"TwoLevelPCG-eager", func(opts Options) (Result, error) { return TwoLevelPCG(a, m, b, eager(opts)) }},
+		{"OrthoPCG", func(opts Options) (Result, error) { return OrthoPCG(a, m, b, opts) }},
 		{"BasicPBiCGSTAB", func(opts Options) (Result, error) { return BasicPBiCGSTAB(a, m, b, opts) }},
+		{"TwoLevelPBiCGSTAB", func(opts Options) (Result, error) { return TwoLevelPBiCGSTAB(a, m, b, opts) }},
+		{"BasicCR", func(opts Options) (Result, error) { return BasicCR(a, b, opts) }},
+		{"BasicJacobi", func(opts Options) (Result, error) { return BasicJacobi(a, b, opts) }},
+		{"BasicChebyshev", func(opts Options) (Result, error) { return BasicChebyshev(a, m, b, lmin, lmax, opts) }},
 		// GMRES ignores CheckpointInterval — it snapshots at every restart
 		// boundary — so a short restart length pulls the checkpoint-save and
 		// triangular-solve paths into the measured steady state. This pins the

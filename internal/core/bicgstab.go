@@ -110,7 +110,6 @@ func (c *bicgstab) restored(k *run, snapIter int, lossy bool) error {
 	return nil
 }
 
-//hot:loop BiCGStab iteration (§5.3 construction)
 func (c *bicgstab) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.v, c.s, c.t, c.phat, c.shat)
 }
@@ -119,11 +118,9 @@ func (c *bicgstab) step(k *run) (status, error) {
 func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (status, error) {
 	i := k.i
 	rho := k.dot(c.rhat, r.data)
-	//hot:cold suspect-scalar detection and rollback
 	if k.g.suspect(rho) {
 		return k.scalarFault("ρ = %g", rho), nil
 	}
-	//hot:cold breakdown exit
 	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if rho == 0 {
 		return failed, k.breakdown("ρ = 0")
@@ -144,11 +141,9 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 		return faulted, nil
 	}
 	rhatV := k.dot(c.rhat, v.data)
-	//hot:cold suspect-scalar detection and rollback
 	if k.g.suspect(rhatV) {
 		return k.scalarFault("r̂ᵀv = %g", rhatV), nil
 	}
-	//hot:cold breakdown exit
 	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if rhatV == 0 {
 		return failed, k.breakdown("r̂ᵀv = 0")
@@ -156,7 +151,6 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 	c.alpha = rho / rhatV
 	k.axpbyInto(i, s, 1, r, -c.alpha, v)
 
-	//hot:cold early-convergence exit: runs once per solve
 	if sNorm := k.norm2(s.data); sNorm/k.normB <= k.tol {
 		k.axpy(i, x, c.alpha, phat)
 		k.advance(sNorm)
@@ -171,16 +165,13 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 		return faulted, nil
 	}
 	tt := k.dot(t.data, t.data)
-	//hot:cold suspect-scalar detection and rollback
 	if k.g.suspect(tt) {
 		return k.scalarFault("tᵀt = %g", tt), nil
 	}
-	//hot:cold breakdown exit
 	if tt <= 0 {
 		return failed, k.breakdown("tᵀt = 0")
 	}
 	c.omega = k.dot(t.data, s.data) / tt
-	//hot:cold breakdown exit
 	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if c.omega == 0 {
 		return failed, k.breakdown("ω = 0")

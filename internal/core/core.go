@@ -322,7 +322,6 @@ func (o *Options) ctxErr(method string) error {
 	}
 	select {
 	case <-o.Ctx.Done():
-		//hot:cold cancellation exit: fires at most once per solve
 		return fmt.Errorf("core: %s solve canceled: %w", method, o.Ctx.Err())
 	default:
 		return nil

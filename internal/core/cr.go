@@ -86,7 +86,6 @@ func (c *cr) restored(k *run, _ int, lossy bool) error {
 	return nil
 }
 
-//hot:loop CR iteration (§5.3 construction)
 func (c *cr) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.ar, c.ap)
 }
@@ -95,11 +94,9 @@ func (c *cr) step(k *run) (status, error) {
 func (c *cr) iterate(k *run, x, r, p, ar, ap *tracked) (status, error) {
 	i := k.i
 	apap := k.dot(ap.data, ap.data)
-	//hot:cold suspect-scalar detection and rollback
 	if k.g.suspect(apap) || k.g.suspect(c.rAr) {
 		return k.scalarFault("ApᵀAp = %g or rᵀAr = %g", apap, c.rAr), nil
 	}
-	//hot:cold breakdown exit
 	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if apap == 0 || c.rAr == 0 {
 		return failed, k.breakdown("ApᵀAp = 0 or rᵀAr = 0")

@@ -259,14 +259,10 @@ func (k *run) open() bool {
 }
 
 // turn is one trip round the steady-state loop; false means the solve is
-// over, with the outcome in k.res and k.err. Every allocation reachable
-// from here is policed by the hotalloc analyzer, every raw write to the
-// protected vectors by checksumguard (detection and recovery are //hot:cold
-// — they ride the recovery budget, not the per-iteration one).
-//
-//hot:loop the protected iteration of every method × scheme
+// over, with the outcome in k.res and k.err. Once warm it allocates
+// nothing per iteration (TestSolveSteadyStateZeroAllocs); detection and
+// recovery ride the recovery budget, not the per-iteration one.
 func (k *run) turn() bool {
-	//hot:cold iteration-budget exit: at most once per solve
 	if k.i >= k.maxIter {
 		_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), k.res, k.relres)
 		return k.finish(err)
@@ -277,7 +273,6 @@ func (k *run) turn() bool {
 		return k.finish(err)
 	}
 	st, err := k.iterate()
-	//hot:cold exits and recovery: at most once per solve or per detection
 	switch st {
 	case converged:
 		k.res.Converged = true
@@ -295,8 +290,6 @@ func (k *run) turn() bool {
 // iterate is one pass of the loop: outer-level detection every d
 // iterations (Algorithm 1 lines 5–6), a checkpoint every cd — a multiple
 // of d, so on state that was just verified — then the recurrence's step.
-//
-//hot:loop the protected iteration of every method × scheme
 func (k *run) iterate() (status, error) {
 	if k.i > 0 && k.i%k.opts.DetectInterval == 0 && !k.g.boundary(k) {
 		return faulted, nil
@@ -319,7 +312,6 @@ func (k *run) advance(resNorm float64) bool {
 // tolerance.
 func (k *run) observe(resNorm float64) bool {
 	k.relres = resNorm / k.normB
-	//hot:cold diagnostic residual history, off by default
 	if k.opts.RecordResiduals {
 		k.res.History = append(k.res.History, k.relres)
 	}
@@ -336,23 +328,18 @@ func (k *run) finish(err error) bool {
 }
 
 // scalarFault records a suspect recurrence scalar as a detection.
-//
-//hot:cold suspect-scalar detection: runs only after a fault
 func (k *run) scalarFault(format string, args ...any) status {
 	k.res.Stats.Detections++
 	k.opts.Trace.add(k.i, EvDetection, "suspect recurrence scalar "+format, args...)
 	return faulted
 }
 
-//hot:cold breakdown exit: at most once per solve
 func (k *run) breakdown(what string) error {
 	return breakdownErr(k.method.String(), k.scheme, k.i, what)
 }
 
 // save snapshots {x, p}, the recurrence scalars and the carried checksums
 // (plus r when the guard keeps it).
-//
-//hot:cold checkpoint machinery: invoked once per cd iterations, off the steady-state budget
 func (k *run) save() {
 	k.opts.Trace.add(k.i, EvCheckpoint, k.kr.snapMsg)
 	k.rec.scalars(k.scal)
@@ -368,8 +355,6 @@ func (k *run) save() {
 // hold — r = b − A·x and the recurrence's derived vectors — the recovery
 // of Algorithm 1 line 9. False means the budget is spent or the snapshot
 // is unusable: the solve does not terminate (ErrRollbackStorm).
-//
-//hot:cold recovery machinery: runs only after a detection
 func (k *run) rollback() bool {
 	st := &k.res.Stats
 	st.Rollbacks++
@@ -438,14 +423,11 @@ type sumGuard struct {
 
 // boundary verifies checksum(v) = cᵀv for the outer-level vectors, x and
 // r first.
-//
-//hot:loop outer-level detection, every d iterations
 func (g *sumGuard) boundary(k *run) bool {
 	xOK, rOK, others := g.verifyOuter(k, g.outer)
 	if xOK && rOK && others == 0 {
 		return true
 	}
-	//hot:cold detection handling: forward repair first, else rollback
 	k.opts.Trace.add(k.i, EvDetection, k.kr.detectMsg)
 	return g.repair(k, xOK, rOK, others, false)
 }
@@ -476,10 +458,7 @@ func (g *sumGuard) verifyOuter(k *run, vs []*tracked) (xOK, rOK bool, others int
 }
 
 // checkpoint verifies p (one O(n) sum per cd) and snapshots.
-//
-//hot:loop amortized checkpoint branch: once per cd iterations
 func (g *sumGuard) checkpoint(k *run) bool {
-	//hot:cold a corrupted direction: forward repair first, else rollback
 	if p := k.kr.p; k.i > 0 && p != nil && !k.e.verify(p) && !g.repair(k, true, true, 1, false) {
 		return false
 	}
@@ -490,14 +469,11 @@ func (g *sumGuard) checkpoint(k *run) bool {
 // inner is the inner-level protection of the two-level scheme (Algorithm 2
 // lines 16–27): one-checksum probe, triple-checksum diagnosis, immediate
 // correction of single errors, immediate rollback on multiple errors.
-//
-//hot:loop inner-level probe after every MVM
 func (g *sumGuard) inner(k *run, q, src *tracked) bool {
 	if !g.twoLevel {
 		return false
 	}
 	diag := k.e.innerCheck(q, src)
-	//hot:cold correction/detection reporting after an inner-level event
 	switch diag.Kind {
 	case checksum.SingleError:
 		k.opts.Trace.add(k.i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.name, diag.Pos, diag.Magnitude)
@@ -508,13 +484,10 @@ func (g *sumGuard) inner(k *run, q, src *tracked) bool {
 	return false
 }
 
-//hot:loop recurrence-scalar sanity check
 func (g *sumGuard) suspect(x float64) bool { return suspectScalar(x) }
 
 // exit verifies x and the residual before declaring victory, so a
 // corrupted small residual cannot smuggle out a wrong solution.
-//
-//hot:cold convergence exit: verified once per solve, recovery on a corrupted residual
 func (g *sumGuard) exit(k *run, resid *tracked) status {
 	vs := []*tracked{k.x, resid}
 	if k.kr.xOnly {
@@ -544,8 +517,6 @@ func (g *sumGuard) keepsResidual() bool { return false }
 // (the direction, stored products); restart forces the Krylov restart even
 // without a data repair. It returns true when the solve may continue
 // forward.
-//
-//hot:cold forward recovery rides the recovery budget
 func (g *sumGuard) repair(k *run, xOK, rOK bool, others int, restart bool) bool {
 	st := &k.res.Stats
 	if !g.forward || st.ForwardRepairs >= k.opts.MaxRollbacks {

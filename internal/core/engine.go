@@ -186,8 +186,6 @@ func (e *engine) recompute(v *tracked) {
 // pass on the pool. The all-ones weight's pair is Σv_i, Σ|v_i| — 1·v_i is
 // exact, so bitwise the weighted pair — taken by the leaf that makes no
 // call per element.
-//
-//hot:loop verification reduction on the protected solve path
 func (e *engine) sums(v *tracked, k int) (sum, absSum float64) {
 	if k == 0 && e.onesFirst {
 		return e.pool.SumAbs(v.data)
@@ -198,11 +196,8 @@ func (e *engine) sums(v *tracked, k int) (sum, absSum float64) {
 // dot, norm2 and mulVec route the solver loops' reductions and SpMVs
 // through the pool; with a nil pool they are exactly vec.Dot, vec.Norm2
 // and a.MulVec.
-//
-//hot:loop reduction on the solve path
 func (e *engine) dot(u, v []float64) float64 { return e.pool.Dot(u, v) }
 
-//hot:loop reduction on the solve path
 func (e *engine) norm2(u []float64) float64 { return e.pool.Norm2(u) }
 
 func (e *engine) mulVec(y, x []float64) { e.pool.MulVec(e.a, y, x) }
@@ -248,7 +243,6 @@ func suspectScalar(x float64) bool {
 // ÷d at each PCO) grows η by roughly (1+α) per iteration until it masks
 // genuine errors.
 //
-//hot:loop outer-level verification on the protected solve path
 //hot:protected v
 func (e *engine) verify(v *tracked) bool {
 	e.stats.Verifications++
@@ -272,7 +266,6 @@ func (e *engine) verify(v *tracked) bool {
 // a memory fault or not, and an output fault touches dst alone, so carried
 // checksums and verdicts are what a separate pass over src would give.
 //
-//hot:loop instrumented MVM on the solve path
 //hot:protected dst src
 func (e *engine) mvm(iter int, dst, src *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteMVM, src.data)
@@ -309,7 +302,6 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 // fault) — the ordering Lemma 2's proof analyses. The cache-fault branch of
 // mvm needs it.
 //
-//hot:loop Eq. (2) update on the solve path
 //hot:protected dst src
 func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 	if e.encA == nil { // no checksums carried: nothing to update or to strike
@@ -324,7 +316,6 @@ func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 // mvmCarry carries dst's checksums through Eq. (2) from the row reductions
 // in e.lv.Sum / e.lv.Abs and closes the instrumented MVM.
 //
-//hot:loop Eq. (2) update on the solve path
 //hot:protected dst src
 func (e *engine) mvmCarry(iter int, dst, src *tracked) {
 	e.encA.UpdateMVMBoundFrom(dst.s, dst.eta, e.lv.Sum, e.lv.Abs, src.s, src.eta)
@@ -355,8 +346,6 @@ func (e *engine) corruptCheckpoint(iter int, store *checkpoint.Store) {
 
 // pco computes dst := M⁻¹·src stage by stage, carrying checksums through
 // each stage with Eq. (4) (solves) or Eq. (2) (multiplies).
-//
-//hot:loop instrumented PCO on the solve path
 func (e *engine) pco(iter int, dst, src *tracked) error {
 	e.inj.InjectMemory(iter, fault.SitePCO, src.data)
 	// A cache/register fault makes the whole solve consume a transiently
@@ -373,7 +362,6 @@ func (e *engine) pco(iter int, dst, src *tracked) error {
 		// that carries no checksums: with nothing to thread through the
 		// stages M⁻¹ is applied whole, as the unprotected solver applies it.
 		if err := applyClean(e.m, dst.data, src.data); err != nil {
-			//hot:cold preconditioner failure aborts the solve
 			return fmt.Errorf("core: PCO: %w", err)
 		}
 		copy(dst.s, src.s)
@@ -393,7 +381,6 @@ func (e *engine) pco(iter int, dst, src *tracked) error {
 		}
 		enc := e.encStg[k]
 		if err := st.ApplyDotAbs(out, in, enc.Rows, e.lv); err != nil {
-			//hot:cold preconditioner failure aborts the solve
 			return fmt.Errorf("core: PCO stage %d: %w", k, err)
 		}
 		e.lv.Fold()
@@ -429,7 +416,6 @@ func applyClean(m precond.Preconditioner, z, r []float64) error {
 // clean copy; the checksum update (from x.s) stays clean, so y becomes
 // inconsistent and detectable.
 //
-//hot:loop instrumented VLO on the solve path
 //hot:protected y x
 func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteVLO, x.data)
@@ -446,7 +432,6 @@ func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 
 // xpby computes dst := x + beta·y (dst may alias y) with checksum update.
 //
-//hot:loop instrumented VLO on the solve path
 //hot:protected dst x y
 func (e *engine) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 	e.pool.XpbyVLO(dst.data, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
@@ -457,7 +442,6 @@ func (e *engine) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 
 // axpbyInto computes dst := alpha·x + beta·y with checksum update.
 //
-//hot:loop instrumented VLO on the solve path
 //hot:protected dst x y
 func (e *engine) axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked) {
 	e.pool.AxpbyVLO(dst.data, alpha, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
@@ -486,7 +470,6 @@ func (e *engine) takeFlag() bool {
 
 // scaleInto computes dst := alpha·src with the Eq. (3) scaling update.
 //
-//hot:loop instrumented VLO on the solve path
 //hot:protected dst
 func (e *engine) scaleInto(iter int, dst *tracked, alpha float64, src *tracked) {
 	e.pool.Scale(dst.data, alpha, src.data)
@@ -519,8 +502,6 @@ func copyTracked(dst, src *tracked) {
 // paid only when an error was already detected); otherwise the event is
 // escalated to MultipleErrors and handled by rollback, which repairs the
 // input too.
-//
-//hot:loop inner-level probe on the two-level solve path
 func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
 	if e.encDiag != nil {
 		return e.innerCheckLazy(q, src)
@@ -533,7 +514,6 @@ func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
 // diagnoseLazy pass. The fault-free probe is the hot path; everything past
 // a detection rides the recovery budget.
 //
-//hot:loop inner-level probe on the two-level solve path
 //hot:protected q
 func (e *engine) innerCheckLazy(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
@@ -554,8 +534,6 @@ func (e *engine) innerCheckLazy(q, src *tracked) checksum.TripleDiagnosis {
 // single-error signature to be trustworthy (same guard as the eager path).
 // Cold by construction — it runs only after a detection, so its slice
 // literals are off the steady-state budget.
-//
-//hot:cold post-detection diagnosis rides the recovery budget
 func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.TripleDiagnosis {
 	e.stats.Detections++
 	// Input purity guard.
@@ -581,7 +559,6 @@ func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.Triple
 	return diag
 }
 
-//hot:loop inner-level probe on the two-level solve path
 //hot:protected q
 func (e *engine) innerCheckEager(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
@@ -598,8 +575,6 @@ func (e *engine) innerCheckEager(q, src *tracked) checksum.TripleDiagnosis {
 // diagnoseEager is the post-detection triple-checksum diagnosis of the
 // eager two-level scheme. Cold by construction (runs only after a
 // detection), like diagnoseLazy.
-//
-//hot:cold post-detection diagnosis rides the recovery budget
 func (e *engine) diagnoseEager(q, src *tracked, d1, abs1 float64) checksum.TripleDiagnosis {
 	e.stats.Detections++
 	sum2, abs2 := e.sums(q, 1)

@@ -82,8 +82,6 @@ func (e *engine) withinDrift(v *tracked, deltas, absSums [3]float64) bool {
 // An applied correction is confirmed before it is trusted: all three
 // relations must hold on the corrected data, otherwise the correction is
 // undone (the fake-correction hazard of §5.2) and the caller rolls back.
-//
-//hot:cold forward recovery rides the recovery budget, not the per-iteration one
 func (e *engine) forwardDiagnose(v *tracked) (forwardOutcome, checksum.TripleDiagnosis) {
 	if len(e.weights) != len(checksum.Triple) {
 		return forwardFailed, checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}

@@ -74,7 +74,6 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	}
 
 	store := opts.newStore()
-	//hot:cold checkpoint machinery: invoked once per restart cycle
 	saveCheckpoint := func() {
 		store.Save(total,
 			map[string][]float64{"x": x.data}, nil,
@@ -86,7 +85,6 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	}
 	// restoreX rolls the solution back to the last cycle snapshot, charging
 	// one rollback and the cycle's wasted iterations against the budgets.
-	//hot:cold recovery machinery: runs only after a detection
 	restoreX := func(wasted int) bool {
 		res.Stats.Rollbacks++
 		res.Stats.WastedIterations += wasted

@@ -80,8 +80,6 @@ func (o *omv) voteMemory(iter int, site fault.Site, v []float64) {
 // insidious case of §2: if a cached value of p is corrupted, both the
 // product and the checksum consume it, the relationship verifies, and the
 // error escapes.
-//
-//hot:loop verified MVM on the online-MV solve path
 func (o *omv) mvm(iter int, dst, src *tracked) {
 	q, p := dst.data, src.data
 	o.voteMemory(iter, fault.SiteMVM, p)
@@ -114,8 +112,6 @@ func sumAbs(v []float64) (sum, absSum float64) {
 // locateRepair is Sloan's binary-search localization: recompute the segment
 // checksum of [lo, hi) from A and p, recurse into inconsistent halves, and
 // recompute the offending rows when segments narrow to single elements.
-//
-//hot:cold localization and repair run only after a detection
 func (o *omv) locateRepair(q, p []float64, lo, hi int) {
 	if hi <= lo {
 		return

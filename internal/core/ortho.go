@@ -57,21 +57,17 @@ func (g *gapGuard) broken(k *run) bool {
 	return true
 }
 
-//hot:loop residual-relationship check, every d iterations
 func (g *gapGuard) boundary(k *run) bool {
 	k.res.Stats.Verifications++
 	return !g.broken(k)
 }
 
-//hot:loop amortized checkpoint branch: once per cd iterations
 func (g *gapGuard) checkpoint(k *run) bool {
 	k.save()
 	return true
 }
 
 // exit is the final residual-relationship check before accepting.
-//
-//hot:cold convergence exit: once per solve
 func (g *gapGuard) exit(k *run, _ *tracked) status {
 	if g.broken(k) {
 		return faulted

@@ -78,7 +78,6 @@ func (c *pcg) restored(k *run, _ int, lossy bool) error {
 	return nil
 }
 
-//hot:loop PCG iteration (Algorithm 1 / 2)
 func (c *pcg) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, c.p, c.q)
 }
@@ -94,11 +93,9 @@ func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 		return faulted, nil
 	}
 	pq := k.dot(p.data, q.data)
-	//hot:cold suspect-scalar detection and rollback
 	if k.g.suspect(pq) {
 		return k.scalarFault("pᵀAp = %g", pq), nil
 	}
-	//hot:cold breakdown exit
 	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if pq == 0 {
 		return failed, k.breakdown("pᵀAp = 0")

@@ -56,7 +56,6 @@ func (c *jacobi) step(k *run) (status, error)    { return c.iterate(k, k.x, k.r,
 // before moving it, so the solve closes on an x whose residual it has seen:
 // the iteration count is the number of x updates.
 //
-//hot:loop Jacobi iteration
 //hot:protected x r w u
 func (c *jacobi) iterate(k *run, x, r, w, u *tracked) (status, error) {
 	i := k.i
@@ -129,7 +128,6 @@ func (c *chebyshev) restored(k *run, _ int, lossy bool) error {
 
 func (c *chebyshev) step(k *run) (status, error) { return c.iterate(k, k.x, k.r, c.z, c.p, c.q) }
 
-//hot:loop Chebyshev iteration
 //hot:protected x r z p q
 func (c *chebyshev) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 	i := k.i

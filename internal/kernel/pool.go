@@ -25,8 +25,9 @@
 // each kernel call stores its operands in the pool's op descriptor and
 // wakes the helpers with plain int sends, so no closure crosses a
 // channel and no per-call heap traffic occurs (ROADMAP item 2,
-// "zero-allocation steady state"; enforced statically by the hotalloc
-// analyzer and dynamically by the AllocsPerRun tests in internal/core).
+// "zero-allocation steady state"; pinned per kernel by
+// TestPoolKernelsZeroAllocs and per solve by internal/core's
+// TestSolveSteadyStateZeroAllocs).
 //
 // A Pool serves one solve at a time: its scratch buffers and op
 // descriptor are reused across calls and are not safe for concurrent
@@ -133,8 +134,6 @@ func NewPool(workers int) *Pool {
 // in-flight op's part. The receive orders the launcher's op-descriptor
 // writes before the part's reads; done.Done orders the part's result
 // writes before the launcher's done.Wait return.
-//
-//hot:loop steady-state dispatch: one iteration per kernel call per helper
 func (p *Pool) worker() {
 	defer p.exited.Done()
 	for part := range p.wake {
@@ -160,8 +159,6 @@ func (p *Pool) Close() {
 // finished. Kernels validate slice lengths before launching so execPart
 // cannot panic on a helper goroutine (which would crash the process
 // rather than unwind the caller).
-//
-//hot:loop per-call dispatch of every parallel kernel
 func (p *Pool) launch() {
 	p.done.Add(p.workers - 1)
 	for part := 1; part < p.workers; part++ {
@@ -174,8 +171,6 @@ func (p *Pool) launch() {
 // execPart runs one worker's share of the in-flight op. Range splits are
 // pure functions of (n or nb, part, workers), so the partition — and with
 // it the set of leaves each worker fills — never depends on scheduling.
-//
-//hot:loop every parallel kernel funnels through here
 func (p *Pool) execPart(part int) {
 	o := &p.op
 	switch o.kind {
@@ -218,8 +213,6 @@ func (p *Pool) execPart(part int) {
 // weightedSumAbsBlocks stores the leaves of blocks [lo, hi) of Σ w(i)·x_i as
 // vec.WeightedSumAbs takes them: the products of four blocks at a time —
 // one lockstep group of the leaf filler — through a stack scratch.
-//
-//hot:loop a worker's share of the pooled weighted verification
 func weightedSumAbsBlocks(sum, abs, x []float64, w func(i int) float64, lo, hi int) {
 	var t [4 * vec.Block]float64
 	for ; lo < hi; lo += 4 {

@@ -11,8 +11,6 @@ import "newsum/internal/vec"
 // closures, no per-call allocation.
 
 // Dot returns u·v, bitwise-equal to vec.Dot.
-//
-//hot:loop reduction kernel on the protected solve path
 func (p *Pool) Dot(u, v []float64) float64 {
 	if len(u) != len(v) {
 		panic("kernel: length mismatch in Dot")
@@ -28,8 +26,6 @@ func (p *Pool) Dot(u, v []float64) float64 {
 }
 
 // DotAbs returns u·v and Σ|u_i·v_i|, bitwise-equal to vec.DotAbs.
-//
-//hot:loop reduction kernel on the protected solve path
 func (p *Pool) DotAbs(u, v []float64) (sum, abs float64) {
 	if len(u) != len(v) {
 		panic("kernel: length mismatch in DotAbs")
@@ -47,8 +43,6 @@ func (p *Pool) DotAbs(u, v []float64) (sum, abs float64) {
 // SumAbs returns Σu_i and Σ|u_i| — the verification pair of the all-ones
 // checksum — bitwise-equal to vec.SumAbs, and so to WeightedSumAbs with a
 // weight that is 1 everywhere.
-//
-//hot:loop verification kernel on the protected solve path
 func (p *Pool) SumAbs(u []float64) (sum, abs float64) {
 	if p == nil || len(u) < minParallel {
 		return vec.SumAbs(u)
@@ -63,8 +57,6 @@ func (p *Pool) SumAbs(u []float64) (sum, abs float64) {
 // WeightedSumAbs returns Σ w(i)·u_i and Σ|w(i)·u_i| — the checksum
 // verifier's (measured sum, round-off scale) pair — bitwise-equal to
 // vec.WeightedSumAbs.
-//
-//hot:loop verification kernel on the protected solve path
 func (p *Pool) WeightedSumAbs(u []float64, w func(i int) float64) (sum, abs float64) {
 	if p == nil || len(u) < minParallel {
 		return vec.WeightedSumAbs(u, w)
@@ -79,8 +71,6 @@ func (p *Pool) WeightedSumAbs(u []float64, w func(i int) float64) (sum, abs floa
 // Norm2 returns ‖u‖₂ with dnrm2-style overflow guarding, bitwise-equal
 // to vec.Norm2. Workers fill per-block (scale, ssq) partials; the serial
 // tree merges them with vec.CombineNorm2.
-//
-//hot:loop residual-norm kernel on the protected solve path
 func (p *Pool) Norm2(u []float64) float64 {
 	if p == nil || len(u) < minParallel {
 		return vec.Norm2(u)

@@ -12,8 +12,6 @@ import (
 // cannot change a single bit. Rows are partitioned by nonzero count, not
 // row count — on matrices with skewed row densities an even row split
 // leaves most workers idle behind the densest chunk.
-//
-//hot:loop SpMV kernel on the protected solve path
 func (p *Pool) MulVec(a *sparse.CSR, y, x []float64) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		panic("kernel: dimension mismatch in MulVec")
@@ -34,8 +32,6 @@ func (p *Pool) MulVec(a *sparse.CSR, y, x []float64) {
 // vec.DotAbs's at any worker count: each worker fills the leaves of the
 // blocks its row range covers, and nnzBounds keeps every boundary on a leaf
 // boundary, so no leaf is split.
-//
-//hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
 func (p *Pool) MulVecDotAbs(a *sparse.CSR, y, x []float64, rows [][]float64, lv *vec.Leaves) {
 	if len(x) != a.Cols || len(y) != a.Rows {
 		panic("kernel: dimension mismatch in MulVecDotAbs")
@@ -57,8 +53,6 @@ func (p *Pool) MulVecDotAbs(a *sparse.CSR, y, x []float64, rows [][]float64, lv 
 // next to the O(nnz) product, which is why the bounds are recomputed per
 // call instead of cached against a matrix identity. execPart reads the
 // boundaries from p.bounds.
-//
-//hot:loop SpMV partitioner on the protected solve path
 func (p *Pool) nnzBounds(a *sparse.CSR) []int {
 	if cap(p.bounds) < p.workers+1 {
 		p.bounds = make([]int, p.workers+1)

@@ -12,8 +12,6 @@ import (
 // the engine's instrumented operations are built on.
 
 // Axpy computes y := y + alpha·x, bitwise-equal to vec.Axpy.
-//
-//hot:loop VLO kernel on the protected solve path
 func (p *Pool) Axpy(y []float64, alpha float64, x []float64) {
 	if len(y) != len(x) {
 		panic("kernel: length mismatch in Axpy")
@@ -27,8 +25,6 @@ func (p *Pool) Axpy(y []float64, alpha float64, x []float64) {
 }
 
 // Axpby computes dst := alpha·x + beta·y, bitwise-equal to vec.Axpby.
-//
-//hot:loop VLO kernel on the protected solve path
 func (p *Pool) Axpby(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
 	if len(dst) != len(x) || len(dst) != len(y) {
 		panic("kernel: length mismatch in Axpby")
@@ -42,8 +38,6 @@ func (p *Pool) Axpby(dst []float64, alpha float64, x []float64, beta float64, y 
 }
 
 // Xpby computes dst := x + beta·y, bitwise-equal to vec.Xpby.
-//
-//hot:loop VLO kernel on the protected solve path
 func (p *Pool) Xpby(dst, x []float64, beta float64, y []float64) {
 	if len(dst) != len(x) || len(dst) != len(y) {
 		panic("kernel: length mismatch in Xpby")
@@ -57,8 +51,6 @@ func (p *Pool) Xpby(dst, x []float64, beta float64, y []float64) {
 }
 
 // Scale computes dst := alpha·u, bitwise-equal to vec.Scale.
-//
-//hot:loop VLO kernel on the protected solve path
 func (p *Pool) Scale(dst []float64, alpha float64, u []float64) {
 	if len(dst) != len(u) {
 		panic("kernel: length mismatch in Scale")
@@ -73,16 +65,12 @@ func (p *Pool) Scale(dst []float64, alpha float64, u []float64) {
 
 // AxpyVLO fuses the parallel axpy with the Eq. (3) in-place checksum+η
 // update on (sy, etaY).
-//
-//hot:loop fused VLO+checksum kernel on the protected solve path
 func (p *Pool) AxpyVLO(y []float64, alpha float64, x []float64, sy, etaY, sx, etaX []float64) {
 	p.Axpy(y, alpha, x)
 	checksum.UpdateVLOAxpyBound(sy, etaY, alpha, sx, etaX)
 }
 
 // AxpbyVLO fuses the parallel axpby with the Eq. (3) checksum+η update.
-//
-//hot:loop fused VLO+checksum kernel on the protected solve path
 func (p *Pool) AxpbyVLO(dst []float64, alpha float64, x []float64, beta float64, y []float64,
 	sDst, etaDst, sx, etaX, sy, etaY []float64) {
 	p.Axpby(dst, alpha, x, beta, y)
@@ -91,8 +79,6 @@ func (p *Pool) AxpbyVLO(dst []float64, alpha float64, x []float64, beta float64,
 
 // XpbyVLO fuses the parallel xpby with the Eq. (3) checksum+η update
 // (alpha = 1 case).
-//
-//hot:loop fused VLO+checksum kernel on the protected solve path
 func (p *Pool) XpbyVLO(dst, x []float64, beta float64, y []float64,
 	sDst, etaDst, sx, etaX, sy, etaY []float64) {
 	p.Xpby(dst, x, beta, y)

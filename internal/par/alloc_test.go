@@ -34,8 +34,8 @@ func rankSolveMallocs(t *testing.T, iters int, solve func(Options) (Result, erro
 	return best
 }
 
-// TestRankIterationZeroAllocs is the dynamic half of the hotalloc gate on
-// the rank driver: a solve of 40 iterations allocates exactly what one of
+// TestRankIterationZeroAllocs is the zero-allocation contract of the rank
+// driver: a solve of 40 iterations allocates exactly what one of
 // 20 does, so every iteration in between — boundary verification, the
 // recurrence's step, the collectives under both — allocates nothing, for
 // every method, basic and two-level, on one rank and on two.

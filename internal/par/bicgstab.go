@@ -77,7 +77,6 @@ func (c *bicgstab) restored(k *rankRun, snapIter int, _ bool) error {
 	return nil
 }
 
-//hot:loop BiCGStab iteration (§5.3 construction)
 func (c *bicgstab) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, k.p, c.v, c.s, c.t, c.phat, c.shat)
 }
@@ -85,7 +84,6 @@ func (c *bicgstab) step(k *rankRun) (status, error) {
 //hot:protected x r p v s t phat shat
 func (c *bicgstab) iterate(k *rankRun, x, r, p, v, s, t, phat, shat *DistVector) (status, error) {
 	rho := k.dotRaw(c.rhat, r)
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(rho) {
 		return k.breakdown("ρ = %v", rho)
 	}
@@ -105,14 +103,12 @@ func (c *bicgstab) iterate(k *rankRun, x, r, p, v, s, t, phat, shat *DistVector)
 		return faulted, nil
 	}
 	rhatV := k.dotRaw(c.rhat, v)
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(rhatV) {
 		return k.breakdown("r̂ᵀv = %v", rhatV)
 	}
 	c.alpha = rho / rhatV
 	k.axpbyInto(s, 1, r, -c.alpha, v)
 
-	//hot:cold early-convergence exit: runs once per solve
 	if sNorm := k.norm2(s); sNorm/k.normB <= k.opts.Tol {
 		k.axpy(x, c.alpha, phat)
 		k.advance(sNorm)
@@ -127,12 +123,10 @@ func (c *bicgstab) iterate(k *rankRun, x, r, p, v, s, t, phat, shat *DistVector)
 		return faulted, nil
 	}
 	tt := k.dot(t, t)
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(tt) || tt < 0 {
 		return k.breakdown("tᵀt = %v", tt)
 	}
 	c.omega = k.dot(t, s) / tt
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(c.omega) {
 		return k.breakdown("ω = %v", c.omega)
 	}

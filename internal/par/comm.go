@@ -32,7 +32,8 @@ const (
 	// Linear is the original rendezvous implementation: every rank funnels
 	// through one mutex-guarded accumulator, O(P) serialization per
 	// collective. It is kept as the baseline the collective benchmarks
-	// compare against.
+	// compare against; its rendezvous closures allocate, so the
+	// allocation pins hold Tree alone.
 	Linear
 )
 
@@ -209,8 +210,6 @@ func (c *Comm) Size() int { return c.t.size }
 func (c *Comm) Stats() CommStats { return c.stats }
 
 // send hands m, a payload of the given number of words, to rank `to`.
-//
-//hot:loop every Tree collective is a few sends and receives
 func (c *Comm) send(to int, m message, words int) {
 	c.stats.MsgsSent++
 	c.stats.WordsMoved += int64(words)
@@ -230,8 +229,6 @@ const pollBudget = 100 * time.Microsecond
 
 // recv returns the next message from rank `from`: poll, yield, poll, …, and
 // once the budget is spent block on the channel.
-//
-//hot:loop every Tree collective is a few sends and receives
 func (c *Comm) recv(from int) message {
 	ch := c.t.ch[from][c.rank]
 	for start := time.Now(); time.Since(start) < pollBudget; runtime.Gosched() {
@@ -293,7 +290,6 @@ func (c *Comm) barrier() {
 	}
 	// Dissemination barrier: ceil(log2 P) token rounds.
 	p := c.t.size
-	//hot:loop a Tree collective
 	for k := 1; k < p; k <<= 1 {
 		c.send((c.rank+k)%p, message{}, 0)
 		c.recv((c.rank - k + p) % p)
@@ -320,7 +316,6 @@ func (c *Comm) AllReduceSum(v float64) float64 {
 	return c.allReduceSumTree(v)
 }
 
-//hot:cold the O(P) comparison baseline: its rendezvous closures allocate
 func (c *Comm) allReduceSumLinear(v float64) float64 {
 	c.stats.MsgsSent++
 	c.stats.WordsMoved++
@@ -347,8 +342,6 @@ func (c *Comm) allReduceSumLinear(v float64) float64 {
 // standard fold for non-power-of-two team sizes. After round k every rank
 // of a 2^k block holds the same block sum (addition is commutative), so
 // the final value is identical on every rank.
-//
-//hot:loop a Tree collective: several per solver iteration
 func (c *Comm) allReduceSumTree(v float64) float64 {
 	p := c.t.size
 	core := coreSize(p)
@@ -424,8 +417,6 @@ func (c *Comm) allReduceVecLinear(dst, src []float64) {
 // allReduceVecTree is allReduceSumTree element by element. A peer adds a
 // sent partial sum in while this rank is already a round further on, so each
 // round's sum is written to a slice of its own.
-//
-//hot:loop a Tree collective
 func (c *Comm) allReduceVecTree(dst, src []float64) {
 	p, n := c.t.size, len(src)
 	core := coreSize(p)
@@ -472,7 +463,6 @@ func (c *Comm) allReduceVecTree(dst, src []float64) {
 // length on every rank. This is the halo exchange of the distributed MVM
 // (each rank needs the full input vector for its row block).
 func (c *Comm) AllGather(global []float64, local []float64, offset int) {
-	//hot:cold a caller's out-of-range block aborts the program
 	if offset < 0 || offset+len(local) > len(global) {
 		panic(fmt.Sprintf("par: AllGather block [%d,%d) outside global %d", offset, offset+len(local), len(global)))
 	}
@@ -488,7 +478,6 @@ func (c *Comm) AllGather(global []float64, local []float64, offset int) {
 	c.allGatherTree(global, local, offset)
 }
 
-//hot:cold the O(P) comparison baseline: its rendezvous closures allocate
 func (c *Comm) allGatherLinear(global, local []float64, offset int) {
 	c.stats.MsgsSent++
 	c.stats.WordsMoved += int64(len(local))
@@ -514,8 +503,6 @@ func (c *Comm) allGatherLinear(global, local []float64, offset int) {
 // so the partition may be arbitrary (nnz-balanced blocks included). The
 // caller may overwrite local as soon as the call returns, while slower peers
 // are still placing it, so what travels is a copy.
-//
-//hot:loop a Tree collective: the halo exchange of every distributed MVM
 func (c *Comm) allGatherTree(global, local []float64, offset int) {
 	p := c.t.size
 	core := coreSize(p)

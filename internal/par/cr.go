@@ -76,7 +76,6 @@ func (c *cr) restored(k *rankRun, _ int, lossy bool) error {
 	return nil
 }
 
-//hot:loop CR iteration (§5.3 construction)
 func (c *cr) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, k.p, c.ar, c.ap)
 }
@@ -84,7 +83,6 @@ func (c *cr) step(k *rankRun) (status, error) {
 //hot:protected x r p ar ap
 func (c *cr) iterate(k *rankRun, x, r, p, ar, ap *DistVector) (status, error) {
 	apap := k.dot(ap, ap)
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(apap) || breakdownSuspect(c.rAr) {
 		return k.breakdown("ApᵀAp = %v, rᵀAr = %v", apap, c.rAr)
 	}

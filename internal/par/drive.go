@@ -149,20 +149,15 @@ func (k *rankRun) open() bool {
 
 // turn is one trip round the loop; false means the solve is over, with the
 // outcome in k.res and k.err.
-//
-//hot:loop the distributed protected iteration of every method
 func (k *rankRun) turn() bool {
-	//hot:cold iteration-budget exit: at most once per solve
 	if k.i >= k.opts.MaxIter {
 		return k.conclude()
 	}
 	k.curIter, k.curSeq = k.i, 0
 	if err := k.canceled(); err != nil {
-		//hot:cold cancellation exit: at most once per solve
 		return k.finish(err)
 	}
 	st, err := k.iterate()
-	//hot:cold exits and recovery: at most once per solve or per detection
 	switch st {
 	case converged:
 		k.res.Converged = true
@@ -194,7 +189,6 @@ func (k *rankRun) canceled() error {
 	}
 	// On a replicated verdict this rank's context may not have settled yet;
 	// the cause is still cancellation.
-	//hot:cold the abort error: at most once per solve
 	return fmt.Errorf("par: ABFT %s solve canceled: %w", k.kr.name, cmp.Or(ctx.Err(), context.Canceled))
 }
 
@@ -204,14 +198,12 @@ func (k *rankRun) canceled() error {
 func (k *rankRun) iterate() (status, error) {
 	if k.i > 0 && k.i%k.opts.DetectInterval == 0 {
 		xOK, rOK, others := k.verifyOuter(k.kr.outer)
-		//hot:cold detection handling: forward repair first, else rollback
 		if !(xOK && rOK && others == 0) && !k.repair(k.kr.detectMsg, xOK, rOK, others, false) {
 			return faulted, nil
 		}
 	}
 	if k.i%k.opts.CheckpointInterval == 0 {
 		// p must verify clean before it becomes the rollback target.
-		//hot:cold a corrupted direction: forward repair first, else rollback
 		if k.kr.verifyP && k.i > 0 && !k.verify(k.p) && !k.repair("pre-checkpoint: checksum(p) mismatch", true, true, 1, false) {
 			return faulted, nil
 		}
@@ -272,8 +264,6 @@ func breakdownSuspect(v float64) bool {
 // protected MVM it is far more likely a propagated fault than a genuine
 // Lanczos-type breakdown, so the driver rolls back, and only a spent budget
 // surfaces the breakdown error returned beside it.
-//
-//hot:cold suspect-scalar detection: runs only after a fault
 func (k *rankRun) breakdown(format string, args ...any) (status, error) {
 	what := fmt.Sprintf(format, args...)
 	k.detect(k.i, "breakdown suspect: %s", what)
@@ -282,8 +272,6 @@ func (k *rankRun) breakdown(format string, args ...any) (status, error) {
 
 // exit verifies x and the residual resid (named what) before declaring
 // victory, so a corrupted small residual cannot smuggle out a wrong solution.
-//
-//hot:cold convergence exit: verified once per solve, recovery on a corrupted residual
 func (k *rankRun) exit(resid *DistVector, what string) status {
 	xOK, rOK, _ := k.verifyOuter([]*DistVector{k.x, resid})
 	if xOK && rOK {
@@ -303,8 +291,6 @@ func (k *rankRun) exit(resid *DistVector, what string) status {
 
 // conclude closes a solve that ran its course with x gathered on every rank
 // (into scratch but on rank 0, whose result is the team's).
-//
-//hot:cold once per solve
 func (k *rankRun) conclude() bool {
 	x := k.xg
 	if k.c.Rank() == 0 {
@@ -329,8 +315,6 @@ func (k *rankRun) finish(err error) bool {
 // then fires the checkpoint strikes scheduled against this rank: the copy is
 // poisoned, the live state is not, so the corruption stays dormant until a
 // rollback restores it.
-//
-//hot:cold checkpoint machinery: invoked once per cd iterations
 func (k *rankRun) save() {
 	k.rec.scalars(k.scal)
 	k.store.Save(k.i, k.data, k.scal, k.sums)
@@ -351,8 +335,6 @@ func (k *rankRun) save() {
 
 // rollback restores the latest snapshot and rebuilds r = b − A·x and the
 // recurrence's derived vectors; false means a spent budget or no snapshot.
-//
-//hot:cold recovery machinery: runs only after a detection
 func (k *rankRun) rollback() bool {
 	if k.res.Rollbacks++; k.res.Rollbacks > k.opts.MaxRollbacks {
 		return false
@@ -393,8 +375,6 @@ func (k *rankRun) rollback() bool {
 // verdicts on x and r, others counts the failed vectors beyond them;
 // restart forces the Krylov restart even without a data repair. False
 // sends the driver to the checkpoint.
-//
-//hot:cold forward recovery rides the recovery budget
 func (k *rankRun) repair(why string, xOK, rOK bool, others int, restart bool) bool {
 	k.detect(k.i, why)
 	if !k.forward || k.res.ForwardRepairs >= k.opts.MaxRollbacks {

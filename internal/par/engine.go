@@ -386,8 +386,6 @@ func (e *rankEngine) fires(fi int, target Target, iter int) bool {
 }
 
 // trace appends one timeline event on rank 0 (see Result.Trace).
-//
-//hot:cold timeline events ride the detection and checkpoint budgets
 func (e *rankEngine) trace(iter int, kind core.EventKind, format string, args ...any) {
 	if e.c.Rank() != 0 {
 		return
@@ -401,8 +399,6 @@ func (e *rankEngine) trace(iter int, kind core.EventKind, format string, args ..
 
 // detect counts one detection (replicated on every rank) and records it on
 // the team timeline.
-//
-//hot:cold runs only after a verification failed
 func (e *rankEngine) detect(iter int, format string, args ...any) {
 	e.res.Detections++
 	e.trace(iter, core.EvDetection, format, args...)
@@ -582,7 +578,6 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 		out.Data[diag.Pos-e.lo] -= diag.Magnitude
 	}
 	e.res.Corrections++
-	//hot:cold the timeline entry of a correction
 	e.trace(e.curIter, core.EvCorrection, "inner-level: corrected element %d", diag.Pos)
 	e.c.Barrier() // correction visible before anyone reads out
 	return true

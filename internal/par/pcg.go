@@ -48,7 +48,6 @@ func (c *pcg) restart(k *rankRun) error {
 
 func (c *pcg) restored(*rankRun, int, bool) error { return nil }
 
-//hot:loop PCG iteration (Algorithm 1 / 2)
 func (c *pcg) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, k.p, c.q)
 }
@@ -60,7 +59,6 @@ func (c *pcg) iterate(k *rankRun, x, r, z, p, q *DistVector) (status, error) {
 		return faulted, nil
 	}
 	pq := k.dot(p, q)
-	//hot:cold suspect-scalar detection
 	if breakdownSuspect(pq) {
 		return k.breakdown("pᵀAp = %v", pq)
 	}

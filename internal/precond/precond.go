@@ -85,13 +85,10 @@ func solveStage(m *sparse.CSR, shape TriShape) (Stage, error) {
 
 // scheduled returns s with a schedule: s itself unless it is a solve stage
 // written as a literal.
-//
-//hot:loop schedule lookup at the head of every stage application
 func (s Stage) scheduled() (Stage, error) {
 	if s.Op != StageSolve || s.tri != nil || s.diag != nil {
 		return s, nil
 	}
-	//hot:cold only a hand-built literal builds its schedule per call
 	return solveStage(s.M, s.Shape)
 }
 
@@ -116,11 +113,8 @@ func (s Stage) Apply(out, in []float64) error {
 }
 
 // solveDiagonal is the element-wise solve over rows [lo, hi).
-//
-//hot:loop element-wise solve of a diagonal stage
 func (s Stage) solveDiagonal(out, in []float64, lo, hi int) error {
 	if len(out) != len(s.diag) || len(in) != len(s.diag) {
-		//hot:cold dimension mismatch aborts the solve
 		return fmt.Errorf("precond: dimension mismatch in diagonal solve")
 	}
 	for i := lo; i < hi; i++ {
@@ -136,8 +130,6 @@ func (s Stage) solveDiagonal(out, in []float64, lo, hi int) error {
 // and its absolute sum for a multiply (Eq. 2 reads the operand), and the
 // caller folds them. Result and folded reductions are bitwise Apply's and
 // vec.DotAbs's. Aliasing is as for Apply.
-//
-//hot:loop fused PCO stage + checksum row reductions on the protected solve path
 func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) error {
 	s, err := s.scheduled()
 	if err != nil {
@@ -148,7 +140,6 @@ func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) 
 		s.M.MulVecDotAbs(out, in, rows, lv, 0, s.M.Rows)
 		return nil
 	case s.Op != StageSolve:
-		//hot:cold malformed stage aborts the solve
 		return fmt.Errorf("precond: unknown stage op %d", s.Op)
 	case s.Shape == Diagonal:
 		// Four leaves at a time: one lockstep group of the leaf filler.

@@ -380,17 +380,14 @@ func (rl *relay) relayStream(resp *http.Response) (upstreamEnd, error) {
 	br := bufio.NewReader(resp.Body)
 	flusher, _ := rl.w.(http.Flusher)
 	first := true
-	//hot:loop proxy relay: one upstream NDJSON line per solver progress event
 	for {
 		// A line points into br's buffer until the next read; the terminal
 		// one is returned with no read after it.
 		line, rerr := br.ReadSlice('\n')
-		//hot:cold a line longer than the buffer (a result carrying its solution) is copied whole
 		if rerr == bufio.ErrBufferFull {
 			line, rerr = readLong(br, line)
 		}
 		if len(line) > 0 {
-			//hot:cold a line the progress encoder did not write: the terminal one, once per attempt
 			if !bytes.HasPrefix(line, progressPrefix) {
 				var sl streamLine
 				_ = json.Unmarshal(line, &sl) //lint:ignore errdrop a malformed upstream line is still relayed verbatim

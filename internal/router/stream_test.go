@@ -266,3 +266,35 @@ func FuzzRelayStream(f *testing.F) {
 		}
 	})
 }
+
+// discardFlusher is a ResponseWriter that drops what it is sent and
+// implements http.Flusher, so a relay under measurement takes its flush
+// branch and allocates nothing of the writer's.
+type discardFlusher struct{ h http.Header }
+
+func (d discardFlusher) Header() http.Header         { return d.h }
+func (d discardFlusher) Write(b []byte) (int, error) { return len(b), nil }
+func (d discardFlusher) WriteHeader(int)             {}
+func (d discardFlusher) Flush()                      {}
+
+// TestRelayStreamAllocs pins the relay loop's allocation contract: a stream
+// of 128 progress lines costs what one of 64 does, so relaying and
+// flushing a progress line allocates nothing; only the set-up and the
+// terminal line's decode do.
+func TestRelayStreamAllocs(t *testing.T) {
+	progress := `{"event":"progress","job":{"job_id":"job-1","seq":1,"event":"start","attempt":0}}` + "\n"
+	w := discardFlusher{h: http.Header{}}
+	relayAllocs := func(lines int) float64 {
+		upstream := []byte(strings.Repeat(progress, lines) + okLine + "\n")
+		return testing.AllocsPerRun(20, func() {
+			rl := &relay{w: w, stream: true}
+			resp := &http.Response{Body: io.NopCloser(&chunkReader{data: upstream, sizes: []byte{63, 200, 17}})}
+			if end, err := rl.relayStream(resp); err != nil || end.last == nil {
+				t.Fatalf("relay ended with %+v, %v; want the terminal line", end, err)
+			}
+		})
+	}
+	if at64, at128 := relayAllocs(64), relayAllocs(128); at128 != at64 {
+		t.Errorf("relayStream: %v allocs over 64 progress lines, %v over 128; want equal", at64, at128)
+	}
+}

@@ -154,7 +154,6 @@ func (s *Service) streamSolve(w http.ResponseWriter, r *http.Request, req Reques
 	// the equivalence and AllocsPerRun tests in ndjson_test.go). The
 	// one-shot result line below keeps encoding/json.
 	var enc progressEncoder
-	//hot:loop serve-path NDJSON progress stream: one event per solver attempt step
 	for ev := range events {
 		_, _ = w.Write(enc.encodeProgress(&ev)) //lint:ignore errdrop a mid-stream client hangup only ends the stream early
 		if flusher != nil && len(events) == 0 {

@@ -24,8 +24,6 @@ type progressEncoder struct {
 // encodeProgress renders {"event":"progress","job":{...}} followed by a
 // newline, matching json.Encoder.Encode(streamLine{Event: "progress",
 // Job: ev}) exactly, including the omitempty elision of an empty Detail.
-//
-//hot:loop one call per progress event of every streamed solve
 func (e *progressEncoder) encodeProgress(ev *JobEvent) []byte {
 	b := e.buf[:0]
 	b = append(b, `{"event":"progress","job":{"job_id":`...)
@@ -56,8 +54,6 @@ const hexDigits = "0123456789abcdef"
 // and U+2029, which get \u20XX escapes; each byte of an invalid UTF-8
 // sequence becomes the escaped replacement character U+FFFD, so every
 // line is valid JSON.
-//
-//hot:loop string rendering for every progress event field
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for i := 0; i < len(s); i++ {

@@ -191,8 +191,6 @@ func (a *CSR) Transpose() *CSR {
 // the order (and so the bits) of every product row in the repo. Reslicing
 // vals to len(cols) leaves the gather x[j] as the one bounds check of the
 // loop.
-//
-//hot:loop the SpMV inner loop, inlined into every caller
 func rowDot(cols []int, vals, x []float64) float64 {
 	vals = vals[:len(cols)]
 	var s float64
@@ -209,8 +207,6 @@ func rowDot(cols []int, vals, x []float64) float64 {
 // and all of it otherwise, through the row loop. Each row is rowDot's sum
 // either way, so where a range is cut and how it is walked cannot reach a
 // bit. dst must not alias x.
-//
-//hot:loop the CSR row kernel of every SpMV on the solve path
 func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
 	if lo < 0 || hi > a.Rows || lo > hi {
 		panic("sparse: bad row range in MulVecRows")
@@ -230,8 +226,6 @@ func (a *CSR) MulVecRows(dst, x []float64, lo, hi int) {
 // mulRows is MulVecRows taking the rows as stored. The backing slices are
 // hoisted and each row is a pair of sub-slices cut at consecutive RowPtr
 // values, each loaded once.
-//
-//hot:loop the CSR row loop
 func (a *CSR) mulRows(dst, x []float64, lo, hi int) {
 	rowPtr, colIdx, val := a.RowPtr[lo:hi+1], a.ColIdx, a.Val
 	k0 := rowPtr[0]
@@ -278,8 +272,6 @@ const fuseStretch = 64 * vec.Block
 // one too unless it is a.Rows, so that every leaf is built whole by one
 // caller; the product is MulVecRange's and the leaves are
 // vec.DotAbsBlocks's, bit for bit.
-//
-//hot:loop fused SpMV + Eq. (2) row reductions on the protected solve path
 func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo, hi int) {
 	if a.Rows != a.Cols {
 		panic("sparse: MulVecDotAbs requires a square matrix")

@@ -85,8 +85,6 @@ func (p *rowPlan) validate(a *CSR) error {
 
 // mulWindows computes dst[i-w0·Block] := (A·x)[i] for the rows of the
 // windows [w0, w1), run by run.
-//
-//hot:loop the planned CSR row kernel: whole windows of every SpMV on the solve path
 func (a *CSR) mulWindows(dst, x []float64, w0, w1 int) {
 	p := a.plan
 	for w := w0; w < w1; w++ {
@@ -111,8 +109,6 @@ const rowMask = vec.Block - 1
 // slice bound or multiplies in-bounds neighbours, and never reads out of
 // range. ColIdx and Val are read through a on every row, which keeps four
 // words out of registers the bodies need.
-//
-//hot:loop one run of equal-length rows: the fixed-length SpMV bodies
 func (a *CSR) mulRun(d *[vec.Block]float64, x []float64, rowPtr *[vec.Block]int, order []uint8, n int) {
 	switch n {
 	case 1:

@@ -256,8 +256,6 @@ func triUnits(blocks []int, upper bool) []int {
 
 // Solve solves T·x = b for x. x and b may alias. The only error left to
 // solve time is a length mismatch.
-//
-//hot:loop triangular solve of every factored preconditioner application
 func (t *TriSchedule) Solve(x, b []float64) error {
 	return t.SolveDotAbs(x, b, nil, nil)
 }
@@ -268,12 +266,9 @@ func (t *TriSchedule) Solve(x, b []float64) error {
 // upper one last leaf first, which the fold does not care about. The
 // solution is Solve's and the folded leaves are vec.DotAbs's, bit for bit.
 // A nil lv fills nothing.
-//
-//hot:loop fused triangular solve + Eq. (4) row reductions on the protected solve path
 func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leaves) error {
 	n := t.m.Rows
 	if len(x) != n || len(b) != n {
-		//hot:cold dimension mismatch aborts the solve
 		return fmt.Errorf("sparse: dimension mismatch in TriSchedule.Solve")
 	}
 	next := 0 // the first leaf not yet filled (lower) …
@@ -317,8 +312,6 @@ func (t *TriSchedule) SolveDotAbs(x, b []float64, rows [][]float64, lv *vec.Leav
 // the same rows (it reads only what the pair has finished), and the steady
 // state four at a time. A chain is where a block has got to: its first row
 // not final, how many are left and how many rows it waits before it starts.
-//
-//hot:loop one unit of the triangular solve
 func (t *TriSchedule) lockstep(x, b []float64, c []int) {
 	if c[1] == c[4] {
 		// A single chain — a leaf of a one-block factor that is not lagged,
@@ -401,8 +394,6 @@ func (t *TriSchedule) lockstep(x, b []float64, c []int) {
 
 // triRow returns s − Σ_k vals[k]·x[cols[k]], subtracted left to right: the
 // order (and so the bits) of a substitution row.
-//
-//hot:loop the substitution inner loop, inlined into chain and pair
 func triRow(s float64, cols []int, vals, x []float64) float64 {
 	vals = vals[:len(cols)]
 	for k, j := range cols {
@@ -414,8 +405,6 @@ func triRow(s float64, cols []int, vals, x []float64) float64 {
 // chain solves the rows [lo, hi) as one substitution chain, ascending for a
 // lower factor and descending for an upper one. The row-indexed arrays are
 // cut to the range first, so the loops index them unchecked.
-//
-//hot:loop one substitution chain
 func (t *TriSchedule) chain(x, b []float64, lo, hi int) {
 	beg, end, xs, bs := t.beg[lo:hi], t.end[lo:hi], x[lo:hi], b[lo:hi]
 	var diag []float64 // stays empty for a unit diagonal: r < len(diag) is the test
@@ -446,8 +435,6 @@ func (t *TriSchedule) chain(x, b []float64, lo, hi int) {
 // blocks, or two lagged segments — in lockstep. Neither chain reads what
 // the other writes on the same trip, so each row's operands — and bits —
 // are those of chain.
-//
-//hot:loop two substitution chains in lockstep
 func (t *TriSchedule) pair(x, b []float64, i, j, n int) {
 	begI, endI, xi, bi := t.beg[i:][:n], t.end[i:][:n], x[i:][:n], b[i:][:n]
 	begJ, endJ, xj, bj := t.beg[j:][:n], t.end[j:][:n], x[j:][:n], b[j:][:n]
@@ -482,8 +469,6 @@ func (t *TriSchedule) pair(x, b []float64, i, j, n int) {
 
 // quad is pair for four independent blocks: the n rows from each of at, in
 // lockstep.
-//
-//hot:loop four independent substitution chains in lockstep
 func (t *TriSchedule) quad(x, b []float64, at [4]int, n int) {
 	begI, endI, xi, bi := t.beg[at[0]:][:n], t.end[at[0]:][:n], x[at[0]:][:n], b[at[0]:][:n]
 	begJ, endJ, xj, bj := t.beg[at[1]:][:n], t.end[at[1]:][:n], x[at[1]:][:n], b[at[1]:][:n]
@@ -529,8 +514,6 @@ func (t *TriSchedule) quad(x, b []float64, at [4]int, n int) {
 // segRow is triRow for the steady state of a lagged unit: a row of exactly
 // two strict entries — almost every row of a 5-point factor — is written
 // out, the same two subtractions in the same order, without the loop.
-//
-//hot:loop the substitution inner loop of a lagged unit, inlined into segQuad
 func segRow(s float64, cols []int, vals, x []float64) float64 {
 	if len(cols) == 2 {
 		vals = vals[:2]
@@ -542,8 +525,6 @@ func segRow(s float64, cols []int, vals, x []float64) float64 {
 // segQuad is quad for the steady state of a lagged unit: four consecutive
 // segments, each λ rows behind the one before it, so that every unknown a
 // row reads was written on an earlier trip and none on this one.
-//
-//hot:loop four lagged segments of one block in lockstep
 func (t *TriSchedule) segQuad(x, b []float64, at [4]int, n int) {
 	begI, endI, xi, bi := t.beg[at[0]:][:n], t.end[at[0]:][:n], x[at[0]:][:n], b[at[0]:][:n]
 	begJ, endJ, xj, bj := t.beg[at[1]:][:n], t.end[at[1]:][:n], x[at[1]:][:n], b[at[1]:][:n]

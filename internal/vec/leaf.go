@@ -23,8 +23,6 @@ import "math"
 // fuse it into the add that follows (the Go spec lets arm64, ppc64, s390x
 // and GOAMD64=v3 do so otherwise): the assembly rounds the product, so the
 // Go must.
-//
-//hot:loop leaf of every ragged-block and non-AVX checksum reduction
 func dotAbsLanes(u, v []float64) (sum, abs float64) {
 	v = v[:len(u)]
 	var s0, s1, s2, s3, a0, a1, a2, a3 float64
@@ -63,8 +61,6 @@ func dotAbsLanes(u, v []float64) (sum, abs float64) {
 
 // sumAbsLanes is the portable leaf of Σu_i and Σ|u_i|: dotAbsLanes against
 // the all-ones vector, whose products are exact.
-//
-//hot:loop leaf of every ragged-block and non-AVX verification
 func sumAbsLanes(u []float64) (sum, abs float64) {
 	var s0, s1, s2, s3, a0, a1, a2, a3 float64
 	for len(u) >= 4 {
@@ -94,8 +90,6 @@ func sumAbsLanes(u []float64) (sum, abs float64) {
 }
 
 // dotAbsLanesBlocks is DotAbsBlocks with every leaf taken by dotAbsLanes.
-//
-//hot:loop portable filler of every checksum row reduction
 func dotAbsLanesBlocks(sum, abs, u, v []float64, lo int) {
 	for k := range sum {
 		l, h := blockBounds(len(u), lo+k)
@@ -104,8 +98,6 @@ func dotAbsLanesBlocks(sum, abs, u, v []float64, lo int) {
 }
 
 // sumAbsLanesBlocks is SumAbsBlocks with every leaf taken by sumAbsLanes.
-//
-//hot:loop portable filler of every all-ones verification
 func sumAbsLanesBlocks(sum, abs, u []float64, lo int) {
 	for k := range sum {
 		l, h := blockBounds(len(u), lo+k)

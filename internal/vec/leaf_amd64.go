@@ -26,8 +26,6 @@ func sumAbsAVX(sum, abs, u *float64, blocks int)
 // one per element of sum and abs: sum[k], abs[k] are DotAbsBlock(u, v, lo+k),
 // bit for bit. The full blocks go to the AVX body where there is one, the
 // ragged last block and everything else to the portable lanes.
-//
-//hot:loop leaf filler of every checksum row reduction
 func DotAbsBlocks(sum, abs, u, v []float64, lo int) {
 	abs, v = abs[:len(sum)], v[:len(u)]
 	k := 0
@@ -41,8 +39,6 @@ func DotAbsBlocks(sum, abs, u, v []float64, lo int) {
 
 // SumAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of Σu_i:
 // DotAbsBlocks against the all-ones vector, whose products are exact.
-//
-//hot:loop leaf filler of every all-ones verification
 func SumAbsBlocks(sum, abs, u []float64, lo int) {
 	abs = abs[:len(sum)]
 	k := 0
@@ -62,8 +58,6 @@ func SumAbsBlocks(sum, abs, u []float64, lo int) {
 func norm2128(u *[Block]float64) (scale, ssq float64)
 
 // norm2Leaf is the (scale, ssq) leaf of the norm over one block's elements.
-//
-//hot:loop leaf of every norm
 func norm2Leaf(u []float64) (scale, ssq float64) {
 	if len(u) == Block {
 		return norm2128((*[Block]float64)(u))
@@ -82,8 +76,6 @@ func axpbyQuads(dst, x, y *float64, quads int, alpha, beta float64)
 // caller's Go loop takes the rest. 1·v is v for every v, so with alpha or
 // beta 1 it is also Xpby's and Axpy's prefix. The reslices are the length
 // checks: the assembly reads and writes exactly k elements of each.
-//
-//hot:loop packed prefix of Axpy, Axpby and Xpby
 func axpbyPacked(dst []float64, alpha float64, x []float64, beta float64, y []float64) int {
 	k := len(dst) &^ 3
 	if k == 0 {

@@ -4,23 +4,17 @@ package vec
 
 // DotAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of u·v,
 // one per element of sum and abs: sum[k], abs[k] are DotAbsBlock(u, v, lo+k).
-//
-//hot:loop leaf filler of every checksum row reduction
 func DotAbsBlocks(sum, abs, u, v []float64, lo int) {
 	dotAbsLanesBlocks(sum, abs[:len(sum)], u, v[:len(u)], lo)
 }
 
 // SumAbsBlocks stores the (Σ, Σ|·|) leaves of blocks lo, lo+1, … of Σu_i:
 // DotAbsBlocks against the all-ones vector, whose products are exact.
-//
-//hot:loop leaf filler of every all-ones verification
 func SumAbsBlocks(sum, abs, u []float64, lo int) {
 	sumAbsLanesBlocks(sum, abs[:len(sum)], u, lo)
 }
 
 // norm2Leaf is the (scale, ssq) leaf of the norm over one block's elements.
-//
-//hot:loop leaf of every norm
 func norm2Leaf(u []float64) (scale, ssq float64) { return norm2Loop(u) }
 
 // axpbyPacked has no packed body to run here: the prefix it covers is

@@ -98,21 +98,18 @@ func Xpby(dst, x []float64, beta float64, y []float64) {
 // build runs over the last len mod 4 elements, and what the tests hold the
 // packed prefix (axpbyPacked, leaf_amd64.go) against, bit for bit.
 
-//hot:loop reference and tail of Axpy
 func axpyLoop(y []float64, alpha float64, x []float64) {
 	for i, v := range x {
 		y[i] += alpha * v
 	}
 }
 
-//hot:loop reference and tail of Axpby
 func axpbyLoop(dst []float64, alpha float64, x []float64, beta float64, y []float64) {
 	for i := range dst {
 		dst[i] = alpha*x[i] + beta*y[i]
 	}
 }
 
-//hot:loop reference and tail of Xpby
 func xpbyLoop(dst, x []float64, beta float64, y []float64) {
 	for i := range dst {
 		dst[i] = x[i] + beta*y[i]
@@ -175,8 +172,6 @@ func blockBounds(n, b int) (lo, hi int) {
 // leaves or fewer are written out — the same splits, without a call each —
 // because every fused checksum update folds its leaves here, twice per
 // encoded row.
-//
-//hot:loop folds the leaves of every serial, fused and pooled reduction
 func PairwiseSum(p []float64) float64 {
 	switch len(p) {
 	case 0:
@@ -211,8 +206,6 @@ func DotBlock(u, v []float64, b int) float64 {
 // left-to-right chain of its own block, so the loop waits on one FP-add
 // latency per four elements and no leaf changes — and what is left, the
 // ragged last block included, through DotBlock.
-//
-//hot:loop leaf filler of Dot and of kernel.Pool's pooled dot
 func DotBlocks(part, u, v []float64, lo int) {
 	k := 0
 	for ; k+4 <= len(part) && (lo+k+4)*Block <= len(u); k += 4 {
@@ -261,8 +254,6 @@ func WeightedSumAbsBlock(u []float64, w func(i int) float64, b int) (sum, abs fl
 // through a stack scratch to SumAbsBlocks, so the all-ones fast path — a
 // nil w, which hands u itself to SumAbsBlocks — is bitwise its weighted
 // twin by construction.
-//
-//hot:loop leaf filler of every weighted verification
 func weightedSumAbsBlocks(sum, abs, u []float64, w func(i int) float64, lo int) {
 	if w == nil {
 		SumAbsBlocks(sum, abs, u, lo)
@@ -410,8 +401,6 @@ func NewLeaves(k, n int) *Leaves {
 // FillBlocks stores the leaves of rows[j]·v and Σ|rows[j]_i·v_i| over the
 // blocks [b0, b1) for every reduction j. rows holds one length-n vector
 // per reduction.
-//
-//hot:loop leaf filler of every fused checksum update
 func (l *Leaves) FillBlocks(rows [][]float64, v []float64, b0, b1 int) {
 	for j, row := range rows {
 		DotAbsBlocks(l.leafSum[j][b0:b1], l.leafAbs[j][b0:b1], row, v, b0)
@@ -438,8 +427,6 @@ func Norm2Block(u []float64, b int) (scale, ssq float64) {
 // left to right, a running scale and the sum of squares relative to it. It
 // is what ragged blocks, non-amd64 and -tags purego builds run, and what
 // the tests hold the packed leaf (leaf_amd64.s) against, bit for bit.
-//
-//hot:loop leaf of every ragged-block and non-amd64 norm
 func norm2Loop(u []float64) (scale, ssq float64) {
 	ssq = 1
 	for _, x := range u {

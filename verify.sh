@@ -30,6 +30,13 @@ go run ./cmd/newsum-lint -baseline lint.baseline.json ./...
 echo "== go test =="
 go test ./...
 
+echo "== allocation pins, one package at a time with nothing run before them =="
+# The AllocsPerRun / MemStats pins are the zero-allocation contract
+# (docs/testing.md "Allocation contract"). Run alone, no earlier test has
+# warmed the heap or the runtime's caches, so a count that holds only
+# after some other test ran fails here.
+go test -count=1 -run 'Allocs|Allocate|Mallocs' ./internal/...
+
 echo "== benchmark module (vet, tests) =="
 # benchmark/ is a module of its own (BENCHMARK.json's harness), so the
 # root ./... patterns above skip it; its tests re-check the exact counts
