@@ -1,6 +1,6 @@
-// Command newsum-lint runs the repo's static-analysis gate: the four
-// ABFT-invariant analyzers of internal/analysis (floatcmp, errdrop,
-// bannedcall, goroutineguard) over the packages named by its arguments.
+// Command newsum-lint runs the repo's static-analysis gate: the analyzers
+// of internal/analysis (errdrop, bannedcall, stalesuppress) over the
+// packages named by its arguments.
 //
 // Usage:
 //

@@ -44,11 +44,8 @@ func TestGolden(t *testing.T) {
 		dir string
 		azs []analysis.Analyzer
 	}{
-		{"floatcmp", []analysis.Analyzer{analysis.NewFloatCmp()}},
 		{"errdrop", []analysis.Analyzer{analysis.NewErrDrop()}},
 		{"bannedcall", []analysis.Analyzer{analysis.NewBannedCall()}},
-		{"goroutineguard", []analysis.Analyzer{analysis.NewGoroutineGuard()}},
-		{"checksumguard", []analysis.Analyzer{analysis.NewChecksumGuard()}},
 		// stalesuppress judges directive usage against the analyzers that
 		// ran, so its golden case runs the full registry — the way the
 		// repo gate does.
@@ -85,8 +82,8 @@ func TestGolden(t *testing.T) {
 	}
 }
 
-// TestInternalScoping checks that bannedcall and goroutineguard exempt
-// packages without an internal path element unless unscoped.
+// TestInternalScoping checks that bannedcall exempts packages without an
+// internal path element.
 func TestInternalScoping(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module scopemod\n\ngo 1.22\n")
@@ -109,12 +106,7 @@ func Hello() { fmt.Println("hi") }
 		t.Fatalf("package %s should not be internal", pkg.Path)
 	}
 	if diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewBannedCall()}); len(diags) != 0 {
-		t.Errorf("internal-scoped bannedcall fired outside internal/: %v", diags)
-	}
-	unscoped := analysis.NewBannedCall()
-	unscoped.InternalOnly = false
-	if diags := analysis.Analyze(pkg, []analysis.Analyzer{unscoped}); len(diags) != 1 {
-		t.Errorf("unscoped bannedcall want 1 finding, got %v", diags)
+		t.Errorf("bannedcall fired outside internal/: %v", diags)
 	}
 }
 
@@ -126,9 +118,11 @@ func TestMalformedIgnore(t *testing.T) {
 	pkgDir := filepath.Join(dir, "internal", "x")
 	writeFile(t, filepath.Join(pkgDir, "x.go"), `package x
 
-func cmp(a, b float64) bool {
-	//lint:ignore floatcmp
-	return a == b
+import "fmt"
+
+func hi() {
+	//lint:ignore bannedcall
+	fmt.Println("hi")
 }
 `)
 	l, err := analysis.NewLoader(dir)
@@ -139,13 +133,13 @@ func cmp(a, b float64) bool {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewFloatCmp()})
+	diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewBannedCall()})
 	var cats []string
 	for _, d := range diags {
 		cats = append(cats, d.Category)
 	}
-	if len(diags) != 2 || cats[0] != "lint" || cats[1] != "floatcmp" {
-		t.Errorf("want [lint floatcmp] diagnostics, got %v", diags)
+	if len(diags) != 2 || cats[0] != "lint" || cats[1] != "bannedcall" {
+		t.Errorf("want [lint bannedcall] diagnostics, got %v", diags)
 	}
 }
 
@@ -156,11 +150,12 @@ func TestSuppressionSameLineAndAbove(t *testing.T) {
 	pkgDir := filepath.Join(dir, "internal", "s")
 	writeFile(t, filepath.Join(pkgDir, "s.go"), `package s
 
-func cmp(a, b, c, d float64) bool {
-	x := a == b //lint:ignore floatcmp trailing-style suppression
-	//lint:ignore floatcmp comment-above suppression
-	y := c == d
-	return x && y
+import "fmt"
+
+func hi() {
+	fmt.Println("a") //lint:ignore bannedcall trailing-style suppression
+	//lint:ignore bannedcall comment-above suppression
+	fmt.Println("b")
 }
 `)
 	l, err := analysis.NewLoader(dir)
@@ -171,7 +166,7 @@ func cmp(a, b, c, d float64) bool {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	if diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewFloatCmp()}); len(diags) != 0 {
+	if diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewBannedCall()}); len(diags) != 0 {
 		t.Errorf("both placements should suppress, got %v", diags)
 	}
 }
@@ -191,7 +186,7 @@ func a() int {
 }
 
 func b() int {
-	//lint:ignore floatcmp floatcmp ran and found nothing: stale
+	//lint:ignore bannedcall bannedcall ran and found nothing: stale
 	return 2
 }
 `)
@@ -203,23 +198,65 @@ func b() int {
 	if err != nil {
 		t.Fatalf("LoadDir: %v", err)
 	}
-	diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewFloatCmp(), analysis.NewStaleSuppress()})
+	diags := analysis.Analyze(pkg, []analysis.Analyzer{analysis.NewBannedCall(), analysis.NewStaleSuppress()})
 	if len(diags) != 1 || diags[0].Category != "stalesuppress" || diags[0].Pos.Line != 9 {
-		t.Errorf("want exactly the floatcmp directive reported stale at line 9, got %v", diags)
+		t.Errorf("want exactly the bannedcall directive reported stale at line 9, got %v", diags)
 	}
 }
 
 func TestSelect(t *testing.T) {
 	all := analysis.All()
-	sel, err := analysis.Select(all, []string{"floatcmp", "errdrop"})
-	if err != nil || len(sel) != 2 || sel[0].Name() != "floatcmp" || sel[1].Name() != "errdrop" {
-		t.Errorf("Select(floatcmp,errdrop) = %v, %v", sel, err)
+	sel, err := analysis.Select(all, []string{"bannedcall", "errdrop"})
+	if err != nil || len(sel) != 2 || sel[0].Name() != "bannedcall" || sel[1].Name() != "errdrop" {
+		t.Errorf("Select(bannedcall,errdrop) = %v, %v", sel, err)
 	}
 	if _, err := analysis.Select(all, []string{"nosuch"}); err == nil {
 		t.Errorf("Select with unknown name should fail")
 	}
 	if sel, err := analysis.Select(all, nil); err != nil || len(sel) != len(all) {
 		t.Errorf("empty selection should return all analyzers")
+	}
+}
+
+// TestRun drives Run over a temporary module: a dirty internal package is
+// reported with a module-relative file name, the testdata, hidden and
+// underscore copies of it are never descended into, and a single-directory
+// pattern loads just that directory.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	writeFile(t, filepath.Join(dir, "go.mod"), "module runmod\n\ngo 1.22\n")
+	dirty := `package p
+
+import "fmt"
+
+func Hi() { fmt.Println("hi") }
+`
+	for _, rel := range []string{"internal/p", "internal/p/testdata", "internal/.hidden", "internal/_skip"} {
+		writeFile(t, filepath.Join(dir, rel, "p.go"), dirty)
+	}
+	writeFile(t, filepath.Join(dir, "internal/p/p_test.go"), "package p\n\nimport \"fmt\"\n\nfunc init() { fmt.Println(\"test\") }\n")
+
+	want := filepath.Join("internal", "p", "p.go") + ":5:13: bannedcall: fmt.Println writes to process stdout from library code; route output through an injected io.Writer"
+	for _, patterns := range [][]string{{"./..."}, {"internal/p"}, {filepath.Join(dir, "internal", "p")}} {
+		diags, err := analysis.Run(dir, patterns, analysis.All())
+		if err != nil {
+			t.Fatalf("Run(%q): %v", patterns, err)
+		}
+		if len(diags) != 1 || diags[0].String() != want {
+			t.Errorf("Run(%q) = %v, want exactly\n%s", patterns, diags, want)
+		}
+	}
+
+	if _, err := analysis.Run(filepath.Join(dir, "internal"), []string{"./..."}, analysis.All()); err == nil {
+		t.Errorf("Run without a go.mod at the root should fail")
+	}
+	if _, err := analysis.Run(dir, []string{"nosuch/..."}, analysis.All()); err == nil {
+		t.Errorf("Run over a missing directory should fail")
+	}
+	for _, az := range analysis.All() {
+		if az.Doc() == "" {
+			t.Errorf("%s has no doc line", az.Name())
+		}
 	}
 }
 

@@ -19,22 +19,16 @@ import (
 //     so every error scenario replays bit-identically. Constructors
 //     (rand.New, rand.NewSource, rand.NewZipf) remain legal.
 //
-// When InternalOnly is set (the default driver configuration) packages
-// without an "internal" path element — commands, examples — are exempt.
+// Packages without an "internal" path element — commands, examples — are
+// exempt.
 type BannedCall struct {
 	Base
-	// InternalOnly restricts the check to internal/ library packages.
-	InternalOnly bool
 }
 
-// NewBannedCall constructs the bannedcall analyzer scoped to internal/
-// packages.
+// NewBannedCall constructs the bannedcall analyzer.
 func NewBannedCall() *BannedCall {
-	return &BannedCall{
-		Base: NewBase("bannedcall",
-			"flags fmt.Print*/os.Exit/log.Fatal*/global math/rand in internal/ library packages"),
-		InternalOnly: true,
-	}
+	return &BannedCall{Base: NewBase("bannedcall",
+		"flags fmt.Print*/os.Exit/log.Fatal*/global math/rand in internal/ library packages")}
 }
 
 // randConstructors are the math/rand package-level functions that do not
@@ -43,7 +37,7 @@ var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf"
 
 // RunFile implements Analyzer.
 func (a *BannedCall) RunFile(pass *Pass, file *ast.File) {
-	if a.InternalOnly && !pass.Pkg.Internal {
+	if !pass.Pkg.Internal {
 		return
 	}
 	ast.Inspect(file, func(n ast.Node) bool {

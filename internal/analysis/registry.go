@@ -2,18 +2,13 @@ package analysis
 
 import "fmt"
 
-// All returns the full default analyzer set in its driver configuration
-// (bannedcall and goroutineguard scoped to internal/ packages).
-// stalesuppress is listed last because it judges the suppression usage the
-// other analyzers' filtered findings produce (Analyze orders it last
-// regardless).
+// All returns the full default analyzer set. stalesuppress is listed last
+// because it judges the suppression usage the other analyzers' filtered
+// findings produce (Analyze orders it last regardless).
 func All() []Analyzer {
 	return []Analyzer{
-		NewFloatCmp(),
 		NewErrDrop(),
 		NewBannedCall(),
-		NewGoroutineGuard(),
-		NewChecksumGuard(),
 		NewStaleSuppress(),
 	}
 }

@@ -3,28 +3,30 @@
 // directive usage is judged the way the repo gate judges it.
 package stalesuppresscase
 
-// used still suppresses a live floatcmp finding: not stale.
-func used(a, b float64) bool {
-	//lint:ignore floatcmp the caller owns the tolerance decision here
-	return a == b
+import "fmt"
+
+// used still suppresses a live bannedcall finding: not stale.
+func used() {
+	//lint:ignore bannedcall the demo owns process stdout here
+	fmt.Println("hello")
 }
 
-// staleOne excused a float comparison that has since been refactored away.
+// staleOne excused a stdout write that has since been refactored away.
 func staleOne() int {
-	//lint:ignore floatcmp nothing here compares floats anymore
+	//lint:ignore bannedcall nothing here prints anymore
 	return 1
 }
 
 // staleMulti names two categories; both analyzers ran and neither found
 // anything, so the whole directive is stale.
 //
-//lint:ignore errdrop,floatcmp the risky call moved to checked helpers
+//lint:ignore errdrop,bannedcall the risky call moved to checked helpers
 func staleMulti() {}
 
-// tombstone shows a suppressed stalesuppress finding: the stale bannedcall
+// tombstone shows a suppressed stalesuppress finding: the stale errdrop
 // directive below is excused by the stalesuppress directive above it.
 func tombstone() int {
 	//lint:ignore stalesuppress kept as a tombstone until the next refactor lands
-	//lint:ignore bannedcall the banned call is scheduled to return here
+	//lint:ignore errdrop the dropped error is scheduled to return here
 	return 2
 }

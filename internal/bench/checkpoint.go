@@ -76,7 +76,6 @@ func checkpointRefs(points []accuracy.CheckpointPoint) map[string]accuracy.Check
 // boundCell formats a lossy error bound, rendering the exact codecs' zero
 // as a dash.
 func boundCell(bound float64) string {
-	//lint:ignore floatcmp bound == 0 is the exact-codec sentinel, never a computed value
 	if bound == 0 {
 		return "—"
 	}

@@ -35,7 +35,6 @@ func opString(o model.OpCount, t model.OpTimes) string {
 	}
 	parts := ""
 	add := func(v float64, unit string) {
-		//lint:ignore floatcmp op counts are small exact integers in float64; zero means the term is absent
 		if v == 0 {
 			return
 		}

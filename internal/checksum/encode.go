@@ -28,7 +28,6 @@ func EncodeMatrix(a *sparse.CSR, weights []Weight, d float64) *Matrix {
 	if a.Rows != a.Cols {
 		panic("checksum: EncodeMatrix requires a square matrix")
 	}
-	//lint:ignore floatcmp validates a caller-supplied exact value, not computed data
 	if d == 0 {
 		panic("checksum: decoupling scalar d must be non-zero")
 	}
@@ -267,9 +266,9 @@ func UpdateVLOScaleBound(dst, etaDst []float64, alpha float64, su, etaSrc []floa
 // to the single-reduction bound ReduceEps(n)·Σ|c_i·v_i|. This is the one
 // sanctioned raw write to carried checksum state — verification paths that
 // pass (engine.verify, the inner-level probes) re-anchor through it so the
-// η band cannot compound across verification windows, and checksumguard
-// can insist every other mutation of protected state flows through the
-// Eq. (2)–(4) update kernels.
+// η band cannot compound across verification windows. Every other
+// mutation of carried checksum state flows through the Eq. (2)–(4) update
+// kernels.
 func Anchor(s, eta []float64, k int, sum, absSum float64, n int) {
 	s[k] = sum
 	eta[k] = ReduceEps(n) * absSum

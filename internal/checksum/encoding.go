@@ -43,7 +43,6 @@ func NewEncoding(a *sparse.CSR, d float64) *Encoding {
 	if a.Rows != a.Cols {
 		panic("checksum: NewEncoding requires a square matrix")
 	}
-	//lint:ignore floatcmp d == 0 is the unset sentinel selecting the derived scalar
 	if d == 0 {
 		d = PracticalD(a)
 	}

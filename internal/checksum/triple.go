@@ -89,7 +89,6 @@ func Diagnose(deltas []float64, n int, absSums []float64, tol Tol) TripleDiagnos
 	lhs := d2 * d3
 	rhs := d1 * d1
 	scale := math.Max(math.Abs(lhs), math.Abs(rhs))
-	//lint:ignore floatcmp exact zero of the relative-tolerance denominator
 	if scale == 0 || math.Abs(lhs-rhs) > 1e-6*scale {
 		return TripleDiagnosis{Kind: MultipleErrors}
 	}
@@ -98,7 +97,6 @@ func Diagnose(deltas []float64, n int, absSums []float64, tol Tol) TripleDiagnos
 		return TripleDiagnosis{Kind: MultipleErrors}
 	}
 	// Cross-check against the harmonic locator δ1/δ3 = j.
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if d3 != 0 {
 		jh := d1 / d3
 		if math.Abs(jh-j) > IntegralityTol*math.Max(1, j) {
@@ -138,7 +136,6 @@ func FakeCorrectionExample(n int, e float64) (pos []int, mag float64, ok bool) {
 // testing the fake-correction hazard. It returns the zero-based position
 // the scheme would "correct" and whether that position is in range.
 func DoubleLocate(d1, d2 float64, n int) (pos int, ok bool) {
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if d1 == 0 {
 		return 0, false
 	}

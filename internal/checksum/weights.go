@@ -132,7 +132,6 @@ func LemmaD(a *sparse.CSR, weights []Weight) float64 {
 	bound := 0.0
 	for _, w := range weights {
 		minC, maxC := w.Range(a.Rows)
-		//lint:ignore floatcmp weights are nonzero by construction; exact validation
 		if minC == 0 {
 			panic("checksum: weight with zero entry")
 		}

@@ -114,14 +114,12 @@ func (c *bicgstab) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.v, c.s, c.t, c.phat, c.shat)
 }
 
-//hot:protected x r p v s t phat shat
 func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (status, error) {
 	i := k.i
 	rho := k.dot(c.rhat, r.data)
 	if k.g.suspect(rho) {
 		return k.scalarFault("ρ = %g", rho), nil
 	}
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if rho == 0 {
 		return failed, k.breakdown("ρ = 0")
 	}
@@ -144,7 +142,6 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 	if k.g.suspect(rhatV) {
 		return k.scalarFault("r̂ᵀv = %g", rhatV), nil
 	}
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if rhatV == 0 {
 		return failed, k.breakdown("r̂ᵀv = 0")
 	}
@@ -172,7 +169,6 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 		return failed, k.breakdown("tᵀt = 0")
 	}
 	c.omega = k.dot(t.data, s.data) / tt
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if c.omega == 0 {
 		return failed, k.breakdown("ω = 0")
 	}

@@ -90,14 +90,12 @@ func (c *cr) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.ar, c.ap)
 }
 
-//hot:protected x r p ar ap
 func (c *cr) iterate(k *run, x, r, p, ar, ap *tracked) (status, error) {
 	i := k.i
 	apap := k.dot(ap.data, ap.data)
 	if k.g.suspect(apap) || k.g.suspect(c.rAr) {
 		return k.scalarFault("ApᵀAp = %g or rᵀAr = %g", apap, c.rAr), nil
 	}
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if apap == 0 || c.rAr == 0 {
 		return failed, k.breakdown("ApᵀAp = 0 or rᵀAr = 0")
 	}

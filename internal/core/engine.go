@@ -123,7 +123,6 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 		d = opts.Encoding.D
 	} else {
 		d = opts.DScalar
-		//lint:ignore floatcmp DScalar == 0 is the unset sentinel selecting a derived d
 		if d == 0 {
 			if opts.UseLemmaD {
 				d = checksum.LemmaD(a, weights)
@@ -173,8 +172,6 @@ func (e *engine) wrap(name string, data []float64) *tracked {
 
 // recompute refreshes v's checksums from its data, used at initialization
 // and after recovery reconstructs a vector.
-//
-//hot:protected v
 func (e *engine) recompute(v *tracked) {
 	for k := range e.weights {
 		sum, absSum := e.sums(v, k)
@@ -242,8 +239,6 @@ func suspectScalar(x float64) bool {
 // windows: without it, the d-amplification cycle (×d at each MVM update,
 // ÷d at each PCO) grows η by roughly (1+α) per iteration until it masks
 // genuine errors.
-//
-//hot:protected v
 func (e *engine) verify(v *tracked) bool {
 	e.stats.Verifications++
 	sum, absSum := e.sums(v, 0)
@@ -265,8 +260,6 @@ func (e *engine) verify(v *tracked) bool {
 // (kernel.MulVecDotAbs): they read src as the product reads it, struck by
 // a memory fault or not, and an output fault touches dst alone, so carried
 // checksums and verdicts are what a separate pass over src would give.
-//
-//hot:protected dst src
 func (e *engine) mvm(iter int, dst, src *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteMVM, src.data)
 	restore := e.inj.CacheWindow(iter, fault.SiteMVM, src.data)
@@ -301,8 +294,6 @@ func (e *engine) mvm(iter int, dst, src *tracked) {
 // in dst, reading src from memory after the operation (and after any
 // fault) — the ordering Lemma 2's proof analyses. The cache-fault branch of
 // mvm needs it.
-//
-//hot:protected dst src
 func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 	if e.encA == nil { // no checksums carried: nothing to update or to strike
 		return
@@ -315,8 +306,6 @@ func (e *engine) mvmUpdate(iter int, dst, src *tracked) {
 
 // mvmCarry carries dst's checksums through Eq. (2) from the row reductions
 // in e.lv.Sum / e.lv.Abs and closes the instrumented MVM.
-//
-//hot:protected dst src
 func (e *engine) mvmCarry(iter int, dst, src *tracked) {
 	e.encA.UpdateMVMBoundFrom(dst.s, dst.eta, e.lv.Sum, e.lv.Abs, src.s, src.eta)
 	e.stats.ChecksumUpdates++
@@ -415,8 +404,6 @@ func applyClean(m precond.Preconditioner, z, r []float64) error {
 // fault corrupts the value of x the update consumes while memory keeps the
 // clean copy; the checksum update (from x.s) stays clean, so y becomes
 // inconsistent and detectable.
-//
-//hot:protected y x
 func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 	e.inj.InjectMemory(iter, fault.SiteVLO, x.data)
 	restore := e.inj.CacheWindow(iter, fault.SiteVLO, x.data)
@@ -431,8 +418,6 @@ func (e *engine) axpy(iter int, y *tracked, alpha float64, x *tracked) {
 }
 
 // xpby computes dst := x + beta·y (dst may alias y) with checksum update.
-//
-//hot:protected dst x y
 func (e *engine) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 	e.pool.XpbyVLO(dst.data, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
 	e.stats.ChecksumUpdates += e.perOp
@@ -441,8 +426,6 @@ func (e *engine) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
 }
 
 // axpbyInto computes dst := alpha·x + beta·y with checksum update.
-//
-//hot:protected dst x y
 func (e *engine) axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked) {
 	e.pool.AxpbyVLO(dst.data, alpha, x.data, beta, y.data, dst.s, dst.eta, x.s, x.eta, y.s, y.eta)
 	e.stats.ChecksumUpdates += e.perOp
@@ -469,8 +452,6 @@ func (e *engine) takeFlag() bool {
 }
 
 // scaleInto computes dst := alpha·src with the Eq. (3) scaling update.
-//
-//hot:protected dst
 func (e *engine) scaleInto(iter int, dst *tracked, alpha float64, src *tracked) {
 	e.pool.Scale(dst.data, alpha, src.data)
 	checksum.UpdateVLOScaleBound(dst.s, dst.eta, alpha, src.s, src.eta)
@@ -513,8 +494,6 @@ func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
 // the carried c1 checksum, then — only on inconsistency — the cold
 // diagnoseLazy pass. The fault-free probe is the hot path; everything past
 // a detection rides the recovery budget.
-//
-//hot:protected q
 func (e *engine) innerCheckLazy(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
 	sum1, abs1 := e.sums(q, 0)
@@ -559,7 +538,6 @@ func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.Triple
 	return diag
 }
 
-//hot:protected q
 func (e *engine) innerCheckEager(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
 	sum1, abs1 := e.sums(q, 0)

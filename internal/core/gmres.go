@@ -163,7 +163,6 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			// Lazy detection on the newly produced basis vector: any error
 			// in the PCO, MVM or orthogonalization VLOs of the last d
 			// steps has propagated into it.
-			//lint:ignore floatcmp exact zero of h[k+1][k] is the Arnoldi happy-breakdown test
 			if total%d == 0 || h[k+1][k] == 0 {
 				if !e.verify(v[k+1]) {
 					cycleBad = true

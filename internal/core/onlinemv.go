@@ -158,9 +158,7 @@ func (o *omv) dupCompare(iter int, site fault.Site, dst []float64, op func(out [
 	op(o.dup2)
 	// Majority vote element-wise between the three copies.
 	for i := range dst {
-		//lint:ignore floatcmp duplicated evaluations are bit-identical; any difference is a fault
 		if dst[i] != o.dup1[i] {
-			//lint:ignore floatcmp TMR majority vote compares bit-identical duplicates
 			if o.dup1[i] == o.dup2[i] {
 				dst[i] = o.dup1[i]
 			}

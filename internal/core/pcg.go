@@ -82,7 +82,6 @@ func (c *pcg) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, c.p, c.q)
 }
 
-//hot:protected x r z p q
 func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 	i := k.i
 	k.mvm(i, q, p)
@@ -96,7 +95,6 @@ func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 	if k.g.suspect(pq) {
 		return k.scalarFault("pᵀAp = %g", pq), nil
 	}
-	//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 	if pq == 0 {
 		return failed, k.breakdown("pᵀAp = 0")
 	}

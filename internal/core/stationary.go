@@ -55,8 +55,6 @@ func (c *jacobi) step(k *run) (status, error)    { return c.iterate(k, k.x, k.r,
 // iterate tests convergence on the residual of the iterate it was handed,
 // before moving it, so the solve closes on an x whose residual it has seen:
 // the iteration count is the number of x updates.
-//
-//hot:protected x r w u
 func (c *jacobi) iterate(k *run, x, r, w, u *tracked) (status, error) {
 	i := k.i
 	k.mvm(i, w, x)
@@ -128,7 +126,6 @@ func (c *chebyshev) restored(k *run, _ int, lossy bool) error {
 
 func (c *chebyshev) step(k *run) (status, error) { return c.iterate(k, k.x, k.r, c.z, c.p, c.q) }
 
-//hot:protected x r z p q
 func (c *chebyshev) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 	i := k.i
 	if err := k.pco(i, z, r); err != nil {

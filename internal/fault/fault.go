@@ -252,7 +252,6 @@ func (in *Injector) perturb(e Event, iter int, v []float64) {
 			added = v[idx] - old
 		} else {
 			added = e.Magnitude
-			//lint:ignore floatcmp Magnitude == 0 is the unset sentinel selecting the default error
 			if added == 0 {
 				// "Significantly increasing the value": several orders of
 				// magnitude above the element scale.

@@ -124,7 +124,6 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers, wake: make(chan int, workers)}
 	p.exited.Add(workers - 1)
 	for i := 1; i < workers; i++ {
-		//lint:ignore goroutineguard persistent pool workers by design: spawned once per pool to avoid per-call goroutine churn, they drain p.wake until Close closes the channel and joins them via p.exited — the join is in Close, not this function.
 		go p.worker()
 	}
 	return p

@@ -81,7 +81,6 @@ func (c *bicgstab) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, k.p, c.v, c.s, c.t, c.phat, c.shat)
 }
 
-//hot:protected x r p v s t phat shat
 func (c *bicgstab) iterate(k *rankRun, x, r, p, v, s, t, phat, shat *DistVector) (status, error) {
 	rho := k.dotRaw(c.rhat, r)
 	if breakdownSuspect(rho) {

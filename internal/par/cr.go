@@ -80,7 +80,6 @@ func (c *cr) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, k.p, c.ar, c.ap)
 }
 
-//hot:protected x r p ar ap
 func (c *cr) iterate(k *rankRun, x, r, p, ar, ap *DistVector) (status, error) {
 	apap := k.dot(ap, ap)
 	if breakdownSuspect(apap) || breakdownSuspect(c.rAr) {

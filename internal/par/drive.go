@@ -256,7 +256,6 @@ const scalarSanityBound = 1e150
 // breakdownSuspect reports whether a replicated recurrence scalar is
 // unusable — exactly zero, NaN, Inf, or absurdly large.
 func breakdownSuspect(v float64) bool {
-	//lint:ignore floatcmp exact zero is the breakdown condition itself
 	return v == 0 || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > scalarSanityBound
 }
 

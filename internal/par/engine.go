@@ -363,7 +363,6 @@ func strike(f Fault, v []float64) {
 		return
 	}
 	mag := f.Magnitude
-	//lint:ignore floatcmp Magnitude == 0 is the unset sentinel selecting the default error
 	if mag == 0 {
 		mag = 1e4
 	}

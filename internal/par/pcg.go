@@ -52,7 +52,6 @@ func (c *pcg) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, k.p, c.q)
 }
 
-//hot:protected x r z p q
 func (c *pcg) iterate(k *rankRun, x, r, z, p, q *DistVector) (status, error) {
 	k.mvm(q, p)
 	if k.opts.TwoLevel && !k.innerCheck(q, p) {

@@ -75,7 +75,6 @@ func IC0(a *sparse.CSR) (Preconditioner, error) {
 				break
 			}
 			pivot := val[diagIdx[j]]
-			//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 			if pivot == 0 {
 				return nil, fmt.Errorf("precond: IC(0) zero pivot at row %d", j)
 			}

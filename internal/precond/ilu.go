@@ -55,7 +55,6 @@ func ilu0Factor(a *sparse.CSR, lo, hi, nblocks int, who string) (l, u *sparse.CS
 				}
 			}
 		}
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if u.Val[u.RowPtr[i]] == 0 {
 			return nil, nil, fmt.Errorf("precond: ILU(0) zero pivot at row %d", i)
 		}
@@ -133,7 +132,6 @@ func SSOR(a *sparse.CSR, omega float64) (Preconditioner, error) {
 	}
 	diag := a.Diag(nil)
 	for i, d := range diag {
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if d == 0 {
 			return nil, fmt.Errorf("precond: SSOR requires nonzero diagonal (row %d)", i)
 		}

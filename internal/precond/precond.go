@@ -70,7 +70,6 @@ func solveStage(m *sparse.CSR, shape TriShape) (Stage, error) {
 	case Diagonal:
 		s.diag = m.Diag(nil)
 		for i, d := range s.diag {
-			//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 			if d == 0 {
 				return s, fmt.Errorf("precond: zero diagonal at %d", i)
 			}
@@ -240,7 +239,6 @@ func Jacobi(a *sparse.CSR) (Preconditioner, error) {
 	diag := a.Diag(nil)
 	c := sparse.NewCOO(n, n)
 	for i, d := range diag {
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if d == 0 {
 			return nil, fmt.Errorf("precond: Jacobi requires nonzero diagonal (row %d)", i)
 		}

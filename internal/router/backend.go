@@ -48,7 +48,6 @@ func (lb *LocalBackend) Start() (string, error) {
 	lb.svc = service.New(lb.Cfg)
 	lb.srv = &http.Server{Handler: lb.svc.Handler()}
 	srv := lb.srv
-	//lint:ignore goroutineguard HTTP accept loop: lives until Stop's srv.Close(), which Serve observes as ErrServerClosed and exits; joining is unnecessary — Close guarantees the listener and all connections are down.
 	go func() {
 		_ = srv.Serve(ln) //lint:ignore errdrop Serve always returns a non-nil error on Close; the shutdown path already knows
 	}()
@@ -68,7 +67,6 @@ func (lb *LocalBackend) Stop() error {
 	}
 	err := lb.srv.Close()
 	svc := lb.svc
-	//lint:ignore goroutineguard background drain of the killed incarnation: Close blocks until its in-flight solves finish, and the restart must not wait for work that is about to be re-dispatched elsewhere; the goroutine owns the orphaned service outright.
 	go svc.Close()
 	lb.svc, lb.srv, lb.url = nil, nil, ""
 	return err

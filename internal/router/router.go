@@ -232,7 +232,6 @@ func New(cfg Config) (*Router, error) {
 		rt.slots = append(rt.slots, s)
 	}
 	rt.wg.Add(1)
-	//lint:ignore goroutineguard supervision loop: lives for the router's lifetime, exits on the stop channel, joined in Close via rt.wg.Wait.
 	go rt.supervise()
 	return rt, nil
 }

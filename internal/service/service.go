@@ -179,7 +179,6 @@ func New(cfg Config) *Service {
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
-		//lint:ignore goroutineguard long-lived pool worker; joined in Close via s.wg.Wait after the queue is closed
 		go s.worker()
 	}
 	return s

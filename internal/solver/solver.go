@@ -123,7 +123,6 @@ func PCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Re
 	for i := 0; i < maxIter; i++ {
 		a.MulVec(q, p)
 		pq := vec.Dot(p, q)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if pq == 0 {
 			return res, fmt.Errorf("solver: PCG breakdown (pᵀAp = 0) at iteration %d", i)
 		}
@@ -195,7 +194,6 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 	rhoPrev, alpha, omega := 1.0, 1.0, 1.0
 	for i := 0; i < maxIter; i++ {
 		rho := vec.Dot(rhat, r)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if rho == 0 {
 			return res, fmt.Errorf("solver: BiCGSTAB breakdown (ρ = 0) at iteration %d", i)
 		}
@@ -212,7 +210,6 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 		}
 		a.MulVec(v, phat)
 		rhatV := vec.Dot(rhat, v)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if rhatV == 0 {
 			return res, fmt.Errorf("solver: BiCGSTAB breakdown (r̂ᵀv = 0) at iteration %d", i)
 		}
@@ -238,7 +235,6 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 			return res, fmt.Errorf("solver: BiCGSTAB breakdown (tᵀt = 0) at iteration %d", i)
 		}
 		omega = vec.Dot(t, s) / tt
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if omega == 0 {
 			return res, fmt.Errorf("solver: BiCGSTAB breakdown (ω = 0) at iteration %d", i)
 		}

@@ -24,7 +24,6 @@ func Jacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 	}
 	diag := a.Diag(nil)
 	for i, d := range diag {
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if d == 0 {
 			return Result{}, fmt.Errorf("solver: Jacobi requires nonzero diagonal (row %d)", i)
 		}
@@ -169,7 +168,6 @@ func SteepestDescent(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		a.MulVec(ar, r)
 		rr := vec.Dot(r, r)
 		rar := vec.Dot(r, ar)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if rar == 0 {
 			return res, fmt.Errorf("solver: steepest descent breakdown at iteration %d", i)
 		}
@@ -231,7 +229,6 @@ func CR(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 	rAr := vec.Dot(r, ar)
 	for i := 0; i < maxIter; i++ {
 		apap := vec.Dot(ap, ap)
-		//lint:ignore floatcmp exact zero guards the division below, not a detection decision
 		if apap == 0 || rAr == 0 {
 			return res, fmt.Errorf("solver: CR breakdown at iteration %d", i)
 		}

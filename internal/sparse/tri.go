@@ -33,7 +33,6 @@ func (a *CSR) SolveLower(x, b []float64, unitDiag bool) error {
 			x[i] = s
 			continue
 		}
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if !haveDiag || diag == 0 {
 			return fmt.Errorf("sparse: zero diagonal at row %d in SolveLower", i)
 		}
@@ -63,7 +62,6 @@ func (a *CSR) SolveUpper(x, b []float64) error {
 				diag, haveDiag = a.Val[k], true
 			}
 		}
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if !haveDiag || diag == 0 {
 			return fmt.Errorf("sparse: zero diagonal at row %d in SolveUpper", i)
 		}

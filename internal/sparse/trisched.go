@@ -106,7 +106,6 @@ func NewTriSchedule(m *CSR, upper, unit bool) (*TriSchedule, error) {
 		if unit {
 			continue
 		}
-		//lint:ignore floatcmp exact-zero pivot is the standard singularity convention (cf. LAPACK)
 		if pivot == 0 {
 			return nil, fmt.Errorf("sparse: zero diagonal at row %d in %s", i, op)
 		}

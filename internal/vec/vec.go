@@ -430,7 +430,6 @@ func Norm2Block(u []float64, b int) (scale, ssq float64) {
 func norm2Loop(u []float64) (scale, ssq float64) {
 	ssq = 1
 	for _, x := range u {
-		//lint:ignore floatcmp exact-zero sparsity skip only avoids no-op work
 		if x == 0 {
 			continue
 		}
@@ -454,7 +453,6 @@ func CombineNorm2(s1, q1, s2, q2 float64) (scale, ssq float64) {
 	if s1 < s2 {
 		s1, q1, s2, q2 = s2, q2, s1, q1
 	}
-	//lint:ignore floatcmp a zero scale marks an all-zero partial, an exact sentinel
 	if s2 == 0 {
 		return s1, q1
 	}

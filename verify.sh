@@ -121,7 +121,13 @@ echo "== coverage gate (fault, checksum, checkpoint, accuracy, service, kernel, 
 # internal/router joins with the sharded front tier: its re-dispatch and
 # supervision branches are the whole-process recovery story, and an
 # untested one is a client-visible outage waiting for a crash to find it.
-go test -cover ./internal/fault/ ./internal/checksum/ ./internal/checkpoint/ ./internal/accuracy/ ./internal/service/ ./internal/kernel/ ./internal/analysis/ ./internal/core/ ./internal/par/ ./internal/router/ |
+# POSIX sh has no pipefail, so the output is captured first: a failing test
+# here fails the gate before awk reads the percentages.
+cover_out=$(go test -cover ./internal/fault/ ./internal/checksum/ ./internal/checkpoint/ ./internal/accuracy/ ./internal/service/ ./internal/kernel/ ./internal/analysis/ ./internal/core/ ./internal/par/ ./internal/router/) || {
+	echo "$cover_out" >&2
+	exit 1
+}
+echo "$cover_out" |
 	awk '
 		{ print }
 		/coverage:/ {
