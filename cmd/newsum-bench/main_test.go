@@ -57,8 +57,8 @@ func TestRun(t *testing.T) {
 	}
 }
 
-// TestParseFlags: the six flags parse; the trajectory flags are gone —
-// go test -bench → newsum-benchdiff is the one feed into BENCH_*.json.
+// TestParseFlags: the six flags parse, and the removed trajectory flags are
+// refused.
 func TestParseFlags(t *testing.T) {
 	exp, c, err := parseFlags([]string{"-exp", "fig6", "-n", "900", "-blocks", "4", "-repeats", "5", "-seed", "7", "-csv", "d"}, io.Discard)
 	if err != nil || exp != "fig6" || c.n != 900 || c.blocks != 4 || c.repeats != 5 || c.seed != 7 || c.csvDir != "d" {

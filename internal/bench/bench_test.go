@@ -2,13 +2,19 @@ package bench
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"newsum/internal/core"
 	"newsum/internal/fault"
 	"newsum/internal/model"
+	"newsum/internal/precond"
+	"newsum/internal/sparse"
 )
 
 func TestWorkloadConstructors(t *testing.T) {
@@ -26,20 +32,22 @@ func TestWorkloadConstructors(t *testing.T) {
 	if w2.Method != core.MethodPBiCGSTAB {
 		t.Fatalf("convection workload method")
 	}
-	w3, err := LaplacePCG(10, 4)
+}
+
+// laplacePCG is a 2D Laplacian solved by PCG with block-Jacobi ILU(0), a
+// workload small enough for quick tests.
+func laplacePCG(t *testing.T, side, blocks int) Workload {
+	t.Helper()
+	a := sparse.Laplacian2D(side, side)
+	m, err := precond.BlockJacobiILU0(a, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w3.A.Rows != 100 {
-		t.Fatalf("laplace workload order")
-	}
+	return Workload{A: a, M: m, B: rhsFor(a), Method: core.MethodPCG, Tol: 1e-8, MaxIter: 20000}
 }
 
 func TestRunSchemeDispatch(t *testing.T) {
-	w, err := LaplacePCG(12, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := laplacePCG(t, 12, 4)
 	for _, s := range []core.Scheme{
 		core.Unprotected, core.Basic, core.TwoLevel, core.OnlineMV,
 		core.Orthogonality, core.OfflineResidual,
@@ -88,11 +96,7 @@ func TestInjectorFor(t *testing.T) {
 // TestTable3MatchesPaper pins the full Yes/No pattern of the paper's
 // Table 3 — the coverage headline of the whole design.
 func TestTable3MatchesPaper(t *testing.T) {
-	w, err := LaplacePCG(24, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Table3(w, 42)
+	r, err := Table3(laplacePCG(t, 24, 4), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +191,7 @@ func TestProjectOverheadsShape(t *testing.T) {
 }
 
 func TestMeasureHostCosts(t *testing.T) {
-	w, err := LaplacePCG(20, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := MeasureHostCosts(w, 10)
+	c, err := MeasureHostCosts(laplacePCG(t, 20, 4), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,5 +261,63 @@ func TestFigure10Small(t *testing.T) {
 	WriteFigure10(&buf, fig)
 	if !strings.Contains(buf.String(), "4 MVM err") {
 		t.Errorf("rendered figure incomplete")
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/detection_latency.golden")
+
+// TestDetectionLatencyGolden pins the paper's flexible-detection-latency
+// trade (§1, §4) on the circuit workload at n = 4 000: the iterations each
+// detection mode throws away under scenario-2 errors, basic PCG with
+// checkpoints every 16 iterations — eager per-operation checks, and lazy
+// checks every 1 and every 8 iterations. Exact at the seed. Regenerate
+// deliberately with
+//
+//	go test ./internal/bench -run TestDetectionLatencyGolden -update
+func TestDetectionLatencyGolden(t *testing.T) {
+	const seed = 20160531
+	w, err := CircuitPCG(4000, 8, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	iters, err := w.FaultFreeIterations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, tc := range []struct {
+		name  string
+		d     int
+		eager bool
+	}{
+		{"eager", 1 << 20, true},
+		{"lazy-d1", 1, false},
+		{"lazy-d8", 8, false},
+	} {
+		opts := w.baseOptions()
+		opts.DetectInterval = tc.d
+		opts.CheckpointInterval = 16
+		opts.EagerDetection = tc.eager
+		opts.MaxRollbacks = 500
+		opts.Injector = InjectorFor(S2, iters, 16, seed)
+		res, _, err := RunScheme(w, core.Basic, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		fmt.Fprintf(&got, "AblationDetectionLatency/%s wasted-iters %d\n", tc.name, res.Stats.WastedIterations)
+	}
+	path := filepath.Join("testdata", "detection_latency.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("%s differs from the recorded units:\n got:\n%s\nwant:\n%s", path, got.String(), want)
 	}
 }

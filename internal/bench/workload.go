@@ -1,8 +1,8 @@
 // Package bench is the experiment harness that regenerates every table and
 // figure of the paper's evaluation section (§6): workload construction,
 // scheme dispatch, host cost measurement, scenario schedules, and the
-// formatted reports the newsum-bench tool and the root benchmark suite
-// print. DESIGN.md §3 maps each experiment to its runner here.
+// formatted reports the newsum-bench tool prints. DESIGN.md §3 maps each
+// experiment to its runner here.
 package bench
 
 import (
@@ -77,25 +77,6 @@ func ConvectionPBiCGSTAB(nx, ny, blocks int, beta float64) (Workload, error) {
 		M:       m,
 		B:       rhsFor(a),
 		Method:  core.MethodPBiCGSTAB,
-		Tol:     1e-8,
-		MaxIter: 20000,
-	}, nil
-}
-
-// LaplacePCG builds a 2D Laplacian PCG workload, useful for quick runs and
-// tests.
-func LaplacePCG(side, blocks int) (Workload, error) {
-	a := sparse.Laplacian2D(side, side)
-	m, err := precond.BlockJacobiILU0(a, blocks)
-	if err != nil {
-		return Workload{}, fmt.Errorf("bench: laplace workload: %w", err)
-	}
-	return Workload{
-		Name:    fmt.Sprintf("laplace-n%d-PCG", a.Rows),
-		A:       a,
-		M:       m,
-		B:       rhsFor(a),
-		Method:  core.MethodPCG,
 		Tol:     1e-8,
 		MaxIter: 20000,
 	}, nil

@@ -191,6 +191,9 @@ func FuzzDiagnoseRawDeltas(f *testing.F) {
 	// Integral locator but failed arithmetic/harmonic-mean identity (the
 	// two-equal-errors pattern that fools the double checksum).
 	f.Add(2.0, 4.0, 4.0/3.0, 8)
+	// A burst-sized single-error pattern (j = 3): δ1² and δ2·δ3 both
+	// overflow, and Inf − Inf is NaN.
+	f.Add(1e305, 3e305, 1e305/3, 8)
 	f.Fuzz(func(t *testing.T, d1, d2, d3 float64, n int) {
 		nn := fuzzDim(n)
 		deltas := []float64{d1, d2, d3}
@@ -198,6 +201,12 @@ func FuzzDiagnoseRawDeltas(f *testing.F) {
 		diag := Diagnose(deltas, nn, absSums, DefaultTol())
 		if diag.Kind != SingleError {
 			return
+		}
+		lhs, rhs := d2*d3, d1*d1
+		for _, v := range []float64{lhs, rhs, lhs - rhs} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("SingleError with a non-finite identity term: δ2·δ3 = %g, δ1² = %g", lhs, rhs)
+			}
 		}
 		if diag.Pos < 0 || diag.Pos >= nn {
 			t.Fatalf("single-error position %d out of range [0,%d)", diag.Pos, nn)

@@ -145,4 +145,9 @@ func TestDoubleLocateBoundaries(t *testing.T) {
 	if _, ok := DoubleLocate(1, 0.3, n); ok {
 		t.Errorf("locator below 1 must not localize")
 	}
+	// A non-finite δ (a burst that overflowed) fails the locator's own
+	// comparisons: nothing to guard here, unlike Diagnose.
+	if _, ok := DoubleLocate(math.NaN(), 5, n); ok {
+		t.Errorf("NaN δ1 must not localize")
+	}
 }

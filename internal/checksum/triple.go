@@ -85,11 +85,15 @@ func Diagnose(deltas []float64, n int, absSums []float64, tol Tol) TripleDiagnos
 		return TripleDiagnosis{Kind: NoError}
 	}
 	// Single-error test: δ2·δ3 = δ1², compared with a relative tolerance
-	// since all quantities scale with the error magnitude e.
+	// since all quantities scale with the error magnitude e. A large burst
+	// overflows δ1² or δ2·δ3 to Inf, and Inf − Inf is NaN, which fails
+	// every comparison: the difference must be finite (NaN and +Inf are
+	// not ≤ MaxFloat64) before it can pass as a single error.
 	lhs := d2 * d3
 	rhs := d1 * d1
 	scale := math.Max(math.Abs(lhs), math.Abs(rhs))
-	if scale == 0 || math.Abs(lhs-rhs) > 1e-6*scale {
+	diff := math.Abs(lhs - rhs)
+	if scale == 0 || !(diff <= math.MaxFloat64) || diff > 1e-6*scale {
 		return TripleDiagnosis{Kind: MultipleErrors}
 	}
 	j, ok := nearestIndex(d2/d1, n)

@@ -220,6 +220,27 @@ func TestForwardDiagnoseRejectsAliasedPair(t *testing.T) {
 	}
 }
 
+// TestWithinDriftRejectsNonFinite pins the amplified-drift screen against a
+// NaN or infinite δ: the bound comparison fails for both, so the vector is
+// never re-anchored over an overflowed burst.
+func TestWithinDriftRejectsNonFinite(t *testing.T) {
+	a := sparse.Laplacian2D(8, 8)
+	var stats Stats
+	opts := Options{}
+	opts.normalize()
+	e := newEngine(a, nil, checksum.Triple, &opts, &stats)
+	v := e.newTracked("v")
+	absSums := [3]float64{1, 1, 1}
+	if !e.withinDrift(v, [3]float64{}, absSums) {
+		t.Fatalf("zero deltas rejected")
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if e.withinDrift(v, [3]float64{d, 0, 0}, absSums) {
+			t.Errorf("δ1 = %g accepted as drift", d)
+		}
+	}
+}
+
 // TestForwardBurstCRIterateRollsBack is the CR twin of the PCG iterate-burst
 // test: a two-element burst in the iterate update has no identity to rebuild
 // from and must fall back to rollback, never an in-place "correction".

@@ -4,6 +4,18 @@ import (
 	"testing"
 )
 
+// TestNilInjectorAllocs pins the instrumentation contract: a nil injector
+// on the hot path costs no allocation.
+func TestNilInjectorAllocs(t *testing.T) {
+	var in *Injector
+	v := make([]float64, 4000)
+	if n := testing.AllocsPerRun(100, func() {
+		in.InjectOutput(1, SiteMVM, v)
+	}); n != 0 {
+		t.Fatalf("nil InjectOutput: %v allocations per call, want 0", n)
+	}
+}
+
 func TestNilInjectorIsNoop(t *testing.T) {
 	var in *Injector
 	v := []float64{1, 2, 3}

@@ -2,8 +2,10 @@ package par
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"newsum/internal/checksum"
 	"newsum/internal/vec"
 )
 
@@ -101,4 +103,20 @@ func TestForwardCampaignParCR(t *testing.T) {
 	runParForwardCampaign(t, func(faults []Fault) (Result, error) {
 		return ABFTCR(a, b, ranks, forwardParOptions(faults))
 	}, base.Iterations-1, ranks, a.Rows/ranks, base.X)
+}
+
+// TestWithinDriftRejectsNonFinite pins the distributed amplified-drift
+// screen against a NaN or infinite δ: the comparison fails for both, so an
+// overflowed burst is never re-anchored over.
+func TestWithinDriftRejectsNonFinite(t *testing.T) {
+	e := &rankEngine{weights: checksum.Triple, n: 64}
+	absSums := [3]float64{1, 1, 1}
+	if !e.withinDrift([3]float64{}, absSums) {
+		t.Fatalf("zero deltas rejected")
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if e.withinDrift([3]float64{d, 0, 0}, absSums) {
+			t.Errorf("δ1 = %g accepted as drift", d)
+		}
+	}
 }

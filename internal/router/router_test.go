@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -412,6 +413,102 @@ func TestRouterZeroSDCUnder64MixedClients(t *testing.T) {
 	if sdc != 0 {
 		t.Fatalf("sdc suspects = %d, want 0", sdc)
 	}
+}
+
+// TestShardFleetZeroSuspectsAndFailures offers the same closed-loop chaos
+// jobs over HTTP to a router in front of two two-worker backends and to one
+// process holding the same four workers, and holds each side's
+// fleet-wide suspected-SDC and failed-job counters at zero.
+func TestShardFleetZeroSuspectsAndFailures(t *testing.T) {
+	jobs := 48
+	if testing.Short() {
+		jobs = 24
+	}
+	cfg := func(workers int) service.Config {
+		return service.Config{Workers: workers, QueueDepth: 64, CacheSize: 16, KernelWorkers: -1}
+	}
+	check := func(t *testing.T, services ...*service.Service) {
+		var sdc, failed int64
+		for _, svc := range services {
+			st := svc.Stats()
+			sdc += st.SDCSuspects
+			failed += st.Failed
+		}
+		if sdc != 0 || failed != 0 {
+			t.Errorf("sdc suspects = %d, failed jobs = %d, want 0 and 0", sdc, failed)
+		}
+	}
+	t.Run("single", func(t *testing.T) {
+		svc := service.New(cfg(4))
+		defer svc.Close()
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		driveClosedLoop(t, srv.URL, 8, jobs)
+		check(t, svc)
+	})
+	t.Run("router", func(t *testing.T) {
+		backends := []*LocalBackend{{Cfg: cfg(2)}, {Cfg: cfg(2)}}
+		_, srv := newTestRouter(t, Config{Backends: []Backend{backends[0], backends[1]}})
+		driveClosedLoop(t, srv.URL, 8, jobs)
+		check(t, backends[0].Service(), backends[1].Service())
+	})
+}
+
+// driveClosedLoop offers jobs one-fault chaos solves over six operators
+// from clients closed-loop HTTP clients, re-offering a job the server
+// answered 429 after a millisecond per second of its Retry-After.
+func driveClosedLoop(t *testing.T, url string, clients, jobs int) {
+	t.Helper()
+	specs := []service.MatrixSpec{
+		{Kind: "laplace2d", N: 12},
+		{Kind: "laplace2d", N: 16},
+		{Kind: "laplace2d", N: 20},
+		{Kind: "spd", N: 300, Degree: 4, Seed: 7},
+		{Kind: "circuit", N: 300, Seed: 11},
+		{Kind: "circuit", N: 256, Seed: 13},
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				buf, _ := json.Marshal(service.Request{Matrix: specs[i%len(specs)], ChaosFaults: 1, Seed: 20160531 + int64(i)})
+				for {
+					resp, err := http.Post(url+"/solve", "application/json", bytes.NewReader(buf))
+					if err != nil {
+						t.Errorf("job %d: %v", i, err)
+						break
+					}
+					if resp.StatusCode == http.StatusTooManyRequests {
+						secs, _ := strconv.Atoi(resp.Header.Get("Retry-After"))
+						_, _ = io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+						time.Sleep(time.Duration(max(secs, 1)) * time.Millisecond)
+						continue
+					}
+					var out service.Response
+					err = json.NewDecoder(resp.Body).Decode(&out)
+					resp.Body.Close()
+					switch {
+					case resp.StatusCode != http.StatusOK:
+						t.Errorf("job %d: status %d", i, resp.StatusCode)
+					case err != nil:
+						t.Errorf("job %d: decode: %v", i, err)
+					case !out.Converged:
+						t.Errorf("job %d did not converge", i)
+					}
+					break
+				}
+			}
+		}()
+	}
+	for i := 0; i < jobs; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 }
 
 // stubBackend is a canned-handler StaticBackend for exercising proxy paths

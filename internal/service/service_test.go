@@ -120,6 +120,65 @@ func TestAcceptance64Concurrent(t *testing.T) {
 	}
 }
 
+// TestZeroSuspectsAndFailures holds the two counters that must read zero
+// under any load — results whose recomputed residual contradicts their
+// claimed convergence, and jobs that exhausted their retry budget — on four
+// shapes of traffic through serial-kernel workers: one chaos-faulted job
+// under each scheme, a warm cache hit, and concurrent chaos jobs on four
+// workers.
+func TestZeroSuspectsAndFailures(t *testing.T) {
+	const seed = 20160531
+	chaos := func(scheme string, seed int64) Request {
+		return Request{Matrix: laplaceSpec(), Scheme: scheme, ChaosFaults: 1, Seed: seed}
+	}
+	for _, tc := range []struct {
+		name       string
+		workers    int
+		concurrent bool
+		reqs       []Request
+	}{
+		{"solve/pcg-basic", 1, false, []Request{chaos("", seed)}},
+		{"solve/pcg-twolevel", 1, false, []Request{chaos("twolevel", seed)}},
+		{"cache-hit", 1, false, []Request{{Matrix: laplaceSpec()}, {Matrix: laplaceSpec()}}},
+		{"concurrent", 4, true, []Request{chaos("", seed+1), chaos("", seed+2), chaos("", seed+3), chaos("", seed+4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Workers: tc.workers, QueueDepth: 128, CacheSize: 8, MaxRetries: 2, KernelWorkers: -1})
+			defer s.Close()
+			resps := make([]*Response, len(tc.reqs))
+			errs := make([]error, len(tc.reqs))
+			var wg sync.WaitGroup
+			for i, req := range tc.reqs {
+				if !tc.concurrent {
+					resps[i], errs[i] = s.Submit(context.Background(), req)
+					continue
+				}
+				wg.Add(1)
+				go func(i int, req Request) {
+					defer wg.Done()
+					resps[i], errs[i] = s.Submit(context.Background(), req)
+				}(i, req)
+			}
+			wg.Wait()
+			for i := range tc.reqs {
+				if errs[i] != nil {
+					t.Fatalf("job %d: %v", i, errs[i])
+				}
+				if !resps[i].Converged {
+					t.Fatalf("job %d did not converge", i)
+				}
+			}
+			if tc.name == "cache-hit" && !resps[1].CacheHit {
+				t.Errorf("warm submission missed the encoding cache")
+			}
+			snap := s.Stats()
+			if snap.SDCSuspects != 0 || snap.Failed != 0 {
+				t.Errorf("sdc suspects = %d, failed jobs = %d, want 0 and 0", snap.SDCSuspects, snap.Failed)
+			}
+		})
+	}
+}
+
 // TestRetryOnAbort pins the retry state machine deterministically: two
 // explicit strikes against a rollback budget of one storm the first
 // attempt; the retry drops the (one-shot) explicit strike set and

@@ -1,4 +1,4 @@
-#!/bin/sh
+#!/bin/bash
 # verify.sh — the repo's tier-1 gate. Every PR must leave this green.
 #
 #   ./verify.sh          # formatting, vet, newsum-lint, tests, race pass
@@ -10,7 +10,21 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== gofmt =="
+# step closes the running step with its wall time in seconds (bash's
+# SECONDS) and opens the next, so one log gives every step's cost.
+step=""
+step() {
+	if [ -n "$step" ]; then
+		echo "== $step: $((SECONDS - step_start)) s =="
+	fi
+	step=$1
+	step_start=$SECONDS
+	if [ -n "$step" ]; then
+		echo "== $step =="
+	fi
+}
+
+step "gofmt"
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: needs formatting:" >&2
@@ -18,40 +32,41 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
-echo "== go vet =="
+step "go vet"
 go vet ./...
 
-echo "== newsum-lint =="
+step "newsum-lint"
 # -baseline grandfathers nothing today (lint.baseline.json is the empty
 # list) but keeps the gate honest two ways: new findings fail the build,
 # and a baseline entry that no longer matches anything fails as stale.
 go run ./cmd/newsum-lint -baseline lint.baseline.json ./...
 
-echo "== go test =="
+step "go test"
 go test ./...
 
-echo "== allocation pins, one package at a time with nothing run before them =="
+step "allocation pins, one package at a time with nothing run before them"
 # The AllocsPerRun / MemStats pins are the zero-allocation contract
 # (docs/testing.md "Allocation contract"). Run alone, no earlier test has
 # warmed the heap or the runtime's caches, so a count that holds only
 # after some other test ran fails here.
 go test -count=1 -run 'Allocs|Allocate|Mallocs' ./internal/...
 
-echo "== benchmark module (vet, tests) =="
+step "benchmark module (vet, tests)"
 # benchmark/ is a module of its own (BENCHMARK.json's harness), so the
 # root ./... patterns above skip it; its tests re-check the exact counts
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-echo "== fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress + FuzzRequestBuild, router FuzzRelayStream, mmio FuzzRead) =="
+step "fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress + FuzzRequestBuild, router FuzzRelayStream, mmio FuzzRead, checkpoint FuzzDecodeLossy + FuzzDecodeDiff)"
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
 go test -run Fuzz -fuzz='^$' ./internal/service/...
 go test -run Fuzz -fuzz='^$' ./internal/router/...
 go test -run Fuzz -fuzz='^$' ./internal/mmio/...
+go test -run Fuzz -fuzz='^$' ./internal/checkpoint/...
 
-echo "== leaves: which one this host ran, then the portable ones (AVX off; -tags purego: vec, kernel, checksum, sparse, precond, core, par) =="
+step "leaves: which one this host ran, then the portable ones (AVX off; -tags purego: vec, kernel, checksum, sparse, precond, core, par)"
 # On an amd64 with AVX the full blocks of every (Σ, Σ|·|) range run in
 # internal/vec/leaf_amd64.s; without it, for ragged blocks, and everywhere
 # else they run the Go lanes. TestLeafDispatch logs which of the two every
@@ -68,13 +83,13 @@ leaf_out=$(go test -v -run '^TestLeafDispatch$' ./internal/vec/) || {
 echo "$leaf_out" | grep 'leaf:' || echo "    leaf: portable lanes (no amd64 assembly linked)"
 go test -tags purego ./internal/vec/... ./internal/kernel/... ./internal/checksum/... ./internal/sparse/... ./internal/precond/... ./internal/core/... ./internal/par/...
 
-echo "== non-amd64 build (GOARCH=arm64: build all, vet vec) =="
+step "non-amd64 build (GOARCH=arm64: build all, vet vec)"
 # Nothing else compiles the !amd64 files; go vet's asmdecl checks the
 # assembly's frame layout against its Go declarations on amd64 above.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
 
-echo "== go test -race (par, core, service, kernel, router, sparse, precond); par and router once more on one P =="
+step "go test -race (par, core, service, kernel, router, sparse, precond); par and router once more on one P"
 # sparse and precond: a TriSchedule is shared by every worker solving on
 # its operator (precond.TestSharedStagesApplyConcurrently).
 go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./internal/kernel/... ./internal/router/... ./internal/sparse/... ./internal/precond/...
@@ -88,25 +103,13 @@ go test -race ./internal/par/... ./internal/core/... ./internal/service/... ./in
 GOMAXPROCS=1 go test ./internal/par/...
 GOMAXPROCS=1 go test -skip '^TestRouterKillMidSolveRedispatch$' ./internal/router/...
 
-echo "== bench pass + trajectory gate (docs/benchmarks.md) =="
-# One quick pass over the whole root bench suite (1 iteration, -short
-# sizes) guards against benchmark bit-rot, then the run is gated against
-# the committed trajectories on its deterministic units: allocs/op and
-# B/op pins, sdc-rate, sdc-suspects, failed-jobs, wasted-iters, detect-%,
-# stored-bytes. A 1x run times nothing, and wall-clock units have no rule:
-# benchmark/ takes every wall time. Re-baseline deliberately with
-# newsum-benchdiff -record (docs/benchmarks.md "Re-baselining honestly").
-bench_out=$(mktemp)
-trap 'rm -f "$bench_out"' EXIT
-go test -run '^$' -bench . -benchmem -benchtime=1x -short . >"$bench_out"
-go run ./cmd/newsum-benchdiff -baseline BENCH_CORE.json -exclude '^BenchmarkServe' -input "$bench_out"
-go run ./cmd/newsum-benchdiff -baseline BENCH_SERVE.json -only '^BenchmarkServe' -input "$bench_out"
-# The checkpoint-codec sweep also runs through the CLI path so -exp
-# checkpoint cannot bit-rot: a small deterministic grid, discarded output
-# — BenchmarkCheckpoint above carries the gated metrics.
+step "newsum-bench CLI smoke (-exp checkpoint, small grid)"
+# The checkpoint-codec sweep runs through the CLI path so -exp checkpoint
+# cannot bit-rot: a small deterministic grid, discarded output. Its seeded
+# outcomes are internal/accuracy's campaign_units.golden.
 go run ./cmd/newsum-bench -exp checkpoint -n 256 >/dev/null
 
-echo "== coverage gate (fault, checksum, checkpoint, accuracy, service, kernel, analysis, core, par, router >= 80%) =="
+step "coverage gate (fault, checksum, checkpoint, accuracy, service, kernel, analysis, core, par, router >= 80%)"
 # The packages that decide whether a fault is caught — and the service
 # layer that promises retry-to-convergence and server-side verification —
 # must themselves be thoroughly exercised; docs/testing.md records the
@@ -121,7 +124,7 @@ echo "== coverage gate (fault, checksum, checkpoint, accuracy, service, kernel, 
 # internal/router joins with the sharded front tier: its re-dispatch and
 # supervision branches are the whole-process recovery story, and an
 # untested one is a client-visible outage waiting for a crash to find it.
-# POSIX sh has no pipefail, so the output is captured first: a failing test
+# The output is captured first (the script sets no pipefail): a failing test
 # here fails the gate before awk reads the percentages.
 cover_out=$(go test -cover ./internal/fault/ ./internal/checksum/ ./internal/checkpoint/ ./internal/accuracy/ ./internal/service/ ./internal/kernel/ ./internal/analysis/ ./internal/core/ ./internal/par/ ./internal/router/) || {
 	echo "$cover_out" >&2
@@ -144,7 +147,7 @@ echo "$cover_out" |
 		}
 	'
 
-echo "== non-test Go lines: per internal package, per cmd, whole repo =="
+step "non-test Go lines: per internal package, per cmd, whole repo"
 # ROADMAP's line targets and CHANGES.md entries quote these figures; read
 # them off here instead of recounting by hand.
 find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench_build/*' | xargs wc -l |
@@ -153,4 +156,5 @@ find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.bench
 		END { for (p in n) printf "%7d %s\n", n[p], p
 			printf "%7d internal (all)\n%7d whole repo (non-test)\n", all, repo }' | sort -k2
 
-echo "verify: OK"
+step ""
+echo "verify: OK ($SECONDS s)"
