@@ -39,6 +39,8 @@ type Encoding struct {
 // diagnosis rows before − d·c_kᵀ densifies all three — the paper's offline
 // encoding cost, paid once per operator. Each row sees EncodeMatrix's and
 // EncodeTraditional's additions in their order, so the bits are theirs.
+// The Triple weights are written out — 1, i+1 and 1/(i+1), as their At
+// functions compute them — rather than called per element; 1·v is v.
 func NewEncoding(a *sparse.CSR, d float64) *Encoding {
 	if a.Rows != a.Cols {
 		panic("checksum: NewEncoding requires a square matrix")
@@ -53,11 +55,11 @@ func NewEncoding(a *sparse.CSR, d float64) *Encoding {
 	}
 	ones, linear, harmonic := rows[0], rows[1], rows[2]
 	for i := 0; i < n; i++ {
-		c0, c1, c2 := Triple[0].At(i), Triple[1].At(i), Triple[2].At(i)
+		c1, c2 := float64(i+1), 1/float64(i+1)
 		cols, vals := a.RowView(i)
 		for t, j := range cols {
 			v := vals[t]
-			ones[j] += c0 * v
+			ones[j] += v
 			linear[j] += c1 * v
 			harmonic[j] += c2 * v
 		}
@@ -66,11 +68,10 @@ func NewEncoding(a *sparse.CSR, d float64) *Encoding {
 	for k, row := range rows[1:] {
 		diag.Rows[k] = append([]float64(nil), row...)
 	}
-	for k, w := range Triple {
-		row := rows[k]
-		for j := range row {
-			row[j] -= d * w.At(j)
-		}
+	for j := range ones {
+		ones[j] -= d
+		linear[j] -= d * float64(j+1)
+		harmonic[j] -= d * (1 / float64(j+1))
 	}
 	return &Encoding{N: n, D: d, mat: &Matrix{N: n, D: d, Weights: Triple, Rows: rows}, diag: diag}
 }

@@ -72,6 +72,64 @@ func TestEncodingOnePassIsThePerWeightPasses(t *testing.T) {
 	}
 }
 
+// atEncoding is NewEncoding as it was written before its weights were
+// inlined: every weight through its At function, per row and per column.
+func atEncoding(a *sparse.CSR, d float64) [][]float64 {
+	rows := make([][]float64, len(Triple))
+	for k := range rows {
+		rows[k] = make([]float64, a.Rows)
+	}
+	for i := 0; i < a.Rows; i++ {
+		c0, c1, c2 := Triple[0].At(i), Triple[1].At(i), Triple[2].At(i)
+		cols, vals := a.RowView(i)
+		for t, j := range cols {
+			rows[0][j] += c0 * vals[t]
+			rows[1][j] += c1 * vals[t]
+			rows[2][j] += c2 * vals[t]
+		}
+	}
+	diag := [][]float64{append([]float64(nil), rows[1]...), append([]float64(nil), rows[2]...)}
+	for k, w := range Triple {
+		for j := range rows[k] {
+			rows[k][j] -= d * w.At(j)
+		}
+	}
+	return append(rows, diag...)
+}
+
+// TestEncodingInlineWeightsAreAt: the inlined weights give the rows that
+// calling Weight.At gives, bit for bit, on every generator's operator and
+// on an inline COO one with signed zeros, a subnormal and a huge entry.
+func TestEncodingInlineWeightsAreAt(t *testing.T) {
+	coo := sparse.NewCOO(5, 5)
+	for i := 0; i < 5; i++ {
+		coo.Add(i, i, 4)
+	}
+	coo.Add(0, 3, math.Copysign(0, -1))
+	coo.Add(1, 0, -1.5)
+	coo.Add(2, 4, 5e-324)
+	coo.Add(3, 1, 1e300)
+	coo.Add(4, 2, -0.1)
+	for name, a := range map[string]*sparse.CSR{
+		"laplace2d": sparse.Laplacian2D(9, 7),
+		"laplace3d": sparse.Laplacian3D(4, 3, 5),
+		"convdiff":  sparse.ConvectionDiffusion2D(13, 11, 40),
+		"circuit":   sparse.CircuitLike(400, 7),
+		"diagdom":   sparse.DiagDominant(300, 6, 3),
+		"spd":       sparse.SPDRandom(300, 4, 5),
+		"tridiag":   sparse.Tridiag(50, -1, 2, -1),
+		"inline":    coo.ToCSR(),
+	} {
+		for _, d := range []float64{0, 3, 1024} {
+			enc := NewEncoding(a, d)
+			want := atEncoding(a, enc.D)
+			if got := append(append([][]float64(nil), enc.mat.Rows...), enc.diag.Rows...); !rowsEqualBits(got, want) {
+				t.Fatalf("%s d=%g: inlined weights differ from Weight.At", name, d)
+			}
+		}
+	}
+}
+
 // TestEncodingDeterministic asserts two independent derivations agree via
 // EqualBits — the admission check the service cache runs before trusting a
 // stored encoding.

@@ -215,11 +215,12 @@ func TestVLOBitwise(t *testing.T) {
 }
 
 // TestDenseKernelsAreTheGoLoops: Dot, Norm2 and the VLOs against loops
-// written out here — one chain per vec.Block under vec.PairwiseSum, the
-// element-wise expressions — not against the serial kernels, on the serial
-// pool and on 2, 3 and 8 workers: the lockstep leaf filler, the packed norm
-// leaf and the packed VLO body start wherever a worker's range starts, at
-// lengths on and around the four-block, 64-leaf and pool-cutover boundaries.
+// written out here — one chain per vec.Block under vec.PairwiseSum, its
+// square root for the norm, the element-wise expressions — not against the
+// serial kernels, on the serial pool and on 2, 3 and 8 workers: the
+// lockstep leaf filler and the packed VLO body start wherever a worker's
+// range starts, at lengths on and around the four-block, 64-leaf and
+// pool-cutover boundaries.
 func TestDenseKernelsAreTheGoLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	sizes := []int{0, 1, 127, 128, 129, 511, 512, 513, 640, 4095, 4096, 4099, 8191, 8192, 8193, 8320, 10000, 22500, 100003}
@@ -232,7 +233,10 @@ func TestDenseKernelsAreTheGoLoops(t *testing.T) {
 			leaves[b] = vec.DotBlock(x, y, b)
 		}
 		wantDot := vec.PairwiseSum(leaves)
-		wantNorm := vec.Norm2(x) // held against the loop leaf in internal/vec
+		for b := range leaves {
+			leaves[b] = vec.DotBlock(x, x, b)
+		}
+		wantNorm := math.Sqrt(vec.PairwiseSum(leaves)) // x·x is in the norm's window, or 0 at n = 0
 		wantAxpy, wantAxpby, wantXpby := make([]float64, n), make([]float64, n), make([]float64, n)
 		for i := range x {
 			wantAxpy[i] = y[i] + alpha*x[i]
@@ -245,7 +249,7 @@ func TestDenseKernelsAreTheGoLoops(t *testing.T) {
 				t.Fatalf("n=%d workers=%d: Dot = %x, PairwiseSum(DotBlock) %x", n, workers, got, wantDot)
 			}
 			if got := p.Norm2(x); !bitEq(got, wantNorm) {
-				t.Fatalf("n=%d workers=%d: Norm2 = %x, serial %x", n, workers, got, wantNorm)
+				t.Fatalf("n=%d workers=%d: Norm2 = %x, √PairwiseSum(DotBlock) %x", n, workers, got, wantNorm)
 			}
 			check := func(name string, got, want []float64) {
 				t.Helper()

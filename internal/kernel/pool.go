@@ -12,11 +12,12 @@
 // the reduction tree is the fixed-block pairwise tree of internal/vec,
 // a pure function of the vector length and never of the worker count.
 // Workers fill disjoint ranges of per-block leaf partials; a single
-// combiner (vec.PairwiseSum / vec.PairwiseNorm2) then folds the leaves
-// with exactly the serial tree. SpMV and the element-wise VLOs write
-// disjoint output elements, so their results are trivially order-free;
-// the fused SpMV's row ranges are cut on leaf boundaries, so the
-// reduction leaves it fills on the side are disjoint too.
+// combiner (vec.PairwiseSum) then folds the leaves with exactly the
+// serial tree; the norm is that dot of u with itself. SpMV and the
+// element-wise VLOs write disjoint output elements, so their results are
+// trivially order-free; the fused SpMV's row ranges are cut on leaf
+// boundaries, so the reduction leaves it fills on the side are disjoint
+// too.
 // ABFT relies on this: a recomputed checksum is compared against a
 // carried one under a round-off threshold, and a reduction whose value
 // depended on scheduling would smear that comparison band.
@@ -62,7 +63,6 @@ const (
 	opDotAbs
 	opSumAbs
 	opWeightedSumAbs
-	opNorm2
 	// element-wise VLOs: workers write disjoint ranges.
 	opAxpy
 	opAxpby
@@ -185,11 +185,6 @@ func (p *Pool) execPart(part int) {
 	case opWeightedSumAbs:
 		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
 		weightedSumAbsBlocks(o.out1, o.out2, o.x, o.w, lo, hi)
-	case opNorm2:
-		lo, hi := o.nb*part/p.workers, o.nb*(part+1)/p.workers
-		for b := lo; b < hi; b++ {
-			o.out1[b], o.out2[b] = vec.Norm2Block(o.x, b)
-		}
 	case opAxpy:
 		lo, hi := o.n*part/p.workers, o.n*(part+1)/p.workers
 		vec.Axpy(o.dst[lo:hi], o.alpha, o.x[lo:hi])

@@ -68,16 +68,9 @@ func (p *Pool) WeightedSumAbs(u []float64, w func(i int) float64) (sum, abs floa
 	return vec.PairwiseSum(sums), vec.PairwiseSum(abss)
 }
 
-// Norm2 returns ‖u‖₂ with dnrm2-style overflow guarding, bitwise-equal
-// to vec.Norm2. Workers fill per-block (scale, ssq) partials; the serial
-// tree merges them with vec.CombineNorm2.
+// Norm2 returns ‖u‖₂, bitwise-equal to vec.Norm2: the pooled dot u·u under
+// the serial norm's guard, which sends a u·u outside vec.InNormWindow to
+// dnrm2's scaled loop on the calling goroutine.
 func (p *Pool) Norm2(u []float64) float64 {
-	if p == nil || len(u) < minParallel {
-		return vec.Norm2(u)
-	}
-	nb := vec.Blocks(len(u))
-	scales, ssqs := p.grow2(nb)
-	p.op = op{kind: opNorm2, nb: nb, x: u, out1: scales, out2: ssqs}
-	p.launch()
-	return vec.PairwiseNorm2(scales, ssqs)
+	return vec.Norm2FromDot(u, p.Dot(u, u))
 }

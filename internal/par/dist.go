@@ -207,9 +207,31 @@ func GlobalDot(c *Comm, a, b *DistVector) float64 {
 	return c.AllReduceSum(vec.Dot(a.Data, b.Data))
 }
 
-// GlobalNorm2 computes the global Euclidean norm of a distributed vector.
+// GlobalNorm2 computes the global Euclidean norm of a distributed vector:
+// √ of the all-reduced u·u inside vec.InNormWindow, as vec.Norm2 takes it.
+// A rank whose squares all underflowed from nonzero data reports NaN for
+// its share, so an all-reduced 0 means every block is zero and the norm is
+// 0 without another collective. Outside the window every rank gathers every
+// rank's dnrm2 (scale, ssq) pair and folds them in rank order, so every
+// rank computes the same scaled norm.
 func GlobalNorm2(c *Comm, a *DistVector) float64 {
-	return math.Sqrt(c.AllReduceSum(vec.Dot(a.Data, a.Data)))
+	uu := vec.Dot(a.Data, a.Data)
+	if uu == 0 {
+		if scale, _ := vec.ScaledNorm2(a.Data); scale != 0 {
+			uu = math.NaN()
+		}
+	}
+	if uu = c.AllReduceSum(uu); uu == 0 || vec.InNormWindow(uu) {
+		return math.Sqrt(uu)
+	}
+	pairs := make([]float64, 2*c.Size())
+	scale, ssq := vec.ScaledNorm2(a.Data)
+	c.AllGather(pairs, []float64{scale, ssq}, 2*c.Rank())
+	scale, ssq = 0, 1
+	for r := 0; r < len(pairs); r += 2 {
+		scale, ssq = vec.CombineNorm2(scale, ssq, pairs[r], pairs[r+1])
+	}
+	return scale * math.Sqrt(ssq)
 }
 
 // VerifyGlobal checks the global checksum relationship of v for weight k:

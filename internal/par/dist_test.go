@@ -6,6 +6,7 @@ import (
 
 	"newsum/internal/checksum"
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 func TestBlockRangeCoversExactly(t *testing.T) {
@@ -150,4 +151,53 @@ func TestNewTeamPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewTeam(0)
+}
+
+// TestGlobalNorm2OutsideTheWindow: squares that underflow or overflow, on
+// every rank or on one, still give the norm, the same bits on every rank;
+// only an out-of-window sum costs the gather, and a zero vector does not.
+func TestGlobalNorm2OutsideTheWindow(t *testing.T) {
+	const n = 40
+	for _, c := range []struct {
+		name    string
+		x       func(i int) float64
+		gathers int64
+	}{
+		{"unit", func(i int) float64 { return float64(i + 1) }, 0},
+		{"zero", func(int) float64 { return 0 }, 0},
+		{"1e-170", func(i int) float64 { return 1e-170 * float64(i+1) }, 1},
+		{"1e170", func(i int) float64 { return 1e170 * float64(i+1) }, 1},
+		{"1e-170-past-row-30", func(i int) float64 { return 1e-170 * float64(i+1) * float64(i/30) }, 1},
+	} {
+		want := make([]float64, n)
+		for i := range want {
+			want[i] = c.x(i)
+		}
+		exact := vec.Norm2(want)
+		for ranks := 1; ranks <= 4; ranks++ {
+			comms := NewTeam(ranks)
+			got := make(chan [2]float64, ranks)
+			for _, cm := range comms {
+				go func(cm *Comm) {
+					lo, hi := BlockRange(n, ranks, cm.Rank())
+					dv := NewDistVector(hi-lo, 0)
+					copy(dv.Data, want[lo:hi])
+					nrm := GlobalNorm2(cm, dv)
+					got <- [2]float64{nrm, float64(cm.Stats().Gathers)}
+				}(cm)
+			}
+			first := <-got
+			for r := 1; r < ranks; r++ {
+				if g := <-got; math.Float64bits(g[0]) != math.Float64bits(first[0]) {
+					t.Fatalf("%s ranks=%d: ranks disagree: %x and %x", c.name, ranks, g[0], first[0])
+				}
+			}
+			if math.Abs(first[0]-exact) > 1e-14*exact || (exact == 0) != (first[0] == 0) {
+				t.Fatalf("%s ranks=%d: GlobalNorm2 = %g, serial %g", c.name, ranks, first[0], exact)
+			}
+			if int64(first[1]) != c.gathers {
+				t.Fatalf("%s ranks=%d: %v gathers, want %d", c.name, ranks, first[1], c.gathers)
+			}
+		}
+	}
 }

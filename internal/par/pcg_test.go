@@ -165,3 +165,35 @@ func TestTwoLevelParallelFaultFree(t *testing.T) {
 		t.Errorf("fault-free two-level run had FT events: %+v", res)
 	}
 }
+
+// TestABFTPCGScaledRHS: a right-hand side scaled by 1e-170, whose squares
+// underflow, or by 1e170, whose squares overflow, must not read as a zero
+// or infinite ‖b‖. The solve returns an error or a solution whose true
+// residual is within ten times the tolerance — never Converged at x = 0.
+func TestABFTPCGScaledRHS(t *testing.T) {
+	const tol = 1e-8
+	a := sparse.Laplacian2D(20, 20)
+	xTrue := make([]float64, a.Rows)
+	for i := range xTrue {
+		xTrue[i] = math.Cos(float64(i))
+	}
+	for _, scale := range []float64{1e-170, 1e170} {
+		b := make([]float64, a.Rows)
+		a.MulVec(b, xTrue)
+		vec.Scale(b, scale, b)
+		for _, ranks := range []int{1, 2, 3} {
+			res, err := ABFTPCG(a, b, ranks, Options{Tol: tol})
+			if err != nil {
+				t.Logf("scale %g ranks=%d: %v", scale, ranks, err)
+				continue
+			}
+			r := make([]float64, a.Rows)
+			a.MulVec(r, res.X)
+			vec.Sub(r, b, r)
+			if rel := vec.Norm2(r) / vec.Norm2(b); !(rel <= 10*tol) {
+				t.Fatalf("scale %g ranks=%d: converged=%v after %d iterations, true relative residual %g",
+					scale, ranks, res.Converged, res.Iterations, rel)
+			}
+		}
+	}
+}

@@ -109,12 +109,14 @@ func (rt *Router) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // dispatch is one job's routing state: its ring order, remaining retry
-// budget, and the slots found saturated (with their Retry-After hints).
+// budget, the slots found saturated (with their Retry-After hints) and the
+// slots an attempt failed on.
 type dispatch struct {
 	rt        *Router
 	order     []int
 	budget    int
 	saturated map[int]int
+	failed    map[int]bool
 	waitUntil time.Time
 }
 
@@ -123,14 +125,18 @@ type dispatch struct {
 // An idle or evenly loaded router therefore sends every job to its primary;
 // under a collision a job spills to its operator's secondary and never
 // further, so an operator's encoding is cached on at most two backends.
-// When every healthy slot is saturated it reports saturation; when no slot
-// is healthy it waits, within the dispatch budget, for the supervisor to
-// revive one — a restart takes milliseconds, and failing the job instead
-// would surface a recoverable fault to the client.
+// A slot an attempt of this job failed on is a candidate only when no
+// other is: the supervisor re-admits a slot whose /healthz answers, which
+// can happen before the job picks again, and says nothing of the /solve
+// that just failed. When every healthy slot is saturated it reports
+// saturation; when no slot is healthy it waits, within the dispatch budget,
+// for the supervisor to revive one — a restart takes milliseconds, and
+// failing the job instead would surface a recoverable fault to the client.
 func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 	for {
 		sawHealthy := false
 		first, firstURL, firstLoad := -1, "", int64(0)
+		again, againURL := -1, ""
 		for _, idx := range d.order {
 			url, ok := d.rt.slots[idx].healthyURL()
 			if !ok {
@@ -138,6 +144,12 @@ func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 			}
 			sawHealthy = true
 			if _, sat := d.saturated[idx]; sat {
+				continue
+			}
+			if d.failed[idx] {
+				if again < 0 {
+					again, againURL = idx, url
+				}
 				continue
 			}
 			load := d.rt.slots[idx].inFlight.Load()
@@ -154,6 +166,9 @@ func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 		}
 		if first >= 0 {
 			return first, firstURL, nil
+		}
+		if again >= 0 {
+			return again, againURL, nil
 		}
 		if sawHealthy {
 			return 0, "", errAllSaturated
@@ -173,6 +188,10 @@ func (d *dispatch) pick(ctx context.Context) (int, string, error) {
 // reports whether the job may be re-dispatched.
 func (d *dispatch) spendRetry(idx int) bool {
 	d.rt.noteFailure(idx)
+	if d.failed == nil {
+		d.failed = map[int]bool{}
+	}
+	d.failed[idx] = true
 	d.budget--
 	if d.budget < 0 {
 		return false

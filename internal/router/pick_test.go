@@ -285,8 +285,23 @@ func TestRouterPickSkipsBeforeCounting(t *testing.T) {
 	}
 }
 
+// oneFailureOneRedispatch reports whether a job failed once on slot 0 and
+// was re-dispatched once, to slot 1.
+func oneFailureOneRedispatch(st Stats) bool {
+	return st.Redispatches == 1 && st.Slots[0].Dispatched == 1 && st.Slots[1].Dispatched == 1
+}
+
 // TestRouterInFlightReturnsToZero: whichever way an attempt ends, the slot
 // it was dispatched to stops counting it.
+//
+// The reset and cut-body cases also pin where the re-dispatch goes. The
+// failure kicks the supervisor, which probes the failed slot's /healthz —
+// these stubs answer it — and re-admits the slot; under load that could
+// land before the job picked again, so the job went back to the stub:
+// Redispatches read 2 or 3, or the budget ran out and the client got a 502
+// (about 1 run in 30 under -race with another package's tests on the
+// host). A job now returns to a slot it failed on only when no other slot
+// can take it, so each case is one failure and one re-dispatch.
 func TestRouterInFlightReturnsToZero(t *testing.T) {
 	run := func(t *testing.T, stream bool, backends ...Backend) (*Router, string) {
 		t.Helper()
@@ -323,8 +338,8 @@ func TestRouterInFlightReturnsToZero(t *testing.T) {
 	t.Run("connection reset", func(t *testing.T) {
 		reset, _ := resetStub(t)
 		ok, _ := okStub(t)
-		if rt, _ := run(t, false, reset, ok); rt.Stats().Redispatches != 1 {
-			t.Fatal("the reset was not re-dispatched")
+		if rt, _ := run(t, false, reset, ok); !oneFailureOneRedispatch(rt.Stats()) {
+			t.Fatalf("stats %+v: want one dispatch to each slot and one re-dispatch", rt.Stats())
 		}
 	})
 	t.Run("body cut short", func(t *testing.T) {
@@ -334,8 +349,8 @@ func TestRouterInFlightReturnsToZero(t *testing.T) {
 			panic(http.ErrAbortHandler)
 		})
 		ok, _ := okStub(t)
-		if rt, _ := run(t, false, cut, ok); rt.Stats().Redispatches != 1 {
-			t.Fatal("the cut body was not re-dispatched")
+		if rt, _ := run(t, false, cut, ok); !oneFailureOneRedispatch(rt.Stats()) {
+			t.Fatalf("stats %+v: want one dispatch to each slot and one re-dispatch", rt.Stats())
 		}
 	})
 	t.Run("stream success", func(t *testing.T) {

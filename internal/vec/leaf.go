@@ -15,8 +15,8 @@ import "math"
 // tail blocks, an amd64 without AVX, other architectures and -tags purego
 // run the Go leaves below. Both produce the same bits, so which one runs is
 // invisible to every caller; docs/kernels.md "Reduction contract" has the
-// order, why the solver's own reductions (Dot, Norm2) keep theirs — left to
-// right — and how those are filled without waiting on it.
+// order, why the solver's dot (and so Norm2, which is √(u·u)) keeps its
+// own — left to right — and how that is filled without waiting on it.
 
 // dotAbsLanes is the portable leaf of u·v and Σ|u_i·v_i|. len(v) must be at
 // least len(u). The product is spelled float64(·) so that no platform may

@@ -50,21 +50,6 @@ func SumAbsBlocks(sum, abs, u []float64, lo int) {
 	sumAbsLanesBlocks(sum[k:], abs[k:], u, lo+k)
 }
 
-// norm2128 is Norm2Block's full-block leaf in leaf_amd64.s: norm2Loop's
-// operations in norm2Loop's order, the divide and the square taken two
-// elements at a time.
-//
-//go:noescape
-func norm2128(u *[Block]float64) (scale, ssq float64)
-
-// norm2Leaf is the (scale, ssq) leaf of the norm over one block's elements.
-func norm2Leaf(u []float64) (scale, ssq float64) {
-	if len(u) == Block {
-		return norm2128((*[Block]float64)(u))
-	}
-	return norm2Loop(u)
-}
-
 // axpbyQuads computes dst[i] = alpha·x[i] + beta·y[i] for i < 4·quads in
 // leaf_amd64.s, products rounded before the sum as the Go loops round them.
 //

@@ -15,8 +15,7 @@
 // aligned.
 
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
-DATA absmask<>+8(SB)/8, $0x7fffffffffffffff
-GLOBL absmask<>(SB), RODATA|NOPTR, $16
+GLOBL absmask<>(SB), RODATA|NOPTR, $8
 
 #define FOLD(Y, X) \
 	VEXTRACTF128 $1, Y, X8 \
@@ -149,107 +148,6 @@ TEXT ·hasAVX(SB), NOSPLIT, $0-1
 	JNE  noavx
 	MOVB $1, ret+0(FP)
 noavx:
-	RET
-
-DATA one<>+0(SB)/8, $0x3ff0000000000000
-GLOBL one<>(SB), RODATA|NOPTR, $8
-
-// The full-block leaf of the norm: norm2Loop (vec.go) with the divide and
-// the square of the common case — |x| no larger than the running scale —
-// taken for two elements at once. X0 = scale, X8 = (scale, scale), X1 = ssq.
-// DIVPD and MULPD round each lane as DIVSD and MULSD do, and the two squares
-// are added to ssq low lane first, so ssq sees the loop's additions in the
-// loop's order. A zero that reaches the packed step adds +0 to an ssq that
-// is at least 1 (the loop skips it); a NaN fails the compare as it fails
-// the loop's and takes the loop's else branch, which is the packed step.
-// A pair goes through the loop's own two steps, one element at a time,
-// while scale is still 0 (0/0 is not a skip) and whenever either element
-// exceeds scale.
-//
-// func norm2128(u *[128]float64) (scale, ssq float64)
-TEXT ·norm2128(SB), NOSPLIT, $0-24
-	MOVQ   u+0(FP), SI
-	MOVUPD absmask<>(SB), X7
-	XORPS  X0, X0
-	XORPS  X8, X8
-	XORPS  X6, X6          // +0, to compare against
-	MOVSD  one<>(SB), X1
-	MOVQ   $64, CX
-	JMP    steps           // scale is 0
-
-pair:
-	MOVUPD   (SI), X4
-	ANDPD    X7, X4        // (|x0|, |x1|)
-	MOVAPD   X8, X5
-	CMPPD    X4, X5, $1    // scale < |x|, lane by lane; false for a NaN
-	MOVMSKPD X5, AX
-	TESTL    AX, AX
-	JNZ      steps
-	DIVPD    X8, X4        // r = |x| / scale
-	MULPD    X4, X4        // r·r
-	ADDSD    X4, X1        // ssq += r0·r0
-	UNPCKHPD X4, X4
-	ADDSD    X4, X1        // ssq += r1·r1
-	ADDQ     $16, SI
-	DECQ     CX
-	JNZ      pair
-	JMP      done
-
-steps:
-	MOVSD   (SI), X4
-	ANDPD   X7, X4
-	UCOMISD X6, X4
-	JP      nonzero0       // a NaN is not zero
-	JE      second
-nonzero0:
-	UCOMISD X0, X4
-	JA      grow0          // scale < |x|
-	DIVSD   X0, X4
-	MULSD   X4, X4
-	ADDSD   X4, X1
-	JMP     second
-grow0:
-	MOVAPD  X0, X5
-	DIVSD   X4, X5         // r = scale / |x|
-	MULSD   X5, X1
-	MULSD   X5, X1         // (ssq·r)·r
-	ADDSD   one<>(SB), X1
-	MOVAPD  X4, X0         // scale = |x|
-
-second:
-	MOVSD   8(SI), X4
-	ANDPD   X7, X4
-	UCOMISD X6, X4
-	JP      nonzero1
-	JE      stepped
-nonzero1:
-	UCOMISD X0, X4
-	JA      grow1
-	DIVSD   X0, X4
-	MULSD   X4, X4
-	ADDSD   X4, X1
-	JMP     stepped
-grow1:
-	MOVAPD  X0, X5
-	DIVSD   X4, X5
-	MULSD   X5, X1
-	MULSD   X5, X1
-	ADDSD   one<>(SB), X1
-	MOVAPD  X4, X0
-
-stepped:
-	MOVAPD   X0, X8
-	UNPCKLPD X8, X8
-	ADDQ     $16, SI
-	DECQ     CX
-	JZ       done
-	UCOMISD  X6, X0
-	JNE      pair          // scale is never a NaN
-	JMP      steps
-
-done:
-	MOVSD X0, scale+8(FP)
-	MOVSD X1, ssq+16(FP)
 	RET
 
 // The packed body of Axpy, Axpby and Xpby: four elements a trip, both

@@ -14,9 +14,6 @@ func SumAbsBlocks(sum, abs, u []float64, lo int) {
 	sumAbsLanesBlocks(sum, abs[:len(sum)], u, lo)
 }
 
-// norm2Leaf is the (scale, ssq) leaf of the norm over one block's elements.
-func norm2Leaf(u []float64) (scale, ssq float64) { return norm2Loop(u) }
-
 // axpbyPacked has no packed body to run here: the prefix it covers is
 // empty and the callers' Go loops take every element.
 func axpbyPacked(dst []float64, alpha float64, x []float64, beta float64, y []float64) int {

@@ -116,26 +116,24 @@ func xpbyLoop(dst, x []float64, beta float64, y []float64) {
 	}
 }
 
-// Reductions (Dot, Sum, WeightedSum, Norm2 and their Abs variants) use
-// fixed-block pairwise summation: the vector is cut into blocks of Block
-// elements, each block is accumulated in a fixed order, and the block
-// partials are combined by a balanced pairwise tree. Naive left-to-right
-// accumulation has a worst-case error of O(n·ε)·Σ|terms|; at n ≈ 10⁶ that
-// crowds the near-τ band the checksum comparison verifies in, inflating
-// false positives. The blocked form tightens the bound to
-// O((Block + log n)·ε), independent of worker count.
+// Reductions (Dot, Sum, WeightedSum and their Abs variants, and Norm2,
+// which is √(u·u)) use fixed-block pairwise summation: the vector is cut
+// into blocks of Block elements, each block is accumulated in a fixed
+// order, and the block partials are combined by a balanced pairwise tree.
+// Naive left-to-right accumulation has a worst-case error of
+// O(n·ε)·Σ|terms|; at n ≈ 10⁶ that crowds the near-τ band the checksum
+// comparison verifies in, inflating false positives. The blocked form
+// tightens the bound to O((Block + log n)·ε), independent of worker count.
 //
-// There are two leaf orders. The solver's own reductions (Dot, Norm2)
-// accumulate a block left to right: their bits are pinned against
-// internal/solver and decide iteration counts, so they keep that order —
-// but not its cost: DotBlocks runs the chains of four blocks side by side,
-// and on amd64 the norm's full-block leaf takes its divide and square two
-// elements at a time and adds the squares in element order. The checksum
-// reductions (DotAbs, SumAbs, WeightedSumAbs — value and Σ|·| — and Sum and
-// WeightedSum, which are the same leaves without the second result)
-// accumulate a block in four lanes, combined (l0+l2)+(l1+l3) — see leaf.go
-// — because three of them ride every protected iteration and a single
-// chain costs one FP-add latency per element.
+// There are two leaf orders. The solver's dot accumulates a block left to
+// right: its bits are pinned against internal/solver and decide iteration
+// counts, so it keeps that order — but not its cost: DotBlocks runs the
+// chains of four blocks side by side. The checksum reductions (DotAbs,
+// SumAbs, WeightedSumAbs — value and Σ|·| — and Sum and WeightedSum, which
+// are the same leaves without the second result) accumulate a block in four
+// lanes, combined (l0+l2)+(l1+l3) — see leaf.go — because three of them
+// ride every protected iteration and a single chain costs one FP-add
+// latency per element.
 //
 // The reduction tree is a pure function of n — NEVER of how the leaves were
 // computed — so a parallel evaluation that computes leaf partials with any
@@ -415,19 +413,46 @@ func (l *Leaves) Fold() {
 	}
 }
 
-// Norm2Block returns block b's (scale, ssq) partial of the overflow-guarded
-// Euclidean norm, in the manner of LAPACK's dnrm2: the block's contribution
-// is scale·√ssq. An all-zero block reports (0, 1).
-func Norm2Block(u []float64, b int) (scale, ssq float64) {
-	lo, hi := blockBounds(len(u), b)
-	return norm2Leaf(u[lo:hi])
+// norm2Floor is the least u·u that Norm2 takes the square root of. A
+// square below the normal range keeps an absolute error of at most
+// 2^-1075 — half the subnormal spacing — instead of a relative one, and
+// sums of such squares are exact, so underflow adds at most n·2^-1075 to
+// the sum; at u·u ≥ 2^-900 that is n·2^-175 relative, below one rounding
+// for any n a slice can hold. Above the floor, and short of +Inf, u·u is a
+// dot of non-negative terms and carries only the dot's round-off.
+const norm2Floor = 0x1p-900
+
+// InNormWindow reports whether ss, a sum of squares as Dot accumulates
+// them, is finite and at least norm2Floor: whether √ss is the norm to
+// within a dot's round-off. NaN, ±Inf and sums too small to stand for
+// their terms are outside.
+func InNormWindow(ss float64) bool {
+	return ss >= norm2Floor && ss <= math.MaxFloat64
 }
 
-// norm2Loop is the norm's leaf as it has always been written: one pass,
-// left to right, a running scale and the sum of squares relative to it. It
-// is what ragged blocks, non-amd64 and -tags purego builds run, and what
-// the tests hold the packed leaf (leaf_amd64.s) against, bit for bit.
-func norm2Loop(u []float64) (scale, ssq float64) {
+// Norm2 returns the Euclidean norm of u: √(u·u) on Dot's leaves and tree
+// inside the window InNormWindow draws, and LAPACK dnrm2's scaled loop
+// over the whole vector outside it (zero, subnormal, overflowing, Inf or
+// NaN input).
+func Norm2(u []float64) float64 {
+	return Norm2FromDot(u, Dot(u, u))
+}
+
+// Norm2FromDot returns ‖u‖ given uu, u·u as Dot computes it — the one
+// guard both the serial and the pooled norm apply to their (bitwise equal)
+// dots.
+func Norm2FromDot(u []float64, uu float64) float64 {
+	if InNormWindow(uu) {
+		return math.Sqrt(uu)
+	}
+	scale, ssq := ScaledNorm2(u)
+	return scale * math.Sqrt(ssq)
+}
+
+// ScaledNorm2 returns u's norm as dnrm2 carries it, ‖u‖ = scale·√ssq: one
+// pass, left to right, a running scale and the sum of squares relative to
+// it, so no square overflows or underflows. A zero vector is (0, 1).
+func ScaledNorm2(u []float64) (scale, ssq float64) {
 	ssq = 1
 	for _, x := range u {
 		if x == 0 {
@@ -446,9 +471,8 @@ func norm2Loop(u []float64) (scale, ssq float64) {
 	return scale, ssq
 }
 
-// CombineNorm2 merges two (scale, ssq) partials into one, rescaling the
-// smaller onto the larger. It is the interior node of the blocked pairwise
-// norm; kernel combiners must use it verbatim to reproduce serial results.
+// CombineNorm2 merges two (scale, ssq) pairs into one, rescaling the
+// smaller onto the larger.
 func CombineNorm2(s1, q1, s2, q2 float64) (scale, ssq float64) {
 	if s1 < s2 {
 		s1, q1, s2, q2 = s2, q2, s1, q1
@@ -458,36 +482,6 @@ func CombineNorm2(s1, q1, s2, q2 float64) (scale, ssq float64) {
 	}
 	r := s2 / s1
 	return s1, q1 + q2*r*r
-}
-
-// pairwiseNorm2 combines (scale, ssq) leaves over blocks [lo, hi) with the
-// canonical split rule.
-func pairwiseNorm2(lo, hi int, leaf func(b int) (float64, float64)) (scale, ssq float64) {
-	if hi <= lo {
-		return 0, 1
-	}
-	if hi-lo == 1 {
-		return leaf(lo)
-	}
-	mid := lo + (hi-lo+1)/2
-	s1, q1 := pairwiseNorm2(lo, mid, leaf)
-	s2, q2 := pairwiseNorm2(mid, hi, leaf)
-	return CombineNorm2(s1, q1, s2, q2)
-}
-
-// PairwiseNorm2 combines precomputed per-block (scale, ssq) partials with
-// the serial norm's tree and returns the norm scale·√ssq.
-func PairwiseNorm2(scales, ssqs []float64) float64 {
-	s, q := pairwiseNorm2(0, len(scales), func(b int) (float64, float64) { return scales[b], ssqs[b] })
-	return s * math.Sqrt(q)
-}
-
-// Norm2 returns the Euclidean norm of u, guarding against overflow for
-// large magnitudes by scaling, in the manner of LAPACK's dnrm2. Blocked
-// pairwise, like every other reduction in this package.
-func Norm2(u []float64) float64 {
-	s, q := pairwiseNorm2(0, Blocks(len(u)), func(b int) (float64, float64) { return Norm2Block(u, b) })
-	return s * math.Sqrt(q)
 }
 
 // Equal reports whether u and v agree element-wise to within tol in absolute
