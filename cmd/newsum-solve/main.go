@@ -102,7 +102,7 @@ func main() {
 		cdIntv  = flag.Int("cd", 10, "checkpoint interval")
 		seed    = flag.Int64("seed", 1, "generator/injector seed")
 		trace   = flag.Bool("trace", false, "print the fault-tolerance event timeline")
-		ranks   = flag.Int("ranks", 0, "run the distributed engine over this many goroutine ranks (0 = serial)")
+		ranks   = flag.Int("ranks", 0, "run the distributed engine over this many goroutine ranks (0 = serial); its -inject takes mvm:arith or mvm:arith-bit, count 1, and strikes element 0 of rank 0 (bit 62 for arith-bit)")
 		workers = flag.Int("workers", 1, "shared-memory kernel threads for the serial engine (bitwise-identical at any count)")
 		topoN   = flag.String("topo", "tree", "collective topology for -ranks: tree|linear")
 		injects injectList
@@ -321,11 +321,13 @@ func runParallel(a *sparse.CSR, solverN, scheme, topoN string, tol float64, maxI
 	default:
 		return fmt.Errorf("-ranks supports -scheme basic|twolevel, not %q", scheme)
 	}
-	// The distributed engine's fault model strikes MVM outputs only; map the
-	// -inject events onto it (one strike each, on rank 0's block).
+	// The distributed engine's fault model is one arithmetic strike on one
+	// element of an MVM output; map each -inject event onto it (element 0
+	// of rank 0's block) and reject what it cannot model.
 	for _, ev := range injects {
-		if ev.Site != fault.SiteMVM {
-			return fmt.Errorf("-ranks supports -inject at site mvm only")
+		if ev.Site != fault.SiteMVM || ev.Kind != fault.Arithmetic || ev.Count > 1 {
+			return fmt.Errorf("-ranks supports -inject iter:mvm:arith and iter:mvm:arith-bit, one element each; got %s %s at iteration %d on %d element(s)",
+				ev.Site, ev.Kind, ev.Iteration, max(ev.Count, 1))
 		}
 		pf := par.Fault{Iteration: ev.Iteration, Index: -1}
 		if ev.BitFlip {

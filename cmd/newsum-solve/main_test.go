@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"newsum/internal/fault"
@@ -41,6 +42,34 @@ func TestInjectListRejectsBadSpecs(t *testing.T) {
 		var l injectList
 		if err := l.Set(bad); err == nil {
 			t.Errorf("%q accepted", bad)
+		}
+	}
+}
+
+// TestRanksRejectsUnmodelledInjects: the distributed engine strikes one
+// element of an MVM output with an arithmetic error, so under -ranks every
+// other -inject is an error, not a silently different strike.
+func TestRanksRejectsUnmodelledInjects(t *testing.T) {
+	a, err := buildMatrix("laplace2d", 400, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"5:mvm:arith", true}, {"5:mvm:arith-bit", true}, {"5:mvm:arith:1", true},
+		{"5:mvm:mem", false}, {"5:mvm:cache", false}, {"5:mvm:mem-bit", false}, {"5:mvm:cache-bit", false},
+		{"5:mvm:arith:3", false}, {"5:mvm:arith-bit:2", false}, {"5:mvm:cache:3", false}, {"5:pco:arith", false},
+	} {
+		var l injectList
+		if err := l.Set(tc.spec); err != nil {
+			t.Fatal(err)
+		}
+		err := runParallel(a, "pcg", "basic", "tree", 1e-8, 0, 1, 10, 2, l)
+		rejected := err != nil && strings.Contains(err.Error(), "-ranks supports -inject")
+		if tc.ok && err != nil || !tc.ok && !rejected {
+			t.Errorf("-ranks 2 -inject %s: error %v, want accepted = %v", tc.spec, err, tc.ok)
 		}
 	}
 }

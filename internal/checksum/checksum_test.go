@@ -30,29 +30,6 @@ func TestWeightValues(t *testing.T) {
 	}
 }
 
-func TestWeightRange(t *testing.T) {
-	for _, tc := range []struct {
-		w        Weight
-		n        int
-		min, max float64
-	}{
-		{Ones, 10, 1, 1},
-		{Linear, 10, 1, 10},
-		{Harmonic, 10, 0.1, 1},
-	} {
-		lo, hi := tc.w.Range(tc.n)
-		if lo != tc.min || hi != tc.max {
-			t.Errorf("%s.Range(%d) = (%v, %v), want (%v, %v)", tc.w.Name, tc.n, lo, hi, tc.min, tc.max)
-		}
-	}
-	// Custom weight falls back to the scan path.
-	w := Weight{Name: "custom", At: func(i int) float64 { return float64(i%3) - 1.5 }}
-	lo, hi := w.Range(6)
-	if lo != 0.5 || hi != 1.5 {
-		t.Errorf("custom Range: (%v, %v)", lo, hi)
-	}
-}
-
 func TestApplyAndChecksums(t *testing.T) {
 	x := []float64{1, 2, 3}
 	if got := Ones.Apply(x); got != 6 {
@@ -69,16 +46,6 @@ func TestApplyAndChecksums(t *testing.T) {
 
 func TestLemmaDAndPracticalD(t *testing.T) {
 	a := sparse.Laplacian2D(5, 5)
-	d := LemmaD(a, Triple)
-	// Lemma bound: d > n·‖c‖∞·‖A‖∞/min(c). For Linear on n=25, ‖A‖∞=8:
-	// bound = 25·25·8 = 5000 (Harmonic gives the same).
-	if d <= 5000 {
-		t.Fatalf("LemmaD %v below the Lemma 2 bound", d)
-	}
-	// Power of two for exact arithmetic.
-	if math.Exp2(math.Round(math.Log2(d))) != d {
-		t.Fatalf("LemmaD %v not a power of two", d)
-	}
 	p := PracticalD(a)
 	if p <= 1 || p > 64 {
 		t.Fatalf("PracticalD %v outside its design range (2..64]", p)

@@ -75,33 +75,6 @@ func (w Weight) ApplyAbs(x []float64) (sum, abs float64) {
 	return vec.WeightedSumAbs(x, w.At)
 }
 
-// Range computes the extreme magnitudes of the weight over positions
-// [0, n): maxAbs = ‖c‖∞ and minAbs = min_i |c_i|, the quantities in the
-// paper's lower bound for d. The standard weights are monotone, so the
-// extremes are checked at the two endpoints; arbitrary weights fall back to
-// a full scan.
-func (w Weight) Range(n int) (minAbs, maxAbs float64) {
-	if n <= 0 {
-		return 0, 0
-	}
-	switch w.Name {
-	case "ones", "linear", "harmonic":
-		a, b := math.Abs(w.At(0)), math.Abs(w.At(n-1))
-		return math.Min(a, b), math.Max(a, b)
-	}
-	minAbs = math.Inf(1)
-	for i := 0; i < n; i++ {
-		a := math.Abs(w.At(i))
-		if a < minAbs {
-			minAbs = a
-		}
-		if a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return minAbs, maxAbs
-}
-
 // Checksums returns cᵀx for each weight, i.e. the full checksum state of a
 // consistent vector.
 func Checksums(x []float64, weights []Weight) []float64 {
@@ -112,37 +85,6 @@ func Checksums(x []float64, weights []Weight) []float64 {
 	return s
 }
 
-// LemmaD returns a scalar d satisfying Lemma 2's lower bound
-// d > n·‖c‖∞·‖A‖∞ / min(c) for every supplied weight, with a 2× safety
-// margin, rounded up to a power of two so multiplications and divisions by d
-// are exact in binary floating point.
-//
-// The bound guarantees cᵀA_e ≠ d·cᵀ for any row subset A_e of A, closing the
-// cache-error escape analyzed in the Lemma 2 proof. Note that a very large d
-// amplifies round-off in the checksum updates (the d·cᵀx terms cancel), so
-// large problems may prefer PracticalD; the Lemma bound is about worst-case
-// adversarial coincidence, and any d far from the data scale detects
-// generic errors.
-func LemmaD(a *sparse.CSR, weights []Weight) float64 {
-	n := float64(a.Rows)
-	normA := a.NormInf()
-	if normA <= 0 {
-		normA = 1
-	}
-	bound := 0.0
-	for _, w := range weights {
-		minC, maxC := w.Range(a.Rows)
-		if minC == 0 {
-			panic("checksum: weight with zero entry")
-		}
-		b := n * maxC * normA / minC
-		if b > bound {
-			bound = b
-		}
-	}
-	return math.Exp2(math.Ceil(math.Log2(2 * bound)))
-}
-
 // PracticalD returns a numerically friendly decoupling scalar: a power of
 // two just above ‖A‖∞, capped at 64.
 //
@@ -151,11 +93,12 @@ func LemmaD(a *sparse.CSR, weights []Weight) float64 {
 // point), and — more subtly — every PCO *divides* a carried inconsistency
 // by d (Lemma 1), so an error entering through a preconditioner solve
 // reaches the verified vectors attenuated by up to d². With the Lemma 2
-// worst-case bound (d > n·‖c‖∞·‖A‖∞) that attenuation drives genuine error
-// signals below any honest round-off threshold; a small d keeps them
-// detectable while the running η bounds (see ConsistentBound) keep large-n
-// verification sound. LemmaD remains available when the adversarial
-// guarantee is worth the signal loss.
+// worst-case bound (d > n·‖c‖∞·‖A‖∞/min|c|, which rules out cᵀA_e = d·cᵀ
+// for any row subset A_e) that attenuation drives genuine error signals
+// below any honest round-off threshold; a small d keeps them detectable
+// while the running η bounds (see ConsistentBound) keep large-n
+// verification sound. A caller who wants Lemma 2's guarantee anyway passes
+// a power of two above the bound to NewEncoding.
 func PracticalD(a *sparse.CSR) float64 {
 	normA := a.NormInf()
 	if normA <= 0 {

@@ -233,12 +233,6 @@ type Options struct {
 	// MaxRollbacks bounds recovery attempts; exceeding it aborts with
 	// ErrRollbackStorm. 0 means 1000.
 	MaxRollbacks int
-	// DScalar overrides the decoupling scalar d of the encoding; 0 selects
-	// checksum.PracticalD(A). Set UseLemmaD for the worst-case bound.
-	DScalar float64
-	// UseLemmaD selects the Lemma 2 lower bound for the decoupling scalar
-	// (see checksum.LemmaD for the numerical trade-off).
-	UseLemmaD bool
 	// EagerDetection verifies every vector-generating operation's output
 	// immediately instead of waiting for the DetectInterval boundary — the
 	// paper's "eager" mode (§1, §4: errors can be detected "eagerly or
@@ -291,10 +285,10 @@ type Options struct {
 	// Encoding, when non-nil, supplies a precomputed checksum encoding of A
 	// (see checksum.NewEncoding) instead of re-deriving cᵀA − d·cᵀ inside the
 	// solve — the paper's offline cost amortized across repeated solves
-	// against the same operator. The encoding pins the decoupling scalar, so
-	// DScalar and UseLemmaD are ignored when it is set. It must have been
-	// derived from the same matrix A that is being solved; the caller (e.g.
-	// the internal/service encoding cache) is responsible for that identity.
+	// against the same operator. The encoding pins the decoupling scalar d;
+	// without one, d is checksum.PracticalD(A). It must have been derived
+	// from the same matrix A that is being solved; the caller (e.g. the
+	// internal/service encoding cache) is responsible for that identity.
 	Encoding *checksum.Encoding
 	// Pool, when non-nil, runs the solve's hot loops — SpMV, the blocked
 	// pairwise reductions and the fused VLO/checksum updates — on a
@@ -375,8 +369,8 @@ func (o *Options) stopping(n int) (tol float64, maxIter int) {
 }
 
 // setup is the state every single-right-hand-side solver in this package
-// starts from: the engine, the iterate (X0 copied in, checksums anchored),
-// the wrapped right-hand side and the resolved stopping criteria.
+// starts from: the engine, the zero iterate (checksums consistent), the
+// wrapped right-hand side and the resolved stopping criteria.
 type setup struct {
 	e       *engine
 	x, b    *tracked
@@ -385,27 +379,20 @@ type setup struct {
 	maxIter int
 }
 
-// begin is the shared prologue: it validates the system and the initial
-// guess, fills in the option defaults and builds the engine over weights.
+// begin is the shared prologue: it validates the system, fills in the option
+// defaults and builds the engine over weights.
 func begin(a *sparse.CSR, m precond.Preconditioner, b []float64, weights []checksum.Weight, opts *Options, stats *Stats) (setup, error) {
 	if err := validateSystem(a, b); err != nil {
 		return setup{}, err
-	}
-	if opts.X0 != nil && len(opts.X0) != a.Rows {
-		return setup{}, fmt.Errorf("core: initial guess length %d, want %d", len(opts.X0), a.Rows)
 	}
 	opts.normalize()
 	return newEngine(a, m, weights, opts, stats).open(b, opts), nil
 }
 
-// open starts one solve on the engine: the iterate (X0 copied in, checksums
-// anchored), the wrapped right-hand side and the stopping criteria.
+// open starts one solve on the engine: the zero iterate, the wrapped
+// right-hand side and the stopping criteria.
 func (e *engine) open(b []float64, opts *Options) setup {
 	s := setup{e: e, x: e.newTracked("x"), b: e.wrap("b", b), normB: e.rhsNorm(b)}
-	if opts.X0 != nil {
-		copy(s.x.data, opts.X0)
-		e.recompute(s.x)
-	}
 	s.tol, s.maxIter = opts.stopping(e.n)
 	return s
 }

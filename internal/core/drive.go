@@ -312,9 +312,6 @@ func (k *run) advance(resNorm float64) bool {
 // tolerance.
 func (k *run) observe(resNorm float64) bool {
 	k.relres = resNorm / k.normB
-	if k.opts.RecordResiduals {
-		k.res.History = append(k.res.History, k.relres)
-	}
 	return k.relres <= k.tol
 }
 

@@ -122,14 +122,7 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 		e.encA = opts.Encoding.Matrix(weights)
 		d = opts.Encoding.D
 	} else {
-		d = opts.DScalar
-		if d == 0 {
-			if opts.UseLemmaD {
-				d = checksum.LemmaD(a, weights)
-			} else {
-				d = checksum.PracticalD(a)
-			}
-		}
+		d = checksum.PracticalD(a)
 		e.encA = checksum.EncodeMatrix(a, weights, d)
 	}
 	if m != nil {

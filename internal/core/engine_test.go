@@ -202,12 +202,14 @@ func TestEngineLemmaDOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// 1024 is checksum's Lemma 2 bound on this operator with the ones
+	// weight, far above PracticalD's cap of 64.
 	var stats Stats
-	opts := Options{UseLemmaD: true}
+	opts := Options{Encoding: checksum.NewEncoding(a, 1024)}
 	opts.normalize()
 	e := newEngine(a, m, checksum.Single, &opts, &stats)
-	if e.encA.D <= 64 {
-		t.Fatalf("LemmaD should exceed the practical cap: %v", e.encA.D)
+	if e.encA.D != 1024 {
+		t.Fatalf("the encoding's d = 1024 did not reach the engine: %v", e.encA.D)
 	}
 	// Even with the huge d, a fault-free chain stays verifiable thanks to
 	// the η bounds.
@@ -221,17 +223,6 @@ func TestEngineLemmaDOption(t *testing.T) {
 		if !e.verify(src) {
 			t.Fatalf("η bounds failed under LemmaD at step %d", k)
 		}
-	}
-}
-
-func TestEngineDScalarOverride(t *testing.T) {
-	a := sparse.Laplacian2D(4, 4)
-	var stats Stats
-	opts := Options{DScalar: 8}
-	opts.normalize()
-	e := newEngine(a, nil, checksum.Single, &opts, &stats)
-	if e.encA.D != 8 {
-		t.Fatalf("DScalar override ignored: %v", e.encA.D)
 	}
 }
 

@@ -189,9 +189,6 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 
 			res.Iterations = total
 			relres = math.Abs(g[k+1]) / normB
-			if opts.RecordResiduals {
-				res.History = append(res.History, relres)
-			}
 			if relres <= tolRes {
 				k++
 				break

@@ -669,39 +669,6 @@ func TestOfflineResidualPBiCGSTABRerunsOnCorruption(t *testing.T) {
 	}
 }
 
-// TestX0LengthValidatedEverywhere pins the shared set-up's X0 validation: a
-// wrong-length initial guess is an error at every entry point, never a
-// silent truncation or a half-filled iterate.
-func TestX0LengthValidatedEverywhere(t *testing.T) {
-	a, m, b, _ := testSystem(t, 64)
-	lo, hi := a.GershgorinBounds()
-	entries := []entryPoint{
-		{"UnprotectedPCG", func(o Options) (Result, error) { return UnprotectedPCG(a, m, b, o) }},
-		{"BasicPCG", func(o Options) (Result, error) { return BasicPCG(a, m, b, o) }},
-		{"TwoLevelPCG", func(o Options) (Result, error) { return TwoLevelPCG(a, m, b, o) }},
-		{"OnlineMVPCG", func(o Options) (Result, error) { return OnlineMVPCG(a, m, b, o) }},
-		{"OrthoPCG", func(o Options) (Result, error) { return OrthoPCG(a, m, b, o) }},
-		{"OfflineResidualPCG", func(o Options) (Result, error) { return OfflineResidualPCG(a, m, b, o) }},
-		{"UnprotectedPBiCGSTAB", func(o Options) (Result, error) { return UnprotectedPBiCGSTAB(a, m, b, o) }},
-		{"BasicPBiCGSTAB", func(o Options) (Result, error) { return BasicPBiCGSTAB(a, m, b, o) }},
-		{"TwoLevelPBiCGSTAB", func(o Options) (Result, error) { return TwoLevelPBiCGSTAB(a, m, b, o) }},
-		{"OnlineMVPBiCGSTAB", func(o Options) (Result, error) { return OnlineMVPBiCGSTAB(a, m, b, o) }},
-		{"OfflineResidualPBiCGSTAB", func(o Options) (Result, error) { return OfflineResidualPBiCGSTAB(a, m, b, o) }},
-		{"BasicCR", func(o Options) (Result, error) { return BasicCR(a, b, o) }},
-		{"BasicGMRES", func(o Options) (Result, error) { return BasicGMRES(a, m, b, 10, o) }},
-		{"BasicJacobi", func(o Options) (Result, error) { return BasicJacobi(a, b, o) }},
-		{"BasicChebyshev", func(o Options) (Result, error) { return BasicChebyshev(a, m, b, math.Max(lo, 1e-3), hi, o) }},
-	}
-	for _, e := range entries {
-		for _, n := range []int{a.Rows - 1, a.Rows + 1} {
-			_, err := e.run(Options{Options: solver.Options{Tol: 1e-8, X0: make([]float64, n)}})
-			if err == nil {
-				t.Errorf("%s accepted an initial guess of length %d for n = %d", e.name, n, a.Rows)
-			}
-		}
-	}
-}
-
 // TestApplyCleanIdentity: with no preconditioner the clean apply is a copy.
 func TestApplyCleanIdentity(t *testing.T) {
 	r := []float64{1, 2, 3}

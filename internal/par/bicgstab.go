@@ -65,7 +65,7 @@ func (c *bicgstab) restart(k *rankRun) error {
 	return nil
 }
 
-func (c *bicgstab) restored(k *rankRun, snapIter int, _ bool) error {
+func (c *bicgstab) restored(k *rankRun, snapIter int) error {
 	if snapIter == 0 {
 		return nil // iteration 0 sets p := r and rebuilds v itself
 	}

@@ -1,151 +1,41 @@
 package par
 
 import (
-	"math"
 	"testing"
 
-	"newsum/internal/checkpoint"
-	"newsum/internal/core"
 	"newsum/internal/sparse"
-	"newsum/internal/vec"
 )
 
-// TestDistributedLossyRollbackRecovers drives every distributed solver
-// through a rollback under the lossy codec: each rank restores quantized
-// blocks, re-anchors its partial checksums locally, and the team still
-// converges with a clean true residual — no replicated false-alarm storm.
-func TestDistributedLossyRollbackRecovers(t *testing.T) {
-	a, b, _ := parSystem(t)
-	solvers := []struct {
-		name string
-		run  func(opts Options) (Result, error)
-	}{
-		{"ABFTPCG", func(opts Options) (Result, error) { return ABFTPCG(a, b, 4, opts) }},
-		{"ABFTBiCGStab", func(opts Options) (Result, error) { return ABFTBiCGStab(a, b, 4, opts) }},
-		{"ABFTCR", func(opts Options) (Result, error) { return ABFTCR(a, b, 4, opts) }},
-	}
-	for _, s := range solvers {
-		t.Run(s.name, func(t *testing.T) {
-			res, err := s.run(Options{
-				Tol:                1e-10,
-				Faults:             []Fault{{Iteration: 6, Rank: 2, Index: 5}},
-				CheckpointCodec:    checkpoint.Lossy,
-				CheckpointRelBound: 1e-6,
-			})
-			if err != nil {
-				t.Fatalf("lossy-codec distributed solve failed: %v", err)
-			}
-			if !res.Converged {
-				t.Fatalf("did not converge")
-			}
-			if res.Rollbacks == 0 {
-				t.Fatalf("fault did not force a rollback: %+v", res)
-			}
-			if res.LossyRestores == 0 {
-				t.Errorf("rollback under lossy codec recorded no lossy restore")
-			}
-			if res.CheckpointBytes <= 0 || res.CheckpointStoredBytes <= 0 {
-				t.Errorf("checkpoint byte counters not populated: copied=%d stored=%d",
-					res.CheckpointBytes, res.CheckpointStoredBytes)
-			}
-			if res.CheckpointStoredBytes >= res.CheckpointBytes {
-				t.Errorf("lossy codec stored %d bytes, not smaller than the %d logical bytes",
-					res.CheckpointStoredBytes, res.CheckpointBytes)
-			}
-			r := make([]float64, a.Rows)
-			a.MulVec(r, res.X)
-			vec.Sub(r, b, r)
-			if rel := vec.Norm2(r) / vec.Norm2(b); rel > 1e-9 {
-				t.Errorf("true residual %.3e after lossy recovery", rel)
-			}
-		})
-	}
-}
-
-// TestDistributedDiffCodecBitwiseIdenticalToFull pins the differential
-// codec's losslessness across a coordinated multi-rank rollback: the same
-// faulted solve under Full and Diff checkpointing walks the identical
-// trajectory and lands on the bitwise-identical solution.
-func TestDistributedDiffCodecBitwiseIdenticalToFull(t *testing.T) {
-	a, b, _ := parSystem(t)
-	runWith := func(codec checkpoint.Codec) Result {
-		res, err := ABFTPCG(a, b, 4, Options{
-			Tol:             1e-10,
-			Faults:          []Fault{{Iteration: 6, Rank: 2, Index: 5}},
-			CheckpointCodec: codec,
-		})
-		if err != nil {
-			t.Fatalf("codec %v: %v", codec, err)
-		}
-		return res
-	}
-	full := runWith(checkpoint.Full)
-	diff := runWith(checkpoint.Diff)
-	if full.Iterations != diff.Iterations || full.Rollbacks != diff.Rollbacks {
-		t.Fatalf("trajectory diverged: full (iters=%d rollbacks=%d), diff (iters=%d rollbacks=%d)",
-			full.Iterations, full.Rollbacks, diff.Iterations, diff.Rollbacks)
-	}
-	for i := range full.X {
-		if math.Float64bits(full.X[i]) != math.Float64bits(diff.X[i]) {
-			t.Fatalf("x[%d] differs bitwise between full and diff codecs", i)
-		}
-	}
-	if diff.LossyRestores != 0 {
-		t.Errorf("diff codec is lossless but recorded %d lossy restores", diff.LossyRestores)
-	}
-}
-
 // TestDistributedCheckpointFaultLandsInEncodedPayload re-runs the poisoned
-// checkpoint scenario under each codec: the strike must land in the stored
-// payload regardless of encoding and must never end in silent corruption.
-// Under full and diff the restored corruption keeps failing verification —
-// a rollback storm. Under lossy the restore re-anchors checksums from the
-// restored data (corruption included — the price of lossy state, which
-// cannot be told apart from quantization) and restarts the recurrence from
-// the restored iterate, so the solve either converges honestly from the
-// poisoned starting point — Krylov restarts converge from any iterate, and
-// the final answer is verified below — or reports non-convergence. Either
-// way the corruption never surfaces as a wrong answer.
+// checkpoint scenario through the full-copy store: the strike must land in
+// the stored payload and must never end in silent corruption — the restored
+// corruption keeps failing verification, a rollback storm.
 func TestDistributedCheckpointFaultLandsInEncodedPayload(t *testing.T) {
 	a := sparse.Laplacian2D(16, 16)
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1
 	}
-	for _, codec := range []checkpoint.Codec{checkpoint.Full, checkpoint.Lossy, checkpoint.Diff} {
-		t.Run(codec.String(), func(t *testing.T) {
-			res, err := ABFTPCG(a, b, 4, Options{
-				Tol:                1e-10,
-				CheckpointInterval: 10,
-				MaxRollbacks:       5,
-				Faults: []Fault{
-					// Poison the iteration-10 snapshot, then force a rollback
-					// onto it with an output fault two iterations later.
-					{Iteration: 10, Rank: 1, Index: 3, Target: TargetCheckpoint},
-					{Iteration: 12, Rank: 2, Index: 5},
-				},
-				CheckpointCodec:    codec,
-				CheckpointRelBound: 1e-6,
-			})
-			if codec == checkpoint.Lossy {
-				// The lossy restart may legitimately solve through the
-				// poison; what it must never do is deliver a wrong answer.
-				if err == nil {
-					rr := core.TrueResidual(a, b, res.X)
-					if rr > 1e-9 {
-						t.Fatalf("codec %v: converged with true residual %.3e — silent corruption", codec, rr)
-					}
-				}
-			} else if err == nil {
-				t.Fatalf("codec %v: poisoned checkpoint was silently absorbed (converged=%v)",
-					codec, res.Converged)
-			}
-			if res.InjectedFaults != 2 {
-				t.Errorf("codec %v: fired %d faults, want 2", codec, res.InjectedFaults)
-			}
-			if res.Rollbacks == 0 {
-				t.Errorf("codec %v: no rollback, checkpoint corruption never surfaced", codec)
-			}
+	t.Run("full", func(t *testing.T) {
+		res, err := ABFTPCG(a, b, 4, Options{
+			Tol:                1e-10,
+			CheckpointInterval: 10,
+			MaxRollbacks:       5,
+			Faults: []Fault{
+				// Poison the iteration-10 snapshot, then force a rollback
+				// onto it with an output fault two iterations later.
+				{Iteration: 10, Rank: 1, Index: 3, Target: TargetCheckpoint},
+				{Iteration: 12, Rank: 2, Index: 5},
+			},
 		})
-	}
+		if err == nil {
+			t.Fatalf("poisoned checkpoint was silently absorbed (converged=%v)", res.Converged)
+		}
+		if res.InjectedFaults != 2 {
+			t.Errorf("fired %d faults, want 2", res.InjectedFaults)
+		}
+		if res.Rollbacks == 0 {
+			t.Errorf("no rollback, checkpoint corruption never surfaced")
+		}
+	})
 }

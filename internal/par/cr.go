@@ -67,10 +67,7 @@ func (c *cr) reproject(k *rankRun) {
 	copyDist(c.ap, c.ar)
 }
 
-func (c *cr) restored(k *rankRun, _ int, lossy bool) error {
-	if lossy {
-		return nil // the restart rebuilt the family
-	}
+func (c *cr) restored(k *rankRun, _ int) error {
 	k.mvmFresh(c.ar, k.r)
 	k.mvmFresh(c.ap, k.p)
 	return nil

@@ -2,7 +2,6 @@ package par
 
 import (
 	"cmp"
-	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -38,8 +37,8 @@ type recurrence interface {
 	// restart rebuilds the direction, and what hangs off it, from x and r.
 	restart(k *rankRun) error
 	// restored rebuilds what a rollback does not restore, once {x, p}, the
-	// scalars and r = b − A·x are back (and, if lossy, restart has run).
-	restored(k *rankRun, snapIter int, lossy bool) error
+	// scalars and r = b − A·x are back.
+	restored(k *rankRun, snapIter int) error
 }
 
 // krylov is what a recurrence tells the driver: per-method facts.
@@ -101,7 +100,6 @@ func solve(a *sparse.CSR, b []float64, nranks int, opts Options, withPrecond boo
 	for _, o := range results[1:] {
 		res.InjectedFaults += o.InjectedFaults
 		res.CheckpointBytes += o.CheckpointBytes
-		res.CheckpointStoredBytes += o.CheckpointStoredBytes
 		res.Comm.Merge(o.Comm)
 	}
 	return res, cmp.Or(errs...)
@@ -113,9 +111,7 @@ func drive(c *Comm, a *sparse.CSR, b []float64, part Partition, opts Options, wi
 	if err != nil {
 		return res, err
 	}
-	k := &rankRun{rankEngine: e, store: checkpoint.Store{
-		Codec: opts.CheckpointCodec, AbsBound: opts.CheckpointAbsBound, RelBound: opts.CheckpointRelBound,
-	}}
+	k := &rankRun{rankEngine: e}
 	k.x, k.r, k.p = k.newVec(), k.newVec(), k.newVec()
 	// r = b − A·x0 (x0 = 0, so r = b) with exact local checksums.
 	copyDist(k.r, k.bL)
@@ -154,9 +150,6 @@ func (k *rankRun) turn() bool {
 		return k.conclude()
 	}
 	k.curIter, k.curSeq = k.i, 0
-	if err := k.canceled(); err != nil {
-		return k.finish(err)
-	}
 	st, err := k.iterate()
 	switch st {
 	case converged:
@@ -171,25 +164,6 @@ func (k *rankRun) turn() bool {
 		}
 	}
 	return true
-}
-
-// canceled is the replicated cancellation probe (see Options.Ctx); without
-// a context it costs nothing.
-func (k *rankRun) canceled() error {
-	ctx := k.opts.Ctx
-	if ctx == nil {
-		return nil
-	}
-	flag := 0.0
-	if ctx.Err() != nil {
-		flag = 1
-	}
-	if k.c.AllReduceSum(flag) <= 0 {
-		return nil
-	}
-	// On a replicated verdict this rank's context may not have settled yet;
-	// the cause is still cancellation.
-	return fmt.Errorf("par: ABFT %s solve canceled: %w", k.kr.name, cmp.Or(ctx.Err(), context.Canceled))
 }
 
 // iterate is one pass of the loop: outer-level detection every d
@@ -319,14 +293,12 @@ func (k *rankRun) save() {
 	k.store.Save(k.i, k.data, k.scal, k.sums)
 	k.res.Checkpoints++
 	k.res.CheckpointBytes = k.store.BytesCopied
-	k.res.CheckpointStoredBytes = k.store.BytesStored
 	k.trace(k.i, core.EvCheckpoint, k.kr.snapMsg)
 	for fi, f := range k.opts.Faults {
 		if k.fires(fi, TargetCheckpoint, k.i) {
 			// Strike every snapshotted vector in sorted-name order (Strike's
 			// visit order) so the corruption is deterministic regardless of
-			// map iteration — it lands in the stored payload, whichever codec
-			// encodes it.
+			// map iteration — it lands in the stored payload.
 			k.store.Strike(func(_ string, buf []float64) { strike(f, buf) })
 		}
 	}
@@ -343,25 +315,10 @@ func (k *rankRun) rollback() bool {
 		return false
 	}
 	k.rec.setScalars(k.scal)
-	lossy := k.store.Lossy()
-	if lossy {
-		// The restored blocks are quantized: the exact carried checksums
-		// that came back with them disagree with the perturbed data by up
-		// to n·bound, which the next verification would flag as a fault.
-		// Re-anchor each rank's partial checksums from the restored data —
-		// a local recomputation, so the verdict stays replicated.
-		k.x.LocalChecksums(k.weights, k.lo)
-		k.p.LocalChecksums(k.weights, k.lo)
-		k.res.LossyRestores++
-	}
 	k.res.WastedIterations += k.curIter - snapIter
 	k.trace(k.curIter, core.EvRollback, "restored iteration %d", snapIter)
 	k.residualFresh(k.r, k.x)
-	// A lossy restore is always a restart: the restored direction and
-	// scalars belong to the exact snapshot, and against the reconstructed
-	// residual — dominated by the quantization noise A·δx — the stale
-	// scalars make the first β blow up and permanently poison p.
-	if (lossy && k.rec.restart(k) != nil) || k.rec.restored(k, snapIter, lossy) != nil {
+	if k.rec.restored(k, snapIter) != nil {
 		return false
 	}
 	k.i = snapIter

@@ -1,12 +1,10 @@
 package par
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
-	"newsum/internal/checkpoint"
 	"newsum/internal/checksum"
 	"newsum/internal/core"
 	"newsum/internal/precond"
@@ -120,23 +118,8 @@ type Options struct {
 	// Topology selects the collective algorithm family (default Tree;
 	// Linear keeps the O(P) baseline for comparison).
 	Topology Topology
-	// CheckpointCodec selects the snapshot codec every rank checkpoints
-	// through: full deep copies (default), error-bounded lossy
-	// quantization, or differential encoding against the last verified
-	// snapshot (see internal/checkpoint).
-	CheckpointCodec checkpoint.Codec
-	// CheckpointAbsBound and CheckpointRelBound bound the lossy codec's
-	// per-element restore error; both zero selects the package default
-	// relative bound. Ignored by the full and differential codecs.
-	CheckpointAbsBound, CheckpointRelBound float64
 	// Faults schedules arithmetic MVM errors.
 	Faults []Fault
-	// Ctx, when non-nil, lets the caller cancel a running distributed solve.
-	// Cancellation is observed through a replicated probe (one scalar
-	// all-reduce per iteration) so every rank aborts at the same iteration
-	// boundary — a rank noticing ctx.Done() unilaterally would strand its
-	// peers inside a collective. nil means run to completion.
-	Ctx context.Context
 }
 
 // ErrRollbackStorm is wrapped by distributed solves that exhaust their
@@ -189,14 +172,9 @@ type Result struct {
 	RollbacksAvoided    int
 	IterationsSaved     int
 	RejectedCorrections int
-	// CheckpointBytes and CheckpointStoredBytes sum, over all ranks, the
-	// logical bytes snapshotted (vectors + carried checksums at 8 bytes
-	// per element) and the bytes the configured codec actually stored.
-	CheckpointBytes, CheckpointStoredBytes int64
-	// LossyRestores counts rollbacks that restored quantized state and
-	// re-anchored the carried checksums from it (replicated, so rank 0's
-	// count is the team's).
-	LossyRestores int
+	// CheckpointBytes sums, over all ranks, the bytes snapshotted (vectors
+	// + carried checksums at 8 bytes per element).
+	CheckpointBytes int64
 	// InjectedFaults counts scheduled faults that actually fired, summed
 	// over all ranks.
 	InjectedFaults int

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -9,13 +8,11 @@ import (
 	"strings"
 	"testing"
 
-	"newsum/internal/checkpoint"
 	"newsum/internal/sparse"
 )
 
 // TestExitPathsMatchRecordedParent pins the branches a fault-free table
-// never reaches: the rollback storm, the iteration cap, a context canceled
-// before the first iteration, a rollback under the lossy codec, a poisoned
+// never reaches: the rollback storm, the iteration cap, a poisoned
 // checkpoint restored by a rollback, the x0 exit on a zero right-hand side,
 // and the breakdown and forward-recovery exits. Each row holds the error
 // text, every Result counter, every CommStats counter and the sequence of
@@ -30,8 +27,6 @@ func TestExitPathsMatchRecordedParent(t *testing.T) {
 		b[i] = 1 + math.Sin(float64(3*i))
 	}
 	zero := make([]float64, a.Rows)
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
 	solvers := []struct {
 		name string
 		run  func(rhs []float64, ranks int, o Options) (Result, error)
@@ -52,11 +47,6 @@ func TestExitPathsMatchRecordedParent(t *testing.T) {
 			}}
 		}},
 		{"maxiter", b, func(int) Options { return Options{Tol: 1e-10, MaxIter: 3} }},
-		{"canceled", b, func(int) Options { return Options{Tol: 1e-10, Ctx: canceled} }},
-		{"lossy", b, func(r int) Options {
-			return Options{Tol: 1e-10, CheckpointCodec: checkpoint.Lossy, CheckpointRelBound: 1e-6,
-				Faults: []Fault{{Iteration: 6, Rank: r - 1, Index: 3}}}
-		}},
 		{"checkpoint", b, func(r int) Options {
 			return Options{Tol: 1e-10, MaxRollbacks: 3, Faults: []Fault{
 				{Iteration: 10, Rank: r - 1, Index: 3, Target: TargetCheckpoint},
@@ -120,12 +110,12 @@ func exitRow(res Result, err error) string {
 		kinds[i] = fmt.Sprintf("%d:%s", ev.Iteration, ev.Kind)
 	}
 	c := res.Comm
-	return fmt.Sprintf("err=%q x=%016x len=%d it=%d conv=%v res=%016x rb=%d ckpt=%d det=%d corr=%d wasted=%d fwd=%d avoided=%d saved=%d rejected=%d ckbytes=%d stored=%d lossy=%d injected=%d"+
+	return fmt.Sprintf("err=%q x=%016x len=%d it=%d conv=%v res=%016x rb=%d ckpt=%d det=%d corr=%d wasted=%d fwd=%d avoided=%d saved=%d rejected=%d ckbytes=%d injected=%d"+
 		" | bar=%d red=%d vred=%d gath=%d bc=%d msgs=%d words=%d | trace=[%s]",
 		errText, h.Sum64(), len(res.X), res.Iterations, res.Converged, math.Float64bits(res.Residual),
 		res.Rollbacks, res.Checkpoints, res.Detections, res.Corrections, res.WastedIterations,
 		res.ForwardRepairs, res.RollbacksAvoided, res.IterationsSaved, res.RejectedCorrections,
-		res.CheckpointBytes, res.CheckpointStoredBytes, res.LossyRestores, res.InjectedFaults,
+		res.CheckpointBytes, res.InjectedFaults,
 		c.Barriers, c.Reductions, c.VecReductions, c.Gathers, c.Broadcasts, c.MsgsSent, c.WordsMoved,
 		strings.Join(kinds, " "))
 }

@@ -46,7 +46,7 @@ func (c *pcg) restart(k *rankRun) error {
 	return nil
 }
 
-func (c *pcg) restored(*rankRun, int, bool) error { return nil }
+func (c *pcg) restored(*rankRun, int) error { return nil }
 
 func (c *pcg) step(k *rankRun) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, k.p, c.q)

@@ -29,10 +29,7 @@ func GMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart int, op
 	if m == nil {
 		m = precond.Identity(n)
 	}
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	normB := vec.Norm2(b)
 	if normB <= 0 {
 		normB = 1
@@ -65,9 +62,6 @@ func GMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart int, op
 		vec.Sub(w, b, w)
 		beta := vec.Norm2(w)
 		relres = beta / normB
-		if opts.RecordResiduals && total > 0 {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
@@ -116,9 +110,6 @@ func GMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart int, op
 
 			relres = math.Abs(g[k+1]) / normB
 			res.Iterations = total
-			if opts.RecordResiduals {
-				res.History = append(res.History, relres)
-			}
 			if relres <= tol {
 				k++
 				break
@@ -171,10 +162,7 @@ func MINRES(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	normB := vec.Norm2(b)
 	if normB <= 0 {
 		normB = 1
@@ -246,9 +234,6 @@ func MINRES(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 
 		res.Iterations = i + 1
 		relres = math.Abs(eta) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break

@@ -25,10 +25,6 @@ type Options struct {
 	Tol float64
 	// MaxIter caps iterations; 0 means 10·n.
 	MaxIter int
-	// X0 is the initial guess; nil means the zero vector.
-	X0 []float64
-	// RecordResiduals turns on per-iteration residual history capture.
-	RecordResiduals bool
 }
 
 func (o Options) tol() float64 {
@@ -56,20 +52,6 @@ type Result struct {
 	// Residual is the final relative residual ‖b−Ax‖₂/‖b‖₂ as tracked by
 	// the recurrence (not recomputed).
 	Residual float64
-	// History holds the relative residual after each iteration when
-	// Options.RecordResiduals is set.
-	History []float64
-}
-
-func startVector(n int, x0 []float64) ([]float64, error) {
-	x := make([]float64, n)
-	if x0 != nil {
-		if len(x0) != n {
-			return nil, fmt.Errorf("solver: initial guess length %d, want %d", len(x0), n)
-		}
-		copy(x, x0)
-	}
-	return x, nil
 }
 
 func checkSystem(a *sparse.CSR, b []float64) error {
@@ -90,10 +72,7 @@ func PCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Re
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	r := make([]float64, n)
 	z := make([]float64, n)
 	p := make([]float64, n)
@@ -131,9 +110,6 @@ func PCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options) (Re
 		vec.Axpy(r, -alpha, q)
 		res.Iterations = i + 1
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
@@ -161,10 +137,7 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	r := make([]float64, n)
 	rhat := make([]float64, n)
 	p := make([]float64, n)
@@ -220,9 +193,6 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 		if rel := vec.Norm2(s) / normB; rel <= tol {
 			vec.Axpy(x, alpha, phat)
 			relres = rel
-			if opts.RecordResiduals {
-				res.History = append(res.History, relres)
-			}
 			res.Converged = true
 			break
 		}
@@ -243,9 +213,6 @@ func PBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Option
 		// r = s − omega*t
 		vec.Axpby(r, 1, s, -omega, t)
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break

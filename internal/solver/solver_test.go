@@ -175,22 +175,6 @@ func TestDimensionErrors(t *testing.T) {
 	if _, err := PCG(rect, precond.Identity(rect.Rows), make([]float64, 3), Options{}); err == nil {
 		t.Fatalf("rectangular matrix accepted")
 	}
-	if _, err := PCG(a, precond.Identity(a.Rows), make([]float64, 16), Options{X0: make([]float64, 5)}); err == nil {
-		t.Fatalf("x0 mismatch accepted")
-	}
-}
-
-func TestInitialGuess(t *testing.T) {
-	a := sparse.Laplacian2D(8, 8)
-	b, xTrue := system(a, 10)
-	// Starting at the exact solution converges in 0 iterations.
-	res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-8, X0: xTrue})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 0 || !res.Converged {
-		t.Fatalf("exact initial guess: %d iterations", res.Iterations)
-	}
 }
 
 func TestZeroRHS(t *testing.T) {
@@ -201,23 +185,6 @@ func TestZeroRHS(t *testing.T) {
 	}
 	if vec.Norm2(res.X) != 0 {
 		t.Fatalf("zero rhs should give zero solution")
-	}
-}
-
-func TestResidualHistoryMonotoneOnSPD(t *testing.T) {
-	a := sparse.Laplacian2D(10, 10)
-	b, _ := system(a, 11)
-	res, err := PCG(a, precond.Identity(a.Rows), b, Options{Tol: 1e-10, RecordResiduals: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.History) != res.Iterations {
-		t.Fatalf("history length %d vs %d iterations", len(res.History), res.Iterations)
-	}
-	// CG residuals aren't strictly monotone, but the trend must be strongly
-	// decreasing: final < first by many orders.
-	if res.History[len(res.History)-1] > 1e-6*res.History[0] {
-		t.Fatalf("residual barely decreased: %v -> %v", res.History[0], res.History[len(res.History)-1])
 	}
 }
 

@@ -18,10 +18,7 @@ func Jacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	diag := a.Diag(nil)
 	for i, d := range diag {
 		if d == 0 {
@@ -42,9 +39,6 @@ func Jacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		a.MulVec(r, x)
 		vec.Sub(r, b, r) // r = b − A·x
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
@@ -74,10 +68,7 @@ func Chebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, lmax 
 		return Result{}, fmt.Errorf("solver: Chebyshev needs 0 < lmin < lmax, got [%g, %g]", lmin, lmax)
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	r := make([]float64, n)
 	z := make([]float64, n)
 	p := make([]float64, n)
@@ -120,9 +111,6 @@ func Chebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, lmax 
 		vec.Axpy(r, -alpha, q)
 		res.Iterations = i + 1
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
@@ -142,10 +130,7 @@ func SteepestDescent(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	r := make([]float64, n)
 	ar := make([]float64, n)
 	a.MulVec(r, x)
@@ -176,9 +161,6 @@ func SteepestDescent(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		vec.Axpy(r, -alpha, ar)
 		res.Iterations = i + 1
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
@@ -198,10 +180,7 @@ func CR(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		return Result{}, err
 	}
 	n := a.Rows
-	x, err := startVector(n, opts.X0)
-	if err != nil {
-		return Result{}, err
-	}
+	x := make([]float64, n)
 	r := make([]float64, n)
 	p := make([]float64, n)
 	ar := make([]float64, n)
@@ -237,9 +216,6 @@ func CR(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 		vec.Axpy(r, -alpha, ap)
 		res.Iterations = i + 1
 		relres = vec.Norm2(r) / normB
-		if opts.RecordResiduals {
-			res.History = append(res.History, relres)
-		}
 		if relres <= tol {
 			res.Converged = true
 			break
