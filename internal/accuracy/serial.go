@@ -1,7 +1,6 @@
 package accuracy
 
 import (
-	"errors"
 	"fmt"
 
 	"newsum/internal/core"
@@ -118,9 +117,6 @@ func runSerialTrial(cell *Cell, sv, scheme string, a *sparse.CSR, m precond.Prec
 		Injector:           inj,
 		Trace:              trace,
 	})
-	// A breakdown error that is not a rollback storm still counts as an
-	// abort: the solver refused to deliver an answer.
-	_ = errors.Is(err, core.ErrRollbackStorm)
 	fired := len(inj.Injected) > 0
 	detected := res.Stats.Detections > 0 || res.Stats.Corrections > 0
 	matches := err == nil && vec.Equal(res.X, baseX, 1e-6)

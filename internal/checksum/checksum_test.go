@@ -162,7 +162,7 @@ func TestLemma2ArithmeticDetection(t *testing.T) {
 	enc.UpdateMVM(sw, u, su)
 	w[7] += 1000 // arithmetic error
 	delta := Ones.Apply(w) - sw[0]
-	if (Tol{}).ConsistentAbs(delta, a.Rows, 1000) {
+	if (Tol{}).ConsistentBound(delta, a.Rows, 1000, 0) {
 		t.Fatalf("arithmetic error escaped: delta %v", delta)
 	}
 }
@@ -223,7 +223,7 @@ func TestNewSumDetectsInputCorruption(t *testing.T) {
 	sy := make([]float64, 1)
 	enc.UpdateMVM(sy, x, sx)
 	delta := Ones.Apply(y) - sy[0]
-	if (Tol{}).ConsistentAbs(delta, a.Rows, Ones.Apply(y)) {
+	if (Tol{}).ConsistentBound(delta, a.Rows, Ones.Apply(y), 0) {
 		t.Fatalf("new-sum encoding missed the input corruption")
 	}
 }

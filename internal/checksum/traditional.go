@@ -62,7 +62,7 @@ func (t *Traditional) VerifyMVM(y, x []float64, tol Tol) bool {
 	t.ExpectedMVM(exp, x)
 	for k, w := range t.Weights {
 		delta := w.Apply(y) - exp[k]
-		if tol.Inconsistent(delta, t.N, exp[k]) {
+		if !tol.Consistent(delta, t.N, exp[k]) {
 			return false
 		}
 	}

@@ -66,8 +66,8 @@ type TripleDiagnosis struct {
 
 // Diagnose applies the §5.2 triple-checksum analysis to the inconsistencies
 // deltas = (δ1, δ2, δ3) of a length-n vector. absSums[k] is the absolute
-// weighted sum Σ|c_k(i)·y_i| of the vector, the magnitude scale the
-// Tol.ConsistentAbs verification rule uses.
+// weighted sum Σ|c_k(i)·y_i| of the vector, the magnitude scale of the
+// Tol.ConsistentBound verification rule (applied here without η).
 //
 // Detection uses δ1 alone (the cheap probe). On inconsistency, the
 // arithmetic-mean/harmonic-mean identity δ2·δ3 = δ1² discriminates a single
@@ -81,7 +81,7 @@ func Diagnose(deltas []float64, n int, absSums []float64, tol Tol) TripleDiagnos
 		panic("checksum: Diagnose requires exactly three checksums (Triple weights)")
 	}
 	d1, d2, d3 := deltas[0], deltas[1], deltas[2]
-	if tol.ConsistentAbs(d1, n, absSums[0]) {
+	if tol.ConsistentBound(d1, n, absSums[0], 0) {
 		return TripleDiagnosis{Kind: NoError}
 	}
 	// Single-error test: δ2·δ3 = δ1², compared with a relative tolerance
@@ -108,6 +108,74 @@ func Diagnose(deltas []float64, n int, absSums []float64, tol Tol) TripleDiagnos
 		}
 	}
 	return TripleDiagnosis{Kind: SingleError, Pos: int(j) - 1, Magnitude: d1}
+}
+
+// Outcome classifies one forward-repair attempt on an outer-level vector
+// (the forward-recovery tier, after Fasi–Langou–Robert–Uçar,
+// arXiv:1511.04478). Triage returns all but Rejected.
+type Outcome int
+
+const (
+	Clean      Outcome = iota // every relation held on re-measurement: noise; re-anchor the checksums
+	Reanchored                // the checksum state is at fault, not the data: re-derive it from the data
+	Corrected                 // §5.2 single error located: correct it, then confirm all three relations
+	Rejected                  // the correction failed its confirmation and was undone: a fake; roll back
+	Failed                    // localization failed (multiple errors): rebuild from clean state or roll back
+)
+
+// DriftFactor widens the verification threshold for the amplified-drift
+// screen of Triage. The value keeps three orders of magnitude of clearance
+// on both sides: genuine drift observed in fault transients sits within
+// ~10·θ, while the smallest data error worth correcting (≳ the convergence
+// tolerance) lands ≳ 1e3 above the widened limit.
+const DriftFactor = 1e3
+
+// Triage decides a forward repair from the re-measured inconsistencies
+// deltas = (δ1, δ2, δ3) of a length-n vector under the Triple weights, their
+// magnitude scales absSums and the carried round-off bounds etas (zeros
+// where none are carried). A data error e at position j breaks all three
+// relations by e·c_k(j), and no weight vanishes anywhere (the weights are
+// 1, j and 1/j). So none broken is Clean, and exactly one broken implicates
+// the carried checksum slot itself: Reanchored. A surviving perturbation
+// there is bounded by the two relations that held, i.e. below the
+// detection threshold — the residual error the scheme accepts everywhere.
+//
+// Two or more broken relations first pass the amplified-drift screen: a
+// fault-polluted recurrence scalar multiplies the usual O(n·ε) update
+// noise, which can push every relation just past its bound at once with no
+// data error present. Localizing such noise would manufacture a fake
+// single-error position (the ratio δ2/δ1 of round-off is arbitrary), so
+// when every δ still sits within DriftFactor of its bound (θ and η alike)
+// the data is accepted: Reanchored. A real strike clears the screen by
+// orders of magnitude — even a unit data error leaves a relative
+// inconsistency around 1/n — and a NaN or infinite δ never passes it. The
+// rest goes to Diagnose: Corrected with the located error, or Failed.
+func Triage(deltas, absSums, etas [3]float64, n int, tol Tol) (Outcome, TripleDiagnosis) {
+	broken := 0
+	for k := range deltas {
+		if !tol.ConsistentBound(deltas[k], n, absSums[k], etas[k]) {
+			broken++
+		}
+	}
+	switch broken {
+	case 0:
+		return Clean, TripleDiagnosis{}
+	case 1:
+		return Reanchored, TripleDiagnosis{}
+	}
+	wide := Tol{Theta: DriftFactor * tol.theta()}
+	drift := true
+	for k := range deltas {
+		drift = drift && wide.ConsistentBound(deltas[k], n, absSums[k], DriftFactor*etas[k])
+	}
+	if drift {
+		return Reanchored, TripleDiagnosis{}
+	}
+	diag := Diagnose(deltas[:], n, absSums[:], tol)
+	if diag.Kind != SingleError {
+		return Failed, diag
+	}
+	return Corrected, diag
 }
 
 // CorrectSingle repairs a single corrupted element in place:

@@ -187,11 +187,11 @@ func TestToleranceRules(t *testing.T) {
 	if tol.Consistent(1, 100, 1) {
 		t.Fatalf("big delta should fail Consistent")
 	}
-	if !tol.ConsistentAbs(1e-9, 100, 1000) {
-		t.Fatalf("ConsistentAbs scale handling wrong")
+	if !tol.ConsistentBound(1e-9, 100, 1000, 0) {
+		t.Fatalf("ConsistentBound scale handling wrong")
 	}
-	if tol.ConsistentAbs(1, 100, 1000) {
-		t.Fatalf("ConsistentAbs missed a unit-scale error")
+	if tol.ConsistentBound(1, 100, 1000, 0) {
+		t.Fatalf("ConsistentBound missed a unit-scale error")
 	}
 	// The η bound path: a delta inside BoundSafety·η is round-off even if
 	// above θ·scale.
@@ -208,8 +208,64 @@ func TestToleranceRules(t *testing.T) {
 	if !DefaultTol().Consistent(0, 10, 0) {
 		t.Fatalf("zero delta inconsistent?")
 	}
-	if tol.Inconsistent(1e-9, 100, 1) || tol.InconsistentBound(0, 1, 1, 0) {
-		t.Fatalf("negations broken")
+	// With η = 0 the bound rule is the θ rule: |δ| ≤ θ·max(n, a), NaN in δ
+	// or a failing it.
+	inf, nan := math.Inf(1), math.NaN()
+	for _, d := range []float64{0, 1e-12, -1e-9, 1e-7, 1, -inf, inf, nan} {
+		for _, n := range []int{0, 1, 100} {
+			for _, a := range []float64{0, 1, 1000, 1e12, -inf, inf, nan} {
+				got := tol.ConsistentBound(d, n, a, 0)
+				if want := math.Abs(d) <= tol.Theta*math.Max(float64(n), a); got != want {
+					t.Errorf("ConsistentBound(%g, %d, %g, 0) = %v, want %v", d, n, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestTriage walks the forward-repair triage through each outcome, and pins
+// the amplified-drift screen against a NaN or infinite δ: the bound
+// comparison fails for both, so a vector is never re-anchored over an
+// overflowed burst. The drift rows run with no η (par's form) and with an
+// η that sets the bound (core's form).
+func TestTriage(t *testing.T) {
+	const n = 64
+	abs := [3]float64{1, 1, 1}
+	var noEta [3]float64
+	single := [3]float64{1, 10, 0.1} // a unit error at 1-based position 10
+	for _, c := range []struct {
+		name   string
+		deltas [3]float64
+		etas   [3]float64
+		want   Outcome
+	}{
+		{"zero", [3]float64{}, noEta, Clean},
+		{"one broken", [3]float64{0, 1, 0}, noEta, Reanchored},
+		{"drift", [3]float64{1e-8, 1e-8, 1e-8}, noEta, Reanchored},
+		{"drift within η", [3]float64{1e-5, 2e-5, 1e-5}, [3]float64{1e-9, 1e-9, 1e-9}, Reanchored},
+		{"past drift", [3]float64{1e-5, 2e-5, 1e-5}, noEta, Failed},
+		{"single error", single, noEta, Corrected},
+		{"two errors", [3]float64{2, 8, 0.5 + 1.0/6}, noEta, Failed},
+	} {
+		out, diag := Triage(c.deltas, abs, c.etas, n, Tol{})
+		if out != c.want {
+			t.Errorf("%s: outcome %d, want %d", c.name, out, c.want)
+		}
+		if out == Corrected && (diag.Pos != 9 || diag.Magnitude != 1) {
+			t.Errorf("%s: located %+v, want position 9, magnitude 1", c.name, diag)
+		}
+	}
+	// δ2 and δ3 broken but inside the drift window, as in the drift rows.
+	for _, c := range []struct{ etas, drift [3]float64 }{
+		{noEta, [3]float64{0, 1e-8, 1e-8}},
+		{[3]float64{1e-9, 1e-9, 1e-9}, [3]float64{0, 2e-5, 1e-5}},
+	} {
+		for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c.drift[0] = d
+			if out, _ := Triage(c.drift, abs, c.etas, n, Tol{}); out == Reanchored {
+				t.Errorf("δ1 = %g (η %g) accepted as drift", d, c.etas[0])
+			}
+		}
 	}
 }
 

@@ -28,38 +28,24 @@ func (t Tol) Consistent(delta float64, n int, ref float64) bool {
 	return math.Abs(delta)/scale <= t.theta()
 }
 
-// Inconsistent is the negation of Consistent, provided for readable call
-// sites in the detection paths.
-func (t Tol) Inconsistent(delta float64, n int, ref float64) bool {
-	return !t.Consistent(delta, n, ref)
-}
-
-// ConsistentAbs is the verification rule the ABFT engines use: an
-// inconsistency δ is round-off if |δ| ≤ θ·max(n, absSum), where absSum is
-// the absolute weighted sum Σ|c_i·x_i| of the vector being verified. absSum
-// is the natural magnitude scale of the checksum computation (it bounds its
-// accumulated round-off), making the test robust when cᵀx itself is small
-// through cancellation. The max(n, ·) floor implements the paper's /n
-// normalization for vectors of small magnitude.
-func (t Tol) ConsistentAbs(delta float64, n int, absSum float64) bool {
-	scale := absSum
-	if s := float64(n); s > scale {
-		scale = s
-	}
-	return math.Abs(delta) <= t.theta()*scale
-}
-
 // BoundSafety is the multiple of the running round-off bound η below which
 // an inconsistency is attributed to floating point. The η bounds are
 // first-order (they ignore O(ε²) terms and assume the standard summation
 // model), so a modest safety factor absorbs the slack.
 const BoundSafety = 32
 
-// ConsistentBound is ConsistentAbs extended with the running round-off
-// bound η carried by the vector's checksum (see the Bound update rules in
-// encode.go): an inconsistency is round-off if it is below the paper's
-// θ-threshold or below BoundSafety·η. Without the η term, the d-amplified
-// update noise (≈ n·ε·d·Σ|u|) makes the fixed θ misfire for large n·d.
+// ConsistentBound is the verification rule the ABFT engines use: an
+// inconsistency δ of a length-n vector is round-off if
+// |δ| ≤ max(θ·max(n, absSum), BoundSafety·η). absSum is the absolute
+// weighted sum Σ|c_i·x_i| of the vector being verified: the natural
+// magnitude scale of the checksum computation (it bounds its accumulated
+// round-off), which keeps the test robust when cᵀx itself is small through
+// cancellation. The max(n, ·) floor implements the paper's /n normalization
+// for vectors of small magnitude. η is the running round-off bound carried
+// by the vector's checksum (see the Bound update rules in encode.go);
+// without it, the d-amplified update noise (≈ n·ε·d·Σ|u|) makes the fixed
+// θ misfire for large n·d. A caller that carries no η passes 0, leaving the
+// θ term alone. A NaN δ or absSum fails the rule.
 func (t Tol) ConsistentBound(delta float64, n int, absSum, eta float64) bool {
 	scale := absSum
 	if s := float64(n); s > scale {
@@ -70,11 +56,6 @@ func (t Tol) ConsistentBound(delta float64, n int, absSum, eta float64) bool {
 		limit = b
 	}
 	return math.Abs(delta) <= limit
-}
-
-// InconsistentBound is the negation of ConsistentBound.
-func (t Tol) InconsistentBound(delta float64, n int, absSum, eta float64) bool {
-	return !t.ConsistentBound(delta, n, absSum, eta)
 }
 
 func (t Tol) theta() float64 {
@@ -91,7 +72,7 @@ func (t Tol) theta() float64 {
 func VerifyVector(x []float64, weights []Weight, expected []float64, tol Tol) bool {
 	for k, w := range weights {
 		delta := w.Apply(x) - expected[k]
-		if tol.Inconsistent(delta, len(x), expected[k]) {
+		if !tol.Consistent(delta, len(x), expected[k]) {
 			return false
 		}
 	}

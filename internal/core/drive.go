@@ -101,7 +101,7 @@ type guard interface {
 	// inner runs on each MVM output; true means roll back.
 	inner(k *run, q, src *tracked) bool
 	// suspect reports whether a recurrence scalar must be treated as a
-	// propagated fault (see suspectScalar).
+	// propagated fault (see SuspectScalar).
 	suspect(x float64) bool
 	// exit decides a residual (carried in resid) under the tolerance:
 	// converged, advanced (repaired in place, not there yet) or faulted.
@@ -481,7 +481,7 @@ func (g *sumGuard) inner(k *run, q, src *tracked) bool {
 	return false
 }
 
-func (g *sumGuard) suspect(x float64) bool { return suspectScalar(x) }
+func (g *sumGuard) suspect(x float64) bool { return SuspectScalar(x) }
 
 // exit verifies x and the residual before declaring victory, so a
 // corrupted small residual cannot smuggle out a wrong solution.
@@ -529,20 +529,20 @@ func (g *sumGuard) repair(k *run, xOK, rOK bool, others int, restart bool) bool 
 	if !xOK {
 		out, diag := k.e.forwardDiagnose(k.x)
 		switch out {
-		case forwardRejected:
+		case checksum.Rejected:
 			st.RejectedCorrections++
 			tr.add(k.i, EvForwardRepair, "rejected fake correction on x; falling back")
 			return false
-		case forwardFailed:
+		case checksum.Failed:
 			tr.add(k.i, EvForwardRepair, "localization failed on x; falling back")
 			return false
-		case forwardCorrected:
+		case checksum.Corrected:
 			// An in-place correction moves the iterate, so the carried
 			// residual no longer satisfies r = b − A·x even when r's own
 			// verification passed; rebuild it below.
 			rebuildR = true
 			tr.add(k.i, EvForwardRepair, "corrected x[%d] -= %.6g", diag.Pos, diag.Magnitude)
-		case forwardReanchored:
+		case checksum.Reanchored:
 			// Re-anchoring accepts x's data as the iterate going forward,
 			// including any sub-screen perturbation the old checksums
 			// disagreed with — and the recurrence residual tracks the old

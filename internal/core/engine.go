@@ -209,7 +209,7 @@ func (e *engine) residual(r, b, x *tracked) {
 	e.recompute(r)
 }
 
-// suspectScalar reports whether a recurrence scalar is numerically
+// SuspectScalar reports whether a recurrence scalar is numerically
 // meaningless — NaN, Inf, or beyond ≈√MaxFloat64 (any product of two such
 // magnitudes overflows). Under ABFT a scalar that size right after a
 // protected MVM is a propagated fault, not a breakdown: an exponent-bit
@@ -219,7 +219,7 @@ func (e *engine) residual(r, b, x *tracked) {
 // verification boundary can see it. Solver loops treat a suspect scalar as
 // a detection and roll back. Exact zero is deliberately excluded — that is
 // the genuine breakdown condition and keeps its hard-error path.
-func suspectScalar(x float64) bool {
+func SuspectScalar(x float64) bool {
 	return math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e150
 }
 
@@ -463,7 +463,9 @@ func copyTracked(dst, src *tracked) {
 // innerCheck runs the two-level scheme's inner-level protection on an MVM
 // output (Algorithm 2 lines 16–27): the cheap δ1 probe, then — only on
 // inconsistency — the full triple-checksum diagnosis. It returns the
-// diagnosis; single errors are corrected in place (data and the caller's
+// diagnosis; a single error is corrected in place by recomputing its row
+// with the product's own row dot over the verified-clean input, so the
+// corrected q is bitwise the fault-free product (data and the caller's
 // stored checksums already agree after correction).
 //
 // Guard against fake corrections from upstream: an inconsistency that was
@@ -477,25 +479,18 @@ func copyTracked(dst, src *tracked) {
 // escalated to MultipleErrors and handled by rollback, which repairs the
 // input too.
 func (e *engine) innerCheck(q, src *tracked) checksum.TripleDiagnosis {
-	if e.encDiag != nil {
-		return e.innerCheckLazy(q, src)
-	}
-	return e.innerCheckEager(q, src)
-}
-
-// innerCheckLazy is the default two-level inner check: the δ1 probe against
-// the carried c1 checksum, then — only on inconsistency — the cold
-// diagnoseLazy pass. The fault-free probe is the hot path; everything past
-// a detection rides the recovery budget.
-func (e *engine) innerCheckLazy(q, src *tracked) checksum.TripleDiagnosis {
 	e.stats.Verifications++
 	sum1, abs1 := e.sums(q, 0)
 	d1 := sum1 - q.s[0]
 	if e.tol.ConsistentBound(d1, e.n, abs1, q.eta[0]) {
+		// Refresh the probed checksum (see verify) so η stays anchored.
 		checksum.Anchor(q.s, q.eta, 0, sum1, abs1, e.n)
 		return checksum.TripleDiagnosis{Kind: checksum.NoError}
 	}
-	return e.diagnoseLazy(q, src, d1, abs1)
+	if e.encDiag != nil {
+		return e.diagnoseLazy(q, src, d1, abs1)
+	}
+	return e.diagnoseEager(q, src, d1, abs1)
 }
 
 // diagnoseLazy runs the post-detection locating pass of the lazy two-level
@@ -511,7 +506,7 @@ func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.Triple
 	// Input purity guard.
 	e.stats.Verifications++
 	srcSum, srcAbs := e.sums(src, 0)
-	if e.tol.InconsistentBound(srcSum-src.s[0], e.n, srcAbs, src.eta[0]) {
+	if !e.tol.ConsistentBound(srcSum-src.s[0], e.n, srcAbs, src.eta[0]) {
 		return checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 	}
 	deltas := []float64{d1, 0, 0}
@@ -525,22 +520,10 @@ func (e *engine) diagnoseLazy(q, src *tracked, d1, abs1 float64) checksum.Triple
 	}
 	diag := checksum.Diagnose(deltas, e.n, absSums, e.tol)
 	if diag.Kind == checksum.SingleError {
-		checksum.CorrectSingle(q.data, diag)
+		e.a.MulVecRows(q.data[diag.Pos:diag.Pos+1], src.data, diag.Pos, diag.Pos+1)
 		e.stats.Corrections++
 	}
 	return diag
-}
-
-func (e *engine) innerCheckEager(q, src *tracked) checksum.TripleDiagnosis {
-	e.stats.Verifications++
-	sum1, abs1 := e.sums(q, 0)
-	d1 := sum1 - q.s[0]
-	if e.tol.ConsistentBound(d1, e.n, abs1, q.eta[0]) {
-		// Refresh the probed checksum (see verify) so η stays anchored.
-		checksum.Anchor(q.s, q.eta, 0, sum1, abs1, e.n)
-		return checksum.TripleDiagnosis{Kind: checksum.NoError}
-	}
-	return e.diagnoseEager(q, src, d1, abs1)
 }
 
 // diagnoseEager is the post-detection triple-checksum diagnosis of the
@@ -558,14 +541,12 @@ func (e *engine) diagnoseEager(q, src *tracked, d1, abs1 float64) checksum.Tripl
 		e.tol,
 	)
 	if diag.Kind == checksum.SingleError {
-		if src != nil {
-			e.stats.Verifications++
-			srcSum, srcAbs := e.sums(src, 0)
-			if e.tol.InconsistentBound(srcSum-src.s[0], e.n, srcAbs, src.eta[0]) {
-				return checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
-			}
+		e.stats.Verifications++
+		srcSum, srcAbs := e.sums(src, 0)
+		if !e.tol.ConsistentBound(srcSum-src.s[0], e.n, srcAbs, src.eta[0]) {
+			return checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 		}
-		checksum.CorrectSingle(q.data, diag)
+		e.a.MulVecRows(q.data[diag.Pos:diag.Pos+1], src.data, diag.Pos, diag.Pos+1)
 		e.stats.Corrections++
 	}
 	return diag

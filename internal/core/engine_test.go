@@ -57,7 +57,7 @@ func TestEngineMVMUpdateMatchesDirect(t *testing.T) {
 	e.mvm(0, dst, src)
 	// dst's carried checksum must match the directly computed cᵀ(A·src).
 	sum, absSum := e.sums(dst, 0)
-	if e.tol.InconsistentBound(sum-dst.s[0], e.n, absSum, dst.eta[0]) {
+	if !e.tol.ConsistentBound(sum-dst.s[0], e.n, absSum, dst.eta[0]) {
 		t.Fatalf("fault-free MVM left an inconsistency: %v", sum-dst.s[0])
 	}
 	if stats.ChecksumUpdates == 0 {
@@ -319,6 +319,62 @@ func TestEngineFusedOpsMatchStagewiseReference(t *testing.T) {
 					t.Fatalf("%s: scratch allocated = %v, want %v", m.Name(), e.scratch != nil, hasMul)
 				}
 				pool.Close()
+			}
+		}
+	}
+}
+
+// TestInnerCorrectionIsExact strikes every element of an MVM output
+// q = A·p in turn with a flip of each bit 44–62 and requires every strike
+// the two-level inner check locates — lazy and eager diagnosis alike — to
+// leave q bitwise the fault-free product: the located element is recomputed
+// from its row, not patched by the measured δ1, which carries the rounding
+// of a sum that contained the struck value.
+func TestInnerCorrectionIsExact(t *testing.T) {
+	for _, a := range []*sparse.CSR{
+		sparse.Laplacian2D(12, 12),
+		sparse.CircuitLike(300, 5),
+		sparse.ConvectionDiffusion2D(10, 10, 0.5),
+	} {
+		for _, lazy := range []bool{true, false} {
+			weights := checksum.Triple
+			if lazy {
+				weights = checksum.Single
+			}
+			var stats Stats
+			opts := Options{}
+			opts.normalize()
+			e := newEngine(a, nil, weights, &opts, &stats)
+			if lazy {
+				e.initLazyDiag()
+			}
+			p, q := e.newTracked("p"), e.newTracked("q")
+			fillTracked(p, func(i int) float64 { return 1 + 0.5*math.Sin(float64(3*i+1)) })
+			e.recompute(p)
+			e.mvm(0, q, p)
+			want := append([]float64(nil), q.data...)
+			s, eta := append([]float64(nil), q.s...), append([]float64(nil), q.eta...)
+			located := 0
+			for i := range q.data {
+				for bit := 44; bit <= 62; bit++ {
+					copy(q.data, want)
+					copy(q.s, s)
+					copy(q.eta, eta)
+					q.data[i] = math.Float64frombits(math.Float64bits(want[i]) ^ 1<<bit)
+					if e.innerCheck(q, p).Kind != checksum.SingleError {
+						continue
+					}
+					located++
+					for j := range want {
+						if math.Float64bits(q.data[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("n=%d lazy=%v: bit %d at %d corrected to q[%d] = %v, fault-free %v",
+								a.Rows, lazy, bit, i, j, q.data[j], want[j])
+						}
+					}
+				}
+			}
+			if located < a.Rows {
+				t.Errorf("n=%d lazy=%v: only %d strikes located", a.Rows, lazy, located)
 			}
 		}
 	}

@@ -94,7 +94,7 @@ func (o *omv) mvm(iter int, dst, src *tracked) {
 	o.stats.ChecksumUpdates++ // the (cᵀA)·p dot
 	o.stats.Verifications++
 	sum, absSum := sumAbs(q)
-	if o.tol.ConsistentAbs(sum-o.expected[0], o.n, absSum) {
+	if o.tol.ConsistentBound(sum-o.expected[0], o.n, absSum, 0) {
 		return
 	}
 	o.stats.Detections++
@@ -123,7 +123,7 @@ func (o *omv) locateRepair(q, p []float64, lo, hi int) {
 		segSum += q[i]
 		segAbs += math.Abs(q[i])
 	}
-	if o.tol.ConsistentAbs(segSum-segExp, hi-lo, segAbs) {
+	if o.tol.ConsistentBound(segSum-segExp, hi-lo, segAbs, 0) {
 		return
 	}
 	if hi-lo == 1 {

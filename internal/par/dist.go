@@ -246,7 +246,7 @@ func VerifyGlobal(c *Comm, v *DistVector, w checksum.Weight, k int, offset, n in
 	gSum := c.AllReduceSum(sum)
 	gAbs := c.AllReduceSum(absSum)
 	gS := c.AllReduceSum(v.S[k])
-	if !tol.ConsistentAbs(gSum-gS, n, gAbs) {
+	if !tol.ConsistentBound(gSum-gS, n, gAbs, 0) {
 		return false
 	}
 	v.S[k] = sum

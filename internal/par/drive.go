@@ -3,10 +3,10 @@ package par
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"sync"
 
 	"newsum/internal/checkpoint"
+	"newsum/internal/checksum"
 	"newsum/internal/core"
 	"newsum/internal/sparse"
 )
@@ -218,20 +218,10 @@ func (k *rankRun) advance(resNorm float64) bool {
 	return k.relres <= k.opts.Tol
 }
 
-// scalarSanityBound is the largest magnitude a recurrence scalar can take
-// before it is treated as corrupted: beyond ≈√MaxFloat64 any product of two
-// such scalars overflows, and an exponent-bit upset scales an iterate
-// element by 2^±1024 — landing its dot products far past this bound. The
-// guard matters because a huge denominator is then divided away (α = ρ/r̂ᵀv
-// collapses toward zero), scaling the corruption below the checksum
-// detection threshold before the next verification boundary sees it.
-const scalarSanityBound = 1e150
-
 // breakdownSuspect reports whether a replicated recurrence scalar is
-// unusable — exactly zero, NaN, Inf, or absurdly large.
-func breakdownSuspect(v float64) bool {
-	return v == 0 || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > scalarSanityBound
-}
+// unusable: exactly zero, or suspect by core.SuspectScalar (NaN, Inf, or
+// beyond ≈√MaxFloat64).
+func breakdownSuspect(v float64) bool { return v == 0 || core.SuspectScalar(v) }
 
 // breakdown records a suspect scalar as a detection: right after a
 // protected MVM it is far more likely a propagated fault than a genuine
@@ -345,20 +335,20 @@ func (k *rankRun) repair(why string, xOK, rOK bool, others int, restart bool) bo
 	if !xOK {
 		out, diag := k.forwardDiagnose(k.x)
 		switch out {
-		case forwardRejected:
+		case checksum.Rejected:
 			k.res.RejectedCorrections++
 			k.trace(k.i, core.EvForwardRepair, "rejected fake correction on x; falling back")
 			return false
-		case forwardFailed:
+		case checksum.Failed:
 			k.trace(k.i, core.EvForwardRepair, "localization failed on x; falling back")
 			return false
-		case forwardCorrected:
+		case checksum.Corrected:
 			// An in-place correction moves the iterate, so the carried
 			// residual no longer satisfies r = b − A·x even when r's own
 			// verification passed; rebuild it below.
 			rebuildR = true
 			k.trace(k.i, core.EvForwardRepair, "corrected x[%d] -= %.6g", diag.Pos, diag.Magnitude)
-		case forwardReanchored:
+		case checksum.Reanchored:
 			// Re-anchoring accepts x's data, including any sub-screen
 			// perturbation the old checksums disagreed with, while the
 			// recurrence residual tracks the old checksum state; rebuild

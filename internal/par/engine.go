@@ -471,23 +471,17 @@ func (e *rankEngine) pco(dst, src *DistVector) error {
 
 func (e *rankEngine) axpy(y *DistVector, alpha float64, x *DistVector) {
 	vec.Axpy(y.Data, alpha, x.Data)
-	for k := range y.S {
-		y.S[k] += alpha * x.S[k]
-	}
+	checksum.UpdateVLOAxpy(y.S, alpha, x.S)
 }
 
 func (e *rankEngine) xpby(dst, x *DistVector, beta float64, y *DistVector) {
 	vec.Xpby(dst.Data, x.Data, beta, y.Data)
-	for k := range dst.S {
-		dst.S[k] = x.S[k] + beta*y.S[k]
-	}
+	checksum.UpdateVLOAxpby(dst.S, 1, x.S, beta, y.S)
 }
 
 func (e *rankEngine) axpbyInto(dst *DistVector, alpha float64, x *DistVector, beta float64, y *DistVector) {
 	vec.Axpby(dst.Data, alpha, x.Data, beta, y.Data)
-	for k := range dst.S {
-		dst.S[k] = alpha*x.S[k] + beta*y.S[k]
-	}
+	checksum.UpdateVLOAxpby(dst.S, alpha, x.S, beta, y.S)
 }
 
 func copyDist(dst, src *DistVector) {
@@ -527,7 +521,7 @@ func (e *rankEngine) verify(v *DistVector) bool {
 func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	gSum, gAbs, gS := e.globalSums(out, 0)
 	d1 := gSum - gS
-	if e.tol.ConsistentAbs(d1, e.n, gAbs) {
+	if e.tol.ConsistentBound(d1, e.n, gAbs, 0) {
 		return true
 	}
 	e.detect(e.curIter, "inner-level: MVM output checksum inconsistency")

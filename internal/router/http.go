@@ -330,6 +330,7 @@ func (rt *Router) attempt(ctx context.Context, rl *relay, idx int, url string, b
 	if err != nil {
 		return upstreamEnd{}, err
 	}
+	s.lastReply.Store(time.Now().UnixNano())
 	if resp.StatusCode == http.StatusTooManyRequests {
 		// A stream reports overload as an error line, but a header-level
 		// 429 is saturation there too.

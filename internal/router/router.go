@@ -24,6 +24,12 @@ import (
 // and, like rollback storms, they are bounded: the backoff doubles on
 // every failed incarnation so a crash-looping backend cannot hog the
 // supervisor.
+//
+// A probe that times out while the proxy receives a reply from the same
+// slot counts as ok: a CPU-starved backend can miss its /healthz deadline
+// while still answering jobs, and restarting it would kill every solve it
+// holds. A refused or reset probe gets no such grace, so a dead process
+// (the proxy-reported failure included) still goes to dead.
 type slotState int32
 
 const (
@@ -120,6 +126,9 @@ type slot struct {
 	// inFlight counts the jobs dispatched here and not yet finished; the
 	// pick reads it without the lock.
 	inFlight atomic.Int64
+	// lastReply is when (Unix ns) the proxy last received a response from
+	// this slot; attempt stores it without the lock.
+	lastReply atomic.Int64
 }
 
 func (s *slot) snapshotLocked() SlotStatus {
@@ -330,6 +339,13 @@ func (rt *Router) probe(url string) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
+// alive asks whether the slot's incarnation is up: its /healthz answered,
+// or the proxy received a reply from it while the probe waited.
+func (rt *Router) alive(s *slot, url string) bool {
+	start := time.Now().UnixNano()
+	return rt.probe(url) || s.lastReply.Load() >= start
+}
+
 // checkSlot advances one slot through the supervision state machine.
 func (rt *Router) checkSlot(s *slot) {
 	s.mu.Lock()
@@ -338,7 +354,7 @@ func (rt *Router) checkSlot(s *slot) {
 
 	switch state {
 	case slotHealthy, slotSuspect:
-		if rt.probe(url) {
+		if rt.alive(s, url) {
 			rt.setState(s, slotHealthy)
 			return
 		}
@@ -346,7 +362,7 @@ func (rt *Router) checkSlot(s *slot) {
 			// One transient failure: suspect, and re-probe once before
 			// declaring the process dead.
 			rt.setState(s, slotSuspect)
-			if rt.probe(url) {
+			if rt.alive(s, url) {
 				rt.setState(s, slotHealthy)
 				return
 			}

@@ -724,6 +724,86 @@ func TestSupervisorRestartsDeadBackend(t *testing.T) {
 	}
 }
 
+// TestSupervisorKeepsBusyBackendWithSlowProbe: a backend whose /healthz
+// misses every deadline while it keeps answering jobs is starved, not dead.
+// The replies the proxy receives while a probe waits keep the slot healthy,
+// so it is never restarted under the solves it holds.
+func TestSupervisorKeepsBusyBackendWithSlowProbe(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // every probe times out
+	})
+	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(service.Response{Converged: true, N: 144})
+	})
+	busy := httptest.NewServer(mux)
+	t.Cleanup(busy.Close)
+	cfg := fastSupervision(&StaticBackend{Base: busy.URL})
+	cfg.HealthTimeout = 50 * time.Millisecond
+	cfg.DispatchWait = time.Second
+	rt, srv := newTestRouter(t, cfg)
+
+	body, _ := json.Marshal(service.Request{Matrix: service.MatrixSpec{Kind: "laplace2d", N: 12}})
+	stop := time.Now().Add(500 * time.Millisecond)
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				resp, err := http.Post(srv.URL+"/solve", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Errorf("post: %v", err)
+					return
+				}
+				drainClose(resp)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s0 := rt.Stats().Slots[0]; s0.Restarts != 0 || s0.State != slotHealthy.String() {
+		t.Fatalf("busy backend restarted: %+v", s0)
+	}
+}
+
+// TestSupervisorRestartsAfterProxyFailure: replies received just before a
+// crash do not shield the slot. With no probe cadence to help, the proxy's
+// report of the first job that fails on the dead process alone takes the
+// slot through suspect and dead to a restart.
+func TestSupervisorRestartsAfterProxyFailure(t *testing.T) {
+	lb := &LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 4}}
+	cfg := fastSupervision(lb)
+	cfg.HealthInterval = time.Hour
+	cfg.HealthTimeout = 10 * time.Second
+	cfg.DispatchWait = 100 * time.Millisecond
+	rt, srv := newTestRouter(t, cfg)
+
+	req := service.Request{Matrix: service.MatrixSpec{Kind: "laplace2d", N: 12}}
+	if out := decodeResponse(t, postSolve(t, srv.URL, req)); !out.Converged {
+		t.Fatal("solve before the crash did not converge")
+	}
+	if err := lb.Stop(); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	postSolve(t, srv.URL, req).Body.Close() // fails on the dead process; no healthy slot remains
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		s0 := rt.Stats().Slots[0]
+		if s0.Failures >= 1 && s0.Restarts >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("proxy-reported failure did not restart the backend: %+v", s0)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 func TestBackendLifecycles(t *testing.T) {
 	t.Run("local double start", func(t *testing.T) {
 		lb := &LocalBackend{Cfg: service.Config{Workers: 1, QueueDepth: 2}}
