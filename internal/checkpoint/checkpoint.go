@@ -21,10 +21,13 @@
 // (per solver instance, and per rank in the parallel substrate) — there is
 // no global or disk-based checkpoint.
 //
-// Snapshot storage is double-buffered: the store keeps the latest snapshot
-// plus one spare and ping-pongs between them, reusing maps, float slices
-// and encode buffers whenever the saved shape (names and lengths) is
-// unchanged, so steady-state saves do not allocate.
+// A store holds one snapshot. Restore and Strike read only the latest
+// one, so a save overwrites it in place, reusing its maps, float slices and
+// encode buffers whenever the saved shape (names and lengths) is unchanged:
+// steady-state saves do not allocate, and a solve holds its checkpoint set
+// once. (A spare kept for ping-ponging was never read; the Diff codec folds
+// the latest delta into its reference before the overwrite, and Lossy
+// encodes from the live vectors alone.)
 package checkpoint
 
 import (
@@ -207,7 +210,6 @@ type Store struct {
 	BytesStored int64
 
 	latest *snapshot
-	spare  *snapshot
 	// ref holds the reference state the Diff codec encodes against: the
 	// reconstructed state of the checkpoint before latest (all zeros
 	// before the first save).
@@ -223,16 +225,19 @@ type Store struct {
 // from the restored data after rolling back from a lossy store.
 func (s *Store) Lossy() bool { return s.Codec == Lossy }
 
-// Save captures the given state as the new latest snapshot. Any of the
-// maps may be nil. The previous snapshot's storage is recycled when the
-// shape (names and lengths) is unchanged, so steady-state saves are
-// allocation-free.
+// Save captures the given state as the new latest snapshot, overwriting
+// the previous one. Any of the maps may be nil. The previous snapshot's
+// storage is reused when the shape (names and lengths) is unchanged, so
+// steady-state saves are allocation-free.
 func (s *Store) Save(iter int, vectors map[string][]float64, scalars map[string]float64, checksums map[string][]float64) {
 	if s.latest != nil && !s.latest.kind(s.Codec) {
 		// Codec changed under a live store: drop stale storage.
-		s.latest, s.spare, s.ref = nil, nil, nil
+		s.latest, s.ref = nil, nil
 	}
-	snap := s.spare
+	if s.Codec == Diff {
+		s.foldRef() // consumes the latest delta before it is overwritten
+	}
+	snap := s.latest
 	if snap == nil || !snap.matches(s.Codec, vectors, scalars, checksums) {
 		snap = newSnapshot(s.Codec, vectors, scalars, checksums)
 	}
@@ -245,7 +250,6 @@ func (s *Store) Save(iter int, vectors map[string][]float64, scalars map[string]
 			s.BytesStored += int64(len(enc))
 		}
 	case Diff:
-		s.foldRef()
 		if s.ref == nil {
 			s.ref = make(map[string][]float64, len(vectors))
 		}
@@ -276,7 +280,6 @@ func (s *Store) Save(iter int, vectors map[string][]float64, scalars map[string]
 		s.BytesCopied += int64(8 * len(v))
 		s.BytesStored += int64(8 * len(v))
 	}
-	s.spare = s.latest
 	s.latest = snap
 	s.Saves++
 }

@@ -500,7 +500,7 @@ func TestSaveSteadyStateZeroAllocs(t *testing.T) {
 			s.Save(iter, vectors, scalars, checksums)
 		}
 		for i := 0; i < 4; i++ {
-			save() // warm both ping-pong buffers and the encode capacity
+			save() // warm the snapshot and the encode capacity
 		}
 		if allocs := testing.AllocsPerRun(10, save); allocs != 0 {
 			t.Errorf("%v: steady-state Save allocates %v allocs/op, want 0", codec, allocs)
@@ -516,8 +516,35 @@ func TestSnapshotStorageReusedAcrossSaves(t *testing.T) {
 	first := s.latest
 	s.Save(2, map[string][]float64{"x": v}, nil, nil)
 	s.Save(3, map[string][]float64{"x": v}, nil, nil)
-	// Ping-pong: the snapshot two saves back is recycled, not reallocated.
+	// The one snapshot is overwritten in place, not reallocated.
 	if s.latest != first {
-		t.Fatalf("double buffer not recycled")
+		t.Fatalf("snapshot not recycled")
+	}
+}
+
+// TestSavesOfOneShapeAllocateOneSnapshot pins that a store holds its
+// checkpoint set once: three saves of one shape into a fresh store allocate
+// what the first save alone does, for every codec. A store that kept a
+// spare snapshot allocated a second one at its second save.
+func TestSavesOfOneShapeAllocateOneSnapshot(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under the race detector")
+	}
+	vectors := map[string][]float64{"x": waveState(2048, 0), "p": waveState(2048, 1)}
+	scalars := map[string]float64{"rho": 1.5}
+	checksums := map[string][]float64{"x": {1, 2}}
+	for _, codec := range []Codec{Full, Lossy, Diff} {
+		saves := func(k int) func() {
+			return func() {
+				s := Store{Codec: codec}
+				for i := 0; i < k; i++ {
+					s.Save(i, vectors, scalars, checksums)
+				}
+			}
+		}
+		one, three := testing.AllocsPerRun(10, saves(1)), testing.AllocsPerRun(10, saves(3))
+		if three != one {
+			t.Errorf("%v: three saves allocate %v, one save %v; want equal", codec, three, one)
+		}
 	}
 }

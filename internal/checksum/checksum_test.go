@@ -72,7 +72,7 @@ func TestLemma1MVM(t *testing.T) {
 	w := make([]float64, a.Rows)
 	a.MulVec(w, u)
 	sw := make([]float64, 3)
-	enc.UpdateMVM(sw, u, su)
+	updateMVM(enc, sw, u, su)
 	for k, wt := range Triple {
 		gap := sw[k] - wt.Apply(w)
 		want := d * delta[k]
@@ -100,7 +100,7 @@ func TestLemma1PCO(t *testing.T) {
 		su[k] += delta[k]
 	}
 	sw := make([]float64, 3)
-	enc.UpdatePCO(sw, w, su)
+	updatePCO(enc, sw, w, su)
 	for k, wt := range Triple {
 		gap := sw[k] - wt.Apply(w)
 		want := delta[k] / d
@@ -159,7 +159,7 @@ func TestLemma2ArithmeticDetection(t *testing.T) {
 	w := make([]float64, a.Rows)
 	a.MulVec(w, u)
 	sw := make([]float64, 1)
-	enc.UpdateMVM(sw, u, su)
+	updateMVM(enc, sw, u, su)
 	w[7] += 1000 // arithmetic error
 	delta := Ones.Apply(w) - sw[0]
 	if (Tol{}).ConsistentBound(delta, a.Rows, 1000, 0) {
@@ -180,7 +180,7 @@ func TestLemma2MemoryDetection(t *testing.T) {
 	w := make([]float64, a.Rows)
 	a.MulVec(w, u)
 	sw := make([]float64, 1)
-	enc.UpdateMVM(sw, u, su)
+	updateMVM(enc, sw, u, su)
 	delta := Ones.Apply(w) - sw[0]
 	// Expected inconsistency: −d·cᵀe = −64·500 (up to the A-column term).
 	if math.Abs(delta) < 1000 {
@@ -221,7 +221,7 @@ func TestNewSumDetectsInputCorruption(t *testing.T) {
 	y := make([]float64, a.Rows)
 	a.MulVec(y, x)
 	sy := make([]float64, 1)
-	enc.UpdateMVM(sy, x, sx)
+	updateMVM(enc, sy, x, sx)
 	delta := Ones.Apply(y) - sy[0]
 	if (Tol{}).ConsistentBound(delta, a.Rows, Ones.Apply(y), 0) {
 		t.Fatalf("new-sum encoding missed the input corruption")
@@ -291,11 +291,11 @@ func TestUpdateLinearityProperty(t *testing.T) {
 		suv := make([]float64, 1)
 		UpdateVLOAxpby(suv, 1, su, 1, sv)
 		out1 := make([]float64, 1)
-		enc.UpdateMVM(out1, uv, suv)
+		updateMVM(enc, out1, uv, suv)
 		outU := make([]float64, 1)
 		outV := make([]float64, 1)
-		enc.UpdateMVM(outU, u, su)
-		enc.UpdateMVM(outV, v, sv)
+		updateMVM(enc, outU, u, su)
+		updateMVM(enc, outV, v, sv)
 		return math.Abs(out1[0]-(outU[0]+outV[0])) < 1e-8*(1+math.Abs(out1[0]))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rng}); err != nil {
@@ -325,4 +325,14 @@ func TestOnesFastPathIsBitwise(t *testing.T) {
 	if !Ones.IsOnes() || Linear.IsOnes() || Harmonic.IsOnes() || ShiftWeight(Ones, 3).IsOnes() {
 		t.Fatal("IsOnes must single out c1 itself")
 	}
+}
+
+// updateMVM and updatePCO are Eq. (2) and Eq. (4) through the η-carrying
+// updates, the η discarded.
+func updateMVM(enc *Matrix, dst, u, su []float64) {
+	enc.UpdateMVMBound(dst, make([]float64, len(dst)), u, su, make([]float64, len(su)))
+}
+
+func updatePCO(enc *Matrix, dst, w, su []float64) {
+	enc.UpdatePCOBound(dst, make([]float64, len(dst)), w, su, make([]float64, len(su)))
 }

@@ -54,39 +54,6 @@ func EncodeMatrix(a *sparse.CSR, weights []Weight, d float64) *Matrix {
 	return m
 }
 
-// UpdateMVM computes the output checksums of w := A·u from the input
-// checksums su, per Eq. (2): checksum_k(w) = Rows[k]·u + d·su[k].
-// The result is written to dst, which must have one slot per weight.
-// Cost: one dense dot of length N per weight — O(N), independent of nnz.
-func (m *Matrix) UpdateMVM(dst []float64, u []float64, su []float64) {
-	if len(u) != m.N {
-		panic("checksum: vector length mismatch in UpdateMVM")
-	}
-	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) {
-		panic("checksum: checksum slot mismatch in UpdateMVM")
-	}
-	for k, row := range m.Rows {
-		dst[k] = vec.Dot(row, u) + m.D*su[k]
-	}
-}
-
-// UpdatePCO computes the output checksums of the preconditioned solve
-// M·w = u from the input checksums su and the computed solution w, per the
-// (sign-corrected) Eq. (4): checksum_k(w) = (su[k] − Rows[k]·w) / d, where
-// Rows encodes M. See DESIGN.md §2 for the derivation; this form satisfies
-// Lemma 1's identity checksum(w) − cᵀw = (checksum(u) − cᵀu)/d.
-func (m *Matrix) UpdatePCO(dst []float64, w []float64, su []float64) {
-	if len(w) != m.N {
-		panic("checksum: vector length mismatch in UpdatePCO")
-	}
-	if len(dst) != len(m.Weights) || len(su) != len(m.Weights) {
-		panic("checksum: checksum slot mismatch in UpdatePCO")
-	}
-	for k, row := range m.Rows {
-		dst[k] = (su[k] - vec.Dot(row, w)) / m.D
-	}
-}
-
 // UpdateVLOAxpby computes the checksums of z := alpha·x + beta·y from the
 // operand checksums, per Eq. (3). O(1) per weight. dst may alias sx or sy.
 func UpdateVLOAxpby(dst []float64, alpha float64, sx []float64, beta float64, sy []float64) {
@@ -151,7 +118,9 @@ func ReduceEps(n int) float64 {
 	return float64(depth) * Eps
 }
 
-// UpdateMVMBound is UpdateMVM plus η propagation:
+// UpdateMVMBound computes the output checksums of w := A·u from the input
+// checksums su, per Eq. (2): checksum_k(w) = Rows[k]·u + d·su[k], and
+// propagates their round-off bounds:
 // η_out = |d|·η_in + depth·ε·(Σ|row_i·u_i| + |d·su|).
 func (m *Matrix) UpdateMVMBound(dst, etaDst []float64, u []float64, su, etaSrc []float64) {
 	if len(u) != m.N {
@@ -196,7 +165,12 @@ func (m *Matrix) UpdateMVMBoundFrom(dst, etaDst, rowSum, rowAbs, su, etaSrc []fl
 	}
 }
 
-// UpdatePCOBound is UpdatePCO plus η propagation:
+// UpdatePCOBound computes the output checksums of the preconditioned solve
+// M·w = u from the input checksums su and the computed solution w, per the
+// (sign-corrected) Eq. (4): checksum_k(w) = (su[k] − Rows[k]·w) / d, where
+// Rows encodes M (DESIGN.md §2 derives it; this form satisfies Lemma 1's
+// identity checksum(w) − cᵀw = (checksum(u) − cᵀu)/d), and propagates
+// their round-off bounds:
 // η_out = (η_in + depth·ε·(Σ|row_i·w_i| + |su|)) / |d|.
 func (m *Matrix) UpdatePCOBound(dst, etaDst []float64, w []float64, su, etaSrc []float64) {
 	if len(w) != m.N {

@@ -200,7 +200,7 @@ func (p *Pool) execPart(part int) {
 	case opMulVec:
 		o.a.MulVecRange(o.dst, o.x, p.bounds[part], p.bounds[part+1])
 	case opMulVecDotAbs:
-		o.a.MulVecDotAbs(o.dst, o.x, o.rows, o.lv, p.bounds[part], p.bounds[part+1])
+		o.a.MulVecDotAbs(o.dst, o.x, o.rows, o.lv, 0, p.bounds[part], p.bounds[part+1])
 	}
 }
 

@@ -37,7 +37,7 @@ func (p *Pool) MulVecDotAbs(a *sparse.CSR, y, x []float64, rows [][]float64, lv 
 		panic("kernel: dimension mismatch in MulVecDotAbs")
 	}
 	if p == nil || a.NNZ() < minParallel {
-		a.MulVecDotAbs(y, x, rows, lv, 0, a.Rows)
+		a.MulVecDotAbs(y, x, rows, lv, 0, 0, a.Rows)
 		return
 	}
 	p.nnzBounds(a)

@@ -210,12 +210,9 @@ type rankEngine struct {
 	// preconditioning).
 	stages []precond.Stage
 	encStg []*checksum.Matrix
-	// pco scratch, hoisted out of the per-iteration path: each rank engine
-	// applies its preconditioner sequentially, so one data buffer, which
-	// ping-pongs with the destination, and two checksum buffers serve any
-	// stage-chain length with zero steady-state allocations.
-	pcoBuf      []float64
-	pcoS, pcoS2 []float64
+	// lv is the leaf workspace of the row reductions the fused MVM and PCO
+	// kernels take inside their own sweeps, as core's engine takes them.
+	lv *vec.Leaves
 	// Lazy diagnosis state for the two-level inner check: this rank's
 	// column slices of c_kᵀA for the locating weights.
 	diagWeights []checksum.Weight
@@ -254,9 +251,7 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		xg:      make([]float64, a.Rows),
 		fired:   make([]bool, len(opts.Faults)),
 	}
-	e.pcoBuf = make([]float64, e.local)
-	e.pcoS = make([]float64, len(e.weights))
-	e.pcoS2 = make([]float64, len(e.weights))
+	e.lv = vec.NewLeaves(len(e.weights), e.local)
 
 	var setupErr error
 	if withPrecond {
@@ -316,8 +311,9 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		}
 	}
 
-	e.bL = NewDistVector(e.local, len(e.weights))
-	copy(e.bL.Data, b[lo:hi])
+	// The rank adopts its block of b, as core's engine adopts b: the solve
+	// only reads it.
+	e.bL = &DistVector{Data: b[lo:hi:hi], S: make([]float64, len(e.weights))}
 	e.bL.LocalChecksums(e.weights, lo)
 	return e, nil
 }
@@ -392,21 +388,21 @@ func (e *rankEngine) mvmClean(dst, src *DistVector) {
 // fault injection, then the partial Eq. (2) checksum update — this rank's
 // slice of checksum(A) against its own block of the (clean) input, plus d
 // times the carried partial input checksum. The partials sum to the global
-// rule, so an injected error leaves dst.Data inconsistent with dst.S.
+// rule, so an injected error leaves dst.Data inconsistent with dst.S. The
+// row reductions ride the product's own sweep (sparse.CSR.MulVecDotAbs over
+// the rank's rows, leaves numbered from its first row): they read the
+// gathered copy of src's block, and an output fault touches dst alone.
 func (e *rankEngine) mvm(dst, src *DistVector) {
-	e.mvmClean(dst, src)
+	e.c.AllGather(e.xg, src.Data, e.lo)
+	e.a.MulVecDotAbs(dst.Data, e.xg, e.rowAs, e.lv, e.lo, e.lo, e.hi)
 	for fi, f := range e.opts.Faults {
 		if e.fires(fi, TargetOutput, e.curIter) {
 			strike(f, dst.Data)
 		}
 	}
+	e.lv.Fold()
 	for k := range e.weights {
-		row := e.rowAs[k]
-		var dot float64
-		for j := 0; j < e.local; j++ {
-			dot += row[j] * src.Data[j]
-		}
-		dst.S[k] = dot + e.dScalar*src.S[k]
+		dst.S[k] = e.lv.Sum[k] + e.dScalar*src.S[k]
 	}
 	// A checksum strike corrupts the carried partial checksum after the
 	// update: the data stays clean, the protection breaks — the false
@@ -434,36 +430,28 @@ func (e *rankEngine) residualFresh(r, x *DistVector) {
 }
 
 // pco applies the local block preconditioner stage by stage, carrying the
-// partial checksum through each solve (Eq. 4) or multiply (Eq. 2). With no
-// stages it is the identity.
+// partial checksum through each solve with Eq. (4) as core's engine does:
+// the rank's ILU(0) is two solve stages, and a solve may run in place, so
+// every stage writes straight into dst — the fold carries dst.S in place —
+// with its row reductions taken inside its own sweep. With no stages it is
+// the identity. dst must not alias src.
 func (e *rankEngine) pco(dst, src *DistVector) error {
 	in, inS := src.Data, src.S
-	// The stage chain ping-pongs between the engine's scratch and dst — a
-	// stage's input (in, inS) is dead once consumed — starting on the side
-	// that makes the last stage write dst. dst must not alias src.
-	buf, spare := e.pcoBuf, dst.Data
-	if len(e.stages)%2 == 1 {
-		buf, spare = spare, buf
-	}
-	bufS, spareS := e.pcoS, e.pcoS2
 	for k, st := range e.stages {
-		if err := st.Apply(buf, in); err != nil {
+		enc := e.encStg[k]
+		if err := st.ApplyDotAbs(dst.Data, in, enc.Rows, e.lv); err != nil {
 			return err
 		}
-		switch st.Op {
-		case precond.StageSolve:
-			e.encStg[k].UpdatePCO(bufS, buf, inS)
-		case precond.StageMul:
-			e.encStg[k].UpdateMVM(bufS, in, inS)
+		e.lv.Fold()
+		for j, sum := range e.lv.Sum {
+			dst.S[j] = (inS[j] - sum) / enc.D
 		}
-		in, inS = buf, bufS
-		buf, spare = spare, buf
-		bufS, spareS = spareS, bufS
+		in, inS = dst.Data, dst.S
 	}
 	if len(e.stages) == 0 {
-		copy(dst.Data, in)
+		copy(dst.Data, src.Data)
+		copy(dst.S, src.S)
 	}
-	copy(dst.S, inS)
 	return nil
 }
 
@@ -533,20 +521,19 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	deltas := [3]float64{d1}
 	absSums := [3]float64{gAbs}
 	for k, w := range e.diagWeights {
-		var exp float64
-		for i, x := range in.Data {
-			exp += e.diagRows[k][i] * x
-		}
 		qs, qa := localSums(w, e.lo, out.Data)
-		deltas[k+1] = e.c.AllReduceSum(qs) - e.c.AllReduceSum(exp)
+		deltas[k+1] = e.c.AllReduceSum(qs) - e.c.AllReduceSum(vec.Dot(e.diagRows[k], in.Data))
 		absSums[k+1] = e.c.AllReduceSum(qa)
 	}
 	diag := checksum.Diagnose(deltas[:], e.n, absSums[:], e.tol)
 	if diag.Kind != checksum.SingleError {
 		return false
 	}
-	if diag.Pos >= e.lo && diag.Pos < e.hi {
-		out.Data[diag.Pos-e.lo] -= diag.Magnitude
+	// The owner recomputes the located element from the gathered input mvm
+	// left in e.xg, verified clean above: exact, where subtracting the
+	// estimated magnitude leaves the estimate's round-off behind.
+	if pos := diag.Pos; pos >= e.lo && pos < e.hi {
+		e.a.MulVecRows(out.Data[pos-e.lo:pos-e.lo+1], e.xg, pos, pos+1)
 	}
 	e.res.Corrections++
 	e.trace(e.curIter, core.EvCorrection, "inner-level: corrected element %d", diag.Pos)

@@ -17,6 +17,9 @@ import (
 // solvers at 1–4 ranks, fault-free and struck, against a table recorded
 // from the commit before the mailbox (testdata/parent_bits.golden; -update
 // rewrites it and is only honest on a tree whose arithmetic is trusted).
+// The twolevel rows were re-recorded when the owner rank began recomputing
+// a located element instead of subtracting its estimated error: each must
+// end with its clean row's solution and residual, bit for bit.
 func TestSolversMatchRecordedParent(t *testing.T) {
 	a := sparse.Laplacian2D(12, 9)
 	b := make([]float64, a.Rows)
@@ -47,6 +50,7 @@ func TestSolversMatchRecordedParent(t *testing.T) {
 		}},
 	}
 	var sb strings.Builder
+	clean := map[string][2]uint64{} // solver/ranks → clean x hash and residual bits
 	for _, s := range solvers {
 		for _, m := range modes {
 			for ranks := 1; ranks <= 4; ranks++ {
@@ -55,6 +59,15 @@ func TestSolversMatchRecordedParent(t *testing.T) {
 				for _, x := range res.X {
 					v := math.Float64bits(x)
 					h.Write([]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24), byte(v >> 32), byte(v >> 40), byte(v >> 48), byte(v >> 56)})
+				}
+				key, got := fmt.Sprintf("%s/r%d", s.name, ranks), [2]uint64{h.Sum64(), math.Float64bits(res.Residual)}
+				switch m.name {
+				case "clean":
+					clean[key] = got
+				case "twolevel":
+					if got != clean[key] {
+						t.Errorf("%s: twolevel x, res = %016x, %016x; clean %016x, %016x", key, got[0], got[1], clean[key][0], clean[key][1])
+					}
 				}
 				fmt.Fprintf(&sb, "%s/%s/r%d: err=%v it=%d conv=%v x=%016x res=%016x det=%d rb=%d corr=%d fwd=%d ckpt=%d wasted=%d red=%d vred=%d gath=%d bar=%d msgs=%d words=%d\n",
 					s.name, m.name, ranks, err != nil, res.Iterations, res.Converged, h.Sum64(), math.Float64bits(res.Residual),

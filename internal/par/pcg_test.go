@@ -155,6 +155,42 @@ func TestTwoLevelParallelCorrectsInline(t *testing.T) {
 	}
 }
 
+// TestInnerCorrectionIsExact: a located single error in a rank's MVM output
+// is corrected by recomputing the element, so a two-level solve that
+// corrects it without a rollback ends with the fault-free solution bit for
+// bit — at 1, 2 and 4 ranks, for exponent and high-mantissa flips (bits
+// 44–62) at several indices of the last rank's block. Subtracting the
+// estimated magnitude left its round-off in the element, and x moved.
+func TestInnerCorrectionIsExact(t *testing.T) {
+	a, b, _ := parSystem(t)
+	for _, ranks := range []int{1, 2, 4} {
+		clean, err := ABFTPCG(a, b, ranks, Options{TwoLevel: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrected := 0
+		for bit := 44; bit <= 62; bit++ {
+			for _, idx := range []int{0, 7, 40, 101} {
+				f := Fault{Iteration: 6, Rank: ranks - 1, Index: idx, BitFlip: true, Bit: bit}
+				res, err := ABFTPCG(a, b, ranks, Options{TwoLevel: true, Faults: []Fault{f}})
+				if err != nil || res.Corrections != 1 || res.Rollbacks != 0 {
+					continue
+				}
+				corrected++
+				for i := range res.X {
+					if math.Float64bits(res.X[i]) != math.Float64bits(clean.X[i]) {
+						t.Errorf("%d ranks, bit %d at %d: x[%d] = %v, fault-free %v", ranks, bit, idx, i, res.X[i], clean.X[i])
+						break
+					}
+				}
+			}
+		}
+		if corrected == 0 {
+			t.Errorf("%d ranks: no strike was corrected without a rollback", ranks)
+		}
+	}
+}
+
 func TestTwoLevelParallelFaultFree(t *testing.T) {
 	a, b, _ := parSystem(t)
 	res, err := ABFTPCG(a, b, 3, Options{Tol: 1e-10, TwoLevel: true})

@@ -218,7 +218,9 @@ func TestILU0FactorErrorsMatchCOO(t *testing.T) {
 // TestFactorAllocs pins what ILU0 and block-Jacobi's factorization
 // allocate on the benchmark's grid operator: the two factors, each three
 // arrays and a row plan, the factorization's one scratch row — and, for
-// ILU0, the stages' schedules. No intermediate copy of A. (BlockJacobiILU0
+// ILU0, the stages' schedules. No intermediate copy of A, and no scratch
+// vector for a chain of solves (31 when every staged preconditioner
+// allocated one). (BlockJacobiILU0
 // itself adds the schedules and a fmt.Sprintf whose buffer pool a garbage
 // collection may empty, so its count is not exact from run to run.)
 func TestFactorAllocs(t *testing.T) {
@@ -228,7 +230,7 @@ func TestFactorAllocs(t *testing.T) {
 		want float64
 		f    func() error
 	}{
-		{"ILU0", 31, func() error { _, err := ILU0(a); return err }},
+		{"ILU0", 30, func() error { _, err := ILU0(a); return err }},
 		// BlockJacobiILU0 made 14 allocations more when A's block diagonal
 		// was assembled through a COO builder and its triangles cut from
 		// that copy.

@@ -136,7 +136,7 @@ func (s Stage) ApplyDotAbs(out, in []float64, rows [][]float64, lv *vec.Leaves) 
 	}
 	switch {
 	case s.Op == StageMul:
-		s.M.MulVecDotAbs(out, in, rows, lv, 0, s.M.Rows)
+		s.M.MulVecDotAbs(out, in, rows, lv, 0, 0, s.M.Rows)
 		return nil
 	case s.Op != StageSolve:
 		return fmt.Errorf("precond: unknown stage op %d", s.Op)
@@ -170,25 +170,29 @@ type Preconditioner interface {
 	Name() string
 }
 
-// staged is the shared implementation: a named sequence of stages with a
-// scratch buffer for intermediate vectors.
+// staged is the shared implementation: a named sequence of stages, with a
+// scratch buffer for the output of a multiply stage whose operand is z.
 type staged struct {
 	name    string
 	n       int
 	stages  []Stage
-	scratch []float64
+	scratch []float64 // nil unless a stage multiplies
 }
 
 // newStaged returns the preconditioner that applies stages in order, each
 // solve stage with its schedule built.
 func newStaged(name string, n int, stages ...Stage) (Preconditioner, error) {
+	p := &staged{name: name, n: n, stages: stages}
 	for i, st := range stages {
 		var err error
 		if stages[i], err = st.scheduled(); err != nil {
 			return nil, fmt.Errorf("precond: %s: %w", name, err)
 		}
+		if st.Op == StageMul && p.scratch == nil {
+			p.scratch = make([]float64, n)
+		}
 	}
-	return &staged{name: name, n: n, stages: stages, scratch: make([]float64, n)}, nil
+	return p, nil
 }
 
 func (p *staged) Dims() int       { return p.n }
@@ -203,18 +207,13 @@ func (p *staged) Apply(z, r []float64) error {
 		copy(z, r)
 		return nil
 	}
+	// Every stage writes straight into z — a solve may run in place — but a
+	// multiply needs its operand intact, so one fed from z writes to the
+	// scratch instead.
 	in := r
-	for idx, st := range p.stages {
-		var out []float64
-		if idx == len(p.stages)-1 {
-			out = z
-		} else if idx%2 == 0 {
-			out = p.scratch
-		} else {
-			out = z
-		}
-		// StageMul cannot alias; route through scratch if needed.
-		if st.Op == StageMul && &out[0] == &in[0] {
+	for _, st := range p.stages {
+		out := z
+		if st.Op == StageMul && &in[0] == &z[0] {
 			out = p.scratch
 		}
 		if err := st.Apply(out, in); err != nil {

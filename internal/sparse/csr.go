@@ -264,25 +264,30 @@ func (a *CSR) MulVecRange(y, x []float64, lo, hi int) {
 // "Sparse sweep contract").
 const fuseStretch = 64 * vec.Block
 
-// MulVecDotAbs computes y[lo:hi] := (A·x)[lo:hi] for a square matrix and,
-// stretch of fuseStretch rows by stretch inside the same sweep, lv's leaves
-// of rows[j]·x and Σ|rows[j]_i·x_i| for the blocks the range covers — the
-// Eq. (2) row reductions, taken while the stretch of x the product has just
-// walked past is still in cache. lo must be a multiple of vec.Block and hi
-// one too unless it is a.Rows, so that every leaf is built whole by one
-// caller; the product is MulVecRange's and the leaves are
-// vec.DotAbsBlocks's, bit for bit.
-func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, lo, hi int) {
+// MulVecDotAbs computes y[i-org] := (A·x)[i] for the rows i in [lo, hi) of
+// a square matrix and, stretch of fuseStretch rows by stretch inside the
+// same sweep, lv's leaves of rows[j]·x[org:org+len(y)] and their absolute
+// sums for the blocks the range covers — the Eq. (2) row reductions, taken
+// while the stretch of x the product has just walked past is still in
+// cache. y, rows[j] and the leaves are numbered from row org, so the region
+// they cover is [org, org+len(y)): the whole matrix for org = 0 and len(y)
+// = a.Rows, one rank's row block for org its first row and y its output.
+// lo−org must be a multiple of vec.Block and hi−org one too unless hi ends
+// the region, so that every leaf is built whole by one caller; the product
+// is MulVecRows's and the leaves are vec.DotAbsBlocks's, bit for bit.
+func (a *CSR) MulVecDotAbs(y, x []float64, rows [][]float64, lv *vec.Leaves, org, lo, hi int) {
 	if a.Rows != a.Cols {
 		panic("sparse: MulVecDotAbs requires a square matrix")
 	}
-	if lo%vec.Block != 0 || (hi%vec.Block != 0 && hi != a.Rows) {
+	end := org + len(y)
+	if lo < org || hi > end || (lo-org)%vec.Block != 0 || ((hi-org)%vec.Block != 0 && hi != end) {
 		panic("sparse: row range not block-aligned in MulVecDotAbs")
 	}
+	xr := x[org:end]
 	for ; lo < hi; lo += fuseStretch {
 		next := min(lo+fuseStretch, hi)
-		a.MulVecRange(y, x, lo, next)
-		lv.FillBlocks(rows, x, lo/vec.Block, vec.Blocks(next))
+		a.MulVecRows(y[lo-org:next-org], x, lo, next)
+		lv.FillBlocks(rows, xr, (lo-org)/vec.Block, vec.Blocks(next-org))
 	}
 }
 

@@ -175,7 +175,7 @@ func TestMulVecDotAbsTilesComposeBitwise(t *testing.T) {
 			cuts := randomPartition(rng, nb, 1+rng.Intn(5))
 			got := make([]float64, n)
 			for _, t := range rng.Perm(len(cuts) - 1) {
-				a.MulVecDotAbs(got, x, rows, lv, cuts[t]*vec.Block, min(cuts[t+1]*vec.Block, n))
+				a.MulVecDotAbs(got, x, rows, lv, 0, cuts[t]*vec.Block, min(cuts[t+1]*vec.Block, n))
 			}
 			lv.Fold()
 			if i, ok := bitsEqual(got, want); !ok {
@@ -194,9 +194,73 @@ func TestMulVecDotAbsTilesComposeBitwise(t *testing.T) {
 	lv := vec.NewLeaves(1, 300)
 	rows := [][]float64{x}
 	for name, f := range map[string]func(){
-		"unaligned lo": func() { a.MulVecDotAbs(y, x, rows, lv, 64, 300) },
-		"unaligned hi": func() { a.MulVecDotAbs(y, x, rows, lv, 0, 200) },
-		"not square":   func() { adversarialCSR(rng, 128, 256).MulVecDotAbs(y[:128], make([]float64, 256), rows, lv, 0, 128) },
+		"unaligned lo": func() { a.MulVecDotAbs(y, x, rows, lv, 0, 64, 300) },
+		"unaligned hi": func() { a.MulVecDotAbs(y, x, rows, lv, 0, 0, 200) },
+		"not square":   func() { adversarialCSR(rng, 128, 256).MulVecDotAbs(y[:128], make([]float64, 256), rows, lv, 0, 0, 128) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestMulVecDotAbsRowBlockBitwise: a row block [lo, hi) that starts
+// anywhere, with its output, its checksum rows and its leaves numbered from
+// lo (a par rank's block), tiled on leaf boundaries counted from lo, gives
+// MulVecRows's product and DotAbs(row, x[lo:hi])'s reductions bit for bit.
+// A tile off those boundaries, or outside the block, panics.
+func TestMulVecDotAbsRowBlockBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 200, 1000, 9000} {
+		a := adversarialCSR(rng, n, n)
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
+		}
+		for trial := 0; trial < 10; trial++ {
+			lo := rng.Intn(n)
+			hi := lo + 1 + rng.Intn(n-lo)
+			local := hi - lo
+			rows := make([][]float64, 1+2*(trial%2))
+			for j := range rows {
+				rows[j] = make([]float64, local)
+				for i := range rows[j] {
+					rows[j][i] = rng.NormFloat64()
+				}
+			}
+			want := make([]float64, local)
+			a.MulVecRows(want, x, lo, hi)
+			lv := vec.NewLeaves(len(rows), local)
+			cuts := randomPartition(rng, vec.Blocks(local), 1+rng.Intn(4))
+			got := make([]float64, local)
+			for _, c := range rng.Perm(len(cuts) - 1) {
+				a.MulVecDotAbs(got, x, rows, lv, lo, lo+cuts[c]*vec.Block, lo+min(cuts[c+1]*vec.Block, local))
+			}
+			lv.Fold()
+			if i, ok := bitsEqual(got, want); !ok {
+				t.Fatalf("n=%d [%d, %d) cuts %v: row %d = %x, MulVecRows %x", n, lo, hi, cuts, i, got[i], want[i])
+			}
+			for j, r := range rows {
+				ws, wa := vec.DotAbs(r, x[lo:hi])
+				if math.Float64bits(lv.Sum[j]) != math.Float64bits(ws) || math.Float64bits(lv.Abs[j]) != math.Float64bits(wa) {
+					t.Fatalf("n=%d [%d, %d) row %d: reductions (%x, %x), DotAbs (%x, %x)", n, lo, hi, j, lv.Sum[j], lv.Abs[j], ws, wa)
+				}
+			}
+		}
+	}
+	a := Tridiag(300, -1, 2, -1)
+	x, y := make([]float64, 300), make([]float64, 200)
+	lv := vec.NewLeaves(1, 200)
+	rows := [][]float64{y}
+	for name, f := range map[string]func(){
+		"off a leaf from org": func() { a.MulVecDotAbs(y, x, rows, lv, 50, 100, 250) },
+		"before org":          func() { a.MulVecDotAbs(y, x, rows, lv, 50, 0, 250) },
+		"past the block":      func() { a.MulVecDotAbs(y, x, rows, lv, 50, 50, 251) },
 	} {
 		func() {
 			defer func() {
