@@ -37,23 +37,23 @@ func TwoLevelPBiCGSTAB(a *sparse.CSR, m precond.Preconditioner, b []float64, opt
 // bicgstab is the preconditioned BiCGSTAB recurrence.
 type bicgstab struct {
 	krylov
-	v, s, t, phat, shat   *tracked
+	v, s, t, phat, shat   *Vec
 	rhat                  []float64 // shadow residual, fixed for the whole solve
 	rhoPrev, alpha, omega float64
 }
 
-func newBiCGSTAB(e *engine) *bicgstab {
+func newBiCGSTAB(be Backend) *bicgstab {
 	c := &bicgstab{
-		v: e.newTracked("v"), s: e.newTracked("s"), t: e.newTracked("t"),
-		phat: e.newTracked("phat"), shat: e.newTracked("shat"),
+		v: be.NewVec("v"), s: be.NewVec("s"), t: be.NewVec("t"),
+		phat: be.NewVec("phat"), shat: be.NewVec("shat"),
 	}
 	c.krylov = krylov{
-		p: e.newTracked("p"),
+		p: be.NewVec("p"),
 		// v is verified alongside x and r: a huge corruption in v can be
 		// scaled below the detection threshold on its way into s (α =
 		// ρ/r̂ᵀv divides it away), so the MVM output itself must be
 		// checked while the raw inconsistency is still visible.
-		watch:      []*tracked{c.v},
+		watch:      []*Vec{c.v},
 		detectMsg:  "outer-level: checksum mismatch in {x, r, v}",
 		snapMsg:    "snapshot {x, p}",
 		rebuiltMsg: "r, v",
@@ -72,7 +72,7 @@ func (c *bicgstab) setScalars(s map[string]float64) {
 }
 
 func (c *bicgstab) start(k *run) error {
-	c.rhat = vec.Clone(k.r.data)
+	c.rhat = vec.Clone(k.r.Data)
 	c.rhoPrev, c.alpha, c.omega = 1, 1, 1
 	return nil
 }
@@ -82,7 +82,7 @@ func (c *bicgstab) start(k *run) error {
 // stale {p, v, ρ', ω} never enter the recurrence.
 func (c *bicgstab) restart(k *run) error {
 	c.rhoPrev, c.alpha, c.omega = 1, 0, 1
-	copyTracked(c.p, k.r)
+	copyVec(c.p, k.r)
 	return nil
 }
 
@@ -100,12 +100,10 @@ func (c *bicgstab) restored(k *run, snapIter int, lossy bool) error {
 	// corruption the rollback already discarded. Under a lossy restart p is
 	// the reconstructed residual, so v is rebuilt against the restarted
 	// direction.
-	if err := applyClean(k.e.m, c.phat.data, c.p.data); err != nil {
+	if err := k.PrecondClean(c.phat, c.p); err != nil {
 		return err
 	}
-	k.e.recompute(c.phat)
-	k.e.mulVec(c.v.data, c.phat.data)
-	k.e.recompute(c.v)
+	k.MulClean(c.v, c.phat)
 	k.res.Stats.RecoveryMVMs++
 	return nil
 }
@@ -114,9 +112,9 @@ func (c *bicgstab) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.v, c.s, c.t, c.phat, c.shat)
 }
 
-func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (status, error) {
+func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *Vec) (status, error) {
 	i := k.i
-	rho := k.dot(c.rhat, r.data)
+	rho := k.Dot(c.rhat, r.Data)
 	if k.g.suspect(rho) {
 		return k.scalarFault("ρ = %g", rho), nil
 	}
@@ -124,21 +122,21 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 		return failed, k.breakdown("ρ = 0")
 	}
 	if i == 0 {
-		copyTracked(p, r)
+		copyVec(p, r)
 	} else {
 		// p = r + β·(p − ω·v)
 		beta := (rho / c.rhoPrev) * (c.alpha / c.omega)
-		k.axpy(i, p, -c.omega, v)
-		k.xpby(i, p, r, beta, p)
+		k.Axpy(i, p, -c.omega, v)
+		k.Xpby(i, p, r, beta, p)
 	}
-	if err := k.pco(i, phat, p); err != nil {
+	if err := k.PCO(i, phat, p); err != nil {
 		return failed, err
 	}
-	k.mvm(i, v, phat)
-	if k.g.inner(k, v, phat) || k.e.takeFlag() {
+	k.MVM(i, v, phat)
+	if k.g.inner(k, v, phat) || k.TakeFlag() {
 		return faulted, nil
 	}
-	rhatV := k.dot(c.rhat, v.data)
+	rhatV := k.Dot(c.rhat, v.Data)
 	if k.g.suspect(rhatV) {
 		return k.scalarFault("r̂ᵀv = %g", rhatV), nil
 	}
@@ -146,40 +144,40 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *tracked) (statu
 		return failed, k.breakdown("r̂ᵀv = 0")
 	}
 	c.alpha = rho / rhatV
-	k.axpbyInto(i, s, 1, r, -c.alpha, v)
+	k.Axpby(i, s, 1, r, -c.alpha, v)
 
-	if sNorm := k.norm2(s.data); sNorm/k.normB <= k.tol {
-		k.axpy(i, x, c.alpha, phat)
+	if sNorm := k.Norm2(s.Data); sNorm/k.normB <= k.tol {
+		k.Axpy(i, x, c.alpha, phat)
 		k.advance(sNorm)
 		return k.g.exit(k, s), nil
 	}
 
-	if err := k.pco(i, shat, s); err != nil {
+	if err := k.PCO(i, shat, s); err != nil {
 		return failed, err
 	}
-	k.mvm(i, t, shat)
-	if k.g.inner(k, t, shat) || k.e.takeFlag() {
+	k.MVM(i, t, shat)
+	if k.g.inner(k, t, shat) || k.TakeFlag() {
 		return faulted, nil
 	}
-	tt := k.dot(t.data, t.data)
+	tt := k.Dot(t.Data, t.Data)
 	if k.g.suspect(tt) {
 		return k.scalarFault("tᵀt = %g", tt), nil
 	}
 	if tt <= 0 {
 		return failed, k.breakdown("tᵀt = 0")
 	}
-	c.omega = k.dot(t.data, s.data) / tt
+	c.omega = k.Dot(t.Data, s.Data) / tt
 	if c.omega == 0 {
 		return failed, k.breakdown("ω = 0")
 	}
-	k.axpy(i, x, c.alpha, phat)
-	k.axpy(i, x, c.omega, shat)
-	k.axpbyInto(i, r, 1, s, -c.omega, t)
-	if k.e.takeFlag() {
+	k.Axpy(i, x, c.alpha, phat)
+	k.Axpy(i, x, c.omega, shat)
+	k.Axpby(i, r, 1, s, -c.omega, t)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
 	c.rhoPrev = rho
-	if k.advance(k.norm2(r.data)) {
+	if k.advance(k.Norm2(r.Data)) {
 		return k.g.exit(k, r), nil
 	}
 	return advanced, nil

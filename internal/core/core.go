@@ -10,13 +10,16 @@
 //
 //   - A recurrence (pcg.go, bicgstab.go, cr.go, stationary.go) is one
 //     iterative method — PCG, PBiCGSTAB, CR, Chebyshev, Jacobi — written once
-//     against the operation vocabulary ops: MVM, PCO, the VLO forms and the
-//     two reductions over tracked vectors.
-//   - A backend implements the vocabulary. There are two: the engine
-//     (engine.go) runs the kernels through the fault injector and carries
-//     whatever checksum weights it was given — with none it is the
-//     unprotected arm; omv (onlinemv.go) is the online-MV baseline's verified
-//     MVM and duplicated execution.
+//     against the operation vocabulary of Backend: MVM, PCO, the VLO forms
+//     and the two reductions over Vecs.
+//   - A Backend implements the vocabulary, with the verification, clean
+//     recovery work and checkpoint strike the driver asks of it. There are
+//     three: the engine (engine.go) runs the kernels through the fault
+//     injector and carries whatever checksum weights it was given — with
+//     none it is the unprotected arm; omv (onlinemv.go) is the online-MV
+//     baseline's verified MVM and duplicated execution; internal/par's rank
+//     engine runs one rank's block of a distributed solve, entering through
+//     Drive.
 //   - A guard (drive.go, ortho.go) is the detection policy attached at the
 //     operation boundaries: none, the new-sum checksums (basic, two-level,
 //     forward recovery) or the orthogonality baseline's residual gap. The
@@ -27,7 +30,7 @@
 // repair before rollback, the rollback budget, the verified convergence
 // exit. Solve dispatches any Krylov method × scheme; the exported per-scheme
 // entry points, BasicJacobi and BasicChebyshev are wrappers over the same
-// driver.
+// driver, and so is every rank of internal/par's team.
 // BasicGMRES alone keeps a loop of its own over the engine: its checkpoint
 // is the restart cycle, not every cd iterations, and its rollback discards a
 // cycle instead of restoring a direction — the driver would need a method
@@ -138,14 +141,14 @@ func (m Method) String() string {
 }
 
 // recurrence builds the Krylov recurrence Solve runs for m.
-func (m Method) recurrence(e *engine) recurrence {
+func (m Method) recurrence(be Backend) recurrence {
 	switch m {
 	case MethodPCG:
-		return newPCG(e)
+		return newPCG(be)
 	case MethodPBiCGSTAB:
-		return newBiCGSTAB(e)
+		return newBiCGSTAB(be)
 	default:
-		return newCR(e)
+		return newCR(be)
 	}
 }
 
@@ -373,7 +376,7 @@ func (o *Options) stopping(n int) (tol float64, maxIter int) {
 // wrapped right-hand side and the resolved stopping criteria.
 type setup struct {
 	e       *engine
-	x, b    *tracked
+	x, b    *Vec
 	normB   float64
 	tol     float64
 	maxIter int
@@ -392,7 +395,7 @@ func begin(a *sparse.CSR, m precond.Preconditioner, b []float64, weights []check
 // open starts one solve on the engine: the zero iterate, the wrapped
 // right-hand side and the stopping criteria.
 func (e *engine) open(b []float64, opts *Options) setup {
-	s := setup{e: e, x: e.newTracked("x"), b: e.wrap("b", b), normB: e.rhsNorm(b)}
+	s := setup{e: e, x: e.NewVec("x"), b: e.wrap("b", b), normB: rhsNorm(e, b)}
 	s.tol, s.maxIter = opts.stopping(e.n)
 	return s
 }

@@ -18,14 +18,14 @@ func BasicCR(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 // cr is the conjugate residual recurrence.
 type cr struct {
 	krylov
-	ar, ap *tracked
+	ar, ap *Vec
 	rAr    float64
 }
 
-func newCR(e *engine) *cr {
-	c := &cr{ar: e.newTracked("ar"), ap: e.newTracked("ap")}
+func newCR(be Backend) *cr {
+	c := &cr{ar: be.NewVec("ar"), ap: be.NewVec("ap")}
 	c.krylov = krylov{
-		p: e.newTracked("p"),
+		p: be.NewVec("p"),
 		// Unlike PCG/BiCGStab there is no preconditioner solve dividing the
 		// carried checksum error back down by d, so the Ar/Ap recurrences
 		// amplify the round-off bound η by ~(d·α + β) per iteration; left
@@ -33,7 +33,7 @@ func newCR(e *engine) *cr {
 		// windows. Verifying (and thereby re-anchoring) them at every
 		// boundary breaks that growth and catches a fault while it still
 		// lives in the product recurrences, before it reaches x or r.
-		watch:      []*tracked{c.ar, c.ap},
+		watch:      []*Vec{c.ar, c.ap},
 		detectMsg:  "outer-level: checksum(x)/checksum(r) mismatch",
 		snapMsg:    "snapshot {x, p}",
 		rebuiltMsg: "r, Ar, Ap",
@@ -67,21 +67,18 @@ func (c *cr) restart(k *run) error {
 
 // reproject sets Ar = A·r, p := r, Ap := Ar and rᵀAr from the current r.
 func (c *cr) reproject(k *run) {
-	k.e.mulVec(c.ar.data, k.r.data)
-	k.e.recompute(c.ar)
-	copyTracked(c.p, k.r)
-	copyTracked(c.ap, c.ar)
-	c.rAr = k.dot(k.r.data, c.ar.data)
+	k.MulClean(c.ar, k.r)
+	copyVec(c.p, k.r)
+	copyVec(c.ap, c.ar)
+	c.rAr = k.Dot(k.r.Data, c.ar.Data)
 }
 
 func (c *cr) restored(k *run, _ int, lossy bool) error {
 	if lossy {
 		return c.restart(k)
 	}
-	k.e.mulVec(c.ar.data, k.r.data)
-	k.e.recompute(c.ar)
-	k.e.mulVec(c.ap.data, c.p.data)
-	k.e.recompute(c.ap)
+	k.MulClean(c.ar, k.r)
+	k.MulClean(c.ap, c.p)
 	k.res.Stats.RecoveryMVMs += 2
 	return nil
 }
@@ -90,9 +87,9 @@ func (c *cr) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.p, c.ar, c.ap)
 }
 
-func (c *cr) iterate(k *run, x, r, p, ar, ap *tracked) (status, error) {
+func (c *cr) iterate(k *run, x, r, p, ar, ap *Vec) (status, error) {
 	i := k.i
-	apap := k.dot(ap.data, ap.data)
+	apap := k.Dot(ap.Data, ap.Data)
 	if k.g.suspect(apap) || k.g.suspect(c.rAr) {
 		return k.scalarFault("ApᵀAp = %g or rᵀAr = %g", apap, c.rAr), nil
 	}
@@ -100,21 +97,24 @@ func (c *cr) iterate(k *run, x, r, p, ar, ap *tracked) (status, error) {
 		return failed, k.breakdown("ApᵀAp = 0 or rᵀAr = 0")
 	}
 	alpha := c.rAr / apap
-	k.axpy(i, x, alpha, p)
-	k.axpy(i, r, -alpha, ap)
-	if k.e.takeFlag() {
+	k.Axpy(i, x, alpha, p)
+	k.Axpy(i, r, -alpha, ap)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
-	if k.advance(k.norm2(r.data)) {
+	if k.advance(k.Norm2(r.Data)) {
 		return k.g.exit(k, r), nil
 	}
-	k.mvm(i, ar, r)
-	rArNew := k.dot(r.data, ar.data)
+	k.MVM(i, ar, r)
+	if k.g.inner(k, ar, r) {
+		return faulted, nil
+	}
+	rArNew := k.Dot(r.Data, ar.Data)
 	beta := rArNew / c.rAr
-	k.xpby(i, p, r, beta, p)
-	k.xpby(i, ap, ar, beta, ap)
+	k.Xpby(i, p, r, beta, p)
+	k.Xpby(i, ap, ar, beta, ap)
 	c.rAr = rArNew
-	if k.e.takeFlag() {
+	if k.TakeFlag() {
 		return faulted, nil
 	}
 	return advanced, nil

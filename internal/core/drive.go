@@ -9,19 +9,57 @@ import (
 	"newsum/internal/sparse"
 )
 
-// ops is the operation vocabulary the Krylov recurrences are written
-// against: the paper's vector-generating operations (MVM, PCO and the VLO
-// forms) plus the two reductions, all over tracked vectors. The iter
-// argument is the fault model's clock; −1 marks clean set-up and recovery
-// work no scheduled event can match.
-type ops interface {
-	mvm(iter int, dst, src *tracked)
-	pco(iter int, dst, src *tracked) error
-	axpy(iter int, y *tracked, alpha float64, x *tracked)
-	xpby(iter int, dst, x *tracked, beta float64, y *tracked)
-	axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked)
-	dot(u, v []float64) float64
-	norm2(u []float64) float64
+// Backend is the seam between the driver and what runs a solve's
+// operations. Three implement it: the engine (engine.go), the online-MV
+// baseline (onlinemv.go) and internal/par's rank engine, which runs one
+// rank's block of a distributed solve — there Data is the rank's block, S
+// its partial checksums, and every reduction and verdict is all-reduced, so
+// each rank's driver takes every branch at the same iteration. The driver,
+// its guards and the recurrences reach the backend only through it. The
+// iter argument is the fault model's clock; −1 marks clean set-up and
+// recovery work no scheduled event can match.
+type Backend interface {
+	// The operation vocabulary the Krylov recurrences are written against:
+	// the paper's vector-generating operations (MVM, PCO and the VLO forms)
+	// plus the two reductions.
+	MVM(iter int, dst, src *Vec)
+	PCO(iter int, dst, src *Vec) error
+	Axpy(iter int, y *Vec, alpha float64, x *Vec)
+	Xpby(iter int, dst, x *Vec, beta float64, y *Vec)
+	Axpby(iter int, dst *Vec, alpha float64, x *Vec, beta float64, y *Vec)
+	Dot(u, v []float64) float64
+	Norm2(u []float64) float64
+
+	// NewVec allocates a zero vector with consistent checksums.
+	NewVec(name string) *Vec
+	// Verify checks v's first checksum relation — the outer-level
+	// verification of Algorithm 1 line 6 — re-anchoring it on success and
+	// counting a detection on failure.
+	Verify(v *Vec) bool
+	// InnerCheck is the two-level scheme's inner level on an MVM output
+	// q = A·src (Algorithm 2 lines 16–27); a located single error comes back
+	// corrected in place.
+	InnerCheck(q, src *Vec) checksum.TripleDiagnosis
+	// ForwardDiagnose re-measures all three checksum relations of v and
+	// repairs it in place (forward.go).
+	ForwardDiagnose(v *Vec) (checksum.Outcome, checksum.TripleDiagnosis)
+	// TakeFlag reports and clears a failed eager check.
+	TakeFlag() bool
+
+	// Clean set-up and recovery work: no fault fires, and the checksums of
+	// the output are re-anchored from its data.
+	Residual(r, b, x *Vec)            // r := b − A·x
+	MulClean(dst, src *Vec)           // dst := A·src
+	PrecondClean(dst, src *Vec) error // dst := M⁻¹·src
+	Reanchor(v *Vec)
+
+	// Strike fires the checkpoint-buffer faults scheduled at iter into the
+	// snapshot just saved.
+	Strike(iter int, store *checkpoint.Store)
+	// Gather returns the whole of x, the solution a solve hands back.
+	Gather(x *Vec) []float64
+	// Injected counts the faults that have fired so far.
+	Injected() int
 }
 
 // status is the outcome of one pass through the driver's iteration.
@@ -76,10 +114,15 @@ type krylov struct {
 	// every snapshot (a corrupted direction in the checkpoint would make
 	// every future rollback futile). nil for a method that keeps none —
 	// Jacobi's checkpoint set is {x}.
-	p *tracked
+	p *Vec
+	// verifyP: p is verified before every snapshot. Cleared only for
+	// internal/par's PCG, whose collective counts are pinned without the
+	// scalar all-reduces the check costs; the benchmark re-pin that brings η
+	// to par brings it this check too (ROADMAP item 3(ii)).
+	verifyP bool
 	// watch lists what the outer level verifies beside x and r. Every
 	// other vector's error propagates into x or r (Table 2).
-	watch []*tracked
+	watch []*Vec
 	// xOnly: the method rebuilds r from x at the top of every iteration
 	// (Jacobi), so x is its whole state — the outer level and the
 	// convergence exit verify x alone, and a rollback has no residual to
@@ -99,37 +142,37 @@ type guard interface {
 	// boundary just accepted; it snapshots if the policy keeps snapshots.
 	checkpoint(k *run) bool
 	// inner runs on each MVM output; true means roll back.
-	inner(k *run, q, src *tracked) bool
+	inner(k *run, q, src *Vec) bool
 	// suspect reports whether a recurrence scalar must be treated as a
 	// propagated fault (see SuspectScalar).
 	suspect(x float64) bool
 	// exit decides a residual (carried in resid) under the tolerance:
 	// converged, advanced (repaired in place, not there yet) or faulted.
-	exit(k *run, resid *tracked) status
+	exit(k *run, resid *Vec) status
 	// keepsResidual: r is checkpointed and restored, not recomputed.
 	keepsResidual() bool
 }
 
-// run is one solve in flight: the backend verbs, the recurrence, the guard
-// and the scaffold state all three share.
+// run is one solve in flight: the backend, the recurrence, the guard and
+// the scaffold state all three share.
 type run struct {
-	ops
-	// setup holds the engine behind the verbs (also used directly, for
-	// clean set-up and recovery work), the iterate x, the right-hand side
-	// b and the stopping criteria.
-	setup
+	Backend
 	rec    recurrence
 	kr     *krylov
 	g      guard
 	opts   Options
 	method Method
 	scheme Scheme
-	res    Result
+	res    *Result
 	err    error
 
-	r      *tracked
-	i      int
-	relres float64
+	// x is the iterate, b the right-hand side, r the residual.
+	x, b, r *Vec
+	normB   float64
+	tol     float64
+	maxIter int
+	i       int
+	relres  float64
 
 	// The checkpointed set: maps built once, so a save allocates nothing.
 	store      checkpoint.Store
@@ -173,8 +216,8 @@ func forwardTier(method Method, scheme Scheme, opts *Options) bool {
 
 // solve assembles recurrence × backend × guard for one method × scheme and
 // drives it.
-func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options, newRec func(*engine) recurrence) (Result, error) {
-	k := &run{method: method, scheme: scheme, opts: opts}
+func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner, b []float64, opts Options, newRec func(Backend) recurrence) (Result, error) {
+	var res Result
 	var weights []checksum.Weight
 	switch {
 	case scheme != Basic && scheme != TwoLevel: // the control arms and baselines carry no new-sum checksums
@@ -185,36 +228,57 @@ func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner
 	default:
 		weights = checksum.Single
 	}
-	var err error
-	if k.setup, err = begin(a, m, b, weights, &k.opts, &k.res.Stats); err != nil {
-		return k.res, err
+	st, err := begin(a, m, b, weights, &opts, &res.Stats)
+	if err != nil {
+		return res, err
 	}
-	k.assemble(newRec(k.e))
-	if scheme == OnlineMV {
-		k.ops = newOMV(k.e)
+	var be Backend = st.e
+	switch {
+	case scheme == OnlineMV:
+		be = newOMV(st.e)
+	case scheme == TwoLevel && !opts.EagerTriple:
+		st.e.initLazyDiag()
 	}
-	return k.drive()
+	// The engine's iterate is the answer on every exit, a failed one too.
+	res.X = st.x.Data
+	k := &run{Backend: be, method: method, scheme: scheme, opts: opts, res: &res,
+		x: st.x, b: st.b, normB: st.normB, tol: st.tol, maxIter: st.maxIter}
+	k.assemble(newRec(be), true)
+	k.drive()
+	return res, k.err
 }
 
-// assemble attaches the recurrence to a run whose set-up is done, with the
-// engine as the backend and the guard the scheme names.
-func (k *run) assemble(rec recurrence) {
-	k.ops = k.e
-	k.r = k.e.newTracked("r")
+// Drive runs method (PCG, PBiCGSTAB or CR) under the basic or two-level
+// scheme on a backend built outside this package: internal/par's rank
+// engine, whose every rank calls it. b is the right-hand side as be holds
+// it, and res the result whose Stats be counts into. opts must carry Tol
+// and MaxIter; the solution is in res.X only when the solve converged or
+// ran out of iterations. verifyP false snapshots p unverified (see krylov).
+func Drive(method Method, scheme Scheme, be Backend, b *Vec, res *Result, opts Options, verifyP bool) error {
+	opts.normalize()
+	k := &run{Backend: be, method: method, scheme: scheme, opts: opts, res: res,
+		x: be.NewVec("x"), b: b, normB: rhsNorm(be, b.Data), tol: opts.Tol, maxIter: opts.MaxIter}
+	k.assemble(method.recurrence(be), verifyP)
+	k.drive()
+	return k.err
+}
+
+// assemble attaches the recurrence and the guard the scheme names to a run
+// whose backend is in place.
+func (k *run) assemble(rec recurrence, verifyP bool) {
+	k.r = k.NewVec("r")
 	k.rec, k.kr = rec, rec.shape()
+	k.kr.verifyP = verifyP
 	switch k.scheme {
 	case Basic, TwoLevel:
-		if k.scheme == TwoLevel && !k.opts.EagerTriple {
-			k.e.initLazyDiag()
-		}
 		g := &sumGuard{twoLevel: k.scheme == TwoLevel, forward: forwardTier(k.method, k.scheme, &k.opts),
-			outer: []*tracked{k.x}}
+			outer: []*Vec{k.x}}
 		if !k.kr.xOnly {
 			g.outer = append(append(g.outer, k.r), k.kr.watch...)
 		}
 		k.g = g
 	case Orthogonality:
-		k.g = &gapGuard{trueR: make([]float64, k.e.n)}
+		k.g = &gapGuard{trueR: k.NewVec("trueR")}
 	default:
 		k.g = noGuard{}
 	}
@@ -222,37 +286,35 @@ func (k *run) assemble(rec recurrence) {
 
 // drive is the scaffold every method × scheme shares: set-up, then the
 // detect–checkpoint–step loop with its single rollback-or-storm sequence,
-// one turn at a time, until the closing accounting.
-func (k *run) drive() (Result, error) {
+// one turn at a time, until the closing accounting in k.res and k.err.
+func (k *run) drive() {
 	for live := k.open(); live; live = k.turn() {
 	}
-	return k.res, k.err
 }
 
 // open builds the state the first turn starts from. False means the solve
 // is already over: x0 met the tolerance, or the recurrence could not start.
 func (k *run) open() bool {
-	k.res.X = k.x.data
-	// r = b − A·x0 via instrumented ops would charge a fault to set-up;
-	// initialization is performed cleanly.
-	k.e.residual(k.r, k.b, k.x)
-	k.relres = k.norm2(k.r.data) / k.normB
+	// x0 = 0, so r = b − A·x0 is b, checksums and all: no product to run, and
+	// none of set-up's work can take a fault.
+	copyVec(k.r, k.b)
+	k.relres = k.Norm2(k.r.Data) / k.normB
 	if k.relres <= k.tol {
 		k.res.Converged = true
-		return k.finish(nil)
+		return k.conclude(nil)
 	}
 	if err := k.rec.start(k); err != nil {
 		return k.finish(err)
 	}
 	k.store = k.opts.newStore()
-	k.vecs = map[string][]float64{"x": k.x.data}
-	k.sums = map[string][]float64{"x": k.x.s, "x.eta": k.x.eta}
+	k.vecs = map[string][]float64{"x": k.x.Data}
+	k.sums = map[string][]float64{"x": k.x.S, "x.eta": k.x.Eta}
 	if p := k.kr.p; p != nil {
-		k.vecs["p"] = p.data
-		k.sums["p"], k.sums["p.eta"] = p.s, p.eta
+		k.vecs["p"] = p.Data
+		k.sums["p"], k.sums["p.eta"] = p.S, p.Eta
 	}
 	if k.g.keepsResidual() {
-		k.vecs["r"] = k.r.data
+		k.vecs["r"] = k.r.Data
 	}
 	k.scal = map[string]float64{}
 	return true
@@ -264,8 +326,8 @@ func (k *run) open() bool {
 // recovery ride the recovery budget, not the per-iteration one.
 func (k *run) turn() bool {
 	if k.i >= k.maxIter {
-		_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), k.res, k.relres)
-		return k.finish(err)
+		_, err := notConverged(fmt.Sprintf("%s (%s)", k.method, k.scheme), *k.res, k.relres)
+		return k.conclude(err)
 	}
 	// Cancellation boundary: a canceled or expired Options.Ctx is the
 	// caller's only handle on a diverging or fault-storming solve.
@@ -276,7 +338,7 @@ func (k *run) turn() bool {
 	switch st {
 	case converged:
 		k.res.Converged = true
-		return k.finish(nil)
+		return k.conclude(nil)
 	case failed:
 		return k.finish(err)
 	case faulted:
@@ -315,11 +377,18 @@ func (k *run) observe(resNorm float64) bool {
 	return k.relres <= k.tol
 }
 
+// conclude closes a solve that ran its course — converged, or out of
+// iterations — with the solution gathered whole.
+func (k *run) conclude(err error) bool {
+	k.res.X = k.Gather(k.x)
+	return k.finish(err)
+}
+
 // finish closes the accounting on every exit path; it returns false, the
 // "no more turns" answer of open and turn.
 func (k *run) finish(err error) bool {
 	k.res.Residual = k.relres
-	k.res.Stats.InjectedErrors = k.e.injectedCount()
+	k.res.Stats.InjectedErrors = k.Injected()
 	k.err = err
 	return false
 }
@@ -345,7 +414,7 @@ func (k *run) save() {
 	st.Checkpoints++
 	st.CheckpointBytes = k.store.BytesCopied
 	st.CheckpointStoredBytes = k.store.BytesStored
-	k.e.corruptCheckpoint(k.i, &k.store)
+	k.Strike(k.i, &k.store)
 }
 
 // rollback restores the latest snapshot and reconstructs what it does not
@@ -371,14 +440,14 @@ func (k *run) rollback() bool {
 		// the restored data — the solve restarts from the perturbed (still
 		// verified-clean) state, per Tao et al. A restored r was rounded
 		// independently of x, so it is rebuilt as well.
-		k.e.recompute(k.x)
+		k.Reanchor(k.x)
 		st.LossyRestores++
 	}
 	verb := "recomputed"
 	switch {
 	case k.kr.xOnly: // r is rebuilt by the next iteration anyway
 	case lossy || !k.g.keepsResidual():
-		k.e.residual(k.r, k.b, k.x)
+		k.Residual(k.r, k.b, k.x)
 		st.RecoveryMVMs++
 	default:
 		verb = "kept"
@@ -400,12 +469,12 @@ func (k *run) rollback() bool {
 // lives entirely inside its operations.
 type noGuard struct{}
 
-func (noGuard) boundary(*run) bool                  { return true }
-func (noGuard) checkpoint(*run) bool                { return true }
-func (noGuard) inner(*run, *tracked, *tracked) bool { return false }
-func (noGuard) suspect(float64) bool                { return false }
-func (noGuard) exit(*run, *tracked) status          { return converged }
-func (noGuard) keepsResidual() bool                 { return false }
+func (noGuard) boundary(*run) bool          { return true }
+func (noGuard) checkpoint(*run) bool        { return true }
+func (noGuard) inner(*run, *Vec, *Vec) bool { return false }
+func (noGuard) suspect(float64) bool        { return false }
+func (noGuard) exit(*run, *Vec) status      { return converged }
+func (noGuard) keepsResidual() bool         { return false }
 
 // sumGuard is the paper's policy: the new-sum checksums the engine carries
 // are verified lazily at the outer level (Algorithm 1), optionally probed
@@ -415,7 +484,7 @@ func (noGuard) keepsResidual() bool                 { return false }
 type sumGuard struct {
 	twoLevel, forward bool
 	// outer is x, r and the recurrence's watch list, in verification order.
-	outer []*tracked
+	outer []*Vec
 }
 
 // boundary verifies checksum(v) = cᵀv for the outer-level vectors, x and
@@ -433,10 +502,10 @@ func (g *sumGuard) boundary(k *run) bool {
 // r (second) and a count of the rest. The rollback-only path stops at the
 // first failure; forward recovery needs every verdict, since each failed
 // vector is repaired individually.
-func (g *sumGuard) verifyOuter(k *run, vs []*tracked) (xOK, rOK bool, others int) {
+func (g *sumGuard) verifyOuter(k *run, vs []*Vec) (xOK, rOK bool, others int) {
 	xOK, rOK = true, true
 	for j, v := range vs {
-		if k.e.verify(v) {
+		if k.Verify(v) {
 			continue
 		}
 		switch j {
@@ -456,7 +525,7 @@ func (g *sumGuard) verifyOuter(k *run, vs []*tracked) (xOK, rOK bool, others int
 
 // checkpoint verifies p (one O(n) sum per cd) and snapshots.
 func (g *sumGuard) checkpoint(k *run) bool {
-	if p := k.kr.p; k.i > 0 && p != nil && !k.e.verify(p) && !g.repair(k, true, true, 1, false) {
+	if p := k.kr.p; k.i > 0 && p != nil && k.kr.verifyP && !k.Verify(p) && !g.repair(k, true, true, 1, false) {
 		return false
 	}
 	k.save()
@@ -466,14 +535,14 @@ func (g *sumGuard) checkpoint(k *run) bool {
 // inner is the inner-level protection of the two-level scheme (Algorithm 2
 // lines 16–27): one-checksum probe, triple-checksum diagnosis, immediate
 // correction of single errors, immediate rollback on multiple errors.
-func (g *sumGuard) inner(k *run, q, src *tracked) bool {
+func (g *sumGuard) inner(k *run, q, src *Vec) bool {
 	if !g.twoLevel {
 		return false
 	}
-	diag := k.e.innerCheck(q, src)
+	diag := k.InnerCheck(q, src)
 	switch diag.Kind {
 	case checksum.SingleError:
-		k.opts.Trace.add(k.i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.name, diag.Pos, diag.Magnitude)
+		k.opts.Trace.add(k.i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.Name, diag.Pos, diag.Magnitude)
 	case checksum.MultipleErrors:
 		k.opts.Trace.add(k.i, EvDetection, "inner-level: multiple errors in MVM output")
 		return true
@@ -485,8 +554,8 @@ func (g *sumGuard) suspect(x float64) bool { return SuspectScalar(x) }
 
 // exit verifies x and the residual before declaring victory, so a
 // corrupted small residual cannot smuggle out a wrong solution.
-func (g *sumGuard) exit(k *run, resid *tracked) status {
-	vs := []*tracked{k.x, resid}
+func (g *sumGuard) exit(k *run, resid *Vec) status {
+	vs := []*Vec{k.x, resid}
 	if k.kr.xOnly {
 		vs = vs[:1]
 	}
@@ -499,8 +568,8 @@ func (g *sumGuard) exit(k *run, resid *tracked) status {
 	if !g.repair(k, xOK, rOK, 0, true) {
 		return faulted
 	}
-	k.relres = k.norm2(k.r.data) / k.normB
-	if k.relres <= k.tol && k.e.verify(k.x) && k.e.verify(k.r) {
+	k.relres = k.Norm2(k.r.Data) / k.normB
+	if k.relres <= k.tol && k.Verify(k.x) && k.Verify(k.r) {
 		return converged
 	}
 	return advanced
@@ -527,7 +596,7 @@ func (g *sumGuard) repair(k *run, xOK, rOK bool, others int, restart bool) bool 
 	restart = restart || others > 0
 	rebuildR := false
 	if !xOK {
-		out, diag := k.e.forwardDiagnose(k.x)
+		out, diag := k.ForwardDiagnose(k.x)
 		switch out {
 		case checksum.Rejected:
 			st.RejectedCorrections++
@@ -571,10 +640,10 @@ func (g *sumGuard) repair(k *run, xOK, rOK bool, others int, restart bool) bool 
 		repaired++
 	}
 	if rebuildR {
-		if !k.e.verify(k.x) {
+		if !k.Verify(k.x) {
 			return false
 		}
-		k.e.residual(k.r, k.b, k.x)
+		k.Residual(k.r, k.b, k.x)
 		st.RecoveryMVMs++
 		restart = true
 		tr.add(k.i, EvForwardRepair, "reconstructed r = b − A·x")

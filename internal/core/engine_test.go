@@ -23,9 +23,9 @@ func newTestEngine(t *testing.T, weights []checksum.Weight) (*engine, *Stats) {
 	return newEngine(a, m, weights, &opts, &stats), &stats
 }
 
-func fillTracked(v *tracked, f func(i int) float64) {
-	for i := range v.data {
-		v.data[i] = f(i)
+func fillTracked(v *Vec, f func(i int) float64) {
+	for i := range v.Data {
+		v.Data[i] = f(i)
 	}
 }
 
@@ -37,28 +37,28 @@ func TestEngineWrapAndRecompute(t *testing.T) {
 	}
 	v := e.wrap("v", data)
 	sum, _ := e.sums(v, 0)
-	if math.Abs(v.s[0]-sum) > 1e-12 {
-		t.Fatalf("wrap checksum %v vs %v", v.s[0], sum)
+	if math.Abs(v.S[0]-sum) > 1e-12 {
+		t.Fatalf("wrap checksum %v vs %v", v.S[0], sum)
 	}
-	if v.eta[0] <= 0 {
+	if v.Eta[0] <= 0 {
 		t.Fatalf("wrap must set a positive round-off bound")
 	}
-	if !e.verify(v) {
+	if !e.Verify(v) {
 		t.Fatalf("freshly wrapped vector must verify")
 	}
 }
 
 func TestEngineMVMUpdateMatchesDirect(t *testing.T) {
 	e, stats := newTestEngine(t, checksum.Single)
-	src := e.newTracked("src")
+	src := e.NewVec("src")
 	fillTracked(src, func(i int) float64 { return math.Sin(float64(i)) })
-	e.recompute(src)
-	dst := e.newTracked("dst")
-	e.mvm(0, dst, src)
+	e.Reanchor(src)
+	dst := e.NewVec("dst")
+	e.MVM(0, dst, src)
 	// dst's carried checksum must match the directly computed cᵀ(A·src).
 	sum, absSum := e.sums(dst, 0)
-	if !e.tol.ConsistentBound(sum-dst.s[0], e.n, absSum, dst.eta[0]) {
-		t.Fatalf("fault-free MVM left an inconsistency: %v", sum-dst.s[0])
+	if !e.tol.ConsistentBound(sum-dst.S[0], e.n, absSum, dst.Eta[0]) {
+		t.Fatalf("fault-free MVM left an inconsistency: %v", sum-dst.S[0])
 	}
 	if stats.ChecksumUpdates == 0 {
 		t.Fatalf("update not counted")
@@ -67,59 +67,59 @@ func TestEngineMVMUpdateMatchesDirect(t *testing.T) {
 
 func TestEnginePCOPreservesConsistency(t *testing.T) {
 	e, _ := newTestEngine(t, checksum.Single)
-	src := e.newTracked("src")
+	src := e.NewVec("src")
 	fillTracked(src, func(i int) float64 { return 1 / float64(i+1) })
-	e.recompute(src)
-	dst := e.newTracked("dst")
-	if err := e.pco(0, dst, src); err != nil {
+	e.Reanchor(src)
+	dst := e.NewVec("dst")
+	if err := e.PCO(0, dst, src); err != nil {
 		t.Fatal(err)
 	}
-	if !e.verify(dst) {
+	if !e.Verify(dst) {
 		t.Fatalf("fault-free PCO output inconsistent")
 	}
 }
 
 func TestEngineVLOChain(t *testing.T) {
 	e, _ := newTestEngine(t, checksum.Single)
-	x := e.newTracked("x")
-	y := e.newTracked("y")
-	z := e.newTracked("z")
+	x := e.NewVec("x")
+	y := e.NewVec("y")
+	z := e.NewVec("z")
 	fillTracked(x, func(i int) float64 { return float64(i % 3) })
 	fillTracked(y, func(i int) float64 { return float64(i % 7) })
-	e.recompute(x)
-	e.recompute(y)
-	e.axpy(0, y, 2.5, x)
-	e.xpby(0, z, x, -0.5, y)
-	e.axpbyInto(0, z, 1.5, z, 0.25, x)
+	e.Reanchor(x)
+	e.Reanchor(y)
+	e.Axpy(0, y, 2.5, x)
+	e.Xpby(0, z, x, -0.5, y)
+	e.Axpby(0, z, 1.5, z, 0.25, x)
 	e.scaleInto(0, z, 3, z)
-	for _, v := range []*tracked{x, y, z} {
-		if !e.verify(v) {
-			t.Fatalf("%s inconsistent after VLO chain", v.name)
+	for _, v := range []*Vec{x, y, z} {
+		if !e.Verify(v) {
+			t.Fatalf("%s inconsistent after VLO chain", v.Name)
 		}
 	}
 }
 
 func TestEngineVerifyRefreshResetsEta(t *testing.T) {
 	e, _ := newTestEngine(t, checksum.Single)
-	v := e.newTracked("v")
+	v := e.NewVec("v")
 	fillTracked(v, func(i int) float64 { return float64(i) })
-	e.recompute(v)
-	v.eta[0] = 1e10 // simulate accumulated bound growth
-	if !e.verify(v) {
+	e.Reanchor(v)
+	v.Eta[0] = 1e10 // simulate accumulated bound growth
+	if !e.Verify(v) {
 		t.Fatalf("consistent vector failed verification")
 	}
-	if v.eta[0] >= 1e10 {
-		t.Fatalf("verify must refresh the round-off bound, still %v", v.eta[0])
+	if v.Eta[0] >= 1e10 {
+		t.Fatalf("verify must refresh the round-off bound, still %v", v.Eta[0])
 	}
 }
 
 func TestEngineVerifyDetectsCorruption(t *testing.T) {
 	e, stats := newTestEngine(t, checksum.Single)
-	v := e.newTracked("v")
+	v := e.NewVec("v")
 	fillTracked(v, func(i int) float64 { return float64(i) })
-	e.recompute(v)
-	v.data[5] += 1e3
-	if e.verify(v) {
+	e.Reanchor(v)
+	v.Data[5] += 1e3
+	if e.Verify(v) {
 		t.Fatalf("corruption passed verification")
 	}
 	if stats.Detections == 0 {
@@ -137,14 +137,14 @@ func TestInnerCheckLazyMatchesEagerOnSingleError(t *testing.T) {
 		if !eager {
 			e.initLazyDiag()
 		}
-		src := e.newTracked("src")
+		src := e.NewVec("src")
 		fillTracked(src, func(i int) float64 { return math.Cos(float64(i)) })
-		e.recompute(src)
-		q := e.newTracked("q")
-		e.mvm(0, q, src)
+		e.Reanchor(src)
+		q := e.NewVec("q")
+		e.MVM(0, q, src)
 		const pos, mag = 17, 512.0
-		q.data[pos] += mag
-		diag := e.innerCheck(q, src)
+		q.Data[pos] += mag
+		diag := e.InnerCheck(q, src)
 		if diag.Kind != checksum.SingleError {
 			t.Fatalf("eager=%v: diagnosis %v", eager, diag.Kind)
 		}
@@ -152,7 +152,7 @@ func TestInnerCheckLazyMatchesEagerOnSingleError(t *testing.T) {
 			t.Fatalf("eager=%v: located %d, want %d", eager, diag.Pos, pos)
 		}
 		// CorrectSingle already applied inside innerCheck: q is clean.
-		if !e.verify(q) {
+		if !e.Verify(q) {
 			t.Fatalf("eager=%v: correction did not restore consistency", eager)
 		}
 	}
@@ -168,13 +168,13 @@ func TestInnerCheckEscalatesOnDirtyInput(t *testing.T) {
 		if !eager {
 			e.initLazyDiag()
 		}
-		src := e.newTracked("src")
+		src := e.NewVec("src")
 		fillTracked(src, func(i int) float64 { return 1 })
-		e.recompute(src)
-		src.data[9] += 777 // corrupt AFTER the checksum capture: dirty input
-		q := e.newTracked("q")
-		e.mvm(0, q, src)
-		diag := e.innerCheck(q, src)
+		e.Reanchor(src)
+		src.Data[9] += 777 // corrupt AFTER the checksum capture: dirty input
+		q := e.NewVec("q")
+		e.MVM(0, q, src)
+		diag := e.InnerCheck(q, src)
 		if diag.Kind != checksum.MultipleErrors {
 			t.Fatalf("eager=%v: dirty input diagnosed as %v (fake-correction hazard)", eager, diag.Kind)
 		}
@@ -184,14 +184,14 @@ func TestInnerCheckEscalatesOnDirtyInput(t *testing.T) {
 func TestInnerCheckMultipleOutputErrors(t *testing.T) {
 	e, _ := newTestEngine(t, checksum.Single)
 	e.initLazyDiag()
-	src := e.newTracked("src")
+	src := e.NewVec("src")
 	fillTracked(src, func(i int) float64 { return float64(i%4) + 1 })
-	e.recompute(src)
-	q := e.newTracked("q")
-	e.mvm(0, q, src)
-	q.data[3] += 100
-	q.data[40] -= 55
-	if diag := e.innerCheck(q, src); diag.Kind != checksum.MultipleErrors {
+	e.Reanchor(src)
+	q := e.NewVec("q")
+	e.MVM(0, q, src)
+	q.Data[3] += 100
+	q.Data[40] -= 55
+	if diag := e.InnerCheck(q, src); diag.Kind != checksum.MultipleErrors {
 		t.Fatalf("two output errors diagnosed as %v", diag.Kind)
 	}
 }
@@ -213,14 +213,14 @@ func TestEngineLemmaDOption(t *testing.T) {
 	}
 	// Even with the huge d, a fault-free chain stays verifiable thanks to
 	// the η bounds.
-	src := e.newTracked("src")
+	src := e.NewVec("src")
 	fillTracked(src, func(i int) float64 { return math.Sin(float64(i)) })
-	e.recompute(src)
-	dst := e.newTracked("dst")
+	e.Reanchor(src)
+	dst := e.NewVec("dst")
 	for k := 0; k < 20; k++ {
-		e.mvm(0, dst, src)
-		e.axpy(0, src, 0.01, dst)
-		if !e.verify(src) {
+		e.MVM(0, dst, src)
+		e.Axpy(0, src, 0.01, dst)
+		if !e.Verify(src) {
 			t.Fatalf("η bounds failed under LemmaD at step %d", k)
 		}
 	}
@@ -262,41 +262,41 @@ func TestEngineFusedOpsMatchStagewiseReference(t *testing.T) {
 				opts := Options{Pool: pool}
 				opts.normalize()
 				e := newEngine(a, m, weights, &opts, &stats)
-				src := e.newTracked("src")
+				src := e.NewVec("src")
 				fillTracked(src, func(i int) float64 { return math.Sin(float64(3*i)) * math.Exp2(float64(i%30-15)) })
-				e.recompute(src)
-				for k := range src.eta {
-					src.eta[k] = 1e-17 * float64(k+1)
+				e.Reanchor(src)
+				for k := range src.Eta {
+					src.Eta[k] = 1e-17 * float64(k+1)
 				}
 
 				// MVM against MulVec + UpdateMVMBound.
-				dst := e.newTracked("dst")
-				e.mvm(0, dst, src)
+				dst := e.NewVec("dst")
+				e.MVM(0, dst, src)
 				want := make([]float64, n)
-				a.MulVec(want, src.data)
+				a.MulVec(want, src.Data)
 				wantS, wantEta := make([]float64, len(weights)), make([]float64, len(weights))
-				e.encA.UpdateMVMBound(wantS, wantEta, src.data, src.s, src.eta)
-				check := func(what string, got *tracked, data, s, eta []float64) {
+				e.encA.UpdateMVMBound(wantS, wantEta, src.Data, src.S, src.Eta)
+				check := func(what string, got *Vec, data, s, eta []float64) {
 					t.Helper()
 					for i := range data {
-						if bits(got.data[i]) != bits(data[i]) {
-							t.Fatalf("%s %s k=%d workers=%d: data[%d] = %x, reference %x", m.Name(), what, len(weights), workers, i, got.data[i], data[i])
+						if bits(got.Data[i]) != bits(data[i]) {
+							t.Fatalf("%s %s k=%d workers=%d: data[%d] = %x, reference %x", m.Name(), what, len(weights), workers, i, got.Data[i], data[i])
 						}
 					}
 					for k := range s {
-						if bits(got.s[k]) != bits(s[k]) || bits(got.eta[k]) != bits(eta[k]) {
+						if bits(got.S[k]) != bits(s[k]) || bits(got.Eta[k]) != bits(eta[k]) {
 							t.Fatalf("%s %s k=%d workers=%d: slot %d = (%x, %x), reference (%x, %x)",
-								m.Name(), what, len(weights), workers, k, got.s[k], got.eta[k], s[k], eta[k])
+								m.Name(), what, len(weights), workers, k, got.S[k], got.Eta[k], s[k], eta[k])
 						}
 					}
 				}
 				check("mvm", dst, want, wantS, wantEta)
 
 				// PCO against the stage-by-stage chain through fresh buffers.
-				if err := e.pco(0, dst, src); err != nil {
+				if err := e.PCO(0, dst, src); err != nil {
 					t.Fatal(err)
 				}
-				in, inS, inEta := src.data, src.s, src.eta
+				in, inS, inEta := src.Data, src.S, src.Eta
 				for k, st := range e.stages {
 					out := make([]float64, n)
 					if err := st.Apply(out, in); err != nil {
@@ -348,27 +348,27 @@ func TestInnerCorrectionIsExact(t *testing.T) {
 			if lazy {
 				e.initLazyDiag()
 			}
-			p, q := e.newTracked("p"), e.newTracked("q")
+			p, q := e.NewVec("p"), e.NewVec("q")
 			fillTracked(p, func(i int) float64 { return 1 + 0.5*math.Sin(float64(3*i+1)) })
-			e.recompute(p)
-			e.mvm(0, q, p)
-			want := append([]float64(nil), q.data...)
-			s, eta := append([]float64(nil), q.s...), append([]float64(nil), q.eta...)
+			e.Reanchor(p)
+			e.MVM(0, q, p)
+			want := append([]float64(nil), q.Data...)
+			s, eta := append([]float64(nil), q.S...), append([]float64(nil), q.Eta...)
 			located := 0
-			for i := range q.data {
+			for i := range q.Data {
 				for bit := 44; bit <= 62; bit++ {
-					copy(q.data, want)
-					copy(q.s, s)
-					copy(q.eta, eta)
-					q.data[i] = math.Float64frombits(math.Float64bits(want[i]) ^ 1<<bit)
-					if e.innerCheck(q, p).Kind != checksum.SingleError {
+					copy(q.Data, want)
+					copy(q.S, s)
+					copy(q.Eta, eta)
+					q.Data[i] = math.Float64frombits(math.Float64bits(want[i]) ^ 1<<bit)
+					if e.InnerCheck(q, p).Kind != checksum.SingleError {
 						continue
 					}
 					located++
 					for j := range want {
-						if math.Float64bits(q.data[j]) != math.Float64bits(want[j]) {
+						if math.Float64bits(q.Data[j]) != math.Float64bits(want[j]) {
 							t.Fatalf("n=%d lazy=%v: bit %d at %d corrected to q[%d] = %v, fault-free %v",
-								a.Rows, lazy, bit, i, j, q.data[j], want[j])
+								a.Rows, lazy, bit, i, j, q.Data[j], want[j])
 						}
 					}
 				}

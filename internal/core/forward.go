@@ -11,7 +11,7 @@ import "newsum/internal/checksum"
 // corruption, avoiding the checkpoint rollback and its wasted iterations.
 // Rollback remains the fallback for everything localization cannot prove.
 
-// forwardDiagnose re-measures all three checksum relations of v, triages
+// ForwardDiagnose re-measures all three checksum relations of v, triages
 // them (checksum.Triage) and repairs v in place: it re-anchors the
 // checksums on Clean, re-derives them from the data on Reanchored, and on
 // Corrected corrects the located element. It requires the engine to carry
@@ -22,7 +22,7 @@ import "newsum/internal/checksum"
 // relations must hold on the corrected data, otherwise the correction is
 // undone (the fake-correction hazard of §5.2), the outcome is Rejected and
 // the caller rolls back.
-func (e *engine) forwardDiagnose(v *tracked) (checksum.Outcome, checksum.TripleDiagnosis) {
+func (e *engine) ForwardDiagnose(v *Vec) (checksum.Outcome, checksum.TripleDiagnosis) {
 	if len(e.weights) != len(checksum.Triple) {
 		return checksum.Failed, checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 	}
@@ -30,17 +30,17 @@ func (e *engine) forwardDiagnose(v *tracked) (checksum.Outcome, checksum.TripleD
 	for k := range e.weights {
 		sums[k], absSums[k] = e.sums(v, k)
 		e.stats.Verifications++
-		deltas[k], etas[k] = sums[k]-v.s[k], v.eta[k]
+		deltas[k], etas[k] = sums[k]-v.S[k], v.Eta[k]
 	}
 	out, diag := checksum.Triage(deltas, absSums, etas, e.n, e.tol)
 	switch out {
 	case checksum.Clean:
 		for k := range e.weights {
-			checksum.Anchor(v.s, v.eta, k, sums[k], absSums[k], e.n)
+			checksum.Anchor(v.S, v.Eta, k, sums[k], absSums[k], e.n)
 		}
 		return out, diag
 	case checksum.Reanchored:
-		e.recompute(v)
+		e.Reanchor(v)
 		return out, diag
 	case checksum.Failed:
 		return out, diag
@@ -49,18 +49,18 @@ func (e *engine) forwardDiagnose(v *tracked) (checksum.Outcome, checksum.TripleD
 	// magnitude: subtract-then-add is not a bit-exact round-trip when the
 	// correction dwarfs the element, and a rejected repair must leave the
 	// vector exactly as the rollback path expects to find it.
-	orig := v.data[diag.Pos]
-	checksum.CorrectSingle(v.data, diag)
+	orig := v.Data[diag.Pos]
+	checksum.CorrectSingle(v.Data, diag)
 	for k := range e.weights {
 		sums[k], absSums[k] = e.sums(v, k)
 		e.stats.Verifications++
-		if !e.tol.ConsistentBound(sums[k]-v.s[k], e.n, absSums[k], v.eta[k]) {
-			v.data[diag.Pos] = orig
+		if !e.tol.ConsistentBound(sums[k]-v.S[k], e.n, absSums[k], v.Eta[k]) {
+			v.Data[diag.Pos] = orig
 			return checksum.Rejected, checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 		}
 	}
 	for k := range e.weights {
-		checksum.Anchor(v.s, v.eta, k, sums[k], absSums[k], e.n)
+		checksum.Anchor(v.S, v.Eta, k, sums[k], absSums[k], e.n)
 	}
 	e.stats.Corrections++
 	return out, diag

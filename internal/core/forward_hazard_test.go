@@ -198,21 +198,21 @@ func TestForwardDiagnoseRejectsAliasedPair(t *testing.T) {
 	opts := Options{}
 	opts.normalize()
 	e := newEngine(a, nil, checksum.Triple, &opts, &stats)
-	v := e.newTracked("v")
+	v := e.NewVec("v")
 	fillTracked(v, func(i int) float64 { return math.Cos(float64(i)) })
-	e.recompute(v)
+	e.Reanchor(v)
 	const mag = 1e6
-	v.data[4000] += mag
-	v.data[4002] += mag
-	before := [3]float64{v.data[4000], v.data[4001], v.data[4002]}
-	out, _ := e.forwardDiagnose(v)
+	v.Data[4000] += mag
+	v.Data[4002] += mag
+	before := [3]float64{v.Data[4000], v.Data[4001], v.Data[4002]}
+	out, _ := e.ForwardDiagnose(v)
 	if out != checksum.Rejected {
 		t.Fatalf("aliased pair diagnosed as %d, want Rejected (%d)", out, checksum.Rejected)
 	}
-	if v.data[4001] != before[1] {
-		t.Errorf("healthy midpoint element not restored: %g vs %g", v.data[4001], before[1])
+	if v.Data[4001] != before[1] {
+		t.Errorf("healthy midpoint element not restored: %g vs %g", v.Data[4001], before[1])
 	}
-	if v.data[4000] != before[0] || v.data[4002] != before[2] {
+	if v.Data[4000] != before[0] || v.Data[4002] != before[2] {
 		t.Errorf("corrupted elements must be left for the rollback to handle")
 	}
 	if stats.Corrections != 0 {
@@ -231,35 +231,35 @@ func TestWithinDriftRejectsNonFinite(t *testing.T) {
 	opts := Options{}
 	opts.normalize()
 	e := newEngine(a, nil, checksum.Triple, &opts, &stats)
-	v := e.newTracked("v")
+	v := e.NewVec("v")
 	fillTracked(v, func(i int) float64 { return math.Cos(float64(i)) })
-	data := append([]float64(nil), v.data...)
+	data := append([]float64(nil), v.Data...)
 	// reset re-anchors v and pushes δ2, δ3 to ten times their verification
 	// limits, within DriftFactor of them.
 	reset := func() {
-		e.recompute(v)
+		e.Reanchor(v)
 		for k := 1; k < 3; k++ {
 			_, absSum := e.sums(v, k)
-			limit := math.Max(e.tol.Theta*math.Max(absSum, float64(e.n)), checksum.BoundSafety*v.eta[k])
-			v.s[k] -= 10 * limit
+			limit := math.Max(e.tol.Theta*math.Max(absSum, float64(e.n)), checksum.BoundSafety*v.Eta[k])
+			v.S[k] -= 10 * limit
 		}
 	}
-	e.recompute(v)
-	if out, _ := e.forwardDiagnose(v); out != checksum.Clean {
+	e.Reanchor(v)
+	if out, _ := e.ForwardDiagnose(v); out != checksum.Clean {
 		t.Fatalf("zero deltas diagnosed as %d, want Clean (%d)", out, checksum.Clean)
 	}
 	reset()
-	if out, _ := e.forwardDiagnose(v); out != checksum.Reanchored {
+	if out, _ := e.ForwardDiagnose(v); out != checksum.Reanchored {
 		t.Fatalf("drift diagnosed as %d, want Reanchored (%d)", out, checksum.Reanchored)
 	}
 	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		reset()
-		v.s[0] = d
-		if out, _ := e.forwardDiagnose(v); out == checksum.Reanchored || out == checksum.Clean {
+		v.S[0] = d
+		if out, _ := e.ForwardDiagnose(v); out == checksum.Reanchored || out == checksum.Clean {
 			t.Errorf("δ1 from carried checksum %g accepted as drift (outcome %d)", d, out)
 		}
 		for i := range data {
-			if v.data[i] != data[i] {
+			if v.Data[i] != data[i] {
 				t.Fatalf("carried checksum %g changed element %d", d, i)
 			}
 		}

@@ -43,9 +43,9 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	}
 
 	// Arnoldi storage: tracked basis vectors so checksums ride along.
-	v := make([]*tracked, restart+1)
+	v := make([]*Vec, restart+1)
 	for i := range v {
-		v[i] = e.newTracked(fmt.Sprintf("v%d", i))
+		v[i] = e.NewVec(fmt.Sprintf("v%d", i))
 	}
 	h := make([][]float64, restart+1)
 	for i := range h {
@@ -58,10 +58,10 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	// update, sized once for the largest cycle (ISSUE 10: it used to be
 	// allocated inside the restart loop, churning every cycle).
 	y := make([]float64, restart)
-	w := e.newTracked("w")
-	zhat := e.newTracked("zhat")
+	w := e.NewVec("w")
+	zhat := e.NewVec("zhat")
 
-	res.X = x.data
+	res.X = x.Data
 	var relres float64
 	total := 0
 	d := opts.DetectInterval
@@ -69,19 +69,19 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	// finish closes the accounting on every exit path, as run.finish does.
 	finish := func(err error) (Result, error) {
 		res.Residual = relres
-		res.Stats.InjectedErrors = e.injectedCount()
+		res.Stats.InjectedErrors = e.Injected()
 		return res, err
 	}
 
 	store := opts.newStore()
 	saveCheckpoint := func() {
 		store.Save(total,
-			map[string][]float64{"x": x.data}, nil,
-			map[string][]float64{"x": x.s, "x.eta": x.eta})
+			map[string][]float64{"x": x.Data}, nil,
+			map[string][]float64{"x": x.S, "x.Eta": x.Eta})
 		res.Stats.Checkpoints++
 		res.Stats.CheckpointBytes = store.BytesCopied
 		res.Stats.CheckpointStoredBytes = store.BytesStored
-		e.corruptCheckpoint(total, &store)
+		e.Strike(total, &store)
 	}
 	// restoreX rolls the solution back to the last cycle snapshot, charging
 	// one rollback and the cycle's wasted iterations against the budgets.
@@ -94,19 +94,19 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		if !store.HasSnapshot() {
 			// Corruption before the first cycle's snapshot: restart from
 			// the zero iterate, matching the pre-store behavior.
-			vec.Zero(x.data)
-			e.recompute(x)
+			vec.Zero(x.Data)
+			e.Reanchor(x)
 			return true
 		}
 		if _, err := store.Restore(
-			map[string][]float64{"x": x.data}, nil,
-			map[string][]float64{"x": x.s, "x.eta": x.eta}); err != nil {
+			map[string][]float64{"x": x.Data}, nil,
+			map[string][]float64{"x": x.S, "x.Eta": x.Eta}); err != nil {
 			return false
 		}
 		if store.Lossy() {
 			// Quantized restore: re-anchor x's checksums from the perturbed
 			// data before the cycle-start verification sees them.
-			e.recompute(x)
+			e.Reanchor(x)
 			res.Stats.LossyRestores++
 		}
 		return true
@@ -119,7 +119,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		// Cycle start: x is the only live state. Verify it (it was either
 		// freshly verified last cycle or is the initial guess), snapshot
 		// it, and build the residual.
-		if !e.verify(x) {
+		if !e.Verify(x) {
 			// x corrupted between cycles (e.g. a memory fault): restore
 			// the previous snapshot.
 			if !restoreX(0) {
@@ -128,8 +128,8 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		}
 		saveCheckpoint()
 
-		e.residual(w, bT, x)
-		beta := e.norm2(w.data)
+		e.Residual(w, bT, x)
+		beta := e.Norm2(w.Data)
 		relres = beta / normB
 		if relres <= tolRes {
 			res.Converged = true
@@ -145,17 +145,17 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		cycleBad := false
 		for ; k < restart && total < maxIter; k++ {
 			total++
-			if err := e.pco(total-1, zhat, v[k]); err != nil {
+			if err := e.PCO(total-1, zhat, v[k]); err != nil {
 				return finish(err)
 			}
-			e.mvm(total-1, w, zhat)
+			e.MVM(total-1, w, zhat)
 			// Modified Gram–Schmidt: dots are unprotected scalars (§3),
 			// the axpys carry checksums.
 			for i := 0; i <= k; i++ {
-				h[i][k] = e.dot(w.data, v[i].data)
-				e.axpy(total-1, w, -h[i][k], v[i])
+				h[i][k] = e.Dot(w.Data, v[i].Data)
+				e.Axpy(total-1, w, -h[i][k], v[i])
 			}
-			h[k+1][k] = e.norm2(w.data)
+			h[k+1][k] = e.Norm2(w.Data)
 			if h[k+1][k] > 0 {
 				e.scaleInto(total-1, v[k+1], 1/h[k+1][k], w)
 			}
@@ -164,7 +164,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			// in the PCO, MVM or orthogonalization VLOs of the last d
 			// steps has propagated into it.
 			if total%d == 0 || h[k+1][k] == 0 {
-				if !e.verify(v[k+1]) {
+				if !e.Verify(v[k+1]) {
 					cycleBad = true
 					k++
 					break
@@ -212,19 +212,19 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 			}
 			y[i] = s / h[i][i]
 		}
-		vec.Zero(w.data)
-		e.recompute(w)
+		vec.Zero(w.Data)
+		e.Reanchor(w)
 		for j := 0; j < k; j++ {
-			e.axpy(total-1, w, y[j], v[j])
+			e.Axpy(total-1, w, y[j], v[j])
 		}
-		if err := e.pco(total-1, zhat, w); err != nil {
+		if err := e.PCO(total-1, zhat, w); err != nil {
 			return finish(err)
 		}
-		e.axpy(total-1, x, 1, zhat)
+		e.Axpy(total-1, x, 1, zhat)
 
 		// Verify the updated solution; a corrupted update discards the
 		// cycle like any other error.
-		if !e.verify(x) {
+		if !e.Verify(x) {
 			if !restoreX(k) {
 				return finish(rollbackStormErr("GMRES", Basic))
 			}
@@ -233,9 +233,9 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 
 		if relres <= tolRes {
 			// Confirm with the true residual (restart drift).
-			e.mulVec(w.data, x.data)
-			vec.Sub(w.data, bT.data, w.data)
-			relres = e.norm2(w.data) / normB
+			e.mulVec(w.Data, x.Data)
+			vec.Sub(w.Data, bT.Data, w.Data)
+			relres = e.Norm2(w.Data) / normB
 			if relres <= tolRes*10 {
 				res.Converged = true
 				break

@@ -75,13 +75,13 @@ func (o *omv) voteMemory(iter int, site fault.Site, v []float64) {
 	o.stats.Verifications++
 }
 
-// mvm computes q := A·p with traditional-checksum verification. The encoded
+// MVM computes q := A·p with traditional-checksum verification. The encoded
 // checksum (cᵀA)·p is computed inside the cache-fault window, exactly the
 // insidious case of §2: if a cached value of p is corrupted, both the
 // product and the checksum consume it, the relationship verifies, and the
 // error escapes.
-func (o *omv) mvm(iter int, dst, src *tracked) {
-	q, p := dst.data, src.data
+func (o *omv) MVM(iter int, dst, src *Vec) {
+	q, p := dst.Data, src.Data
 	o.voteMemory(iter, fault.SiteMVM, p)
 	restore := o.inj.CacheWindow(iter, fault.SiteMVM, p)
 	o.a.MulVec(q, p)
@@ -168,10 +168,10 @@ func (o *omv) dupCompare(iter int, site fault.Site, dst []float64, op func(out [
 	o.stats.Corrections++
 }
 
-// pco computes z := M⁻¹·r with duplicated execution. Memory faults on r
+// PCO computes z := M⁻¹·r with duplicated execution. Memory faults on r
 // strike before both executions and therefore escape.
-func (o *omv) pco(iter int, dst, src *tracked) error {
-	z, r := dst.data, src.data
+func (o *omv) PCO(iter int, dst, src *Vec) error {
+	z, r := dst.Data, src.Data
 	o.voteMemory(iter, fault.SitePCO, r)
 	// A cached corrupted input feeds both duplicated executions — they
 	// agree, so the error escapes (the coverage hole in Table 3's
@@ -189,31 +189,31 @@ func (o *omv) pco(iter int, dst, src *tracked) error {
 	return applyErr
 }
 
-// axpy computes y := y + alpha·x with duplicated execution.
-func (o *omv) axpy(iter int, y *tracked, alpha float64, x *tracked) {
-	o.voteMemory(iter, fault.SiteVLO, x.data)
+// Axpy computes y := y + alpha·x with duplicated execution.
+func (o *omv) Axpy(iter int, y *Vec, alpha float64, x *Vec) {
+	o.voteMemory(iter, fault.SiteVLO, x.Data)
 	y0 := o.y0
-	copy(y0, y.data)
-	o.dupCompare(iter, fault.SiteVLO, y.data, func(out []float64) {
-		vec.Axpby(out, 1, y0, alpha, x.data)
+	copy(y0, y.Data)
+	o.dupCompare(iter, fault.SiteVLO, y.Data, func(out []float64) {
+		vec.Axpby(out, 1, y0, alpha, x.Data)
 	})
 }
 
-// xpby computes dst := x + beta·y with duplicated execution; dst may alias y.
-func (o *omv) xpby(iter int, dst, x *tracked, beta float64, y *tracked) {
-	y0 := y.data
+// Xpby computes dst := x + beta·y with duplicated execution; dst may alias y.
+func (o *omv) Xpby(iter int, dst, x *Vec, beta float64, y *Vec) {
+	y0 := y.Data
 	if dst == y {
 		y0 = o.y0
-		copy(y0, y.data)
+		copy(y0, y.Data)
 	}
-	o.dupCompare(iter, fault.SiteVLO, dst.data, func(out []float64) {
-		vec.Xpby(out, x.data, beta, y0)
+	o.dupCompare(iter, fault.SiteVLO, dst.Data, func(out []float64) {
+		vec.Xpby(out, x.Data, beta, y0)
 	})
 }
 
-// axpbyInto computes dst := alpha·x + beta·y with duplicated execution.
-func (o *omv) axpbyInto(iter int, dst *tracked, alpha float64, x *tracked, beta float64, y *tracked) {
-	o.dupCompare(iter, fault.SiteVLO, dst.data, func(out []float64) {
-		vec.Axpby(out, alpha, x.data, beta, y.data)
+// Axpby computes dst := alpha·x + beta·y with duplicated execution.
+func (o *omv) Axpby(iter int, dst *Vec, alpha float64, x *Vec, beta float64, y *Vec) {
+	o.dupCompare(iter, fault.SiteVLO, dst.Data, func(out []float64) {
+		vec.Axpby(out, alpha, x.Data, beta, y.Data)
 	})
 }

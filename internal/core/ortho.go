@@ -41,16 +41,15 @@ const residGapTol = 1e-8
 // analogue of checksum re-anchoring.
 type gapGuard struct {
 	noGuard
-	trueR []float64
+	trueR *Vec
 }
 
 // broken measures the residual gap: one full MVM.
 func (g *gapGuard) broken(k *run) bool {
-	k.e.mulVec(g.trueR, k.x.data)
-	vec.Sub(g.trueR, k.b.data, g.trueR)
-	vec.Sub(g.trueR, g.trueR, k.r.data)
+	k.Residual(g.trueR, k.b, k.x)
+	vec.Sub(g.trueR.Data, g.trueR.Data, k.r.Data)
 	k.res.Stats.RecoveryMVMs++
-	if k.norm2(g.trueR)/k.normB <= residGapTol {
+	if k.Norm2(g.trueR.Data)/k.normB <= residGapTol {
 		return false
 	}
 	k.res.Stats.Detections++
@@ -68,7 +67,7 @@ func (g *gapGuard) checkpoint(k *run) bool {
 }
 
 // exit is the final residual-relationship check before accepting.
-func (g *gapGuard) exit(k *run, _ *tracked) status {
+func (g *gapGuard) exit(k *run, _ *Vec) status {
 	if g.broken(k) {
 		return faulted
 	}

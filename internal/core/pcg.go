@@ -34,21 +34,21 @@ func TwoLevelPCG(a *sparse.CSR, m precond.Preconditioner, b []float64, opts Opti
 // set is {p, x} with ρ; r is recomputed as b − A·x.
 type pcg struct {
 	krylov
-	z, q *tracked
+	z, q *Vec
 	rho  float64
 }
 
-func newPCG(e *engine) *pcg {
+func newPCG(be Backend) *pcg {
 	return &pcg{
 		krylov: krylov{
-			p:          e.newTracked("p"),
+			p:          be.NewVec("p"),
 			detectMsg:  "outer-level: checksum(x)/checksum(r) mismatch",
 			snapMsg:    "snapshot {p, x}",
 			rebuiltMsg: "r",
 			restartMsg: "re-projected search direction (CG restart)",
 		},
-		z: e.newTracked("z"),
-		q: e.newTracked("q"),
+		z: be.NewVec("z"),
+		q: be.NewVec("q"),
 	}
 }
 
@@ -63,11 +63,11 @@ func (c *pcg) start(k *run) error              { return c.restart(k) }
 // polluted with checksum-consistent garbage; restarting from the repaired
 // residual preserves convergence at the cost of rebuilding the direction.
 func (c *pcg) restart(k *run) error {
-	if err := k.pco(-1, c.z, k.r); err != nil {
+	if err := k.PCO(-1, c.z, k.r); err != nil {
 		return err
 	}
-	copyTracked(c.p, c.z)
-	c.rho = k.dot(k.r.data, c.z.data)
+	copyVec(c.p, c.z)
+	c.rho = k.Dot(k.r.Data, c.z.Data)
 	return nil
 }
 
@@ -82,16 +82,16 @@ func (c *pcg) step(k *run) (status, error) {
 	return c.iterate(k, k.x, k.r, c.z, c.p, c.q)
 }
 
-func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
+func (c *pcg) iterate(k *run, x, r, z, p, q *Vec) (status, error) {
 	i := k.i
-	k.mvm(i, q, p)
+	k.MVM(i, q, p)
 	// Inner-level protection on the MVM output, then eager detection (if
 	// enabled), which flags a corrupted output the moment it is produced;
 	// recovery is the same rollback.
-	if k.g.inner(k, q, p) || k.e.takeFlag() {
+	if k.g.inner(k, q, p) || k.TakeFlag() {
 		return faulted, nil
 	}
-	pq := k.dot(p.data, q.data)
+	pq := k.Dot(p.Data, q.Data)
 	if k.g.suspect(pq) {
 		return k.scalarFault("pᵀAp = %g", pq), nil
 	}
@@ -99,22 +99,22 @@ func (c *pcg) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
 		return failed, k.breakdown("pᵀAp = 0")
 	}
 	alpha := c.rho / pq
-	k.axpy(i, x, alpha, p)
-	k.axpy(i, r, -alpha, q)
-	if k.e.takeFlag() {
+	k.Axpy(i, x, alpha, p)
+	k.Axpy(i, r, -alpha, q)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
-	if k.advance(k.norm2(r.data)) {
+	if k.advance(k.Norm2(r.Data)) {
 		return k.g.exit(k, r), nil
 	}
-	if err := k.pco(i, z, r); err != nil {
+	if err := k.PCO(i, z, r); err != nil {
 		return failed, err
 	}
-	rhoNew := k.dot(r.data, z.data)
+	rhoNew := k.Dot(r.Data, z.Data)
 	beta := rhoNew / c.rho
-	k.xpby(i, p, z, beta, p)
+	k.Xpby(i, p, z, beta, p)
 	c.rho = rhoNew
-	if k.e.takeFlag() {
+	if k.TakeFlag() {
 		return faulted, nil
 	}
 	return advanced, nil

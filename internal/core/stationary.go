@@ -28,10 +28,10 @@ func BasicJacobi(a *sparse.CSR, b []float64, opts Options) (Result, error) {
 // every vector, and the checkpoint set is just {x}.
 type jacobi struct {
 	krylov
-	w, u *tracked
+	w, u *Vec
 }
 
-func newJacobi(e *engine) recurrence {
+func newJacobi(be Backend) recurrence {
 	return &jacobi{
 		krylov: krylov{
 			xOnly:      true,
@@ -39,8 +39,8 @@ func newJacobi(e *engine) recurrence {
 			snapMsg:    "snapshot {x}",
 			rebuiltMsg: "nothing (r is rebuilt from x every iteration)",
 		},
-		w: e.newTracked("w"),
-		u: e.newTracked("u"),
+		w: be.NewVec("w"),
+		u: be.NewVec("u"),
 	}
 }
 
@@ -55,21 +55,21 @@ func (c *jacobi) step(k *run) (status, error)    { return c.iterate(k, k.x, k.r,
 // iterate tests convergence on the residual of the iterate it was handed,
 // before moving it, so the solve closes on an x whose residual it has seen:
 // the iteration count is the number of x updates.
-func (c *jacobi) iterate(k *run, x, r, w, u *tracked) (status, error) {
+func (c *jacobi) iterate(k *run, x, r, w, u *Vec) (status, error) {
 	i := k.i
-	k.mvm(i, w, x)
-	k.axpbyInto(i, r, 1, k.b, -1, w)
-	if k.e.takeFlag() {
+	k.MVM(i, w, x)
+	k.Axpby(i, r, 1, k.b, -1, w)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
-	if k.observe(k.norm2(r.data)) {
+	if k.observe(k.Norm2(r.Data)) {
 		return k.g.exit(k, r), nil
 	}
-	if err := k.pco(i, u, r); err != nil {
+	if err := k.PCO(i, u, r); err != nil {
 		return failed, err
 	}
-	k.axpy(i, x, 1, u)
-	if k.e.takeFlag() {
+	k.Axpy(i, x, 1, u)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
 	k.i++
@@ -86,16 +86,16 @@ func BasicChebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, 
 	if lmin <= 0 || lmax <= lmin {
 		return Result{}, breakdownErr("Chebyshev", Basic, 0, "need 0 < lmin < lmax")
 	}
-	return solve(methodChebyshev, Basic, a, m, b, opts, func(e *engine) recurrence {
+	return solve(methodChebyshev, Basic, a, m, b, opts, func(be Backend) recurrence {
 		return &chebyshev{
 			krylov: krylov{
-				p:          e.newTracked("p"),
+				p:          be.NewVec("p"),
 				detectMsg:  "outer-level: checksum(x)/checksum(r) mismatch",
 				snapMsg:    "snapshot {p, x}",
 				rebuiltMsg: "r",
 			},
-			z:     e.newTracked("z"),
-			q:     e.newTracked("q"),
+			z:     be.NewVec("z"),
+			q:     be.NewVec("q"),
 			theta: (lmax + lmin) / 2,
 			delta: (lmax - lmin) / 2,
 		}
@@ -106,7 +106,7 @@ func BasicChebyshev(a *sparse.CSR, m precond.Preconditioner, b []float64, lmin, 
 // set is {p, x} with the step length α; r is recomputed as b − A·x.
 type chebyshev struct {
 	krylov
-	z, q         *tracked
+	z, q         *Vec
 	theta, delta float64 // centre and half-width of the spectral interval
 	alpha        float64
 }
@@ -119,33 +119,33 @@ func (c *chebyshev) restart(*run) error              { return nil }
 
 func (c *chebyshev) restored(k *run, _ int, lossy bool) error {
 	if lossy {
-		k.e.recompute(c.p)
+		k.Reanchor(c.p)
 	}
 	return nil
 }
 
 func (c *chebyshev) step(k *run) (status, error) { return c.iterate(k, k.x, k.r, c.z, c.p, c.q) }
 
-func (c *chebyshev) iterate(k *run, x, r, z, p, q *tracked) (status, error) {
+func (c *chebyshev) iterate(k *run, x, r, z, p, q *Vec) (status, error) {
 	i := k.i
-	if err := k.pco(i, z, r); err != nil {
+	if err := k.PCO(i, z, r); err != nil {
 		return failed, err
 	}
 	if i == 0 {
-		copyTracked(p, z)
+		copyVec(p, z)
 		c.alpha = 1 / c.theta
 	} else {
 		beta := (c.delta * c.alpha / 2) * (c.delta * c.alpha / 2)
 		c.alpha = 1 / (c.theta - beta/c.alpha)
-		k.xpby(i, p, z, beta, p)
+		k.Xpby(i, p, z, beta, p)
 	}
-	k.axpy(i, x, c.alpha, p)
-	k.mvm(i, q, p)
-	k.axpy(i, r, -c.alpha, q)
-	if k.e.takeFlag() {
+	k.Axpy(i, x, c.alpha, p)
+	k.MVM(i, q, p)
+	k.Axpy(i, r, -c.alpha, q)
+	if k.TakeFlag() {
 		return faulted, nil
 	}
-	if k.advance(k.norm2(r.data)) {
+	if k.advance(k.Norm2(r.Data)) {
 		return k.g.exit(k, r), nil
 	}
 	return advanced, nil

@@ -158,24 +158,6 @@ func (d *DistMatrix) MulVec(yLocal, xGlobal []float64) {
 	d.Global.MulVecRows(yLocal, xGlobal, d.Lo, d.Hi)
 }
 
-// DistVector is one rank's block of a distributed vector together with its
-// rank-local contribution to the global checksums. The global checksum of
-// the full vector is the all-reduced sum of the local parts — which is why
-// the paper's design can keep all checksum state local and still verify
-// global relationships with one scalar reduction.
-type DistVector struct {
-	Data []float64
-	// S holds this rank's partial checksums Σ_{i∈block} c_k(i)·v_i.
-	S []float64
-}
-
-// NewDistVector allocates a zero block of the given local length with
-// nWeights checksum slots, in one array.
-func NewDistVector(localLen, nWeights int) *DistVector {
-	buf := make([]float64, localLen+nWeights)
-	return &DistVector{Data: buf[:localLen:localLen], S: buf[localLen:]}
-}
-
 // localSums returns one rank's share of a checksum probe: the partial sums
 // Σ c(offset+i)·x_i and Σ|c(offset+i)·x_i| over its block. Every
 // recomputation of a partial checksum in this package goes through it, so
@@ -194,30 +176,18 @@ func localSums(w checksum.Weight, offset int, data []float64) (sum, abs float64)
 	return sum, abs
 }
 
-// LocalChecksums recomputes the rank-local partial checksums of v for the
-// weights, offset by the rank's global row offset.
-func (v *DistVector) LocalChecksums(weights []checksum.Weight, offset int) {
-	for k, w := range weights {
-		v.S[k], _ = localSums(w, offset, v.Data)
-	}
-}
-
-// GlobalDot computes the global inner product of two distributed vectors.
-func GlobalDot(c *Comm, a, b *DistVector) float64 {
-	return c.AllReduceSum(vec.Dot(a.Data, b.Data))
-}
-
-// GlobalNorm2 computes the global Euclidean norm of a distributed vector:
-// √ of the all-reduced u·u inside vec.InNormWindow, as vec.Norm2 takes it.
-// A rank whose squares all underflowed from nonzero data reports NaN for
-// its share, so an all-reduced 0 means every block is zero and the norm is
-// 0 without another collective. Outside the window every rank gathers every
-// rank's dnrm2 (scale, ssq) pair and folds them in rank order, so every
-// rank computes the same scaled norm.
-func GlobalNorm2(c *Comm, a *DistVector) float64 {
-	uu := vec.Dot(a.Data, a.Data)
+// GlobalNorm2 computes the global Euclidean norm of a distributed vector
+// from this rank's block u: √ of the all-reduced u·u inside
+// vec.InNormWindow, as vec.Norm2 takes it. A rank whose squares all
+// underflowed from nonzero data reports NaN for its share, so an
+// all-reduced 0 means every block is zero and the norm is 0 without another
+// collective. Outside the window every rank gathers every rank's dnrm2
+// (scale, ssq) pair and folds them in rank order, so every rank computes
+// the same scaled norm.
+func GlobalNorm2(c *Comm, u []float64) float64 {
+	uu := vec.Dot(u, u)
 	if uu == 0 {
-		if scale, _ := vec.ScaledNorm2(a.Data); scale != 0 {
+		if scale, _ := vec.ScaledNorm2(u); scale != 0 {
 			uu = math.NaN()
 		}
 	}
@@ -225,30 +195,11 @@ func GlobalNorm2(c *Comm, a *DistVector) float64 {
 		return math.Sqrt(uu)
 	}
 	pairs := make([]float64, 2*c.Size())
-	scale, ssq := vec.ScaledNorm2(a.Data)
+	scale, ssq := vec.ScaledNorm2(u)
 	c.AllGather(pairs, []float64{scale, ssq}, 2*c.Rank())
 	scale, ssq = 0, 1
 	for r := 0; r < len(pairs); r += 2 {
 		scale, ssq = vec.CombineNorm2(scale, ssq, pairs[r], pairs[r+1])
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// VerifyGlobal checks the global checksum relationship of v for weight k:
-// it all-reduces the locally recomputed partial weighted sum and the
-// locally carried partial checksum and compares them with the engine
-// tolerance rule. Every rank returns the same verdict. A pass re-anchors
-// the carried partial v.S[k] to the sum just measured — what recomputing it
-// would store, without the second pass over the block; a failure leaves it
-// untouched for diagnosis.
-func VerifyGlobal(c *Comm, v *DistVector, w checksum.Weight, k int, offset, n int, tol checksum.Tol) bool {
-	sum, absSum := localSums(w, offset, v.Data)
-	gSum := c.AllReduceSum(sum)
-	gAbs := c.AllReduceSum(absSum)
-	gS := c.AllReduceSum(v.S[k])
-	if !tol.ConsistentBound(gSum-gS, n, gAbs, 0) {
-		return false
-	}
-	v.S[k] = sum
-	return true
 }

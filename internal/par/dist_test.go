@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"newsum/internal/checksum"
+	"newsum/internal/core"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
@@ -65,11 +66,12 @@ func TestLocalChecksumsSumToGlobal(t *testing.T) {
 	totals := make([]float64, len(weights))
 	for r := 0; r < ranks; r++ {
 		lo, hi := BlockRange(a.Rows, ranks, r)
-		dv := NewDistVector(hi-lo, len(weights))
-		copy(dv.Data, x[lo:hi])
-		dv.LocalChecksums(weights, lo)
+		e := &rankEngine{weights: weights, lo: lo, local: hi - lo}
+		v := e.NewVec("x")
+		copy(v.Data, x[lo:hi])
+		e.Reanchor(v)
 		for k := range totals {
-			totals[k] += dv.S[k]
+			totals[k] += v.S[k]
 		}
 	}
 	for k := range totals {
@@ -89,18 +91,18 @@ func TestVerifyGlobalDetectsCorruption(t *testing.T) {
 	for r := 0; r < ranks; r++ {
 		go func(c *Comm) {
 			lo, hi := BlockRange(n, ranks, c.Rank())
-			dv := NewDistVector(hi-lo, 1)
-			for i := range dv.Data {
-				dv.Data[i] = float64(lo + i)
+			e := &rankEngine{c: c, weights: checksum.Single, lo: lo, local: hi - lo, n: n, stats: &core.Stats{}}
+			v := e.NewVec("v")
+			for i := range v.Data {
+				v.Data[i] = float64(lo + i)
 			}
-			dv.LocalChecksums(checksum.Single, lo)
-			tol := checksum.Tol{}
-			clean := VerifyGlobal(c, dv, checksum.Ones, 0, lo, n, tol)
+			e.Reanchor(v)
+			clean := e.Verify(v)
 			// Corrupt one element on rank 2 only.
 			if c.Rank() == 2 {
-				dv.Data[0] += 1e4
+				v.Data[0] += 1e4
 			}
-			dirty := VerifyGlobal(c, dv, checksum.Ones, 0, lo, n, tol)
+			dirty := e.Verify(v)
 			ch <- out{clean, dirty}
 		}(comms[r])
 	}
@@ -180,9 +182,7 @@ func TestGlobalNorm2OutsideTheWindow(t *testing.T) {
 			for _, cm := range comms {
 				go func(cm *Comm) {
 					lo, hi := BlockRange(n, ranks, cm.Rank())
-					dv := NewDistVector(hi-lo, 0)
-					copy(dv.Data, want[lo:hi])
-					nrm := GlobalNorm2(cm, dv)
+					nrm := GlobalNorm2(cm, want[lo:hi])
 					got <- [2]float64{nrm, float64(cm.Stats().Gathers)}
 				}(cm)
 			}

@@ -1,22 +1,25 @@
 package par
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
 	"math"
+	"sync"
 
+	"newsum/internal/checkpoint"
 	"newsum/internal/checksum"
 	"newsum/internal/core"
 	"newsum/internal/precond"
+	"newsum/internal/solver"
 	"newsum/internal/sparse"
 	"newsum/internal/vec"
 )
 
-// This file is the distributed counterpart of internal/core/engine.go: the
-// per-rank machinery — tracked distributed vectors, instrumented MVM/PCO/VLO
-// operations that carry partial checksums, replicated verification — that
-// the rank driver (drive.go) and its recurrences are written against the
-// way core's are written against *engine.
+// This file is the rank engine: one rank's block of a distributed solve as
+// a backend of core's driver (core.Backend). Every rank runs core's driver,
+// guards and recurrences over its own engine; the engine's reductions and
+// verdicts are all-reduced, so every rank takes every branch at the same
+// iteration and the solver counters are replicated.
 
 // Target selects which state a distributed fault corrupts.
 type Target int
@@ -124,7 +127,8 @@ type Options struct {
 
 // ErrRollbackStorm is wrapped by distributed solves that exhaust their
 // rollback budget — the abort outcome a serving layer treats as retryable.
-var ErrRollbackStorm = errors.New("par: rollback limit exceeded")
+// It is core's sentinel: the rank team runs core's driver.
+var ErrRollbackStorm = core.ErrRollbackStorm
 
 func (o *Options) normalize(n int) {
 	if o.Tol <= 0 {
@@ -152,12 +156,17 @@ func (o *Options) normalize(n int) {
 
 // Result reports a distributed solve's outcome.
 type Result struct {
+	// X is the solution, gathered whole; nil when the solve aborted (a
+	// rollback storm or a hard error) instead of converging or running out
+	// of iterations.
 	X           []float64
 	Iterations  int
 	Converged   bool
 	Residual    float64
 	Rollbacks   int
 	Checkpoints int
+	// Detections counts failed verifications and suspect recurrence
+	// scalars, as core.Stats does.
 	Detections  int
 	Corrections int
 	// WastedIterations sums the iterations each rollback discarded
@@ -187,9 +196,106 @@ type Result struct {
 	Trace []core.TraceEvent
 }
 
+// ABFTPCG runs the basic online ABFT PCG distributed over nranks goroutine
+// ranks with a block-Jacobi ILU(0) preconditioner whose blocks coincide
+// with the rank partition (the PETSc configuration of §6.3). All checksum
+// state and checkpoints are rank-local; verification needs only scalar
+// all-reductions, reproducing the paper's locality argument.
+func ABFTPCG(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error) {
+	return solve(core.MethodPCG, a, b, nranks, opts)
+}
+
+// ABFTBiCGStab runs the online ABFT preconditioned BiCGSTAB distributed over
+// nranks goroutine ranks, with the block ILU(0) of ABFTPCG: two protected
+// MVMs and two PCOs per iteration, a fixed shadow residual that is never
+// checksummed, and an early exit on the intermediate residual s.
+func ABFTBiCGStab(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error) {
+	return solve(core.MethodPBiCGSTAB, a, b, nranks, opts)
+}
+
+// ABFTCR runs the online ABFT conjugate residual method distributed over
+// nranks goroutine ranks, unpreconditioned like its serial core counterpart.
+func ABFTCR(a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error) {
+	return solve(core.MethodCR, a, b, nranks, opts)
+}
+
+// solve runs core's driver on one goroutine rank per block of the
+// nnz-balanced partition and merges the per-rank instrumentation into rank
+// 0's result.
+func solve(method core.Method, a *sparse.CSR, b []float64, nranks int, opts Options) (Result, error) {
+	switch {
+	case a.Rows != a.Cols:
+		return Result{}, fmt.Errorf("par: matrix must be square")
+	case len(b) != a.Rows:
+		return Result{}, fmt.Errorf("par: rhs length %d, want %d", len(b), a.Rows)
+	case nranks < 1 || nranks > a.Rows:
+		return Result{}, fmt.Errorf("par: nranks %d out of range", nranks)
+	}
+	opts.normalize(a.Rows)
+	part := NnzPartition(a, nranks)
+	comms := NewTeamTopology(nranks, opts.Topology)
+	results, errs := make([]Result, nranks), make([]error, nranks)
+	var wg sync.WaitGroup
+	for r := range comms {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			results[rank], errs[rank] = drive(method, comms[rank], a, b, part, opts)
+		}(r)
+	}
+	wg.Wait()
+	res := results[0]
+	for _, o := range results[1:] {
+		res.InjectedFaults += o.InjectedFaults
+		res.CheckpointBytes += o.CheckpointBytes
+		res.Comm.Merge(o.Comm)
+	}
+	return res, cmp.Or(errs...)
+}
+
+// drive is one rank's solve: core's driver over this rank's engine. CR is
+// unpreconditioned; PCG and BiCGStab take the ILU(0) of the rank's block.
+func drive(method core.Method, c *Comm, a *sparse.CSR, b []float64, part Partition, opts Options) (Result, error) {
+	var cres core.Result
+	e, err := newRankEngine(c, a, b, part, &opts, &cres.Stats, method != core.MethodCR)
+	if err != nil {
+		return Result{}, err
+	}
+	copts := core.Options{
+		Options:            solver.Options{Tol: opts.Tol, MaxIter: opts.MaxIter},
+		DetectInterval:     opts.DetectInterval,
+		CheckpointInterval: opts.CheckpointInterval,
+		Theta:              opts.Theta,
+		MaxRollbacks:       opts.MaxRollbacks,
+		ForwardRecovery:    opts.ForwardRecovery,
+	}
+	if c.Rank() == 0 {
+		copts.Trace = &core.Trace{Cap: math.MaxInt}
+	}
+	scheme := core.Basic
+	if opts.TwoLevel {
+		scheme = core.TwoLevel
+	}
+	// PCG snapshots p unverified until the benchmark re-pin that brings η
+	// to par (ROADMAP item 3(ii)).
+	err = core.Drive(method, scheme, e, e.b, &cres, copts, method != core.MethodPCG)
+	st := &cres.Stats
+	res := Result{
+		X: cres.X, Iterations: cres.Iterations, Converged: cres.Converged, Residual: cres.Residual,
+		Rollbacks: st.Rollbacks, Checkpoints: st.Checkpoints, Detections: st.Detections, Corrections: st.Corrections,
+		WastedIterations: st.WastedIterations, ForwardRepairs: st.ForwardRepairs, RollbacksAvoided: st.RollbacksAvoided,
+		IterationsSaved: st.IterationsSaved, RejectedCorrections: st.RejectedCorrections,
+		CheckpointBytes: st.CheckpointBytes, InjectedFaults: st.InjectedErrors, Comm: c.Stats(),
+	}
+	if tr := copts.Trace; tr != nil {
+		res.Trace = tr.Events
+	}
+	return res, err
+}
+
 // rankEngine is one rank's view of a protected distributed solve: its row
 // block, its slice of the encoded checksum rows, its local preconditioner
-// stages, and the instrumented operations the solver loops are built from.
+// stages, and the instrumented operations core's recurrences run on it.
 type rankEngine struct {
 	c      *Comm
 	a      *sparse.CSR
@@ -197,8 +303,8 @@ type rankEngine struct {
 	lo, hi int
 	local  int
 	n      int
-	opts   *Options
-	res    *Result
+	faults []Fault
+	stats  *core.Stats
 
 	weights []checksum.Weight
 	tol     checksum.Tol
@@ -218,13 +324,14 @@ type rankEngine struct {
 	diagWeights []checksum.Weight
 	diagRows    [][]float64
 
-	bL *DistVector
+	b  *core.Vec // this rank's block of the right-hand side
 	xg []float64 // gathered global vector buffer
 
-	fired []bool
-	// curIter/curSeq track the (iteration, MVM-within-iteration) coordinate
-	// faults are addressed by; the driver resets both at every iteration.
-	curIter, curSeq int
+	fired    []bool
+	injected int
+	// iter and seq are the (iteration, MVM within it) coordinate faults are
+	// addressed by: seq counts the protected MVMs since iter began.
+	iter, seq int
 }
 
 // newRankEngine prepares one rank's engine: partition block, local ILU(0)
@@ -233,7 +340,7 @@ type rankEngine struct {
 // matched by every rank, so the constructor runs identically everywhere —
 // including the setup-failure verdict, which is all-reduced so a rank whose
 // factorization fails cannot strand its peers in a collective.
-func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Options, res *Result, withPrecond bool) (*rankEngine, error) {
+func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Options, stats *core.Stats, withPrecond bool) (*rankEngine, error) {
 	lo, hi := part.Range(c.Rank())
 	weights := checksum.Single
 	if opts.ForwardRecovery {
@@ -244,15 +351,15 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 	e := &rankEngine{
 		c: c, a: a, dm: SplitPartition(a, part, c.Rank()),
 		lo: lo, hi: hi, local: hi - lo, n: a.Rows,
-		opts: opts, res: res,
+		faults: opts.Faults, stats: stats,
 		weights: weights,
 		tol:     checksum.Tol{Theta: opts.Theta},
 		dScalar: checksum.PracticalD(a),
 		xg:      make([]float64, a.Rows),
 		fired:   make([]bool, len(opts.Faults)),
+		iter:    -1,
 	}
 	e.lv = vec.NewLeaves(len(e.weights), e.local)
-
 	var setupErr error
 	if withPrecond {
 		// Local block preconditioner: ILU(0) of the diagonal block, exactly
@@ -313,12 +420,25 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 
 	// The rank adopts its block of b, as core's engine adopts b: the solve
 	// only reads it.
-	e.bL = &DistVector{Data: b[lo:hi:hi], S: make([]float64, len(e.weights))}
-	e.bL.LocalChecksums(e.weights, lo)
+	e.b = &core.Vec{Name: "b", Data: b[lo:hi:hi], S: make([]float64, len(e.weights))}
+	e.Reanchor(e.b)
 	return e, nil
 }
 
-func (e *rankEngine) newVec() *DistVector { return NewDistVector(e.local, len(e.weights)) }
+// NewVec allocates a zero block of the rank's length with its partial
+// checksum slots, in one array. It carries no round-off bound.
+func (e *rankEngine) NewVec(name string) *core.Vec {
+	buf := make([]float64, e.local+len(e.weights))
+	return &core.Vec{Name: name, Data: buf[:e.local:e.local], S: buf[e.local:]}
+}
+
+// Reanchor recomputes v's partial checksums from its block: rank-local, no
+// collective.
+func (e *rankEngine) Reanchor(v *core.Vec) {
+	for k, w := range e.weights {
+		v.S[k], _ = localSums(w, e.lo, v.Data)
+	}
+}
 
 // strike applies fault f to v[f.Index] (out of range, -1 included, means
 // v[0]) — the flip/additive arithmetic shared by the output, checksum and
@@ -349,42 +469,19 @@ func strike(f Fault, v []float64) {
 // before a rollback does not re-fire when its iteration re-executes (the
 // paper's scenarios schedule a fixed set of errors).
 func (e *rankEngine) fires(fi int, target Target, iter int) bool {
-	f := &e.opts.Faults[fi]
-	if f.Target != target || f.Iteration != iter || f.Rank != e.c.Rank() || (target != TargetCheckpoint && f.MVM != e.curSeq) || e.fired[fi] {
+	f := &e.faults[fi]
+	if f.Target != target || f.Iteration != iter || f.Rank != e.c.Rank() || (target != TargetCheckpoint && f.MVM != e.seq) || e.fired[fi] {
 		return false
 	}
 	e.fired[fi] = true
-	e.res.InjectedFaults++
+	e.injected++
 	return true
 }
 
-// trace appends one timeline event on rank 0 (see Result.Trace).
-func (e *rankEngine) trace(iter int, kind core.EventKind, format string, args ...any) {
-	if e.c.Rank() != 0 {
-		return
-	}
-	e.res.Trace = append(e.res.Trace, core.TraceEvent{
-		Iteration: iter,
-		Kind:      kind,
-		Detail:    fmt.Sprintf(format, args...),
-	})
-}
+// Injected counts the faults that have fired on this rank.
+func (e *rankEngine) Injected() int { return e.injected }
 
-// detect counts one detection (replicated on every rank) and records it on
-// the team timeline.
-func (e *rankEngine) detect(iter int, format string, args ...any) {
-	e.res.Detections++
-	e.trace(iter, core.EvDetection, format, args...)
-}
-
-// mvmClean computes the local block of dst = A·src with no instrumentation
-// and no checksum update — the recovery and setup paths use it.
-func (e *rankEngine) mvmClean(dst, src *DistVector) {
-	e.c.AllGather(e.xg, src.Data, e.lo)
-	e.dm.MulVec(dst.Data, e.xg)
-}
-
-// mvm is the protected distributed MVM: gather, local multiply, scheduled
+// MVM is the protected distributed MVM: gather, local multiply, scheduled
 // fault injection, then the partial Eq. (2) checksum update — this rank's
 // slice of checksum(A) against its own block of the (clean) input, plus d
 // times the carried partial input checksum. The partials sum to the global
@@ -392,11 +489,14 @@ func (e *rankEngine) mvmClean(dst, src *DistVector) {
 // row reductions ride the product's own sweep (sparse.CSR.MulVecDotAbs over
 // the rank's rows, leaves numbered from its first row): they read the
 // gathered copy of src's block, and an output fault touches dst alone.
-func (e *rankEngine) mvm(dst, src *DistVector) {
+func (e *rankEngine) MVM(iter int, dst, src *core.Vec) {
+	if iter != e.iter {
+		e.iter, e.seq = iter, 0
+	}
 	e.c.AllGather(e.xg, src.Data, e.lo)
 	e.a.MulVecDotAbs(dst.Data, e.xg, e.rowAs, e.lv, e.lo, e.lo, e.hi)
-	for fi, f := range e.opts.Faults {
-		if e.fires(fi, TargetOutput, e.curIter) {
+	for fi, f := range e.faults {
+		if e.fires(fi, TargetOutput, iter) {
 			strike(f, dst.Data)
 		}
 	}
@@ -407,35 +507,45 @@ func (e *rankEngine) mvm(dst, src *DistVector) {
 	// A checksum strike corrupts the carried partial checksum after the
 	// update: the data stays clean, the protection breaks — the false
 	// positive the verifier must charge a rollback for.
-	for fi, f := range e.opts.Faults {
-		if e.fires(fi, TargetChecksum, e.curIter) {
+	for fi, f := range e.faults {
+		if e.fires(fi, TargetChecksum, iter) {
 			strike(f, dst.S[:1]) // the first weight's, whatever the index
 		}
 	}
-	e.curSeq++
+	e.seq++
 }
 
-// mvmFresh computes dst = A·src with directly recomputed checksums — the
+// mulClean computes the local block of dst = A·src with no instrumentation
+// and no checksum update.
+func (e *rankEngine) mulClean(dst, src []float64) {
+	e.c.AllGather(e.xg, src, e.lo)
+	e.dm.MulVec(dst, e.xg)
+}
+
+// MulClean computes dst = A·src with directly recomputed checksums — the
 // recovery path, which must not consume fault strikes.
-func (e *rankEngine) mvmFresh(dst, src *DistVector) {
-	e.mvmClean(dst, src)
-	dst.LocalChecksums(e.weights, e.lo)
+func (e *rankEngine) MulClean(dst, src *core.Vec) {
+	e.mulClean(dst.Data, src.Data)
+	e.Reanchor(dst)
 }
 
-// residualFresh recomputes r = b − A·x with fresh local checksums.
-func (e *rankEngine) residualFresh(r, x *DistVector) {
-	e.mvmClean(r, x)
-	vec.Sub(r.Data, e.bL.Data, r.Data)
-	r.LocalChecksums(e.weights, e.lo)
+// Residual recomputes r = b − A·x with fresh local checksums. A rollback
+// rebuilds r before its iteration runs again, so the fault clock restarts:
+// the re-run's first MVM is MVM 0 again.
+func (e *rankEngine) Residual(r, b, x *core.Vec) {
+	e.mulClean(r.Data, x.Data)
+	vec.Sub(r.Data, b.Data, r.Data)
+	e.Reanchor(r)
+	e.iter = -1
 }
 
-// pco applies the local block preconditioner stage by stage, carrying the
+// PCO applies the local block preconditioner stage by stage, carrying the
 // partial checksum through each solve with Eq. (4) as core's engine does:
 // the rank's ILU(0) is two solve stages, and a solve may run in place, so
 // every stage writes straight into dst — the fold carries dst.S in place —
 // with its row reductions taken inside its own sweep. With no stages it is
-// the identity. dst must not alias src.
-func (e *rankEngine) pco(dst, src *DistVector) error {
+// the identity. dst must not alias src. No fault targets it.
+func (e *rankEngine) PCO(_ int, dst, src *core.Vec) error {
 	in, inS := src.Data, src.S
 	for k, st := range e.stages {
 		enc := e.encStg[k]
@@ -455,68 +565,117 @@ func (e *rankEngine) pco(dst, src *DistVector) error {
 	return nil
 }
 
+// PrecondClean applies the block preconditioner with fresh checksums.
+func (e *rankEngine) PrecondClean(dst, src *core.Vec) error {
+	if err := e.PCO(-1, dst, src); err != nil {
+		return err
+	}
+	e.Reanchor(dst)
+	return nil
+}
+
 // The VLO family updates data and carried checksums together (Eq. 3).
 
-func (e *rankEngine) axpy(y *DistVector, alpha float64, x *DistVector) {
+func (e *rankEngine) Axpy(_ int, y *core.Vec, alpha float64, x *core.Vec) {
 	vec.Axpy(y.Data, alpha, x.Data)
 	checksum.UpdateVLOAxpy(y.S, alpha, x.S)
 }
 
-func (e *rankEngine) xpby(dst, x *DistVector, beta float64, y *DistVector) {
+func (e *rankEngine) Xpby(_ int, dst, x *core.Vec, beta float64, y *core.Vec) {
 	vec.Xpby(dst.Data, x.Data, beta, y.Data)
 	checksum.UpdateVLOAxpby(dst.S, 1, x.S, beta, y.S)
 }
 
-func (e *rankEngine) axpbyInto(dst *DistVector, alpha float64, x *DistVector, beta float64, y *DistVector) {
+func (e *rankEngine) Axpby(_ int, dst *core.Vec, alpha float64, x *core.Vec, beta float64, y *core.Vec) {
 	vec.Axpby(dst.Data, alpha, x.Data, beta, y.Data)
 	checksum.UpdateVLOAxpby(dst.S, alpha, x.S, beta, y.S)
 }
 
-func copyDist(dst, src *DistVector) {
-	copy(dst.Data, src.Data)
-	copy(dst.S, src.S)
+// Dot is the global inner product of two blocks: one scalar all-reduce.
+func (e *rankEngine) Dot(u, v []float64) float64 { return e.c.AllReduceSum(vec.Dot(u, v)) }
+
+// Norm2 is the global Euclidean norm of a block (GlobalNorm2).
+func (e *rankEngine) Norm2(u []float64) float64 { return GlobalNorm2(e.c, u) }
+
+// TakeFlag is always false: the rank engine has no eager mode.
+func (e *rankEngine) TakeFlag() bool { return false }
+
+// Strike fires the checkpoint strikes scheduled against this rank at iter:
+// every snapshotted vector in sorted-name order (Strike's visit order), so
+// the corruption is deterministic and lands in the stored payload, dormant
+// until a rollback restores it.
+func (e *rankEngine) Strike(iter int, store *checkpoint.Store) {
+	for fi, f := range e.faults {
+		if e.fires(fi, TargetCheckpoint, iter) {
+			store.Strike(func(_ string, buf []float64) { strike(f, buf) })
+		}
+	}
 }
 
-func (e *rankEngine) dot(a, b *DistVector) float64 { return GlobalDot(e.c, a, b) }
-
-// dotRaw is the global inner product of a plain local block (BiCGStab's
-// fixed shadow residual) with a distributed vector.
-func (e *rankEngine) dotRaw(a []float64, b *DistVector) float64 {
-	return e.c.AllReduceSum(vec.Dot(a, b.Data))
+// Gather assembles x whole on every rank: into a fresh slice on rank 0,
+// whose result is the team's, into the gather scratch elsewhere.
+func (e *rankEngine) Gather(x *core.Vec) []float64 {
+	g := e.xg
+	if e.c.Rank() == 0 {
+		g = make([]float64, e.n)
+	}
+	e.c.AllGather(g, x.Data, e.lo)
+	return g
 }
 
-func (e *rankEngine) norm2(a *DistVector) float64 { return GlobalNorm2(e.c, a) }
+// globalSums all-reduces the weight-k checksum probe of v: the global
+// weighted sum, its absolute-value companion for the threshold, and the
+// global carried checksum.
+func (e *rankEngine) globalSums(v *core.Vec, k int) (gSum, gAbs, gS float64) {
+	sum, abs := localSums(e.weights[k], e.lo, v.Data)
+	return e.c.AllReduceSum(sum), e.c.AllReduceSum(abs), e.c.AllReduceSum(v.S[k])
+}
 
-// verify checks the global checksum relationship of v. Every rank returns
-// the same verdict because the reductions are replicated-deterministic. A
-// passing verdict re-anchors the carried checksums to the verified data, so
-// recurrence round-off cannot accumulate into a false positive over a long
-// solve; a failing verdict leaves the checksums untouched for diagnosis.
-func (e *rankEngine) verify(v *DistVector) bool {
-	if !VerifyGlobal(e.c, v, e.weights[0], 0, e.lo, e.n, e.tol) {
+// check tests the global first checksum relation of v with no round-off
+// bound (par carries none). Every rank returns the same verdict because the
+// reductions are replicated-deterministic. A pass re-anchors the carried
+// checksums to the verified data, so recurrence round-off cannot accumulate
+// into a false positive over a long solve; a failure leaves them untouched
+// for diagnosis.
+func (e *rankEngine) check(v *core.Vec) bool {
+	sum, abs := localSums(e.weights[0], e.lo, v.Data)
+	gSum, gAbs, gS := e.c.AllReduceSum(sum), e.c.AllReduceSum(abs), e.c.AllReduceSum(v.S[0])
+	if !e.tol.ConsistentBound(gSum-gS, e.n, gAbs, 0) {
 		return false
 	}
+	v.S[0] = sum
 	for k := 1; k < len(e.weights); k++ {
 		v.S[k], _ = localSums(e.weights[k], e.lo, v.Data)
 	}
 	return true
 }
 
-// innerCheck is the distributed two-level inner level run after a protected
+// Verify is check, counted.
+func (e *rankEngine) Verify(v *core.Vec) bool {
+	e.stats.Verifications++
+	if e.check(v) {
+		return true
+	}
+	e.stats.Detections++
+	return false
+}
+
+// InnerCheck is the distributed two-level inner level run after a protected
 // MVM out = A·in: global δ1 probe on out, input-purity check on in, lazy
-// δ2/δ3 evaluation, in-place correction by the owner rank. Returns false
-// when a rollback is required. Every rank returns the same verdict.
-func (e *rankEngine) innerCheck(out, in *DistVector) bool {
+// δ2/δ3 evaluation, in-place correction by the owner rank. Every rank
+// returns the same diagnosis.
+func (e *rankEngine) InnerCheck(out, in *core.Vec) checksum.TripleDiagnosis {
+	e.stats.Verifications++
 	gSum, gAbs, gS := e.globalSums(out, 0)
 	d1 := gSum - gS
 	if e.tol.ConsistentBound(d1, e.n, gAbs, 0) {
-		return true
+		return checksum.TripleDiagnosis{Kind: checksum.NoError}
 	}
-	e.detect(e.curIter, "inner-level: MVM output checksum inconsistency")
+	e.stats.Detections++
 	// Input purity: a carried inconsistency in the input mimics a single
 	// output error; only a clean input makes the signature trustworthy.
-	if !e.verify(in) {
-		return false
+	if !e.check(in) {
+		return checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 	}
 	deltas := [3]float64{d1}
 	absSums := [3]float64{gAbs}
@@ -527,16 +686,15 @@ func (e *rankEngine) innerCheck(out, in *DistVector) bool {
 	}
 	diag := checksum.Diagnose(deltas[:], e.n, absSums[:], e.tol)
 	if diag.Kind != checksum.SingleError {
-		return false
+		return diag
 	}
-	// The owner recomputes the located element from the gathered input mvm
+	// The owner recomputes the located element from the gathered input MVM
 	// left in e.xg, verified clean above: exact, where subtracting the
 	// estimated magnitude leaves the estimate's round-off behind.
 	if pos := diag.Pos; pos >= e.lo && pos < e.hi {
 		e.a.MulVecRows(out.Data[pos-e.lo:pos-e.lo+1], e.xg, pos, pos+1)
 	}
-	e.res.Corrections++
-	e.trace(e.curIter, core.EvCorrection, "inner-level: corrected element %d", diag.Pos)
+	e.stats.Corrections++
 	e.c.Barrier() // correction visible before anyone reads out
-	return true
+	return diag
 }

@@ -19,7 +19,10 @@ import (
 // trace kinds, for the three solvers at 1 and 3 ranks, against a table
 // recorded from the commit before the solvers shared one rank driver
 // (testdata/exit_paths.golden; -update rewrites it and is only honest on a
-// tree whose control flow is trusted).
+// tree whose control flow is trusted). It was re-recorded once, when every
+// rank began running core's driver, in the fields where core's bookkeeping
+// differed: error text, detections under the forward tier, CR's x0 exit and
+// its two-level iteration clock.
 func TestExitPathsMatchRecordedParent(t *testing.T) {
 	a := sparse.Laplacian2D(16, 16)
 	b := make([]float64, a.Rows)

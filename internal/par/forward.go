@@ -1,16 +1,11 @@
 package par
 
-import "newsum/internal/checksum"
+import (
+	"newsum/internal/checksum"
+	"newsum/internal/core"
+)
 
-// globalSums all-reduces the weight-k checksum probe of v: the global
-// weighted sum, its absolute-value companion for the threshold, and the
-// global carried checksum.
-func (e *rankEngine) globalSums(v *DistVector, k int) (gSum, gAbs, gS float64) {
-	sum, abs := localSums(e.weights[k], e.lo, v.Data)
-	return e.c.AllReduceSum(sum), e.c.AllReduceSum(abs), e.c.AllReduceSum(v.S[k])
-}
-
-// forwardDiagnose re-measures all three checksum relations of v through
+// ForwardDiagnose re-measures all three checksum relations of v through
 // all-reduces, triages them (checksum.Triage, with no η: par carries none)
 // and repairs v in place; see core/forward.go. It requires the Triple
 // weight set (Options.ForwardRecovery arranges that); with any other weight
@@ -18,7 +13,7 @@ func (e *rankEngine) globalSums(v *DistVector, k int) (gSum, gAbs, gS float64) {
 // derives from all-reduced values, so it is replicated. The owner rank
 // applies (and, on a failed confirmation, reverts) the correction; the
 // barrier after each write keeps the team's view coherent.
-func (e *rankEngine) forwardDiagnose(v *DistVector) (checksum.Outcome, checksum.TripleDiagnosis) {
+func (e *rankEngine) ForwardDiagnose(v *core.Vec) (checksum.Outcome, checksum.TripleDiagnosis) {
 	if len(e.weights) != len(checksum.Triple) {
 		return checksum.Failed, checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 	}
@@ -30,7 +25,7 @@ func (e *rankEngine) forwardDiagnose(v *DistVector) (checksum.Outcome, checksum.
 	out, diag := checksum.Triage(deltas, absSums, [3]float64{}, e.n, e.tol)
 	switch out {
 	case checksum.Clean, checksum.Reanchored:
-		v.LocalChecksums(e.weights, e.lo)
+		e.Reanchor(v)
 		return out, diag
 	case checksum.Failed:
 		return out, diag
@@ -54,7 +49,7 @@ func (e *rankEngine) forwardDiagnose(v *DistVector) (checksum.Outcome, checksum.
 			return checksum.Rejected, checksum.TripleDiagnosis{Kind: checksum.MultipleErrors}
 		}
 	}
-	v.LocalChecksums(e.weights, e.lo)
-	e.res.Corrections++
+	e.Reanchor(v)
+	e.stats.Corrections++
 	return out, diag
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"newsum/internal/checksum"
+	"newsum/internal/core"
 	"newsum/internal/vec"
 )
 
@@ -106,14 +107,14 @@ func TestForwardCampaignParCR(t *testing.T) {
 }
 
 // TestWithinDriftRejectsNonFinite pins the distributed amplified-drift
-// screen, as par reaches it through forwardDiagnose with no η, against a
+// screen, as par reaches it through ForwardDiagnose with no η, against a
 // NaN or infinite δ: δ2 and δ3 sit broken but inside the drift window, so
 // the non-finite δ1 alone must keep an overflowed burst from being
 // re-anchored over.
 func TestWithinDriftRejectsNonFinite(t *testing.T) {
 	const n = 64
-	e := &rankEngine{c: NewTeam(1)[0], weights: checksum.Triple, n: n, hi: n, res: &Result{}}
-	v := NewDistVector(n, len(e.weights))
+	e := &rankEngine{c: NewTeam(1)[0], weights: checksum.Triple, n: n, hi: n, local: n, stats: &core.Stats{}}
+	v := e.NewVec("v")
 	for i := range v.Data {
 		v.Data[i] = math.Cos(float64(i))
 	}
@@ -121,24 +122,24 @@ func TestWithinDriftRejectsNonFinite(t *testing.T) {
 	// reset re-anchors v and pushes δ2, δ3 to ten times their verification
 	// limits, within DriftFactor of them.
 	reset := func() {
-		v.LocalChecksums(e.weights, e.lo)
+		e.Reanchor(v)
 		for k := 1; k < 3; k++ {
 			_, absSum := localSums(e.weights[k], e.lo, v.Data)
 			v.S[k] -= 10 * checksum.DefaultTheta * math.Max(absSum, n)
 		}
 	}
-	v.LocalChecksums(e.weights, e.lo)
-	if out, _ := e.forwardDiagnose(v); out != checksum.Clean {
+	e.Reanchor(v)
+	if out, _ := e.ForwardDiagnose(v); out != checksum.Clean {
 		t.Fatalf("zero deltas diagnosed as %d, want Clean (%d)", out, checksum.Clean)
 	}
 	reset()
-	if out, _ := e.forwardDiagnose(v); out != checksum.Reanchored {
+	if out, _ := e.ForwardDiagnose(v); out != checksum.Reanchored {
 		t.Fatalf("drift diagnosed as %d, want Reanchored (%d)", out, checksum.Reanchored)
 	}
 	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		reset()
 		v.S[0] = d
-		if out, _ := e.forwardDiagnose(v); out == checksum.Reanchored || out == checksum.Clean {
+		if out, _ := e.ForwardDiagnose(v); out == checksum.Reanchored || out == checksum.Clean {
 			t.Errorf("δ1 from carried checksum %g accepted as drift (outcome %d)", d, out)
 		}
 		for i := range data {
@@ -147,7 +148,7 @@ func TestWithinDriftRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
-	if e.res.Corrections != 0 {
+	if e.stats.Corrections != 0 {
 		t.Errorf("non-finite δ counted as a correction")
 	}
 }

@@ -19,7 +19,9 @@ import (
 // rewrites it and is only honest on a tree whose arithmetic is trusted).
 // The twolevel rows were re-recorded when the owner rank began recomputing
 // a located element instead of subtracting its estimated error: each must
-// end with its clean row's solution and residual, bit for bit.
+// end with its clean row's solution and residual, bit for bit. The
+// cr/forward rows' det went 1 → 2 when every rank began running core's
+// driver, which counts each failed verification; no other field moved.
 func TestSolversMatchRecordedParent(t *testing.T) {
 	a := sparse.Laplacian2D(12, 9)
 	b := make([]float64, a.Rows)
