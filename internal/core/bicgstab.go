@@ -133,7 +133,7 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *Vec) (status, e
 		return failed, err
 	}
 	k.MVM(i, v, phat)
-	if k.g.inner(k, v, phat) || k.TakeFlag() {
+	if k.g.inner(k, i, v, phat) || k.TakeFlag() {
 		return faulted, nil
 	}
 	rhatV := k.Dot(c.rhat, v.Data)
@@ -156,7 +156,7 @@ func (c *bicgstab) iterate(k *run, x, r, p, v, s, t, phat, shat *Vec) (status, e
 		return failed, err
 	}
 	k.MVM(i, t, shat)
-	if k.g.inner(k, t, shat) || k.TakeFlag() {
+	if k.g.inner(k, i, t, shat) || k.TakeFlag() {
 		return faulted, nil
 	}
 	tt := k.Dot(t.Data, t.Data)

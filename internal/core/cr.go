@@ -106,7 +106,7 @@ func (c *cr) iterate(k *run, x, r, p, ar, ap *Vec) (status, error) {
 		return k.g.exit(k, r), nil
 	}
 	k.MVM(i, ar, r)
-	if k.g.inner(k, ar, r) {
+	if k.g.inner(k, i, ar, r) {
 		return faulted, nil
 	}
 	rArNew := k.Dot(r.Data, ar.Data)

@@ -141,8 +141,8 @@ type guard interface {
 	// checkpoint runs every CheckpointInterval iterations, on state the
 	// boundary just accepted; it snapshots if the policy keeps snapshots.
 	checkpoint(k *run) bool
-	// inner runs on each MVM output; true means roll back.
-	inner(k *run, q, src *Vec) bool
+	// inner runs on the output of iteration i's MVM; true means roll back.
+	inner(k *run, i int, q, src *Vec) bool
 	// suspect reports whether a recurrence scalar must be treated as a
 	// propagated fault (see SuspectScalar).
 	suspect(x float64) bool
@@ -469,12 +469,12 @@ func (k *run) rollback() bool {
 // lives entirely inside its operations.
 type noGuard struct{}
 
-func (noGuard) boundary(*run) bool          { return true }
-func (noGuard) checkpoint(*run) bool        { return true }
-func (noGuard) inner(*run, *Vec, *Vec) bool { return false }
-func (noGuard) suspect(float64) bool        { return false }
-func (noGuard) exit(*run, *Vec) status      { return converged }
-func (noGuard) keepsResidual() bool         { return false }
+func (noGuard) boundary(*run) bool               { return true }
+func (noGuard) checkpoint(*run) bool             { return true }
+func (noGuard) inner(*run, int, *Vec, *Vec) bool { return false }
+func (noGuard) suspect(float64) bool             { return false }
+func (noGuard) exit(*run, *Vec) status           { return converged }
+func (noGuard) keepsResidual() bool              { return false }
 
 // sumGuard is the paper's policy: the new-sum checksums the engine carries
 // are verified lazily at the outer level (Algorithm 1), optionally probed
@@ -534,17 +534,20 @@ func (g *sumGuard) checkpoint(k *run) bool {
 
 // inner is the inner-level protection of the two-level scheme (Algorithm 2
 // lines 16–27): one-checksum probe, triple-checksum diagnosis, immediate
-// correction of single errors, immediate rollback on multiple errors.
-func (g *sumGuard) inner(k *run, q, src *Vec) bool {
+// correction of single errors, immediate rollback on multiple errors. Its
+// events are stamped with i, the iteration whose MVM produced q (CR runs
+// its MVM after advancing the driver's clock); a rollback it triggers
+// keeps the driver's clock.
+func (g *sumGuard) inner(k *run, i int, q, src *Vec) bool {
 	if !g.twoLevel {
 		return false
 	}
 	diag := k.InnerCheck(q, src)
 	switch diag.Kind {
 	case checksum.SingleError:
-		k.opts.Trace.add(k.i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.Name, diag.Pos, diag.Magnitude)
+		k.opts.Trace.add(i, EvCorrection, "inner-level: %s[%d] -= %.6g", q.Name, diag.Pos, diag.Magnitude)
 	case checksum.MultipleErrors:
-		k.opts.Trace.add(k.i, EvDetection, "inner-level: multiple errors in MVM output")
+		k.opts.Trace.add(i, EvDetection, "inner-level: multiple errors in MVM output")
 		return true
 	}
 	return false

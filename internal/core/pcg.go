@@ -88,7 +88,7 @@ func (c *pcg) iterate(k *run, x, r, z, p, q *Vec) (status, error) {
 	// Inner-level protection on the MVM output, then eager detection (if
 	// enabled), which flags a corrupted output the moment it is produced;
 	// recovery is the same rollback.
-	if k.g.inner(k, q, p) || k.TakeFlag() {
+	if k.g.inner(k, i, q, p) || k.TakeFlag() {
 		return faulted, nil
 	}
 	pq := k.Dot(p.Data, q.Data)

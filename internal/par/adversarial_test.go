@@ -196,3 +196,43 @@ func TestResultTraceFaultFree(t *testing.T) {
 		}
 	}
 }
+
+// TestInnerEventsCarryTheStruckIteration: under two-level protection the
+// inner check's event is stamped with the iteration whose MVM was struck,
+// for every method — CR included, whose MVM runs after the driver's clock
+// has advanced — so a latency read off the timeline is the strike-to-alarm
+// distance. One struck element is corrected in place; two are a detection,
+// and the rollback that follows keeps the driver's clock.
+func TestInnerEventsCarryTheStruckIteration(t *testing.T) {
+	a, b := campaignSystem(t)
+	const iter = 5
+	for name, solve := range map[string]func(Options) (Result, error){
+		"pcg":      func(o Options) (Result, error) { return ABFTPCG(a, b, 2, o) },
+		"bicgstab": func(o Options) (Result, error) { return ABFTBiCGStab(a, b, 2, o) },
+		"cr":       func(o Options) (Result, error) { return ABFTCR(a, b, 2, o) },
+	} {
+		for _, tc := range []struct {
+			strikes int
+			kind    core.EventKind
+		}{{1, core.EvCorrection}, {2, core.EvDetection}} {
+			faults := make([]Fault, tc.strikes)
+			for k := range faults {
+				faults[k] = Fault{Iteration: iter, Rank: 1, Index: 2 + 3*k}
+			}
+			res, err := solve(Options{Tol: 1e-10, TwoLevel: true, Faults: faults})
+			if err != nil || !res.Converged {
+				t.Fatalf("%s, %d strikes: converged %v, %v", name, tc.strikes, res.Converged, err)
+			}
+			at := -1
+			for _, ev := range res.Trace {
+				if ev.Kind == tc.kind {
+					at = ev.Iteration
+					break
+				}
+			}
+			if at != iter {
+				t.Errorf("%s, %d strikes at iteration %d: first %v at %d", name, tc.strikes, iter, tc.kind, at)
+			}
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"newsum/internal/precond"
 	"newsum/internal/sparse"
 )
 
@@ -20,18 +21,17 @@ func rankSolveMallocs(t *testing.T, solve func(Options) (Result, error), opts Op
 	t.Helper()
 	opts.Tol = 1e-300
 	opts.CheckpointInterval = 1 << 20
-	var before, after runtime.MemStats
 	best := [2]uint64{^uint64(0), ^uint64(0)}
 	for run := 0; run < 50; run++ {
 		arm := run % 2
 		opts.MaxIter = 20 * (1 + arm)
-		runtime.ReadMemStats(&before)
-		res, err := solve(opts)
-		runtime.ReadMemStats(&after)
+		var res Result
+		var err error
+		mallocs, _ := heapCost(func() { res, err = solve(opts) })
 		if res.Iterations != opts.MaxIter || res.Detections != 0 || res.Converged {
 			t.Fatalf("measured solve: %d iterations, %d detections, converged %v (%v); want %d fault-free", res.Iterations, res.Detections, res.Converged, err, opts.MaxIter)
 		}
-		best[arm] = min(best[arm], after.Mallocs-before.Mallocs)
+		best[arm] = min(best[arm], mallocs)
 	}
 	return best[0], best[1]
 }
@@ -71,5 +71,70 @@ func TestRankIterationZeroAllocs(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// heapCost is what f allocates on the heap: mallocs and bytes.
+func heapCost(f func()) (mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRepeatSolveAllocatesNoFactor pins what a repeat solve allocates once
+// its operator's first solve has admitted every rank's ILU(0) stages,
+// schedules and encoded stage rows to the memo: exactly the mallocs below
+// (the fewest of 25 repeats of a fault-free ABFTPCG capped at 20
+// iterations, for the reason rankSolveMallocs gives), and fewer bytes than
+// the first solve by at least the rank factors, which the repeat no longer
+// builds (the first builds each twice, for its admission).
+func TestRepeatSolveAllocatesNoFactor(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow state allocates on its own")
+	}
+	a0 := sparse.Laplacian2D(40, 40)
+	b := make([]float64, a0.Rows)
+	for i := range b {
+		b[i] = 1 + float64(i%7)
+	}
+	opts := Options{Tol: 1e-300, MaxIter: 20, CheckpointInterval: 1 << 20}
+	for _, tc := range []struct {
+		ranks   int
+		mallocs uint64
+	}{{1, 70}, {2, 136}} {
+		t.Run(fmt.Sprintf("r%d", tc.ranks), func(t *testing.T) {
+			part := NnzPartition(a0, tc.ranks)
+			var factors uint64
+			for r := range tc.ranks {
+				lo, hi := part.Range(r)
+				_, n := heapCost(func() {
+					if _, err := precond.ILU0Block(a0, lo, hi); err != nil {
+						t.Fatal(err)
+					}
+				})
+				factors += n
+			}
+			a := a0.Clone()
+			solve := func() {
+				if res, err := ABFTPCG(a, b, tc.ranks, opts); res.Iterations != opts.MaxIter || res.Detections != 0 {
+					t.Fatalf("%d iterations, %d detections (%v); want %d fault-free", res.Iterations, res.Detections, err, opts.MaxIter)
+				}
+			}
+			_, first := heapCost(solve)
+			mallocs, bytes := ^uint64(0), ^uint64(0)
+			for range 25 {
+				m, n := heapCost(solve)
+				mallocs, bytes = min(mallocs, m), min(bytes, n)
+			}
+			if mallocs != tc.mallocs {
+				t.Errorf("repeat solve: %d mallocs, want %d", mallocs, tc.mallocs)
+			}
+			if first < bytes+factors {
+				t.Errorf("repeat solve: %d bytes against the first's %d; want at least the rank factors' %d fewer", bytes, first, factors)
+			}
+			t.Logf("first %d B, repeat %d B, rank factors %d B", first, bytes, factors)
+		})
 	}
 }

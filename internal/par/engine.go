@@ -313,7 +313,7 @@ type rankEngine struct {
 	// for weight k (one row without forward recovery, three with).
 	rowAs [][]float64
 	// Local block preconditioner stages with their encodings (nil without
-	// preconditioning).
+	// preconditioning), shared read-only through the set-up memo.
 	stages []precond.Stage
 	encStg []*checksum.Matrix
 	// lv is the leaf workspace of the row reductions the fused MVM and PCO
@@ -362,14 +362,13 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 	e.lv = vec.NewLeaves(len(e.weights), e.local)
 	var setupErr error
 	if withPrecond {
-		// Local block preconditioner: ILU(0) of the diagonal block, exactly
-		// block-Jacobi with blocks = ranks, factored where it is cut from a.
-		mLocal, err := precond.ILU0Block(a, lo, hi)
+		// Local block preconditioner and its encodings, built once per
+		// operator (setup.go).
+		s, err := rankSetupOf(a, lo, hi, e.weights, e.dScalar)
 		if err != nil {
 			setupErr = fmt.Errorf("par: rank %d ILU(0): %w", c.Rank(), err)
-		} else {
-			e.stages = mLocal.Stages()
 		}
+		e.stages, e.encStg = s.stages, s.encStg
 	}
 	flag := 0.0
 	if setupErr != nil {
@@ -380,18 +379,6 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 			return nil, setupErr
 		}
 		return nil, fmt.Errorf("par: peer rank failed preconditioner setup")
-	}
-
-	// Shifted weights evaluate the global checksum vector at this rank's
-	// global row indices, so locally encoded stage matrices yield exactly
-	// this rank's slice of the global checksum rows.
-	shifted := make([]checksum.Weight, len(e.weights))
-	for k, w := range e.weights {
-		shifted[k] = checksum.ShiftWeight(w, lo)
-	}
-	e.encStg = make([]*checksum.Matrix, len(e.stages))
-	for i, st := range e.stages {
-		e.encStg[i] = checksum.EncodeMatrix(st.M, shifted, e.dScalar)
 	}
 
 	// This rank's slices of checksum(A), one per carried weight: partial

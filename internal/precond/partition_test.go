@@ -49,9 +49,10 @@ func TestRankBlocksMatchCOO(t *testing.T) {
 	}
 }
 
-// TestRankFactorAllocs pins what a rank's factor allocates at set-up inside
-// every timed par solve: the same count for the second of two ranks as for
-// a team of one, so no copy of the rank's block is made first (39 when
+// TestRankFactorAllocs pins what a rank's factor allocates at set-up, on
+// the first par solve of a block (later solves on the same operator take
+// it from par's set-up memo): the same count for the second of two ranks as
+// for a team of one, so no copy of the rank's block is made first (39 when
 // SubMatrix made one; 31 while the solve chain carried a scratch vector).
 func TestRankFactorAllocs(t *testing.T) {
 	a := sparse.Laplacian2D(150, 150)
