@@ -84,12 +84,12 @@ func heapCost(f func()) (mallocs, bytes uint64) {
 }
 
 // TestRepeatSolveAllocatesNoFactor pins what a repeat solve allocates once
-// its operator's first solve has admitted every rank's ILU(0) stages,
-// schedules and encoded stage rows to the memo: exactly the mallocs below
-// (the fewest of 25 repeats of a fault-free ABFTPCG capped at 20
-// iterations, for the reason rankSolveMallocs gives), and fewer bytes than
-// the first solve by at least the rank factors, which the repeat no longer
-// builds (the first builds each twice, for its admission).
+// the memo serves every rank's ILU(0) stages, schedules and encoded stage
+// rows (the first solve holds each rank's build as a candidate, the second
+// admits it): exactly the mallocs below (the fewest of 25 repeats of a
+// fault-free ABFTPCG capped at 20 iterations, for the reason
+// rankSolveMallocs gives), and fewer bytes than the first solve by at
+// least the rank factors, which a served repeat does not build.
 func TestRepeatSolveAllocatesNoFactor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow state allocates on its own")

@@ -55,12 +55,24 @@ func memoEntries(a *sparse.CSR) map[setupKey]*setupEntry {
 	return memo.entries
 }
 
-// TestRepeatSolveIsBitwise: a second solve on the same operator, served
-// from the memo, is the first bit for bit — x, iterations, every count, the
-// trace and CommStats — for PCG and BiCGStab at 1, 2 and 4 ranks, under
-// Single and under ForwardRecovery (Triple), with a strike the team
-// recovers from. The first solve admits one entry per rank and the repeat
-// re-admits none.
+// countAdmitted is the number of admitted entries of a memo map.
+func countAdmitted(entries map[setupKey]*setupEntry) int {
+	n := 0
+	for _, e := range entries {
+		if e.held.Admitted {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRepeatSolveIsBitwise: later solves on the same operator, the second
+// admitting the first's set-ups and the third served from the memo, are
+// the first bit for bit — x, iterations, every count, the trace and
+// CommStats — for PCG and BiCGStab at 1, 2 and 4 ranks, under Single and
+// under ForwardRecovery (Triple), with a strike the team recovers from.
+// The first solve holds one candidate per rank, the second admits each,
+// and the third re-admits none.
 func TestRepeatSolveIsBitwise(t *testing.T) {
 	solvers := []struct {
 		name  string
@@ -83,17 +95,23 @@ func TestRepeatSolveIsBitwise(t *testing.T) {
 					if first.InjectedFaults != 1 || first.Detections == 0 {
 						t.Fatalf("first solve: %d strikes, %d detections; want one, detected", first.InjectedFaults, first.Detections)
 					}
-					admitted := maps.Clone(memoEntries(a))
-					if len(admitted) != ranks {
-						t.Fatalf("%d memo entries after the first solve, want %d", len(admitted), ranks)
-					}
-					again, err := s.solve(a, b, ranks, opts)
-					if err != nil {
-						t.Fatalf("repeat solve: %v", err)
-					}
-					requireSameSolve(t, "repeat", again, first)
-					if got := memoEntries(a); !maps.Equal(got, admitted) {
-						t.Errorf("the repeat re-admitted its blocks: %d entries", len(got))
+					var admitted map[setupKey]*setupEntry
+					for solve, what := range []string{"candidates", "admitted", "served"} {
+						if solve > 0 {
+							again, err := s.solve(a, b, ranks, opts)
+							if err != nil {
+								t.Fatalf("solve %d: %v", solve+1, err)
+							}
+							requireSameSolve(t, fmt.Sprintf("solve %d", solve+1), again, first)
+						}
+						entries := memoEntries(a)
+						if n := countAdmitted(entries); len(entries) != ranks || n != min(solve, 1)*ranks {
+							t.Fatalf("after solve %d: %d memo entries, %d admitted; want %d %s", solve+1, len(entries), n, ranks, what)
+						}
+						if solve == 2 && !maps.Equal(entries, admitted) {
+							t.Errorf("solve 3 re-admitted its blocks")
+						}
+						admitted = maps.Clone(entries)
 					}
 				})
 			}
@@ -194,8 +212,9 @@ func TestRescaledOperatorReplacesItsEntries(t *testing.T) {
 }
 
 // TestConcurrentTeamsShareTheMemo: two teams solve one operator at once,
-// both missing the memo, building and admitting concurrently; each result
-// is a lone solve's bit for bit. verify.sh runs it under -race.
+// both missing the memo and building concurrently, one team's build held
+// as each block's candidate and the other's admitting it; each result is a
+// lone solve's bit for bit. verify.sh runs it under -race.
 func TestConcurrentTeamsShareTheMemo(t *testing.T) {
 	a, b := setupSystem()
 	opts := Options{Tol: 1e-10, TwoLevel: true}
@@ -220,61 +239,76 @@ func TestConcurrentTeamsShareTheMemo(t *testing.T) {
 		}
 		requireSameSolve(t, fmt.Sprintf("team %d", i), res, want)
 	}
-	if n := len(memoEntries(a)); n != 2 {
-		t.Errorf("%d memo entries after two teams of two ranks, want 2", n)
+	if e := memoEntries(a); len(e) != 2 || countAdmitted(e) != 2 {
+		t.Errorf("%d memo entries, %d admitted, after two teams of two ranks; want 2 admitted", len(e), countAdmitted(e))
 	}
 }
 
-// TestAdmissionRejectsDisagreeingBuilds: when the second, independent build
-// of a block differs from the first in one bit — of L, of U, or of either
-// stage's encoded row — the solve gets its first build and nothing is
-// admitted; two agreeing builds are admitted and served.
+// TestAdmissionRejectsDisagreeingBuilds: a build is admitted only when a
+// later build agrees with it bit for bit, and a disagreeing candidate is
+// never served. One build of a block differs from the others in one bit —
+// of L, of U, or of either stage's encoded row — and is either the first
+// (the candidate the next build must replace) or the second (the
+// candidate that replaces a sound one). Until two consecutive builds
+// agree, every solve builds and gets its own build, and nothing is
+// admitted; from the solve whose build agrees with its predecessor's on,
+// the predecessor's is admitted and served, and no solve builds again.
 func TestAdmissionRejectsDisagreeingBuilds(t *testing.T) {
 	a, _ := setupSystem()
 	lo, hi := NnzPartition(a, 2).Range(1)
 	d := checksum.PracticalD(a)
 	flip := func(v []float64) { v[3] = math.Float64frombits(math.Float64bits(v[3]) ^ 1) }
+	same := func(x, y rankSetup) bool { return &x.stages[0] == &y.stages[0] }
+	// run solves once more than it takes two consecutive builds to agree;
+	// struck (1-based, 0 for none) is the build hit strikes.
+	run := func(t *testing.T, hit func(s rankSetup), struck int) {
+		a := a.Clone()
+		key := setupKey{lo: lo, hi: hi, weights: len(checksum.Single)}
+		var builds []rankSetup
+		build := func() (rankSetup, error) {
+			s, err := buildSetup(a, lo, hi, checksum.Single, d)
+			if builds = append(builds, s); len(builds) == struck {
+				hit(s)
+			}
+			return s, err
+		}
+		admitAt := 2 + struck // the first solve whose build agrees with its predecessor's
+		for solve := 1; solve <= admitAt+1; solve++ {
+			got, err := memoized(a, key, d, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := min(solve, admitAt); len(builds) != want {
+				t.Fatalf("solve %d: %d builds, want %d", solve, len(builds), want)
+			}
+			if struck > 0 && solve > struck && same(got, builds[struck-1]) {
+				t.Fatalf("solve %d was served build %d, the struck one", solve, struck)
+			}
+			want := builds[len(builds)-1]
+			if solve >= admitAt {
+				want = builds[admitAt-2]
+			}
+			if !same(got, want) {
+				t.Fatalf("solve %d got another set-up than its own build or the admitted one", solve)
+			}
+			if e := memoEntries(a)[key]; e.held.Admitted != (solve >= admitAt) {
+				t.Fatalf("after solve %d: admitted %v, want %v", solve, e.held.Admitted, solve >= admitAt)
+			}
+		}
+	}
+	t.Run("agree", func(t *testing.T) { run(t, nil, 0) })
 	for _, tc := range []struct {
-		name   string
-		strike func(s rankSetup)
+		name string
+		hit  func(s rankSetup)
 	}{
-		{"agree", nil},
 		{"L", func(s rankSetup) { flip(s.stages[0].M.Val) }},
 		{"U", func(s rankSetup) { flip(s.stages[1].M.Val) }},
 		{"encoded-L", func(s rankSetup) { flip(s.encStg[0].Rows[0]) }},
 		{"encoded-U", func(s rankSetup) { flip(s.encStg[1].Rows[0]) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			a := a.Clone()
-			key := setupKey{lo: lo, hi: hi, weights: len(checksum.Single)}
-			builds := 0
-			var first rankSetup
-			build := func() (rankSetup, error) {
-				s, err := buildSetup(a, lo, hi, checksum.Single, d)
-				if builds++; builds == 1 {
-					first = s
-				} else if tc.strike != nil {
-					tc.strike(s)
-				}
-				return s, err
-			}
-			got, err := memoized(a, key, d, build)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if builds != 2 || &got.stages[0] != &first.stages[0] {
-				t.Fatalf("%d builds; the solve must get the first of two", builds)
-			}
-			e := memoEntries(a)[key]
-			if admitted := e != nil; admitted != (tc.strike == nil) {
-				t.Fatalf("admitted %v, want %v", admitted, tc.strike == nil)
-			}
-			if e == nil {
-				return
-			}
-			served, err := memoized(a, key, d, build)
-			if err != nil || builds != 2 || &served.stages[0] != &first.stages[0] {
-				t.Errorf("an admitted block was rebuilt (%d builds, %v)", builds, err)
+			for struck := 1; struck <= 2; struck++ {
+				t.Run(fmt.Sprintf("build%d", struck), func(t *testing.T) { run(t, tc.hit, struck) })
 			}
 		})
 	}

@@ -236,11 +236,11 @@ func TestCollectivesSteadyStateZeroAllocs(t *testing.T) {
 // 48 iterations — it was 1 713.)
 const parentSolveMallocs = 2137
 
-// TestSolveMallocsAgainstParent: a whole solve now allocates its set-up
-// (block, factors, schedules, encodings, vectors: about 200 mallocs for the
-// two ranks whatever the iteration count) and its checkpoints (about five
-// a save), and nothing per message — an eighth of the parent's count at
-// most.
+// TestSolveMallocsAgainstParent: a whole solve now allocates its per-solve
+// set-up (the ranks' vectors and engines; the factors, schedules and
+// encoded stage rows come from the set-up memo once admitted, par/setup.go)
+// and its checkpoints (about five a save), and nothing per message — an
+// eighth of the parent's count at most.
 func TestSolveMallocsAgainstParent(t *testing.T) {
 	a := sparse.Laplacian2D(40, 40)
 	b := make([]float64, a.Rows)

@@ -3,6 +3,7 @@ package precond
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -588,5 +589,50 @@ func TestSharedStagesApplyConcurrently(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStagesShareNoArrayWithA is the contract that lets a stage matrix be
+// named by its pointer (checksum.Encoding.StageRows, par's set-up memo):
+// no constructor leaves a stage's values, column indices or row pointers
+// in A's arrays, so an in-place edit of A — every value, index and row
+// pointer of it overwritten here — leaves every stage as it was built, bit
+// for bit.
+func TestStagesShareNoArrayWithA(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(a *sparse.CSR) (Preconditioner, error)
+	}{
+		{"ILU0", ILU0},
+		{"ILU0Block", func(a *sparse.CSR) (Preconditioner, error) { return ILU0Block(a, 30, 70) }},
+		{"BlockJacobiILU0", func(a *sparse.CSR) (Preconditioner, error) { return BlockJacobiILU0(a, 4) }},
+		{"Jacobi", Jacobi},
+		{"SSOR", func(a *sparse.CSR) (Preconditioner, error) { return SSOR(a, 1.2) }},
+		{"IC0", IC0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := sparse.Laplacian2D(10, 10)
+			m, err := tc.build(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var built []*sparse.CSR
+			for _, st := range m.Stages() {
+				built = append(built, st.M.Clone())
+			}
+			for k := range a.Val {
+				a.Val[k], a.ColIdx[k] = math.NaN(), -1
+			}
+			for i := range a.RowPtr {
+				a.RowPtr[i] = -1
+			}
+			for k, st := range m.Stages() {
+				want := built[k]
+				if !slices.Equal(st.M.RowPtr, want.RowPtr) || !slices.Equal(st.M.ColIdx, want.ColIdx) ||
+					!slices.EqualFunc(st.M.Val, want.Val, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) }) {
+					t.Errorf("stage %d changed when A was overwritten in place", k)
+				}
+			}
+		})
 	}
 }

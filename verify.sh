@@ -44,11 +44,12 @@ go run ./cmd/newsum-lint -baseline lint.baseline.json ./...
 step "go test"
 go test ./...
 
-step "go test -shuffle=on (par, accuracy)"
-# par's rank set-up memo (internal/par/setup.go) is state that outlives a
+step "go test -shuffle=on (par, accuracy, core, checksum)"
+# par's rank set-up memo (internal/par/setup.go) and an Encoding's
+# stage-row memo (checksum.Encoding.StageRows) are state that outlives a
 # test: every test must pass whichever test ran before it. A failing run
 # prints its "-test.shuffle N" seed; replay it with -shuffle=N.
-go test -count=1 -shuffle=on ./internal/par/... ./internal/accuracy/...
+go test -count=1 -shuffle=on ./internal/par/... ./internal/accuracy/... ./internal/core/... ./internal/checksum/...
 
 step "allocation pins, one package at a time with nothing run before them"
 # The AllocsPerRun / MemStats pins are the zero-allocation contract
