@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"newsum/internal/checksum"
+	"newsum/internal/precond"
 	"newsum/internal/sparse"
 )
 
@@ -20,7 +21,9 @@ import (
 // precompute would otherwise poison every solve served from the cache —
 // the one corruption the online scheme cannot see, because a consistently
 // wrong encoding verifies consistently. On disagreement the entry is not
-// cached and the (known-costlier) per-solve derivation path is used.
+// cached and the (known-costlier) per-solve derivation path is used. An
+// entry's ILU(0) factor, which its ilu0 jobs share, is admitted by
+// checksum.Held's rule instead (Service.ilu0): no job factors twice.
 type encCache struct {
 	cap     int
 	order   *list.List               // front = most recently used
@@ -32,6 +35,9 @@ type encEntry struct {
 	spec MatrixSpec
 	a    *sparse.CSR
 	enc  *checksum.Encoding
+	// ilu0 is a's ILU(0) factor under checksum.Held's rule (Service.ilu0),
+	// guarded by Service.cacheMu.
+	ilu0 *checksum.Held[precond.Preconditioner]
 }
 
 func newEncCache(capacity int) *encCache {
@@ -58,15 +64,16 @@ func (c *encCache) get(key uint64, spec *MatrixSpec) (*encEntry, bool, bool) {
 	return e, true, false
 }
 
-// put stores an admitted matrix + encoding, evicting the LRU entry at
-// capacity. The caller performs the double-derivation admission check
-// (deriveChecked) outside the cache lock; put only installs the result.
-func (c *encCache) put(key uint64, spec *MatrixSpec, a *sparse.CSR, enc *checksum.Encoding) {
+// put stores and returns an admitted matrix + encoding, evicting the LRU
+// entry at capacity. The caller performs the double-derivation admission
+// check (deriveChecked) outside the cache lock; put only installs the
+// result.
+func (c *encCache) put(key uint64, spec *MatrixSpec, a *sparse.CSR, enc *checksum.Encoding) *encEntry {
 	e := &encEntry{key: key, spec: *spec, a: a, enc: enc}
 	if el, ok := c.entries[key]; ok {
 		el.Value = e
 		c.order.MoveToFront(el)
-		return
+		return e
 	}
 	for c.order.Len() >= c.cap {
 		lru := c.order.Back()
@@ -77,6 +84,7 @@ func (c *encCache) put(key uint64, spec *MatrixSpec, a *sparse.CSR, enc *checksu
 		delete(c.entries, lru.Value.(*encEntry).key)
 	}
 	c.entries[key] = c.order.PushFront(e)
+	return e
 }
 
 // deriveChecked derives the checksum encoding of a twice, independently,

@@ -314,9 +314,11 @@ func (s *Service) emit(j *job, event string, attempt int, detail string) {
 	}
 }
 
-// resolve produces the operator and (when available) its cached checksum
-// encoding. A nil encoding is always valid — the solve derives its own — so cache-disabled and admission-failure paths degrade gracefully.
-func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, error) {
+// resolve produces the operator and (when available) its cache entry. An
+// entry with a nil encoding is never cached and always valid — the solve
+// derives its own — so cache-disabled and admission-failure paths degrade
+// gracefully.
+func (s *Service) resolve(req *Request) (*encEntry, bool, error) {
 	key := req.Matrix.fingerprint()
 	if s.cache != nil {
 		s.cacheMu.Lock()
@@ -324,7 +326,7 @@ func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, 
 		s.cacheMu.Unlock()
 		if hit {
 			s.stats.add(func(st *stats) { st.cacheHits++ })
-			return e.a, e.enc, true, nil
+			return e, true, nil
 		}
 		if collision {
 			s.stats.add(func(st *stats) { st.cacheCollisions++ })
@@ -332,27 +334,49 @@ func (s *Service) resolve(req *Request) (*sparse.CSR, *checksum.Encoding, bool, 
 	}
 	a, err := req.Matrix.build()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, false, err
 	}
 	s.stats.add(func(st *stats) { st.cacheMisses++ })
 	if s.cache == nil {
-		return a, nil, false, nil
+		return &encEntry{a: a}, false, nil
 	}
 	enc, err := deriveChecked(key, a)
 	if err != nil {
 		s.stats.add(func(st *stats) { st.admissionFailures++ })
-		return a, nil, false, nil
+		return &encEntry{a: a}, false, nil
 	}
 	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
 	// A racing worker may have admitted the same operator meanwhile; keep
 	// the incumbent so concurrent hits stay on one shared encoding.
 	if e, hit, _ := s.cache.get(key, &req.Matrix); hit {
-		s.cacheMu.Unlock()
-		return e.a, e.enc, false, nil
+		return e, false, nil
 	}
-	s.cache.put(key, &req.Matrix, a, enc)
-	s.cacheMu.Unlock()
-	return a, enc, false, nil
+	return s.cache.put(key, &req.Matrix, a, enc), false, nil
+}
+
+// ilu0 returns the ILU(0) factor of e's operator. A cached entry's jobs
+// share one, under checksum.Held's rule: while none is admitted a job
+// factors and offers its factor, which a later job's agreeing
+// factorization admits. One factor per operator is what lets its jobs'
+// stage rows hit the Encoding's memo (checksum.Encoding.StageRows).
+func (s *Service) ilu0(e *encEntry) (precond.Preconditioner, error) {
+	if e.enc != nil {
+		s.cacheMu.Lock()
+		h := e.ilu0
+		s.cacheMu.Unlock()
+		if h != nil && h.Admitted {
+			return h.Value, nil
+		}
+	}
+	m, err := precond.ILU0(e.a)
+	if err != nil || e.enc == nil {
+		return m, err
+	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	e.ilu0 = e.ilu0.Offer(m, func(x, y precond.Preconditioner) bool { return precond.StagesAgree(x.Stages(), y.Stages()) })
+	return e.ilu0.Value, nil
 }
 
 // run executes one job end to end: resolve, attempt loop with retry, SDC
@@ -406,11 +430,12 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 	}
 	s.emit(j, "start", 0, "")
 
-	a, enc, hit, err := s.resolve(req)
+	e, hit, err := s.resolve(req)
 	if err != nil {
 		finish(err, "failed")
 		return
 	}
+	a := e.a
 	resp.CacheHit = hit
 	resp.N = a.Rows
 	resp.NNZ = a.NNZ()
@@ -423,7 +448,7 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 	// Preconditioner setup happens once, shared across attempts.
 	var m precond.Preconditioner = precond.Identity(a.Rows)
 	if req.Precond == "ilu0" {
-		m, err = precond.ILU0(a)
+		m, err = s.ilu0(e)
 		if err != nil {
 			finish(fmt.Errorf("%w: ilu0 setup: %v", ErrBadRequest, err), "failed")
 			return
@@ -435,7 +460,7 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 	for attempt := 0; ; attempt++ {
 		d := detectIntervalFor(req, attempt)
 		s.emit(j, "attempt", attempt, fmt.Sprintf("d=%d", d))
-		res, trace, err := s.dispatch(j.ctx, req, a, enc, m, b, attempt, d, pool)
+		res, trace, err := s.dispatch(j.ctx, req, a, e.enc, m, b, attempt, d, pool)
 		st := &res.Stats
 		resp.Attempts = attempt + 1
 		resp.Detections += st.Detections

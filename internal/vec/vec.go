@@ -8,7 +8,10 @@
 // they indicate programmer error rather than runtime conditions.
 package vec
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Copy copies src into dst. It is the VLO assignment w := u.
 func Copy(dst, src []float64) {
@@ -482,6 +485,11 @@ func CombineNorm2(s1, q1, s2, q2 float64) (scale, ssq float64) {
 	}
 	r := s2 / s1
 	return s1, q1 + q2*r*r
+}
+
+// SameBits reports whether u and v hold the same IEEE-754 words.
+func SameBits(u, v []float64) bool {
+	return slices.EqualFunc(u, v, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 // Equal reports whether u and v agree element-wise to within tol in absolute
