@@ -34,6 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+
+	"newsum/internal/vec"
 )
 
 // Codec selects how snapshots are encoded in memory.
@@ -144,8 +146,9 @@ func (sn *snapshot) matches(codec Codec, vectors map[string][]float64, scalars m
 	return true
 }
 
-// newSnapshot allocates storage shaped for the given state.
-func newSnapshot(codec Codec, vectors map[string][]float64, scalars map[string]float64, checksums map[string][]float64) *snapshot {
+// newSnapshot allocates storage shaped for the given state, its vector
+// copies taken from vec's pool into taken.
+func newSnapshot(codec Codec, vectors map[string][]float64, scalars map[string]float64, checksums map[string][]float64, taken *vec.Taken) *snapshot {
 	sn := &snapshot{
 		names:     make([]string, 0, len(vectors)),
 		scalars:   make(map[string]float64, len(scalars)),
@@ -158,7 +161,7 @@ func newSnapshot(codec Codec, vectors map[string][]float64, scalars map[string]f
 	if codec == Full {
 		sn.vectors = make(map[string][]float64, len(vectors))
 		for name, v := range vectors {
-			sn.vectors[name] = make([]float64, len(v))
+			sn.vectors[name] = taken.Take(len(v))
 		}
 	} else {
 		sn.encoded = make(map[string][]byte, len(vectors))
@@ -218,6 +221,9 @@ type Store struct {
 	scratch []float64
 	// qbuf is the Lossy quantization workspace.
 	qbuf []int64
+	// taken lists the n-length buffers — the Full copies, the Diff
+	// reference, the scratch — taken from vec's pool, for Release.
+	taken vec.Taken
 }
 
 // Lossy reports whether restored vectors may differ from the saved ones
@@ -239,7 +245,7 @@ func (s *Store) Save(iter int, vectors map[string][]float64, scalars map[string]
 	}
 	snap := s.latest
 	if snap == nil || !snap.matches(s.Codec, vectors, scalars, checksums) {
-		snap = newSnapshot(s.Codec, vectors, scalars, checksums)
+		snap = newSnapshot(s.Codec, vectors, scalars, checksums, &s.taken)
 	}
 	snap.iteration = iter
 	switch s.Codec {
@@ -256,7 +262,7 @@ func (s *Store) Save(iter int, vectors map[string][]float64, scalars map[string]
 		for name, v := range vectors {
 			ref := s.ref[name]
 			if len(ref) != len(v) {
-				ref = make([]float64, len(v))
+				ref = s.taken.Take(len(v))
 				s.ref[name] = ref
 			}
 			enc := encodeDiff(snap.encoded[name][:0], v, ref)
@@ -302,6 +308,14 @@ func (s *Store) foldRef() {
 	}
 }
 
+// Release empties the store and puts its n-length buffers back in vec's
+// pool for the next solve's store. Nothing may read the store's state
+// after it; a later Save starts from an empty store.
+func (s *Store) Release() {
+	s.taken.PutAll()
+	s.latest, s.ref, s.scratch = nil, nil, nil
+}
+
 // HasSnapshot reports whether a snapshot is available to roll back to.
 func (s *Store) HasSnapshot() bool { return s.latest != nil }
 
@@ -332,7 +346,7 @@ func (s *Store) Strike(fn func(name string, data []float64)) {
 		}
 		n := sn.lens[name]
 		if cap(s.scratch) < n {
-			s.scratch = make([]float64, n)
+			s.scratch = s.taken.Take(n)
 		}
 		buf := s.scratch[:n]
 		var err error

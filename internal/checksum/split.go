@@ -59,17 +59,15 @@ func PartialMatrixRow(a *sparse.CSR, w Weight, lo, hi int, full []float64) {
 	}
 }
 
-// LocalRowSlice carves the [lo, hi) slice of the encoded row cᵀA − d·cᵀ out
-// of the complete (already reduced) dense product full = cᵀA. The returned
-// slice is freshly allocated; for a full partition the concatenation of all
+// LocalRowSlice carves the [lo, lo+len(row)) slice of the encoded row
+// cᵀA − d·cᵀ out of the complete (already reduced) dense product
+// full = cᵀA into row; for a full partition the concatenation of all
 // ranks' slices is exactly the EncodeMatrix row.
-func LocalRowSlice(full []float64, w Weight, d float64, lo, hi int) []float64 {
-	if lo < 0 || hi > len(full) || lo > hi {
+func LocalRowSlice(row, full []float64, w Weight, d float64, lo int) {
+	if lo < 0 || lo+len(row) > len(full) {
 		panic("checksum: slice range out of bounds in LocalRowSlice")
 	}
-	row := make([]float64, hi-lo)
 	for j := range row {
 		row[j] = full[lo+j] - d*w.At(lo+j)
 	}
-	return row
 }

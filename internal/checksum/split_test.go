@@ -67,7 +67,9 @@ func TestLocalRowSliceConcatenatesToEncoding(t *testing.T) {
 		PartialMatrixRow(a, w, 0, a.Rows, full)
 		var cat []float64
 		for r := 0; r+1 < len(bounds); r++ {
-			cat = append(cat, LocalRowSlice(full, w, d, bounds[r], bounds[r+1])...)
+			row := make([]float64, bounds[r+1]-bounds[r])
+			LocalRowSlice(row, full, w, d, bounds[r])
+			cat = append(cat, row...)
 		}
 		if len(cat) != len(enc.Rows[k]) {
 			t.Fatalf("%s: concatenated length %d, want %d", w.Name, len(cat), len(enc.Rows[k]))
@@ -100,7 +102,8 @@ func TestPartialMVMUpdateSumsToGlobal(t *testing.T) {
 	var global float64
 	for r := 0; r+1 < len(bounds); r++ {
 		lo, hi := bounds[r], bounds[r+1]
-		rowA := LocalRowSlice(full, weight, d, lo, hi)
+		rowA := make([]float64, hi-lo)
+		LocalRowSlice(rowA, full, weight, d, lo)
 		sw := ShiftWeight(weight, lo)
 		var localS float64 // rank-local input checksum c_[lo,hi)ᵀ·u_[lo,hi)
 		var dot float64
@@ -134,6 +137,6 @@ func TestSplitPanics(t *testing.T) {
 		PartialMatrixRow(a, Ones, 5, 2, make([]float64, a.Cols))
 	})
 	assertPanics("slice out of bounds", func() {
-		LocalRowSlice(make([]float64, 4), Ones, 2, 1, 9)
+		LocalRowSlice(make([]float64, 8), make([]float64, 4), Ones, 2, 1)
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"newsum/internal/precond"
 	"newsum/internal/sparse"
-	"newsum/internal/vec"
 )
 
 // UnprotectedPBiCGSTAB runs plain preconditioned BiCGSTAB with fault
@@ -46,6 +45,8 @@ func newBiCGSTAB(be Backend) *bicgstab {
 	c := &bicgstab{
 		v: be.NewVec("v"), s: be.NewVec("s"), t: be.NewVec("t"),
 		phat: be.NewVec("phat"), shat: be.NewVec("shat"),
+		// r̂ is never checksummed: it takes a backend vector's data alone.
+		rhat: be.NewVec("rhat").Data,
 	}
 	c.krylov = krylov{
 		p: be.NewVec("p"),
@@ -72,7 +73,7 @@ func (c *bicgstab) setScalars(s map[string]float64) {
 }
 
 func (c *bicgstab) start(k *run) error {
-	c.rhat = vec.Clone(k.r.Data)
+	copy(c.rhat, k.r.Data)
 	c.rhoPrev, c.alpha, c.omega = 1, 1, 1
 	return nil
 }

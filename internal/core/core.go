@@ -393,9 +393,11 @@ func begin(a *sparse.CSR, m precond.Preconditioner, b []float64, weights []check
 }
 
 // open starts one solve on the engine: the zero iterate, the wrapped
-// right-hand side and the stopping criteria.
+// right-hand side and the stopping criteria. x is the answer the caller
+// keeps, so it alone is allocated, not taken from the pool.
 func (e *engine) open(b []float64, opts *Options) setup {
-	s := setup{e: e, x: e.NewVec("x"), b: e.wrap("b", b), normB: rhsNorm(e, b)}
+	x := e.vecOf("x", make([]float64, e.n+2*len(e.weights)))
+	s := setup{e: e, x: x, b: e.wrap("b", b), normB: rhsNorm(e, b)}
 	s.tol, s.maxIter = opts.stopping(e.n)
 	return s
 }

@@ -30,7 +30,9 @@ type Backend interface {
 	Dot(u, v []float64) float64
 	Norm2(u []float64) float64
 
-	// NewVec allocates a zero vector with consistent checksums.
+	// NewVec returns a zero vector with consistent checksums. The backend
+	// owns it, and may hand its storage to the next solve once this one
+	// is over.
 	NewVec(name string) *Vec
 	// Verify checks v's first checksum relation — the outer-level
 	// verification of Algorithm 1 line 6 — re-anchoring it on success and
@@ -245,6 +247,10 @@ func solve(method Method, scheme Scheme, a *sparse.CSR, m precond.Preconditioner
 		x: st.x, b: st.b, normB: st.normB, tol: st.tol, maxIter: st.maxIter}
 	k.assemble(newRec(be), true)
 	k.drive()
+	// Teardown: the solve is over, so its working set goes back to vec's
+	// pool; res.X is x's own array and stays the caller's.
+	k.store.Release()
+	st.e.taken.PutAll()
 	return res, k.err
 }
 
@@ -260,6 +266,9 @@ func Drive(method Method, scheme Scheme, be Backend, b *Vec, res *Result, opts O
 		x: be.NewVec("x"), b: b, normB: rhsNorm(be, b.Data), tol: opts.Tol, maxIter: opts.MaxIter}
 	k.assemble(method.recurrence(be), verifyP)
 	k.drive()
+	// The snapshot goes back to vec's pool; the backend's vectors are its
+	// owner's to return.
+	k.store.Release()
 	return k.err
 }
 

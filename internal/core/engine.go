@@ -86,6 +86,10 @@ type engine struct {
 	// enc is the caller-supplied precomputed encoding, when one was passed
 	// through Options.Encoding; nil means encA/encDiag were derived here.
 	enc *checksum.Encoding
+
+	// taken lists what the engine took from vec's pool — every vector but
+	// x, the scratch, b's slots — for solve to put back once it is over.
+	taken vec.Taken
 }
 
 // initLazyDiag prepares the on-demand diagnosis rows for the lazy two-level
@@ -112,6 +116,7 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 		inj:     opts.Injector,
 		stats:   stats,
 		pool:    opts.Pool,
+		taken:   make(vec.Taken, 0, 16),
 	}
 	if len(weights) == 0 {
 		return e
@@ -132,7 +137,7 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 		e.stages = m.Stages()
 		for _, st := range e.stages {
 			if st.Op == precond.StageMul && e.scratch == nil {
-				e.scratch = make([]float64, e.n)
+				e.scratch = e.taken.Take(e.n)
 			}
 		}
 		if e.enc != nil {
@@ -145,26 +150,25 @@ func newEngine(a *sparse.CSR, m precond.Preconditioner, weights []checksum.Weigh
 	return e
 }
 
-// NewVec allocates a vector with zeroed data and checksums
-// (consistent: cᵀ0 = 0).
+// NewVec takes a vector with zeroed data and checksums (consistent:
+// cᵀ0 = 0) from vec's pool.
 func (e *engine) NewVec(name string) *Vec {
-	return &Vec{
-		Name: name,
-		Data: make([]float64, e.n),
-		S:    make([]float64, len(e.weights)),
-		Eta:  make([]float64, len(e.weights)),
-	}
+	return e.vecOf(name, e.taken.Take(e.n+2*len(e.weights)))
+}
+
+// vecOf lays a Vec over buf, n data words, then the weights' checksum
+// slots and their round-off bounds.
+func (e *engine) vecOf(name string, buf []float64) *Vec {
+	n, w := e.n, len(e.weights)
+	return &Vec{Name: name, Data: buf[:n:n], S: buf[n : n+w : n+w], Eta: buf[n+w:]}
 }
 
 // wrap adopts an existing data slice as a Vec with freshly
 // computed checksums and round-off bounds (used for the right-hand side b).
 func (e *engine) wrap(name string, data []float64) *Vec {
-	v := &Vec{
-		Name: name,
-		Data: data,
-		S:    make([]float64, len(e.weights)),
-		Eta:  make([]float64, len(e.weights)),
-	}
+	w := len(e.weights)
+	slots := e.taken.Take(2 * w)
+	v := &Vec{Name: name, Data: data, S: slots[:w:w], Eta: slots[w:]}
 	e.Reanchor(v)
 	return v
 }

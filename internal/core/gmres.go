@@ -35,6 +35,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 		return res, err
 	}
 	e, x, bT, normB, tolRes, maxIter := st.e, st.x, st.b, st.normB, st.tol, st.maxIter
+	defer e.taken.PutAll()
 	if restart < 1 {
 		restart = 30
 	}
@@ -74,6 +75,7 @@ func BasicGMRES(a *sparse.CSR, m precond.Preconditioner, b []float64, restart in
 	}
 
 	store := opts.newStore()
+	defer store.Release()
 	saveCheckpoint := func() {
 		store.Save(total,
 			map[string][]float64{"x": x.Data}, nil,

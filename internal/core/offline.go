@@ -10,14 +10,16 @@ import (
 // offline-residual scheme's end-of-run verification, and the ground truth
 // the coverage experiments judge every scheme's output against.
 func TrueResidual(a *sparse.CSR, b, x []float64) float64 {
-	r := make([]float64, len(b))
+	r := vec.Take(len(b))
 	a.MulVec(r, x)
 	vec.Sub(r, b, r)
 	nb := vec.Norm2(b)
 	if nb <= 0 {
 		nb = 1
 	}
-	return vec.Norm2(r) / nb
+	rel := vec.Norm2(r) / nb
+	vec.Put(r)
+	return rel
 }
 
 // OfflineResidualPCG implements the offline-residual scheme (§6.1): run the

@@ -48,9 +48,9 @@ func newOMV(e *engine) *omv {
 		engine:   e,
 		tA:       checksum.EncodeTraditional(e.a, checksum.Single),
 		expected: make([]float64, 1),
-		dup1:     make([]float64, e.n),
-		dup2:     make([]float64, e.n),
-		y0:       make([]float64, e.n),
+		dup1:     e.taken.Take(e.n),
+		dup2:     e.taken.Take(e.n),
+		y0:       e.taken.Take(e.n),
 	}
 }
 

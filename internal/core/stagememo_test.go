@@ -207,7 +207,7 @@ func TestRepeatSolveAllocatesNoStageRows(t *testing.T) {
 		forward bool
 		weights []checksum.Weight
 		mallocs uint64
-	}{{"single", false, checksum.Single, 63}, {"triple", true, checksum.Triple, 67}} {
+	}{{"single", false, checksum.Single, 48}, {"triple", true, checksum.Triple, 52}} {
 		t.Run(tc.name, func(t *testing.T) {
 			enc := checksum.NewEncoding(a, 0)
 			stageBytes := ^uint64(0)

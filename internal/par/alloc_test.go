@@ -103,7 +103,7 @@ func TestRepeatSolveAllocatesNoFactor(t *testing.T) {
 	for _, tc := range []struct {
 		ranks   int
 		mallocs uint64
-	}{{1, 70}, {2, 136}} {
+	}{{1, 63}, {2, 118}} {
 		t.Run(fmt.Sprintf("r%d", tc.ranks), func(t *testing.T) {
 			part := NnzPartition(a0, tc.ranks)
 			var factors uint64

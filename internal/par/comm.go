@@ -148,6 +148,11 @@ type Comm struct {
 	buf      [2][]float64
 	segBuf   [2][]segment
 	vecCalls uint
+	// taken lists what this rank took from vec's pool for its team's solve
+	// — the payload buffers, its engine's blocks — for solve to put back
+	// once every rank has joined: peers read payloads until they leave a
+	// collective.
+	taken vec.Taken
 }
 
 // payload returns this call's payload buffer, n words, and its parity.
@@ -155,7 +160,7 @@ func (c *Comm) payload(n int) ([]float64, uint) {
 	par := c.vecCalls & 1
 	c.vecCalls++
 	if cap(c.buf[par]) < n {
-		c.buf[par] = make([]float64, n)
+		c.buf[par] = c.taken.Take(n)
 	}
 	return c.buf[par][:n], par
 }
@@ -191,7 +196,7 @@ func NewTeamTopology(size int, topo Topology) []*Comm {
 	}
 	comms := make([]*Comm, size)
 	for r := range comms {
-		comms[r] = &Comm{rank: r, t: t}
+		comms[r] = &Comm{rank: r, t: t, taken: make(vec.Taken, 0, 16)}
 		if topo == Tree {
 			segs := make([]segment, 2*size)
 			comms[r].segBuf = [2][]segment{segs[:0:size], segs[size:size]}

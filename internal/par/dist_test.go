@@ -66,7 +66,7 @@ func TestLocalChecksumsSumToGlobal(t *testing.T) {
 	totals := make([]float64, len(weights))
 	for r := 0; r < ranks; r++ {
 		lo, hi := BlockRange(a.Rows, ranks, r)
-		e := &rankEngine{weights: weights, lo: lo, local: hi - lo}
+		e := &rankEngine{c: NewTeam(1)[0], weights: weights, lo: lo, local: hi - lo}
 		v := e.NewVec("x")
 		copy(v.Data, x[lo:hi])
 		e.Reanchor(v)

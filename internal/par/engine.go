@@ -244,6 +244,12 @@ func solve(method core.Method, a *sparse.CSR, b []float64, nranks int, opts Opti
 		}(r)
 	}
 	wg.Wait()
+	// Every rank has joined, so no peer reads a payload or a block any
+	// more: the team's working set goes back to vec's pool. Rank 0's
+	// gathered x is its own array; another rank's X is its xg, dropped.
+	for _, c := range comms {
+		c.taken.PutAll()
+	}
 	res := results[0]
 	for _, o := range results[1:] {
 		res.InjectedFaults += o.InjectedFaults
@@ -355,10 +361,12 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		weights: weights,
 		tol:     checksum.Tol{Theta: opts.Theta},
 		dScalar: checksum.PracticalD(a),
-		xg:      make([]float64, a.Rows),
 		fired:   make([]bool, len(opts.Faults)),
 		iter:    -1,
 	}
+	// xg, the checksum rows, every block and b's slots are listed on the
+	// rank's Comm, which solve puts back once the team has joined.
+	e.xg = c.taken.Take(a.Rows)
 	e.lv = vec.NewLeaves(len(e.weights), e.local)
 	var setupErr error
 	if withPrecond {
@@ -391,7 +399,8 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 		clear(full)
 		checksum.PartialMatrixRow(a, w, lo, hi, full)
 		c.AllReduceVec(full, full)
-		e.rowAs[k] = checksum.LocalRowSlice(full, w, e.dScalar, lo, hi)
+		e.rowAs[k] = c.taken.Take(e.local)
+		checksum.LocalRowSlice(e.rowAs[k], full, w, e.dScalar, lo)
 	}
 
 	if opts.TwoLevel {
@@ -401,21 +410,22 @@ func newRankEngine(c *Comm, a *sparse.CSR, b []float64, part Partition, opts *Op
 			clear(full)
 			checksum.PartialMatrixRow(a, w, lo, hi, full)
 			c.AllReduceVec(full, full)
-			e.diagRows[k] = append([]float64(nil), full[lo:hi]...)
+			e.diagRows[k] = c.taken.Take(e.local)
+			copy(e.diagRows[k], full[lo:hi])
 		}
 	}
 
 	// The rank adopts its block of b, as core's engine adopts b: the solve
 	// only reads it.
-	e.b = &core.Vec{Name: "b", Data: b[lo:hi:hi], S: make([]float64, len(e.weights))}
+	e.b = &core.Vec{Name: "b", Data: b[lo:hi:hi], S: c.taken.Take(len(e.weights))}
 	e.Reanchor(e.b)
 	return e, nil
 }
 
-// NewVec allocates a zero block of the rank's length with its partial
-// checksum slots, in one array. It carries no round-off bound.
+// NewVec takes a zero block of the rank's length with its partial checksum
+// slots, in one array, from vec's pool. It carries no round-off bound.
 func (e *rankEngine) NewVec(name string) *core.Vec {
-	buf := make([]float64, e.local+len(e.weights))
+	buf := e.c.taken.Take(e.local + len(e.weights))
 	return &core.Vec{Name: name, Data: buf[:e.local:e.local], S: buf[e.local:]}
 }
 

@@ -19,6 +19,7 @@ import (
 	"newsum/internal/core"
 	"newsum/internal/fault"
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // MatrixSpec names the operator of a solve job. Generator kinds rebuild the
@@ -379,14 +380,14 @@ func (m *MatrixSpec) rows() (int, error) {
 }
 
 // rhs returns the request's right-hand side, defaulting to the mildly
-// structured vector the repo's tests use.
+// structured vector the repo's tests use. It is taken from vec's pool: the
+// job puts it back once its last attempt is checked.
 func (r *Request) rhs(n int) []float64 {
+	b := vec.Take(n)
 	if r.RHS != nil {
-		b := make([]float64, n)
 		copy(b, r.RHS)
 		return b
 	}
-	b := make([]float64, n)
 	for i := range b {
 		b[i] = 1 + float64(i%7)
 	}

@@ -18,6 +18,7 @@ import (
 	"newsum/internal/precond"
 	"newsum/internal/solver"
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 var (
@@ -506,6 +507,8 @@ func (s *Service) run(j *job, pool *kernel.Pool) {
 		resp.Retried = append(resp.Retried, reason)
 		s.emit(j, "retry", attempt, reason)
 	}
+	// Every attempt and its residual check are over: nothing reads b.
+	vec.Put(b)
 
 	switch {
 	case solveErr == nil && resp.RollbacksAvoided > 0:

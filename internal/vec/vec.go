@@ -2,9 +2,10 @@
 // operations", VLOs) that iterative methods are built from: copy, scale,
 // axpy-style updates, dot products and norms.
 //
-// Every routine is allocation-free and operates on caller-provided slices so
+// Every kernel is allocation-free and operates on caller-provided slices so
 // the solvers in internal/solver and the ABFT schemes in internal/core can
-// reuse buffers across iterations. Lengths must match; mismatches panic, as
+// reuse buffers across iterations; Take and Put (pool.go) reuse the
+// buffers themselves across solves. Lengths must match; mismatches panic, as
 // they indicate programmer error rather than runtime conditions.
 package vec
 
@@ -504,11 +505,4 @@ func Equal(u, v []float64, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a freshly allocated copy of u.
-func Clone(u []float64) []float64 {
-	c := make([]float64, len(u))
-	copy(c, u)
-	return c
 }

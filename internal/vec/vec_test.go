@@ -11,17 +11,12 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Abs(a)+math.Abs(b))
 }
 
-func TestCopyAndClone(t *testing.T) {
+func TestCopy(t *testing.T) {
 	src := []float64{1, 2, 3}
 	dst := make([]float64, 3)
 	Copy(dst, src)
 	if !Equal(dst, src, 0) {
 		t.Fatalf("Copy: got %v", dst)
-	}
-	c := Clone(src)
-	c[0] = 99
-	if src[0] == 99 {
-		t.Fatalf("Clone aliases its input")
 	}
 }
 

@@ -44,12 +44,14 @@ go run ./cmd/newsum-lint -baseline lint.baseline.json ./...
 step "go test"
 go test ./...
 
-step "go test -shuffle=on (par, accuracy, core, checksum)"
-# par's rank set-up memo (internal/par/setup.go) and an Encoding's
-# stage-row memo (checksum.Encoding.StageRows) are state that outlives a
-# test: every test must pass whichever test ran before it. A failing run
-# prints its "-test.shuffle N" seed; replay it with -shuffle=N.
-go test -count=1 -shuffle=on ./internal/par/... ./internal/accuracy/... ./internal/core/... ./internal/checksum/...
+step "go test -shuffle=on (par, accuracy, core, checksum, vec, service)"
+# par's rank set-up memo (internal/par/setup.go), an Encoding's stage-row
+# memo (checksum.Encoding.StageRows) and vec's pool of working vectors
+# (internal/vec/pool.go, which core, par, checkpoint and the service draw
+# from) are state that outlives a test: every test must pass whichever test
+# ran before it. A failing run prints its "-test.shuffle N" seed; replay it
+# with -shuffle=N.
+go test -count=1 -shuffle=on ./internal/par/... ./internal/accuracy/... ./internal/core/... ./internal/checksum/... ./internal/vec/... ./internal/service/...
 
 step "allocation pins, one package at a time with nothing run before them"
 # The AllocsPerRun / MemStats pins are the zero-allocation contract
