@@ -2,8 +2,8 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // COO is a coordinate-format builder for sparse matrices. Entries may be
@@ -11,14 +11,15 @@ import (
 // the conventions of the Matrix Market format and of finite-element assembly.
 type COO struct {
 	rows, cols int
-	i, j       []int
+	i, j       []int32 // an int32 coordinate: a third less memory an entry than int
 	v          []float64
 }
 
-// NewCOO returns an empty COO builder for an rows×cols matrix.
+// NewCOO returns an empty COO builder for an rows×cols matrix. Either
+// dimension negative or above math.MaxInt32 panics.
 func NewCOO(rows, cols int) *COO {
-	if rows < 0 || cols < 0 {
-		panic("sparse: negative COO dimensions")
+	if rows < 0 || cols < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		panic("sparse: COO dimensions negative or above MaxInt32")
 	}
 	return &COO{rows: rows, cols: cols}
 }
@@ -37,8 +38,8 @@ func (c *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= c.rows || j < 0 || j >= c.cols {
 		panic(fmt.Sprintf("sparse: COO entry (%d,%d) out of range %dx%d", i, j, c.rows, c.cols))
 	}
-	c.i = append(c.i, i)
-	c.j = append(c.j, j)
+	c.i = append(c.i, int32(i))
+	c.j = append(c.j, int32(j))
 	c.v = append(c.v, v)
 }
 
@@ -51,76 +52,58 @@ func (c *COO) AddSym(i, j int, v float64) {
 	}
 }
 
-// insertionRow is the longest row ToCSR sorts by insertion; longer rows go
-// through sort.Stable. Assembly rows hold a handful of entries, where the
-// quadratic sort is the fastest there is.
-const insertionRow = 32
-
 // ToCSR converts the accumulated entries to CSR form, sorting each row's
 // columns ascending and summing duplicate coordinates in the order they
-// were added. Linear in the entry count for bounded row lengths: a counting
-// sort buckets the entries by row, keeping insertion order, and each row is
-// then sorted by column, stably, in place.
+// were added; c is left as it was. Linear in the entry count whatever the
+// row lengths (plus the dimensions): a stable counting sort by column, then
+// one by row.
 func (c *COO) ToCSR() *CSR {
 	n := len(c.v)
+	if n > math.MaxInt32 {
+		panic("sparse: more COO entries than ToCSR's int32 permutation counts")
+	}
+	// byCol[q] is entry q of the column order. colAt[j+1] counts column j;
+	// summed, colAt[j] is column j's next position. RowPtr does the same
+	// for the rows.
+	scratch := make([]int32, n+c.cols+1)
+	byCol, colAt := scratch[:n], scratch[n:]
 	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
-	next := make([]int, c.rows+1)
-	for _, i := range c.i {
-		next[i+1]++
+	for k, j := range c.j {
+		colAt[j+1]++
+		a.RowPtr[c.i[k]+1]++
+	}
+	for j := 0; j < c.cols; j++ {
+		colAt[j+1] += colAt[j]
 	}
 	for i := 0; i < c.rows; i++ {
-		next[i+1] += next[i]
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	for k, j := range c.j {
+		byCol[colAt[j]] = int32(k)
+		colAt[j]++
 	}
 	cols, vals := make([]int, n), make([]float64, n)
-	for k, i := range c.i {
-		p := next[i]
-		cols[p], vals[p] = c.j[k], c.v[k]
-		next[i] = p + 1
+	for _, k := range byCol {
+		p := &a.RowPtr[c.i[k]]
+		cols[*p], vals[*p] = int(c.j[k]), c.v[k]
+		*p++
 	}
-	// next[i] is now the end of row i's bucket, and the start of row i+1's.
-	// Rows are sorted and compacted left to right; the write cursor w never
-	// overtakes the bucket being read.
-	w, lo := 0, 0
-	for i := 0; i < c.rows; i++ {
-		hi := next[i]
-		rc, rv := cols[lo:hi], vals[lo:hi]
-		if len(rc) <= insertionRow {
-			for p := 1; p < len(rc); p++ {
-				j, v := rc[p], rv[p]
-				q := p
-				for ; q > 0 && rc[q-1] > j; q-- {
-					rc[q], rv[q] = rc[q-1], rv[q-1]
-				}
-				rc[q], rv[q] = j, v
+	// Each RowPtr[i] now ends row i's bucket. Compact left to right, summing
+	// a row's repeated columns in arrival order; w never passes the reads.
+	w, start := 0, 0
+	for i, end := range a.RowPtr[:c.rows] {
+		a.RowPtr[i] = w
+		for p := start; p < end; p++ {
+			if p > start && cols[p] == cols[p-1] {
+				vals[w-1] += vals[p]
+			} else {
+				cols[w], vals[w] = cols[p], vals[p]
+				w++
 			}
-		} else {
-			sort.Stable(byColumn{rc, rv})
 		}
-		first := w
-		for p, j := range rc {
-			if w > first && cols[w-1] == j {
-				vals[w-1] += rv[p]
-				continue
-			}
-			cols[w], vals[w] = j, rv[p]
-			w++
-		}
-		a.RowPtr[i+1] = w
-		lo = hi
+		start = end
 	}
+	a.RowPtr[c.rows] = w
 	a.ColIdx, a.Val = cols[:w], vals[:w]
 	return a.planRows()
-}
-
-// byColumn sorts one row's (column, value) pairs by column.
-type byColumn struct {
-	cols []int
-	vals []float64
-}
-
-func (r byColumn) Len() int           { return len(r.cols) }
-func (r byColumn) Less(p, q int) bool { return r.cols[p] < r.cols[q] }
-func (r byColumn) Swap(p, q int) {
-	r.cols[p], r.cols[q] = r.cols[q], r.cols[p]
-	r.vals[p], r.vals[q] = r.vals[q], r.vals[p]
 }

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -25,7 +27,7 @@ func (c *COO) toCSRBySortSlice() *CSR {
 	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
 	prevI, prevJ := -1, -1
 	for _, k := range order {
-		i, j, v := c.i[k], c.j[k], c.v[k]
+		i, j, v := int(c.i[k]), int(c.j[k]), c.v[k]
 		if i == prevI && j == prevJ {
 			a.Val[len(a.Val)-1] += v
 			continue
@@ -34,6 +36,34 @@ func (c *COO) toCSRBySortSlice() *CSR {
 		a.Val = append(a.Val, v)
 		a.RowPtr[i+1]++
 		prevI, prevJ = i, j
+	}
+	for i := 0; i < c.rows; i++ {
+		a.RowPtr[i+1] += a.RowPtr[i]
+	}
+	return a
+}
+
+// toCSRByArrival is ToCSR by its definition, the oracle for summation
+// order: a coordinate's entry is its first value with each later one added
+// in the order they arrived, and rows list their coordinates by column.
+func (c *COO) toCSRByArrival() *CSR {
+	sums := map[[2]int]float64{}
+	var keys [][2]int
+	for k, v := range c.v {
+		key := [2]int{int(c.i[k]), int(c.j[k])}
+		if s, ok := sums[key]; ok {
+			sums[key] = s + v
+			continue
+		}
+		sums[key] = v
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(p, q [2]int) int { return cmp.Or(cmp.Compare(p[0], q[0]), cmp.Compare(p[1], q[1])) })
+	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
+	for _, key := range keys {
+		a.RowPtr[key[0]+1]++
+		a.ColIdx = append(a.ColIdx, key[1])
+		a.Val = append(a.Val, sums[key])
 	}
 	for i := 0; i < c.rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
@@ -157,6 +187,116 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 		}
 		requireSameCSR(t, "random pairs", c.ToCSR(), c.toCSRBySortSlice())
 	}
+}
+
+// TestToCSRSumsRepeatsInArrivalOrder: a coordinate added up to eight
+// times, with values whose sum rounds differently in another order, is
+// summed in the order its entries were added, on short rows and on rows
+// far longer than a window. The entries are shuffled after they are drawn,
+// so a coordinate's repeats arrive among other coordinates' entries.
+func TestToCSRSumsRepeatsInArrivalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20; trial++ {
+		rows, cols := 1+rng.Intn(200), 1+rng.Intn(400)
+		c := NewCOO(rows, cols)
+		added := map[[2]int]int{}
+		for k := 300 + rng.Intn(3000); k > 0; k-- {
+			i, j := rng.Intn(rows), rng.Intn(cols)
+			if k%3 == 0 {
+				i = rows / 2 // one long row, hundreds of columns
+			}
+			for r := 1 + rng.Intn(8); r > 0 && added[[2]int{i, j}] < 8; r-- {
+				added[[2]int{i, j}]++
+				c.Add(i, j, rng.NormFloat64()*math.Exp2(float64(rng.Intn(40)-20)))
+			}
+		}
+		rng.Shuffle(len(c.v), func(p, q int) {
+			c.i[p], c.i[q] = c.i[q], c.i[p]
+			c.j[p], c.j[q] = c.j[q], c.j[p]
+			c.v[p], c.v[q] = c.v[q], c.v[p]
+		})
+		want := c.toCSRByArrival()
+		requireSameCSR(t, "repeats", c.ToCSR(), want)
+
+		// The oracle has teeth: the same entries added in reverse sum to
+		// other bits somewhere.
+		rev := NewCOO(rows, cols)
+		for k := len(c.v) - 1; k >= 0; k-- {
+			rev.Add(int(c.i[k]), int(c.j[k]), c.v[k])
+		}
+		differs := false
+		for k, v := range rev.toCSRByArrival().Val {
+			differs = differs || math.Float64bits(v) != math.Float64bits(want.Val[k])
+		}
+		if !differs {
+			t.Fatalf("trial %d: no coordinate's sum depends on its order", trial)
+		}
+	}
+}
+
+// fuzzValues are FuzzToCSR's entries: dyadic values with short mantissas
+// over a short range of binades, which sum exactly in any order, first
+// (explicit zeros and -0 among them), then values that round.
+var fuzzValues = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.5, -2.25, 3, 1024, -0.125, 6.75, -96, 0.375,
+	0.1, -0.7, 1.0 / 3, -2.0 / 3, math.Pi, -math.E, 1e-3, 1e300, -1e-310, 12345.678,
+}
+
+const fuzzDyadic = 12 // fuzzValues[:fuzzDyadic] sum exactly in any order
+
+// FuzzToCSR decodes a rows×cols builder of at most 64×64 from the bytes —
+// a triplet is three: row, column and an index into fuzzValues, so small
+// dimensions repeat coordinates — and holds ToCSR to both references bit
+// for bit and to Validate, with the capacities the conversion has always
+// returned and the builder left as it was. A coordinate added three times
+// or more takes dyadic values: the comparison-sort reference's unstable
+// sort does not keep arrival order, so only an exact sum is the same
+// whatever order its entries take. Seeds live in testdata/fuzz/FuzzToCSR.
+func FuzzToCSR(f *testing.F) {
+	f.Fuzz(func(t *testing.T, rows, cols uint8, triplets []byte) {
+		m, n := int(rows)%65, int(cols)%65
+		c := NewCOO(m, n)
+		if m > 0 && n > 0 {
+			added := map[[2]int]int{}
+			for p := 0; p+3 <= len(triplets); p += 3 {
+				added[[2]int{int(triplets[p]) % m, int(triplets[p+1]) % n}]++
+			}
+			for p := 0; p+3 <= len(triplets); p += 3 {
+				i, j, v := int(triplets[p])%m, int(triplets[p+1])%n, int(triplets[p+2])%len(fuzzValues)
+				if added[[2]int{i, j}] >= 3 {
+					v %= fuzzDyadic
+				}
+				c.Add(i, j, fuzzValues[v])
+			}
+		}
+		ci, cj, cv := slices.Clone(c.i), slices.Clone(c.j), slices.Clone(c.v)
+		got := c.ToCSR()
+		requireSameCSR(t, "sort reference", got, c.toCSRBySortSlice())
+		requireSameCSR(t, "arrival order", got, c.toCSRByArrival())
+		if cap(got.ColIdx) != len(c.v) || cap(got.Val) != len(c.v) || cap(got.RowPtr) != m+1 {
+			t.Fatalf("capacities %d, %d, %d; want %d, %d, %d", cap(got.ColIdx), cap(got.Val), cap(got.RowPtr), len(c.v), len(c.v), m+1)
+		}
+		if !slices.Equal(c.i, ci) || !slices.Equal(c.j, cj) ||
+			!slices.EqualFunc(c.v, cv, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Fatal("ToCSR modified its builder")
+		}
+	})
+}
+
+// TestNewCOORejectsWideDimensions: a coordinate is an int32, so NewCOO
+// refuses a dimension it cannot hold.
+func TestNewCOORejectsWideDimensions(t *testing.T) {
+	for _, d := range [][2]int{{-1, 3}, {3, -1}, {math.MaxInt32 + 1, 1}, {1, math.MaxInt32 + 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCOO(%d, %d) did not panic", d[0], d[1])
+				}
+			}()
+			NewCOO(d[0], d[1])
+		}()
+	}
+	NewCOO(math.MaxInt32, math.MaxInt32) // the widest allowed: nothing allocated per row
 }
 
 // fingerprint folds a matrix — shape, structure and value bits — into one

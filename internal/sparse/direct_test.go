@@ -168,8 +168,7 @@ func TestDirectGeneratorsMatchCOO(t *testing.T) {
 }
 
 // TestDiagDominantMatchesMapLoop: the stamp slice makes the draws and the
-// matrix the map per row made, and its allocation count does not grow with
-// n.
+// matrix the map per row made.
 func TestDiagDominantMatchesMapLoop(t *testing.T) {
 	for _, c := range []struct {
 		n, deg int
@@ -178,10 +177,28 @@ func TestDiagDominantMatchesMapLoop(t *testing.T) {
 		requireCutEqual(t, fmt.Sprintf("DiagDominant(%d,%d,%d)", c.n, c.deg, c.seed),
 			DiagDominant(c.n, c.deg, c.seed), diagDominantByMap(c.n, c.deg, c.seed))
 	}
-	small := testing.AllocsPerRun(5, func() { DiagDominant(256, 4, 1) })
-	large := testing.AllocsPerRun(5, func() { DiagDominant(16384, 4, 1) })
-	if large != small {
-		t.Fatalf("DiagDominant allocates %v times at n = 256 and %v at n = 16384: something is allocated per row", small, large)
+}
+
+// TestCOOGeneratorAllocsDoNotGrowWithN: a generator that assembles through
+// COO allocates as many times at n = 16384 as at n = 256 — its builder,
+// ToCSR's arrays and the row plan, whose runs, when they outgrow their
+// first room, at least double. The collector is off while it measures, as
+// in TestDirectGeneratorAllocs.
+func TestCOOGeneratorAllocsDoNotGrowWithN(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, g := range []struct {
+		name string
+		f    func(n int) *CSR
+	}{
+		{"DiagDominant", func(n int) *CSR { return DiagDominant(n, 4, 1) }},
+		{"SPDRandom", func(n int) *CSR { return SPDRandom(n, 4, 1) }},
+		{"CircuitLike", func(n int) *CSR { return CircuitLike(n, 1) }},
+	} {
+		small := testing.AllocsPerRun(5, func() { g.f(256) })
+		large := testing.AllocsPerRun(5, func() { g.f(16384) })
+		if large != small {
+			t.Errorf("%s allocates %v times at n = 256 and %v at n = 16384: something is allocated per row", g.name, small, large)
+		}
 	}
 }
 

@@ -35,40 +35,57 @@ func (a *CSR) planRows() *CSR {
 	return a
 }
 
-// newRowPlan plans the full windows of the rows rowPtr delimits: one pass,
-// one byte a row and one rowRun a run, nothing else allocated. It returns
-// nil — the row loop — when there is no full window, or more rows or
-// entries than the plan's int32 words count.
+// newRowPlan plans the full windows of the rows rowPtr delimits, counting
+// each window's rows by length: one byte a row and one rowRun a run,
+// nothing else allocated. It returns nil — the row loop — when there is no
+// full window, or more rows or entries than the plan's int32 words count.
 func newRowPlan(rowPtr []int, nnz int) *rowPlan {
 	nw := (len(rowPtr) - 1) / vec.Block
 	if nw == 0 || len(rowPtr)+nnz > math.MaxInt32 {
 		return nil
 	}
-	// A window of the stencil and circuit operators holds two to four row
-	// lengths; room for four runs a window spares most plans the regrowth.
+	// Room for four runs a window, what stencil and circuit windows mostly
+	// need, at least doubled when full: as many regrowths at any size.
 	p := &rowPlan{order: make([]uint8, nw*vec.Block), runs: make([]rowRun, 0, 4*nw), first: make([]int32, nw+1)}
+	var runs [vec.Block]rowRun // a window's runs, reused
 	for w := 0; w < nw; w++ {
 		ptr := rowPtr[w*vec.Block:][:vec.Block+1]
-		order := p.order[w*vec.Block:][:0]
-		// A selection sort on the few lengths a window holds: each pass emits,
-		// in row order, the rows of the shortest length not yet emitted.
-		for last := -1; len(order) < vec.Block; {
-			length := math.MaxInt
-			for i := 0; i < vec.Block; i++ {
-				if l := ptr[i+1] - ptr[i]; l > last && l < length {
-					length = l
+		// Count the window's rows into runs[:d], its few lengths ascending;
+		// k counts the last row's run, which the next row most often joins.
+		d, s, k := 0, 0, int32(0)
+		for i := range vec.Block {
+			if l := int32(ptr[i+1] - ptr[i]); d == 0 || runs[s].length != l {
+				runs[s].rows += k
+				for s = 0; s < d && runs[s].length < l; s++ {
 				}
-			}
-			done := len(order)
-			for i := 0; i < vec.Block; i++ {
-				if ptr[i+1]-ptr[i] == length {
-					order = append(order, uint8(i))
+				if s == d || runs[s].length != l {
+					copy(runs[s+1:d+1], runs[s:d])
+					runs[s], d = rowRun{l, 0}, d+1
 				}
+				k = 0
 			}
-			p.runs = append(p.runs, rowRun{int32(length), int32(len(order) - done)})
-			last = length
+			k++
 		}
+		runs[s].rows += k
+		if len(p.runs)+d > cap(p.runs) {
+			p.runs = slices.Grow(p.runs, cap(p.runs)+d)
+		}
+		p.runs = append(p.runs, runs[:d]...)
 		p.first[w+1] = int32(len(p.runs))
+		// Place the rows: runs[r].rows becomes run r's next place, k the last's.
+		for r, q := 0, int32(0); r < d; r++ {
+			runs[r].rows, q = q, q+runs[r].rows
+		}
+		order, k := p.order[w*vec.Block:][:vec.Block], runs[s].rows
+		for i := range vec.Block {
+			if l := int32(ptr[i+1] - ptr[i]); runs[s].length != l {
+				for runs[s].rows, s = k, 0; runs[s].length != l; s++ {
+				}
+				k = runs[s].rows
+			}
+			order[k] = uint8(i)
+			k++
+		}
 	}
 	return p
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,8 +107,45 @@ func checkRowPlan(t *testing.T, rng *rand.Rand, name string, a *CSR) {
 	}
 }
 
-// checkPlanStructure: each window's runs are a permutation of its rows,
-// every run under its rows' common length, rows ascending within a length.
+// selectionRowPlan is newRowPlan as it was before it counted: a selection
+// sort on the few lengths a window holds, each pass emitting, in row order,
+// the rows of the shortest length not yet emitted. It is kept as the oracle
+// the counting plan must reproduce.
+func selectionRowPlan(rowPtr []int, nnz int) *rowPlan {
+	nw := (len(rowPtr) - 1) / vec.Block
+	if nw == 0 || len(rowPtr)+nnz > math.MaxInt32 {
+		return nil
+	}
+	p := &rowPlan{order: make([]uint8, nw*vec.Block), runs: make([]rowRun, 0, 4*nw), first: make([]int32, nw+1)}
+	for w := 0; w < nw; w++ {
+		ptr := rowPtr[w*vec.Block:][:vec.Block+1]
+		order := p.order[w*vec.Block:][:0]
+		for last := -1; len(order) < vec.Block; {
+			length := math.MaxInt
+			for i := 0; i < vec.Block; i++ {
+				if l := ptr[i+1] - ptr[i]; l > last && l < length {
+					length = l
+				}
+			}
+			done := len(order)
+			for i := 0; i < vec.Block; i++ {
+				if ptr[i+1]-ptr[i] == length {
+					order = append(order, uint8(i))
+				}
+			}
+			p.runs = append(p.runs, rowRun{int32(length), int32(len(order) - done)})
+			last = length
+		}
+		p.first[w+1] = int32(len(p.runs))
+	}
+	return p
+}
+
+// checkPlanStructure: the plan is the selection-sort oracle's, byte for
+// byte — so on every generator, every CSR derived from one, and every
+// FuzzRowPlan seed, all of which come through here — and, checked on its
+// own, each window's runs are a permutation of its rows, every run under
+// its rows' common length, rows ascending within a length.
 func checkPlanStructure(t *testing.T, name string, a *CSR) {
 	t.Helper()
 	p := a.plan
@@ -119,6 +157,10 @@ func checkPlanStructure(t *testing.T, name string, a *CSR) {
 	}
 	if p == nil {
 		t.Fatalf("%s: no plan", name)
+	}
+	if want := selectionRowPlan(a.RowPtr, len(a.Val)); !slices.Equal(p.order, want.order) ||
+		!slices.Equal(p.runs, want.runs) || !slices.Equal(p.first, want.first) {
+		t.Fatalf("%s: the counted plan is not the selection sort's", name)
 	}
 	for w := 0; w < a.Rows/vec.Block; w++ {
 		seen := map[int]bool{}

@@ -34,13 +34,15 @@ var (
 )
 
 // gcTick's finalizer ages the shelves after every collection and re-arms
-// itself. It holds a pointer: a finalizer on a tiny object may never run.
+// itself, under the lock (see Settle). It holds a pointer: a finalizer on a
+// tiny object may never run.
 type gcTick struct{ _ *int }
 
 func init() { runtime.SetFinalizer(&gcTick{}, onGC) }
 
 func onGC(t *gcTick) {
 	shelvesMu.Lock()
+	defer shelvesMu.Unlock()
 	ages++
 	for n, s := range shelves {
 		k := copy(s.arrays, s.arrays[s.aged:])
@@ -51,8 +53,31 @@ func onGC(t *gcTick) {
 		}
 		s.used = false
 	}
-	shelvesMu.Unlock()
 	runtime.SetFinalizer(t, onGC)
+}
+
+// Settle runs a collection and returns once an age pass has run after it
+// began; none runs again until the next collection. With the collector off
+// (debug.SetGCPercent(-1)) the shelves then change only by Take and Put,
+// which is what an allocation count over a solve needs. The lock is held
+// through the collection, so no pass ends between reading the count and
+// the collection's start: the collection finds the tick armed and queues a
+// pass, or one is queued or waiting on the lock already, and either way
+// exactly one more pass ends.
+func Settle() {
+	shelvesMu.Lock()
+	n := ages
+	runtime.GC()
+	shelvesMu.Unlock()
+	for {
+		shelvesMu.Lock()
+		done := ages != n
+		shelvesMu.Unlock()
+		if done {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // Take returns a zeroed slice of length and capacity n, as make does,

@@ -60,23 +60,25 @@ func TestPutArrayIsTakenBack(t *testing.T) {
 	Put(b)
 }
 
-// collect runs a collection and waits for its age pass. With the
-// collector off nothing else collects, so once it returns no pass is
-// pending. (A collection that lands while the pass of an earlier one is
-// running may find the tick not yet re-armed; the next one finds it.)
-func collect() {
-	shelvesMu.Lock()
-	before := ages
-	shelvesMu.Unlock()
-	for {
-		runtime.GC()
-		for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			shelvesMu.Lock()
-			done := ages != before
-			shelvesMu.Unlock()
-			if done {
-				return
-			}
+// TestSettleLeavesNoPassPending: with the collector off, once Settle
+// returns no age pass runs, however long the caller waits — whether a
+// collection's pass was pending when it was called or not.
+func TestSettleLeavesNoPassPending(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for trial := 0; trial < 20; trial++ {
+		if trial%2 == 1 {
+			runtime.GC() // its pass may still be pending when Settle starts
+		}
+		Settle()
+		shelvesMu.Lock()
+		n := ages
+		shelvesMu.Unlock()
+		time.Sleep(5 * time.Millisecond)
+		shelvesMu.Lock()
+		late := ages - n
+		shelvesMu.Unlock()
+		if late != 0 {
+			t.Fatalf("trial %d: %d age passes ran after Settle returned", trial, late)
 		}
 	}
 }
@@ -88,19 +90,19 @@ func collect() {
 func TestCollectionsDrainIdleShelves(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const idle, busy = 1033, 1039
-	collect()
+	Settle()
 	Put(Take(idle))
 	Put(Take(busy))
-	collect()
+	Settle()
 	if shelved(idle) != 1 || shelved(busy) != 1 {
 		t.Fatalf("after one collection: %d and %d arrays shelved, want 1 and 1", shelved(idle), shelved(busy))
 	}
 	Put(Take(busy))
-	collect()
+	Settle()
 	if shelved(idle) != 0 || shelved(busy) != 1 {
 		t.Fatalf("after two collections: %d and %d arrays shelved, want 0 and 1", shelved(idle), shelved(busy))
 	}
-	collect()
+	Settle()
 	shelvesMu.Lock()
 	_, kept := shelves[idle]
 	shelvesMu.Unlock()

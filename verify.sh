@@ -66,7 +66,7 @@ step "benchmark module (vet, tests)"
 # pinned in benchmark/pinned.json on small inputs.
 (cd benchmark && go vet ./... && go test ./...)
 
-step "fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan, service FuzzEncodeProgress + FuzzRequestBuild, router FuzzRelayStream, mmio FuzzRead, checkpoint FuzzDecodeLossy + FuzzDecodeDiff)"
+step "fuzz seed replay (checksum, vec FuzzLeafKernels + FuzzNorm2Leaf + FuzzVLOKernels, sparse FuzzTriSchedule + FuzzRowPlan + FuzzToCSR, service FuzzEncodeProgress + FuzzRequestBuild, router FuzzRelayStream, mmio FuzzRead, checkpoint FuzzDecodeLossy + FuzzDecodeDiff)"
 go test -run Fuzz -fuzz='^$' ./internal/checksum/...
 go test -run Fuzz -fuzz='^$' ./internal/vec/...
 go test -run Fuzz -fuzz='^$' ./internal/sparse/...
