@@ -2,9 +2,11 @@ package checksum
 
 import (
 	"math"
+	"runtime/debug"
 	"testing"
 
 	"newsum/internal/sparse"
+	"newsum/internal/vec"
 )
 
 // TestUpdateAndVerifyAllocs pins the unfused Eq. (2) MVM update with one,
@@ -54,4 +56,26 @@ func TestUpdateAndVerifyAllocs(t *testing.T) {
 			t.Errorf("clean vector failed verification")
 		}
 	})
+}
+
+// TestRederivesAllocatesNothing: the admission check's second derivation
+// runs in scratch from vec's pool, so once the shelf for the operator's
+// order is warm it allocates nothing (docs/testing.md §13). The collector
+// is off and vec.Settle runs first, so no age pass of the pool lands inside
+// the measurement.
+func TestRederivesAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := sparse.CircuitLike(4000, 20160531)
+	e := NewEncoding(a, 0)
+	if !e.Rederives(a) {
+		t.Fatal("a fresh encoding was refused")
+	}
+	vec.Settle()
+	ok := true
+	if n := testing.AllocsPerRun(20, func() { ok = ok && e.Rederives(a) }); n != 0 {
+		t.Errorf("Rederives: %v allocations per call, want 0", n)
+	}
+	if !ok {
+		t.Error("a fresh encoding was refused on a repeat check")
+	}
 }

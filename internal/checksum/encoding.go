@@ -45,45 +45,92 @@ type Encoding struct {
 // NewEncoding derives the full offline encoding of a with decoupling scalar
 // d; d = 0 selects PracticalD(a). Cost: one pass over the nonzeros — the
 // three c_kᵀA rows accumulate side by side, each weight evaluated once per
-// matrix row, and the Linear and Harmonic rows are copied out as the
-// diagnosis rows before − d·c_kᵀ densifies all three — the paper's offline
-// encoding cost, paid once per operator. Each row sees EncodeMatrix's and
-// EncodeTraditional's additions in their order, so the bits are theirs.
-// The Triple weights are written out — 1, i+1 and 1/(i+1), as their At
-// functions compute them — rather than called per element; 1·v is v.
+// matrix row, with ‖A‖∞ for PracticalD taken in the same loop, and the
+// Linear and Harmonic rows are copied out as the diagnosis rows before
+// − d·c_kᵀ densifies all three — the paper's offline encoding cost, paid
+// once per operator. Each row sees EncodeMatrix's and EncodeTraditional's
+// additions in their order, so the bits are theirs.
 func NewEncoding(a *sparse.CSR, d float64) *Encoding {
 	if a.Rows != a.Cols {
 		panic("checksum: NewEncoding requires a square matrix")
-	}
-	if d == 0 {
-		d = PracticalD(a)
 	}
 	n := a.Rows
 	rows := make([][]float64, len(Triple))
 	for k := range rows {
 		rows[k] = make([]float64, n)
 	}
-	ones, linear, harmonic := rows[0], rows[1], rows[2]
-	for i := 0; i < n; i++ {
-		c1, c2 := float64(i+1), 1/float64(i+1)
-		cols, vals := a.RowView(i)
-		for t, j := range cols {
-			v := vals[t]
-			ones[j] += v
-			linear[j] += c1 * v
-			harmonic[j] += c2 * v
-		}
+	normA := encodeRows(a, rows[0], rows[1], rows[2])
+	if d == 0 {
+		d = practicalD(normA)
 	}
 	diag := &Traditional{N: n, Weights: Triple[1:], Rows: make([][]float64, len(Triple)-1)}
 	for k, row := range rows[1:] {
 		diag.Rows[k] = append([]float64(nil), row...)
 	}
+	decouple(rows[0], rows[1], rows[2], d)
+	return &Encoding{N: n, D: d, mat: &Matrix{N: n, D: d, Weights: Triple, Rows: rows}, diag: diag}
+}
+
+// encodeRows adds cᵀA for the Triple weights into ones, linear and
+// harmonic, and returns ‖A‖∞ in NormInf's order, so with its bits. The
+// Triple weights are written out — 1, i+1 and 1/(i+1), as their At
+// functions compute them — rather than called per element; 1·v is v.
+func encodeRows(a *sparse.CSR, ones, linear, harmonic []float64) (normA float64) {
+	for i := 0; i < a.Rows; i++ {
+		c1, c2 := float64(i+1), 1/float64(i+1)
+		cols, vals := a.RowView(i)
+		var s float64
+		for t, j := range cols {
+			v := vals[t]
+			ones[j] += v
+			linear[j] += c1 * v
+			harmonic[j] += c2 * v
+			s += math.Abs(v)
+		}
+		if s > normA {
+			normA = s
+		}
+	}
+	return normA
+}
+
+// decouple subtracts d·c_kᵀ from the Triple weights' cᵀA rows.
+func decouple(ones, linear, harmonic []float64, d float64) {
 	for j := range ones {
 		ones[j] -= d
 		linear[j] -= d * float64(j+1)
 		harmonic[j] -= d * (1 / float64(j+1))
 	}
-	return &Encoding{N: n, D: d, mat: &Matrix{N: n, D: d, Weights: Triple, Rows: rows}, diag: diag}
+}
+
+// Rederives reports whether a second derivation of a's encoding — its own
+// PracticalD, the same accumulation order — reproduces e word for word, as
+// e.EqualBits(NewEncoding(a, 0)) would: D, the three new-sum rows and the
+// two diagnosis rows. This is the admission check a caching layer runs
+// before trusting e (EqualBits says why). The second derivation runs in
+// scratch taken from vec's pool and is compared there, and nothing of it
+// is kept: once vec's shelf for a's order holds three arrays, it allocates
+// nothing. A non-square a panics, as NewEncoding does.
+func (e *Encoding) Rederives(a *sparse.CSR) bool {
+	if a.Rows != a.Cols {
+		panic("checksum: Rederives requires a square matrix")
+	}
+	n := a.Rows
+	if n != e.N {
+		return false
+	}
+	ones, linear, harmonic := vec.Take(n), vec.Take(n), vec.Take(n)
+	d := practicalD(encodeRows(a, ones, linear, harmonic))
+	same := math.Float64bits(d) == math.Float64bits(e.D) &&
+		vec.SameBits(linear, e.diag.Rows[0]) && vec.SameBits(harmonic, e.diag.Rows[1])
+	if same {
+		decouple(ones, linear, harmonic, d)
+		same = vec.SameBits(ones, e.mat.Rows[0]) && vec.SameBits(linear, e.mat.Rows[1]) && vec.SameBits(harmonic, e.mat.Rows[2])
+	}
+	vec.Put(ones)
+	vec.Put(linear)
+	vec.Put(harmonic)
+	return same
 }
 
 // Matrix returns the new-sum encoded matrix for the requested weight set,

@@ -162,6 +162,57 @@ func TestEncodingDeterministic(t *testing.T) {
 	}
 }
 
+// TestRederivesRefusesAFlippedBit: the admission check refuses an encoding
+// with one bit of D, of any new-sum row or of any diagnosis row flipped,
+// admits the untouched one, and answers as EqualBits against a fresh
+// NewEncoding(a, 0) does — on a grid, a circuit and an inline operator with
+// signed zeros and a subnormal, and for an encoding pinned to another d.
+func TestRederivesRefusesAFlippedBit(t *testing.T) {
+	coo := sparse.NewCOO(4, 4)
+	for i := 0; i < 4; i++ {
+		coo.Add(i, i, 3)
+	}
+	coo.Add(0, 2, math.Copysign(0, -1))
+	coo.Add(3, 1, 5e-324)
+	coo.Add(2, 0, -0.75)
+	flip := func(x *float64, bit uint) { *x = math.Float64frombits(math.Float64bits(*x) ^ 1<<bit) }
+	for name, a := range map[string]*sparse.CSR{
+		"laplace2d": sparse.Laplacian2D(17, 19),
+		"circuit":   sparse.CircuitLike(400, 7),
+		"inline":    coo.ToCSR(),
+	} {
+		for _, c := range []struct {
+			what   string
+			strike func(e *Encoding)
+			admit  bool
+		}{
+			{"untouched", func(*Encoding) {}, true},
+			{"D", func(e *Encoding) { flip(&e.D, 0) }, false},
+			{"ones row", func(e *Encoding) { flip(&e.mat.Rows[0][2], 0) }, false},
+			{"linear row", func(e *Encoding) { flip(&e.mat.Rows[1][a.Rows-1], 51) }, false},
+			{"harmonic row", func(e *Encoding) { flip(&e.mat.Rows[2][1], 63) }, false},
+			{"linear diagnosis row", func(e *Encoding) { flip(&e.diag.Rows[0][0], 0) }, false},
+			{"harmonic diagnosis row", func(e *Encoding) { flip(&e.diag.Rows[1][a.Rows/2], 30) }, false},
+		} {
+			e := NewEncoding(a, 0)
+			c.strike(e)
+			got := e.Rederives(a)
+			if got != c.admit {
+				t.Errorf("%s, %s: Rederives = %v, want %v", name, c.what, got, c.admit)
+			}
+			if want := e.EqualBits(NewEncoding(a, 0)); got != want {
+				t.Errorf("%s, %s: Rederives = %v, EqualBits(NewEncoding(a, 0)) = %v", name, c.what, got, want)
+			}
+		}
+		if NewEncoding(a, 1024).Rederives(a) {
+			t.Errorf("%s: an encoding pinned to d = 1024 was admitted against PracticalD", name)
+		}
+	}
+	if NewEncoding(sparse.Laplacian2D(4, 4), 0).Rederives(sparse.Laplacian2D(4, 5)) {
+		t.Error("an encoding of order 16 was admitted for an operator of order 20")
+	}
+}
+
 // TestEncodingMatrixValidatesWeights pins the prefix contract: only weight
 // sets that are a prefix of Triple can view the precomputed rows.
 func TestEncodingMatrixValidatesWeights(t *testing.T) {

@@ -99,8 +99,10 @@ func Checksums(x []float64, weights []Weight) []float64 {
 // while the running η bounds (see ConsistentBound) keep large-n
 // verification sound. A caller who wants Lemma 2's guarantee anyway passes
 // a power of two above the bound to NewEncoding.
-func PracticalD(a *sparse.CSR) float64 {
-	normA := a.NormInf()
+func PracticalD(a *sparse.CSR) float64 { return practicalD(a.NormInf()) }
+
+// practicalD is PracticalD of a matrix whose ‖A‖∞ is normA.
+func practicalD(normA float64) float64 {
 	if normA <= 0 {
 		normA = 1
 	}

@@ -16,8 +16,10 @@ import (
 // and the service amortizes over many.
 //
 // Admission is guarded the ABFT way: the encoding is derived twice,
-// independently, and admitted only if the two copies agree bit for bit
-// (checksum.Encoding.EqualBits). A soft error striking the offline
+// independently, and admitted only if the two agree bit for bit
+// (checksum.Encoding.Rederives). The second derivation is compared in
+// place, in scratch from vec's pool, and nothing of it is kept: the cache
+// holds one Encoding per operator. A soft error striking the offline
 // precompute would otherwise poison every solve served from the cache —
 // the one corruption the online scheme cannot see, because a consistently
 // wrong encoding verifies consistently. On disagreement the entry is not
@@ -87,14 +89,18 @@ func (c *encCache) put(key uint64, spec *MatrixSpec, a *sparse.CSR, enc *checksu
 	return e
 }
 
-// deriveChecked derives the checksum encoding of a twice, independently,
-// and returns it only if the two copies agree bit for bit — the admission
-// integrity check described on encCache. The error carries the fingerprint
-// for the stats layer; the caller falls back to per-solve derivation.
+// newEncoding is the derivation deriveChecked admits; a test strikes it
+// with a soft error.
+var newEncoding = checksum.NewEncoding
+
+// deriveChecked derives the checksum encoding of a and returns it only if
+// a second, independent derivation agrees with it bit for bit — the
+// admission integrity check described on encCache. The error carries the
+// fingerprint for the stats layer; the caller falls back to per-solve
+// derivation.
 func deriveChecked(key uint64, a *sparse.CSR) (*checksum.Encoding, error) {
-	enc := checksum.NewEncoding(a, 0)
-	check := checksum.NewEncoding(a, 0)
-	if !enc.EqualBits(check) {
+	enc := newEncoding(a, 0)
+	if !enc.Rederives(a) {
 		return nil, fmt.Errorf("service: encoding admission check failed for fingerprint %016x: independent derivations disagree", key)
 	}
 	return enc, nil

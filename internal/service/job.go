@@ -122,6 +122,7 @@ func (m *MatrixSpec) build() (*sparse.CSR, error) {
 		return sparse.DiagDominant(m.N, m.degree(), m.Seed), nil
 	case "inline":
 		coo := sparse.NewCOO(m.Size, m.Size)
+		coo.Grow(len(m.Rows))
 		for k := range m.Rows {
 			coo.Add(m.Rows[k], m.Cols[k], m.Vals[k])
 		}

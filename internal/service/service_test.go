@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"newsum/internal/checksum"
 	"newsum/internal/sparse"
 )
 
@@ -349,6 +350,40 @@ func TestCacheReuseAndEviction(t *testing.T) {
 	if snap.CacheHits != 1 || snap.CacheMisses != 4 {
 		t.Fatalf("cache hits/misses = %d/%d, want 1/4", snap.CacheHits, snap.CacheMisses)
 	}
+}
+
+// TestAdmissionRefusesAStruckDerivation: a soft error striking the
+// encoding's derivation — one bit of a new-sum row, before the admission
+// check runs — keeps the operator out of the cache. The job still converges
+// on its own per-solve derivation, admission_failures counts every refusal,
+// and once the strikes stop the operator is admitted and then hit.
+func TestAdmissionRefusesAStruckDerivation(t *testing.T) {
+	defer func(f func(*sparse.CSR, float64) *checksum.Encoding) { newEncoding = f }(newEncoding)
+	newEncoding = func(a *sparse.CSR, d float64) *checksum.Encoding {
+		e := checksum.NewEncoding(a, d)
+		row := e.Matrix(checksum.Triple).Rows[2]
+		row[7] = math.Float64frombits(math.Float64bits(row[7]) ^ 1)
+		return e
+	}
+	s := New(Config{Workers: 1, QueueDepth: 4, CacheSize: 4})
+	defer s.Close()
+	submit := func(wantHit bool, wantFailures int64, wantEntries int) {
+		t.Helper()
+		resp, err := s.Submit(context.Background(), Request{Matrix: laplaceSpec()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := s.Stats()
+		if !resp.Converged || resp.CacheHit != wantHit || snap.AdmissionFailures != wantFailures || snap.CacheEntries != wantEntries {
+			t.Fatalf("converged %v, cache hit %v, admission failures %d, cache entries %d; want true, %v, %d, %d",
+				resp.Converged, resp.CacheHit, snap.AdmissionFailures, snap.CacheEntries, wantHit, wantFailures, wantEntries)
+		}
+	}
+	submit(false, 1, 0)
+	submit(false, 2, 0)
+	newEncoding = checksum.NewEncoding
+	submit(false, 2, 1)
+	submit(true, 2, 1)
 }
 
 // TestDrainOnClose: Close must run every already-admitted job to

@@ -9,6 +9,8 @@ import (
 // COO is a coordinate-format builder for sparse matrices. Entries may be
 // added in any order; duplicates are summed when converting to CSR, matching
 // the conventions of the Matrix Market format and of finite-element assembly.
+// ToCSR consumes the builder: the CSR is made inside its arrays, and it is
+// left empty.
 type COO struct {
 	rows, cols int
 	i, j       []int32 // an int32 coordinate: a third less memory an entry than int
@@ -54,23 +56,30 @@ func (c *COO) AddSym(i, j int, v float64) {
 
 // ToCSR converts the accumulated entries to CSR form, sorting each row's
 // columns ascending and summing duplicate coordinates in the order they
-// were added; c is left as it was. Linear in the entry count whatever the
-// row lengths (plus the dimensions): a stable counting sort by column, then
-// one by row.
+// were added. It consumes c: the conversion runs inside the builder's
+// arrays and leaves c empty, so that a later Add starts a new matrix and
+// cannot reach the CSR. Linear in the entry count whatever the row lengths
+// (plus the dimensions): a stable counting sort by column, then one by row,
+// then the values moved to their places along the permutation's cycles.
+// At its peak it holds 24 bytes an entry, the builder's 16 and ColIdx's 8.
+// Val is the builder's value array unless it holds no entry or more than
+// an eighth of it would lie past the CSR's entries (append's growth, or
+// repeats summed away); then Val is a copy of exactly the entries, empty
+// and not nil when there are none.
 func (c *COO) ToCSR() *CSR {
 	n := len(c.v)
 	if n > math.MaxInt32 {
-		panic("sparse: more COO entries than ToCSR's int32 permutation counts")
+		panic("sparse: more COO entries than ToCSR's int32 positions count")
 	}
-	// byCol[q] is entry q of the column order. colAt[j+1] counts column j;
-	// summed, colAt[j] is column j's next position. RowPtr does the same
-	// for the rows.
-	scratch := make([]int32, n+c.cols+1)
-	byCol, colAt := scratch[:n], scratch[n:]
-	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
-	for k, j := range c.j {
+	at, cols, vals := c.i, c.j, c.v
+	c.i, c.j, c.v = nil, nil, nil
+	// colAt[j+1] counts column j; summed, colAt[j] is column j's next
+	// position. RowPtr does the same for the rows.
+	colAt := make([]int32, c.cols+1)
+	a := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1), ColIdx: make([]int, n)}
+	for k, j := range cols {
 		colAt[j+1]++
-		a.RowPtr[c.i[k]+1]++
+		a.RowPtr[at[k]+1]++
 	}
 	for j := 0; j < c.cols; j++ {
 		colAt[j+1] += colAt[j]
@@ -78,15 +87,34 @@ func (c *COO) ToCSR() *CSR {
 	for i := 0; i < c.rows; i++ {
 		a.RowPtr[i+1] += a.RowPtr[i]
 	}
-	for k, j := range c.j {
-		byCol[colAt[j]] = int32(k)
+	// Until it is filled, ColIdx[q] is entry q of the column order. Walking
+	// it, each entry takes its row's next position: at[k], entry k's row
+	// until then, becomes its place in the CSR.
+	for k, j := range cols {
+		a.ColIdx[colAt[j]] = k
 		colAt[j]++
 	}
-	cols, vals := make([]int, n), make([]float64, n)
-	for _, k := range byCol {
-		p := &a.RowPtr[c.i[k]]
-		cols[*p], vals[*p] = int(c.j[k]), c.v[k]
+	for _, k := range a.ColIdx {
+		p := &a.RowPtr[at[k]]
+		at[k] = int32(*p)
 		*p++
+	}
+	for k, p := range at {
+		a.ColIdx[p] = int(cols[k])
+	}
+	// vals[k]'s place is at[k]. Follow each cycle of the permutation from
+	// its first entry, carrying a value to its place and picking up the one
+	// there; a settled place names itself, so every value moves once.
+	for k, p := range at {
+		if int(p) == k {
+			continue
+		}
+		x := vals[k]
+		for int(p) != k {
+			x, vals[p] = vals[p], x
+			p, at[p] = at[p], p
+		}
+		vals[k] = x
 	}
 	// Each RowPtr[i] now ends row i's bucket. Compact left to right, summing
 	// a row's repeated columns in arrival order; w never passes the reads.
@@ -94,16 +122,20 @@ func (c *COO) ToCSR() *CSR {
 	for i, end := range a.RowPtr[:c.rows] {
 		a.RowPtr[i] = w
 		for p := start; p < end; p++ {
-			if p > start && cols[p] == cols[p-1] {
+			if p > start && a.ColIdx[p] == a.ColIdx[p-1] {
 				vals[w-1] += vals[p]
 			} else {
-				cols[w], vals[w] = cols[p], vals[p]
+				a.ColIdx[w], vals[w] = a.ColIdx[p], vals[p]
 				w++
 			}
 		}
 		start = end
 	}
 	a.RowPtr[c.rows] = w
-	a.ColIdx, a.Val = cols[:w], vals[:w]
+	a.ColIdx, a.Val = a.ColIdx[:w], vals[:w]
+	if w == 0 || cap(vals)-w > w/8 {
+		a.Val = make([]float64, w)
+		copy(a.Val, vals)
+	}
 	return a.planRows()
 }

@@ -4,9 +4,12 @@ import (
 	"cmp"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // toCSRBySortSlice is ToCSR as it was before the counting sort: one
@@ -71,6 +74,12 @@ func (c *COO) toCSRByArrival() *CSR {
 	return a
 }
 
+// clone copies the builder, for a test that converts the same entries
+// more than once: ToCSR consumes its builder.
+func (c *COO) clone() *COO {
+	return &COO{rows: c.rows, cols: c.cols, i: slices.Clone(c.i), j: slices.Clone(c.j), v: slices.Clone(c.v)}
+}
+
 // cooOf rebuilds the builder a matrix came from, entry by entry in storage
 // order, then shuffles it: the conversion may not depend on arrival order
 // beyond the order of duplicates.
@@ -130,7 +139,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 	}
 	for name, a := range gens {
 		c := cooOf(a, rng)
-		requireSameCSR(t, name, c.ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, name, c.clone().ToCSR(), c.toCSRBySortSlice())
 		requireSameCSR(t, name+" round trip", c.ToCSR(), a)
 
 		// Block-Jacobi's assembly: the block-diagonal restriction, added
@@ -148,7 +157,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 				}
 			}
 		}
-		requireSameCSR(t, name+" block diagonal", bd.ToCSR(), bd.toCSRBySortSlice())
+		requireSameCSR(t, name+" block diagonal", bd.clone().ToCSR(), bd.toCSRBySortSlice())
 	}
 
 	// Random input. A coordinate added twice sums commutatively, so any
@@ -165,7 +174,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 			}
 			c.Add(i, j, float64(rng.Intn(1<<20)-1<<19)/1024)
 		}
-		requireSameCSR(t, "random dyadic", c.ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, "random dyadic", c.clone().ToCSR(), c.toCSRBySortSlice())
 	}
 	for trial := 0; trial < 20; trial++ {
 		n := 200 + rng.Intn(200)
@@ -185,7 +194,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 			seen[[2]int{i, j}]++
 			c.Add(i, j, rng.NormFloat64()*math.Exp2(float64(rng.Intn(60)-30)))
 		}
-		requireSameCSR(t, "random pairs", c.ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, "random pairs", c.clone().ToCSR(), c.toCSRBySortSlice())
 	}
 }
 
@@ -216,7 +225,7 @@ func TestToCSRSumsRepeatsInArrivalOrder(t *testing.T) {
 			c.v[p], c.v[q] = c.v[q], c.v[p]
 		})
 		want := c.toCSRByArrival()
-		requireSameCSR(t, "repeats", c.ToCSR(), want)
+		requireSameCSR(t, "repeats", c.clone().ToCSR(), want)
 
 		// The oracle has teeth: the same entries added in reverse sum to
 		// other bits somewhere.
@@ -247,11 +256,17 @@ const fuzzDyadic = 12 // fuzzValues[:fuzzDyadic] sum exactly in any order
 // FuzzToCSR decodes a rows×cols builder of at most 64×64 from the bytes —
 // a triplet is three: row, column and an index into fuzzValues, so small
 // dimensions repeat coordinates — and holds ToCSR to both references bit
-// for bit and to Validate, with the capacities the conversion has always
-// returned and the builder left as it was. A coordinate added three times
-// or more takes dyadic values: the comparison-sort reference's unstable
-// sort does not keep arrival order, so only an exact sum is the same
-// whatever order its entries take. Seeds live in testdata/fuzz/FuzzToCSR.
+// for bit and to Validate, and to its consuming contract: the builder is
+// left empty, ColIdx has room for every entry and RowPtr for every row,
+// and Val is the builder's value array itself unless that holds no entry
+// or more than an eighth of it lies past the CSR's entries — append's
+// growth or summed repeats — when it is a copy of exactly the entries. The
+// builder grows by append, so seeds take both branches: append-exact-keep's
+// eight entries fill their array, append-slack-copy's nine leave seven of
+// sixteen slots empty and are copied. A coordinate added three times or
+// more takes dyadic values: the comparison-sort reference's unstable sort
+// does not keep arrival order, so only an exact sum is the same whatever
+// order its entries take. Seeds live in testdata/fuzz/FuzzToCSR.
 func FuzzToCSR(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols uint8, triplets []byte) {
 		m, n := int(rows)%65, int(cols)%65
@@ -269,18 +284,85 @@ func FuzzToCSR(f *testing.F) {
 				c.Add(i, j, fuzzValues[v])
 			}
 		}
-		ci, cj, cv := slices.Clone(c.i), slices.Clone(c.j), slices.Clone(c.v)
+		orig, vals := c.clone(), c.v
 		got := c.ToCSR()
-		requireSameCSR(t, "sort reference", got, c.toCSRBySortSlice())
-		requireSameCSR(t, "arrival order", got, c.toCSRByArrival())
-		if cap(got.ColIdx) != len(c.v) || cap(got.Val) != len(c.v) || cap(got.RowPtr) != m+1 {
-			t.Fatalf("capacities %d, %d, %d; want %d, %d, %d", cap(got.ColIdx), cap(got.Val), cap(got.RowPtr), len(c.v), len(c.v), m+1)
+		requireSameCSR(t, "sort reference", got, orig.toCSRBySortSlice())
+		requireSameCSR(t, "arrival order", got, orig.toCSRByArrival())
+		if c.i != nil || c.j != nil || c.v != nil {
+			t.Fatalf("ToCSR left %d, %d, %d entries in its builder, want it emptied", len(c.i), len(c.j), len(c.v))
 		}
-		if !slices.Equal(c.i, ci) || !slices.Equal(c.j, cj) ||
-			!slices.EqualFunc(c.v, cv, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
-			t.Fatal("ToCSR modified its builder")
+		w, n := got.NNZ(), len(orig.v)
+		copied := w == 0 || cap(vals)-w > w/8
+		wantVal := cap(vals)
+		if copied {
+			wantVal = w
+		}
+		if cap(got.ColIdx) != n || cap(got.Val) != wantVal || cap(got.RowPtr) != m+1 {
+			t.Fatalf("capacities %d, %d, %d; want %d, %d, %d", cap(got.ColIdx), cap(got.Val), cap(got.RowPtr), n, wantVal, m+1)
+		}
+		if got.Val == nil {
+			t.Fatal("Val is nil, want empty")
+		}
+		if w > 0 && (&got.Val[0] == &vals[0]) == copied {
+			t.Fatalf("Val aliases the builder's value array: %v; the slack rule (cap %d, %d entries) wants %v", !copied, cap(vals), w, !copied)
 		}
 	})
+}
+
+// heapUse returns the bytes and the objects f allocates. The collector
+// must be off.
+func heapUse(f func()) (bytes, mallocs uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestToCSRAllocatesOnlyTheCSR: ToCSR converts inside its builder, so what
+// it allocates is the CSR — the struct, RowPtr, ColIdx and the row plan —
+// and the column counts, and nothing else of the entries' length: the
+// bytes beyond those are size-class rounding, under half the four an entry
+// of the smallest array that could hold a permutation. A builder whose
+// value array has more than an eighth of slack allocates one array more,
+// Val's copy. The collector is off while it measures.
+func TestToCSRAllocatesOnlyTheCSR(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const rows, cols, n = 5000, 4000, 40000
+	rng := rand.New(rand.NewSource(3))
+	exact := NewCOO(rows, cols)
+	exact.Grow(n)
+	for k := 0; k < n; k++ {
+		exact.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
+	}
+	half := NewCOO(rows, cols)
+	half.Grow(n)
+	for k := 0; k < n/2; k++ {
+		half.Add(rng.Intn(rows), rng.Intn(cols), rng.NormFloat64())
+	}
+	for _, c := range []struct {
+		name   string
+		c      *COO
+		copies bool
+	}{{"reserved exactly", exact, false}, {"half the reservation", half, true}} {
+		entries := len(c.c.v)
+		var a *CSR
+		bytes, mallocs := heapUse(func() { a = c.c.ToCSR() })
+		planBytes, planMallocs := heapUse(func() { newRowPlan(a.RowPtr, a.NNZ()) })
+		want := planBytes + uint64(unsafe.Sizeof(CSR{})) + 8*rows + 8 + 8*uint64(entries) + 4*cols + 4
+		wantMallocs := planMallocs + 4
+		if c.copies {
+			want += 8 * uint64(a.NNZ())
+			wantMallocs++
+		}
+		if mallocs != wantMallocs || bytes < want || bytes-want >= 2*uint64(entries) {
+			t.Errorf("%s: %d bytes in %d allocations; want %d (+ rounding, under %d) in %d",
+				c.name, bytes, mallocs, want, 2*entries, wantMallocs)
+		}
+		if copied := cap(a.Val) == a.NNZ(); copied != c.copies {
+			t.Errorf("%s: Val copied %v, want %v", c.name, copied, c.copies)
+		}
+	}
 }
 
 // TestNewCOORejectsWideDimensions: a coordinate is an int32, so NewCOO

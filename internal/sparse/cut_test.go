@@ -39,17 +39,24 @@ func trianglesByCOO(a *CSR, lo, hi, nblocks int) (l, u *CSR) {
 }
 
 // requireCutEqual holds a direct builder's result to the oracle's: the three
-// arrays bit for bit, the row plan (reflect.DeepEqual reaches the unexported
-// field), and arrays allocated at exactly their final length.
+// arrays bit for bit, the row plan (requireSamePlan), and arrays allocated
+// at exactly their final length.
 func requireCutEqual(t *testing.T, what string, got, want *CSR) {
+	t.Helper()
+	requireSamePlan(t, what, got, want)
+	if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
+		t.Fatalf("%s: cap/len RowPtr %d/%d ColIdx %d/%d Val %d/%d, want exact",
+			what, cap(got.RowPtr), len(got.RowPtr), cap(got.ColIdx), len(got.ColIdx), cap(got.Val), len(got.Val))
+	}
+}
+
+// requireSamePlan holds got to want's three arrays bit for bit and to its
+// row plan (reflect.DeepEqual reaches the unexported field).
+func requireSamePlan(t *testing.T, what string, got, want *CSR) {
 	t.Helper()
 	requireSameCSR(t, what, got, want)
 	if !reflect.DeepEqual(got.plan, want.plan) {
 		t.Fatalf("%s: row plan differs from the COO-built matrix's", what)
-	}
-	if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val) != len(got.Val) {
-		t.Fatalf("%s: cap/len RowPtr %d/%d ColIdx %d/%d Val %d/%d, want exact",
-			what, cap(got.RowPtr), len(got.RowPtr), cap(got.ColIdx), len(got.ColIdx), cap(got.Val), len(got.Val))
 	}
 }
 

@@ -168,14 +168,21 @@ func TestDirectGeneratorsMatchCOO(t *testing.T) {
 }
 
 // TestDiagDominantMatchesMapLoop: the stamp slice makes the draws and the
-// matrix the map per row made.
+// matrix the map per row made. Both convert through ToCSR, so Val keeps
+// the builder's value array, its slack within ToCSR's eighth; RowPtr and
+// ColIdx are exact, as no coordinate repeats.
 func TestDiagDominantMatchesMapLoop(t *testing.T) {
 	for _, c := range []struct {
 		n, deg int
 		seed   int64
 	}{{1, 0, 1}, {1, 3, 2}, {2, 5, 3}, {7, 7, 4}, {700, 6, 5}, {1000, 64, 6}, {4096, 4, 7}} {
-		requireCutEqual(t, fmt.Sprintf("DiagDominant(%d,%d,%d)", c.n, c.deg, c.seed),
-			DiagDominant(c.n, c.deg, c.seed), diagDominantByMap(c.n, c.deg, c.seed))
+		what := fmt.Sprintf("DiagDominant(%d,%d,%d)", c.n, c.deg, c.seed)
+		got := DiagDominant(c.n, c.deg, c.seed)
+		requireSamePlan(t, what, got, diagDominantByMap(c.n, c.deg, c.seed))
+		if cap(got.RowPtr) != len(got.RowPtr) || cap(got.ColIdx) != len(got.ColIdx) || cap(got.Val)-len(got.Val) > len(got.Val)/8 {
+			t.Fatalf("%s: cap/len RowPtr %d/%d ColIdx %d/%d Val %d/%d, want RowPtr and ColIdx exact and Val within an eighth",
+				what, cap(got.RowPtr), len(got.RowPtr), cap(got.ColIdx), len(got.ColIdx), cap(got.Val), len(got.Val))
+		}
 	}
 }
 
