@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"newsum/internal/sparse"
@@ -243,6 +245,31 @@ func TestFactorAllocs(t *testing.T) {
 		}); got != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestJacobiAllocs pins what Jacobi allocates on the benchmark's grid
+// operator: the diagonal, a builder reserved for exactly its n entries,
+// whose value array becomes the stage matrix's Val, the CSR with its row
+// plan, and the preconditioner — 15 allocations and under 56 bytes a row
+// (75 allocations and ≈ 118 bytes a row when the builder grew by doubling
+// and Val was then copied).
+// The collector is off while it measures.
+func TestJacobiAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	a := sparse.Laplacian2D(150, 150)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Jacobi(a); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, mallocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	if mallocs != 15 || bytes >= 56*uint64(a.Rows) {
+		t.Errorf("Jacobi: %d bytes in %d allocations, want under %d in 15", bytes, mallocs, 56*a.Rows)
 	}
 }
 

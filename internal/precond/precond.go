@@ -249,6 +249,7 @@ func Jacobi(a *sparse.CSR) (Preconditioner, error) {
 	n := a.Rows
 	diag := a.Diag(nil)
 	c := sparse.NewCOO(n, n)
+	c.Grow(n)
 	for i, d := range diag {
 		if d == 0 {
 			return nil, fmt.Errorf("precond: Jacobi requires nonzero diagonal (row %d)", i)

@@ -121,7 +121,9 @@ func requireSameCSR(t *testing.T, what string, got, want *CSR) {
 // TestToCSRMatchesSortSlice: the counting-sort conversion is bit-identical
 // to the comparison-sort one it replaced — on shuffled copies of every
 // generator's output, on block-Jacobi's block-diagonal assembly of each,
-// and on random input with duplicate coordinates, long rows and empty rows.
+// and on random input with duplicate coordinates, long rows and empty rows
+// — and its two value placements, the scatter and the cycle walk, agree
+// bit for bit on each, so both are held to the reference on every host.
 // (The generators' own Add sequences, duplicates included, are covered by
 // TestGeneratorBitsPinned.)
 func TestToCSRMatchesSortSlice(t *testing.T) {
@@ -140,6 +142,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 	for name, a := range gens {
 		c := cooOf(a, rng)
 		requireSameCSR(t, name, c.clone().ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, name+" by cycles", c.clone().toCSRByCycles(), c.toCSRBySortSlice())
 		requireSameCSR(t, name+" round trip", c.ToCSR(), a)
 
 		// Block-Jacobi's assembly: the block-diagonal restriction, added
@@ -158,6 +161,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 			}
 		}
 		requireSameCSR(t, name+" block diagonal", bd.clone().ToCSR(), bd.toCSRBySortSlice())
+		requireSameCSR(t, name+" block diagonal by cycles", bd.clone().toCSRByCycles(), bd.toCSRBySortSlice())
 	}
 
 	// Random input. A coordinate added twice sums commutatively, so any
@@ -175,6 +179,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 			c.Add(i, j, float64(rng.Intn(1<<20)-1<<19)/1024)
 		}
 		requireSameCSR(t, "random dyadic", c.clone().ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, "random dyadic by cycles", c.clone().toCSRByCycles(), c.toCSRBySortSlice())
 	}
 	for trial := 0; trial < 20; trial++ {
 		n := 200 + rng.Intn(200)
@@ -195,6 +200,7 @@ func TestToCSRMatchesSortSlice(t *testing.T) {
 			c.Add(i, j, rng.NormFloat64()*math.Exp2(float64(rng.Intn(60)-30)))
 		}
 		requireSameCSR(t, "random pairs", c.clone().ToCSR(), c.toCSRBySortSlice())
+		requireSameCSR(t, "random pairs by cycles", c.clone().toCSRByCycles(), c.toCSRBySortSlice())
 	}
 }
 
@@ -266,7 +272,9 @@ const fuzzDyadic = 12 // fuzzValues[:fuzzDyadic] sum exactly in any order
 // sixteen slots empty and are copied. A coordinate added three times or
 // more takes dyadic values: the comparison-sort reference's unstable sort
 // does not keep arrival order, so only an exact sum is the same whatever
-// order its entries take. Seeds live in testdata/fuzz/FuzzToCSR.
+// order its entries take. The cycle walk (toCSRByCycles, the placement
+// where int holds 32 bits) converts a clone of its own and must give the
+// same CSR and row plan to the bit. Seeds live in testdata/fuzz/FuzzToCSR.
 func FuzzToCSR(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows, cols uint8, triplets []byte) {
 		m, n := int(rows)%65, int(cols)%65
@@ -284,10 +292,11 @@ func FuzzToCSR(f *testing.F) {
 				c.Add(i, j, fuzzValues[v])
 			}
 		}
-		orig, vals := c.clone(), c.v
+		orig, cycled, vals := c.clone(), c.clone(), c.v
 		got := c.ToCSR()
 		requireSameCSR(t, "sort reference", got, orig.toCSRBySortSlice())
 		requireSameCSR(t, "arrival order", got, orig.toCSRByArrival())
+		requireSamePlan(t, "cycle walk", cycled.toCSRByCycles(), got)
 		if c.i != nil || c.j != nil || c.v != nil {
 			t.Fatalf("ToCSR left %d, %d, %d entries in its builder, want it emptied", len(c.i), len(c.j), len(c.v))
 		}
@@ -368,7 +377,12 @@ func TestToCSRAllocatesOnlyTheCSR(t *testing.T) {
 // TestNewCOORejectsWideDimensions: a coordinate is an int32, so NewCOO
 // refuses a dimension it cannot hold.
 func TestNewCOORejectsWideDimensions(t *testing.T) {
-	for _, d := range [][2]int{{-1, 3}, {3, -1}, {math.MaxInt32 + 1, 1}, {1, math.MaxInt32 + 1}} {
+	dims := [][2]int{{-1, 3}, {3, -1}}
+	if wideInt { // where int holds 32 bits, no int is above MaxInt32
+		over := int64(math.MaxInt32) + 1
+		dims = append(dims, [2]int{int(over), 1}, [2]int{1, int(over)})
+	}
+	for _, d := range dims {
 		func() {
 			defer func() {
 				if recover() == nil {

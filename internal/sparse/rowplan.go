@@ -35,10 +35,22 @@ func (a *CSR) planRows() *CSR {
 	return a
 }
 
+// planSpan is how many lengths, from a window's shortest row up, the row
+// plan counts in stack scratch; a window whose longest row lies further
+// from its shortest counts in heap scratch, one array for the call, grown
+// to the widest such window.
+const planSpan = 128
+
 // newRowPlan plans the full windows of the rows rowPtr delimits, counting
-// each window's rows by length: one byte a row and one rowRun a run,
-// nothing else allocated. It returns nil — the row loop — when there is no
-// full window, or more rows or entries than the plan's int32 words count.
+// each window's rows by length with a direct index over its lengths from
+// the shortest to the longest — eight byte counters in one word when they
+// span at most eight, stack scratch up to planSpan, heap scratch beyond —
+// and placing each row at its length's next place: one byte a row and one
+// rowRun a run, nothing else allocated unless a window spans more than
+// planSpan lengths. Linear in the row count plus such windows' spans, each
+// under the window's entries. It returns nil — the row loop — when there
+// is no full window, or more rows or entries than the plan's int32 words
+// count.
 func newRowPlan(rowPtr []int, nnz int) *rowPlan {
 	nw := (len(rowPtr) - 1) / vec.Block
 	if nw == 0 || len(rowPtr)+nnz > math.MaxInt32 {
@@ -47,45 +59,69 @@ func newRowPlan(rowPtr []int, nnz int) *rowPlan {
 	// Room for four runs a window, what stencil and circuit windows mostly
 	// need, at least doubled when full: as many regrowths at any size.
 	p := &rowPlan{order: make([]uint8, nw*vec.Block), runs: make([]rowRun, 0, 4*nw), first: make([]int32, nw+1)}
-	var runs [vec.Block]rowRun // a window's runs, reused
+	var (
+		lens  [vec.Block]int32  // the window's row lengths
+		runs  [vec.Block]rowRun // its runs, shortest rows first
+		stack [planSpan]int32   // by length − the shortest: count, then next place
+		wide  []int32           // the same for a window that spans more
+	)
 	for w := 0; w < nw; w++ {
 		ptr := rowPtr[w*vec.Block:][:vec.Block+1]
-		// Count the window's rows into runs[:d], its few lengths ascending;
-		// k counts the last row's run, which the next row most often joins.
-		d, s, k := 0, 0, int32(0)
-		for i := range vec.Block {
-			if l := int32(ptr[i+1] - ptr[i]); d == 0 || runs[s].length != l {
-				runs[s].rows += k
-				for s = 0; s < d && runs[s].length < l; s++ {
-				}
-				if s == d || runs[s].length != l {
-					copy(runs[s+1:d+1], runs[s:d])
-					runs[s], d = rowRun{l, 0}, d+1
-				}
-				k = 0
-			}
-			k++
+		lo, hi := int32(ptr[1]-ptr[0]), int32(0)
+		for i := range lens {
+			l := int32(ptr[i+1] - ptr[i])
+			lens[i], lo, hi = l, min(lo, l), max(hi, l)
 		}
-		runs[s].rows += k
+		order, d := (*[vec.Block]uint8)(p.order[w*vec.Block:]), 0
+		if hi-lo < 8 {
+			// Byte l−lo of one word counts, then places, length l: a
+			// window holds 128 rows, so no byte carries into the next,
+			// and a run of equal lengths is a chain of register adds.
+			var count, next, q uint64
+			for _, l := range lens[:] {
+				count += 1 << (8 * uint(l-lo) & 63)
+			}
+			for s := range hi - lo + 1 {
+				if k := count >> (8 * uint(s)) & 0xff; k != 0 {
+					runs[d], d = rowRun{lo + s, int32(k)}, d+1
+					next |= q << (8 * uint(s))
+					q += k
+				}
+			}
+			for i, l := range lens[:] {
+				sh := 8 * uint(l-lo) & 63
+				order[next>>sh&rowMask] = uint8(i)
+				next += 1 << sh
+			}
+		} else {
+			at := stack[:]
+			if int(hi-lo) >= planSpan {
+				if int(hi-lo) >= len(wide) {
+					wide = make([]int32, hi-lo+1)
+				}
+				at = wide
+			}
+			at = at[:hi-lo+1]
+			for _, l := range lens[:] {
+				at[l-lo]++
+			}
+			for s, q := 0, int32(0); s < len(at); s++ {
+				if k := at[s]; k != 0 {
+					runs[d], d = rowRun{lo + int32(s), k}, d+1
+					at[s], q = q, q+k
+				}
+			}
+			for i, l := range lens[:] {
+				order[at[l-lo]&rowMask] = uint8(i)
+				at[l-lo]++
+			}
+			clear(at)
+		}
 		if len(p.runs)+d > cap(p.runs) {
 			p.runs = slices.Grow(p.runs, cap(p.runs)+d)
 		}
 		p.runs = append(p.runs, runs[:d]...)
 		p.first[w+1] = int32(len(p.runs))
-		// Place the rows: runs[r].rows becomes run r's next place, k the last's.
-		for r, q := 0, int32(0); r < d; r++ {
-			runs[r].rows, q = q, q+runs[r].rows
-		}
-		order, k := p.order[w*vec.Block:][:vec.Block], runs[s].rows
-		for i := range vec.Block {
-			if l := int32(ptr[i+1] - ptr[i]); runs[s].length != l {
-				for runs[s].rows, s = k, 0; runs[s].length != l; s++ {
-				}
-				k = runs[s].rows
-			}
-			order[k] = uint8(i)
-			k++
-		}
 	}
 	return p
 }

@@ -229,8 +229,11 @@ func TestRowPlanMatchesRowLoopBitwise(t *testing.T) {
 		checkRowPlan(t, rng, "random", a)
 	}
 	// One window whose rows all share a length (with a body, then without),
-	// one where every row differs, one of empty rows, and a ragged tail.
-	a := lengthsCSR(rng, 4*vec.Block+77, 200, func(i int) int {
+	// one where every row differs, one of empty rows, one with a row longer
+	// than the plan's stack scratch covers, one that mixes empty rows with
+	// long ones over the same span, in the heap scratch the one before left,
+	// and a ragged tail.
+	a := lengthsCSR(rng, 6*vec.Block+77, 200, func(i int) int {
 		switch i / vec.Block {
 		case 0:
 			return 5
@@ -240,12 +243,23 @@ func TestRowPlanMatchesRowLoopBitwise(t *testing.T) {
 			return i % vec.Block
 		case 3:
 			return 0
+		case 4:
+			if i%vec.Block == 64 {
+				return planSpan + 44
+			}
+			return 3
+		case 5:
+			if i%2 == 0 {
+				return 0
+			}
+			return planSpan + 35 + i%7
 		}
 		return 1 + i%3
 	})
 	checkRowPlan(t, rng, "windows", a)
-	if runs := a.plan.first[1:]; runs[0] != 1 || runs[1] != 2 || runs[2] != 2+vec.Block || runs[3] != 3+vec.Block {
-		t.Fatalf("windows: run boundaries %v, want one run, one run, %d runs, one run", runs, vec.Block)
+	if runs := a.plan.first[1:]; runs[0] != 1 || runs[1] != 2 || runs[2] != 2+vec.Block || runs[3] != 3+vec.Block ||
+		runs[4] != 5+vec.Block || runs[5] != 13+vec.Block {
+		t.Fatalf("windows: run boundaries %v, want one run, one run, %d runs, one run, two runs, eight runs", runs, vec.Block)
 	}
 	// A rectangular operator: windows are of rows, whatever the columns.
 	checkRowPlan(t, rng, "wide", lengthsCSR(rng, 300, 50, func(int) int { return 3 + rng.Intn(6) }))
@@ -300,17 +314,30 @@ func TestRowPlanStaleIsReportedAndMemorySafe(t *testing.T) {
 	}
 }
 
-// FuzzRowPlan draws row lengths 0–12 over 1–400 rows from the pattern bytes
-// and a row range from lo and hi, and holds the planned product over it to
-// the row loop. Seeds live in testdata/fuzz/FuzzRowPlan.
+// FuzzRowPlan draws 1–400 rows from the pattern bytes — a byte below 0xf0
+// is a row of its value mod 13 entries, one from 0xf0 up a row of
+// planSpan + 8·(byte − 0xf0), longer than the plan's stack scratch covers,
+// so a window can mix empty rows with long ones — and a row range from lo
+// and hi, and holds the planned product over it to the row loop. Seeds
+// live in testdata/fuzz/FuzzRowPlan.
 func FuzzRowPlan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, pattern []byte, seed int64, rows, lo, hi uint16) {
 		if len(pattern) == 0 {
 			pattern = []byte{0}
 		}
+		length := func(b byte) int {
+			if b >= 0xf0 {
+				return planSpan + 8*int(b-0xf0)
+			}
+			return int(b) % 13
+		}
+		cols := 60
+		for _, b := range pattern {
+			cols = max(cols, length(b))
+		}
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + int(rows)%400
-		a := lengthsCSR(rng, n, 60, func(i int) int { return int(pattern[i%len(pattern)]) % 13 })
+		a := lengthsCSR(rng, n, cols, func(i int) int { return length(pattern[i%len(pattern)]) })
 		if err := a.Validate(); err != nil {
 			t.Fatal(err)
 		}

@@ -92,11 +92,18 @@ leaf_out=$(go test -v -run '^TestLeafDispatch$' ./internal/vec/) || {
 echo "$leaf_out" | grep 'leaf:' || echo "    leaf: portable lanes (no amd64 assembly linked)"
 go test -tags purego ./internal/vec/... ./internal/kernel/... ./internal/checksum/... ./internal/sparse/... ./internal/precond/... ./internal/core/... ./internal/par/...
 
-step "non-amd64 build (GOARCH=arm64: build all, vet vec)"
+step "non-amd64 build (GOARCH=arm64: build all, vet vec; GOARCH=386: build all, vet sparse)"
 # Nothing else compiles the !amd64 files; go vet's asmdecl checks the
 # assembly's frame layout against its Go declarations on amd64 above.
+# Where int holds 32 bits, COO.ToCSR places values along the permutation's
+# cycles instead of by scatter (internal/sparse/coo.go, wideInt): the 386
+# pass compiles and vets that choice and every constant the package and
+# its tests size by int. Its tests are not run there: some pins hold
+# amd64's fingerprints and byte counts.
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/vec/
+GOARCH=386 go build ./...
+GOARCH=386 go vet ./internal/sparse/
 
 step "go test -race (par, core, service, kernel, router, sparse, precond); par and router once more on one P"
 # sparse and precond: a TriSchedule is shared by every worker solving on
